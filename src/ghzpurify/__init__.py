@@ -25,14 +25,12 @@ from .optics import (
     GATE_TABLE,
     apply_network,
     bit_flip_pol,
-    gate_table_from_elements,
     hadamard_pol,
     hadamard_spatial,
-    invert_network,
-    local_gate_row,
 )
 from .oracle import ORACLE_MAX_PHOTONS, OracleResult, densify, network_unitary, oracle_run
 from .protocol import (
+    MODES,
     AcceptanceRule,
     Correction,
     PatternOutcome,
@@ -44,7 +42,6 @@ from .protocol import (
     closed_form_success_pair,
     infer_flip_plan,
     merged_fidelity,
-    minority_flip_plan,
     phaseflip_plan,
     run_bitflip,
     run_general,

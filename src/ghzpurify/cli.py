@@ -11,22 +11,17 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .efficiency import EfficiencyParams, sweep as efficiency_sweep
-from .noise import POLARIZATION, ensemble_from_specs, mix_general, mix_two, product_ensemble
+from .efficiency import EfficiencyParams, axis_values, sweep as efficiency_sweep
+from .noise import POLARIZATION, ensemble_from_specs, ghz_weights, product_ensemble
 from .optics import GATE_TABLE, GateTable
 from .oracle import ORACLE_MAX_PHOTONS, densify, oracle_run
 from .protocol import (
-    AcceptanceRule,
+    MODES,
     ProtocolResult,
-    closed_form_fidelity_general,
     closed_form_fidelity_pair,
-    closed_form_success_general,
     closed_form_success_pair,
-    infer_flip_plan,
     merged_fidelity,
     run_bitflip,
-    run_general,
-    run_phaseflip,
 )
 from .records import (
     ConfigError,
@@ -37,7 +32,7 @@ from .records import (
     rows_to_csv,
     rows_to_json,
 )
-from .states import SPATIAL, Ensemble, make_ghz_pol, make_ghz_spatial
+from .states import SPATIAL, Ensemble, make_ghz_pol
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -54,52 +49,18 @@ def build_input(config: ProtocolConfig) -> Ensemble:
     return product_ensemble(pol, spatial)
 
 
-def _weight_vector(config: ProtocolConfig, which: str) -> list[float]:
-    specs = config.pol_noise if which == "pol" else config.spatial_noise
-    vec = [0.0] * 2 ** (config.m - 1)
-    for s in specs:
-        vec[s.target_index] += s.weight
-    vec[0] = 1.0 - sum(s.weight for s in specs)
-    return vec
-
-
 def execute(config: ProtocolConfig) -> tuple[ProtocolResult, dict, dict]:
-    """Run the configured protocol; returns (result, closed_form, deviation)."""
-    ensemble = build_input(config)
+    """Run the configured protocol; returns (result, closed_form, deviation), all against its target."""
+    mode = MODES[config.mode]
     index, sign = parse_target(config.target)
     target = make_ghz_pol(config.m, index, sign)
-    f_pol = 1.0 - sum(s.weight for s in config.pol_noise)
-    f_spatial = 1.0 - sum(s.weight for s in config.spatial_noise)
-
-    if config.mode == "bitflip":
-        result = run_bitflip(ensemble, target=target)
-        closed = {
-            "fidelity": closed_form_fidelity_pair(f_pol, f_spatial),
-            "success_probability": closed_form_success_pair(f_pol, f_spatial),
-        }
-    elif config.mode == "phaseflip":
-        result = run_phaseflip(ensemble, target=target)
-        closed = {
-            "fidelity": closed_form_fidelity_pair(f_pol, f_spatial),
-            "success_probability": closed_form_success_pair(f_pol, f_spatial),
-        }
-    elif config.mode == "general":
-        result = run_general(ensemble, corrections={}, acceptance=AcceptanceRule("bitflip"), target=target)
-        pol_vec = _weight_vector(config, "pol")
-        spatial_vec = _weight_vector(config, "spatial")
-        components = closed_form_fidelity_general(pol_vec, spatial_vec)
-        closed = {
-            "fidelity": components[index] if sign == 1 else 0.0,
-            "success_probability": closed_form_success_general(pol_vec, spatial_vec),
-            "fidelity_components": list(components),
-        }
-    else:  # deterministic-demo
-        result = run_general(ensemble, target=target)
-        closed = {"fidelity": 1.0, "success_probability": 1.0}
-
-    reference = make_ghz_pol(config.m, 0, +1)
+    result = mode.run(build_input(config), target=target)
+    weights, success = mode.closed_form(config.m, ghz_weights(config.pol_noise), ghz_weights(config.spatial_noise))
+    closed = {"fidelity": weights.get((index, sign), 0.0), "success_probability": success}
+    if mode.lists_components:
+        closed["fidelity_components"] = [weights[(i, 1)] for i in range(2 ** (config.m - 1))]
     deviation = {
-        "fidelity": abs(merged_fidelity(result, reference) - closed["fidelity"]),
+        "fidelity": abs(merged_fidelity(result, target) - closed["fidelity"]),
         "success_probability": abs(result.success_probability - closed["success_probability"]),
     }
     return result, closed, deviation
@@ -165,19 +126,14 @@ def _fidelity_grid(spec: str) -> list[float]:
         raise ConfigError(f"grid must look like 0.1:0.9:0.1, got {spec!r}") from exc
     if step <= 0 or stop < start:
         raise ConfigError(f"empty or descending grid {spec!r}")
-    values = []
-    v = start
-    while v <= stop + 1e-9:
-        values.append(round(v, 12))
-        v += step
-    return values
+    return [round(v, 12) for v in axis_values(start, stop, step)]
 
 
 def _cmd_sweep(args) -> int:
     try:
         if args.axis in ("L", "N"):
             params = EfficiencyParams(
-                eta_d=args.eta_d, eta_c=args.eta_c, L=args.L, L0=args.L0, N=args.N, p1=args.p1
+                eta_d=args.eta_d, eta_c=args.eta_c, L=args.L, L0=args.L0, N=args.N
             )
             rows = efficiency_sweep(params, args.axis, args.start, args.stop, args.step)
             header = ["L_km" if args.axis == "L" else "N", "R"]
@@ -196,9 +152,7 @@ def _cmd_sweep(args) -> int:
             table = []
             for f1 in values:
                 for f2 in values:
-                    pol = mix_two(make_ghz_pol(args.m, 0), make_ghz_pol(args.m, 1), f1)
-                    spatial = mix_two(make_ghz_spatial(args.m, 0), make_ghz_spatial(args.m, 1), f2)
-                    res = run_bitflip(product_ensemble(pol, spatial))
+                    res = run_bitflip(MODES["bitflip"].verify_input(args.m, f1, f2))
                     fc = closed_form_fidelity_pair(f1, f2)
                     sc = closed_form_success_pair(f1, f2)
                     dev = max(abs(res.output_fidelity - fc), abs(res.success_probability - sc))
@@ -219,37 +173,6 @@ def _verify_grid(m: int) -> list[float]:
     return [0.3, 0.7]
 
 
-def _bitflip_pair(m: int, f1: float, f2: float) -> Ensemble:
-    pol = mix_two(make_ghz_pol(m, 0), make_ghz_pol(m, 1), f1)
-    spatial = mix_two(make_ghz_spatial(m, 0), make_ghz_spatial(m, 1), f2)
-    return product_ensemble(pol, spatial)
-
-
-def _phaseflip_pair(m: int, f3: float, f4: float) -> Ensemble:
-    pol = mix_two(make_ghz_pol(m, 0, +1), make_ghz_pol(m, 0, -1), f3)
-    spatial = mix_two(make_ghz_spatial(m, 0, +1), make_ghz_spatial(m, 0, -1), f4)
-    return product_ensemble(pol, spatial)
-
-
-def _general_pair(m: int, f1: float, f2: float) -> Ensemble:
-    count = min(4, 2 ** (m - 1))
-    rest1 = (1.0 - f1) / (count - 1)
-    rest2 = (1.0 - f2) / (count - 1)
-    pol = mix_general(
-        [make_ghz_pol(m, i) for i in range(count)], [f1] + [rest1] * (count - 1)
-    )
-    spatial = mix_general(
-        [make_ghz_spatial(m, i) for i in range(count)], [f2] + [rest2] * (count - 1)
-    )
-    return product_ensemble(pol, spatial)
-
-
-def _deterministic_pair(m: int, f1: float, f2: float) -> Ensemble:
-    pol = mix_two(make_ghz_pol(m, 0), make_ghz_pol(m, 1), f1)
-    spatial = mix_two(make_ghz_spatial(m, 0), make_ghz_spatial(m, 2), f2)
-    return product_ensemble(pol, spatial)
-
-
 def _cmd_verify(args) -> int:
     m = args.m
     table: GateTable | None = None
@@ -262,46 +185,28 @@ def _cmd_verify(args) -> int:
     grid = _verify_grid(m)
     target = make_ghz_pol(m, 0, +1)
     failed = False
-    for mode in ("bitflip", "phaseflip", "general", "deterministic"):
-        if mode == "deterministic" and m == 2:
-            print(f"{mode:>13}: skipped (needs distinct error indices, m >= 3)")
+    for name, mode in MODES.items():
+        label = mode.label or name
+        if m < mode.min_m:
+            print(f"{label:>13}: skipped (needs distinct error indices, m >= {mode.min_m})")
             continue
         worst = 0.0
         worst_at = None
         for f1 in grid:
             for f2 in grid:
-                if mode == "bitflip":
-                    ens = _bitflip_pair(m, f1, f2)
-                    engine = run_bitflip(ens, target=target, gate_table=table)
-                    dense = oracle_run(densify(ens), m, AcceptanceRule("bitflip"), target=target)
-                elif mode == "phaseflip":
-                    ens = _phaseflip_pair(m, f1, f2)
-                    engine = run_phaseflip(ens, target=target, gate_table=table)
-                    dense = oracle_run(densify(ens), m, AcceptanceRule("phaseflip"), target=target)
-                elif mode == "general":
-                    ens = _general_pair(m, f1, f2)
-                    engine = run_general(
-                        ens, corrections={}, acceptance=AcceptanceRule("bitflip"),
-                        target=target, gate_table=table,
-                    )
-                    dense = oracle_run(densify(ens), m, AcceptanceRule("bitflip"), corrections={}, target=target)
-                else:
-                    ens = _deterministic_pair(m, f1, f2)
-                    plan = infer_flip_plan(ens)
-                    engine = run_general(ens, corrections=plan, target=target, gate_table=table)
-                    dense = oracle_run(densify(ens), m, AcceptanceRule("general"), corrections=plan, target=target)
+                ens = mode.verify_input(m, f1, f2)
+                engine = mode.run(ens, target=target, gate_table=table)
+                dense = oracle_run(densify(ens), m, mode.rule, corrections=mode.plan(ens), target=target)
                 dev = max(
                     abs(engine.output_fidelity - dense.output_fidelity),
                     abs(engine.success_probability - dense.success_probability),
                 )
                 if dev > worst:
                     worst, worst_at = dev, (f1, f2)
-        status = "ok" if worst < VERIFY_TOL else "MISMATCH"
-        if worst >= VERIFY_TOL:
-            failed = True
-            print(f"{mode:>13}: {status}  worst deviation {worst:.3e} at F=({worst_at[0]}, {worst_at[1]}), m={m}")
-        else:
-            print(f"{mode:>13}: {status}  worst deviation {worst:.3e}")
+        ok = worst < VERIFY_TOL
+        failed = failed or not ok
+        where = "" if ok else f" at F=({worst_at[0]}, {worst_at[1]}), m={m}"
+        print(f"{label:>13}: {'ok' if ok else 'MISMATCH'}  worst deviation {worst:.3e}{where}")
     print(f"verify m={m}: {'FAILED' if failed else 'passed'} (tolerance {VERIFY_TOL:g})")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
@@ -333,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--L0", type=float, default=25.0, help="attenuation length, km")
     swp.add_argument("--eta-d", dest="eta_d", type=float, default=0.9)
     swp.add_argument("--eta-c", dest="eta_c", type=float, default=0.95)
-    swp.add_argument("--p1", type=float, default=1.0)
     swp.add_argument("--grid", default="0.1:0.9:0.1", help="F axis grid start:stop:step")
     swp.add_argument("--m", type=int, default=3, help="photon count for the F axis")
     swp.add_argument("--out")

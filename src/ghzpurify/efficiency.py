@@ -61,6 +61,11 @@ def ratio_R(params: EfficiencyParams) -> float:
     return 4.0 / (params.eta_t * params.eta_d * params.eta_c) ** params.N
 
 
+def axis_values(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop; each value from its index, so no error accumulates."""
+    return [start + i * step for i in range(math.floor((stop - start) / step + 1e-9) + 1)]
+
+
 def sweep(
     params: EfficiencyParams,
     axis: str,
@@ -80,13 +85,11 @@ def sweep(
     if stop < start:
         raise ValueError(f"empty sweep range [{start}, {stop}]")
     rows = []
-    value = start
-    while value <= stop + 1e-9:
+    for value in axis_values(start, stop, step):
         if axis == "L":
             point = replace(params, L=float(value))
             rows.append((float(value), ratio_R(point)))
         else:
             point = replace(params, N=int(round(value)))
             rows.append((float(int(round(value))), ratio_R(point)))
-        value += step
     return rows

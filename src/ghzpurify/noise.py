@@ -110,6 +110,15 @@ def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
     return Ensemble(members)
 
 
+def ghz_weights(specs: Sequence[NoiseSpec]) -> dict[tuple[int, int], float]:
+    """The mixture ensemble_from_specs builds, as weights keyed by GHZ (index, sign)."""
+    weights = {(0, 1): 1.0 - sum(s.weight for s in specs)}
+    for s in specs:
+        key = (s.target_index, 1) if s.kind == BIT_FLIP else (0, -1)
+        weights[key] = weights.get(key, 0.0) + s.weight
+    return weights
+
+
 def ensemble_from_specs(m: int, dof: str, specs: Sequence[NoiseSpec]) -> Ensemble:
     """Mixture of the reference GHZ state with the listed error components."""
     for spec in specs:

@@ -27,46 +27,14 @@ from .states import (
 
 GateTable = dict[tuple[int, int], tuple[int, int]]
 
+# The oracle derives the same rows from the element matrices
+# (oracle._single_photon_network); the tests hold the two together.
 GATE_TABLE: GateTable = {
     (H, MODE1): (V, KEEP),
     (V, MODE2): (H, KEEP),
     (V, MODE1): (V, SWAP),
     (H, MODE2): (H, SWAP),
 }
-
-# Element-level reconstruction of the same table. The splitter transmits H
-# and reflects V, fanning the four (pol, mode) inputs onto four rails; the
-# two rails feeding the keep-side displacer pass half-wave plates; each
-# displacer admits one V rail and one H rail into a single output port.
-_HWP_RAILS = frozenset({"t1", "r2"})
-_RAIL_PORT = {"t1": KEEP, "r2": KEEP, "r1": SWAP, "t2": SWAP}
-
-
-def _splitter_rail(pol: int, mode: int) -> str:
-    kind = "t" if pol == H else "r"
-    return f"{kind}{mode + 1}"
-
-
-def gate_table_from_elements() -> GateTable:
-    """Rebuild the routing table by chaining splitter, wave plates, displacers."""
-    table: GateTable = {}
-    arrivals: dict[int, set[int]] = {KEEP: set(), SWAP: set()}
-    for pol in (H, V):
-        for mode in (MODE1, MODE2):
-            rail = _splitter_rail(pol, mode)
-            out_pol = 1 - pol if rail in _HWP_RAILS else pol
-            port = _RAIL_PORT[rail]
-            table[(pol, mode)] = (out_pol, port)
-            arrivals[port].add(out_pol)
-    # a displacer needs one H and one V arrival to merge into its port
-    if arrivals[KEEP] != {H, V} or arrivals[SWAP] != {H, V}:
-        raise AssertionError(f"displacer inputs not (H, V) pairs: {arrivals}")
-    return table
-
-
-def local_gate_row(pol: int, spatial: int) -> tuple[int, int]:
-    """Single-photon routing: (pol, spatial mode) -> (pol, port group)."""
-    return GATE_TABLE[(pol, spatial)]
 
 
 def _check_table(table: GateTable) -> None:
@@ -89,20 +57,6 @@ def apply_network(state: PureState, table: GateTable | None = None) -> PureState
         for label, amp in state.terms.items()
     ]
     return make_state(state.m, (POL, PORT), items)
-
-
-def invert_network(state: PureState, table: GateTable | None = None) -> PureState:
-    """Undo apply_network; with it, composes to the identity exactly."""
-    if state.dofs != (POL, PORT):
-        raise ValueError(f"network output must carry (pol, port) labels, got {state.dofs}")
-    rows = GATE_TABLE if table is None else table
-    _check_table(rows)
-    back = {out: inp for inp, out in rows.items()}
-    items = [
-        (tuple(back[photon] for photon in label), amp)
-        for label, amp in state.terms.items()
-    ]
-    return make_state(state.m, (POL, SPATIAL), items)
 
 
 def _hadamard_dof(state: PureState, dof: str) -> PureState:

@@ -13,6 +13,7 @@ cross-validation, not performance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -106,23 +107,21 @@ def _is_permutation(mat: np.ndarray) -> bool:
     )
 
 
-def _kron_power(single: np.ndarray, m: int) -> np.ndarray:
-    out = single
-    for _ in range(m - 1):
-        out = np.kron(out, single)
-    return out
+def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
+    """Tensor product of per-photon factors, first photon most significant."""
+    return functools.reduce(np.kron, factors)
 
 
 def network_unitary(m: int) -> np.ndarray:
     """Full-network permutation unitary on the 4^m joint space."""
     _check_capacity(m)
-    return _kron_power(_single_photon_network(), m)
+    return _kron_all([_single_photon_network()] * m)
 
 
 def hadamard_both_unitary(m: int) -> np.ndarray:
     """Hadamard on every photon's polarization and spatial bits."""
     _check_capacity(m)
-    return _kron_power(np.kron(_H2, _H2), m)
+    return _kron_all([np.kron(_H2, _H2)] * m)
 
 
 def _pattern_indices(m: int, pattern: Pattern) -> np.ndarray:
@@ -137,12 +136,9 @@ def _pattern_indices(m: int, pattern: Pattern) -> np.ndarray:
 
 
 def _correction_unitary(m: int, corr: Correction) -> np.ndarray:
-    factors = [_X2 if k in corr.flips else _I2 for k in range(m)]
-    mat = factors[0]
-    for f in factors[1:]:
-        mat = np.kron(mat, f)
+    mat = _kron_all([_X2 if k in corr.flips else _I2 for k in range(m)])
     if corr.hadamard:
-        mat = _kron_power(_H2, m) @ mat
+        mat = _kron_all([_H2] * m) @ mat
     return mat
 
 

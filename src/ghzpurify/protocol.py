@@ -10,6 +10,9 @@ Port patterns are tuples with one bit per photon, 0 = KEEP group, 1 = SWAP
 group. Bit-flip mode accepts the two unanimous patterns; phase-flip mode
 accepts every pattern with an even number of SWAP photons; general mode
 accepts everything and relies on per-pattern corrections.
+
+MODES is the one table of the configured modes: the pipeline's per-mode
+choices, the noise a config may list, the closed form and the verify input.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
+from .noise import BIT_FLIP, PHASE_FLIP, mix_general, mix_two, product_ensemble
 from .optics import GateTable, apply_network, bit_flip_pol, hadamard_pol, hadamard_spatial
 from .states import (
     POL,
@@ -30,6 +34,7 @@ from .states import (
     complement,
     fidelity,
     make_ghz_pol,
+    make_ghz_spatial,
 )
 
 Pattern = tuple[int, ...]
@@ -95,22 +100,6 @@ def phaseflip_plan(m: int) -> dict[Pattern, Correction]:
     }
 
 
-def minority_flip_plan(m: int) -> dict[Pattern, Correction]:
-    """Flip the polarization of whichever port group holds fewer photons.
-
-    On a tie (even m, half the photons in each group) the KEEP group is
-    flipped; the alternative differs by a full complement, which fixes any
-    GHZ state up to global phase.
-    """
-    plan: dict[Pattern, Correction] = {}
-    for pat in all_patterns(m):
-        swap_group = frozenset(i for i, b in enumerate(pat) if b)
-        flips = swap_group if 2 * len(swap_group) < m else frozenset(range(m)) - swap_group
-        if flips:
-            plan[pat] = Correction(flips=flips)
-    return plan
-
-
 def _ghz_product_parts(state: PureState) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Recover (pol flip pattern, spatial flip pattern) of a GHZ x GHZ product."""
     if state.dofs != (POL, SPATIAL):
@@ -133,24 +122,24 @@ def infer_flip_plan(ensemble: Ensemble) -> dict[Pattern, Correction]:
     """Derive the correction each port pattern needs from the noise support.
 
     The pattern produced by a (pol error e, spatial error f) branch is the
-    photon-wise XOR of the two flip patterns, and the surviving polarization
-    state is the GHZ component of f alone. Whenever a pattern identifies f
-    unambiguously among the branches present in the input, flipping f's
-    photons restores the reference GHZ state; ambiguous patterns are left
-    uncorrected (they carry a genuine mixture that no unitary can unmix).
+    photon-wise XOR of the two flip patterns (or its complement), and the
+    surviving polarization state is the GHZ component of f alone. Whenever a
+    pattern identifies f unambiguously among the branches present in the
+    input, flipping f's photons restores the reference GHZ state; ambiguous
+    patterns are left uncorrected (they carry a genuine mixture that no
+    unitary can unmix).
     """
-    m = ensemble.m
-    branches = [_ghz_product_parts(member) for _, member in ensemble.members]
+    f_classes: dict[Pattern, set[frozenset[Pattern]]] = {}
+    for _, member in ensemble.members:
+        e, f = _ghz_product_parts(member)
+        u = tuple(a ^ b for a, b in zip(e, f))
+        for pat in (u, complement(u)):
+            f_classes.setdefault(pat, set()).add(frozenset((f, complement(f))))
     plan: dict[Pattern, Correction] = {}
-    for pat in all_patterns(m):
-        f_classes = set()
-        for e, f in branches:
-            u = tuple(a ^ b for a, b in zip(e, f))
-            if pat in (u, complement(u)):
-                f_classes.add(frozenset((f, complement(f))))
-        if len(f_classes) != 1:
+    for pat, classes in f_classes.items():
+        if len(classes) != 1:
             continue
-        (cls,) = f_classes
+        (cls,) = classes
         rep = min(cls, key=lambda t: (sum(t), t))
         flips = frozenset(i for i, b in enumerate(rep) if b)
         if flips:
@@ -177,10 +166,6 @@ class ProtocolResult:
 
     def __post_init__(self):
         object.__setattr__(self, "accepted", MappingProxyType(dict(self.accepted)))
-
-    def pattern_probability(self, pattern: Pattern) -> float:
-        outcome = self.accepted.get(pattern)
-        return outcome.probability if outcome else 0.0
 
 
 def merged_fidelity(result: ProtocolResult, target: PureState) -> float:
@@ -271,7 +256,7 @@ def run_bitflip(
     gate_table: GateTable | None = None,
 ) -> ProtocolResult:
     """Bit-flip purification: keep the unanimous port patterns, no corrections."""
-    return _execute(ensemble, AcceptanceRule("bitflip"), {}, target, False, gate_table)
+    return MODES["bitflip"].run(ensemble, target, gate_table)
 
 
 def run_phaseflip(
@@ -285,14 +270,7 @@ def run_phaseflip(
     and applying one more polarization Hadamard, which lands the surviving
     branches back on the reference GHZ state and its sign companion.
     """
-    return _execute(
-        ensemble,
-        AcceptanceRule("phaseflip"),
-        phaseflip_plan(ensemble.m),
-        target,
-        True,
-        gate_table,
-    )
+    return MODES["phaseflip"].run(ensemble, target, gate_table)
 
 
 def run_general(
@@ -308,11 +286,9 @@ def run_general(
     support (see infer_flip_plan); pass an explicit mapping, possibly empty,
     to override.
     """
-    if acceptance is None:
-        acceptance = AcceptanceRule("general")
-    if corrections is None:
-        corrections = infer_flip_plan(ensemble)
-    return _execute(ensemble, acceptance, corrections, target, False, gate_table)
+    mode = MODES["deterministic-demo"]
+    plan = mode.plan(ensemble) if corrections is None else corrections
+    return _execute(ensemble, acceptance or mode.rule, plan, target, mode.hadamard, gate_table)
 
 
 def closed_form_success_pair(fa: float, fb: float) -> float:
@@ -364,3 +340,95 @@ def _check_unit_interval(*values: float) -> None:
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"fidelity weight {v!r} outside [0, 1]")
+
+
+# ------------------------------------------------------------------ mode table
+
+GhzWeights = Mapping[tuple[int, int], float]  # GHZ (index, sign) -> weight
+EQUAL, DISTINCT = "equal", "distinct"
+
+
+@dataclass(frozen=True)
+class Mode:
+    """One configured protocol mode: how it runs, what noise it admits, what it predicts.
+
+    ``pairing``: None admits any number of error components per degree of
+    freedom, EQUAL at most one each on one GHZ index, DISTINCT one each on
+    different indices. ``closed_form(m, pol, spatial)`` maps GHZ-diagonal
+    input weights to output weights and the success probability.
+    """
+
+    rule: AcceptanceRule
+    hadamard: bool
+    plan: Callable[[Ensemble], CorrectionPlan]
+    noise_kind: str
+    pairing: str | None
+    closed_form: Callable[[int, GhzWeights, GhzWeights], tuple[dict[tuple[int, int], float], float]]
+    verify_input: Callable[[int, float, float], Ensemble]
+    label: str = ""  # name on verify's report, where it differs from the config name
+    lists_components: bool = False  # records list every closed-form (index, +) weight
+    min_m: int = 2  # smallest photon count verify_input can build
+
+    def run(
+        self, ensemble: Ensemble, target: PureState | None = None, gate_table: GateTable | None = None
+    ) -> ProtocolResult:
+        return _execute(ensemble, self.rule, self.plan(ensemble), target, self.hadamard, gate_table)
+
+
+def _pair_closed_form(m: int, pol: GhzWeights, spatial: GhzWeights):
+    """One error component per degree of freedom, on the same GHZ component."""
+    fa, fb = pol[(0, 1)], spatial[(0, 1)]
+    success = closed_form_success_pair(fa, fb)
+    weights = {(0, 1): closed_form_fidelity_pair(fa, fb)}
+    for key in (pol.keys() | spatial.keys()) - {(0, 1)}:
+        weights[key] = (1.0 - fa) * (1.0 - fb) / success
+    return weights, success
+
+
+def _matched_closed_form(m: int, pol: GhzWeights, spatial: GhzWeights):
+    w, u = ([x.get((i, 1), 0.0) for i in range(2 ** (m - 1))] for x in (pol, spatial))
+    components = closed_form_fidelity_general(w, u)
+    return {(i, 1): c for i, c in enumerate(components)}, closed_form_success_general(w, u)
+
+
+def _pair_input(m: int, pol_error: tuple[int, int], spatial_error: tuple[int, int], f1: float, f2: float):
+    """Reference GHZ state mixed with one error component (index, sign) per degree of freedom."""
+    pol = mix_two(make_ghz_pol(m, 0), make_ghz_pol(m, *pol_error), f1)
+    spatial = mix_two(make_ghz_spatial(m, 0), make_ghz_spatial(m, *spatial_error), f2)
+    return product_ensemble(pol, spatial)
+
+
+def _four_component_input(m: int, f1: float, f2: float) -> Ensemble:
+    """Up to four GHZ components per degree of freedom; the errors share 1 - F evenly."""
+    count = min(4, 2 ** (m - 1))
+
+    def mixture(maker, f):
+        return mix_general([maker(m, i) for i in range(count)], [f] + [(1.0 - f) / (count - 1)] * (count - 1))
+
+    return product_ensemble(mixture(make_ghz_pol, f1), mixture(make_ghz_spatial, f2))
+
+
+# Plans are looked up by name at call time, so wrappers installed on the
+# module (tracing) see every call.
+MODES: Mapping[str, Mode] = MappingProxyType({
+    "bitflip": Mode(
+        AcceptanceRule("bitflip"), hadamard=False, plan=lambda ensemble: {},
+        noise_kind=BIT_FLIP, pairing=EQUAL, closed_form=_pair_closed_form,
+        verify_input=lambda m, f1, f2: _pair_input(m, (1, 1), (1, 1), f1, f2),
+    ),
+    "phaseflip": Mode(
+        AcceptanceRule("phaseflip"), hadamard=True, plan=lambda ensemble: phaseflip_plan(ensemble.m),
+        noise_kind=PHASE_FLIP, pairing=EQUAL, closed_form=_pair_closed_form,
+        verify_input=lambda m, f1, f2: _pair_input(m, (0, -1), (0, -1), f1, f2),
+    ),
+    "general": Mode(
+        AcceptanceRule("bitflip"), hadamard=False, plan=lambda ensemble: {},
+        noise_kind=BIT_FLIP, pairing=None, closed_form=_matched_closed_form,
+        verify_input=_four_component_input, lists_components=True,
+    ),
+    "deterministic-demo": Mode(
+        AcceptanceRule("general"), hadamard=False, plan=lambda ensemble: infer_flip_plan(ensemble),
+        noise_kind=BIT_FLIP, pairing=DISTINCT, closed_form=lambda m, pol, spatial: ({(0, 1): 1.0}, 1.0),
+        verify_input=lambda m, f1, f2: _pair_input(m, (1, 1), (2, 1), f1, f2), label="deterministic", min_m=3,
+    ),
+})

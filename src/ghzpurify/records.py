@@ -25,11 +25,11 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from .noise import BIT_FLIP, PHASE_FLIP, POLARIZATION, NoiseSpec
+from .noise import BIT_FLIP, POLARIZATION, NoiseSpec
+from .protocol import DISTINCT, EQUAL, MODES
 from .states import SPATIAL
 
 SCHEMA_VERSION = 1
-MODES = ("bitflip", "phaseflip", "general", "deterministic-demo")
 
 _TARGET_RE = re.compile(r"^(\d+)([+-])$")
 
@@ -61,7 +61,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.m < 2:
             raise ConfigError(f"m must be >= 2, got {self.m!r}")
         index, _ = parse_target(self.target)
@@ -76,29 +76,21 @@ class ProtocolConfig:
         self._check_mode_compatibility()
 
     def _check_mode_compatibility(self):
-        specs = self.pol_noise + self.spatial_noise
-        if self.mode == "phaseflip":
-            wrong = [s for s in specs if s.kind != PHASE_FLIP]
-            per_dof_limit = 1
-        else:
-            wrong = [s for s in specs if s.kind != BIT_FLIP]
-            per_dof_limit = 1 if self.mode in ("bitflip", "deterministic-demo") else None
-        if wrong:
-            raise ConfigError(f"mode {self.mode!r} admits only {'phase' if self.mode == 'phaseflip' else 'bit'}-flip noise")
-        if per_dof_limit is not None:
-            if len(self.pol_noise) > per_dof_limit or len(self.spatial_noise) > per_dof_limit:
-                raise ConfigError(f"mode {self.mode!r} admits at most one error component per degree of freedom")
-        if self.mode == "bitflip" and self.pol_noise and self.spatial_noise:
-            if self.pol_noise[0].target_index != self.spatial_noise[0].target_index:
-                raise ConfigError(
-                    "bitflip mode pairs equal error indices on both degrees of freedom; "
-                    "use mode 'general' or 'deterministic-demo' for mismatched indices"
-                )
-        if self.mode == "deterministic-demo":
-            if not (self.pol_noise and self.spatial_noise):
-                raise ConfigError("deterministic-demo needs one error component per degree of freedom")
-            if self.pol_noise[0].target_index == self.spatial_noise[0].target_index:
-                raise ConfigError("deterministic-demo needs distinct error indices on the two degrees of freedom")
+        mode, pol, spatial = MODES[self.mode], self.pol_noise, self.spatial_noise
+        if any(s.kind != mode.noise_kind for s in pol + spatial):
+            raise ConfigError(f"mode {self.mode!r} admits only {mode.noise_kind} noise")
+        if mode.pairing is not None and (len(pol) > 1 or len(spatial) > 1):
+            raise ConfigError(f"mode {self.mode!r} admits at most one error component per degree of freedom")
+        if mode.pairing == EQUAL and pol and spatial and pol[0].target_index != spatial[0].target_index:
+            raise ConfigError(
+                f"{self.mode} mode pairs equal error indices on both degrees of freedom; "
+                "use mode 'general' or 'deterministic-demo' for mismatched indices"
+            )
+        if mode.pairing == DISTINCT:
+            if not (pol and spatial):
+                raise ConfigError(f"{self.mode} needs one error component per degree of freedom")
+            if pol[0].target_index == spatial[0].target_index:
+                raise ConfigError(f"{self.mode} needs distinct error indices on the two degrees of freedom")
 
     def to_dict(self) -> dict[str, Any]:
         def spec_dict(s: NoiseSpec) -> dict[str, Any]:

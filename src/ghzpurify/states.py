@@ -85,24 +85,8 @@ class PureState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
 
-    @property
-    def stage(self) -> str:
-        """"output" once spatial modes have been consumed into ports."""
-        return "output" if PORT in self.dofs else "input"
-
     def amplitude(self, label: Label) -> complex:
         return self.terms.get(label, 0.0j)
-
-    def ket(self) -> str:
-        """Human-readable rendering, mostly for debugging and logs."""
-        glyphs = {POL: "HV", SPATIAL: "12", PORT: "ks"}
-        parts = []
-        for label, amp in sorted(self.terms.items()):
-            photons = " ".join(
-                "".join(glyphs[d][b] for d, b in zip(self.dofs, photon)) for photon in label
-            )
-            parts.append(f"({amp:+.4g})|{photons}>")
-        return " + ".join(parts)
 
 
 def make_state(m: int, dofs: Iterable[str], items: Iterable[tuple[Label, complex]]) -> PureState:

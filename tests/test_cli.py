@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ghzpurify.cli import main
-from ghzpurify.records import RunRecord
+from ghzpurify import POLARIZATION, SPATIAL, NoiseSpec
+from ghzpurify.cli import execute, main
+from ghzpurify.records import ProtocolConfig, RunRecord
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -233,3 +234,39 @@ def test_out_of_range_indices_exit_2(tmp_path):
         spatial_noise=[{"kind": "bit-flip", "target_index": 4, "weight": 0.2}],
     )
     assert main(["simulate", config]) == 2
+
+
+MODE_NOISE = {
+    "bitflip": ([("bit-flip", 1, 0.2)], [("bit-flip", 1, 0.3)]),
+    "phaseflip": ([("phase-flip", 0, 0.2)], [("phase-flip", 0, 0.3)]),
+    "general": ([("bit-flip", 1, 0.2), ("bit-flip", 2, 0.1)], [("bit-flip", 1, 0.1), ("bit-flip", 3, 0.25)]),
+    "deterministic-demo": ([("bit-flip", 1, 0.2)], [("bit-flip", 2, 0.3)]),
+}
+
+
+@pytest.mark.parametrize("target", [f"{i}{s}" for i in range(4) for s in "+-"])
+@pytest.mark.parametrize("mode", sorted(MODE_NOISE))
+def test_record_scored_against_target(mode, target):
+    def specs(dof, entries):
+        return tuple(NoiseSpec(dof=dof, kind=k, target_index=i, weight=w) for k, i, w in entries)
+
+    pol, spatial = MODE_NOISE[mode]
+    config = ProtocolConfig(
+        m=3, mode=mode, pol_noise=specs(POLARIZATION, pol), spatial_noise=specs(SPATIAL, spatial), target=target
+    )
+    result, closed, deviation = execute(config)
+    assert closed["fidelity"] == pytest.approx(result.output_fidelity, abs=1e-12)
+    assert closed["success_probability"] == pytest.approx(result.success_probability, abs=1e-12)
+    expected = abs(result.output_fidelity - closed["fidelity"])
+    assert deviation["fidelity"] == pytest.approx(expected, abs=1e-12)
+
+
+def test_sweep_axis_values_do_not_drift(capsys):
+    argv = ["sweep", "--axis", "L", "--from", "20", "--to", "30", "--step", "0.1", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    rows = json.loads(out)
+    assert len(rows) == 101
+    assert rows[2]["L_km"] == 20.2
+    assert '"L_km": 20.2,' in out
+    assert rows[-1]["L_km"] == 30.0

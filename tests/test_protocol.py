@@ -15,7 +15,6 @@ from ghzpurify import (
     make_ghz_pol,
     make_ghz_spatial,
     merged_fidelity,
-    minority_flip_plan,
     mix_general,
     mix_two,
     product_ensemble,
@@ -229,16 +228,6 @@ def test_acceptance_rules():
         assert bit.accepts(pattern) == (count in (0, 3))
         assert phase.accepts(pattern) == (count % 2 == 0)
         assert everything.accepts(pattern)
-
-
-def test_minority_flip_plan_structure():
-    plan = minority_flip_plan(3)
-    assert plan[(0, 1, 0)] == Correction(flips=frozenset({1}))
-    assert plan[(1, 0, 1)] == Correction(flips=frozenset({1}))
-    assert (0, 0, 0) not in plan
-    # tie on even m flips the keep-side photons
-    plan4 = minority_flip_plan(4)
-    assert plan4[(0, 0, 1, 1)] == Correction(flips=frozenset({0, 1}))
 
 
 def test_infer_plan_requires_ghz_products():
