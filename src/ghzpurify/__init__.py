@@ -60,9 +60,8 @@ from .states import (
     V,
     Ensemble,
     PureState,
-    complement,
+    bits,
     fidelity,
-    flip_vector,
     make_ghz_pol,
     make_ghz_spatial,
     make_state,

@@ -57,8 +57,17 @@ def p_two(params: EfficiencyParams) -> float:
 
 
 def ratio_R(params: EfficiencyParams) -> float:
-    """Efficiency advantage of one copy over two: 4 / (eta_t eta_d eta_c)^N."""
-    return 4.0 / (params.eta_t * params.eta_d * params.eta_c) ** params.N
+    """Efficiency advantage of one copy over two: 4 / (eta_t eta_d eta_c)^N.
+
+    Raises ValueError where (eta_t eta_d eta_c)^N underflows to 0 or R
+    overflows, since no finite ratio can be reported there.
+    """
+    survival = (params.eta_t * params.eta_d * params.eta_c) ** params.N
+    if survival == 0.0 or not math.isfinite(4.0 / survival):
+        raise ValueError(
+            f"R is not finite at L={params.L!r}, N={params.N!r}: (eta_t eta_d eta_c)^N = {survival!r}"
+        )
+    return 4.0 / survival
 
 
 def axis_values(start: float, stop: float, step: float) -> list[float]:

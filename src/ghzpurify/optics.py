@@ -45,17 +45,23 @@ def _check_table(table: GateTable) -> None:
 def apply_network(state: PureState, table: GateTable | None = None) -> PureState:
     """Send every photon through the purification gate.
 
-    Basis labels are rewritten row by row; amplitudes are untouched, so the
-    map is a permutation of the basis and exactly unitary.
+    Each table row picks out the photons whose (pol, spatial) bits match it
+    and sets their outgoing pol and port bits; amplitudes are untouched, so
+    the map is a permutation of the basis and exactly unitary.
     """
     if state.dofs != (POL, SPATIAL):
         raise ValueError(f"network input must carry (pol, spatial) labels, got {state.dofs}")
     rows = GATE_TABLE if table is None else table
     _check_table(rows)
-    items = [
-        (tuple(rows[photon] for photon in label), amp)
-        for label, amp in state.terms.items()
-    ]
+    full = (1 << state.m) - 1
+    items = []
+    for (pol, spatial), amp in state.terms.items():
+        out_pol = port = 0
+        for (p, s), (p_out, port_out) in rows.items():
+            mask = (pol if p else ~pol) & (spatial if s else ~spatial) & full
+            out_pol |= mask if p_out else 0
+            port |= mask if port_out else 0
+        items.append(((out_pol, port), amp))
     return make_state(state.m, (POL, PORT), items)
 
 
@@ -64,14 +70,13 @@ def _hadamard_dof(state: PureState, dof: str) -> PureState:
     inv_sqrt2 = 2.0 ** -0.5
     terms: dict[Label, complex] = dict(state.terms)
     for k in range(state.m):
+        bit = 1 << (state.m - 1 - k)
         split: dict[Label, complex] = {}
         for label, amp in terms.items():
-            photon = label[k]
-            b = photon[axis]
-            for nb in (0, 1):
-                coeff = -inv_sqrt2 if (b == 1 and nb == 1) else inv_sqrt2
-                new_photon = photon[:axis] + (nb,) + photon[axis + 1 :]
-                new_label = label[:k] + (new_photon,) + label[k + 1 :]
+            reg = label[axis]
+            for nb in (0, bit):
+                coeff = -inv_sqrt2 if (reg & bit and nb) else inv_sqrt2
+                new_label = label[:axis] + ((reg & ~bit) | nb,) + label[axis + 1 :]
                 split[new_label] = split.get(new_label, 0.0j) + amp * coeff
         terms = split
     return make_state(state.m, state.dofs, terms.items())
@@ -102,11 +107,9 @@ def bit_flip_pol(state: PureState, photons) -> PureState:
     if not chosen:
         return state
     axis = state.dofs.index(POL)
-    items = []
-    for label, amp in state.terms.items():
-        new_label = tuple(
-            photon[:axis] + (1 - photon[axis],) + photon[axis + 1 :] if k in chosen else photon
-            for k, photon in enumerate(label)
-        )
-        items.append((new_label, amp))
+    mask = sum(1 << (state.m - 1 - k) for k in chosen)
+    items = [
+        (label[:axis] + (label[axis] ^ mask,) + label[axis + 1 :], amp)
+        for label, amp in state.terms.items()
+    ]
     return make_state(state.m, state.dofs, items)

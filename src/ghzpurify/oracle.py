@@ -44,16 +44,13 @@ def _check_capacity(m: int) -> None:
 
 def state_vector(state: PureState) -> np.ndarray:
     """Embed a PureState in the dense basis (photon-major, bits big-endian)."""
-    width = len(state.dofs)
-    local_dim = 2**width
-    vec = np.zeros(local_dim**state.m, dtype=complex)
+    m = state.m
+    vec = np.zeros(2 ** (len(state.dofs) * m), dtype=complex)
     for label, amp in state.terms.items():
         idx = 0
-        for photon in label:
-            local = 0
-            for b in photon:
-                local = 2 * local + b
-            idx = idx * local_dim + local
+        for k in range(m):
+            for register in label:
+                idx = 2 * idx + ((register >> (m - 1 - k)) & 1)
         vec[idx] = amp
     return vec
 

@@ -17,7 +17,6 @@ choices, the noise a config may list, the closed form and the verify input.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -31,7 +30,7 @@ from .states import (
     Ensemble,
     Label,
     PureState,
-    complement,
+    bits,
     fidelity,
     make_ghz_pol,
     make_ghz_spatial,
@@ -41,7 +40,7 @@ Pattern = tuple[int, ...]
 
 
 def all_patterns(m: int) -> list[Pattern]:
-    return [tuple(bits) for bits in itertools.product((0, 1), repeat=m)]
+    return [bits(m, register) for register in range(2**m)]
 
 
 def swap_count(pattern: Pattern) -> int:
@@ -100,22 +99,16 @@ def phaseflip_plan(m: int) -> dict[Pattern, Correction]:
     }
 
 
-def _ghz_product_parts(state: PureState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Recover (pol flip pattern, spatial flip pattern) of a GHZ x GHZ product."""
+def _ghz_product_parts(state: PureState) -> tuple[int, int]:
+    """Recover (pol flip register, spatial flip register) of a GHZ x GHZ product."""
     if state.dofs != (POL, SPATIAL):
         raise ValueError("expected a joint (pol, spatial) state")
-    pol_kets = {tuple(ph[0] for ph in lab) for lab in state.terms}
-    sp_kets = {tuple(ph[1] for ph in lab) for lab in state.terms}
-    ok = (
-        len(state.terms) == 4
-        and len(pol_kets) == 2
-        and len(sp_kets) == 2
-        and complement(min(pol_kets)) == max(pol_kets)
-        and complement(min(sp_kets)) == max(sp_kets)
-    )
-    if not ok:
+    full = (1 << state.m) - 1
+    e = min(pol for pol, _ in state.terms)
+    f = min(sp for _, sp in state.terms)
+    if set(state.terms) != {(a, b) for a in (e, e ^ full) for b in (f, f ^ full)}:
         raise ValueError("member is not a product of two GHZ components; pass an explicit plan")
-    return min(pol_kets), min(sp_kets)
+    return e, f
 
 
 def infer_flip_plan(ensemble: Ensemble) -> dict[Pattern, Correction]:
@@ -129,21 +122,21 @@ def infer_flip_plan(ensemble: Ensemble) -> dict[Pattern, Correction]:
     patterns are left uncorrected (they carry a genuine mixture that no
     unitary can unmix).
     """
-    f_classes: dict[Pattern, set[frozenset[Pattern]]] = {}
+    m = ensemble.m
+    full = (1 << m) - 1
+    f_classes: dict[int, set[int]] = {}  # port register -> lower of f and its complement
     for _, member in ensemble.members:
         e, f = _ghz_product_parts(member)
-        u = tuple(a ^ b for a, b in zip(e, f))
-        for pat in (u, complement(u)):
-            f_classes.setdefault(pat, set()).add(frozenset((f, complement(f))))
+        for pat in (e ^ f, e ^ f ^ full):
+            f_classes.setdefault(pat, set()).add(f)
     plan: dict[Pattern, Correction] = {}
     for pat, classes in f_classes.items():
         if len(classes) != 1:
             continue
-        (cls,) = classes
-        rep = min(cls, key=lambda t: (sum(t), t))
-        flips = frozenset(i for i, b in enumerate(rep) if b)
-        if flips:
-            plan[pat] = Correction(flips=flips)
+        (f,) = classes
+        rep = min(f, f ^ full, key=lambda r: (r.bit_count(), r))
+        if rep:
+            plan[bits(m, pat)] = Correction(flips=frozenset(k for k, b in enumerate(bits(m, rep)) if b))
     return plan
 
 
@@ -183,17 +176,15 @@ def _split_by_pattern(state: PureState) -> dict[Pattern, tuple[float, PureState]
     Returns, per pattern with nonzero probability, the probability and the
     renormalized conditional polarization state.
     """
-    groups: dict[Pattern, dict[Label, complex]] = {}
-    for label, amp in state.terms.items():
-        pattern = tuple(ph[1] for ph in label)
-        pol_label = tuple((ph[0],) for ph in label)
-        groups.setdefault(pattern, {})[pol_label] = amp
+    groups: dict[int, dict[Label, complex]] = {}
+    for (pol, port), amp in state.terms.items():
+        groups.setdefault(port, {})[(pol,)] = amp
     out = {}
-    for pattern, terms in groups.items():
+    for port, terms in groups.items():
         prob = sum(abs(a) ** 2 for a in terms.values())
         scale = prob**-0.5
         cond = PureState(state.m, (POL,), {lab: a * scale for lab, a in terms.items()})
-        out[pattern] = (prob, cond)
+        out[bits(state.m, port)] = (prob, cond)
     return out
 
 

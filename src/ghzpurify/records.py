@@ -74,6 +74,11 @@ class ProtocolConfig:
                     f"bit-flip target_index {spec.target_index} out of range [1, {limit}) for m={self.m}"
                 )
         self._check_mode_compatibility()
+        for name, specs in (("pol_noise", self.pol_noise), ("spatial_noise", self.spatial_noise)):
+            indices = [s.target_index for s in specs]
+            repeated = [i for n, i in enumerate(indices) if i in indices[:n]]
+            if repeated:
+                raise ConfigError(f"{name} lists target_index {repeated[0]} more than once")
 
     def _check_mode_compatibility(self):
         mode, pol, spatial = MODES[self.mode], self.pol_noise, self.spatial_noise

@@ -6,9 +6,11 @@ Each photon carries one bit per degree of freedom:
 - spatial mode: the photon's two input rails, MODE1 = 0, MODE2 = 1
 - detector port group (after the purification gate): KEEP = 0, SWAP = 1
 
-A basis label is a tuple with one entry per photon; each entry is a tuple of
-bits ordered like the state's ``dofs``. Amplitudes are complex, states are
-kept normalized, and every value is immutable after construction.
+A basis label is a tuple with one m-bit integer register per entry of the
+state's ``dofs``; bit m-1-k of a register is photon k's bit, so photon 0 is
+the most significant bit. ``bits`` spells a register out photon by photon.
+Amplitudes are complex, states are kept normalized, and every value is
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -29,36 +31,22 @@ PORT = "port"
 NORM_TOL = 1e-12
 PRUNE_TOL = 1e-14
 
-Photon = tuple[int, ...]
-Label = tuple[Photon, ...]
+Label = tuple[int, ...]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def flip_vector(m: int, index: int) -> tuple[int, ...]:
-    """Photon flip pattern addressed by a GHZ index.
-
-    The index's binary expansion selects the flipped photons, least
-    significant bit = last photon: index 0 flips none, index 1 flips the
-    last photon, index 2 the second-to-last, and so on.
-    """
-    if m < 2:
-        raise ValueError(f"photon count must be >= 2, got {m}")
-    if not 0 <= index < 2 ** (m - 1):
-        raise ValueError(f"GHZ index {index} out of range [0, {2 ** (m - 1)}) for m={m}")
-    return tuple((index >> (m - 1 - k)) & 1 for k in range(m))
-
-
-def complement(bits: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(1 - b for b in bits)
+def bits(m: int, register: int) -> tuple[int, ...]:
+    """Photon-by-photon bits of an m-bit register, photon 0 first."""
+    return tuple((register >> (m - 1 - k)) & 1 for k in range(m))
 
 
 @dataclass(frozen=True)
 class PureState:
     """Normalized superposition of labeled basis terms over m photons.
 
-    ``dofs`` names the degree(s) of freedom each photon label carries, e.g.
-    ``("pol",)`` for a bare polarization state, ``("pol", "spatial")``
+    ``dofs`` names the degree of freedom held by each register of a label,
+    e.g. ``("pol",)`` for a bare polarization state, ``("pol", "spatial")``
     before the purification gate, ``("pol", "port")`` after it.
     """
 
@@ -74,13 +62,10 @@ class PureState:
             raise ValueError(f"unknown degrees of freedom {self.dofs!r}")
         if SPATIAL in self.dofs and PORT in self.dofs:
             raise ValueError("spatial-mode and port labels cannot coexist")
-        width = len(self.dofs)
+        width, size = len(self.dofs), 1 << self.m
         for label in self.terms:
-            if len(label) != self.m:
-                raise ValueError(f"label {label} does not have {self.m} photons")
-            for photon in label:
-                if len(photon) != width or any(b not in (0, 1) for b in photon):
-                    raise ValueError(f"malformed photon bits {photon} for dofs {self.dofs}")
+            if len(label) != width or any(type(r) is not int or not 0 <= r < size for r in label):
+                raise ValueError(f"malformed label {label} for {self.m} photons and dofs {self.dofs}")
         norm = sum(abs(a) ** 2 for a in self.terms.values())
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
@@ -105,20 +90,20 @@ def make_state(m: int, dofs: Iterable[str], items: Iterable[tuple[Label, complex
 def _ghz(m: int, index: int, sign: int, dof: str) -> PureState:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    first = flip_vector(m, index)
-    second = complement(first)
-    terms = {
-        tuple((b,) for b in first): complex(_INV_SQRT2),
-        tuple((b,) for b in second): complex(sign * _INV_SQRT2),
-    }
+    if m < 2:
+        raise ValueError(f"photon count must be >= 2, got {m}")
+    if not 0 <= index < 2 ** (m - 1):
+        raise ValueError(f"GHZ index {index} out of range [0, {2 ** (m - 1)}) for m={m}")
+    terms = {(index,): complex(_INV_SQRT2), (index ^ ((1 << m) - 1),): complex(sign * _INV_SQRT2)}
     return PureState(m, (dof,), terms)
 
 
 def make_ghz_pol(m: int, index: int, sign: int = 1) -> PureState:
     """m-photon polarization GHZ state (|e> + sign |ebar>)/sqrt(2).
 
-    ``e`` is the flip pattern of ``index`` applied to |H...H> and ``ebar``
-    its photon-wise complement.
+    ``e`` is the register equal to ``index`` (its set bits are the V
+    photons, least significant bit = last photon) and ``ebar`` its
+    complement.
     """
     return _ghz(m, index, sign, POL)
 
@@ -134,11 +119,11 @@ def tensor_hyper(pol: PureState, spatial: PureState) -> PureState:
         raise ValueError(f"photon counts differ: {pol.m} vs {spatial.m}")
     if pol.dofs != (POL,) or spatial.dofs != (SPATIAL,):
         raise ValueError("tensor_hyper expects a bare polarization state and a bare spatial state")
-    items = []
-    for plab, pa in pol.terms.items():
-        for slab, sa in spatial.terms.items():
-            label = tuple((pp[0], sp[0]) for pp, sp in zip(plab, slab))
-            items.append((label, pa * sa))
+    items = [
+        ((plab[0], slab[0]), pa * sa)
+        for plab, pa in pol.terms.items()
+        for slab, sa in spatial.terms.items()
+    ]
     return make_state(pol.m, (POL, SPATIAL), items)
 
 

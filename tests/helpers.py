@@ -2,7 +2,9 @@
 
 `brute_vector` re-embeds labeled states into dense vectors with its own
 arithmetic so tests that cross-check the package against dense linear
-algebra do not reuse the code path under test.
+algebra do not reuse the code path under test. Label literals are written
+photon by photon, one tuple of bits per photon, and turned into the
+package's register labels by `pack`; `unpack` undoes it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,20 @@ from __future__ import annotations
 import numpy as np
 
 from ghzpurify import POL, SPATIAL, PureState
+
+def pack(photons) -> tuple[int, ...]:
+    """Register label of a per-photon literal: photon 0 becomes the most significant bit."""
+    registers = [0] * len(photons[0])
+    for photon in photons:
+        for d, bit in enumerate(photon):
+            registers[d] = 2 * registers[d] + bit
+    return tuple(registers)
+
+
+def unpack(m: int, label) -> tuple[tuple[int, ...], ...]:
+    """Per-photon bit tuples of a register label, photon 0 first."""
+    return tuple(tuple((reg >> (m - 1 - k)) & 1 for reg in label) for k in range(m))
+
 
 # Reference three-photon Hadamard images. Each family below lists four
 # sign rows over a fixed ket order; the even-parity kets carry the
@@ -32,7 +48,7 @@ def reference_hadamard_state(row: int, sign: int, dof: str) -> PureState:
     """Row `row` of the reference table for the given GHZ sign family."""
     bits = EVEN_BITS if sign == 1 else ODD_BITS
     terms = {
-        tuple((b,) for b in ket): 0.5 * s
+        pack([(b,) for b in ket]): 0.5 * s
         for ket, s in zip(bits, SIGN_ROWS[row])
     }
     return PureState(3, (dof,), terms)
@@ -51,7 +67,7 @@ def brute_vector(state: PureState) -> np.ndarray:
     vec = np.zeros(local_dim**state.m, dtype=complex)
     for label, amp in state.terms.items():
         index = 0
-        for photon in label:
+        for photon in unpack(state.m, label):
             local = 0
             for bit in photon:
                 local = 2 * local + bit
@@ -81,7 +97,7 @@ def interleave_factors(pol_vec: np.ndarray, spatial_vec: np.ndarray, m: int) -> 
 def pol_state_from_string(kets: dict[str, complex]) -> PureState:
     """Build a polarization state from ket strings like 'HVH'."""
     terms = {
-        tuple(({"H": 0, "V": 1}[c],) for c in ket): amp for ket, amp in kets.items()
+        pack([({"H": 0, "V": 1}[c],) for c in ket]): amp for ket, amp in kets.items()
     }
     m = len(next(iter(kets)))
     return PureState(m, (POL,), terms)
@@ -92,7 +108,7 @@ def random_joint_state(rng: np.random.Generator, m: int = 3) -> PureState:
     import itertools
 
     labels = [
-        tuple(zip(pol, sp))
+        pack(tuple(zip(pol, sp)))
         for pol in itertools.product((0, 1), repeat=m)
         for sp in itertools.product((0, 1), repeat=m)
     ]

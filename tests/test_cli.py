@@ -270,3 +270,34 @@ def test_sweep_axis_values_do_not_drift(capsys):
     assert rows[2]["L_km"] == 20.2
     assert '"L_km": 20.2,' in out
     assert rows[-1]["L_km"] == 30.0
+
+
+def test_repeated_noise_index_exits_2(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        mode="general",
+        pol_noise=[
+            {"kind": "bit-flip", "target_index": 3, "weight": 0.1},
+            {"kind": "bit-flip", "target_index": 3, "weight": 0.2},
+        ],
+        spatial_noise=[],
+    )
+    assert main(["simulate", config, "--reproducible"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: pol_noise lists target_index 3 more than once\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--axis", "N", "--from", "2", "--to", "3", "--eta-d", "0"],
+        ["sweep", "--axis", "L", "--from", "8880", "--to", "8890", "--step", "2", "--N", "2", "--format", "json"],
+    ],
+    ids=["zero-efficiency", "underflow"],
+)
+def test_sweep_without_finite_ratio_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sweep error: R is not finite")

@@ -68,6 +68,14 @@ def test_ratio_times_p_two_equals_p_one():
             assert ratio_R(point) * p_two(point) == pytest.approx(p_one(point), rel=1e-12)
 
 
+def test_ratio_not_finite_raises():
+    with pytest.raises(ValueError, match="not finite"):
+        ratio_R(params(eta_d=0.0))
+    with pytest.raises(ValueError, match="not finite"):
+        ratio_R(params(N=2, L=8880.0))  # (eta_t eta_d eta_c)^2 is subnormal, 4 / it overflows
+    assert math.isfinite(ratio_R(params(N=2, L=8000.0)))
+
+
 def test_ratio_exceeds_one_for_lossy_links():
     for n in (2, 4, 8):
         assert ratio_R(params(N=n, L=5.0)) > 1.0

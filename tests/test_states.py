@@ -9,9 +9,8 @@ from ghzpurify import (
     SPATIAL,
     Ensemble,
     PureState,
-    complement,
+    bits,
     fidelity,
-    flip_vector,
     make_ghz_pol,
     make_ghz_spatial,
     make_state,
@@ -19,17 +18,17 @@ from ghzpurify import (
     states_close,
     tensor_hyper,
 )
-from helpers import brute_vector, interleave_factors, pol_state_from_string
+from helpers import brute_vector, interleave_factors, pack, pol_state_from_string, unpack
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
 
 def pol_label(ket):
-    return tuple(({"H": 0, "V": 1}[c],) for c in ket)
+    return pack([({"H": 0, "V": 1}[c],) for c in ket])
 
 
 def spatial_label(ket):
-    return tuple((int(c) - 1,) for c in ket)
+    return pack([(int(c) - 1,) for c in ket])
 
 
 def test_ghz_pol_reference_and_flipped():
@@ -76,18 +75,21 @@ def test_ghz_index_out_of_range():
         make_ghz_pol(3, 0, 2)
 
 
-def test_flip_vector_indexing():
-    assert flip_vector(3, 0) == (0, 0, 0)
-    assert flip_vector(3, 1) == (0, 0, 1)  # last photon
-    assert flip_vector(3, 2) == (0, 1, 0)
-    assert flip_vector(3, 3) == (0, 1, 1)
-    assert complement((0, 1, 1)) == (1, 0, 0)
+def test_bits_indexing():
+    assert bits(3, 0) == (0, 0, 0)
+    assert bits(3, 1) == (0, 0, 1)  # last photon
+    assert bits(3, 2) == (0, 1, 0)
+    assert bits(3, 3) == (0, 1, 1)
+    assert bits(3, 3 ^ 0b111) == (1, 0, 0)  # the complement is an XOR with all photons
+    # a GHZ index is the register of its first ket
+    assert list(make_ghz_pol(3, 3).terms) == [(3,), (4,)]
+    assert all(unpack(4, (r,)) == tuple((b,) for b in bits(4, r)) for r in range(16))
 
 
 def test_tensor_hyper_reference_product():
     joint = tensor_hyper(make_ghz_pol(3, 0), make_ghz_spatial(3, 0))
     assert len(joint.terms) == 4
-    all_h_rail1 = tuple((0, 0) for _ in range(3))
+    all_h_rail1 = pack([(0, 0)] * 3)
     assert joint.terms[all_h_rail1] == pytest.approx(0.5)
 
 
@@ -95,7 +97,7 @@ def test_tensor_hyper_single_terms():
     pol = PureState(2, (POL,), {pol_label("HV"): 1.0})
     spatial = PureState(2, (SPATIAL,), {spatial_label("21"): 1.0})
     joint = tensor_hyper(pol, spatial)
-    assert joint.terms == pytest.approx({((0, 1), (1, 0)): 1.0})
+    assert joint.terms == pytest.approx({pack([(0, 1), (1, 0)]): 1.0})
 
 
 def test_tensor_hyper_matches_dense_tensor():
@@ -106,7 +108,7 @@ def test_tensor_hyper_matches_dense_tensor():
     joint = tensor_hyper(pol, spatial)
     expected = interleave_factors(brute_vector(pol), brute_vector(spatial), 3)
     assert np.allclose(brute_vector(joint), expected, atol=1e-14)
-    mixed_rail = tuple(zip((0, 0, 0), (0, 0, 1)))
+    mixed_rail = pack(tuple(zip((0, 0, 0), (0, 0, 1))))
     assert joint.terms[mixed_rail] == pytest.approx(0.5)
 
 
@@ -153,7 +155,10 @@ def test_complement_symmetry():
             flipped = PureState(
                 3,
                 (POL,),
-                {tuple((1 - p[0],) for p in label): amp for label, amp in state.terms.items()},
+                {
+                    pack([(1 - b,) for (b,) in unpack(3, label)]): amp
+                    for label, amp in state.terms.items()
+                },
             )
             if sign == +1:
                 assert states_close(state, flipped)
@@ -169,8 +174,7 @@ def test_tensor_marginals_reproduce_factors():
     joint = tensor_hyper(pol, spatial)
     pol_marg, spatial_marg = {}, {}
     for label, amp in joint.terms.items():
-        pk = tuple((ph[0],) for ph in label)
-        sk = tuple((ph[1],) for ph in label)
+        pk, sk = label[:1], label[1:]
         pol_marg[pk] = pol_marg.get(pk, 0.0) + abs(amp) ** 2
         spatial_marg[sk] = spatial_marg.get(sk, 0.0) + abs(amp) ** 2
     for label, amp in pol.terms.items():
@@ -195,10 +199,9 @@ def test_unnormalized_state_rejected():
 
 
 def test_malformed_labels_rejected():
-    with pytest.raises(ValueError):
-        PureState(2, (POL,), {((0,), (0,), (0,)): 1.0})
-    with pytest.raises(ValueError):
-        PureState(2, (POL,), {((0, 1), (0, 0)): 1.0})
+    for label in ((0, 0), (4,), (-1,), (1.0,), ((0, 0),), ((0,), (0,))):
+        with pytest.raises(ValueError, match="malformed label"):
+            PureState(2, (POL,), {label: 1.0})
     with pytest.raises(ValueError):
         PureState(2, ("pol", "port", "spatial"), {})
 
