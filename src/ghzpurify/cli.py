@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -152,9 +153,15 @@ def _cmd_sweep(args) -> int:
             table = []
             for f1 in values:
                 for f2 in values:
-                    res = run_bitflip(MODES["bitflip"].verify_input(args.m, f1, f2))
-                    fc = closed_form_fidelity_pair(f1, f2)
+                    ens = MODES["bitflip"].verify_input(args.m, f1, f2)
                     sc = closed_form_success_pair(f1, f2)
+                    try:
+                        res = run_bitflip(ens)
+                        fc = closed_form_fidelity_pair(f1, f2)
+                    except ValueError:
+                        # nothing is accepted at this point, so no fidelity is defined
+                        table.append([f1, f2, None, None, 0.0, sc, None])
+                        continue
                     dev = max(abs(res.output_fidelity - fc), abs(res.success_probability - sc))
                     table.append([f1, f2, res.output_fidelity, fc, res.success_probability, sc, dev])
     except (ConfigError, ValueError) as exc:
@@ -197,11 +204,13 @@ def _cmd_verify(args) -> int:
                 ens = mode.verify_input(m, f1, f2)
                 engine = mode.run(ens, target=target, gate_table=table)
                 dense = oracle_run(densify(ens), m, mode.rule, corrections=mode.plan(ens), target=target)
-                dev = max(
+                devs = (
                     abs(engine.output_fidelity - dense.output_fidelity),
                     abs(engine.success_probability - dense.success_probability),
                 )
-                if dev > worst:
+                # max() and > both pass a NaN over; the first NaN is the worst point
+                dev = math.nan if any(map(math.isnan, devs)) else max(devs)
+                if not math.isnan(worst) and (math.isnan(dev) or dev > worst):
                     worst, worst_at = dev, (f1, f2)
         ok = worst < VERIFY_TOL
         failed = failed or not ok

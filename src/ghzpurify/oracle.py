@@ -1,11 +1,18 @@
 """Brute-force density-matrix verifier for the ensemble engine.
 
-Everything here works on dense operators over the full joint space, one
-4-dimensional factor per photon (2 polarization x 2 spatial/port labels),
-basis ordered lexicographically photon by photon. The network unitary is
-assembled from the individual optical elements (splitter, wave plates,
-displacers) as matrix stages, deliberately not from the routing table the
-engine uses, so the two implementations share no construction path.
+Everything here works on a dense density operator over the full joint
+space, one 4-dimensional factor per photon (2 polarization x 2 spatial/port
+labels), basis ordered lexicographically photon by photon. The network
+unitary is assembled from the individual optical elements (splitter, wave
+plates, displacers) as matrix stages, deliberately not from the routing
+table the engine uses, so the two implementations share no construction
+path.
+
+No operator on the whole joint space is ever multiplied. The network
+unitary is a permutation, so conjugating by it is an index gather on rho,
+with the permutation read off the element-chain matrix. A Hadamard layer is
+a product of identical 4x4 per-photon factors, so conjugating by it is one
+contraction per photon axis of rho reshaped to (4,)*2m, ket and bra.
 
 Capacity is capped at 5 photons (dimension 1024); this module exists for
 cross-validation, not performance.
@@ -42,27 +49,36 @@ def _check_capacity(m: int) -> None:
         raise ValueError(f"oracle capacity is m <= {ORACLE_MAX_PHOTONS} photons, got m={m}")
 
 
-def state_vector(state: PureState) -> np.ndarray:
-    """Embed a PureState in the dense basis (photon-major, bits big-endian)."""
+def _support(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Dense-basis indices (photon-major, bits big-endian) and amplitudes of a PureState."""
     m = state.m
-    vec = np.zeros(2 ** (len(state.dofs) * m), dtype=complex)
-    for label, amp in state.terms.items():
+    indices = []
+    for label in state.terms:
         idx = 0
         for k in range(m):
             for register in label:
                 idx = 2 * idx + ((register >> (m - 1 - k)) & 1)
-        vec[idx] = amp
+        indices.append(idx)
+    return np.array(indices), np.array(list(state.terms.values()), dtype=complex)
+
+
+def state_vector(state: PureState) -> np.ndarray:
+    """Embed a PureState in the dense basis."""
+    vec = np.zeros(2 ** (len(state.dofs) * state.m), dtype=complex)
+    idx, amp = _support(state)
+    vec[idx] = amp
     return vec
 
 
 def densify(ensemble: Ensemble) -> np.ndarray:
-    """Density operator sum_k p_k |k><k| of an ensemble."""
+    """Density operator sum_k p_k |k><k| of an ensemble, written on each member's support."""
     _check_capacity(ensemble.m)
-    vectors = [(p, state_vector(s)) for p, s in ensemble.members]
-    dim = vectors[0][1].shape[0]
+    first = ensemble.members[0][1]
+    dim = 2 ** (len(first.dofs) * first.m)
     rho = np.zeros((dim, dim), dtype=complex)
-    for p, v in vectors:
-        rho += p * np.outer(v, v.conj())
+    for p, s in ensemble.members:
+        idx, amp = _support(s)
+        rho[np.ix_(idx, idx)] += p * np.outer(amp, amp.conj())
     return rho
 
 
@@ -121,6 +137,21 @@ def hadamard_both_unitary(m: int) -> np.ndarray:
     return _kron_all([np.kron(_H2, _H2)] * m)
 
 
+def _gather(rho: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+    """U rho U^dagger for a permutation matrix U: row i of U has its 1 in column src[i]."""
+    src = unitary.argmax(axis=1)
+    return rho[np.ix_(src, src)]
+
+
+def _contract_per_photon(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:
+    """L rho L^dagger for L = factor^(x m): photon by photon, a tensordot on its ket then its bra axis."""
+    t = rho.reshape((4,) * (2 * m))
+    for k in range(m):
+        for f, axis in ((factor, k), (factor.conj(), m + k)):
+            t = np.moveaxis(np.tensordot(f, t, axes=(1, axis)), 0, axis)
+    return t.reshape(rho.shape)
+
+
 def _pattern_indices(m: int, pattern: Pattern) -> np.ndarray:
     """Joint-basis indices whose port bits equal the pattern, ordered by pol bits."""
     idx = []
@@ -158,9 +189,10 @@ def oracle_run(
 ) -> OracleResult:
     """Run a protocol mode on a dense joint-state density operator.
 
-    Conjugates by the Hadamard layers (phase-flip mode) and the network
-    unitary, projects onto each port pattern, applies the pattern's
-    correction, and scores fidelity against the polarization target.
+    Conjugates by the Hadamard layers (phase-flip mode, per-photon
+    contractions) and the network unitary (an index gather), projects onto
+    each port pattern, applies the pattern's correction, and scores fidelity
+    against the polarization target.
     """
     _check_capacity(m)
     dim = 4**m
@@ -172,15 +204,13 @@ def oracle_run(
 
     rho = dense
     if rule.mode == "phaseflip":
-        layer = hadamard_both_unitary(m)
-        rho = layer @ rho @ layer.conj().T
+        rho = _contract_per_photon(rho, hadamard_both_unitary(1), m)
         if corrections is None:
             corrections = phaseflip_plan(m)
     if corrections is None:
         corrections = {}
 
-    U = network_unitary(m)
-    rho = U @ rho @ U.conj().T
+    rho = _gather(rho, network_unitary(m))
 
     table: dict[Pattern, tuple[float, float]] = {}
     success = 0.0

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 
 import pytest
 
-from ghzpurify import POLARIZATION, SPATIAL, NoiseSpec
+from ghzpurify import POLARIZATION, SPATIAL, NoiseSpec, cli, oracle
 from ghzpurify.cli import execute, main
+from ghzpurify.protocol import MODES, closed_form_fidelity_pair, closed_form_success_pair, run_bitflip
 from ghzpurify.records import ProtocolConfig, RunRecord
 
 
@@ -197,6 +200,33 @@ def test_sweep_json_format(tmp_path, capsys):
     assert all(b["R"] > a["R"] for a, b in zip(rows, rows[1:]))
 
 
+def test_sweep_fidelity_axis_degenerate_points(capsys):
+    # nothing is accepted at (F1, F2) = (0, 1) and (1, 0); the other seven rows stay
+    assert main(["sweep", "--axis", "F", "--grid", "0:1:0.5", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["F1"], r["F2"]) for r in rows] == [(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)]
+    for row in rows:
+        f1, f2 = row["F1"], row["F2"]
+        if {f1, f2} == {0.0, 1.0}:
+            assert row == {
+                "F1": f1, "F2": f2, "fidelity_sim": None, "fidelity_closed": None,
+                "success_sim": 0.0, "success_closed": 0.0, "deviation": None,
+            }
+            continue
+        res = run_bitflip(MODES["bitflip"].verify_input(3, f1, f2))
+        fc, sc = closed_form_fidelity_pair(f1, f2), closed_form_success_pair(f1, f2)
+        assert row == {
+            "F1": f1, "F2": f2, "fidelity_sim": res.output_fidelity, "fidelity_closed": fc,
+            "success_sim": res.success_probability, "success_closed": sc,
+            "deviation": max(abs(res.output_fidelity - fc), abs(res.success_probability - sc)),
+        }
+    assert main(["sweep", "--axis", "F", "--grid", "0:1:0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert lines[3] == "0,1,,,0,0,"
+    assert lines[7] == "1,0,,,0,0,"
+
+
 def test_sweep_empty_range_exits_2(tmp_path, capsys):
     assert main(["sweep", "--axis", "L", "--from", "50", "--to", "20"]) == 2
     assert main(["sweep", "--axis", "F", "--grid", "0.9:0.1:0.1"]) == 2
@@ -212,6 +242,36 @@ def test_verify_small_passes(capsys):
 def test_verify_gate_fault_fails(capsys):
     assert main(["verify", "--m", "3", "--inject-gate-fault"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_nan_deviation_fails(monkeypatch, capsys):
+    real = cli.oracle_run
+
+    def nan_fidelity(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), output_fidelity=math.nan)
+
+    monkeypatch.setattr(cli, "oracle_run", nan_fidelity)
+    assert main(["verify", "--m", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "bitflip: MISMATCH  worst deviation nan at F=(0.1, 0.1), m=2" in out
+    assert "verify m=2: FAILED" in out
+
+
+def test_verify_oracle_network_fault_fails(monkeypatch, capsys):
+    # two output rows of one party's element chain swapped: still a permutation, wrong physics
+    real = oracle._single_photon_network
+
+    def faulted():
+        net = real().copy()
+        net[[0, 1]] = net[[1, 0]]
+        assert oracle._is_permutation(net)
+        return net
+
+    monkeypatch.setattr(oracle, "_single_photon_network", faulted)
+    assert main(["verify", "--m", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("MISMATCH") == 4
+    assert "verify m=3: FAILED" in out
 
 
 def test_verify_capacity_exit_2():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from ghzpurify import (
     run_phaseflip,
     tensor_hyper,
 )
-from ghzpurify.oracle import hadamard_both_unitary, state_vector
+from ghzpurify.oracle import _contract_per_photon, _gather, hadamard_both_unitary, state_vector
 
 
 def joint_pair(m, f1, f2, pol_index=1, spatial_index=1):
@@ -80,6 +82,31 @@ def test_network_unitary_preserves_trace_and_patterns():
     res = oracle_run(rho, 3, AcceptanceRule("general"))
     total = sum(p for p, _ in res.pattern_table.values())
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def random_hermitian(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gather_matches_dense_conjugation(m):
+    rho = random_hermitian(4**m, np.random.default_rng(m))
+    U = network_unitary(m)
+    assert np.allclose(_gather(rho, U), U @ rho @ U.conj().T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_per_photon_contraction_matches_dense_layer(m):
+    rho = random_hermitian(4**m, np.random.default_rng(10 + m))
+    layer = hadamard_both_unitary(m)
+    got = _contract_per_photon(rho, hadamard_both_unitary(1), m)
+    assert np.allclose(got, layer @ rho @ layer.conj().T, rtol=0, atol=1e-12)
+    # a complex, non-symmetric factor checks the ket/bra conjugation and axis order
+    factor = np.linalg.qr(random_hermitian(4, np.random.default_rng(20 + m)) + 1j * np.eye(4))[0]
+    full = functools.reduce(np.kron, [factor] * m)
+    got = _contract_per_photon(rho, factor, m)
+    assert np.allclose(got, full @ rho @ full.conj().T, rtol=0, atol=1e-12)
 
 
 def test_hadamard_layer_unitary():
