@@ -84,8 +84,8 @@ def sweep(
 ) -> list[tuple[float, float]]:
     """Rows of (axis value, R) with the axis parameter swept inclusively.
 
-    ``axis`` is "L" (distance, km) or "N" (photon count); the other
-    parameters are taken from ``params``.
+    ``axis`` is "L" (distance, km) or "N" (photon count, every value an
+    integer); the other parameters are taken from ``params``.
     """
     if axis not in ("L", "N"):
         raise ValueError(f"sweep axis must be 'L' or 'N', got {axis!r}")
@@ -97,8 +97,9 @@ def sweep(
     for value in axis_values(start, stop, step):
         if axis == "L":
             point = replace(params, L=float(value))
-            rows.append((float(value), ratio_R(point)))
+        elif float(value).is_integer():
+            point = replace(params, N=int(value))
         else:
-            point = replace(params, N=int(round(value)))
-            rows.append((float(int(round(value))), ratio_R(point)))
+            raise ValueError(f"N axis values must be integers, got {value!r}")
+        rows.append((float(value), ratio_R(point)))
     return rows

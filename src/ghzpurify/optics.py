@@ -10,6 +10,8 @@ polarization is the complement of the spatial bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .states import (
     H,
     KEEP,
@@ -17,6 +19,7 @@ from .states import (
     MODE2,
     POL,
     PORT,
+    PRUNE_TOL,
     SPATIAL,
     SWAP,
     V,
@@ -24,6 +27,10 @@ from .states import (
     PureState,
     make_state,
 )
+
+# The Hadamard coefficient. It rounds one ulp above 1.0 / math.sqrt(2.0), the
+# GHZ amplitude in states; the golden records depend on each staying as it is.
+_HADAMARD_C = 2.0**-0.5
 
 GateTable = dict[tuple[int, int], tuple[int, int]]
 
@@ -37,49 +44,87 @@ GATE_TABLE: GateTable = {
 }
 
 
-def _check_table(table: GateTable) -> None:
+def check_table(table: GateTable) -> None:
     if set(table) != {(p, s) for p in (0, 1) for s in (0, 1)} or len(set(table.values())) != 4:
         raise ValueError("gate table must be a bijection on the four (pol, spatial) pairs")
+
+
+def route(pol, spatial, m: int, table: GateTable):
+    """Outgoing (pol, port) registers of (pol, spatial) registers under a gate table.
+
+    Each table row picks out the photons whose (pol, spatial) bits match it
+    and sets their outgoing pol and port bits. The registers may be Python
+    ints or numpy integer arrays (index grids); the same rule serves both.
+    """
+    full = (1 << m) - 1
+    out_pol = port = 0
+    for (p, s), (p_out, port_out) in table.items():
+        mask = (pol if p else ~pol) & (spatial if s else ~spatial) & full
+        if p_out:
+            out_pol = out_pol | mask
+        if port_out:
+            port = port | mask
+    return out_pol, port
 
 
 def apply_network(state: PureState, table: GateTable | None = None) -> PureState:
     """Send every photon through the purification gate.
 
-    Each table row picks out the photons whose (pol, spatial) bits match it
-    and sets their outgoing pol and port bits; amplitudes are untouched, so
-    the map is a permutation of the basis and exactly unitary.
+    Amplitudes are untouched, so the map is a permutation of the basis and
+    exactly unitary.
     """
     if state.dofs != (POL, SPATIAL):
         raise ValueError(f"network input must carry (pol, spatial) labels, got {state.dofs}")
     rows = GATE_TABLE if table is None else table
-    _check_table(rows)
-    full = (1 << state.m) - 1
-    items = []
-    for (pol, spatial), amp in state.terms.items():
-        out_pol = port = 0
-        for (p, s), (p_out, port_out) in rows.items():
-            mask = (pol if p else ~pol) & (spatial if s else ~spatial) & full
-            out_pol |= mask if p_out else 0
-            port |= mask if port_out else 0
-        items.append(((out_pol, port), amp))
+    check_table(rows)
+    items = [(route(pol, spatial, state.m, rows), amp) for (pol, spatial), amp in state.terms.items()]
     return make_state(state.m, (POL, PORT), items)
 
 
+def walsh_hadamard(amps: np.ndarray, m: int) -> None:
+    """Hadamard on every photon of the m-bit register that indexes axis 0, in place.
+
+    Photon 0 (the most significant bit) goes first; each step maps the
+    amplitude pair (a0, a1) of one photon to (a0 c + a1 c, a0 c - a1 c),
+    c = 2**-0.5, so every output is one sum of two products and does not
+    depend on the order of the terms. The register is the leading axis so
+    that every step works on contiguous runs of at least the row length.
+    The layer ends with ``prune``, as make_state does.
+    """
+    if amps.shape[0] != 1 << m or amps.dtype != np.complex128 or not amps.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous complex array with {1 << m} rows")
+    scaled = np.empty_like(amps)
+    for k in range(m):
+        np.multiply(amps.view(np.float64), _HADAMARD_C, out=scaled.view(np.float64))
+        halves, out = scaled.reshape(1 << k, 2, -1), amps.reshape(1 << k, 2, -1)
+        np.add(halves[:, 0], halves[:, 1], out=out[:, 0])
+        np.subtract(halves[:, 0], halves[:, 1], out=out[:, 1])
+    prune(amps)
+
+
+def prune(amps: np.ndarray) -> None:
+    """Zero every amplitude of magnitude at or below PRUNE_TOL, in place, as make_state drops them."""
+    amps[np.abs(amps) <= PRUNE_TOL] = 0.0
+
+
 def _hadamard_dof(state: PureState, dof: str) -> PureState:
+    """One dense column per value of the other registers, through walsh_hadamard."""
     axis = state.dofs.index(dof)
-    inv_sqrt2 = 2.0 ** -0.5
-    terms: dict[Label, complex] = dict(state.terms)
-    for k in range(state.m):
-        bit = 1 << (state.m - 1 - k)
-        split: dict[Label, complex] = {}
-        for label, amp in terms.items():
-            reg = label[axis]
-            for nb in (0, bit):
-                coeff = -inv_sqrt2 if (reg & bit and nb) else inv_sqrt2
-                new_label = label[:axis] + ((reg & ~bit) | nb,) + label[axis + 1 :]
-                split[new_label] = split.get(new_label, 0.0j) + amp * coeff
-        terms = split
-    return make_state(state.m, state.dofs, terms.items())
+    rests: dict[Label, int] = {}
+    regs, cols = [], []
+    for label in state.terms:
+        regs.append(label[axis])
+        cols.append(rests.setdefault(label[:axis] + label[axis + 1 :], len(rests)))
+    amps = np.zeros((1 << state.m, len(rests)), dtype=complex)
+    amps[regs, cols] = list(state.terms.values())
+    walsh_hadamard(amps, state.m)
+    reg_of, col_of = np.nonzero(amps)
+    rest_of = list(rests)
+    items = [
+        (rest_of[c][:axis] + (reg,) + rest_of[c][axis:], amp)
+        for reg, c, amp in zip(reg_of.tolist(), col_of.tolist(), amps[reg_of, col_of].tolist())
+    ]
+    return make_state(state.m, state.dofs, items)
 
 
 def hadamard_pol(state: PureState) -> PureState:

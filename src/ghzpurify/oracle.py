@@ -8,10 +8,11 @@ plates, displacers) as matrix stages, deliberately not from the routing
 table the engine uses, so the two implementations share no construction
 path.
 
-No operator on the whole joint space is ever multiplied. The network
-unitary is a permutation, so conjugating by it is an index gather on rho,
-with the permutation read off the element-chain matrix. A Hadamard layer is
-a product of identical 4x4 per-photon factors, so conjugating by it is one
+No operator on the whole joint space is ever multiplied, nor built for a
+run. The network unitary is a permutation, so conjugating by it is an
+index gather on rho, with the permutation read off the single-photon
+element chain and combined photon by photon. A Hadamard layer is a
+product of identical 4x4 per-photon factors, so conjugating by it is one
 contraction per photon axis of rho reshaped to (4,)*2m, ket and bra.
 
 Capacity is capped at 5 photons (dimension 1024); this module exists for
@@ -137,9 +138,24 @@ def hadamard_both_unitary(m: int) -> np.ndarray:
     return _kron_all([np.kron(_H2, _H2)] * m)
 
 
-def _gather(rho: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """U rho U^dagger for a permutation matrix U: row i of U has its 1 in column src[i]."""
-    src = unitary.argmax(axis=1)
+def _network_source(m: int) -> np.ndarray:
+    """Column of the 1 in each row of network_unitary(m), without building the matrix.
+
+    Row i of the Kronecker product has its 1 where every photon's row of
+    the single-photon network has its own, so the column is the per-photon
+    permutation combined photon by photon in mixed radix 4, first photon
+    most significant. Read off the element chain on every call.
+    """
+    _check_capacity(m)
+    perm = _single_photon_network().argmax(axis=1)
+    src = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        src = (4 * src[:, None] + perm).ravel()
+    return src
+
+
+def _gather(rho: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """U rho U^dagger for a permutation matrix U whose row i has its 1 in column src[i]."""
     return rho[np.ix_(src, src)]
 
 
@@ -210,7 +226,7 @@ def oracle_run(
     if corrections is None:
         corrections = {}
 
-    rho = _gather(rho, network_unitary(m))
+    rho = _gather(rho, _network_source(m))
 
     table: dict[Pattern, tuple[float, float]] = {}
     success = 0.0

@@ -4,7 +4,9 @@ Pipeline for every mode: (optional Hadamard layers) -> purification gate on
 each photon -> group the outgoing amplitudes by detector-port pattern ->
 keep the accepted patterns -> apply the pattern's correction -> report the
 polarization mixture, its fidelity against the target GHZ state, and the
-total accepted probability.
+total accepted probability. Members of modes without Hadamard layers stay
+sparse labeled states of 4 terms; after the layers a member holds 4^(m-1)
+terms, so Hadamard modes run every stage on dense register arrays.
 
 Port patterns are tuples with one bit per photon, 0 = KEEP group, 1 = SWAP
 group. Bit-flip mode accepts the two unanimous patterns; phase-flip mode
@@ -22,8 +24,20 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .noise import BIT_FLIP, PHASE_FLIP, mix_general, mix_two, product_ensemble
-from .optics import GateTable, apply_network, bit_flip_pol, hadamard_pol, hadamard_spatial
+from .optics import (
+    GATE_TABLE,
+    GateTable,
+    apply_network,
+    bit_flip_pol,
+    check_table,
+    hadamard_pol,
+    prune,
+    route,
+    walsh_hadamard,
+)
 from .states import (
     POL,
     SPATIAL,
@@ -188,6 +202,77 @@ def _split_by_pattern(state: PureState) -> dict[Pattern, tuple[float, PureState]
     return out
 
 
+# A Hadamard-mode member holds 4^m amplitudes after its layers; at m = 10 a
+# phase-flip simulate takes about 1.5 s and 85 MB peak on a 2-CPU machine.
+# Configs above this are refused.
+PHASEFLIP_MAX_PHOTONS = 10
+
+
+def _dense_split(
+    m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate_table: GateTable | None
+) -> Callable[[PureState], dict[Pattern, tuple[float, PureState]]]:
+    """The Hadamard-mode step for one member, on dense arrays indexed by the registers.
+
+    The returned function gives what _split_by_pattern gives for the routed
+    member, for the accepted patterns only and with each pattern's
+    correction applied. It runs the stages of hadamard_pol,
+    hadamard_spatial, apply_network, _split_by_pattern and
+    Correction.apply with the same float operations for every amplitude. A
+    port's probability is a sequential sum of |amp|**2 in register order
+    (never numpy's pairwise np.sum), where the sparse path sums in term
+    order and squares with pow: on GHZ-product members every amplitude of a
+    port has the same magnitude, and there the two agree bit for bit.
+    """
+    table = GATE_TABLE if gate_table is None else gate_table
+    check_table(table)
+    size = 1 << m
+    grid = np.arange(size)
+    out_pol, port = route(grid[None, :], grid[:, None], m, table)  # indexed [spatial, pol]
+    patterns = [bits(m, p) for p in grid.tolist()]
+    ports = [p for p in grid.tolist() if rule.accepts(patterns[p])]
+    # the gate is a bijection, so routing is a gather: source of each (port, pol) amplitude
+    source = np.empty(size * size, dtype=np.intp)
+    source[(port * size + out_pol).ravel()] = np.arange(size * size)
+    accepted_source = source.reshape(size, size)[ports]
+    groups: dict[Correction, list[int]] = {}
+    for row, p in enumerate(ports):
+        groups.setdefault(plan.get(patterns[p], IDENTITY_CORRECTION), []).append(row)
+
+    def split(member: PureState) -> dict[Pattern, tuple[float, PureState]]:
+        # pol layer on the spatial registers present only: the other columns stay zero
+        pol, spatial = zip(*member.terms)
+        present = sorted(set(spatial))
+        column = {reg: c for c, reg in enumerate(present)}
+        layer = np.zeros((size, len(present)), dtype=complex)
+        layer[pol, [column[reg] for reg in spatial]] = list(member.terms.values())
+        walsh_hadamard(layer, m)
+        amps = np.zeros((size, size), dtype=complex)  # [spatial, pol]
+        amps[present] = layer.T
+        walsh_hadamard(amps, m)
+        accepted = amps.ravel().take(accepted_source)  # [accepted port, pol]
+        probs = np.cumsum(np.abs(accepted) ** 2, axis=1)[:, -1].tolist()
+        accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])[:, None]
+        prune(accepted)
+        out = {}
+        for correction, rows in groups.items():
+            rows = [r for r in rows if probs[r] > 0.0]
+            if not rows:
+                continue
+            flips = sum(1 << (m - 1 - k) for k in correction.flips)
+            block = accepted[rows].T.take(grid ^ flips, axis=0)  # [pol, row]
+            if correction.hadamard:
+                walsh_hadamard(block, m)
+            terms: list[dict[Label, complex]] = [{} for _ in rows]
+            cols, regs = np.nonzero(block.T)
+            for c, reg, amp in zip(cols.tolist(), regs.tolist(), block[regs, cols].tolist()):
+                terms[c][(reg,)] = amp
+            for r, t in zip(rows, terms):
+                out[patterns[ports[r]]] = (probs[r], PureState(m, (POL,), t))
+        return out
+
+    return split
+
+
 def _execute(
     ensemble: Ensemble,
     rule: AcceptanceRule,
@@ -204,13 +289,11 @@ def _execute(
     if target.m != m or target.dofs != (POL,):
         raise ValueError("target must be a bare polarization state on the same photons")
 
+    dense = _dense_split(m, rule, plan, gate_table) if hadamard_first else None
     buckets: dict[Pattern, list[tuple[float, PureState]]] = {}
     for weight, member in ensemble.members:
-        state = member
-        if hadamard_first:
-            state = hadamard_spatial(hadamard_pol(state))
-        routed = apply_network(state, gate_table)
-        for pattern, (cond_prob, cond_state) in _split_by_pattern(routed).items():
+        split = dense(member) if dense else _split_by_pattern(apply_network(member, gate_table))
+        for pattern, (cond_prob, cond_state) in split.items():
             if not rule.accepts(pattern):
                 continue
             buckets.setdefault(pattern, []).append((weight * cond_prob, cond_state))
@@ -225,7 +308,8 @@ def _execute(
     for pattern in sorted(buckets):
         entries = buckets[pattern]
         pattern_prob = math.fsum(w for w, _ in entries)
-        correction = plan.get(pattern, IDENTITY_CORRECTION)
+        # the dense path has applied each pattern's correction already
+        correction = IDENTITY_CORRECTION if dense else plan.get(pattern, IDENTITY_CORRECTION)
         members = tuple((w / pattern_prob, correction.apply(s)) for w, s in entries)
         cond_ensemble = Ensemble(members)
         cond_fidelity = fidelity(cond_ensemble, target)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .noise import BIT_FLIP, POLARIZATION, NoiseSpec
-from .protocol import DISTINCT, EQUAL, MODES
+from .protocol import DISTINCT, EQUAL, MODES, PHASEFLIP_MAX_PHOTONS
 from .states import SPATIAL
 
 SCHEMA_VERSION = 1
@@ -64,6 +64,10 @@ class ProtocolConfig:
             raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.m < 2:
             raise ConfigError(f"m must be >= 2, got {self.m!r}")
+        if MODES[self.mode].hadamard and self.m > PHASEFLIP_MAX_PHOTONS:
+            raise ConfigError(
+                f"mode {self.mode!r} holds 4^m amplitudes per member; m must be <= {PHASEFLIP_MAX_PHOTONS}, got {self.m}"
+            )
         index, _ = parse_target(self.target)
         limit = 2 ** (self.m - 1)
         if index >= limit:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ghzpurify import POL, SPATIAL, PureState
+from ghzpurify import POL, SPATIAL, PureState, make_state
 
 def pack(photons) -> tuple[int, ...]:
     """Register label of a per-photon literal: photon 0 becomes the most significant bit."""
@@ -115,3 +115,25 @@ def random_joint_state(rng: np.random.Generator, m: int = 3) -> PureState:
     amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
     amps /= np.linalg.norm(amps)
     return PureState(m, (POL, SPATIAL), dict(zip(labels, map(complex, amps))))
+
+
+def loop_hadamard(state: PureState, dof: str) -> PureState:
+    """Hadamard on every photon of one register, term by term in Python.
+
+    The reference for optics.walsh_hadamard: photon 0 first, each output
+    amplitude one sum of two products with c = 2**-0.5, pruned at the end.
+    """
+    axis = state.dofs.index(dof)
+    c = 2.0**-0.5
+    terms = dict(state.terms)
+    for k in range(state.m):
+        bit = 1 << (state.m - 1 - k)
+        split = {}
+        for label, amp in terms.items():
+            reg = label[axis]
+            for nb in (0, bit):
+                coeff = -c if (reg & bit and nb) else c
+                new_label = label[:axis] + ((reg & ~bit) | nb,) + label[axis + 1 :]
+                split[new_label] = split.get(new_label, 0.0j) + amp * coeff
+        terms = split
+    return make_state(state.m, state.dofs, terms.items())

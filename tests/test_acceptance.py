@@ -177,6 +177,29 @@ def test_criterion_5_m_independence():
     )
 
 
+def test_criterion_5_phaseflip_m_independence():
+    started = time.perf_counter()
+    worst = 0.0
+    fidelities = []
+    for m in range(2, 11):
+        result = run_phaseflip(phaseflip_pair(m, 0.8, 0.7))
+        fidelities.append(result.output_fidelity)
+        worst = max(
+            worst,
+            abs(result.output_fidelity - closed_form_fidelity_pair(0.8, 0.7)),
+            abs(result.success_probability - closed_form_success_pair(0.8, 0.7)),
+        )
+    spread = max(fidelities) - min(fidelities)
+    elapsed = time.perf_counter() - started
+    assert worst < CLOSED_FORM_TOL
+    assert spread < CLOSED_FORM_TOL
+    print(
+        f"\nACCEPTANCE 5b: PASS - phase-flip closed form holds and fidelity is photon-count "
+        f"independent for m in 2..10 at (0.8, 0.7) (max deviation {worst:.2e}, spread "
+        f"{spread:.2e}, {elapsed:.2f}s)"
+    )
+
+
 def test_criterion_6_oracle_equivalence():
     started = time.perf_counter()
     worst = 0.0

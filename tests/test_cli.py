@@ -8,7 +8,13 @@ import pytest
 
 from ghzpurify import POLARIZATION, SPATIAL, NoiseSpec, cli, oracle
 from ghzpurify.cli import execute, main
-from ghzpurify.protocol import MODES, closed_form_fidelity_pair, closed_form_success_pair, run_bitflip
+from ghzpurify.protocol import (
+    MODES,
+    PHASEFLIP_MAX_PHOTONS,
+    closed_form_fidelity_pair,
+    closed_form_success_pair,
+    run_bitflip,
+)
 from ghzpurify.records import ProtocolConfig, RunRecord
 
 
@@ -361,3 +367,33 @@ def test_sweep_without_finite_ratio_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("sweep error: R is not finite")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--axis", "N", "--from", "2.5", "--to", "4"],
+        ["sweep", "--axis", "N", "--from", "2", "--to", "4", "--step", "0.5", "--format", "json"],
+    ],
+    ids=["fractional-start", "fractional-step"],
+)
+def test_sweep_fractional_photon_count_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sweep error: N axis values must be integers, got 2.5\n"
+
+
+def test_phaseflip_config_above_capacity_exits_2(tmp_path, capsys):
+    noise = [{"kind": "phase-flip", "target_index": 0, "weight": 0.2}]
+    m = PHASEFLIP_MAX_PHOTONS + 1
+    config = write_config(tmp_path, m=m, mode="phaseflip", pol_noise=noise, spatial_noise=noise)
+    assert main(["simulate", config, "--reproducible"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: mode 'phaseflip' holds 4^m amplitudes per member; "
+        f"m must be <= {PHASEFLIP_MAX_PHOTONS}, got {m}\n"
+    )
+    # the other modes keep no such cap
+    assert main(["simulate", write_config(tmp_path, "b.json", m=m), "--reproducible"]) == 0

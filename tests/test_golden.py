@@ -4,8 +4,9 @@ tests/data/simulate/cases.json lists the configs: every mode, m in {3, 5},
 target 0+ and one other GHZ index with both signs. <name>.json and
 <name>.csv hold the bytes ``ghzpurify simulate <config> --reproducible
 --format json|csv --out FILE`` wrote for each case at commit d582a73, when
-basis labels were still tuples of per-photon bit tuples. The engine is pure
-Python arithmetic, so the bytes do not depend on the machine's BLAS.
+basis labels were still tuples of per-photon bit tuples. The engine uses
+Python arithmetic and elementwise numpy ufuncs only, never BLAS, so the
+bytes do not depend on the machine's BLAS.
 """
 
 import json

@@ -21,10 +21,12 @@ from ghzpurify import (
     states_close,
     tensor_hyper,
 )
+from ghzpurify.optics import route, walsh_hadamard
 from ghzpurify.oracle import _single_photon_network
 from helpers import (
     MINUS_GLOBAL_SIGN,
     PAIRING,
+    loop_hadamard,
     pack,
     pol_state_from_string,
     random_joint_state,
@@ -114,6 +116,52 @@ def test_network_permutes_labels():
     }
     assert len(set(images.values())) == len(images)
     assert routed.terms == {images[label]: amp for label, amp in state.terms.items()}
+
+
+def faulted_table():
+    table = dict(GATE_TABLE)
+    table[(H, MODE1)], table[(V, MODE1)] = table[(V, MODE1)], table[(H, MODE1)]
+    return table
+
+
+@pytest.mark.parametrize("table", [GATE_TABLE, faulted_table()], ids=["gate", "faulted"])
+def test_route_rule_on_ints_and_grids(table):
+    m = 3
+    grid = np.arange(2**m)
+    out_pol, port = route(grid[:, None], grid[None, :], m, table)
+    for pol in range(2**m):
+        for spatial in range(2**m):
+            per_photon = pack([table[photon] for photon in unpack(m, (pol, spatial))])
+            assert route(pol, spatial, m, table) == per_photon
+            assert (out_pol[pol, spatial], port[pol, spatial]) == per_photon
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_hadamard_matches_loop_reference(m):
+    # same sums of two products in the same order, so equal to the last bit
+    rng = np.random.default_rng(40 + m)
+    joint = random_joint_state(rng, m)
+    product = tensor_hyper(make_ghz_pol(m, 1, -1), make_ghz_spatial(m, 2 ** (m - 1) - 1))
+    # half the outputs cancel to about 1e-16, below PRUNE_TOL, so both sides must prune them
+    c = 2.0**-0.5
+    near = PureState(m, (POL,), {(0,): c, (1,): c * (1 + 1e-15)})
+    assert len(loop_hadamard(near, POL).terms) == 2 ** (m - 1)
+    for state in (joint, product, near, make_ghz_pol(m, 1, -1), hadamard_pol(make_ghz_pol(m, 0))):
+        assert hadamard_pol(state).terms == loop_hadamard(state, POL).terms
+    for state in (joint, product, make_ghz_spatial(m, 1)):
+        assert hadamard_spatial(state).terms == loop_hadamard(state, SPATIAL).terms
+
+
+def test_walsh_hadamard_prunes_and_checks_its_array():
+    c = 2.0**-0.5
+    amps = np.array([[c, 0.6], [c * (1 + 1e-15), 0.8]], dtype=complex)
+    walsh_hadamard(amps, 1)
+    assert amps[1, 0] == 0.0  # about -3e-16 before the prune
+    assert amps[:, 1].tolist() == [0.6 * c + 0.8 * c, 0.6 * c - 0.8 * c]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        walsh_hadamard(np.zeros((2, 4), dtype=complex)[:, ::2], 1)
+    with pytest.raises(ValueError, match="4 rows"):
+        walsh_hadamard(np.zeros((2, 2), dtype=complex), 2)
 
 
 def test_hadamard_pol_reference_images():

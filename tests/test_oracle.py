@@ -19,7 +19,13 @@ from ghzpurify import (
     run_phaseflip,
     tensor_hyper,
 )
-from ghzpurify.oracle import _contract_per_photon, _gather, hadamard_both_unitary, state_vector
+from ghzpurify.oracle import (
+    _contract_per_photon,
+    _gather,
+    _network_source,
+    hadamard_both_unitary,
+    state_vector,
+)
 
 
 def joint_pair(m, f1, f2, pol_index=1, spatial_index=1):
@@ -89,11 +95,16 @@ def random_hermitian(dim, rng):
     return a + a.conj().T
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_network_source_reads_the_unitary(m):
+    assert np.array_equal(_network_source(m), network_unitary(m).argmax(axis=1))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_gather_matches_dense_conjugation(m):
     rho = random_hermitian(4**m, np.random.default_rng(m))
     U = network_unitary(m)
-    assert np.allclose(_gather(rho, U), U @ rho @ U.conj().T, rtol=0, atol=1e-12)
+    assert np.allclose(_gather(rho, _network_source(m)), U @ rho @ U.conj().T, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

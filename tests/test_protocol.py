@@ -1,22 +1,33 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
 from ghzpurify import (
+    GATE_TABLE,
+    POL,
     AcceptanceRule,
     Correction,
     Ensemble,
+    PureState,
+    apply_network,
+    bits,
     all_patterns,
     closed_form_fidelity_general,
     closed_form_fidelity_pair,
     closed_form_success_general,
     closed_form_success_pair,
     fidelity,
+    hadamard_pol,
+    hadamard_spatial,
     infer_flip_plan,
     make_ghz_pol,
     make_ghz_spatial,
     merged_fidelity,
     mix_general,
     mix_two,
+    phaseflip_plan,
     product_ensemble,
     run_bitflip,
     run_general,
@@ -252,3 +263,56 @@ def test_correction_apply_composition():
     from ghzpurify import bit_flip_pol, hadamard_pol, states_close
 
     assert states_close(corr.apply(state), hadamard_pol(bit_flip_pol(state, [0, 1, 2])))
+
+
+def phaseflip_term_by_term(ensemble, table):
+    """Phase-flip mode through the public per-state functions, one member at a time.
+
+    Returns, per accepted pattern, the (member weight x pattern probability,
+    corrected state) entries in member order.
+    """
+    m = ensemble.m
+    rule, plan = AcceptanceRule("phaseflip"), phaseflip_plan(m)
+    buckets = {}
+    for weight, member in ensemble.members:
+        routed = apply_network(hadamard_spatial(hadamard_pol(member)), table)
+        by_port = {}
+        for (pol, port), amp in routed.terms.items():
+            by_port.setdefault(port, {})[(pol,)] = amp
+        for port, terms in by_port.items():
+            pattern = bits(m, port)
+            if rule.accepts(pattern):
+                prob = sum(abs(a) ** 2 for a in terms.values())
+                cond = PureState(m, (POL,), {label: a * prob**-0.5 for label, a in terms.items()})
+                buckets.setdefault(pattern, []).append((weight * prob, plan[pattern].apply(cond)))
+    return buckets
+
+
+FAULTED_TABLE = {**GATE_TABLE, (0, 0): GATE_TABLE[(1, 0)], (1, 0): GATE_TABLE[(0, 0)]}
+
+
+@pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_dense_phaseflip_path_matches_term_by_term(m, table):
+    rng = random.Random(m)
+
+    def mixture(maker):
+        index, sign = rng.randrange(2 ** (m - 1)), rng.choice((1, -1))
+        return mix_two(maker(m, 0), maker(m, index, -1 if index == 0 else sign), rng.uniform(0.05, 0.95))
+
+    for _ in range(4):
+        ensemble = product_ensemble(mixture(make_ghz_pol), mixture(make_ghz_spatial))
+        expected = phaseflip_term_by_term(ensemble, table)
+        if not expected:
+            with pytest.raises(ValueError, match="no accepted"):
+                run_phaseflip(ensemble, gate_table=table)
+            continue
+        result = run_phaseflip(ensemble, gate_table=table)
+        assert result.success_probability == math.fsum(w for entries in expected.values() for w, _ in entries)
+        assert set(result.accepted) == set(expected)
+        for pattern, entries in expected.items():
+            outcome = result.accepted[pattern]
+            total = math.fsum(w for w, _ in entries)
+            assert outcome.probability == total
+            members = [(w, dict(s.terms)) for w, s in outcome.ensemble.members]
+            assert members == [(w / total, dict(s.terms)) for w, s in entries]
