@@ -35,7 +35,6 @@ from .protocol import (
     Correction,
     PatternOutcome,
     ProtocolResult,
-    all_patterns,
     closed_form_fidelity_general,
     closed_form_fidelity_pair,
     closed_form_success_general,
@@ -46,7 +45,6 @@ from .protocol import (
     run_bitflip,
     run_general,
     run_phaseflip,
-    swap_count,
 )
 from .states import (
     H,

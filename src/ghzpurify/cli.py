@@ -12,7 +12,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .efficiency import EfficiencyParams, axis_values, sweep as efficiency_sweep
+from .efficiency import MAX_SWEEP_ROWS, EfficiencyParams, axis_values, sweep as efficiency_sweep
 from .noise import POLARIZATION, ensemble_from_specs, ghz_weights, product_ensemble
 from .optics import GATE_TABLE, GateTable
 from .oracle import ORACLE_MAX_PHOTONS, densify, oracle_run
@@ -127,7 +127,13 @@ def _fidelity_grid(spec: str) -> list[float]:
         raise ConfigError(f"grid must look like 0.1:0.9:0.1, got {spec!r}") from exc
     if step <= 0 or stop < start:
         raise ConfigError(f"empty or descending grid {spec!r}")
-    return [round(v, 12) for v in axis_values(start, stop, step)]
+    values = [round(v, 12) for v in axis_values(start, stop, step)]
+    if len(values) ** 2 > MAX_SWEEP_ROWS:
+        raise ConfigError(
+            f"grid {spec!r} has {len(values)} points, so {len(values) ** 2} rows; "
+            f"a sweep prints at most {MAX_SWEEP_ROWS}"
+        )
+    return values
 
 
 def _cmd_sweep(args) -> int:
@@ -203,7 +209,7 @@ def _cmd_verify(args) -> int:
             for f2 in grid:
                 ens = mode.verify_input(m, f1, f2)
                 engine = mode.run(ens, target=target, gate_table=table)
-                dense = oracle_run(densify(ens), m, mode.rule, corrections=mode.plan(ens), target=target)
+                dense = oracle_run(densify(ens), m, mode, mode.plan(ens), target=target)
                 devs = (
                     abs(engine.output_fidelity - dense.output_fidelity),
                     abs(engine.success_probability - dense.success_probability),

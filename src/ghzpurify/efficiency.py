@@ -70,9 +70,23 @@ def ratio_R(params: EfficiencyParams) -> float:
     return 4.0 / survival
 
 
+# The most rows one sweep prints; an F-axis grid of n points prints n^2 rows.
+MAX_SWEEP_ROWS = 10_000
+
+
 def axis_values(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop; each value from its index, so no error accumulates."""
-    return [start + i * step for i in range(math.floor((stop - start) / step + 1e-9) + 1)]
+    """start, start + step, ... up to stop (step > 0); each value from its index, so no error accumulates.
+
+    Raises ValueError for a non-finite start, stop or step, and for more
+    than MAX_SWEEP_ROWS values, before any value is built.
+    """
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"sweep bounds and step must be finite, got {start!r}, {stop!r}, {step!r}")
+    # (stop - start) / step may overflow to inf even for finite bounds
+    count = math.floor(min((stop - start) / step, MAX_SWEEP_ROWS) + 1e-9) + 1
+    if count > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep has more than {MAX_SWEEP_ROWS} points, the most rows a sweep prints")
+    return [start + i * step for i in range(count)]
 
 
 def sweep(

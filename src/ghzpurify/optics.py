@@ -141,18 +141,15 @@ def hadamard_spatial(state: PureState) -> PureState:
     return _hadamard_dof(state, SPATIAL)
 
 
-def bit_flip_pol(state: PureState, photons) -> PureState:
-    """Flip the polarization bit of the selected photons (0-based indices)."""
+def bit_flip_pol(state: PureState, mask: int) -> PureState:
+    """Flip the polarization bit of the photons set in an m-bit mask (photon 0 the most significant bit)."""
     if POL not in state.dofs:
         raise ValueError("state carries no polarization labels")
-    chosen = frozenset(photons)
-    for k in chosen:
-        if not 0 <= k < state.m:
-            raise ValueError(f"photon index {k} out of range for m={state.m}")
-    if not chosen:
+    if not 0 <= mask < 1 << state.m:
+        raise ValueError(f"flip mask {mask} out of range for m={state.m}")
+    if not mask:
         return state
     axis = state.dofs.index(POL)
-    mask = sum(1 << (state.m - 1 - k) for k in chosen)
     items = [
         (label[:axis] + (label[axis] ^ mask,) + label[axis + 1 :], amp)
         for label, amp in state.terms.items()

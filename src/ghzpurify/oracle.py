@@ -15,6 +15,10 @@ element chain and combined photon by photon. A Hadamard layer is a
 product of identical 4x4 per-photon factors, so conjugating by it is one
 contraction per photon axis of rho reshaped to (4,)*2m, ket and bra.
 
+oracle_run takes the protocol Mode: its Hadamard flag and acceptance rule
+pick the layers and the ports, and the caller passes the correction plan,
+keyed by port register like the engine's.
+
 Capacity is capped at 5 photons (dimension 1024); this module exists for
 cross-validation, not performance.
 """
@@ -22,21 +26,12 @@ cross-validation, not performance.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import (
-    AcceptanceRule,
-    Correction,
-    CorrectionPlan,
-    IDENTITY_CORRECTION,
-    Pattern,
-    all_patterns,
-    phaseflip_plan,
-)
-from .states import Ensemble, PureState, make_ghz_pol
+from .protocol import IDENTITY_CORRECTION, Correction, CorrectionPlan, Mode, Pattern
+from .states import Ensemble, Label, PureState, bits, make_ghz_pol
 
 ORACLE_MAX_PHOTONS = 5
 
@@ -50,16 +45,18 @@ def _check_capacity(m: int) -> None:
         raise ValueError(f"oracle capacity is m <= {ORACLE_MAX_PHOTONS} photons, got m={m}")
 
 
+def _index(m: int, label: Label) -> int:
+    """Dense-basis index of a label: photon-major, each photon's bits in register order, big-endian."""
+    idx = 0
+    for k in range(m):
+        for register in label:
+            idx = 2 * idx + ((register >> (m - 1 - k)) & 1)
+    return idx
+
+
 def _support(state: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-basis indices (photon-major, bits big-endian) and amplitudes of a PureState."""
-    m = state.m
-    indices = []
-    for label in state.terms:
-        idx = 0
-        for k in range(m):
-            for register in label:
-                idx = 2 * idx + ((register >> (m - 1 - k)) & 1)
-        indices.append(idx)
+    """Dense-basis indices and amplitudes of a PureState."""
+    indices = [_index(state.m, label) for label in state.terms]
     return np.array(indices), np.array(list(state.terms.values()), dtype=complex)
 
 
@@ -168,19 +165,8 @@ def _contract_per_photon(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndar
     return t.reshape(rho.shape)
 
 
-def _pattern_indices(m: int, pattern: Pattern) -> np.ndarray:
-    """Joint-basis indices whose port bits equal the pattern, ordered by pol bits."""
-    idx = []
-    for pol_bits in itertools.product((0, 1), repeat=m):
-        g = 0
-        for p, r in zip(pol_bits, pattern):
-            g = 4 * g + 2 * p + r
-        idx.append(g)
-    return np.array(idx)
-
-
 def _correction_unitary(m: int, corr: Correction) -> np.ndarray:
-    mat = _kron_all([_X2 if k in corr.flips else _I2 for k in range(m)])
+    mat = _kron_all([_X2 if b else _I2 for b in bits(m, corr.flips)])
     if corr.hadamard:
         mat = _kron_all([_H2] * m) @ mat
     return mat
@@ -199,16 +185,17 @@ class OracleResult:
 def oracle_run(
     dense: np.ndarray,
     m: int,
-    rule: AcceptanceRule,
-    corrections: CorrectionPlan | None = None,
+    mode: Mode,
+    corrections: CorrectionPlan,
     target: PureState | None = None,
 ) -> OracleResult:
     """Run a protocol mode on a dense joint-state density operator.
 
-    Conjugates by the Hadamard layers (phase-flip mode, per-photon
-    contractions) and the network unitary (an index gather), projects onto
-    each port pattern, applies the pattern's correction, and scores fidelity
-    against the polarization target.
+    Conjugates by the Hadamard layers (where ``mode.hadamard`` is set,
+    per-photon contractions) and the network unitary (an index gather),
+    projects onto each port accepted by ``mode.rule``, applies the port's
+    correction from ``corrections``, and scores fidelity against the
+    polarization target.
     """
     _check_capacity(m)
     dim = 4**m
@@ -219,30 +206,25 @@ def oracle_run(
     tvec = state_vector(target)
 
     rho = dense
-    if rule.mode == "phaseflip":
+    if mode.hadamard:
         rho = _contract_per_photon(rho, hadamard_both_unitary(1), m)
-        if corrections is None:
-            corrections = phaseflip_plan(m)
-    if corrections is None:
-        corrections = {}
-
     rho = _gather(rho, _network_source(m))
 
     table: dict[Pattern, tuple[float, float]] = {}
     success = 0.0
     fidelity_mass = 0.0
-    for pattern in all_patterns(m):
-        if not rule.accepts(pattern):
+    for port in range(1 << m):
+        if not mode.rule.accepts(port, m):
             continue
-        idx = _pattern_indices(m, pattern)
+        idx = np.array([_index(m, (pol, port)) for pol in range(1 << m)])
         block = rho[np.ix_(idx, idx)]
         prob = max(float(np.trace(block).real), 0.0)
         if prob < 1e-15:
             continue
-        cmat = _correction_unitary(m, corrections.get(pattern, IDENTITY_CORRECTION))
+        cmat = _correction_unitary(m, corrections.get(port, IDENTITY_CORRECTION))
         corrected = cmat @ block @ cmat.conj().T
         fid = float(np.real(tvec.conj() @ corrected @ tvec)) / prob
-        table[pattern] = (prob, fid)
+        table[bits(m, port)] = (prob, fid)
         success += prob
         fidelity_mass += prob * fid
 

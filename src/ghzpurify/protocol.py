@@ -8,10 +8,13 @@ total accepted probability. Members of modes without Hadamard layers stay
 sparse labeled states of 4 terms; after the layers a member holds 4^(m-1)
 terms, so Hadamard modes run every stage on dense register arrays.
 
-Port patterns are tuples with one bit per photon, 0 = KEEP group, 1 = SWAP
-group. Bit-flip mode accepts the two unanimous patterns; phase-flip mode
-accepts every pattern with an even number of SWAP photons; general mode
-accepts everything and relies on per-pattern corrections.
+A port pattern is the port register: one bit per photon, photon 0 the
+most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
+correction plans and the per-pattern buckets all key on it; only
+ProtocolResult.accepted spells each accepted register out as a Pattern
+tuple (states.bits). Bit-flip mode accepts the two unanimous patterns;
+phase-flip mode accepts every pattern with an even number of SWAP photons;
+general mode accepts everything and relies on per-pattern corrections.
 
 MODES is the one table of the configured modes: the pipeline's per-mode
 choices, the noise a config may list, the closed form and the verify input.
@@ -53,14 +56,6 @@ from .states import (
 Pattern = tuple[int, ...]
 
 
-def all_patterns(m: int) -> list[Pattern]:
-    return [bits(m, register) for register in range(2**m)]
-
-
-def swap_count(pattern: Pattern) -> int:
-    return sum(pattern)
-
-
 @dataclass(frozen=True)
 class AcceptanceRule:
     """Which port patterns count as success for a protocol mode."""
@@ -73,10 +68,11 @@ class AcceptanceRule:
         if self.mode not in self._MODES:
             raise ValueError(f"unknown acceptance mode {self.mode!r}")
 
-    def accepts(self, pattern: Pattern) -> bool:
-        count = swap_count(pattern)
+    def accepts(self, port: int, m: int) -> bool:
+        """Whether the m-bit port register is a success pattern; its popcount is the SWAP count."""
+        count = port.bit_count()
         if self.mode == "bitflip":
-            return count == 0 or count == len(pattern)
+            return count == 0 or count == m
         if self.mode == "phaseflip":
             return count % 2 == 0
         return True
@@ -86,11 +82,11 @@ class AcceptanceRule:
 class Correction:
     """Deterministic fix-up applied to a pattern's polarization state.
 
-    Bit flips come first (0-based photon indices), then an optional
-    Hadamard on every photon.
+    Bit flips come first (an m-bit photon mask, photon 0 the most
+    significant bit), then an optional Hadamard on every photon.
     """
 
-    flips: frozenset[int] = frozenset()
+    flips: int = 0
     hadamard: bool = False
 
     def apply(self, state: PureState) -> PureState:
@@ -100,17 +96,13 @@ class Correction:
 
 IDENTITY_CORRECTION = Correction()
 
-CorrectionPlan = Mapping[Pattern, Correction]
+CorrectionPlan = Mapping[int, Correction]  # keyed by port register
 
 
-def phaseflip_plan(m: int) -> dict[Pattern, Correction]:
-    """Flip every photon, then Hadamard every photon, on each accepted pattern."""
-    everything = frozenset(range(m))
-    return {
-        pat: Correction(flips=everything, hadamard=True)
-        for pat in all_patterns(m)
-        if swap_count(pat) % 2 == 0
-    }
+def phaseflip_plan(m: int) -> dict[int, Correction]:
+    """Flip every photon, then Hadamard every photon, on each accepted (even-parity) port."""
+    fix = Correction(flips=(1 << m) - 1, hadamard=True)
+    return {port: fix for port in range(1 << m) if port.bit_count() % 2 == 0}
 
 
 def _ghz_product_parts(state: PureState) -> tuple[int, int]:
@@ -125,7 +117,7 @@ def _ghz_product_parts(state: PureState) -> tuple[int, int]:
     return e, f
 
 
-def infer_flip_plan(ensemble: Ensemble) -> dict[Pattern, Correction]:
+def infer_flip_plan(ensemble: Ensemble) -> dict[int, Correction]:
     """Derive the correction each port pattern needs from the noise support.
 
     The pattern produced by a (pol error e, spatial error f) branch is the
@@ -143,14 +135,14 @@ def infer_flip_plan(ensemble: Ensemble) -> dict[Pattern, Correction]:
         e, f = _ghz_product_parts(member)
         for pat in (e ^ f, e ^ f ^ full):
             f_classes.setdefault(pat, set()).add(f)
-    plan: dict[Pattern, Correction] = {}
+    plan: dict[int, Correction] = {}
     for pat, classes in f_classes.items():
         if len(classes) != 1:
             continue
         (f,) = classes
         rep = min(f, f ^ full, key=lambda r: (r.bit_count(), r))
         if rep:
-            plan[bits(m, pat)] = Correction(flips=frozenset(k for k, b in enumerate(bits(m, rep)) if b))
+            plan[pat] = Correction(flips=rep)
     return plan
 
 
@@ -184,10 +176,10 @@ def merged_fidelity(result: ProtocolResult, target: PureState) -> float:
     return mass / result.success_probability
 
 
-def _split_by_pattern(state: PureState) -> dict[Pattern, tuple[float, PureState]]:
-    """Marginalize a (pol, port) state over port patterns.
+def _split_by_pattern(state: PureState) -> dict[int, tuple[float, PureState]]:
+    """Marginalize a (pol, port) state over port registers.
 
-    Returns, per pattern with nonzero probability, the probability and the
+    Returns, per port with nonzero probability, the probability and the
     renormalized conditional polarization state.
     """
     groups: dict[int, dict[Label, complex]] = {}
@@ -198,7 +190,7 @@ def _split_by_pattern(state: PureState) -> dict[Pattern, tuple[float, PureState]
         prob = sum(abs(a) ** 2 for a in terms.values())
         scale = prob**-0.5
         cond = PureState(state.m, (POL,), {lab: a * scale for lab, a in terms.items()})
-        out[bits(state.m, port)] = (prob, cond)
+        out[port] = (prob, cond)
     return out
 
 
@@ -210,11 +202,11 @@ PHASEFLIP_MAX_PHOTONS = 10
 
 def _dense_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate_table: GateTable | None
-) -> Callable[[PureState], dict[Pattern, tuple[float, PureState]]]:
+) -> Callable[[PureState], dict[int, tuple[float, PureState]]]:
     """The Hadamard-mode step for one member, on dense arrays indexed by the registers.
 
     The returned function gives what _split_by_pattern gives for the routed
-    member, for the accepted patterns only and with each pattern's
+    member, for the accepted ports only and with each port's
     correction applied. It runs the stages of hadamard_pol,
     hadamard_spatial, apply_network, _split_by_pattern and
     Correction.apply with the same float operations for every amplitude. A
@@ -228,17 +220,16 @@ def _dense_split(
     size = 1 << m
     grid = np.arange(size)
     out_pol, port = route(grid[None, :], grid[:, None], m, table)  # indexed [spatial, pol]
-    patterns = [bits(m, p) for p in grid.tolist()]
-    ports = [p for p in grid.tolist() if rule.accepts(patterns[p])]
+    ports = [p for p in range(size) if rule.accepts(p, m)]
     # the gate is a bijection, so routing is a gather: source of each (port, pol) amplitude
     source = np.empty(size * size, dtype=np.intp)
     source[(port * size + out_pol).ravel()] = np.arange(size * size)
     accepted_source = source.reshape(size, size)[ports]
     groups: dict[Correction, list[int]] = {}
     for row, p in enumerate(ports):
-        groups.setdefault(plan.get(patterns[p], IDENTITY_CORRECTION), []).append(row)
+        groups.setdefault(plan.get(p, IDENTITY_CORRECTION), []).append(row)
 
-    def split(member: PureState) -> dict[Pattern, tuple[float, PureState]]:
+    def split(member: PureState) -> dict[int, tuple[float, PureState]]:
         # pol layer on the spatial registers present only: the other columns stay zero
         pol, spatial = zip(*member.terms)
         present = sorted(set(spatial))
@@ -258,8 +249,7 @@ def _dense_split(
             rows = [r for r in rows if probs[r] > 0.0]
             if not rows:
                 continue
-            flips = sum(1 << (m - 1 - k) for k in correction.flips)
-            block = accepted[rows].T.take(grid ^ flips, axis=0)  # [pol, row]
+            block = accepted[rows].T.take(grid ^ correction.flips, axis=0)  # [pol, row]
             if correction.hadamard:
                 walsh_hadamard(block, m)
             terms: list[dict[Label, complex]] = [{} for _ in rows]
@@ -267,7 +257,7 @@ def _dense_split(
             for c, reg, amp in zip(cols.tolist(), regs.tolist(), block[regs, cols].tolist()):
                 terms[c][(reg,)] = amp
             for r, t in zip(rows, terms):
-                out[patterns[ports[r]]] = (probs[r], PureState(m, (POL,), t))
+                out[ports[r]] = (probs[r], PureState(m, (POL,), t))
         return out
 
     return split
@@ -290,13 +280,13 @@ def _execute(
         raise ValueError("target must be a bare polarization state on the same photons")
 
     dense = _dense_split(m, rule, plan, gate_table) if hadamard_first else None
-    buckets: dict[Pattern, list[tuple[float, PureState]]] = {}
+    buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
     for weight, member in ensemble.members:
         split = dense(member) if dense else _split_by_pattern(apply_network(member, gate_table))
-        for pattern, (cond_prob, cond_state) in split.items():
-            if not rule.accepts(pattern):
+        for port, (cond_prob, cond_state) in split.items():
+            if not rule.accepts(port, m):
                 continue
-            buckets.setdefault(pattern, []).append((weight * cond_prob, cond_state))
+            buckets.setdefault(port, []).append((weight * cond_prob, cond_state))
 
     # fsum reductions keep results independent of member order
     accepted_mass = math.fsum(w for entries in buckets.values() for w, _ in entries)
@@ -305,15 +295,16 @@ def _execute(
 
     accepted: dict[Pattern, PatternOutcome] = {}
     fidelity_terms = []
-    for pattern in sorted(buckets):
-        entries = buckets[pattern]
+    # numeric order of m-bit registers is the order of their MSB-first bit tuples
+    for port in sorted(buckets):
+        entries = buckets[port]
         pattern_prob = math.fsum(w for w, _ in entries)
-        # the dense path has applied each pattern's correction already
-        correction = IDENTITY_CORRECTION if dense else plan.get(pattern, IDENTITY_CORRECTION)
+        # the dense path has applied each port's correction already
+        correction = IDENTITY_CORRECTION if dense else plan.get(port, IDENTITY_CORRECTION)
         members = tuple((w / pattern_prob, correction.apply(s)) for w, s in entries)
         cond_ensemble = Ensemble(members)
         cond_fidelity = fidelity(cond_ensemble, target)
-        accepted[pattern] = PatternOutcome(pattern_prob, cond_ensemble, cond_fidelity)
+        accepted[bits(m, port)] = PatternOutcome(pattern_prob, cond_ensemble, cond_fidelity)
         fidelity_terms.append(pattern_prob * cond_fidelity)
 
     return ProtocolResult(

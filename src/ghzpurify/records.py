@@ -38,6 +38,10 @@ class ConfigError(ValueError):
     """Malformed or schema-invalid configuration input."""
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def format_sig(value: float, digits: int = 12) -> str:
     return format(value, f".{digits}g")
 
@@ -125,10 +129,13 @@ class ProtocolConfig:
         for req in ("m", "mode"):
             if req not in raw:
                 raise ConfigError(f"missing required config field {req!r}")
-        if not isinstance(raw["m"], int) or isinstance(raw["m"], bool):
+        if not _is_int(raw["m"]):
             raise ConfigError(f"field 'm' must be an integer, got {raw['m']!r}")
+        for key in ("mode", "target"):
+            if key in raw and not isinstance(raw[key], str):
+                raise ConfigError(f"field {key!r} must be a string, got {raw[key]!r}")
         seed = raw.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        if seed is not None and not _is_int(seed):
             raise ConfigError(f"field 'seed' must be an integer or null, got {seed!r}")
 
         def specs(key: str, dof: str) -> tuple[NoiseSpec, ...]:
@@ -144,16 +151,14 @@ class ProtocolConfig:
                     raise ConfigError(f"{key}[{pos}] has unknown fields: {sorted(extra)}")
                 if "kind" not in entry or "weight" not in entry:
                     raise ConfigError(f"{key}[{pos}] needs 'kind' and 'weight'")
+                index, weight = entry.get("target_index", 0), entry["weight"]
+                if not _is_int(index):
+                    raise ConfigError(f"{key}[{pos}] field 'target_index' must be an integer, got {index!r}")
+                if not (_is_int(weight) or isinstance(weight, float)):
+                    raise ConfigError(f"{key}[{pos}] field 'weight' must be a number, got {weight!r}")
                 try:
-                    out.append(
-                        NoiseSpec(
-                            dof=dof,
-                            kind=entry["kind"],
-                            weight=float(entry["weight"]),
-                            target_index=int(entry.get("target_index", 0)),
-                        )
-                    )
-                except (TypeError, ValueError) as exc:
+                    out.append(NoiseSpec(dof=dof, kind=entry["kind"], weight=float(weight), target_index=index))
+                except (ValueError, OverflowError) as exc:
                     raise ConfigError(f"{key}[{pos}]: {exc}") from exc
             return tuple(out)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ghzpurify import (
+    MODES,
     AcceptanceRule,
     EfficiencyParams,
     closed_form_fidelity_general,
@@ -30,6 +31,7 @@ from ghzpurify import (
     oracle_run,
     p_one,
     p_two,
+    phaseflip_plan,
     product_ensemble,
     ratio_R,
     run_bitflip,
@@ -218,7 +220,7 @@ def test_criterion_6_oracle_equivalence():
                     worst,
                     compare(
                         run_bitflip(ens),
-                        oracle_run(densify(ens), m, AcceptanceRule("bitflip")),
+                        oracle_run(densify(ens), m, MODES["bitflip"], {}),
                     ),
                 )
                 ens = phaseflip_pair(m, f1, f2)
@@ -226,7 +228,7 @@ def test_criterion_6_oracle_equivalence():
                     worst,
                     compare(
                         run_phaseflip(ens),
-                        oracle_run(densify(ens), m, AcceptanceRule("phaseflip")),
+                        oracle_run(densify(ens), m, MODES["phaseflip"], phaseflip_plan(m)),
                     ),
                 )
                 count = min(4, 2 ** (m - 1))
@@ -239,7 +241,7 @@ def test_criterion_6_oracle_equivalence():
                     worst,
                     compare(
                         run_general(ens, corrections={}, acceptance=AcceptanceRule("bitflip")),
-                        oracle_run(densify(ens), m, AcceptanceRule("bitflip"), corrections={}),
+                        oracle_run(densify(ens), m, MODES["general"], {}),
                     ),
                 )
                 if m >= 3:  # distinct error locations need at least two flip classes
@@ -249,9 +251,7 @@ def test_criterion_6_oracle_equivalence():
                         worst,
                         compare(
                             run_general(ens, corrections=plan),
-                            oracle_run(
-                                densify(ens), m, AcceptanceRule("general"), corrections=plan
-                            ),
+                            oracle_run(densify(ens), m, MODES["deterministic-demo"], plan),
                         ),
                     )
     elapsed = time.perf_counter() - started

@@ -8,6 +8,7 @@ import pytest
 
 from ghzpurify import POLARIZATION, SPATIAL, NoiseSpec, cli, oracle
 from ghzpurify.cli import execute, main
+from ghzpurify.efficiency import MAX_SWEEP_ROWS
 from ghzpurify.protocol import (
     MODES,
     PHASEFLIP_MAX_PHOTONS,
@@ -397,3 +398,59 @@ def test_phaseflip_config_above_capacity_exits_2(tmp_path, capsys):
     )
     # the other modes keep no such cap
     assert main(["simulate", write_config(tmp_path, "b.json", m=m), "--reproducible"]) == 0
+
+
+def noise_entry(**fields):
+    return [{"kind": "bit-flip", "target_index": 1, "weight": 0.2, **fields}]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"target": 5}, "field 'target' must be a string, got 5"),
+        ({"mode": ["bitflip"]}, "field 'mode' must be a string, got ['bitflip']"),
+        ({"pol_noise": noise_entry(target_index=1.7)}, "pol_noise[0] field 'target_index' must be an integer, got 1.7"),
+        ({"pol_noise": noise_entry(target_index="1")}, "pol_noise[0] field 'target_index' must be an integer, got '1'"),
+        ({"spatial_noise": noise_entry(target_index=True)},
+         "spatial_noise[0] field 'target_index' must be an integer, got True"),
+        ({"pol_noise": noise_entry(weight="0.2")}, "pol_noise[0] field 'weight' must be a number, got '0.2'"),
+        ({"pol_noise": noise_entry(weight=True)}, "pol_noise[0] field 'weight' must be a number, got True"),
+    ],
+    ids=["target-int", "mode-list", "index-float", "index-str", "index-bool", "weight-str", "weight-bool"],
+)
+def test_config_field_types_exit_2(tmp_path, capsys, overrides, message):
+    assert main(["simulate", write_config(tmp_path, **overrides), "--reproducible"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--axis", "L", "--from", "20", "--to", "inf"], "sweep bounds and step must be finite"),
+        (["--axis", "N", "--to", "inf"], "sweep bounds and step must be finite"),
+        (["--axis", "L", "--from", "nan"], "sweep bounds and step must be finite"),
+        (["--axis", "L", "--step", "inf"], "sweep bounds and step must be finite"),
+        (["--axis", "F", "--grid", "0.1:inf:0.1"], "sweep bounds and step must be finite"),
+        (["--axis", "F", "--grid", "0.1:0.9:nan"], "sweep bounds and step must be finite"),
+        (["--axis", "L", "--from", "20", "--to", "1e12"], "sweep has more than 10000 points"),
+        (["--axis", "L", "--from=-1e308", "--to", "1e308"], "sweep has more than 10000 points"),
+        (["--axis", "F", "--grid", "0:1:1e-9"], "sweep has more than 10000 points"),
+        (["--axis", "F", "--grid", "0:1:0.01"], "grid '0:1:0.01' has 101 points, so 10201 rows; a sweep prints at most 10000"),
+    ],
+    ids=["L-to-inf", "N-to-inf", "from-nan", "step-inf", "grid-inf", "grid-nan", "L-huge", "L-overflow", "grid-fine", "grid-rows"],
+)
+def test_sweep_unbounded_axis_exits_2(argv, message, capsys):
+    assert main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"sweep error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_sweep_row_cap_is_inclusive(capsys):
+    argv = ["sweep", "--axis", "L", "--from", "0", "--L0", "1e9", "--to"]
+    assert main([*argv, str(MAX_SWEEP_ROWS - 1)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + MAX_SWEEP_ROWS
+    assert main([*argv, str(MAX_SWEEP_ROWS)]) == 2

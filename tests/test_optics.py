@@ -208,12 +208,12 @@ def test_bit_flip_all_photons_reaches_even_parity_state():
     # the all-complemented even-parity state flips onto the reference
     # Hadamard image of the index-0 plus state
     before = pol_state_from_string({"VVV": 0.5, "VHH": 0.5, "HVH": 0.5, "HHV": 0.5})
-    flipped = bit_flip_pol(before, range(3))
+    flipped = bit_flip_pol(before, 0b111)
     assert states_close(flipped, hadamard_pol(make_ghz_pol(3, 0, +1)))
 
 
 def test_bit_flip_single_photon():
-    flipped = bit_flip_pol(make_ghz_pol(3, 1), [2])
+    flipped = bit_flip_pol(make_ghz_pol(3, 1), 0b001)
     assert states_close(flipped, make_ghz_pol(3, 0))
     # dense cross-check: X on the last photon's polarization
     from helpers import brute_vector
@@ -224,12 +224,13 @@ def test_bit_flip_single_photon():
 
 def test_bit_flip_empty_subset_is_identity():
     state = make_ghz_pol(3, 2, -1)
-    assert bit_flip_pol(state, []) is state
+    assert bit_flip_pol(state, 0) is state
 
 
 def test_bit_flip_index_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        bit_flip_pol(make_ghz_pol(3, 0), [3])
+    for mask in (-1, 2**3, 2**4):
+        with pytest.raises(ValueError, match="out of range"):
+            bit_flip_pol(make_ghz_pol(3, 0), mask)
 
 
 def test_corrupted_table_rejected():

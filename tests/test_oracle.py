@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ghzpurify import (
-    AcceptanceRule,
+    MODES,
     Ensemble,
     densify,
     infer_flip_plan,
@@ -13,6 +13,7 @@ from ghzpurify import (
     mix_two,
     network_unitary,
     oracle_run,
+    phaseflip_plan,
     product_ensemble,
     run_bitflip,
     run_general,
@@ -85,7 +86,7 @@ def test_network_unitary_preserves_trace_and_patterns():
     U = network_unitary(3)
     evolved = U @ rho @ U.conj().T
     assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-12)
-    res = oracle_run(rho, 3, AcceptanceRule("general"))
+    res = oracle_run(rho, 3, MODES["deterministic-demo"], {})
     total = sum(p for p, _ in res.pattern_table.values())
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -133,7 +134,7 @@ def test_state_vector_norm():
 def test_oracle_matches_engine_bitflip():
     ens = joint_pair(3, 0.8, 0.7)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 3, AcceptanceRule("bitflip"))
+    dense = oracle_run(densify(ens), 3, MODES["bitflip"], {})
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -143,7 +144,7 @@ def test_oracle_matches_engine_phaseflip():
     spatial = mix_two(make_ghz_spatial(3, 0, +1), make_ghz_spatial(3, 0, -1), 0.8)
     ens = product_ensemble(pol, spatial)
     engine = run_phaseflip(ens)
-    dense = oracle_run(densify(ens), 3, AcceptanceRule("phaseflip"))
+    dense = oracle_run(densify(ens), 3, MODES["phaseflip"], phaseflip_plan(3))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -152,7 +153,7 @@ def test_oracle_matches_engine_deterministic():
     ens = joint_pair(3, 0.45, 0.7, pol_index=1, spatial_index=2)
     plan = infer_flip_plan(ens)
     engine = run_general(ens, corrections=plan)
-    dense = oracle_run(densify(ens), 3, AcceptanceRule("general"), corrections=plan)
+    dense = oracle_run(densify(ens), 3, MODES["deterministic-demo"], plan)
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
     assert dense.output_fidelity == pytest.approx(1.0, abs=1e-10)
@@ -162,14 +163,14 @@ def test_oracle_agreement_at_capacity_limit():
     # the unanimous / even-swap acceptance generalizations hold at m=5 too
     ens = joint_pair(5, 0.8, 0.7)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 5, AcceptanceRule("bitflip"))
+    dense = oracle_run(densify(ens), 5, MODES["bitflip"], {})
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
     pol = mix_two(make_ghz_pol(5, 0, +1), make_ghz_pol(5, 0, -1), 0.6)
     spatial = mix_two(make_ghz_spatial(5, 0, +1), make_ghz_spatial(5, 0, -1), 0.85)
     ens = product_ensemble(pol, spatial)
     engine = run_phaseflip(ens)
-    dense = oracle_run(densify(ens), 5, AcceptanceRule("phaseflip"))
+    dense = oracle_run(densify(ens), 5, MODES["phaseflip"], phaseflip_plan(5))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -177,13 +178,13 @@ def test_oracle_agreement_at_capacity_limit():
 def test_oracle_noiseless_agreement():
     ens = joint_pair(2, 1.0, 1.0)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 2, AcceptanceRule("bitflip"))
+    dense = oracle_run(densify(ens), 2, MODES["bitflip"], {})
     assert engine.output_fidelity == pytest.approx(1.0, abs=1e-12)
     assert dense.output_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_shape_validation():
     with pytest.raises(ValueError, match="expected"):
-        oracle_run(np.eye(16) / 16.0, 3, AcceptanceRule("bitflip"))
+        oracle_run(np.eye(16) / 16.0, 3, MODES["bitflip"], {})
     with pytest.raises(ValueError, match="capacity"):
-        oracle_run(np.eye(4**6) / 4**6, 6, AcceptanceRule("bitflip"))
+        oracle_run(np.eye(4**6) / 4**6, 6, MODES["bitflip"], {})

@@ -50,11 +50,15 @@ def test_mode_properties(name, data):
     m = ensemble.m
     result = mode.run(ensemble, target=target)
 
-    dense = oracle_run(densify(ensemble), m, mode.rule, corrections=mode.plan(ensemble), target=target)
+    dense = oracle_run(densify(ensemble), m, mode, mode.plan(ensemble), target=target)
     assert result.output_fidelity == pytest.approx(dense.output_fidelity, abs=ORACLE_TOL)
     assert result.success_probability == pytest.approx(dense.success_probability, abs=ORACLE_TOL)
 
     assert result.success_probability + result.rejected_probability == pytest.approx(1.0, abs=TOL)
+    # the one place a port register becomes a Pattern: m bits, in ascending order
+    patterns = list(result.accepted)
+    assert all(len(p) == m and set(p) <= {0, 1} for p in patterns)
+    assert patterns == sorted(patterns)
     for fid in [result.output_fidelity] + [o.fidelity for o in result.accepted.values()]:
         assert -TOL <= fid <= 1.0 + TOL
 
@@ -102,7 +106,7 @@ def test_ghz_diagonal_mixtures_match_oracle(name, data):
     m, target = ensemble.m, random_target(data, ensemble.m)
     result = run_or_none(lambda: mode.run(ensemble, target=target))
     dense = run_or_none(
-        lambda: oracle_run(densify(ensemble), m, mode.rule, corrections=mode.plan(ensemble), target=target)
+        lambda: oracle_run(densify(ensemble), m, mode, mode.plan(ensemble), target=target)
     )
     assert (result is None) == (dense is None)
     if result is None:

@@ -13,7 +13,6 @@ from ghzpurify import (
     PureState,
     apply_network,
     bits,
-    all_patterns,
     closed_form_fidelity_general,
     closed_form_fidelity_pair,
     closed_form_success_general,
@@ -32,7 +31,6 @@ from ghzpurify import (
     run_bitflip,
     run_general,
     run_phaseflip,
-    swap_count,
     tensor_hyper,
 )
 
@@ -234,11 +232,12 @@ def test_acceptance_rules():
     bit = AcceptanceRule("bitflip")
     phase = AcceptanceRule("phaseflip")
     everything = AcceptanceRule("general")
-    for pattern in all_patterns(3):
-        count = swap_count(pattern)
-        assert bit.accepts(pattern) == (count in (0, 3))
-        assert phase.accepts(pattern) == (count % 2 == 0)
-        assert everything.accepts(pattern)
+    for m in range(2, 7):
+        for port in range(2**m):
+            count = sum(bits(m, port))
+            assert bit.accepts(port, m) == (count in (0, m))
+            assert phase.accepts(port, m) == (count % 2 == 0)
+            assert everything.accepts(port, m)
 
 
 def test_infer_plan_requires_ghz_products():
@@ -258,11 +257,11 @@ def test_infer_plan_leaves_ambiguous_patterns_alone():
 
 
 def test_correction_apply_composition():
-    corr = Correction(flips=frozenset({0, 1, 2}), hadamard=True)
+    corr = Correction(flips=0b111, hadamard=True)
     state = make_ghz_pol(3, 0, -1)
     from ghzpurify import bit_flip_pol, hadamard_pol, states_close
 
-    assert states_close(corr.apply(state), hadamard_pol(bit_flip_pol(state, [0, 1, 2])))
+    assert states_close(corr.apply(state), hadamard_pol(bit_flip_pol(state, 0b111)))
 
 
 def phaseflip_term_by_term(ensemble, table):
@@ -280,11 +279,10 @@ def phaseflip_term_by_term(ensemble, table):
         for (pol, port), amp in routed.terms.items():
             by_port.setdefault(port, {})[(pol,)] = amp
         for port, terms in by_port.items():
-            pattern = bits(m, port)
-            if rule.accepts(pattern):
+            if rule.accepts(port, m):
                 prob = sum(abs(a) ** 2 for a in terms.values())
                 cond = PureState(m, (POL,), {label: a * prob**-0.5 for label, a in terms.items()})
-                buckets.setdefault(pattern, []).append((weight * prob, plan[pattern].apply(cond)))
+                buckets.setdefault(bits(m, port), []).append((weight * prob, plan[port].apply(cond)))
     return buckets
 
 
