@@ -17,6 +17,7 @@ from .noise import POLARIZATION, ensemble_from_specs, ghz_weights, product_ensem
 from .optics import GATE_TABLE, GateTable
 from .oracle import ORACLE_MAX_PHOTONS, densify, oracle_run
 from .protocol import (
+    MAX_PHOTONS,
     MODES,
     ProtocolResult,
     closed_form_fidelity_pair,
@@ -146,6 +147,8 @@ def _cmd_sweep(args) -> int:
             header = ["L_km" if args.axis == "L" else "N", "R"]
             table = [[x, r] for x, r in rows]
         else:
+            if args.m > MAX_PHOTONS:
+                raise ConfigError(f"--m must be <= {MAX_PHOTONS}, got {args.m}")
             values = _fidelity_grid(args.grid)
             header = [
                 "F1",
@@ -226,8 +229,15 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line with exit 2, like every other input error."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghzpurify",
         description="Exact simulator for single-copy GHZ purification with hyperentangled inputs",
     )

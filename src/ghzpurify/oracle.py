@@ -9,11 +9,12 @@ table the engine uses, so the two implementations share no construction
 path.
 
 No operator on the whole joint space is ever multiplied, nor built for a
-run. The network unitary is a permutation, so conjugating by it is an
-index gather on rho, with the permutation read off the single-photon
-element chain and combined photon by photon. A Hadamard layer is a
-product of identical 4x4 per-photon factors, so conjugating by it is one
-contraction per photon axis of rho reshaped to (4,)*2m, ket and bra.
+run. A Hadamard layer is a product of identical 4x4 per-photon factors, so
+conjugating by it is 2m matmuls on rho reshaped to (4,)*2m, one per ket
+and bra axis. The network unitary is a permutation, read off the
+single-photon element chain and combined photon by photon, so each
+accepted port's block of the conjugated operator is read straight from
+rho through that gather index; no full permuted copy is made.
 
 oracle_run takes the protocol Mode: its Hadamard flag and acceptance rule
 pick the layers and the ports, and the caller passes the correction plan,
@@ -151,18 +152,33 @@ def _network_source(m: int) -> np.ndarray:
     return src
 
 
-def _gather(rho: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """U rho U^dagger for a permutation matrix U whose row i has its 1 in column src[i]."""
-    return rho[np.ix_(src, src)]
-
-
 def _contract_per_photon(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:
-    """L rho L^dagger for L = factor^(x m): photon by photon, a tensordot on its ket then its bra axis."""
-    t = rho.reshape((4,) * (2 * m))
-    for k in range(m):
-        for f, axis in ((factor, k), (factor.conj(), m + k)):
-            t = np.moveaxis(np.tensordot(f, t, axes=(1, axis)), 0, axis)
+    """L rho L^dagger for L = factor^(x m): one matmul per axis of rho reshaped to (4,)*2m.
+
+    Each step applies the factor (conjugated on bra axes) to the leading
+    axis and appends the result as the last axis, ket axes first. After 2m
+    steps every axis has been transformed once and the axes are back in
+    order.
+    """
+    t = rho
+    for f in [factor] * m + [factor.conj()] * m:
+        t = t.reshape(4, -1).T @ f.T
     return t.reshape(rho.shape)
+
+
+def _port_blocks(rho: np.ndarray, m: int, ports: list[int]):
+    """Yield (port, (U rho U^dagger)[idx, idx]) for each port register, U the network permutation.
+
+    idx lists the port's 2^m basis states, one per polarization register:
+    a per-call polarization part plus the port's own offset. Row i of U
+    has its 1 in column src[i], so the block is rho[src[idx], src[idx]],
+    read without a permuted copy of rho.
+    """
+    src = _network_source(m)
+    pol_part = np.array([_index(m, (pol, 0)) for pol in range(1 << m)])
+    for port in ports:
+        rows = src[pol_part + _index(m, (0, port))]
+        yield port, rho[np.ix_(rows, rows)]
 
 
 def _correction_unitary(m: int, corr: Correction) -> np.ndarray:
@@ -191,11 +207,13 @@ def oracle_run(
 ) -> OracleResult:
     """Run a protocol mode on a dense joint-state density operator.
 
-    Conjugates by the Hadamard layers (where ``mode.hadamard`` is set,
-    per-photon contractions) and the network unitary (an index gather),
-    projects onto each port accepted by ``mode.rule``, applies the port's
-    correction from ``corrections``, and scores fidelity against the
-    polarization target.
+    Conjugates by the Hadamard layers where ``mode.hadamard`` is set (2m
+    per-photon matmuls), then, for each port accepted by ``mode.rule``,
+    reads that port's block of the network-conjugated operator through the
+    network gather index (``_port_blocks``), with no permuted copy of rho.
+    The port's correction C from ``corrections`` enters the fidelity as
+    v = C^dagger t, computed once per distinct correction, scored as
+    v^dagger block v / prob against the polarization target t.
     """
     _check_capacity(m)
     dim = 4**m
@@ -208,22 +226,21 @@ def oracle_run(
     rho = dense
     if mode.hadamard:
         rho = _contract_per_photon(rho, hadamard_both_unitary(1), m)
-    rho = _gather(rho, _network_source(m))
+    accepted = [port for port in range(1 << m) if mode.rule.accepts(port, m)]
+    scored: dict[Correction, np.ndarray] = {}
 
     table: dict[Pattern, tuple[float, float]] = {}
     success = 0.0
     fidelity_mass = 0.0
-    for port in range(1 << m):
-        if not mode.rule.accepts(port, m):
-            continue
-        idx = np.array([_index(m, (pol, port)) for pol in range(1 << m)])
-        block = rho[np.ix_(idx, idx)]
+    for port, block in _port_blocks(rho, m, accepted):
         prob = max(float(np.trace(block).real), 0.0)
         if prob < 1e-15:
             continue
-        cmat = _correction_unitary(m, corrections.get(port, IDENTITY_CORRECTION))
-        corrected = cmat @ block @ cmat.conj().T
-        fid = float(np.real(tvec.conj() @ corrected @ tvec)) / prob
+        corr = corrections.get(port, IDENTITY_CORRECTION)
+        if corr not in scored:
+            scored[corr] = _correction_unitary(m, corr).conj().T @ tvec
+        v = scored[corr]
+        fid = float(np.real(v.conj() @ block @ v)) / prob
         table[bits(m, port)] = (prob, fid)
         success += prob
         fidelity_mass += prob * fid

@@ -199,6 +199,16 @@ def _split_by_pattern(state: PureState) -> dict[int, tuple[float, PureState]]:
 # Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
+# A mode with ``lists_components`` (general) builds and prints all 2^(m-1)
+# closed-form weights: at m = 16 a simulate writes about 0.36 MB, and each
+# photon doubles it. 16 is the largest general solve the benchmark runs.
+COMPONENTS_MAX_PHOTONS = 16
+
+# The cap on every config. Bit-flip and deterministic simulates take a few
+# ms at m = 1000 and grow faster than linearly: a bit-flip config at
+# m = 3 000 000 did not finish in 50 s.
+MAX_PHOTONS = 1000
+
 
 def _dense_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate_table: GateTable | None

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from .noise import BIT_FLIP, POLARIZATION, NoiseSpec
-from .protocol import DISTINCT, EQUAL, MODES, PHASEFLIP_MAX_PHOTONS
+from .protocol import (
+    COMPONENTS_MAX_PHOTONS,
+    DISTINCT,
+    EQUAL,
+    MAX_PHOTONS,
+    MODES,
+    PHASEFLIP_MAX_PHOTONS,
+)
 from .states import SPATIAL
 
 SCHEMA_VERSION = 1
@@ -51,7 +58,12 @@ def parse_target(label: str) -> tuple[int, int]:
     match = _TARGET_RE.match(label)
     if not match:
         raise ConfigError(f"target must look like '0+' or '2-', got {label!r}")
-    return int(match.group(1)), 1 if match.group(2) == "+" else -1
+    digits, sign = match.groups()
+    try:
+        index = int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise ConfigError(f"target index has {len(digits)} digits, too many to convert") from exc
+    return index, 1 if sign == "+" else -1
 
 
 @dataclass(frozen=True)
@@ -68,9 +80,16 @@ class ProtocolConfig:
             raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.m < 2:
             raise ConfigError(f"m must be >= 2, got {self.m!r}")
+        if self.m > MAX_PHOTONS:
+            raise ConfigError(f"m must be <= {MAX_PHOTONS}, got {self.m}")
         if MODES[self.mode].hadamard and self.m > PHASEFLIP_MAX_PHOTONS:
             raise ConfigError(
                 f"mode {self.mode!r} holds 4^m amplitudes per member; m must be <= {PHASEFLIP_MAX_PHOTONS}, got {self.m}"
+            )
+        if MODES[self.mode].lists_components and self.m > COMPONENTS_MAX_PHOTONS:
+            raise ConfigError(
+                f"mode {self.mode!r} lists all 2^(m-1) closed-form components; "
+                f"m must be <= {COMPONENTS_MAX_PHOTONS}, got {self.m}"
             )
         index, _ = parse_target(self.target)
         limit = 2 ** (self.m - 1)
@@ -180,6 +199,9 @@ def load_config(path: str) -> ProtocolConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, a number too long for int(), nesting too deep to parse
+        raise ConfigError(f"config {path!r} cannot be parsed: {exc}") from exc
     return ProtocolConfig.from_dict(raw)
 
 

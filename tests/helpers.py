@@ -2,7 +2,9 @@
 
 `brute_vector` re-embeds labeled states into dense vectors with its own
 arithmetic so tests that cross-check the package against dense linear
-algebra do not reuse the code path under test. Label literals are written
+algebra do not reuse the code path under test. `tensordot_contract` and
+`full_gather_oracle_run` keep the oracle's former forms as references for
+its faster ones. Label literals are written
 photon by photon, one tuple of bits per photon, and turned into the
 package's register labels by `pack`; `unpack` undoes it.
 """
@@ -11,7 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ghzpurify import POL, SPATIAL, PureState, make_state
+from ghzpurify import POL, SPATIAL, PureState, make_ghz_pol, make_state
+from ghzpurify.oracle import (
+    OracleResult,
+    _correction_unitary,
+    _index,
+    _network_source,
+    hadamard_both_unitary,
+    state_vector,
+)
+from ghzpurify.protocol import IDENTITY_CORRECTION
+from ghzpurify.states import bits
 
 def pack(photons) -> tuple[int, ...]:
     """Register label of a per-photon literal: photon 0 becomes the most significant bit."""
@@ -137,3 +149,43 @@ def loop_hadamard(state: PureState, dof: str) -> PureState:
                 split[new_label] = split.get(new_label, 0.0j) + amp * coeff
         terms = split
     return make_state(state.m, state.dofs, terms.items())
+
+
+def tensordot_contract(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:
+    """L rho L^dagger for L = factor^(x m): photon by photon, a tensordot on its ket then its bra axis.
+
+    The reference for oracle._contract_per_photon.
+    """
+    t = rho.reshape((4,) * (2 * m))
+    for k in range(m):
+        for f, axis in ((factor, k), (factor.conj(), m + k)):
+            t = np.moveaxis(np.tensordot(f, t, axes=(1, axis)), 0, axis)
+    return t.reshape(rho.shape)
+
+
+def full_gather_oracle_run(dense, m, mode, corrections, target=None) -> OracleResult:
+    """The reference for oracle.oracle_run: the whole network-permuted copy of rho, then each port's
+    block conjugated by its 2^m x 2^m correction matrix and scored against the target vector."""
+    tvec = state_vector(target if target is not None else make_ghz_pol(m, 0, +1))
+    rho = dense
+    if mode.hadamard:
+        rho = tensordot_contract(rho, hadamard_both_unitary(1), m)
+    src = _network_source(m)
+    rho = rho[np.ix_(src, src)]
+    table = {}
+    success = fidelity_mass = 0.0
+    for port in range(1 << m):
+        if not mode.rule.accepts(port, m):
+            continue
+        idx = np.array([_index(m, (pol, port)) for pol in range(1 << m)])
+        block = rho[np.ix_(idx, idx)]
+        prob = max(float(np.trace(block).real), 0.0)
+        if prob < 1e-15:
+            continue
+        cmat = _correction_unitary(m, corrections.get(port, IDENTITY_CORRECTION))
+        corrected = cmat @ block @ cmat.conj().T
+        fid = float(np.real(tvec.conj() @ corrected @ tvec)) / prob
+        table[bits(m, port)] = (prob, fid)
+        success += prob
+        fidelity_mass += prob * fid
+    return OracleResult(success, 1.0 - success, fidelity_mass / success, table)

@@ -10,6 +10,8 @@ from ghzpurify import POLARIZATION, SPATIAL, NoiseSpec, cli, oracle
 from ghzpurify.cli import execute, main
 from ghzpurify.efficiency import MAX_SWEEP_ROWS
 from ghzpurify.protocol import (
+    COMPONENTS_MAX_PHOTONS,
+    MAX_PHOTONS,
     MODES,
     PHASEFLIP_MAX_PHOTONS,
     closed_form_fidelity_pair,
@@ -264,7 +266,8 @@ def test_verify_nan_deviation_fails(monkeypatch, capsys):
     assert "verify m=2: FAILED" in out
 
 
-def test_verify_oracle_network_fault_fails(monkeypatch, capsys):
+@pytest.mark.parametrize("m", [3, 5])
+def test_verify_oracle_network_fault_fails(m, monkeypatch, capsys):
     # two output rows of one party's element chain swapped: still a permutation, wrong physics
     real = oracle._single_photon_network
 
@@ -275,10 +278,10 @@ def test_verify_oracle_network_fault_fails(monkeypatch, capsys):
         return net
 
     monkeypatch.setattr(oracle, "_single_photon_network", faulted)
-    assert main(["verify", "--m", "3"]) == 1
+    assert main(["verify", "--m", str(m)]) == 1
     out = capsys.readouterr().out
     assert out.count("MISMATCH") == 4
-    assert "verify m=3: FAILED" in out
+    assert f"verify m={m}: FAILED" in out
 
 
 def test_verify_capacity_exit_2():
@@ -398,6 +401,27 @@ def test_phaseflip_config_above_capacity_exits_2(tmp_path, capsys):
     )
     # the other modes keep no such cap
     assert main(["simulate", write_config(tmp_path, "b.json", m=m), "--reproducible"]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, cap, reason",
+    [
+        ({"mode": "general"}, COMPONENTS_MAX_PHOTONS, "mode 'general' lists all 2^(m-1) closed-form components; "),
+        ({"mode": "bitflip"}, MAX_PHOTONS, ""),
+        ({"mode": "deterministic-demo", "spatial_noise": [{"kind": "bit-flip", "target_index": 2, "weight": 0.3}]},
+         MAX_PHOTONS, ""),
+    ],
+    ids=["general", "bitflip", "deterministic-demo"],
+)
+def test_config_above_photon_cap_exits_2(tmp_path, capsys, overrides, cap, reason):
+    assert main(["simulate", write_config(tmp_path, "at.json", m=cap, **overrides), "--reproducible"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    if overrides["mode"] == "general":
+        assert len(record["closed_form"]["fidelity_components"]) == 2 ** (cap - 1)
+    assert main(["simulate", write_config(tmp_path, "above.json", m=cap + 1, **overrides), "--reproducible"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {reason}m must be <= {cap}, got {cap + 1}\n"
 
 
 def noise_entry(**fields):

@@ -22,11 +22,13 @@ from ghzpurify import (
 )
 from ghzpurify.oracle import (
     _contract_per_photon,
-    _gather,
+    _index,
     _network_source,
+    _port_blocks,
     hadamard_both_unitary,
     state_vector,
 )
+from helpers import full_gather_oracle_run, tensordot_contract
 
 
 def joint_pair(m, f1, f2, pol_index=1, spatial_index=1):
@@ -96,6 +98,11 @@ def random_hermitian(dim, rng):
     return a + a.conj().T
 
 
+def complex_factor(seed):
+    """A complex, non-symmetric 4x4 unitary: checks the ket/bra conjugation and the axis order."""
+    return np.linalg.qr(random_hermitian(4, np.random.default_rng(seed)) + 1j * np.eye(4))[0]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_network_source_reads_the_unitary(m):
     assert np.array_equal(_network_source(m), network_unitary(m).argmax(axis=1))
@@ -103,9 +110,16 @@ def test_network_source_reads_the_unitary(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_gather_matches_dense_conjugation(m):
+    # every port's block read through the network index is that block of U rho U^dagger
     rho = random_hermitian(4**m, np.random.default_rng(m))
     U = network_unitary(m)
-    assert np.allclose(_gather(rho, _network_source(m)), U @ rho @ U.conj().T, rtol=0, atol=1e-12)
+    full = U @ rho @ U.conj().T
+    ports = list(range(1 << m))
+    blocks = list(_port_blocks(rho, m, ports))
+    assert [port for port, _ in blocks] == ports
+    for port, block in blocks:
+        idx = [_index(m, (pol, port)) for pol in range(1 << m)]
+        assert np.allclose(block, full[np.ix_(idx, idx)], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -114,11 +128,34 @@ def test_per_photon_contraction_matches_dense_layer(m):
     layer = hadamard_both_unitary(m)
     got = _contract_per_photon(rho, hadamard_both_unitary(1), m)
     assert np.allclose(got, layer @ rho @ layer.conj().T, rtol=0, atol=1e-12)
-    # a complex, non-symmetric factor checks the ket/bra conjugation and axis order
-    factor = np.linalg.qr(random_hermitian(4, np.random.default_rng(20 + m)) + 1j * np.eye(4))[0]
+    factor = complex_factor(20 + m)
     full = functools.reduce(np.kron, [factor] * m)
     got = _contract_per_photon(rho, factor, m)
     assert np.allclose(got, full @ rho @ full.conj().T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_contraction_matches_tensordot_reference(m):
+    rho = random_hermitian(4**m, np.random.default_rng(30 + m))
+    for factor in (hadamard_both_unitary(1), complex_factor(40 + m)):
+        got = _contract_per_photon(rho, factor, m)
+        assert np.allclose(got, tensordot_contract(rho, factor, m), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, m", [(name, m) for name in sorted(MODES) for m in (2, 3, 4) if m >= MODES[name].min_m]
+)
+def test_oracle_matches_full_gather_reference(name, m):
+    mode = MODES[name]
+    for f1, f2, target in ((0.7, 0.4, None), (0.3, 0.85, make_ghz_pol(m, 1, -1))):
+        ens = mode.verify_input(m, f1, f2)
+        args = (densify(ens), m, mode, mode.plan(ens), target)
+        got, want = oracle_run(*args), full_gather_oracle_run(*args)
+        assert got.pattern_table.keys() == want.pattern_table.keys()
+        for key, (prob, fid) in want.pattern_table.items():
+            assert got.pattern_table[key] == pytest.approx((prob, fid), rel=0, abs=1e-12)
+        for field in ("success_probability", "rejected_probability", "output_fidelity"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-12)
 
 
 def test_hadamard_layer_unitary():
