@@ -32,7 +32,6 @@ from .oracle import ORACLE_MAX_PHOTONS, OracleResult, densify, network_unitary, 
 from .protocol import (
     MODES,
     AcceptanceRule,
-    Correction,
     PatternOutcome,
     ProtocolResult,
     closed_form_fidelity_general,

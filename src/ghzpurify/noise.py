@@ -9,6 +9,7 @@ are combined with a tensor-product mixture.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -85,7 +86,7 @@ def mix_general(states: Sequence[PureState], weights: Sequence[float]) -> Ensemb
     """Mixture over any number of pairwise-orthogonal states; weights must sum to 1."""
     if len(states) != len(weights):
         raise ValueError(f"{len(states)} states but {len(weights)} weights")
-    total = sum(weights)
+    total = math.fsum(weights)
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
     for i in range(len(states)):

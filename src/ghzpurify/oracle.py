@@ -16,9 +16,10 @@ single-photon element chain and combined photon by photon, so each
 accepted port's block of the conjugated operator is read straight from
 rho through that gather index; no full permuted copy is made.
 
-oracle_run takes the protocol Mode: its Hadamard flag and acceptance rule
-pick the layers and the ports, and the caller passes the correction plan,
-keyed by port register like the engine's.
+oracle_run takes the protocol Mode: its Hadamard flag picks the layers
+and the closing Hadamard of each correction, its acceptance rule the
+ports. The caller passes the correction plan, a photon flip mask per port
+register like the engine's.
 
 Capacity is capped at 5 photons (dimension 1024); this module exists for
 cross-validation, not performance.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import IDENTITY_CORRECTION, Correction, CorrectionPlan, Mode, Pattern
+from .protocol import CorrectionPlan, Mode, Pattern
 from .states import Ensemble, Label, PureState, bits, make_ghz_pol
 
 ORACLE_MAX_PHOTONS = 5
@@ -181,11 +182,10 @@ def _port_blocks(rho: np.ndarray, m: int, ports: list[int]):
         yield port, rho[np.ix_(rows, rows)]
 
 
-def _correction_unitary(m: int, corr: Correction) -> np.ndarray:
-    mat = _kron_all([_X2 if b else _I2 for b in bits(m, corr.flips)])
-    if corr.hadamard:
-        mat = _kron_all([_H2] * m) @ mat
-    return mat
+def _correction_unitary(m: int, flips: int, hadamard: bool) -> np.ndarray:
+    """X on the photons set in the m-bit mask, then H on every photon for a Hadamard mode."""
+    mat = _kron_all([_X2 if b else _I2 for b in bits(m, flips)])
+    return _kron_all([_H2] * m) @ mat if hadamard else mat
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,10 @@ def oracle_run(
     per-photon matmuls), then, for each port accepted by ``mode.rule``,
     reads that port's block of the network-conjugated operator through the
     network gather index (``_port_blocks``), with no permuted copy of rho.
-    The port's correction C from ``corrections`` enters the fidelity as
-    v = C^dagger t, computed once per distinct correction, scored as
-    v^dagger block v / prob against the polarization target t.
+    The port's correction is C = H^(x m) X^mask in a Hadamard mode, else
+    X^mask, with the port's flip mask from ``corrections`` (0 if absent).
+    It enters the fidelity as v = C^dagger t, computed once per distinct
+    mask, scored as v^dagger block v / prob against the polarization target t.
     """
     _check_capacity(m)
     dim = 4**m
@@ -227,7 +228,7 @@ def oracle_run(
     if mode.hadamard:
         rho = _contract_per_photon(rho, hadamard_both_unitary(1), m)
     accepted = [port for port in range(1 << m) if mode.rule.accepts(port, m)]
-    scored: dict[Correction, np.ndarray] = {}
+    scored: dict[int, np.ndarray] = {}  # flip mask -> C^dagger t
 
     table: dict[Pattern, tuple[float, float]] = {}
     success = 0.0
@@ -236,10 +237,10 @@ def oracle_run(
         prob = max(float(np.trace(block).real), 0.0)
         if prob < 1e-15:
             continue
-        corr = corrections.get(port, IDENTITY_CORRECTION)
-        if corr not in scored:
-            scored[corr] = _correction_unitary(m, corr).conj().T @ tvec
-        v = scored[corr]
+        flips = corrections.get(port, 0)
+        if flips not in scored:
+            scored[flips] = _correction_unitary(m, flips, mode.hadamard).conj().T @ tvec
+        v = scored[flips]
         fid = float(np.real(v.conj() @ block @ v)) / prob
         table[bits(m, port)] = (prob, fid)
         success += prob

@@ -2,11 +2,13 @@
 
 Pipeline for every mode: (optional Hadamard layers) -> purification gate on
 each photon -> group the outgoing amplitudes by detector-port pattern ->
-keep the accepted patterns -> apply the pattern's correction -> report the
-polarization mixture, its fidelity against the target GHZ state, and the
-total accepted probability. Members of modes without Hadamard layers stay
-sparse labeled states of 4 terms; after the layers a member holds 4^(m-1)
-terms, so Hadamard modes run every stage on dense register arrays.
+keep the accepted patterns -> flip the photons set in the pattern's mask,
+then, in a Hadamard mode, apply one more polarization Hadamard -> report
+the polarization mixture, its fidelity against the target GHZ state, and
+the total accepted probability. Members of modes without Hadamard layers
+stay sparse labeled states of 4 terms (_split_by_pattern); after the layers
+a member holds 4^(m-1) terms, so Hadamard modes run every stage on dense
+register arrays (_dense_split). Both steps return only the accepted ports.
 
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
@@ -36,7 +38,6 @@ from .optics import (
     apply_network,
     bit_flip_pol,
     check_table,
-    hadamard_pol,
     prune,
     route,
     walsh_hadamard,
@@ -78,31 +79,14 @@ class AcceptanceRule:
         return True
 
 
-@dataclass(frozen=True)
-class Correction:
-    """Deterministic fix-up applied to a pattern's polarization state.
-
-    Bit flips come first (an m-bit photon mask, photon 0 the most
-    significant bit), then an optional Hadamard on every photon.
-    """
-
-    flips: int = 0
-    hadamard: bool = False
-
-    def apply(self, state: PureState) -> PureState:
-        out = bit_flip_pol(state, self.flips) if self.flips else state
-        return hadamard_pol(out) if self.hadamard else out
+CorrectionPlan = Mapping[int, int]  # port register -> m-bit photon flip mask
+Split = dict[int, tuple[float, PureState]]  # accepted port register -> (probability, corrected state)
 
 
-IDENTITY_CORRECTION = Correction()
-
-CorrectionPlan = Mapping[int, Correction]  # keyed by port register
-
-
-def phaseflip_plan(m: int) -> dict[int, Correction]:
-    """Flip every photon, then Hadamard every photon, on each accepted (even-parity) port."""
-    fix = Correction(flips=(1 << m) - 1, hadamard=True)
-    return {port: fix for port in range(1 << m) if port.bit_count() % 2 == 0}
+def phaseflip_plan(m: int) -> dict[int, int]:
+    """Flip every photon on each accepted (even-parity) port; the mode's Hadamard closes the correction."""
+    rule = AcceptanceRule("phaseflip")
+    return {port: (1 << m) - 1 for port in range(1 << m) if rule.accepts(port, m)}
 
 
 def _ghz_product_parts(state: PureState) -> tuple[int, int]:
@@ -117,7 +101,7 @@ def _ghz_product_parts(state: PureState) -> tuple[int, int]:
     return e, f
 
 
-def infer_flip_plan(ensemble: Ensemble) -> dict[int, Correction]:
+def infer_flip_plan(ensemble: Ensemble) -> dict[int, int]:
     """Derive the correction each port pattern needs from the noise support.
 
     The pattern produced by a (pol error e, spatial error f) branch is the
@@ -135,14 +119,14 @@ def infer_flip_plan(ensemble: Ensemble) -> dict[int, Correction]:
         e, f = _ghz_product_parts(member)
         for pat in (e ^ f, e ^ f ^ full):
             f_classes.setdefault(pat, set()).add(f)
-    plan: dict[int, Correction] = {}
+    plan: dict[int, int] = {}
     for pat, classes in f_classes.items():
         if len(classes) != 1:
             continue
         (f,) = classes
         rep = min(f, f ^ full, key=lambda r: (r.bit_count(), r))
         if rep:
-            plan[pat] = Correction(flips=rep)
+            plan[pat] = rep
     return plan
 
 
@@ -161,7 +145,6 @@ class ProtocolResult:
     success_probability: float
     rejected_probability: float
     output_fidelity: float
-    target: PureState
 
     def __post_init__(self):
         object.__setattr__(self, "accepted", MappingProxyType(dict(self.accepted)))
@@ -176,21 +159,24 @@ def merged_fidelity(result: ProtocolResult, target: PureState) -> float:
     return mass / result.success_probability
 
 
-def _split_by_pattern(state: PureState) -> dict[int, tuple[float, PureState]]:
-    """Marginalize a (pol, port) state over port registers.
+def _split_by_pattern(state: PureState, rule: AcceptanceRule, plan: CorrectionPlan) -> Split:
+    """The sparse step: marginalize a routed (pol, port) state over the accepted port registers.
 
-    Returns, per port with nonzero probability, the probability and the
-    renormalized conditional polarization state.
+    Returns, per accepted port with nonzero probability, the probability
+    and the renormalized conditional polarization state with the port's
+    photon flips applied. Rejected ports are dropped before any state is built.
     """
     groups: dict[int, dict[Label, complex]] = {}
     for (pol, port), amp in state.terms.items():
         groups.setdefault(port, {})[(pol,)] = amp
     out = {}
     for port, terms in groups.items():
+        if not rule.accepts(port, state.m):
+            continue
         prob = sum(abs(a) ** 2 for a in terms.values())
         scale = prob**-0.5
         cond = PureState(state.m, (POL,), {lab: a * scale for lab, a in terms.items()})
-        out[port] = (prob, cond)
+        out[port] = (prob, bit_flip_pol(cond, plan.get(port, 0)))
     return out
 
 
@@ -212,14 +198,15 @@ MAX_PHOTONS = 1000
 
 def _dense_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate_table: GateTable | None
-) -> Callable[[PureState], dict[int, tuple[float, PureState]]]:
+) -> Callable[[PureState], Split]:
     """The Hadamard-mode step for one member, on dense arrays indexed by the registers.
 
     The returned function gives what _split_by_pattern gives for the routed
-    member, for the accepted ports only and with each port's
-    correction applied. It runs the stages of hadamard_pol,
-    hadamard_spatial, apply_network, _split_by_pattern and
-    Correction.apply with the same float operations for every amplitude. A
+    member: per accepted port, the probability and the corrected state,
+    here the photon flips of the port's mask followed by the mode's closing
+    polarization Hadamard. It runs the stages of hadamard_pol,
+    hadamard_spatial, apply_network, _split_by_pattern, bit_flip_pol and
+    hadamard_pol with the same float operations for every amplitude. A
     port's probability is a sequential sum of |amp|**2 in register order
     (never numpy's pairwise np.sum), where the sparse path sums in term
     order and squares with pow: on GHZ-product members every amplitude of a
@@ -235,11 +222,11 @@ def _dense_split(
     source = np.empty(size * size, dtype=np.intp)
     source[(port * size + out_pol).ravel()] = np.arange(size * size)
     accepted_source = source.reshape(size, size)[ports]
-    groups: dict[Correction, list[int]] = {}
+    groups: dict[int, list[int]] = {}  # flip mask -> rows of the ports it corrects
     for row, p in enumerate(ports):
-        groups.setdefault(plan.get(p, IDENTITY_CORRECTION), []).append(row)
+        groups.setdefault(plan.get(p, 0), []).append(row)
 
-    def split(member: PureState) -> dict[int, tuple[float, PureState]]:
+    def split(member: PureState) -> Split:
         # pol layer on the spatial registers present only: the other columns stay zero
         pol, spatial = zip(*member.terms)
         present = sorted(set(spatial))
@@ -255,13 +242,12 @@ def _dense_split(
         accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])[:, None]
         prune(accepted)
         out = {}
-        for correction, rows in groups.items():
+        for flips, rows in groups.items():
             rows = [r for r in rows if probs[r] > 0.0]
             if not rows:
                 continue
-            block = accepted[rows].T.take(grid ^ correction.flips, axis=0)  # [pol, row]
-            if correction.hadamard:
-                walsh_hadamard(block, m)
+            block = accepted[rows].T.take(grid ^ flips, axis=0)  # [pol, row]
+            walsh_hadamard(block, m)
             terms: list[dict[Label, complex]] = [{} for _ in rows]
             cols, regs = np.nonzero(block.T)
             for c, reg, amp in zip(cols.tolist(), regs.tolist(), block[regs, cols].tolist()):
@@ -289,13 +275,14 @@ def _execute(
     if target.m != m or target.dofs != (POL,):
         raise ValueError("target must be a bare polarization state on the same photons")
 
-    dense = _dense_split(m, rule, plan, gate_table) if hadamard_first else None
+    step = (
+        _dense_split(m, rule, plan, gate_table)
+        if hadamard_first
+        else lambda member: _split_by_pattern(apply_network(member, gate_table), rule, plan)
+    )
     buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
     for weight, member in ensemble.members:
-        split = dense(member) if dense else _split_by_pattern(apply_network(member, gate_table))
-        for port, (cond_prob, cond_state) in split.items():
-            if not rule.accepts(port, m):
-                continue
+        for port, (cond_prob, cond_state) in step(member).items():
             buckets.setdefault(port, []).append((weight * cond_prob, cond_state))
 
     # fsum reductions keep results independent of member order
@@ -309,10 +296,7 @@ def _execute(
     for port in sorted(buckets):
         entries = buckets[port]
         pattern_prob = math.fsum(w for w, _ in entries)
-        # the dense path has applied each port's correction already
-        correction = IDENTITY_CORRECTION if dense else plan.get(port, IDENTITY_CORRECTION)
-        members = tuple((w / pattern_prob, correction.apply(s)) for w, s in entries)
-        cond_ensemble = Ensemble(members)
+        cond_ensemble = Ensemble(tuple((w / pattern_prob, s) for w, s in entries))
         cond_fidelity = fidelity(cond_ensemble, target)
         accepted[bits(m, port)] = PatternOutcome(pattern_prob, cond_ensemble, cond_fidelity)
         fidelity_terms.append(pattern_prob * cond_fidelity)
@@ -322,7 +306,6 @@ def _execute(
         success_probability=accepted_mass,
         rejected_probability=1.0 - accepted_mass,
         output_fidelity=math.fsum(fidelity_terms) / accepted_mass,
-        target=target,
     )
 
 
@@ -432,6 +415,8 @@ class Mode:
     freedom, EQUAL at most one each on one GHZ index, DISTINCT one each on
     different indices. ``closed_form(m, pol, spatial)`` maps GHZ-diagonal
     input weights to output weights and the success probability.
+    ``hadamard`` puts Hadamard layers on both degrees of freedom before the
+    gate and closes every port's photon flips with a polarization Hadamard.
     """
 
     rule: AcceptanceRule

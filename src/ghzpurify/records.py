@@ -34,7 +34,7 @@ from .protocol import (
     MODES,
     PHASEFLIP_MAX_PHOTONS,
 )
-from .states import SPATIAL
+from .states import NORM_TOL, SPATIAL
 
 SCHEMA_VERSION = 1
 
@@ -106,6 +106,10 @@ class ProtocolConfig:
             repeated = [i for n, i in enumerate(indices) if i in indices[:n]]
             if repeated:
                 raise ConfigError(f"{name} lists target_index {repeated[0]} more than once")
+            # the sum and tolerance ensemble_from_specs applies when it builds the mixture
+            err_weight = sum(s.weight for s in specs)
+            if err_weight > 1.0 + NORM_TOL:
+                raise ConfigError(f"{name} error weights sum to {err_weight!r} > 1")
 
     def _check_mode_compatibility(self):
         mode, pol, spatial = MODES[self.mode], self.pol_noise, self.spatial_noise

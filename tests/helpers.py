@@ -22,7 +22,6 @@ from ghzpurify.oracle import (
     hadamard_both_unitary,
     state_vector,
 )
-from ghzpurify.protocol import IDENTITY_CORRECTION
 from ghzpurify.states import bits
 
 def pack(photons) -> tuple[int, ...]:
@@ -182,7 +181,7 @@ def full_gather_oracle_run(dense, m, mode, corrections, target=None) -> OracleRe
         prob = max(float(np.trace(block).real), 0.0)
         if prob < 1e-15:
             continue
-        cmat = _correction_unitary(m, corrections.get(port, IDENTITY_CORRECTION))
+        cmat = _correction_unitary(m, corrections.get(port, 0), mode.hadamard)
         corrected = cmat @ block @ cmat.conj().T
         fid = float(np.real(tvec.conj() @ corrected @ tvec)) / prob
         table[bits(m, port)] = (prob, fid)

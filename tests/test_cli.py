@@ -358,6 +358,22 @@ def test_repeated_noise_index_exits_2(tmp_path, capsys):
     assert captured.err == "config error: pol_noise lists target_index 3 more than once\n"
 
 
+def test_error_weights_above_one_exit_2(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        mode="general",
+        pol_noise=[
+            {"kind": "bit-flip", "target_index": 1, "weight": 0.7},
+            {"kind": "bit-flip", "target_index": 2, "weight": 0.6},
+        ],
+        spatial_noise=[],
+    )
+    assert main(["simulate", config, "--reproducible"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: pol_noise error weights sum to 1.2999999999999998 > 1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

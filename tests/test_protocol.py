@@ -8,10 +8,10 @@ from ghzpurify import (
     GATE_TABLE,
     POL,
     AcceptanceRule,
-    Correction,
     Ensemble,
     PureState,
     apply_network,
+    bit_flip_pol,
     bits,
     closed_form_fidelity_general,
     closed_form_fidelity_pair,
@@ -256,12 +256,17 @@ def test_infer_plan_leaves_ambiguous_patterns_alone():
     assert plan == {}
 
 
-def test_correction_apply_composition():
-    corr = Correction(flips=0b111, hadamard=True)
-    state = make_ghz_pol(3, 0, -1)
-    from ghzpurify import bit_flip_pol, hadamard_pol, states_close
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_phaseflip_plan_flips_every_photon_on_even_ports(m):
+    full = 2**m - 1
+    assert phaseflip_plan(m) == {p: full for p in range(2**m) if bin(p).count("1") % 2 == 0}
 
-    assert states_close(corr.apply(state), hadamard_pol(bit_flip_pol(state, 0b111)))
+
+def test_infer_plan_values_are_flip_masks():
+    m = 4
+    plan = infer_flip_plan(bitflip_input(m, 0.8, 0.7, pol_index=1, spatial_index=2))
+    assert plan
+    assert all(type(flips) is int and 0 < flips < 2**m for flips in plan.values())
 
 
 def phaseflip_term_by_term(ensemble, table):
@@ -282,7 +287,8 @@ def phaseflip_term_by_term(ensemble, table):
             if rule.accepts(port, m):
                 prob = sum(abs(a) ** 2 for a in terms.values())
                 cond = PureState(m, (POL,), {label: a * prob**-0.5 for label, a in terms.items()})
-                buckets.setdefault(bits(m, port), []).append((weight * prob, plan[port].apply(cond)))
+                corrected = hadamard_pol(bit_flip_pol(cond, plan[port]))
+                buckets.setdefault(bits(m, port), []).append((weight * prob, corrected))
     return buckets
 
 

@@ -216,3 +216,12 @@ def test_ensemble_validation():
         Ensemble(((0.5, s), (0.5, make_ghz_pol(4, 0))))
     with pytest.raises(ValueError, match="no members"):
         Ensemble(())
+
+
+def test_ensemble_sum_check_holds_for_many_members():
+    # a general config with 400 components per degree of freedom: added
+    # naively, these 401 x 401 product weights sum to 1 + 8.3e-12
+    weights = [0.5] + [0.5 / 400] * 400
+    s = make_ghz_pol(3, 0)
+    ensemble = Ensemble(tuple((a * b, s) for a in weights for b in weights))
+    assert len(ensemble.members) == 401**2
