@@ -6,10 +6,17 @@ The ensemble engine (states/optics/noise/protocol) evolves labeled basis
 states exactly; the dense density-matrix oracle cross-checks it; the
 efficiency module covers fiber/detector bookkeeping; the CLI exposes
 simulate / sweep / verify.
+
+Importing the package imports every module except cli, so tools that wrap
+module functions by name (perfbench/spans.py) find each one. numpy is
+imported inside the functions that build arrays (the Hadamard-mode step and
+the oracle), never at module level, so importing the package and running the
+sparse modes or a sweep leaves it unloaded.
 """
 
 __version__ = "0.1.0"
 
+from . import records
 from .efficiency import EfficiencyParams, p_one, p_two, ratio_R, sweep
 from .noise import (
     BIT_FLIP,

@@ -109,16 +109,21 @@ def _cmd_simulate(args) -> int:
         timestamp=timestamp,
     )
     payload = record.to_csv() if args.format == "csv" else record.to_json()
-    _emit(payload, args.out)
-    return EXIT_OK
+    return _emit(payload, args.out)
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out:
+def _emit(payload: str, out: str | None) -> int:
+    """Write the payload to the --out path, or to stdout; a path that cannot be written is exit 2."""
+    if not out:
+        sys.stdout.write(payload)
+        return EXIT_OK
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _fidelity_grid(spec: str) -> list[float]:
@@ -177,8 +182,7 @@ def _cmd_sweep(args) -> int:
         print(f"sweep error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     payload = rows_to_json(header, table) if args.format == "json" else rows_to_csv(header, table)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return _emit(payload, args.out)
 
 
 def _verify_grid(m: int) -> list[float]:

@@ -10,7 +10,7 @@ polarization is the complement of the spatial bit.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .states import (
     H,
@@ -27,6 +27,9 @@ from .states import (
     PureState,
     make_state,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The Hadamard coefficient. It rounds one ulp above 1.0 / math.sqrt(2.0), the
 # GHZ amplitude in states; the golden records depend on each staying as it is.
@@ -91,6 +94,8 @@ def walsh_hadamard(amps: np.ndarray, m: int) -> None:
     that every step works on contiguous runs of at least the row length.
     The layer ends with ``prune``, as make_state does.
     """
+    import numpy as np
+
     if amps.shape[0] != 1 << m or amps.dtype != np.complex128 or not amps.flags.c_contiguous:
         raise ValueError(f"expected a C-contiguous complex array with {1 << m} rows")
     scaled = np.empty_like(amps)
@@ -104,11 +109,15 @@ def walsh_hadamard(amps: np.ndarray, m: int) -> None:
 
 def prune(amps: np.ndarray) -> None:
     """Zero every amplitude of magnitude at or below PRUNE_TOL, in place, as make_state drops them."""
+    import numpy as np
+
     amps[np.abs(amps) <= PRUNE_TOL] = 0.0
 
 
 def _hadamard_dof(state: PureState, dof: str) -> PureState:
     """One dense column per value of the other registers, through walsh_hadamard."""
+    import numpy as np
+
     axis = state.dofs.index(dof)
     rests: dict[Label, int] = {}
     regs, cols = [], []

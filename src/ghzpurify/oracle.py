@@ -29,17 +29,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .protocol import CorrectionPlan, Mode, Pattern
 from .states import Ensemble, Label, PureState, bits, make_ghz_pol
 
-ORACLE_MAX_PHOTONS = 5
+if TYPE_CHECKING:
+    import numpy as np
 
-_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-_I2 = np.eye(2)
+ORACLE_MAX_PHOTONS = 5
 
 
 def _check_capacity(m: int) -> None:
@@ -58,12 +56,16 @@ def _index(m: int, label: Label) -> int:
 
 def _support(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """Dense-basis indices and amplitudes of a PureState."""
+    import numpy as np
+
     indices = [_index(state.m, label) for label in state.terms]
     return np.array(indices), np.array(list(state.terms.values()), dtype=complex)
 
 
 def state_vector(state: PureState) -> np.ndarray:
     """Embed a PureState in the dense basis."""
+    import numpy as np
+
     vec = np.zeros(2 ** (len(state.dofs) * state.m), dtype=complex)
     idx, amp = _support(state)
     vec[idx] = amp
@@ -72,6 +74,8 @@ def state_vector(state: PureState) -> np.ndarray:
 
 def densify(ensemble: Ensemble) -> np.ndarray:
     """Density operator sum_k p_k |k><k| of an ensemble, written on each member's support."""
+    import numpy as np
+
     _check_capacity(ensemble.m)
     first = ensemble.members[0][1]
     dim = 2 ** (len(first.dofs) * first.m)
@@ -88,6 +92,8 @@ def _single_photon_network() -> np.ndarray:
     Rails 0..3 hold, in order: transmitted-from-rail-1, reflected-from-rail-1,
     transmitted-from-rail-2, reflected-from-rail-2.
     """
+    import numpy as np
+
     # splitter: H transmits, V reflects; isometry from 4 inputs to 8 rail slots
     splitter = np.zeros((8, 4))
     rail_of = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -98,7 +104,7 @@ def _single_photon_network() -> np.ndarray:
     # half-wave plates at 45deg on the rails feeding the keep-side displacer
     plates = np.eye(8)
     for rail in (0, 3):
-        plates[2 * rail : 2 * rail + 2, 2 * rail : 2 * rail + 2] = _X2
+        plates[2 * rail : 2 * rail + 2, 2 * rail : 2 * rail + 2] = [[0.0, 1.0], [1.0, 0.0]]
     # displacers: each admits one V rail and one H rail into one port
     merge = np.zeros((4, 8))
     merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)
@@ -112,6 +118,8 @@ def _single_photon_network() -> np.ndarray:
 
 
 def _is_permutation(mat: np.ndarray) -> bool:
+    import numpy as np
+
     binary = np.isclose(mat, 0.0) | np.isclose(mat, 1.0)
     return bool(
         binary.all()
@@ -122,6 +130,8 @@ def _is_permutation(mat: np.ndarray) -> bool:
 
 def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
     """Tensor product of per-photon factors, first photon most significant."""
+    import numpy as np
+
     return functools.reduce(np.kron, factors)
 
 
@@ -131,10 +141,19 @@ def network_unitary(m: int) -> np.ndarray:
     return _kron_all([_single_photon_network()] * m)
 
 
+def _hadamard_2x2() -> np.ndarray:
+    import numpy as np
+
+    return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
 def hadamard_both_unitary(m: int) -> np.ndarray:
     """Hadamard on every photon's polarization and spatial bits."""
+    import numpy as np
+
     _check_capacity(m)
-    return _kron_all([np.kron(_H2, _H2)] * m)
+    h2 = _hadamard_2x2()
+    return _kron_all([np.kron(h2, h2)] * m)
 
 
 def _network_source(m: int) -> np.ndarray:
@@ -145,6 +164,8 @@ def _network_source(m: int) -> np.ndarray:
     permutation combined photon by photon in mixed radix 4, first photon
     most significant. Read off the element chain on every call.
     """
+    import numpy as np
+
     _check_capacity(m)
     perm = _single_photon_network().argmax(axis=1)
     src = np.zeros(1, dtype=np.intp)
@@ -175,6 +196,8 @@ def _port_blocks(rho: np.ndarray, m: int, ports: list[int]):
     has its 1 in column src[i], so the block is rho[src[idx], src[idx]],
     read without a permuted copy of rho.
     """
+    import numpy as np
+
     src = _network_source(m)
     pol_part = np.array([_index(m, (pol, 0)) for pol in range(1 << m)])
     for port in ports:
@@ -184,8 +207,11 @@ def _port_blocks(rho: np.ndarray, m: int, ports: list[int]):
 
 def _correction_unitary(m: int, flips: int, hadamard: bool) -> np.ndarray:
     """X on the photons set in the m-bit mask, then H on every photon for a Hadamard mode."""
-    mat = _kron_all([_X2 if b else _I2 for b in bits(m, flips)])
-    return _kron_all([_H2] * m) @ mat if hadamard else mat
+    import numpy as np
+
+    x2, i2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    mat = _kron_all([x2 if b else i2 for b in bits(m, flips)])
+    return _kron_all([_hadamard_2x2()] * m) @ mat if hadamard else mat
 
 
 @dataclass(frozen=True)
@@ -216,6 +242,8 @@ def oracle_run(
     It enters the fidelity as v = C^dagger t, computed once per distinct
     mask, scored as v^dagger block v / prob against the polarization target t.
     """
+    import numpy as np
+
     _check_capacity(m)
     dim = 4**m
     if dense.shape != (dim, dim):

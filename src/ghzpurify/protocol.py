@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .noise import BIT_FLIP, PHASE_FLIP, mix_general, mix_two, product_ensemble
 from .optics import (
     GATE_TABLE,
@@ -212,6 +210,8 @@ def _dense_split(
     order and squares with pow: on GHZ-product members every amplitude of a
     port has the same magnitude, and there the two agree bit for bit.
     """
+    import numpy as np
+
     table = GATE_TABLE if gate_table is None else gate_table
     check_table(table)
     size = 1 << m

@@ -179,6 +179,21 @@ def test_record_round_trip(tmp_path):
     assert RunRecord.from_json(record.to_json()) == record
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_path_exits_2(command, where, tmp_path, capsys):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    if command == "simulate":
+        argv = ["simulate", write_config(tmp_path), "--reproducible", "--out", str(out)]
+    else:
+        argv = ["sweep", "--axis", "L", "--from", "20", "--to", "30", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_sweep_distance_axis(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -1,0 +1,99 @@
+"""numpy loads only on the dense paths: each test runs a fresh interpreter.
+
+Only the Hadamard-mode (phase-flip) step and the dense oracle build arrays,
+and they import numpy in their own bodies. A stray module-level import would
+put numpy back into every bit-flip simulate and every sweep, about half of a
+short ghzpurify process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = json.loads((ROOT / "tests" / "data" / "simulate" / "cases.json").read_text())
+
+# Runs each argv (a JSON list, first argument) through cli.main in one
+# process, output to stdout, then prints whether numpy is loaded, before and
+# after, as the last line.
+_RUN_CLI = """
+import contextlib, io, json, sys
+from ghzpurify import cli
+before = "numpy" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+print(json.dumps([before, "numpy" in sys.modules]))
+"""
+
+# The contract perfbench/spans.py relies on: every module its LAYER_SPANS
+# names is imported with the package, and Tracer.installed wraps and
+# restores their functions.
+_TRACER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import ghzpurify
+from spans import LAYER_SPANS, Tracer
+missing = [mod for _, mod, _, _ in LAYER_SPANS if f"ghzpurify.{mod}" not in sys.modules]
+protocol = ghzpurify.protocol
+before = "numpy" in sys.modules
+original = protocol.run_bitflip
+tracer = Tracer()
+with tracer.installed():
+    wrapped = protocol.run_bitflip is not original
+    protocol.run_bitflip(protocol.MODES["bitflip"].verify_input(3, 0.8, 0.7))
+print(json.dumps({
+    "missing": missing,
+    "numpy_before": before,
+    "numpy_after": "numpy" in sys.modules,
+    "wrapped": wrapped,
+    "restored": protocol.run_bitflip is original,
+    "spans": sorted({span[0] for span in tracer.spans}),
+}))
+"""
+
+
+def _fresh_python(script: str, *args: str):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _simulate_argv(tmp_path, mode: str) -> list[str]:
+    case = next(c for c in CASES if c["config"]["mode"] == mode)
+    path = tmp_path / f"{mode}.json"
+    path.write_text(json.dumps(case["config"]))
+    return ["simulate", str(path), "--reproducible"]
+
+
+def test_sparse_simulates_and_sweeps_leave_numpy_unloaded(tmp_path):
+    argvs = [_simulate_argv(tmp_path, mode) for mode in ("bitflip", "general", "deterministic-demo")]
+    argvs += [
+        ["sweep", "--axis", "L", "--from", "20", "--to", "30"],
+        ["sweep", "--axis", "N", "--from", "2", "--to", "6"],
+        ["sweep", "--axis", "F", "--grid", "0.1:0.9:0.2"],
+    ]
+    assert _fresh_python(_RUN_CLI, json.dumps(argvs)) == [False, False]
+
+
+@pytest.mark.parametrize("command", ["phaseflip", "verify"])
+def test_dense_paths_load_numpy(command, tmp_path):
+    argv = _simulate_argv(tmp_path, "phaseflip") if command == "phaseflip" else ["verify", "--m", "2"]
+    assert _fresh_python(_RUN_CLI, json.dumps([argv])) == [False, True]
+
+
+def test_tracer_finds_every_module_without_numpy():
+    out = _fresh_python(_TRACER, str(ROOT / "perfbench"))
+    assert out["missing"] == []
+    assert not out["numpy_before"]
+    assert out["wrapped"] and out["restored"]
+    assert "protocol.run" in out["spans"]
+    assert not out["numpy_after"]
