@@ -33,8 +33,6 @@ from .noise import BIT_FLIP, PHASE_FLIP, mix_general, mix_two, product_ensemble
 from .optics import (
     GATE_TABLE,
     GateTable,
-    apply_network,
-    bit_flip_pol,
     check_table,
     prune,
     route,
@@ -42,6 +40,7 @@ from .optics import (
 )
 from .states import (
     POL,
+    PRUNE_TOL,
     SPATIAL,
     Ensemble,
     Label,
@@ -157,25 +156,31 @@ def merged_fidelity(result: ProtocolResult, target: PureState) -> float:
     return mass / result.success_probability
 
 
-def _split_by_pattern(state: PureState, rule: AcceptanceRule, plan: CorrectionPlan) -> Split:
-    """The sparse step: marginalize a routed (pol, port) state over the accepted port registers.
+def _split_by_pattern(
+    m: int, rule: AcceptanceRule, plan: CorrectionPlan, table: GateTable
+) -> Callable[[PureState], Split]:
+    """The sparse step for one member: relabel its register pairs, drop the rejected ports.
 
-    Returns, per accepted port with nonzero probability, the probability
-    and the renormalized conditional polarization state with the port's
-    photon flips applied. Rejected ports are dropped before any state is built.
+    The gate is a bijection on each photon's bits, so every term keeps its
+    amplitude under route's registers; dead terms go as make_state prunes
+    them. Returns, per accepted port, the probability and the renormalized
+    polarization state with the port's photon flips applied.
     """
-    groups: dict[int, dict[Label, complex]] = {}
-    for (pol, port), amp in state.terms.items():
-        groups.setdefault(port, {})[(pol,)] = amp
-    out = {}
-    for port, terms in groups.items():
-        if not rule.accepts(port, state.m):
-            continue
-        prob = sum(abs(a) ** 2 for a in terms.values())
-        scale = prob**-0.5
-        cond = PureState(state.m, (POL,), {lab: a * scale for lab, a in terms.items()})
-        out[port] = (prob, bit_flip_pol(cond, plan.get(port, 0)))
-    return out
+
+    def split(member: PureState) -> Split:
+        groups: dict[int, dict[Label, complex]] = {}
+        for (pol, spatial), amp in member.terms.items():
+            out_pol, port = route(pol, spatial, m, table)
+            if rule.accepts(port, m) and abs(amp) > PRUNE_TOL:
+                groups.setdefault(port, {})[(out_pol ^ plan.get(port, 0),)] = amp
+        out = {}
+        for port, terms in groups.items():
+            prob = sum(abs(a) ** 2 for a in terms.values())
+            scale = prob**-0.5
+            out[port] = (prob, PureState(m, (POL,), {lab: a * scale for lab, a in terms.items()}))
+        return out
+
+    return split
 
 
 # A Hadamard-mode member holds 4^m amplitudes after its layers; at m = 10 a
@@ -195,25 +200,23 @@ MAX_PHOTONS = 1000
 
 
 def _dense_split(
-    m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate_table: GateTable | None
+    m: int, rule: AcceptanceRule, plan: CorrectionPlan, table: GateTable
 ) -> Callable[[PureState], Split]:
     """The Hadamard-mode step for one member, on dense arrays indexed by the registers.
 
-    The returned function gives what _split_by_pattern gives for the routed
-    member: per accepted port, the probability and the corrected state,
-    here the photon flips of the port's mask followed by the mode's closing
-    polarization Hadamard. It runs the stages of hadamard_pol,
-    hadamard_spatial, apply_network, _split_by_pattern, bit_flip_pol and
-    hadamard_pol with the same float operations for every amplitude. A
-    port's probability is a sequential sum of |amp|**2 in register order
-    (never numpy's pairwise np.sum), where the sparse path sums in term
-    order and squares with pow: on GHZ-product members every amplitude of a
-    port has the same magnitude, and there the two agree bit for bit.
+    Same contract as _split_by_pattern: per accepted port, the probability
+    and the corrected state, here the photon flips of the port's mask
+    followed by the mode's closing polarization Hadamard. It runs the
+    per-state route (hadamard_pol, hadamard_spatial, apply_network, the
+    grouping by port, bit_flip_pol, hadamard_pol) with the same float
+    operations for every amplitude. A port's probability is a sequential
+    sum of |amp|**2 in register order (never numpy's pairwise np.sum),
+    where the sparse path sums in term order and squares with pow: on
+    GHZ-product members every amplitude of a port has the same magnitude,
+    and there the two agree bit for bit.
     """
     import numpy as np
 
-    table = GATE_TABLE if gate_table is None else gate_table
-    check_table(table)
     size = 1 << m
     grid = np.arange(size)
     out_pol, port = route(grid[None, :], grid[:, None], m, table)  # indexed [spatial, pol]
@@ -275,11 +278,9 @@ def _execute(
     if target.m != m or target.dofs != (POL,):
         raise ValueError("target must be a bare polarization state on the same photons")
 
-    step = (
-        _dense_split(m, rule, plan, gate_table)
-        if hadamard_first
-        else lambda member: _split_by_pattern(apply_network(member, gate_table), rule, plan)
-    )
+    table = GATE_TABLE if gate_table is None else gate_table
+    check_table(table)
+    step = (_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, table)
     buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
     for weight, member in ensemble.members:
         for port, (cond_prob, cond_state) in step(member).items():
