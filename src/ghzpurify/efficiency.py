@@ -32,11 +32,11 @@ class EfficiencyParams:
             raise ValueError(f"eta_d must lie in [0, 1], got {self.eta_d!r}")
         if not 0.0 <= self.eta_c <= 1.0:
             raise ValueError(f"eta_c must lie in [0, 1], got {self.eta_c!r}")
-        if self.L < 0.0:
+        if not self.L >= 0.0:
             raise ValueError(f"distance must be >= 0, got {self.L!r}")
-        if self.L0 <= 0.0:
+        if not self.L0 > 0.0:
             raise ValueError(f"attenuation length must be > 0, got {self.L0!r}")
-        if self.N < 2:
+        if not self.N >= 2:
             raise ValueError(f"photon count must be >= 2, got {self.N!r}")
         if not 0.0 <= self.p1 <= 1.0:
             raise ValueError(f"p1 must lie in [0, 1], got {self.p1!r}")

@@ -87,7 +87,7 @@ def mix_general(states: Sequence[PureState], weights: Sequence[float]) -> Ensemb
     if len(states) != len(weights):
         raise ValueError(f"{len(states)} states but {len(weights)} weights")
     total = math.fsum(weights)
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
     for i in range(len(states)):
         for j in range(i + 1, len(states)):

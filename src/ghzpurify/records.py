@@ -30,6 +30,7 @@ from .protocol import (
     COMPONENTS_MAX_PHOTONS,
     DISTINCT,
     EQUAL,
+    MAX_MEMBERS,
     MAX_PHOTONS,
     MODES,
     PHASEFLIP_MAX_PHOTONS,
@@ -91,6 +92,9 @@ class ProtocolConfig:
                 f"mode {self.mode!r} lists all 2^(m-1) closed-form components; "
                 f"m must be <= {COMPONENTS_MAX_PHOTONS}, got {self.m}"
             )
+        members = (len(self.pol_noise) + 1) * (len(self.spatial_noise) + 1)
+        if members > MAX_MEMBERS:
+            raise ConfigError(f"noise lists give {members} product members, more than the cap of {MAX_MEMBERS}")
         index, _ = parse_target(self.target)
         limit = 2 ** (self.m - 1)
         if index >= limit:
@@ -102,10 +106,11 @@ class ProtocolConfig:
                 )
         self._check_mode_compatibility()
         for name, specs in (("pol_noise", self.pol_noise), ("spatial_noise", self.spatial_noise)):
-            indices = [s.target_index for s in specs]
-            repeated = [i for n, i in enumerate(indices) if i in indices[:n]]
-            if repeated:
-                raise ConfigError(f"{name} lists target_index {repeated[0]} more than once")
+            seen: set[int] = set()
+            for spec in specs:
+                if spec.target_index in seen:
+                    raise ConfigError(f"{name} lists target_index {spec.target_index} more than once")
+                seen.add(spec.target_index)
             # the sum and tolerance ensemble_from_specs applies when it builds the mixture
             err_weight = sum(s.weight for s in specs)
             if err_weight > 1.0 + NORM_TOL:

@@ -67,7 +67,7 @@ class PureState:
             if len(label) != width or any(type(r) is not int or not 0 <= r < size for r in label):
                 raise ValueError(f"malformed label {label} for {self.m} photons and dofs {self.dofs}")
         norm = sum(abs(a) ** 2 for a in self.terms.values())
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
 
     def amplitude(self, label: Label) -> complex:
@@ -164,13 +164,13 @@ class Ensemble:
             raise ValueError("ensemble has no members")
         m, dofs = self.members[0][1].m, self.members[0][1].dofs
         for prob, state in self.members:
-            if prob <= 0.0:
+            if not prob > 0.0:
                 raise ValueError(f"member probability must be positive, got {prob!r}")
             if state.m != m or state.dofs != dofs:
                 raise ValueError("ensemble members disagree on photon count or labels")
         # fsum: a naive sum of 160 000 product weights drifts past NORM_TOL
         total = math.fsum(prob for prob, _ in self.members)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"member probabilities sum to {total!r}, not 1")
 
     @property

@@ -12,11 +12,15 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzpurify import MODES
 from ghzpurify.cli import main
+from ghzpurify.noise import BIT_FLIP, POLARIZATION, NoiseSpec
+from ghzpurify.records import ConfigError, ProtocolConfig
+from ghzpurify.states import SPATIAL
 
 
 def fuzz(examples):
@@ -121,6 +125,23 @@ def test_simulate_non_config_boundary(tmp_path_factory, text):
     code, err = simulate(tmp_path_factory, text, "json")
     assert code == 2
     assert_clean(code, err)
+
+
+def test_simulate_above_member_cap(tmp_path_factory):
+    """Every distinct bit-flip index m = 16 admits, about 10^9 product members: exit 2 at once."""
+    entries = [{"kind": "bit-flip", "target_index": i, "weight": 1e-5} for i in range(1, 2**15)]
+    raw = {"m": 16, "mode": "general", "pol_noise": entries, "spatial_noise": entries}
+    code, err = simulate(tmp_path_factory, json.dumps(raw), "json")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "product members" in err
+
+    # the cap itself, 401^2 members, passes validation; one more component does not
+    def specs(dof, n):
+        return tuple(NoiseSpec(dof, BIT_FLIP, 1e-3, i) for i in range(1, n + 1))
+
+    ProtocolConfig(16, "general", specs(POLARIZATION, 400), specs(SPATIAL, 400))
+    with pytest.raises(ConfigError, match="product members"):
+        ProtocolConfig(16, "general", specs(POLARIZATION, 401), specs(SPATIAL, 400))
 
 
 ARG_TEXTS = st.one_of(

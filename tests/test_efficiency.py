@@ -124,6 +124,16 @@ def test_params_validation():
         params(N=1)
     with pytest.raises(ValueError, match="distance"):
         params(L=-1.0)
+    # NaN fails every ordered comparison, so each check must be written to reject it
+    with pytest.raises(ValueError, match="distance"):
+        params(L=math.nan)
+    with pytest.raises(ValueError, match="attenuation"):
+        params(L0=math.nan)
+    with pytest.raises(ValueError, match="photon count"):
+        params(N=math.nan)
+    for field in ("eta_d", "eta_c", "p1"):
+        with pytest.raises(ValueError, match=field):
+            params(**{field: math.nan})
     with pytest.raises(ValueError, match="p1"):
         params(p1=1.01)
 

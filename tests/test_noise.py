@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,9 @@ def test_mix_general_four_terms():
 def test_mix_general_weight_sum_violation():
     with pytest.raises(ValueError, match="sum"):
         mix_general([make_ghz_pol(3, 0), make_ghz_pol(3, 1)], [0.7, 0.2])
+    # a NaN weight makes the sum NaN; it must not pass and then drop out of the mixture
+    with pytest.raises(ValueError, match="sum"):
+        mix_general([make_ghz_pol(3, i) for i in range(3)], [0.5, math.nan, 0.5])
 
 
 def test_product_ensemble_weights():

@@ -6,7 +6,9 @@ import pytest
 
 from ghzpurify import (
     GATE_TABLE,
+    MODES,
     POL,
+    SPATIAL,
     AcceptanceRule,
     Ensemble,
     PureState,
@@ -156,6 +158,10 @@ def test_general_pure_input():
     result = run_general(ens)
     assert result.success_probability == pytest.approx(1.0, abs=1e-12)
     assert result.output_fidelity == pytest.approx(1.0, abs=1e-12)
+    # a dead term alone on its port is dropped before any state is built, as make_state drops it
+    member = PureState(2, (POL, SPATIAL), {(0, 0): 1.0, (0, 3): 0.0})
+    result = run_general(Ensemble.pure(member), corrections={}, acceptance=AcceptanceRule("general"))
+    assert list(result.accepted) == [(0, 0)] and result.success_probability == 1.0
 
 
 def test_closed_form_pair_values():
@@ -189,6 +195,10 @@ def test_closed_form_general_errors():
         closed_form_fidelity_general([1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="sum"):
         closed_form_fidelity_general([0.5, 0.4], [0.5, 0.5])
+    with pytest.raises(ValueError, match="sum"):
+        closed_form_fidelity_general([math.nan, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="sum"):
+        closed_form_fidelity_general([0.5, 0.5], [0.5, math.nan])
     with pytest.raises(ValueError, match="vanish"):
         closed_form_fidelity_general([1.0, 0.0], [0.0, 1.0])
 
@@ -269,25 +279,30 @@ def test_infer_plan_values_are_flip_masks():
     assert all(type(flips) is int and 0 < flips < 2**m for flips in plan.values())
 
 
-def phaseflip_term_by_term(ensemble, table):
-    """Phase-flip mode through the public per-state functions, one member at a time.
+def term_by_term(ensemble, mode, table):
+    """A mode through the public per-state functions, one member at a time.
 
-    Returns, per accepted pattern, the (member weight x pattern probability,
-    corrected state) entries in member order.
+    The Hadamard layers and the closing hadamard_pol run only when
+    ``mode.hadamard`` is set. Returns, per accepted pattern, the (member
+    weight x pattern probability, corrected state) entries in member order.
     """
     m = ensemble.m
-    rule, plan = AcceptanceRule("phaseflip"), phaseflip_plan(m)
+    plan = mode.plan(ensemble)
     buckets = {}
     for weight, member in ensemble.members:
-        routed = apply_network(hadamard_spatial(hadamard_pol(member)), table)
+        if mode.hadamard:
+            member = hadamard_spatial(hadamard_pol(member))
+        routed = apply_network(member, table)
         by_port = {}
         for (pol, port), amp in routed.terms.items():
             by_port.setdefault(port, {})[(pol,)] = amp
         for port, terms in by_port.items():
-            if rule.accepts(port, m):
+            if mode.rule.accepts(port, m):
                 prob = sum(abs(a) ** 2 for a in terms.values())
                 cond = PureState(m, (POL,), {label: a * prob**-0.5 for label, a in terms.items()})
-                corrected = hadamard_pol(bit_flip_pol(cond, plan[port]))
+                corrected = bit_flip_pol(cond, plan.get(port, 0))
+                if mode.hadamard:
+                    corrected = hadamard_pol(corrected)
                 buckets.setdefault(bits(m, port), []).append((weight * prob, corrected))
     return buckets
 
@@ -295,23 +310,41 @@ def phaseflip_term_by_term(ensemble, table):
 FAULTED_TABLE = {**GATE_TABLE, (0, 0): GATE_TABLE[(1, 0)], (1, 0): GATE_TABLE[(0, 0)]}
 
 
+# phase-flip cases are named <m>-<table>, the other modes <mode>-<m>-<table>
+MODE_CASES = [
+    pytest.param(name, m, id=str(m) if name == "phaseflip" else f"{name}-{m}") for name in MODES for m in range(2, 7)
+]
+
+
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_dense_phaseflip_path_matches_term_by_term(m, table):
+@pytest.mark.parametrize("name, m", MODE_CASES)
+def test_dense_phaseflip_path_matches_term_by_term(name, m, table):
+    """Each mode's engine step gives the per-state route's results bit for bit.
+
+    Hadamard modes draw two-component mixtures with any GHZ index and sign;
+    the sparse modes draw bit-flip mixtures of the reference with up to
+    three error components.
+    """
+    mode = MODES[name]
     rng = random.Random(m)
 
     def mixture(maker):
+        if not mode.hadamard:
+            errors = rng.sample(range(1, 2 ** (m - 1)), rng.randint(1, min(3, 2 ** (m - 1) - 1)))
+            weights = [rng.uniform(0.05, 1.0) for _ in range(len(errors) + 1)]
+            states = [maker(m, 0)] + [maker(m, index) for index in errors]
+            return mix_general(states, [w / math.fsum(weights) for w in weights])
         index, sign = rng.randrange(2 ** (m - 1)), rng.choice((1, -1))
         return mix_two(maker(m, 0), maker(m, index, -1 if index == 0 else sign), rng.uniform(0.05, 0.95))
 
     for _ in range(4):
         ensemble = product_ensemble(mixture(make_ghz_pol), mixture(make_ghz_spatial))
-        expected = phaseflip_term_by_term(ensemble, table)
+        expected = term_by_term(ensemble, mode, table)
         if not expected:
             with pytest.raises(ValueError, match="no accepted"):
-                run_phaseflip(ensemble, gate_table=table)
+                mode.run(ensemble, gate_table=table)
             continue
-        result = run_phaseflip(ensemble, gate_table=table)
+        result = mode.run(ensemble, gate_table=table)
         assert result.success_probability == math.fsum(w for entries in expected.values() for w, _ in entries)
         assert set(result.accepted) == set(expected)
         for pattern, entries in expected.items():

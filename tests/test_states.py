@@ -196,6 +196,9 @@ def test_duplicate_labels_merge_and_cancel():
 def test_unnormalized_state_rejected():
     with pytest.raises(ValueError, match="not normalized"):
         PureState(2, (POL,), {pol_label("HH"): 1.0, pol_label("VV"): 0.5})
+    for amp in (math.nan, complex(math.nan, 0.0), complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(2, (POL,), {(0,): amp})
 
 
 def test_malformed_labels_rejected():
@@ -212,6 +215,10 @@ def test_ensemble_validation():
         Ensemble(((0.5, s),))
     with pytest.raises(ValueError, match="positive"):
         Ensemble(((1.2, s), (-0.2, make_ghz_pol(3, 1))))
+    with pytest.raises(ValueError, match="positive"):
+        Ensemble(((math.nan, s),))
+    with pytest.raises(ValueError, match="positive"):
+        Ensemble(((0.5, s), (math.nan, make_ghz_pol(3, 1)), (0.5, make_ghz_pol(3, 2))))
     with pytest.raises(ValueError, match="disagree"):
         Ensemble(((0.5, s), (0.5, make_ghz_pol(4, 0))))
     with pytest.raises(ValueError, match="no members"):
