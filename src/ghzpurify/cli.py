@@ -57,7 +57,9 @@ def execute(config: ProtocolConfig) -> tuple[ProtocolResult, dict, dict]:
     index, sign = parse_target(config.target)
     target = make_ghz_pol(config.m, index, sign)
     result = mode.run(build_input(config), target=target)
-    weights, success = mode.closed_form(config.m, ghz_weights(config.pol_noise), ghz_weights(config.spatial_noise))
+    weights, success = mode.closed_form(
+        config.m, ghz_weights(config.m, config.pol_noise), ghz_weights(config.m, config.spatial_noise)
+    )
     closed = {"fidelity": weights.get((index, sign), 0.0), "success_probability": success}
     if mode.lists_components:
         closed["fidelity_components"] = [weights[(i, 1)] for i in range(2 ** (config.m - 1))]

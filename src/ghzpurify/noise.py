@@ -5,6 +5,10 @@ probability weight from the reference GHZ component onto the component with
 the flipped photons, and a phase-flip error onto the opposite-sign partner.
 The polarization and spatial degrees of freedom degrade independently and
 are combined with a tensor-product mixture.
+
+ghz_weights is the one derivation and the one check of a noise list: its
+mixture keyed by GHZ (index, sign). The engine input, the closed forms and
+the config checks all read it. mix_two is the n = 2 case of mix_general.
 """
 
 from __future__ import annotations
@@ -58,43 +62,30 @@ class NoiseSpec:
         if self.kind == PHASE_FLIP and self.target_index != 0:
             raise ValueError("phase-flip error targets the sign companion; target_index must be 0")
 
-    def error_state(self, m: int) -> PureState:
-        maker = make_ghz_pol if self.dof == POLARIZATION else make_ghz_spatial
-        if self.kind == BIT_FLIP:
-            if not 1 <= self.target_index < 2 ** (m - 1):
-                raise ValueError(
-                    f"bit-flip target_index {self.target_index} out of range [1, {2 ** (m - 1)}) for m={m}"
-                )
-            return maker(m, self.target_index, +1)
-        return maker(m, 0, -1)
-
 
 def mix_two(good: PureState, bad: PureState, F: float) -> Ensemble:
     """Two-component mixture {F: good, 1-F: bad}; weights 0/1 collapse to one member."""
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"F must lie in [0, 1], got {F!r}")
-    if abs(overlap(good, bad)) > _ORTHO_TOL:
-        warnings.warn("mixing non-orthogonal states; fidelity bookkeeping assumes orthogonality")
-    if F == 1.0:
-        return Ensemble.pure(good)
-    if F == 0.0:
-        return Ensemble.pure(bad)
-    return Ensemble(((F, good), (1.0 - F, bad)))
+    return mix_general((good, bad), (F, 1.0 - F))
 
 
 def mix_general(states: Sequence[PureState], weights: Sequence[float]) -> Ensemble:
-    """Mixture over any number of pairwise-orthogonal states; weights must sum to 1."""
+    """Mixture over any number of pairwise-orthogonal states; weights in [0, 1] summing to 1, zeros dropped."""
     if len(states) != len(weights):
         raise ValueError(f"{len(states)} states but {len(weights)} weights")
     total = math.fsum(weights)
     if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
+    members = []
+    for w, s in zip(weights, states):
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"weight must lie in [0, 1], got {w!r}")
+        if w > 0.0:
+            members.append((w, s))
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             if abs(overlap(states[i], states[j])) > _ORTHO_TOL:
                 warnings.warn("mixing non-orthogonal states; fidelity bookkeeping assumes orthogonality")
-    members = tuple((w, s) for w, s in zip(weights, states) if w > 0.0)
-    return Ensemble(members)
+    return Ensemble(tuple(members))
 
 
 def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
@@ -111,12 +102,19 @@ def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
     return Ensemble(members)
 
 
-def ghz_weights(specs: Sequence[NoiseSpec]) -> dict[tuple[int, int], float]:
-    """The mixture ensemble_from_specs builds, as weights keyed by GHZ (index, sign)."""
-    weights = {(0, 1): 1.0 - sum(s.weight for s in specs)}
+def ghz_weights(m: int, specs: Sequence[NoiseSpec]) -> dict[tuple[int, int], float]:
+    """A noise list's mixture keyed by GHZ (index, sign); the reference (0, +) keeps what the errors leave."""
+    err_weight = sum(s.weight for s in specs)
+    weights = {(0, 1): max(0.0, 1.0 - err_weight)}
     for s in specs:
+        if s.kind == BIT_FLIP and not 1 <= s.target_index < 2 ** (m - 1):
+            raise ValueError(f"bit-flip target_index {s.target_index} out of range [1, {2 ** (m - 1)}) for m={m}")
         key = (s.target_index, 1) if s.kind == BIT_FLIP else (0, -1)
-        weights[key] = weights.get(key, 0.0) + s.weight
+        if key in weights:
+            raise ValueError(f"lists target_index {s.target_index} more than once")
+        weights[key] = s.weight
+    if err_weight > 1.0 + NORM_TOL:
+        raise ValueError(f"error weights sum to {err_weight!r} > 1")
     return weights
 
 
@@ -126,10 +124,5 @@ def ensemble_from_specs(m: int, dof: str, specs: Sequence[NoiseSpec]) -> Ensembl
         if spec.dof != dof:
             raise ValueError(f"spec for {spec.dof!r} in the {dof!r} channel")
     maker = make_ghz_pol if dof == POLARIZATION else make_ghz_spatial
-    good = maker(m, 0, +1)
-    err_weight = sum(s.weight for s in specs)
-    if err_weight > 1.0 + NORM_TOL:
-        raise ValueError(f"error weights sum to {err_weight!r} > 1")
-    states = [good] + [s.error_state(m) for s in specs]
-    weights = [max(0.0, 1.0 - err_weight)] + [s.weight for s in specs]
-    return mix_general(states, weights)
+    weights = ghz_weights(m, specs)
+    return mix_general([maker(m, i, s) for i, s in weights], list(weights.values()))

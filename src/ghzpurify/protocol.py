@@ -361,19 +361,26 @@ def run_general(
     return _execute(ensemble, acceptance or mode.rule, plan, target, mode.hadamard, gate_table)
 
 
-def closed_form_success_pair(fa: float, fb: float) -> float:
-    """Accepted-probability formula for two-component mixtures: FaFb + (1-Fa)(1-Fb)."""
-    _check_unit_interval(fa, fb)
-    return fa * fb + (1.0 - fa) * (1.0 - fb)
+def _matched_products(pol_weights: Sequence[float], spatial_weights: Sequence[float]) -> tuple[list[float], float]:
+    """The matched products w_i u_i of two GHZ-diagonal weight vectors, and their sum."""
+    if len(pol_weights) != len(spatial_weights):
+        raise ValueError("weight vectors differ in length")
+    for vec in (pol_weights, spatial_weights):
+        total = sum(vec)
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"weights sum to {total!r}, not 1")
+    for v in (*pol_weights, *spatial_weights):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"fidelity weight {v!r} outside [0, 1]")
+    products = [w * u for w, u in zip(pol_weights, spatial_weights)]
+    return products, sum(products)
 
 
-def closed_form_fidelity_pair(fa: float, fb: float) -> float:
-    """Post-selected fidelity for two-component mixtures: FaFb / (FaFb + (1-Fa)(1-Fb))."""
-    _check_unit_interval(fa, fb)
-    denom = closed_form_success_pair(fa, fb)
-    if denom == 0.0:
-        raise ValueError(f"degenerate pair ({fa}, {fb}): nothing is accepted")
-    return fa * fb / denom
+def _shares(products: list[float], success: float) -> list[float]:
+    """The output weights w_i u_i / sum_j w_j u_j; undefined when nothing is accepted."""
+    if success == 0.0:
+        raise ValueError("all matched products vanish; nothing is accepted")
+    return [p / success for p in products]
 
 
 def closed_form_fidelity_general(
@@ -384,32 +391,24 @@ def closed_form_fidelity_general(
     Component i of the output carries weight w_i u_i / sum_j w_j u_j, where
     w and u are the polarization and spatial input weight vectors.
     """
-    if len(pol_weights) != len(spatial_weights):
-        raise ValueError("weight vectors differ in length")
-    for vec in (pol_weights, spatial_weights):
-        total = sum(vec)
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-    products = [w * u for w, u in zip(pol_weights, spatial_weights)]
-    denom = sum(products)
-    if denom == 0.0:
-        raise ValueError("all matched products vanish; nothing is accepted")
-    return tuple(p / denom for p in products)
+    return tuple(_shares(*_matched_products(pol_weights, spatial_weights)))
 
 
 def closed_form_success_general(
     pol_weights: Sequence[float], spatial_weights: Sequence[float]
 ) -> float:
-    """Accepted probability on the unanimous patterns for paired mixtures."""
-    if len(pol_weights) != len(spatial_weights):
-        raise ValueError("weight vectors differ in length")
-    return sum(w * u for w, u in zip(pol_weights, spatial_weights))
+    """Accepted probability on the unanimous patterns for paired mixtures: sum_j w_j u_j."""
+    return _matched_products(pol_weights, spatial_weights)[1]
 
 
-def _check_unit_interval(*values: float) -> None:
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"fidelity weight {v!r} outside [0, 1]")
+def closed_form_success_pair(fa: float, fb: float) -> float:
+    """Accepted probability for two-component mixtures, FaFb + (1-Fa)(1-Fb): the n = 2 general case."""
+    return closed_form_success_general((fa, 1.0 - fa), (fb, 1.0 - fb))
+
+
+def closed_form_fidelity_pair(fa: float, fb: float) -> float:
+    """Post-selected fidelity for two-component mixtures, FaFb / (FaFb + (1-Fa)(1-Fb)): the n = 2 general case."""
+    return closed_form_fidelity_general((fa, 1.0 - fa), (fb, 1.0 - fb))[0]
 
 
 # ------------------------------------------------------------------ mode table
@@ -450,17 +449,17 @@ class Mode:
 def _pair_closed_form(m: int, pol: GhzWeights, spatial: GhzWeights):
     """One error component per degree of freedom, on the same GHZ component."""
     fa, fb = pol[(0, 1)], spatial[(0, 1)]
-    success = closed_form_success_pair(fa, fb)
-    weights = {(0, 1): closed_form_fidelity_pair(fa, fb)}
-    for key in (pol.keys() | spatial.keys()) - {(0, 1)}:
-        weights[key] = (1.0 - fa) * (1.0 - fb) / success
+    products, success = _matched_products((fa, 1.0 - fa), (fb, 1.0 - fb))
+    good, bad = _shares(products, success)
+    weights = dict.fromkeys(pol.keys() | spatial.keys(), bad)
+    weights[(0, 1)] = good
     return weights, success
 
 
 def _matched_closed_form(m: int, pol: GhzWeights, spatial: GhzWeights):
     w, u = ([x.get((i, 1), 0.0) for i in range(2 ** (m - 1))] for x in (pol, spatial))
-    components = closed_form_fidelity_general(w, u)
-    return {(i, 1): c for i, c in enumerate(components)}, closed_form_success_general(w, u)
+    products, success = _matched_products(w, u)
+    return {(i, 1): c for i, c in enumerate(_shares(products, success))}, success
 
 
 def _pair_input(m: int, pol_error: tuple[int, int], spatial_error: tuple[int, int], f1: float, f2: float):

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from .noise import BIT_FLIP, POLARIZATION, NoiseSpec
+from .noise import POLARIZATION, NoiseSpec, ghz_weights
 from .protocol import (
     COMPONENTS_MAX_PHOTONS,
     DISTINCT,
@@ -35,7 +35,7 @@ from .protocol import (
     MODES,
     PHASEFLIP_MAX_PHOTONS,
 )
-from .states import NORM_TOL, SPATIAL
+from .states import SPATIAL
 
 SCHEMA_VERSION = 1
 
@@ -99,22 +99,12 @@ class ProtocolConfig:
         limit = 2 ** (self.m - 1)
         if index >= limit:
             raise ConfigError(f"target index {index} out of range [0, {limit}) for m={self.m}")
-        for spec in self.pol_noise + self.spatial_noise:
-            if spec.kind == BIT_FLIP and not 1 <= spec.target_index < limit:
-                raise ConfigError(
-                    f"bit-flip target_index {spec.target_index} out of range [1, {limit}) for m={self.m}"
-                )
         self._check_mode_compatibility()
         for name, specs in (("pol_noise", self.pol_noise), ("spatial_noise", self.spatial_noise)):
-            seen: set[int] = set()
-            for spec in specs:
-                if spec.target_index in seen:
-                    raise ConfigError(f"{name} lists target_index {spec.target_index} more than once")
-                seen.add(spec.target_index)
-            # the sum and tolerance ensemble_from_specs applies when it builds the mixture
-            err_weight = sum(s.weight for s in specs)
-            if err_weight > 1.0 + NORM_TOL:
-                raise ConfigError(f"{name} error weights sum to {err_weight!r} > 1")
+            try:
+                ghz_weights(self.m, specs)
+            except ValueError as exc:
+                raise ConfigError(f"{name} {exc}") from exc
 
     def _check_mode_compatibility(self):
         mode, pol, spatial = MODES[self.mode], self.pol_noise, self.spatial_noise

@@ -127,8 +127,14 @@ def test_simulate_non_config_boundary(tmp_path_factory, text):
     assert_clean(code, err)
 
 
-def test_simulate_above_member_cap(tmp_path_factory):
+def test_simulate_above_member_cap(tmp_path_factory, monkeypatch):
     """Every distinct bit-flip index m = 16 admits, about 10^9 product members: exit 2 at once."""
+
+    def build_input(config):
+        raise AssertionError("member cap not applied")
+
+    # a lost cap fails here at once instead of building the members
+    monkeypatch.setattr("ghzpurify.cli.build_input", build_input)
     entries = [{"kind": "bit-flip", "target_index": i, "weight": 1e-5} for i in range(1, 2**15)]
     raw = {"m": 16, "mode": "general", "pol_noise": entries, "spatial_noise": entries}
     code, err = simulate(tmp_path_factory, json.dumps(raw), "json")

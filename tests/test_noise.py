@@ -16,7 +16,7 @@ from ghzpurify import (
     product_ensemble,
     tensor_hyper,
 )
-from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, POLARIZATION
+from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, POLARIZATION, ghz_weights
 from ghzpurify.states import SPATIAL
 from helpers import brute_vector, interleave_factors
 
@@ -126,6 +126,37 @@ def test_ensemble_from_specs():
     assert sorted(p for p, _ in ens.members) == pytest.approx([0.2, 0.8])
     noiseless = ensemble_from_specs(3, SPATIAL, ())
     assert len(noiseless.members) == 1
+
+    def bit(index, weight):
+        return NoiseSpec(dof=POLARIZATION, kind=BIT_FLIP, weight=weight, target_index=index)
+
+    def phase(weight):
+        return NoiseSpec(dof=POLARIZATION, kind=PHASE_FLIP, weight=weight)
+
+    # a component listed twice is an error in both derivations, not a merged or doubled member
+    for repeated in ((bit(1, 0.1), bit(1, 0.2)), (phase(0.1), phase(0.2))):
+        with pytest.raises(ValueError, match="more than once"):
+            ensemble_from_specs(3, POLARIZATION, repeated)
+        with pytest.raises(ValueError, match="more than once"):
+            ghz_weights(3, repeated)
+    # the engine input carries exactly the nonzero ghz_weights, in order
+    valid = [(), (bit(1, 0.2),), (phase(0.3),), (bit(3, 0.1), bit(1, 0.25), bit(2, 0.05)),
+             (bit(1, 0.6), bit(2, 0.4)), (bit(2, 0.7), bit(3, 0.3000000000001))]
+    for specs in valid:
+        weights = ghz_weights(3, specs)
+        members = ensemble_from_specs(3, POLARIZATION, specs).members
+        assert [w for w, _ in members] == [w for w in weights.values() if w > 0.0]
+        assert [s.terms for _, s in members] == [
+            make_ghz_pol(3, i, sign).terms for (i, sign), w in weights.items() if w > 0.0
+        ]
+    # error weights within tolerance above 1 leave the reference component at 0, not below
+    assert ghz_weights(3, valid[-1])[(0, 1)] == 0.0
+    # weights that sum to 1 but leave [0, 1] are refused, not dropped
+    a, b = make_ghz_pol(3, 0), make_ghz_pol(3, 1)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        mix_two(a, b, 1.5)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        mix_general([a, b], [1.2, -0.2])
 
 
 def test_ensemble_from_specs_index_range():

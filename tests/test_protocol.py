@@ -201,6 +201,15 @@ def test_closed_form_general_errors():
         closed_form_fidelity_general([0.5, 0.5], [0.5, math.nan])
     with pytest.raises(ValueError, match="vanish"):
         closed_form_fidelity_general([1.0, 0.0], [0.0, 1.0])
+    # the success form runs the same checks as the fidelity form
+    with pytest.raises(ValueError, match="sum"):
+        closed_form_success_general([0.9, 0.9], [0.9, 0.9])
+    with pytest.raises(ValueError, match="sum"):
+        closed_form_success_general([0.5, math.nan], [0.5, 0.5])
+    # weights that sum to 1 but leave [0, 1]; test_closed_form_pair_errors has the pair case
+    for form in (closed_form_fidelity_general, closed_form_success_general):
+        with pytest.raises(ValueError, match="outside"):
+            form([1.5, -0.5], [0.5, 0.5])
 
 
 def test_engine_matches_closed_forms_spotgrid():
