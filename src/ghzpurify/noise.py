@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .states import (
     NORM_TOL,
-    POL,
     SPATIAL,
     Ensemble,
     PureState,
@@ -69,7 +68,11 @@ def mix_two(good: PureState, bad: PureState, F: float) -> Ensemble:
 
 
 def mix_general(states: Sequence[PureState], weights: Sequence[float]) -> Ensemble:
-    """Mixture over any number of pairwise-orthogonal states; weights in [0, 1] summing to 1, zeros dropped."""
+    """Mixture over any number of pairwise-orthogonal states; weights in [0, 1] summing to 1, zeros dropped.
+
+    Its orthogonality check is quadratic in the state count and serves
+    direct callers; config inputs (ensemble_from_specs) skip it.
+    """
     if len(states) != len(weights):
         raise ValueError(f"{len(states)} states but {len(weights)} weights")
     total = math.fsum(weights)
@@ -90,10 +93,6 @@ def mix_general(states: Sequence[PureState], weights: Sequence[float]) -> Ensemb
 
 def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
     """Independent polarization and spatial mixtures combined into joint states."""
-    if pol.m != spatial.m:
-        raise ValueError(f"photon counts differ: {pol.m} vs {spatial.m}")
-    if pol.dofs != (POL,) or spatial.dofs != (SPATIAL,):
-        raise ValueError("expected a bare polarization ensemble and a bare spatial ensemble")
     members = tuple(
         (pw * sw, tensor_hyper(ps, ss))
         for pw, ps in pol.members
@@ -125,4 +124,4 @@ def ensemble_from_specs(m: int, dof: str, specs: Sequence[NoiseSpec]) -> Ensembl
             raise ValueError(f"spec for {spec.dof!r} in the {dof!r} channel")
     maker = make_ghz_pol if dof == POLARIZATION else make_ghz_spatial
     weights = ghz_weights(m, specs)
-    return mix_general([maker(m, i, s) for i, s in weights], list(weights.values()))
+    return Ensemble(tuple((w, maker(m, i, s)) for (i, s), w in weights.items() if w > 0.0))

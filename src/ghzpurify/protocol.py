@@ -366,7 +366,7 @@ def _matched_products(pol_weights: Sequence[float], spatial_weights: Sequence[fl
     if len(pol_weights) != len(spatial_weights):
         raise ValueError("weight vectors differ in length")
     for vec in (pol_weights, spatial_weights):
-        total = sum(vec)
+        total = math.fsum(vec)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
     for v in (*pol_weights, *spatial_weights):

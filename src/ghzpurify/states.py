@@ -114,17 +114,18 @@ def make_ghz_spatial(m: int, index: int, sign: int = 1) -> PureState:
 
 
 def tensor_hyper(pol: PureState, spatial: PureState) -> PureState:
-    """Joint state of a polarization factor and a spatial-mode factor."""
+    """Joint state of a polarization factor and a spatial-mode factor; product labels are unique, so nothing merges."""
     if pol.m != spatial.m:
         raise ValueError(f"photon counts differ: {pol.m} vs {spatial.m}")
     if pol.dofs != (POL,) or spatial.dofs != (SPATIAL,):
         raise ValueError("tensor_hyper expects a bare polarization state and a bare spatial state")
-    items = [
-        ((plab[0], slab[0]), pa * sa)
+    terms = {
+        (plab[0], slab[0]): amp
         for plab, pa in pol.terms.items()
         for slab, sa in spatial.terms.items()
-    ]
-    return make_state(pol.m, (POL, SPATIAL), items)
+        if abs(amp := complex(pa * sa)) > PRUNE_TOL
+    }
+    return PureState(pol.m, (POL, SPATIAL), terms)
 
 
 def overlap(a: PureState, b: PureState) -> complex:
@@ -188,7 +189,5 @@ class Ensemble:
 
 def fidelity(ensemble: Ensemble, target: PureState) -> float:
     """Overlap probability of a mixture with a pure target: sum_k p_k |<t|k>|^2."""
-    if ensemble.m != target.m or ensemble.dofs != target.dofs:
-        raise ValueError("ensemble and target live on different labels")
     # fsum: exactly rounded, so the result ignores member order
     return math.fsum(p * abs(overlap(target, s)) ** 2 for p, s in ensemble.members)

@@ -150,6 +150,19 @@ def test_simulate_above_member_cap(tmp_path_factory, monkeypatch):
         ProtocolConfig(16, "general", specs(POLARIZATION, 401), specs(SPATIAL, 400))
 
 
+def test_simulate_one_sided_general_without_pairwise_scan(tmp_path_factory, monkeypatch):
+    """All 32 767 bit-flip indices m = 16 admits on one degree of freedom: exit 0 in seconds."""
+
+    def overlap(a, b):
+        raise AssertionError("pairwise scan on the config path")
+
+    # config components are distinct GHZ states, so no O(n^2) orthogonality scan may run
+    monkeypatch.setattr("ghzpurify.noise.overlap", overlap)
+    entries = [{"kind": "bit-flip", "target_index": i, "weight": 1e-5} for i in range(1, 2**15)]
+    raw = {"m": 16, "mode": "general", "pol_noise": [], "spatial_noise": entries}
+    assert simulate(tmp_path_factory, json.dumps(raw), "json") == (0, "")
+
+
 ARG_TEXTS = st.one_of(
     NUMBERS.map(repr),
     INTEGERS.map(str),

@@ -6,6 +6,7 @@ import pytest
 from ghzpurify import (
     Ensemble,
     NoiseSpec,
+    PureState,
     densify,
     ensemble_from_specs,
     fidelity,
@@ -17,7 +18,7 @@ from ghzpurify import (
     tensor_hyper,
 )
 from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, POLARIZATION, ghz_weights
-from ghzpurify.states import SPATIAL
+from ghzpurify.states import POL, PRUNE_TOL, SPATIAL
 from helpers import brute_vector, interleave_factors
 
 
@@ -91,6 +92,26 @@ def test_product_pure_times_pure():
     )
     assert len(joint.members) == 1
     assert joint.members[0][0] == pytest.approx(1.0)
+
+
+def test_product_ensemble_rejects_mismatched_factors():
+    # product_ensemble leaves these checks to tensor_hyper on its first member
+    pol, spatial = Ensemble.pure(make_ghz_pol(3, 0)), Ensemble.pure(make_ghz_spatial(3, 0))
+    with pytest.raises(ValueError, match="photon counts differ: 3 vs 4"):
+        product_ensemble(pol, Ensemble.pure(make_ghz_spatial(4, 0)))
+    with pytest.raises(ValueError, match="bare polarization"):
+        product_ensemble(spatial, pol)
+
+
+def test_tensor_hyper_prunes_dead_products():
+    big, small = math.sqrt(1.0 - 1e-16), 1e-8
+    assert small * small <= PRUNE_TOL < big * small
+    joint = tensor_hyper(
+        PureState(2, (POL,), {(0,): big, (3,): small}), PureState(2, (SPATIAL,), {(0,): big, (3,): small})
+    )
+    # the small x small product is dropped; the amplitudes kept are complex
+    assert set(joint.terms) == {(0, 0), (0, 3), (3, 0)}
+    assert all(type(amp) is complex for amp in joint.terms.values())
 
 
 def test_fidelity_linearity_over_products():
