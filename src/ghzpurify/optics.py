@@ -92,12 +92,14 @@ def walsh_hadamard(amps: np.ndarray, m: int) -> None:
     c = 2**-0.5, so every output is one sum of two products and does not
     depend on the order of the terms. The register is the leading axis so
     that every step works on contiguous runs of at least the row length.
-    The layer ends with ``prune``, as make_state does.
+    The array is float64 or complex128: every step works on its float64
+    view, so a real array gets the operations a complex one's real parts
+    get. The layer ends with ``prune``, as make_state does.
     """
     import numpy as np
 
-    if amps.shape[0] != 1 << m or amps.dtype != np.complex128 or not amps.flags.c_contiguous:
-        raise ValueError(f"expected a C-contiguous complex array with {1 << m} rows")
+    if amps.shape[0] != 1 << m or amps.dtype not in (np.float64, np.complex128) or not amps.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous float64 or complex128 array with {1 << m} rows")
     scaled = np.empty_like(amps)
     for k in range(m):
         np.multiply(amps.view(np.float64), _HADAMARD_C, out=scaled.view(np.float64))

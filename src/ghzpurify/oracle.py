@@ -21,6 +21,10 @@ and the closing Hadamard of each correction, its acceptance rule the
 ports. The caller passes the correction plan, a photon flip mask per port
 register like the engine's.
 
+densify returns float64 when every member amplitude is real (every GHZ
+mixture with +-1 signs), complex128 otherwise; with a real operator and
+target, every step of oracle_run stays in float64.
+
 Capacity is capped at 5 photons (dimension 1024); this module exists for
 cross-validation, not performance.
 """
@@ -73,15 +77,21 @@ def state_vector(state: PureState) -> np.ndarray:
 
 
 def densify(ensemble: Ensemble) -> np.ndarray:
-    """Density operator sum_k p_k |k><k| of an ensemble, written on each member's support."""
+    """Density operator sum_k p_k |k><k| of an ensemble, written on each member's support.
+
+    float64 when every member amplitude has a zero imaginary part, else complex128.
+    """
     import numpy as np
 
     _check_capacity(ensemble.m)
     first = ensemble.members[0][1]
     dim = 2 ** (len(first.dofs) * first.m)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p, s in ensemble.members:
-        idx, amp = _support(s)
+    supports = [(p, *_support(s)) for p, s in ensemble.members]
+    real = not any(amp.imag.any() for _, _, amp in supports)
+    rho = np.zeros((dim, dim), dtype=float if real else complex)
+    for p, idx, amp in supports:
+        if real:
+            amp = amp.real
         rho[np.ix_(idx, idx)] += p * np.outer(amp, amp.conj())
     return rho
 
@@ -241,6 +251,7 @@ def oracle_run(
     X^mask, with the port's flip mask from ``corrections`` (0 if absent).
     It enters the fidelity as v = C^dagger t, computed once per distinct
     mask, scored as v^dagger block v / prob against the polarization target t.
+    A float64 operator with a real target runs every step in real arithmetic.
     """
     import numpy as np
 
@@ -251,6 +262,8 @@ def oracle_run(
     if target is None:
         target = make_ghz_pol(m, 0, +1)
     tvec = state_vector(target)
+    if dense.dtype == np.float64 and not tvec.imag.any():
+        tvec = tvec.real  # a real operator and target: every product below stays real
 
     rho = dense
     if mode.hadamard:

@@ -78,7 +78,8 @@ def test_product_ensemble_matches_dense_tensor():
     pol = mix_two(make_ghz_pol(3, 0), make_ghz_pol(3, 1), 0.8)
     spatial = mix_two(make_ghz_spatial(3, 0), make_ghz_spatial(3, 1), 0.7)
     joint_rho = densify(product_ensemble(pol, spatial))
-    expected = np.zeros_like(joint_rho)
+    assert joint_rho.dtype == np.float64  # every amplitude is real
+    expected = np.zeros(joint_rho.shape, dtype=complex)
     for pw, ps in pol.members:
         for sw, ss in spatial.members:
             vec = interleave_factors(brute_vector(ps), brute_vector(ss), 3)

@@ -155,11 +155,16 @@ def test_hadamard_matches_loop_reference(m):
 def test_walsh_hadamard_prunes_and_checks_its_array():
     c = 2.0**-0.5
     amps = np.array([[c, 0.6], [c * (1 + 1e-15), 0.8]], dtype=complex)
+    real = amps.real.copy()
     walsh_hadamard(amps, 1)
     assert amps[1, 0] == 0.0  # about -3e-16 before the prune
     assert amps[:, 1].tolist() == [0.6 * c + 0.8 * c, 0.6 * c - 0.8 * c]
-    with pytest.raises(ValueError, match="C-contiguous"):
+    walsh_hadamard(real, 1)  # a float64 array gets the same values
+    assert real.dtype == np.float64 and real.tolist() == amps.real.tolist()
+    with pytest.raises(ValueError, match="C-contiguous float64 or complex128"):
         walsh_hadamard(np.zeros((2, 4), dtype=complex)[:, ::2], 1)
+    with pytest.raises(ValueError, match="float64 or complex128 array with 2 rows"):
+        walsh_hadamard(np.zeros((2, 2), dtype=np.float32), 1)
     with pytest.raises(ValueError, match="4 rows"):
         walsh_hadamard(np.zeros((2, 2), dtype=complex), 2)
 

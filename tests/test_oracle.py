@@ -6,6 +6,7 @@ import pytest
 from ghzpurify import (
     MODES,
     Ensemble,
+    PureState,
     densify,
     infer_flip_plan,
     make_ghz_pol,
@@ -112,6 +113,7 @@ def test_network_source_reads_the_unitary(m):
 def test_gather_matches_dense_conjugation(m):
     # every port's block read through the network index is that block of U rho U^dagger
     rho = random_hermitian(4**m, np.random.default_rng(m))
+    assert rho.dtype == np.complex128  # the complex path
     U = network_unitary(m)
     full = U @ rho @ U.conj().T
     ports = list(range(1 << m))
@@ -125,6 +127,7 @@ def test_gather_matches_dense_conjugation(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_per_photon_contraction_matches_dense_layer(m):
     rho = random_hermitian(4**m, np.random.default_rng(10 + m))
+    assert rho.dtype == np.complex128  # the complex path
     layer = hadamard_both_unitary(m)
     got = _contract_per_photon(rho, hadamard_both_unitary(1), m)
     assert np.allclose(got, layer @ rho @ layer.conj().T, rtol=0, atol=1e-12)
@@ -137,6 +140,7 @@ def test_per_photon_contraction_matches_dense_layer(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_contraction_matches_tensordot_reference(m):
     rho = random_hermitian(4**m, np.random.default_rng(30 + m))
+    assert rho.dtype == np.complex128  # the complex path
     for factor in (hadamard_both_unitary(1), complex_factor(40 + m)):
         got = _contract_per_photon(rho, factor, m)
         assert np.allclose(got, tensordot_contract(rho, factor, m), rtol=0, atol=1e-12)
@@ -156,6 +160,33 @@ def test_oracle_matches_full_gather_reference(name, m):
             assert got.pattern_table[key] == pytest.approx((prob, fid), rel=0, abs=1e-12)
         for field in ("success_probability", "rejected_probability", "output_fidelity"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_densify_is_real_on_real_amplitudes(m):
+    for name, mode in sorted(MODES.items()):
+        if m >= mode.min_m:
+            assert densify(mode.verify_input(m, 0.7, 0.4)).dtype == np.float64, name
+    (w, first), *rest = joint_pair(m, 0.7, 0.4).members
+    label = next(iter(first.terms))
+    turned = PureState(m, first.dofs, {**first.terms, label: 1j * first.terms[label]})
+    assert densify(Ensemble(((w, turned), *rest))).dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "name, m", [(name, m) for name in sorted(MODES) for m in (2, 3, 4, 5) if m >= MODES[name].min_m]
+)
+def test_oracle_real_and_complex_operators_agree(name, m):
+    """The float64 run of a real operator and the complex128 run of its copy agree to 1e-14."""
+    mode = MODES[name]
+    ens = mode.verify_input(m, 0.7, 0.4)
+    rho = densify(ens)
+    real, cplx = (oracle_run(op, m, mode, mode.plan(ens)) for op in (rho, rho.astype(complex)))
+    assert real.pattern_table.keys() == cplx.pattern_table.keys()
+    for key, entry in cplx.pattern_table.items():
+        assert real.pattern_table[key] == pytest.approx(entry, rel=0, abs=1e-14)
+    for field in ("success_probability", "rejected_probability", "output_fidelity"):
+        assert getattr(real, field) == pytest.approx(getattr(cplx, field), rel=0, abs=1e-14)
 
 
 def test_hadamard_layer_unitary():

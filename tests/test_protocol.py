@@ -25,6 +25,7 @@ from ghzpurify import (
     infer_flip_plan,
     make_ghz_pol,
     make_ghz_spatial,
+    make_state,
     merged_fidelity,
     mix_general,
     mix_two,
@@ -47,6 +48,37 @@ def phaseflip_input(m, f3, f4):
     pol = mix_two(make_ghz_pol(m, 0, +1), make_ghz_pol(m, 0, -1), f3)
     spatial = mix_two(make_ghz_spatial(m, 0, +1), make_ghz_spatial(m, 0, -1), f4)
     return product_ensemble(pol, spatial)
+
+
+def random_real_member(m, rng):
+    """A (pol, spatial) state with real amplitudes of unequal magnitude on a random support."""
+    labels = rng.sample([(p, s) for p in range(1 << m) for s in range(1 << m)], 3 * m)
+    amps = [rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for _ in labels]
+    norm = math.sqrt(math.fsum(a * a for a in amps))
+    return make_state(m, (POL, SPATIAL), [(lab, a / norm) for lab, a in zip(labels, amps)])
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_dense_step_real_and_complex_members_agree_bit_for_bit(m):
+    """A real member runs on float64 arrays, the same member times 1j on complex128 ones.
+
+    Both give the same port probabilities, the second's amplitudes are exactly
+    1j times the first's, and every emitted amplitude is a Python complex.
+    """
+    mode = MODES["phaseflip"]
+    rng = random.Random(m)
+    for member in (tensor_hyper(make_ghz_pol(m, 0, -1), make_ghz_spatial(m, 0, -1)), random_real_member(m, rng)):
+        turned = PureState(m, member.dofs, {lab: 1j * a for lab, a in member.terms.items()})
+        real, cplx = (mode.run(Ensemble(((1.0, s),))) for s in (member, turned))
+        assert real.accepted.keys() == cplx.accepted.keys()
+        for pattern, outcome in real.accepted.items():
+            other = cplx.accepted[pattern]
+            assert other.probability == outcome.probability
+            ((_, state),), ((_, rotated),) = outcome.ensemble.members, other.ensemble.members
+            assert state.terms.keys() == rotated.terms.keys()
+            for label, amp in state.terms.items():
+                assert type(amp) is complex and type(rotated.terms[label]) is complex
+                assert rotated.terms[label] == 1j * amp
 
 
 def test_bitflip_reference_point():
