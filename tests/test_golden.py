@@ -1,10 +1,15 @@
 """simulate --reproducible output, byte for byte, against committed records.
 
 tests/data/simulate/cases.json lists the configs: every mode, m in {3, 5},
-target 0+ and one other GHZ index with both signs. <name>.json and
-<name>.csv hold the bytes ``ghzpurify simulate <config> --reproducible
---format json|csv --out FILE`` wrote for each case at commit d582a73, when
-basis labels were still tuples of per-photon bit tuples. The engine uses
+target 0+ and one other GHZ index with both signs, plus the photon counts
+the benchmark solves: phase flip at m = 8 (targets 0+ and 0-), bit flip and
+deterministic-demo at m = 16, and general at m = 8 with three components
+per degree of freedom. <name>.json and <name>.csv hold the bytes
+``ghzpurify simulate <config> --reproducible --format json|csv --out FILE``
+wrote for each case: the m in {3, 5} cases at commit d582a73, when basis
+labels were still tuples of per-photon bit tuples, the others at commit
+86f03bd, before the gate was routed through its affine masks.
+tests/data/simulate/regenerate.py rewrites them all. The engine uses
 Python arithmetic and elementwise numpy ufuncs only, never BLAS, so the
 bytes do not depend on the machine's BLAS.
 """
