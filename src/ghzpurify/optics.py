@@ -6,6 +6,13 @@ photon is a four-row bijection from (polarization, spatial mode) to
 (polarization, detector-port group): the photon exits in the KEEP group
 exactly when its polarization bit equals its spatial bit, and its outgoing
 polarization is the complement of the spatial bit.
+
+Every bijection of GF(2)^2 is affine over GF(2): each of its two output bits
+is 1 on exactly two of the four inputs, and the six such functions of two
+bits are p, s, p^s and their complements. So three rows fix the table's
+form, out_pol = p a1 ^ s b1 ^ c1 and port = p a2 ^ s b2 ^ c2, and on whole
+m-bit registers it is two XOR/AND expressions with masks that are all-zero
+or all-one (check_table). The gate itself is out_pol = ~s, port = p ^ s.
 """
 
 from __future__ import annotations
@@ -47,27 +54,32 @@ GATE_TABLE: GateTable = {
 }
 
 
-def check_table(table: GateTable) -> None:
-    if set(table) != {(p, s) for p in (0, 1) for s in (0, 1)} or len(set(table.values())) != 4:
+_PAIRS = {(p, s) for p in (0, 1) for s in (0, 1)}
+
+
+def check_table(table: GateTable, m: int) -> tuple[int, int, int, int, int, int]:
+    """Refuse a table that is not a bijection; return its affine form as m-bit register masks.
+
+    The masks (a1, b1, c1, a2, b2, c2) give out_pol = pol&a1 ^ spatial&b1 ^ c1
+    and port = pol&a2 ^ spatial&b2 ^ c2. They are read off the rows (0, 0),
+    (1, 0) and (0, 1); the fourth row follows, since the table is affine.
+    """
+    if set(table) != _PAIRS or set(table.values()) != _PAIRS:
         raise ValueError("gate table must be a bijection on the four (pol, spatial) pairs")
+    (c1, c2), (p1, p2), (s1, s2) = table[(0, 0)], table[(1, 0)], table[(0, 1)]
+    full = (1 << m) - 1
+    return tuple(full * bit for bit in (p1 ^ c1, s1 ^ c1, c1, p2 ^ c2, s2 ^ c2, c2))
 
 
 def route(pol, spatial, m: int, table: GateTable):
     """Outgoing (pol, port) registers of (pol, spatial) registers under a gate table.
 
-    Each table row picks out the photons whose (pol, spatial) bits match it
-    and sets their outgoing pol and port bits. The registers may be Python
-    ints or numpy integer arrays (index grids); the same rule serves both.
+    Two XOR/AND expressions with the table's affine masks (check_table), one
+    output bit per photon. The registers may be Python ints or numpy integer
+    arrays (index grids); the same expressions serve both.
     """
-    full = (1 << m) - 1
-    out_pol = port = 0
-    for (p, s), (p_out, port_out) in table.items():
-        mask = (pol if p else ~pol) & (spatial if s else ~spatial) & full
-        if p_out:
-            out_pol = out_pol | mask
-        if port_out:
-            port = port | mask
-    return out_pol, port
+    a1, b1, c1, a2, b2, c2 = check_table(table, m)
+    return pol & a1 ^ spatial & b1 ^ c1, pol & a2 ^ spatial & b2 ^ c2
 
 
 def apply_network(state: PureState, table: GateTable | None = None) -> PureState:
@@ -79,7 +91,6 @@ def apply_network(state: PureState, table: GateTable | None = None) -> PureState
     if state.dofs != (POL, SPATIAL):
         raise ValueError(f"network input must carry (pol, spatial) labels, got {state.dofs}")
     rows = GATE_TABLE if table is None else table
-    check_table(rows)
     items = [(route(pol, spatial, state.m, rows), amp) for (pol, spatial), amp in state.terms.items()]
     return make_state(state.m, (POL, PORT), items)
 

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .protocol import CorrectionPlan, Mode, Pattern
-from .states import Ensemble, Label, PureState, bits, make_ghz_pol
+from .states import Ensemble, PureState, bits, make_ghz_pol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,21 +49,32 @@ def _check_capacity(m: int) -> None:
         raise ValueError(f"oracle capacity is m <= {ORACLE_MAX_PHOTONS} photons, got m={m}")
 
 
-def _index(m: int, label: Label) -> int:
-    """Dense-basis index of a label: photon-major, each photon's bits in register order, big-endian."""
+def _indices(m: int, *registers):
+    """Dense-basis index of labels given register by register: photon-major, each photon's bits in register order, big-endian.
+
+    The registers are ints or numpy integer arrays that broadcast together,
+    so one bit-interleave of m x width whole-array steps indexes every label.
+    """
     idx = 0
-    for k in range(m):
-        for register in label:
-            idx = 2 * idx + ((register >> (m - 1 - k)) & 1)
+    for k in range(m - 1, -1, -1):
+        for register in registers:
+            idx = 2 * idx + (register >> k & 1)
     return idx
 
 
-def _support(state: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-basis indices and amplitudes of a PureState."""
+def _support(states: Sequence[PureState]) -> list[tuple[list[int], np.ndarray]]:
+    """Dense-basis indices and amplitudes of each PureState, every index from one _indices call."""
     import numpy as np
 
-    indices = [_index(state.m, label) for label in state.terms]
-    return np.array(indices), np.array(list(state.terms.values()), dtype=complex)
+    registers = np.array([label for s in states for label in s.terms], dtype=np.intp).T
+    indices = _indices(states[0].m, *registers).tolist()
+    amps = np.array([a for s in states for a in s.terms.values()], dtype=complex)
+    out, start = [], 0
+    for s in states:
+        end = start + len(s.terms)
+        out.append((indices[start:end], amps[start:end]))
+        start = end
+    return out
 
 
 def state_vector(state: PureState) -> np.ndarray:
@@ -71,7 +82,7 @@ def state_vector(state: PureState) -> np.ndarray:
     import numpy as np
 
     vec = np.zeros(2 ** (len(state.dofs) * state.m), dtype=complex)
-    idx, amp = _support(state)
+    ((idx, amp),) = _support([state])
     vec[idx] = amp
     return vec
 
@@ -86,10 +97,10 @@ def densify(ensemble: Ensemble) -> np.ndarray:
     _check_capacity(ensemble.m)
     first = ensemble.members[0][1]
     dim = 2 ** (len(first.dofs) * first.m)
-    supports = [(p, *_support(s)) for p, s in ensemble.members]
-    real = not any(amp.imag.any() for _, _, amp in supports)
+    supports = _support([s for _, s in ensemble.members])
+    real = not any(amp.imag.any() for _, amp in supports)
     rho = np.zeros((dim, dim), dtype=float if real else complex)
-    for p, idx, amp in supports:
+    for (p, _), (idx, amp) in zip(ensemble.members, supports):
         if real:
             amp = amp.real
         rho[np.ix_(idx, idx)] += p * np.outer(amp, amp.conj())
@@ -201,17 +212,17 @@ def _contract_per_photon(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndar
 def _port_blocks(rho: np.ndarray, m: int, ports: list[int]):
     """Yield (port, (U rho U^dagger)[idx, idx]) for each port register, U the network permutation.
 
-    idx lists the port's 2^m basis states, one per polarization register:
-    a per-call polarization part plus the port's own offset. Row i of U
+    idx lists the port's 2^m basis states, one per polarization register,
+    all ports' lists in one _indices call. Row i of U
     has its 1 in column src[i], so the block is rho[src[idx], src[idx]],
     read without a permuted copy of rho.
     """
     import numpy as np
 
     src = _network_source(m)
-    pol_part = np.array([_index(m, (pol, 0)) for pol in range(1 << m)])
-    for port in ports:
-        rows = src[pol_part + _index(m, (0, port))]
+    indices = _indices(m, np.arange(1 << m), np.array(ports, dtype=np.intp)[:, None])  # [port, pol]
+    for port, idx in zip(ports, indices):
+        rows = src[idx]
         yield port, rho[np.ix_(rows, rows)]
 
 

@@ -11,7 +11,9 @@ routes each (pol, spatial) register pair straight to its (pol, port) pair:
 the gate is a bijection, so no routed state is built. After the layers a
 member holds 4^(m-1) terms, so Hadamard modes run every stage on dense
 register arrays (_dense_split). Both steps return only the accepted ports.
-The gate table is checked once per run, before either step is built.
+Each step reads the gate's affine register masks off the table once per run
+(optics.check_table, which refuses a table that is not a bijection) and
+routes with two XOR/AND expressions.
 
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
@@ -165,17 +167,19 @@ def _split_by_pattern(
     """The sparse step for one member: relabel its register pairs, drop the rejected ports.
 
     The gate is a bijection on each photon's bits, so every term keeps its
-    amplitude under route's registers; dead terms go as make_state prunes
-    them. Returns, per accepted port, the probability and the renormalized
-    polarization state with the port's photon flips applied.
+    amplitude under the table's affine masks (route's expressions, read
+    once per run); dead terms go as make_state prunes them. Returns, per
+    accepted port, the probability and the renormalized polarization state
+    with the port's photon flips applied.
     """
+    a1, b1, c1, a2, b2, c2 = check_table(table, m)
 
     def split(member: PureState) -> Split:
         groups: dict[int, dict[Label, complex]] = {}
         for (pol, spatial), amp in member.terms.items():
-            out_pol, port = route(pol, spatial, m, table)
+            port = pol & a2 ^ spatial & b2 ^ c2
             if rule.accepts(port, m) and abs(amp) > PRUNE_TOL:
-                groups.setdefault(port, {})[(out_pol ^ plan.get(port, 0),)] = amp
+                groups.setdefault(port, {})[(pol & a1 ^ spatial & b1 ^ c1 ^ plan.get(port, 0),)] = amp
         out = {}
         for port, terms in groups.items():
             prob = sum(abs(a) ** 2 for a in terms.values())
@@ -219,28 +223,30 @@ def _dense_split(
     followed by the mode's closing polarization Hadamard. It runs the
     per-state route (hadamard_pol, hadamard_spatial, apply_network, the
     grouping by port, bit_flip_pol, hadamard_pol) with the same float
-    operations for every amplitude. A port's probability is a sequential
-    sum of |amp|**2 in register order (never numpy's pairwise np.sum),
-    where the sparse path sums in term order and squares with pow: on
-    GHZ-product members every amplitude of a port has the same magnitude,
-    and there the two agree bit for bit. A member whose amplitudes all have
-    a zero imaginary part runs on float64 arrays, any other on complex128:
-    the real parts see the same float operations either way, and the
-    emitted amplitudes are complex in both.
+    operations for every amplitude. The gate is a bijection, so routing is
+    a gather: the inverse table, routed over the accepted ports only, gives
+    the source of each amplitude of a [pol, accepted port] array. A port's
+    probability is the sum of |amp|**2 down axis 0 of that array, which
+    numpy adds row after row, in register order (never the pairwise sum it
+    runs along a contiguous axis), where the sparse path sums in term order
+    and squares with pow: on GHZ-product members every amplitude of a port
+    has the same magnitude, and there the two agree bit for bit. A member
+    whose amplitudes all have a zero imaginary part runs on float64 arrays,
+    any other on complex128: the real parts see the same float operations
+    either way, and the emitted amplitudes are complex in both.
     """
     import numpy as np
 
     size = 1 << m
     grid = np.arange(size)
-    out_pol, port = route(grid[None, :], grid[:, None], m, table)  # indexed [spatial, pol]
     ports = [p for p in range(size) if rule.accepts(p, m)]
-    # the gate is a bijection, so routing is a gather: source of each (port, pol) amplitude
-    source = np.empty(size * size, dtype=np.intp)
-    source[(port * size + out_pol).ravel()] = np.arange(size * size)
-    accepted_source = source.reshape(size, size)[ports]
-    groups: dict[int, list[int]] = {}  # flip mask -> rows of the ports it corrects
-    for row, p in enumerate(ports):
-        groups.setdefault(plan.get(p, 0), []).append(row)
+    check_table(table, m)  # refuse a table that is not a bijection before inverting it
+    inverse = {routed: row for row, routed in table.items()}
+    src_pol, src_spatial = route(grid[:, None], np.array(ports)[None, :], m, inverse)
+    source = src_spatial * size + src_pol  # [pol, accepted port] -> flat index of amps [spatial, pol]
+    groups: dict[int, list[int]] = {}  # flip mask -> columns of the ports it corrects
+    for col, p in enumerate(ports):
+        groups.setdefault(plan.get(p, 0), []).append(col)
 
     def split(member: PureState) -> Split:
         # pol layer on the spatial registers present only: the other columns stay zero
@@ -256,23 +262,23 @@ def _dense_split(
         amps = np.zeros((size, size), dtype=values.dtype)  # [spatial, pol]
         amps[present] = layer.T
         walsh_hadamard(amps, m)
-        accepted = amps.ravel().take(accepted_source)  # [accepted port, pol]
-        probs = np.cumsum(np.abs(accepted) ** 2, axis=1)[:, -1].tolist()
-        accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])[:, None]
+        accepted = amps.ravel().take(source)  # [pol, accepted port]
+        probs = (np.abs(accepted) ** 2).sum(axis=0).tolist()
+        accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])
         prune(accepted)
         out = {}
-        for flips, rows in groups.items():
-            rows = [r for r in rows if probs[r] > 0.0]
-            if not rows:
+        for flips, cols in groups.items():
+            cols = [c for c in cols if probs[c] > 0.0]
+            if not cols:
                 continue
-            block = accepted[rows].T.take(grid ^ flips, axis=0)  # [pol, row]
+            block = accepted[np.ix_(grid ^ flips, cols)]  # [pol, port]
             walsh_hadamard(block, m)
-            terms: list[dict[Label, complex]] = [{} for _ in rows]
-            cols, regs = np.nonzero(block.T)
-            for c, reg, amp in zip(cols.tolist(), regs.tolist(), block[regs, cols].astype(complex).tolist()):
-                terms[c][(reg,)] = amp
-            for r, t in zip(rows, terms):
-                out[ports[r]] = (probs[r], PureState(m, (POL,), t))
+            terms: list[dict[Label, complex]] = [{} for _ in cols]
+            js, regs = np.nonzero(block.T)
+            for j, reg, amp in zip(js.tolist(), regs.tolist(), block[regs, js].astype(complex).tolist()):
+                terms[j][(reg,)] = amp
+            for c, t in zip(cols, terms):
+                out[ports[c]] = (probs[c], PureState(m, (POL,), t))
         return out
 
     return split
@@ -295,7 +301,6 @@ def _execute(
         raise ValueError("target must be a bare polarization state on the same photons")
 
     table = GATE_TABLE if gate_table is None else gate_table
-    check_table(table)
     step = (_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, table)
     buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
     for weight, member in ensemble.members:

@@ -55,18 +55,26 @@ class PureState:
     terms: Mapping[Label, complex]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
-        if self.m < 2:
-            raise ValueError(f"photon count must be >= 2, got {self.m}")
-        if not self.dofs or any(d not in (POL, SPATIAL, PORT) for d in self.dofs):
-            raise ValueError(f"unknown degrees of freedom {self.dofs!r}")
-        if SPATIAL in self.dofs and PORT in self.dofs:
+        terms = dict(self.terms)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        m, dofs = self.m, self.dofs
+        if m < 2:
+            raise ValueError(f"photon count must be >= 2, got {m}")
+        if not dofs or not all(d in (POL, SPATIAL, PORT) for d in dofs):
+            raise ValueError(f"unknown degrees of freedom {dofs!r}")
+        if SPATIAL in dofs and PORT in dofs:
             raise ValueError("spatial-mode and port labels cannot coexist")
-        width, size = len(self.dofs), 1 << self.m
-        for label in self.terms:
-            if len(label) != width or any(type(r) is not int or not 0 <= r < size for r in label):
-                raise ValueError(f"malformed label {label} for {self.m} photons and dofs {self.dofs}")
-        norm = sum(abs(a) ** 2 for a in self.terms.values())
+        # plain loops: a generator per label costs more than the check it runs
+        width, size = len(dofs), 1 << m
+        for label in terms:
+            if len(label) != width:
+                raise ValueError(f"malformed label {label} for {m} photons and dofs {dofs}")
+            for r in label:
+                if type(r) is not int or not 0 <= r < size:
+                    raise ValueError(f"malformed label {label} for {m} photons and dofs {dofs}")
+        norm = 0
+        for amp in terms.values():
+            norm += abs(amp) ** 2
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
 

@@ -17,7 +17,7 @@ from ghzpurify import POL, SPATIAL, PureState, make_ghz_pol, make_state
 from ghzpurify.oracle import (
     OracleResult,
     _correction_unitary,
-    _index,
+    _indices,
     _network_source,
     hadamard_both_unitary,
     state_vector,
@@ -176,7 +176,7 @@ def full_gather_oracle_run(dense, m, mode, corrections, target=None) -> OracleRe
     for port in range(1 << m):
         if not mode.rule.accepts(port, m):
             continue
-        idx = np.array([_index(m, (pol, port)) for pol in range(1 << m)])
+        idx = _indices(m, np.arange(1 << m), port)
         block = rho[np.ix_(idx, idx)]
         prob = max(float(np.trace(block).real), 0.0)
         if prob < 1e-15:

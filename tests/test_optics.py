@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -124,8 +127,18 @@ def faulted_table():
     return table
 
 
-@pytest.mark.parametrize("table", [GATE_TABLE, faulted_table()], ids=["gate", "faulted"])
+PAIRS = [(p, s) for p in (0, 1) for s in (0, 1)]
+# every bijective table; ids name the images of rows 00, 01, 10, 11, except the two the engine runs
+TABLES = [dict(zip(PAIRS, images)) for images in itertools.permutations(PAIRS)]
+TABLE_IDS = [
+    "gate" if t == GATE_TABLE else "faulted" if t == faulted_table() else "".join(f"{p}{q}" for p, q in t.values())
+    for t in TABLES
+]
+
+
+@pytest.mark.parametrize("table", TABLES, ids=TABLE_IDS)
 def test_route_rule_on_ints_and_grids(table):
+    # the affine masks against the table applied photon by photon
     m = 3
     grid = np.arange(2**m)
     out_pol, port = route(grid[:, None], grid[None, :], m, table)
@@ -134,6 +147,11 @@ def test_route_rule_on_ints_and_grids(table):
             per_photon = pack([table[photon] for photon in unpack(m, (pol, spatial))])
             assert route(pol, spatial, m, table) == per_photon
             assert (out_pol[pol, spatial], port[pol, spatial]) == per_photon
+    rng = random.Random(str(table))
+    m = 64
+    for _ in range(50):
+        pol, spatial = rng.getrandbits(m), rng.getrandbits(m)
+        assert route(pol, spatial, m, table) == pack([table[photon] for photon in unpack(m, (pol, spatial))])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -243,3 +261,8 @@ def test_corrupted_table_rejected():
     bad[(H, MODE1)] = bad[(V, MODE1)]
     with pytest.raises(ValueError, match="bijection"):
         apply_network(tensor_hyper(make_ghz_pol(2, 0), make_ghz_spatial(2, 0)), table=bad)
+    # route refuses it too, and a table whose images leave the four pairs
+    outside = {**GATE_TABLE, (H, MODE1): (2, KEEP)}
+    for table in (bad, outside, {k: v for k, v in GATE_TABLE.items() if k != (H, MODE1)}):
+        with pytest.raises(ValueError, match="bijection"):
+            route(0, 0, 2, table)

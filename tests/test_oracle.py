@@ -5,6 +5,9 @@ import pytest
 
 from ghzpurify import (
     MODES,
+    POL,
+    PORT,
+    SPATIAL,
     Ensemble,
     PureState,
     densify,
@@ -23,13 +26,13 @@ from ghzpurify import (
 )
 from ghzpurify.oracle import (
     _contract_per_photon,
-    _index,
+    _indices,
     _network_source,
     _port_blocks,
     hadamard_both_unitary,
     state_vector,
 )
-from helpers import full_gather_oracle_run, tensordot_contract
+from helpers import brute_vector, full_gather_oracle_run, tensordot_contract
 
 
 def joint_pair(m, f1, f2, pol_index=1, spatial_index=1):
@@ -120,7 +123,7 @@ def test_gather_matches_dense_conjugation(m):
     blocks = list(_port_blocks(rho, m, ports))
     assert [port for port, _ in blocks] == ports
     for port, block in blocks:
-        idx = [_index(m, (pol, port)) for pol in range(1 << m)]
+        idx = _indices(m, np.arange(1 << m), port)
         assert np.allclose(block, full[np.ix_(idx, idx)], rtol=0, atol=1e-12)
 
 
@@ -192,6 +195,21 @@ def test_oracle_real_and_complex_operators_agree(name, m):
 def test_hadamard_layer_unitary():
     mat = hadamard_both_unitary(2)
     assert np.allclose(mat @ mat.conj().T, np.eye(16))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("dofs", [(POL,), (POL, SPATIAL), (POL, PORT)])
+def test_state_vector_matches_brute_embedding(m, dofs):
+    # _indices interleaves every label's bits at once; brute_vector walks photon by photon
+    rng = np.random.default_rng(m)
+    labels = {tuple(int(r) for r in rng.integers(0, 1 << m, len(dofs))) for _ in range(3 * m)}
+    amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    amps /= np.linalg.norm(amps)
+    state = PureState(m, dofs, dict(zip(labels, amps.tolist())))
+    assert np.array_equal(state_vector(state), brute_vector(state))
+    # ints and index arrays take the same interleave
+    pol = np.arange(1 << m)
+    assert _indices(m, pol, 3 % (1 << m)).tolist() == [_indices(m, p, 3 % (1 << m)) for p in range(1 << m)]
 
 
 def test_state_vector_norm():

@@ -36,6 +36,8 @@ from ghzpurify import (
     run_phaseflip,
     tensor_hyper,
 )
+from ghzpurify.optics import route, walsh_hadamard
+from ghzpurify.protocol import _dense_split
 
 
 def bitflip_input(m, f1, f2, pol_index=1, spatial_index=1):
@@ -79,6 +81,46 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m):
             for label, amp in state.terms.items():
                 assert type(amp) is complex and type(rotated.terms[label]) is complex
                 assert rotated.terms[label] == 1j * amp
+
+
+@pytest.mark.parametrize("m", [6, 7, 8, 9])
+def test_dense_port_probability_is_a_sequential_sum(m):
+    """Every port probability of the dense step is a left-to-right sum of |amp|**2 in register order.
+
+    The routed amplitudes come from walsh_hadamard on both registers and
+    route on index grids; the reference adds their squares one by one in
+    Python. At these sizes numpy's pairwise np.sum along a contiguous axis
+    gives other bits on some port, which the test checks too.
+    """
+    rng = random.Random(m)
+    size = 1 << m
+    grid = np.arange(size)
+    real = random_real_member(m, rng)
+    turned = make_state(m, (POL, SPATIAL), [(lab, a * complex(math.cos(k), math.sin(k)))
+                                            for k, (lab, a) in enumerate(real.terms.items())])
+    step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), GATE_TABLE)
+    for member in (real, turned):
+        amps = np.zeros((size, size), dtype=complex)  # [pol, spatial]
+        for (pol, spatial), a in member.terms.items():
+            amps[pol, spatial] = a
+        walsh_hadamard(amps, m)
+        amps = amps.T.copy()  # [spatial, pol]
+        walsh_hadamard(amps, m)
+        out_pol, port = route(grid[None, :], grid[:, None], m, GATE_TABLE)
+        squares = np.zeros((size, size))  # [port, out_pol]
+        squares[port, out_pol] = np.abs(amps) ** 2
+        got = step(member)
+        pairwise_differs = False
+        for p in range(size):
+            if bin(p).count("1") % 2:
+                assert p not in got
+                continue
+            total = 0.0
+            for sq in squares[p].tolist():
+                total += sq
+            assert got[p][0] == total
+            pairwise_differs |= float(np.sum(squares[p])) != total
+        assert pairwise_differs
 
 
 def test_bitflip_reference_point():

@@ -202,11 +202,21 @@ def test_unnormalized_state_rejected():
 
 
 def test_malformed_labels_rejected():
-    for label in ((0, 0), (4,), (-1,), (1.0,), ((0, 0),), ((0,), (0,))):
+    for label in ((0, 0), (4,), (-1,), (1.0,), (True,), ((0, 0),), ((0,), (0,))):
         with pytest.raises(ValueError, match="malformed label"):
             PureState(2, (POL,), {label: 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot coexist"):
         PureState(2, ("pol", "port", "spatial"), {})
+    with pytest.raises(ValueError, match="photon count must be >= 2, got 1"):
+        PureState(1, (POL,), {(0,): 1.0})
+    for dofs in (("pol", "colour"), ()):
+        with pytest.raises(ValueError, match="unknown degrees of freedom"):
+            PureState(2, dofs, {(0, 0): 1.0})
+    with pytest.raises(ValueError, match="cannot coexist"):
+        PureState(2, (SPATIAL, "port"), {(0, 0): 1.0})
+    # a label is checked before any amplitude: the norm message never hides it
+    with pytest.raises(ValueError, match="malformed label"):
+        PureState(2, (POL,), {(0,): 0.5, (4,): 0.5})
 
 
 def test_ensemble_validation():
