@@ -90,8 +90,11 @@ def apply_network(state: PureState, table: GateTable | None = None) -> PureState
     """
     if state.dofs != (POL, SPATIAL):
         raise ValueError(f"network input must carry (pol, spatial) labels, got {state.dofs}")
-    rows = GATE_TABLE if table is None else table
-    items = [(route(pol, spatial, state.m, rows), amp) for (pol, spatial), amp in state.terms.items()]
+    a1, b1, c1, a2, b2, c2 = check_table(GATE_TABLE if table is None else table, state.m)
+    items = [
+        ((pol & a1 ^ spatial & b1 ^ c1, pol & a2 ^ spatial & b2 ^ c2), amp)
+        for (pol, spatial), amp in state.terms.items()
+    ]
     return make_state(state.m, (POL, PORT), items)
 
 

@@ -191,7 +191,7 @@ def _split_by_pattern(
 
 
 # A Hadamard-mode member holds 4^m amplitudes after its layers; at m = 10 a
-# phase-flip simulate takes about 0.7 s and 70 MB peak on a 2-CPU machine.
+# phase-flip simulate takes about 0.3 s and 60 MB peak on a 2-CPU machine.
 # Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
