@@ -41,12 +41,8 @@ from .protocol import (
     AcceptanceRule,
     PatternOutcome,
     ProtocolResult,
-    closed_form_fidelity_general,
-    closed_form_fidelity_pair,
-    closed_form_success_general,
-    closed_form_success_pair,
+    closed_form_general,
     infer_flip_plan,
-    merged_fidelity,
     phaseflip_plan,
     run_bitflip,
     run_general,

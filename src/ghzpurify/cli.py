@@ -20,9 +20,7 @@ from .protocol import (
     MAX_PHOTONS,
     MODES,
     ProtocolResult,
-    closed_form_fidelity_pair,
-    closed_form_success_pair,
-    merged_fidelity,
+    closed_form_general,
     run_bitflip,
 )
 from .records import (
@@ -64,7 +62,7 @@ def execute(config: ProtocolConfig) -> tuple[ProtocolResult, dict, dict]:
     if mode.lists_components:
         closed["fidelity_components"] = [weights[(i, 1)] for i in range(2 ** (config.m - 1))]
     deviation = {
-        "fidelity": abs(merged_fidelity(result, target) - closed["fidelity"]),
+        "fidelity": abs(result.output_fidelity - closed["fidelity"]),
         "success_probability": abs(result.success_probability - closed["success_probability"]),
     }
     return result, closed, deviation
@@ -170,13 +168,12 @@ def _cmd_sweep(args) -> int:
             for f1 in values:
                 for f2 in values:
                     ens = MODES["bitflip"].verify_input(args.m, f1, f2)
-                    sc = closed_form_success_pair(f1, f2)
                     try:
                         res = run_bitflip(ens)
-                        fc = closed_form_fidelity_pair(f1, f2)
+                        (fc, _), sc = closed_form_general((f1, 1.0 - f1), (f2, 1.0 - f2))
                     except ValueError:
                         # nothing is accepted at this point, so no fidelity is defined
-                        table.append([f1, f2, None, None, 0.0, sc, None])
+                        table.append([f1, f2, None, None, 0.0, 0.0, None])
                         continue
                     dev = max(abs(res.output_fidelity - fc), abs(res.success_probability - sc))
                     table.append([f1, f2, res.output_fidelity, fc, res.success_probability, sc, dev])

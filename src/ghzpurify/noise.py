@@ -103,7 +103,7 @@ def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
 
 def ghz_weights(m: int, specs: Sequence[NoiseSpec]) -> dict[tuple[int, int], float]:
     """A noise list's mixture keyed by GHZ (index, sign); the reference (0, +) keeps what the errors leave."""
-    err_weight = sum(s.weight for s in specs)
+    err_weight = math.fsum(s.weight for s in specs)
     weights = {(0, 1): max(0.0, 1.0 - err_weight)}
     for s in specs:
         if s.kind == BIT_FLIP and not 1 <= s.target_index < 2 ** (m - 1):

@@ -25,6 +25,10 @@ general mode accepts everything and relies on per-pattern corrections.
 
 MODES is the one table of the configured modes: the pipeline's per-mode
 choices, the noise a config may list, the closed form and the verify input.
+Every reduction over members, ports or weights that feeds a printed figure
+is math.fsum, which is exactly rounded, so no figure depends on the order
+of the noise lists. Only the sums over one state's own terms (a port's
+probability) run left to right, in an order that no input list sets.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .optics import (
     walsh_hadamard,
 )
 from .states import (
+    NORM_TOL,
     POL,
     PRUNE_TOL,
     SPATIAL,
@@ -150,15 +155,6 @@ class ProtocolResult:
 
     def __post_init__(self):
         object.__setattr__(self, "accepted", MappingProxyType(dict(self.accepted)))
-
-
-def merged_fidelity(result: ProtocolResult, target: PureState) -> float:
-    """Fidelity of the pattern-merged output mixture against any pol target."""
-    mass = sum(
-        outcome.probability * fidelity(outcome.ensemble, target)
-        for outcome in result.accepted.values()
-    )
-    return mass / result.success_probability
 
 
 def _split_by_pattern(
@@ -307,7 +303,6 @@ def _execute(
         for port, (cond_prob, cond_state) in step(member).items():
             buckets.setdefault(port, []).append((weight * cond_prob, cond_state))
 
-    # fsum reductions keep results independent of member order
     accepted_mass = math.fsum(w for entries in buckets.values() for w, _ in entries)
     if accepted_mass <= 0.0:
         raise ValueError("no accepted port pattern carries probability; fidelity undefined")
@@ -372,54 +367,30 @@ def run_general(
     return _execute(ensemble, acceptance or mode.rule, plan, target, mode.hadamard, gate_table)
 
 
-def _matched_products(pol_weights: Sequence[float], spatial_weights: Sequence[float]) -> tuple[list[float], float]:
-    """The matched products w_i u_i of two GHZ-diagonal weight vectors, and their sum."""
+def closed_form_general(
+    pol_weights: Sequence[float], spatial_weights: Sequence[float]
+) -> tuple[tuple[float, ...], float]:
+    """Matched-pattern closed form for paired GHZ-diagonal mixtures: (output weights, success).
+
+    Component i of the output carries weight w_i u_i / sum_j w_j u_j, where
+    w and u are the polarization and spatial input weight vectors, and the
+    accepted probability is sum_j w_j u_j. The two-component case (F, 1 - F)
+    gives FaFb / (FaFb + (1-Fa)(1-Fb)) and FaFb + (1-Fa)(1-Fb).
+    """
     if len(pol_weights) != len(spatial_weights):
         raise ValueError("weight vectors differ in length")
     for vec in (pol_weights, spatial_weights):
         total = math.fsum(vec)
-        if not abs(total - 1.0) <= 1e-12:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
     for v in (*pol_weights, *spatial_weights):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"fidelity weight {v!r} outside [0, 1]")
     products = [w * u for w, u in zip(pol_weights, spatial_weights)]
-    return products, sum(products)
-
-
-def _shares(products: list[float], success: float) -> list[float]:
-    """The output weights w_i u_i / sum_j w_j u_j; undefined when nothing is accepted."""
+    success = math.fsum(products)
     if success == 0.0:
         raise ValueError("all matched products vanish; nothing is accepted")
-    return [p / success for p in products]
-
-
-def closed_form_fidelity_general(
-    pol_weights: Sequence[float], spatial_weights: Sequence[float]
-) -> tuple[float, ...]:
-    """Matched-pattern output weights for paired multi-component mixtures.
-
-    Component i of the output carries weight w_i u_i / sum_j w_j u_j, where
-    w and u are the polarization and spatial input weight vectors.
-    """
-    return tuple(_shares(*_matched_products(pol_weights, spatial_weights)))
-
-
-def closed_form_success_general(
-    pol_weights: Sequence[float], spatial_weights: Sequence[float]
-) -> float:
-    """Accepted probability on the unanimous patterns for paired mixtures: sum_j w_j u_j."""
-    return _matched_products(pol_weights, spatial_weights)[1]
-
-
-def closed_form_success_pair(fa: float, fb: float) -> float:
-    """Accepted probability for two-component mixtures, FaFb + (1-Fa)(1-Fb): the n = 2 general case."""
-    return closed_form_success_general((fa, 1.0 - fa), (fb, 1.0 - fb))
-
-
-def closed_form_fidelity_pair(fa: float, fb: float) -> float:
-    """Post-selected fidelity for two-component mixtures, FaFb / (FaFb + (1-Fa)(1-Fb)): the n = 2 general case."""
-    return closed_form_fidelity_general((fa, 1.0 - fa), (fb, 1.0 - fb))[0]
+    return tuple(p / success for p in products), success
 
 
 # ------------------------------------------------------------------ mode table
@@ -460,8 +431,7 @@ class Mode:
 def _pair_closed_form(m: int, pol: GhzWeights, spatial: GhzWeights):
     """One error component per degree of freedom, on the same GHZ component."""
     fa, fb = pol[(0, 1)], spatial[(0, 1)]
-    products, success = _matched_products((fa, 1.0 - fa), (fb, 1.0 - fb))
-    good, bad = _shares(products, success)
+    (good, bad), success = closed_form_general((fa, 1.0 - fa), (fb, 1.0 - fb))
     weights = dict.fromkeys(pol.keys() | spatial.keys(), bad)
     weights[(0, 1)] = good
     return weights, success
@@ -469,8 +439,8 @@ def _pair_closed_form(m: int, pol: GhzWeights, spatial: GhzWeights):
 
 def _matched_closed_form(m: int, pol: GhzWeights, spatial: GhzWeights):
     w, u = ([x.get((i, 1), 0.0) for i in range(2 ** (m - 1))] for x in (pol, spatial))
-    products, success = _matched_products(w, u)
-    return {(i, 1): c for i, c in enumerate(_shares(products, success))}, success
+    shares, success = closed_form_general(w, u)
+    return {(i, 1): c for i, c in enumerate(shares)}, success
 
 
 def _pair_input(m: int, pol_error: tuple[int, int], spatial_error: tuple[int, int], f1: float, f2: float):

@@ -214,11 +214,10 @@ class RunRecord:
     deviation: dict[str, float]
     tool_version: str
     timestamp: str | None = None
-    schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "tool": "ghzpurify",
             "tool_version": self.tool_version,
         }

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ghzpurify import POL, SPATIAL, PureState, make_ghz_pol, make_state
+from ghzpurify import POL, SPATIAL, PureState, closed_form_general, make_ghz_pol, make_state
 from ghzpurify.oracle import (
     OracleResult,
     _correction_unitary,
@@ -23,6 +23,19 @@ from ghzpurify.oracle import (
     state_vector,
 )
 from ghzpurify.states import bits
+
+def pair_closed_form(fa: float, fb: float) -> tuple[float, float]:
+    """(fidelity, success probability) of the two-component closed form: closed_form_general on (F, 1 - F)."""
+    (fidelity, _), success = closed_form_general((fa, 1.0 - fa), (fb, 1.0 - fb))
+    return fidelity, success
+
+
+def assert_deviation_is_difference(record: dict) -> None:
+    """A JSON run record prints each deviation as the exact |engine - closed form| of its printed fields."""
+    result, closed, deviation = record["result"], record["closed_form"], record["deviation"]
+    assert deviation["fidelity"] == abs(result["output_fidelity"] - closed["fidelity"])
+    assert deviation["success_probability"] == abs(result["success_probability"] - closed["success_probability"])
+
 
 def pack(photons) -> tuple[int, ...]:
     """Register label of a per-photon literal: photon 0 becomes the most significant bit."""

@@ -15,17 +15,13 @@ from ghzpurify import (
     MODES,
     AcceptanceRule,
     EfficiencyParams,
-    closed_form_fidelity_general,
-    closed_form_fidelity_pair,
-    closed_form_success_general,
-    closed_form_success_pair,
+    closed_form_general,
     densify,
     hadamard_pol,
     hadamard_spatial,
     infer_flip_plan,
     make_ghz_pol,
     make_ghz_spatial,
-    merged_fidelity,
     mix_general,
     mix_two,
     oracle_run,
@@ -41,7 +37,7 @@ from ghzpurify import (
     sweep,
 )
 from ghzpurify.cli import main
-from helpers import MINUS_GLOBAL_SIGN, PAIRING, reference_hadamard_state, scaled
+from helpers import MINUS_GLOBAL_SIGN, PAIRING, pair_closed_form, reference_hadamard_state, scaled
 
 GRID = [round(0.1 * k, 12) for k in range(1, 10)]
 CLOSED_FORM_TOL = 1e-12
@@ -72,11 +68,8 @@ def test_criterion_1_bitflip_closed_form():
     for f1 in GRID:
         for f2 in GRID:
             result = run_bitflip(bitflip_pair(3, f1, f2))
-            worst = max(
-                worst,
-                abs(result.output_fidelity - closed_form_fidelity_pair(f1, f2)),
-                abs(result.success_probability - closed_form_success_pair(f1, f2)),
-            )
+            fc, sc = pair_closed_form(f1, f2)
+            worst = max(worst, abs(result.output_fidelity - fc), abs(result.success_probability - sc))
     elapsed = time.perf_counter() - started
     assert worst < CLOSED_FORM_TOL
     assert elapsed < 1.0
@@ -91,11 +84,8 @@ def test_criterion_2_phaseflip_closed_form():
     for f3 in GRID:
         for f4 in GRID:
             result = run_phaseflip(phaseflip_pair(3, f3, f4))
-            worst = max(
-                worst,
-                abs(result.output_fidelity - closed_form_fidelity_pair(f3, f4)),
-                abs(result.success_probability - closed_form_success_pair(f3, f4)),
-            )
+            fc, sc = pair_closed_form(f3, f4)
+            worst = max(worst, abs(result.output_fidelity - fc), abs(result.success_probability - sc))
     assert worst < CLOSED_FORM_TOL
     print(
         f"\nACCEPTANCE 2: PASS - phase-flip closed-form equivalence on the 9x9 grid "
@@ -143,18 +133,18 @@ def test_criterion_4_general_four_term():
             raw_s[0] += 2.0
         pol_w = list(raw_p / raw_p.sum())
         spatial_w = list(raw_s / raw_s.sum())
-        result = run_general(
-            four_term_pair(3, pol_w, spatial_w),
-            corrections={},
-            acceptance=AcceptanceRule("bitflip"),
-        )
-        components = closed_form_fidelity_general(pol_w, spatial_w)
+        ens = four_term_pair(3, pol_w, spatial_w)
+        components, success = closed_form_general(pol_w, spatial_w)
+        # one run per target GHZ component, each scored by its own output fidelity
         for i, expected in enumerate(components):
-            worst = max(worst, abs(merged_fidelity(result, make_ghz_pol(3, i)) - expected))
-        worst = max(
-            worst,
-            abs(result.success_probability - closed_form_success_general(pol_w, spatial_w)),
-        )
+            result = run_general(
+                ens, corrections={}, acceptance=AcceptanceRule("bitflip"), target=make_ghz_pol(3, i)
+            )
+            worst = max(
+                worst,
+                abs(result.output_fidelity - expected),
+                abs(result.success_probability - success),
+            )
         if pol_w[0] > 0.5 and spatial_w[0] > 0.5:
             gain_checked += 1
             assert components[0] > max(pol_w[0], spatial_w[0])
@@ -186,11 +176,8 @@ def test_criterion_5_phaseflip_m_independence():
     for m in range(2, 11):
         result = run_phaseflip(phaseflip_pair(m, 0.8, 0.7))
         fidelities.append(result.output_fidelity)
-        worst = max(
-            worst,
-            abs(result.output_fidelity - closed_form_fidelity_pair(0.8, 0.7)),
-            abs(result.success_probability - closed_form_success_pair(0.8, 0.7)),
-        )
+        fc, sc = pair_closed_form(0.8, 0.7)
+        worst = max(worst, abs(result.output_fidelity - fc), abs(result.success_probability - sc))
     spread = max(fidelities) - min(fidelities)
     elapsed = time.perf_counter() - started
     assert worst < CLOSED_FORM_TOL

@@ -14,11 +14,10 @@ from ghzpurify.protocol import (
     MAX_PHOTONS,
     MODES,
     PHASEFLIP_MAX_PHOTONS,
-    closed_form_fidelity_pair,
-    closed_form_success_pair,
     run_bitflip,
 )
 from ghzpurify.records import ProtocolConfig, RunRecord
+from helpers import pair_closed_form
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -238,7 +237,7 @@ def test_sweep_fidelity_axis_degenerate_points(capsys):
             }
             continue
         res = run_bitflip(MODES["bitflip"].verify_input(3, f1, f2))
-        fc, sc = closed_form_fidelity_pair(f1, f2), closed_form_success_pair(f1, f2)
+        fc, sc = pair_closed_form(f1, f2)
         assert row == {
             "F1": f1, "F2": f2, "fidelity_sim": res.output_fidelity, "fidelity_closed": fc,
             "success_sim": res.success_probability, "success_closed": sc,

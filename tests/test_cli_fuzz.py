@@ -3,8 +3,10 @@
 Examples drive `cli.main` in-process with configs (wrong types, NaN and
 inf, huge photon counts, extra keys, non-objects, text that is not JSON)
 and with `sweep` and `verify` arguments (NaN, inf, zero and negative
-steps, huge ranges, text that is not a number). Examples are
-derandomized, so every run draws the same inputs.
+steps, huge ranges, text that is not a number). A record that simulate
+does print must give each deviation as the exact difference of its printed
+engine and closed-form fields. Examples are derandomized, so every run
+draws the same inputs.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from ghzpurify.cli import main
 from ghzpurify.noise import BIT_FLIP, POLARIZATION, NoiseSpec
 from ghzpurify.records import ConfigError, ProtocolConfig
 from ghzpurify.states import SPATIAL
+from helpers import assert_deviation_is_difference
 
 
 def fuzz(examples):
@@ -48,15 +51,21 @@ VALID_NOISE = {
 }
 
 
-def run(argv):
-    """(exit code, stderr) of one in-process CLI call; argparse exits through SystemExit."""
+def run_capture(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; argparse exits through SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv):
+    """(exit code, stderr) of one in-process CLI call."""
+    code, _, err = run_capture(argv)
+    return code, err
 
 
 def assert_clean(code, err):
@@ -108,21 +117,29 @@ NOT_CONFIGS = st.one_of(
 
 
 def simulate(tmp_path_factory, text, fmt):
+    """(exit code, stdout, stderr) of simulate --reproducible on the config text."""
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     path.write_text(text, encoding="utf-8")
-    return run(["simulate", str(path), "--reproducible", "--format", fmt])
+    return run_capture(["simulate", str(path), "--reproducible", "--format", fmt])
 
 
 @fuzz(120)
 @given(text=configs(), fmt=st.sampled_from(["json", "csv"]))
 def test_simulate_config_boundary(tmp_path_factory, text, fmt):
-    assert_clean(*simulate(tmp_path_factory, text, fmt))
+    code, out, err = simulate(tmp_path_factory, text, fmt)
+    assert_clean(code, err)
+    if code == 0:
+        # CSV prints 12 significant digits, so the exact check reads the same run's JSON record
+        if fmt == "csv":
+            code, out, err = simulate(tmp_path_factory, text, "json")
+            assert (code, err) == (0, "")
+        assert_deviation_is_difference(json.loads(out))
 
 
 @fuzz(30)
 @given(text=NOT_CONFIGS)
 def test_simulate_non_config_boundary(tmp_path_factory, text):
-    code, err = simulate(tmp_path_factory, text, "json")
+    code, _, err = simulate(tmp_path_factory, text, "json")
     assert code == 2
     assert_clean(code, err)
 
@@ -137,7 +154,7 @@ def test_simulate_above_member_cap(tmp_path_factory, monkeypatch):
     monkeypatch.setattr("ghzpurify.cli.build_input", build_input)
     entries = [{"kind": "bit-flip", "target_index": i, "weight": 1e-5} for i in range(1, 2**15)]
     raw = {"m": 16, "mode": "general", "pol_noise": entries, "spatial_noise": entries}
-    code, err = simulate(tmp_path_factory, json.dumps(raw), "json")
+    code, _, err = simulate(tmp_path_factory, json.dumps(raw), "json")
     assert code == 2
     assert len(err.splitlines()) == 1 and "product members" in err
 
@@ -160,7 +177,8 @@ def test_simulate_one_sided_general_without_pairwise_scan(tmp_path_factory, monk
     monkeypatch.setattr("ghzpurify.noise.overlap", overlap)
     entries = [{"kind": "bit-flip", "target_index": i, "weight": 1e-5} for i in range(1, 2**15)]
     raw = {"m": 16, "mode": "general", "pol_noise": [], "spatial_noise": entries}
-    assert simulate(tmp_path_factory, json.dumps(raw), "json") == (0, "")
+    code, _, err = simulate(tmp_path_factory, json.dumps(raw), "json")
+    assert (code, err) == (0, "")
 
 
 ARG_TEXTS = st.one_of(

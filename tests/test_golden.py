@@ -8,8 +8,18 @@ per degree of freedom. <name>.json and <name>.csv hold the bytes
 ``ghzpurify simulate <config> --reproducible --format json|csv --out FILE``
 wrote for each case: the m in {3, 5} cases at commit d582a73, when basis
 labels were still tuples of per-photon bit tuples, the others at commit
-86f03bd, before the gate was routed through its affine masks.
-tests/data/simulate/regenerate.py rewrites them all. The engine uses
+86f03bd, before the gate was routed through its affine masks. Five cases
+were rewritten at the commit that deleted protocol.merged_fidelity, when
+every reduction feeding a printed figure became math.fsum and
+deviation.fidelity became the difference of the two printed fidelities:
+deterministic-demo-m16-0+, phaseflip-m5-0+, phaseflip-m8-0+ and
+phaseflip-m8-0- moved in deviation.fidelity (JSON and CSV), and
+general-m8-0+, whose three-component noise lists had been added with plain
+sums that depend on their order, in its success probabilities and two
+closed-form components (JSON). Every JSON record must also print each
+deviation as the exact difference of its engine and closed-form fields.
+tests/data/simulate/regenerate.py rewrites them all; CI reruns it and fails
+on any diff. The engine uses
 Python arithmetic and elementwise numpy ufuncs only, never BLAS, so the
 bytes do not depend on the machine's BLAS.
 """
@@ -20,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from ghzpurify.cli import main
+from helpers import assert_deviation_is_difference
 
 DATA = Path(__file__).parent / "data" / "simulate"
 CASES = json.loads((DATA / "cases.json").read_text(encoding="utf-8"))
@@ -33,3 +44,8 @@ def test_simulate_matches_golden_record(case, fmt, tmp_path):
     out = tmp_path / f"record.{fmt}"
     assert main(["simulate", str(config), "--reproducible", "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{case['name']}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_deviation_is_difference_of_printed_fields(case):
+    assert_deviation_is_difference(json.loads((DATA / f"{case['name']}.json").read_text(encoding="utf-8")))

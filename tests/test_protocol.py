@@ -15,10 +15,7 @@ from ghzpurify import (
     apply_network,
     bit_flip_pol,
     bits,
-    closed_form_fidelity_general,
-    closed_form_fidelity_pair,
-    closed_form_success_general,
-    closed_form_success_pair,
+    closed_form_general,
     fidelity,
     hadamard_pol,
     hadamard_spatial,
@@ -26,7 +23,6 @@ from ghzpurify import (
     make_ghz_pol,
     make_ghz_spatial,
     make_state,
-    merged_fidelity,
     mix_general,
     mix_two,
     phaseflip_plan,
@@ -38,6 +34,7 @@ from ghzpurify import (
 )
 from ghzpurify.optics import route, walsh_hadamard
 from ghzpurify.protocol import _dense_split
+from helpers import pair_closed_form
 
 
 def bitflip_input(m, f1, f2, pol_index=1, spatial_index=1):
@@ -216,13 +213,18 @@ def test_general_deterministic_case():
 def test_general_four_term_matched_patterns():
     pol = mix_general([make_ghz_pol(3, i) for i in range(4)], [0.7, 0.1, 0.1, 0.1])
     spatial = mix_general([make_ghz_spatial(3, i) for i in range(4)], [0.7, 0.1, 0.1, 0.1])
-    result = run_general(
-        product_ensemble(pol, spatial), corrections={}, acceptance=AcceptanceRule("bitflip")
-    )
-    assert result.success_probability == pytest.approx(0.52, abs=1e-12)
-    assert result.output_fidelity == pytest.approx(0.49 / 0.52, abs=1e-12)
-    for i, expected in enumerate(closed_form_fidelity_general([0.7, 0.1, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1])):
-        assert merged_fidelity(result, make_ghz_pol(3, i)) == pytest.approx(expected, abs=1e-12)
+    ens = product_ensemble(pol, spatial)
+    shares, success = closed_form_general([0.7, 0.1, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1])
+    # one run per target: each reads its own output fidelity
+    for i, expected in enumerate(shares):
+        result = run_general(
+            ens, corrections={}, acceptance=AcceptanceRule("bitflip"), target=make_ghz_pol(3, i)
+        )
+        assert result.success_probability == pytest.approx(0.52, abs=1e-12)
+        assert result.success_probability == pytest.approx(success, abs=1e-12)
+        assert result.output_fidelity == pytest.approx(expected, abs=1e-12)
+        if i == 0:
+            assert result.output_fidelity == pytest.approx(0.49 / 0.52, abs=1e-12)
 
 
 def test_general_pure_input():
@@ -239,68 +241,87 @@ def test_general_pure_input():
 
 
 def test_closed_form_pair_values():
-    assert closed_form_fidelity_pair(0.8, 0.8) == pytest.approx(16 / 17, abs=1e-15)
-    assert closed_form_fidelity_pair(1.0, 1.0) == 1.0
+    assert pair_closed_form(0.8, 0.8)[0] == pytest.approx(16 / 17, abs=1e-15)
+    assert pair_closed_form(1.0, 1.0)[0] == 1.0
     # a maximally mixed factor passes the other factor's fidelity through
     for x in (0.1, 0.4, 0.5, 0.9):
-        assert closed_form_fidelity_pair(0.5, x) == pytest.approx(x, abs=1e-15)
-        assert closed_form_fidelity_pair(x, 0.5) == pytest.approx(x, abs=1e-15)
-    assert closed_form_success_pair(0.8, 0.7) == pytest.approx(0.62, abs=1e-15)
+        assert pair_closed_form(0.5, x)[0] == pytest.approx(x, abs=1e-15)
+        assert pair_closed_form(x, 0.5)[0] == pytest.approx(x, abs=1e-15)
+    assert pair_closed_form(0.8, 0.7)[1] == pytest.approx(0.62, abs=1e-15)
+    # two products: the exactly rounded sum is the plain a + b, so the pair figures keep their bits
+    for fa, fb in ((0.8, 0.7), (0.3, 0.9), (0.123, 0.456)):
+        success = fa * fb + (1.0 - fa) * (1.0 - fb)
+        assert pair_closed_form(fa, fb) == (fa * fb / success, success)
 
 
 def test_closed_form_pair_errors():
     with pytest.raises(ValueError, match="accepted"):
-        closed_form_fidelity_pair(1.0, 0.0)
+        pair_closed_form(1.0, 0.0)
     with pytest.raises(ValueError, match="outside"):
-        closed_form_fidelity_pair(1.2, 0.5)
+        pair_closed_form(1.2, 0.5)
 
 
 def test_closed_form_general_values():
-    out = closed_form_fidelity_general([0.7, 0.1, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1])
+    out, success = closed_form_general([0.7, 0.1, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1])
     assert out[0] == pytest.approx(0.49 / 0.52, abs=1e-15)
     assert out[1] == pytest.approx(0.01 / 0.52, abs=1e-15)
-    assert closed_form_fidelity_general([1, 0, 0, 0], [1, 0, 0, 0]) == (1.0, 0.0, 0.0, 0.0)
-    assert closed_form_fidelity_general([0.25] * 4, [0.25] * 4) == pytest.approx((0.25,) * 4)
-    assert closed_form_success_general([0.7, 0.1, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1]) == pytest.approx(0.52)
+    assert success == pytest.approx(0.52)
+    assert closed_form_general([1, 0, 0, 0], [1, 0, 0, 0]) == ((1.0, 0.0, 0.0, 0.0), 1.0)
+    assert closed_form_general([0.25] * 4, [0.25] * 4)[0] == pytest.approx((0.25,) * 4)
+
+
+def test_closed_form_general_order_independent():
+    # math.fsum is exactly rounded: permuting the paired components moves no bit of the figures
+    w = [0.1, 0.2, 0.3, 0.15, 0.25]
+    u = [0.3, 0.05, 0.35, 0.2, 0.1]
+    shares, success = closed_form_general(w, u)
+    rng = random.Random(7)
+    for _ in range(20):
+        order = list(range(len(w)))
+        rng.shuffle(order)
+        moved, moved_success = closed_form_general([w[i] for i in order], [u[i] for i in order])
+        assert moved_success == success
+        assert list(moved) == [shares[i] for i in order]
 
 
 def test_closed_form_general_errors():
     with pytest.raises(ValueError, match="length"):
-        closed_form_fidelity_general([1.0], [0.5, 0.5])
-    with pytest.raises(ValueError, match="sum"):
-        closed_form_fidelity_general([0.5, 0.4], [0.5, 0.5])
-    with pytest.raises(ValueError, match="sum"):
-        closed_form_fidelity_general([math.nan, 0.5], [0.5, 0.5])
-    with pytest.raises(ValueError, match="sum"):
-        closed_form_fidelity_general([0.5, 0.5], [0.5, math.nan])
+        closed_form_general([1.0], [0.5, 0.5])
+    for pol, spatial in (
+        ([0.5, 0.4], [0.5, 0.5]),
+        ([math.nan, 0.5], [0.5, 0.5]),
+        ([0.5, 0.5], [0.5, math.nan]),
+        ([0.9, 0.9], [0.9, 0.9]),  # a success probability above 1 is refused, not returned
+    ):
+        with pytest.raises(ValueError, match="sum"):
+            closed_form_general(pol, spatial)
     with pytest.raises(ValueError, match="vanish"):
-        closed_form_fidelity_general([1.0, 0.0], [0.0, 1.0])
-    # the success form runs the same checks as the fidelity form
-    with pytest.raises(ValueError, match="sum"):
-        closed_form_success_general([0.9, 0.9], [0.9, 0.9])
-    with pytest.raises(ValueError, match="sum"):
-        closed_form_success_general([0.5, math.nan], [0.5, 0.5])
+        closed_form_general([1.0, 0.0], [0.0, 1.0])
     # weights that sum to 1 but leave [0, 1]; test_closed_form_pair_errors has the pair case
-    for form in (closed_form_fidelity_general, closed_form_success_general):
-        with pytest.raises(ValueError, match="outside"):
-            form([1.5, -0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="outside"):
+        closed_form_general([1.5, -0.5], [0.5, 0.5])
+    # the sums are held to NORM_TOL, 1e-12
+    closed_form_general([0.5, 0.5 + 0.9e-12], [0.5, 0.5])
+    with pytest.raises(ValueError, match="sum"):
+        closed_form_general([0.5, 0.5 + 1.1e-12], [0.5, 0.5])
 
 
 def test_engine_matches_closed_forms_spotgrid():
     for f1 in (0.2, 0.5, 0.8):
         for f2 in (0.3, 0.6, 0.9):
+            fc, sc = pair_closed_form(f1, f2)
             bit = run_bitflip(bitflip_input(3, f1, f2))
-            assert bit.output_fidelity == pytest.approx(closed_form_fidelity_pair(f1, f2), abs=1e-12)
-            assert bit.success_probability == pytest.approx(closed_form_success_pair(f1, f2), abs=1e-12)
+            assert bit.output_fidelity == pytest.approx(fc, abs=1e-12)
+            assert bit.success_probability == pytest.approx(sc, abs=1e-12)
             phase = run_phaseflip(phaseflip_input(3, f1, f2))
-            assert phase.output_fidelity == pytest.approx(closed_form_fidelity_pair(f1, f2), abs=1e-12)
-            assert phase.success_probability == pytest.approx(closed_form_success_pair(f1, f2), abs=1e-12)
+            assert phase.output_fidelity == pytest.approx(fc, abs=1e-12)
+            assert phase.success_probability == pytest.approx(sc, abs=1e-12)
 
 
 def test_purification_gain():
     for f1 in (0.6, 0.7, 0.8, 0.9):
         for f2 in (0.55, 0.75, 0.95):
-            assert closed_form_fidelity_pair(f1, f2) > max(f1, f2)
+            assert pair_closed_form(f1, f2)[0] > max(f1, f2)
 
 
 def test_result_order_independent():
