@@ -8,20 +8,21 @@ per degree of freedom. <name>.json and <name>.csv hold the bytes
 ``ghzpurify simulate <config> --reproducible --format json|csv --out FILE``
 wrote for each case: the m in {3, 5} cases at commit d582a73, when basis
 labels were still tuples of per-photon bit tuples, the others at commit
-86f03bd, before the gate was routed through its affine masks. Five cases
-were rewritten at the commit that deleted protocol.merged_fidelity, when
-every reduction feeding a printed figure became math.fsum and
-deviation.fidelity became the difference of the two printed fidelities:
-deterministic-demo-m16-0+, phaseflip-m5-0+, phaseflip-m8-0+ and
-phaseflip-m8-0- moved in deviation.fidelity (JSON and CSV), and
-general-m8-0+, whose three-component noise lists had been added with plain
-sums that depend on their order, in its success probabilities and two
-closed-form components (JSON). Every JSON record must also print each
-deviation as the exact difference of its engine and closed-form fields.
+86f03bd, before the gate was routed through its affine masks.
+
+Five cases were rewritten at commit b2ced4f, which deleted
+protocol.merged_fidelity and made every reduction that feeds a printed
+figure math.fsum. deterministic-demo-m16-0+, phaseflip-m5-0+,
+phaseflip-m8-0+ and phaseflip-m8-0- moved in deviation.fidelity (JSON and
+CSV), which is now the difference of the two printed fidelities.
+general-m8-0+ moved in its success probabilities and two closed-form
+components (JSON only): its three-component noise lists had been added with
+plain sums, which depend on their order. Every JSON record must also print
+each deviation as the exact difference of its engine and closed-form fields.
+
 tests/data/simulate/regenerate.py rewrites them all; CI reruns it and fails
-on any diff. The engine uses
-Python arithmetic and elementwise numpy ufuncs only, never BLAS, so the
-bytes do not depend on the machine's BLAS.
+on any diff. The engine uses Python arithmetic and elementwise numpy ufuncs
+only, never BLAS, so the bytes do not depend on the machine's BLAS.
 """
 
 import json
