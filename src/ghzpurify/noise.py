@@ -92,11 +92,16 @@ def mix_general(states: Sequence[PureState], weights: Sequence[float]) -> Ensemb
 
 
 def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
-    """Independent polarization and spatial mixtures combined into joint states."""
+    """Independent polarization and spatial mixtures combined into joint states.
+
+    A product weight that underflows to 0 drops its member, as mix_general
+    drops a zero weight.
+    """
     members = tuple(
-        (pw * sw, tensor_hyper(ps, ss))
+        (w, tensor_hyper(ps, ss))
         for pw, ps in pol.members
         for sw, ss in spatial.members
+        if (w := pw * sw) > 0.0
     )
     return Ensemble(members)
 

@@ -180,7 +180,7 @@ def _split_by_pattern(
         for port, terms in groups.items():
             prob = sum(abs(a) ** 2 for a in terms.values())
             scale = prob**-0.5
-            out[port] = (prob, PureState(m, (POL,), {lab: a * scale for lab, a in terms.items()}))
+            out[port] = (prob, PureState._derived(m, (POL,), {lab: a * scale for lab, a in terms.items()}))
         return out
 
     return split
@@ -203,9 +203,10 @@ MAX_PHOTONS = 1000
 
 # The cap on a config's product members, (pol components + 1) x (spatial
 # components + 1): 401^2, the largest config measured to finish. That general
-# config at m = 16 simulates in about 6 s with 160 MB peak on a 2-CPU machine,
-# and time and memory grow with the member count; m = 16 alone admits 32 767
-# components per degree of freedom, about 10^9 members.
+# config at m = 16 simulates in about 3.1 s with 161 MB peak on a 2-CPU
+# machine (median of 5 runs), and time and memory grow with the member count;
+# m = 16 alone admits 32 767 components per degree of freedom, about 10^9
+# members.
 MAX_MEMBERS = 160_801
 
 
@@ -274,7 +275,7 @@ def _dense_split(
             for j, reg, amp in zip(js.tolist(), regs.tolist(), block[regs, js].astype(complex).tolist()):
                 terms[j][(reg,)] = amp
             for c, t in zip(cols, terms):
-                out[ports[c]] = (probs[c], PureState(m, (POL,), t))
+                out[ports[c]] = (probs[c], PureState._derived(m, (POL,), t))
         return out
 
     return split
@@ -301,7 +302,8 @@ def _execute(
     buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
     for weight, member in ensemble.members:
         for port, (cond_prob, cond_state) in step(member).items():
-            buckets.setdefault(port, []).append((weight * cond_prob, cond_state))
+            if (w := weight * cond_prob) > 0.0:  # an underflowed product carries nothing
+                buckets.setdefault(port, []).append((w, cond_state))
 
     accepted_mass = math.fsum(w for entries in buckets.values() for w, _ in entries)
     if accepted_mass <= 0.0:
@@ -313,7 +315,7 @@ def _execute(
     for port in sorted(buckets):
         entries = buckets[port]
         pattern_prob = math.fsum(w for w, _ in entries)
-        cond_ensemble = Ensemble(tuple((w / pattern_prob, s) for w, s in entries))
+        cond_ensemble = Ensemble._derived(tuple((w / pattern_prob, s) for w, s in entries))
         cond_fidelity = fidelity(cond_ensemble, target)
         accepted[bits(m, port)] = PatternOutcome(pattern_prob, cond_ensemble, cond_fidelity)
         fidelity_terms.append(pattern_prob * cond_fidelity)
@@ -360,10 +362,14 @@ def run_general(
 
     With ``corrections=None`` the plan is inferred from the input's noise
     support (see infer_flip_plan); pass an explicit mapping, possibly empty,
-    to override.
+    to override. The plan is checked here, where it enters: its flip masks
+    go into the labels of port states that the engine does not check.
     """
     mode = MODES["deterministic-demo"]
     plan = mode.plan(ensemble) if corrections is None else corrections
+    for mask in plan.values():
+        if type(mask) is not int or not 0 <= mask < 1 << ensemble.m:
+            raise ValueError(f"correction mask {mask!r} is not an m-bit register for m={ensemble.m}")
     return _execute(ensemble, acceptance or mode.rule, plan, target, mode.hadamard, gate_table)
 
 

@@ -11,6 +11,22 @@ state's ``dofs``; bit m-1-k of a register is photon k's bit, so photon 0 is
 the most significant bit. ``bits`` spells a register out photon by photon.
 Amplitudes are complex, states are kept normalized, and every value is
 immutable after construction.
+
+States are checked where they enter, not where the engine derives them.
+``PureState(...)`` and ``make_state`` check the photon count, the degrees
+of freedom, every label and the norm; ``Ensemble(...)`` checks the member
+weights and labels. The engine builds what it derives from checked inputs
+through the private ``PureState._derived`` and ``Ensemble._derived``, which
+neither copy nor check: ``make_ghz_*`` (after their own sign, photon-count
+and index checks), ``tensor_hyper``, each accepted port's corrected state
+and each port's conditional ensemble (protocol). The invariants hold
+without the checks. The gate, the photon flips and the Hadamard layers map
+m-bit registers to m-bit registers, and run_general checks that every flip
+mask of its correction plan is an m-bit register. A product of normalized
+factors is normalized to within the factors' own error, and each port
+state is divided by the square root of its own probability. The Ensemble
+that ``noise.product_ensemble`` returns, the engine's input, keeps its
+check.
 """
 
 from __future__ import annotations
@@ -78,6 +94,17 @@ class PureState:
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
 
+    @classmethod
+    def _derived(cls, m: int, dofs: tuple[str, ...], terms: dict[Label, complex]) -> "PureState":
+        """A state the engine derived from checked inputs: wraps ``terms`` without copying or checking it."""
+        state = object.__new__(cls)
+        # attribute by attribute, as the dataclass __init__ sets them: an
+        # instance __dict__ touched directly takes about 140 B more per state
+        object.__setattr__(state, "m", m)
+        object.__setattr__(state, "dofs", dofs)
+        object.__setattr__(state, "terms", MappingProxyType(terms))
+        return state
+
     def amplitude(self, label: Label) -> complex:
         return self.terms.get(label, 0.0j)
 
@@ -103,7 +130,7 @@ def _ghz(m: int, index: int, sign: int, dof: str) -> PureState:
     if not 0 <= index < 2 ** (m - 1):
         raise ValueError(f"GHZ index {index} out of range [0, {2 ** (m - 1)}) for m={m}")
     terms = {(index,): complex(_INV_SQRT2), (index ^ ((1 << m) - 1),): complex(sign * _INV_SQRT2)}
-    return PureState(m, (dof,), terms)
+    return PureState._derived(m, (dof,), terms)
 
 
 def make_ghz_pol(m: int, index: int, sign: int = 1) -> PureState:
@@ -122,7 +149,12 @@ def make_ghz_spatial(m: int, index: int, sign: int = 1) -> PureState:
 
 
 def tensor_hyper(pol: PureState, spatial: PureState) -> PureState:
-    """Joint state of a polarization factor and a spatial-mode factor; product labels are unique, so nothing merges."""
+    """Joint state of a polarization factor and a spatial-mode factor; product labels are unique, so nothing merges.
+
+    The product is not checked again: its labels pair the factors' in-range
+    registers, and its norm is the product of theirs, which can miss 1 by
+    up to twice NORM_TOL.
+    """
     if pol.m != spatial.m:
         raise ValueError(f"photon counts differ: {pol.m} vs {spatial.m}")
     if pol.dofs != (POL,) or spatial.dofs != (SPATIAL,):
@@ -133,7 +165,7 @@ def tensor_hyper(pol: PureState, spatial: PureState) -> PureState:
         for slab, sa in spatial.terms.items()
         if abs(amp := complex(pa * sa)) > PRUNE_TOL
     }
-    return PureState(pol.m, (POL, SPATIAL), terms)
+    return PureState._derived(pol.m, (POL, SPATIAL), terms)
 
 
 def overlap(a: PureState, b: PureState) -> complex:
@@ -181,6 +213,13 @@ class Ensemble:
         total = math.fsum(prob for prob, _ in self.members)
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"member probabilities sum to {total!r}, not 1")
+
+    @classmethod
+    def _derived(cls, members: tuple[tuple[float, PureState], ...]) -> "Ensemble":
+        """A mixture the engine derived from checked inputs: wraps ``members`` without checking it."""
+        ensemble = object.__new__(cls)
+        object.__setattr__(ensemble, "members", members)
+        return ensemble
 
     @property
     def m(self) -> int:

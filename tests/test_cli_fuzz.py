@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from ghzpurify import MODES
 from ghzpurify.cli import main
-from ghzpurify.noise import BIT_FLIP, POLARIZATION, NoiseSpec
+from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, POLARIZATION, NoiseSpec
+from ghzpurify.protocol import COMPONENTS_MAX_PHOTONS, EQUAL, MAX_PHOTONS, PHASEFLIP_MAX_PHOTONS
 from ghzpurify.records import ConfigError, ProtocolConfig
 from ghzpurify.states import SPATIAL
 from helpers import assert_deviation_is_difference
@@ -134,6 +135,42 @@ def test_simulate_config_boundary(tmp_path_factory, text, fmt):
             code, out, err = simulate(tmp_path_factory, text, "json")
             assert (code, err) == (0, "")
         assert_deviation_is_difference(json.loads(out))
+
+
+@st.composite
+def valid_configs(draw, name):
+    """A config of the mode that every check admits: m within its caps, random indices, weights and target."""
+    mode = MODES[name]
+    cap = PHASEFLIP_MAX_PHOTONS if mode.hadamard else COMPONENTS_MAX_PHOTONS if mode.lists_components else MAX_PHOTONS
+    m = draw(st.integers(mode.min_m, cap))
+    top = 2 ** (m - 1)
+    index = st.integers(1, top - 1)
+    if mode.pairing is None:
+        pol, spatial = (draw(st.lists(index, max_size=4, unique=True)) for _ in range(2))
+    elif mode.pairing == EQUAL:
+        shared = [0] if mode.noise_kind == PHASE_FLIP else [draw(index)]
+        pol, spatial = (draw(st.sampled_from([shared, []])) for _ in range(2))
+    else:
+        pol, spatial = ([i] for i in draw(st.lists(index, min_size=2, max_size=2, unique=True)))
+
+    def entries(indices):
+        # the reference component keeps some weight on both sides, so a pattern is always accepted
+        weight = st.floats(0.0, 0.95 / max(len(indices), 1))
+        return [{"kind": mode.noise_kind, "target_index": i, "weight": draw(weight)} for i in indices]
+
+    target = f"{draw(st.integers(0, top - 1))}{draw(st.sampled_from('+-'))}"
+    raw = {"m": m, "mode": name, "pol_noise": entries(pol), "spatial_noise": entries(spatial), "target": target}
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("name", sorted(MODES))
+@fuzz(20)
+@given(data=st.data())
+def test_simulate_valid_config_prints_record(tmp_path_factory, name, data):
+    text = data.draw(valid_configs(name))
+    code, out, err = simulate(tmp_path_factory, text, "json")
+    assert (code, err) == (0, ""), text[:300]
+    assert_deviation_is_difference(json.loads(out))
 
 
 @fuzz(30)

@@ -3,8 +3,9 @@
 Examples draw either the F values of a mode's verify input or an arbitrary
 GHZ-diagonal mixture per degree of freedom, a photon count and a target GHZ
 state, then check the engine against the dense oracle and the invariants
-every result must keep. Examples are derandomized, so every run draws the
-same inputs.
+every result must keep, among them that every state and ensemble the
+engine derives unchecked passes the public checks. Examples are
+derandomized, so every run draws the same inputs.
 """
 
 import math
@@ -41,6 +42,12 @@ def cases(draw, mode):
     return mode.verify_input(m, f1, f2), make_ghz_pol(m, index, sign)
 
 
+def assert_rebuilds(ensemble):
+    """Every member equals its rebuild through the public, checked constructor."""
+    for _, s in ensemble.members:
+        assert PureState(s.m, s.dofs, dict(s.terms)) == s
+
+
 @pytest.mark.parametrize("name", list(MODES))
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(data=st.data())
@@ -61,6 +68,12 @@ def test_mode_properties(name, data):
     assert patterns == sorted(patterns)
     for fid in [result.output_fidelity] + [o.fidelity for o in result.accepted.values()]:
         assert -TOL <= fid <= 1.0 + TOL
+
+    # the engine builds these unchecked: each must pass the public checks unchanged
+    for outcome in result.accepted.values():
+        assert Ensemble(outcome.ensemble.members) == outcome.ensemble
+        assert_rebuilds(outcome.ensemble)
+    assert_rebuilds(ensemble)
 
     reversed_result = mode.run(Ensemble(tuple(reversed(ensemble.members))), target=target)
     assert reversed_result.success_probability == result.success_probability

@@ -383,6 +383,25 @@ def test_infer_plan_values_are_flip_masks():
     assert all(type(flips) is int and 0 < flips < 2**m for flips in plan.values())
 
 
+def test_explicit_plan_masks_are_m_bit_registers():
+    ens = bitflip_input(3, 0.8, 0.7)
+    for mask in (8, -1, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="not an m-bit register"):
+            run_general(ens, corrections={0: mask})
+    assert run_general(ens, corrections={0: 7}).success_probability == pytest.approx(1.0)
+
+
+def test_underflowed_weights_carry_nothing():
+    """A weight that underflows to 0 drops out; product_ensemble used to refuse it and _execute to divide by 0."""
+    tiny = 5e-324  # the smallest subnormal: half of it rounds to 0
+    spatial = mix_general([make_ghz_spatial(3, 0), make_ghz_spatial(3, 2)], [1.0, tiny])
+    for pol_weights in ([0.5, 0.5], [1.0, 0.0]):
+        pol = mix_general([make_ghz_pol(3, 0), make_ghz_pol(3, 1)], pol_weights)
+        result = run_general(product_ensemble(pol, spatial))
+        assert result.output_fidelity == pytest.approx(1.0, abs=1e-12)
+        assert result.success_probability == pytest.approx(1.0, abs=1e-12)
+
+
 def term_by_term(ensemble, mode, table):
     """A mode through the public per-state functions, one member at a time.
 

@@ -15,6 +15,7 @@ from ghzpurify import (
     make_ghz_spatial,
     make_state,
     overlap,
+    product_ensemble,
     states_close,
     tensor_hyper,
 )
@@ -110,6 +111,18 @@ def test_tensor_hyper_matches_dense_tensor():
     assert np.allclose(brute_vector(joint), expected, atol=1e-14)
     mixed_rail = pack(tuple(zip((0, 0, 0), (0, 0, 1))))
     assert joint.terms[mixed_rail] == pytest.approx(0.5)
+
+
+def test_tensor_hyper_accepts_product_of_checked_factors():
+    # each factor passes the norm check; their product misses 1 by about twice as much
+    amp = math.sqrt((1 - 9e-13) / 2)
+    pol = PureState(3, (POL,), {(0,): amp, (7,): amp})
+    spatial = PureState(3, (SPATIAL,), {(0,): amp, (7,): amp})
+    joint = tensor_hyper(pol, spatial)
+    assert abs(math.fsum(abs(a) ** 2 for a in joint.terms.values()) - 1.0) > 1e-12
+    assert joint.terms == pytest.approx({(0, 0): amp**2, (0, 7): amp**2, (7, 0): amp**2, (7, 7): amp**2})
+    (weight, member), = product_ensemble(Ensemble.pure(pol), Ensemble.pure(spatial)).members
+    assert (weight, member) == (1.0, joint)
 
 
 def test_tensor_hyper_mismatched_m():
