@@ -95,7 +95,10 @@ def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
     """Independent polarization and spatial mixtures combined into joint states.
 
     A product weight that underflows to 0 drops its member, as mix_general
-    drops a zero weight.
+    drops a zero weight. The product is not checked again, as tensor_hyper's
+    is not: each mixture passed its own check, so the product weights are
+    positive and sum to 1 within about twice NORM_TOL, and tensor_hyper
+    refuses factors on other photon counts or labels.
     """
     members = tuple(
         (w, tensor_hyper(ps, ss))
@@ -103,7 +106,7 @@ def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
         for sw, ss in spatial.members
         if (w := pw * sw) > 0.0
     )
-    return Ensemble(members)
+    return Ensemble._derived(members)
 
 
 def ghz_weights(m: int, specs: Sequence[NoiseSpec]) -> dict[tuple[int, int], float]:

@@ -10,7 +10,11 @@ stay sparse labeled states of 4 terms, and their step (_split_by_pattern)
 routes each (pol, spatial) register pair straight to its (pol, port) pair:
 the gate is a bijection, so no routed state is built. After the layers a
 member holds 4^(m-1) terms, so Hadamard modes run every stage on dense
-register arrays (_dense_split). Both steps return only the accepted ports.
+register arrays (_dense_split). A member on one register pair per degree of
+freedom, as every GHZ x GHZ product is, gets both input layers in closed
+form (optics.pair_hadamard, bit for bit what walsh_hadamard gives); any
+other member runs them through walsh_hadamard. Both steps return only the
+accepted ports.
 Each step reads the gate's affine register masks off the table once per run
 (optics.check_table, which refuses a table that is not a bijection) and
 routes with two XOR/AND expressions.
@@ -43,6 +47,7 @@ from .optics import (
     GATE_TABLE,
     GateTable,
     check_table,
+    pair_hadamard,
     prune,
     route,
     walsh_hadamard,
@@ -231,11 +236,26 @@ def _dense_split(
     whose amplitudes all have a zero imaginary part runs on float64 arrays,
     any other on complex128: the real parts see the same float operations
     either way, and the emitted amplitudes are complex in both.
+
+    The two input layers take a closed form (optics.pair_hadamard) when the
+    member lies on one register pair per degree of freedom: every pol
+    register is e or e ^ full and every spatial register f or f ^ full, all
+    below 2^m, as on every GHZ x GHZ product. The Hadamard layer of a
+    column whose only nonzero rows are r and r ^ full is, at row q,
+    (-1)^popcount(q & r) times the sum (popcount(q) even) or the difference
+    (odd) of the two rows scaled by c^m. So the pol layer is two length-2^m
+    columns, and each row of the spatial layer is the sum or the difference
+    of those two columns, with a sign per row: O(m 2^m + 4^m) work in place
+    of walsh_hadamard's m passes over 4^m, with the same bits. Any other
+    member, and one with a register out of range, runs both layers through
+    walsh_hadamard.
     """
     import numpy as np
 
     size = 1 << m
+    full = size - 1
     grid = np.arange(size)
+    parity = np.array([q.bit_count() & 1 for q in range(size)])
     ports = [p for p in range(size) if rule.accepts(p, m)]
     check_table(table, m)  # refuse a table that is not a bijection before inverting it
     inverse = {routed: row for row, routed in table.items()}
@@ -245,20 +265,35 @@ def _dense_split(
     for col, p in enumerate(ports):
         groups.setdefault(plan.get(p, 0), []).append(col)
 
+    def pair_low(registers: tuple[int, ...]) -> int | None:
+        """The register r < 2^(m-1) such that every register is r or r ^ full, if there is one."""
+        low = min(registers[0], registers[0] ^ full)
+        if 0 <= low < size >> 1 and all(reg == low or reg == low ^ full for reg in registers):
+            return low
+        return None
+
     def split(member: PureState) -> Split:
-        # pol layer on the spatial registers present only: the other columns stay zero
         pol, spatial = zip(*member.terms)
-        present = sorted(set(spatial))
-        column = {reg: c for c, reg in enumerate(present)}
         values = np.array(list(member.terms.values()), dtype=complex)
         if not values.imag.any():
             values = values.real  # every imaginary part is +-0: run the real parts alone
-        layer = np.zeros((size, len(present)), dtype=values.dtype)
-        layer[pol, [column[reg] for reg in spatial]] = values
-        walsh_hadamard(layer, m)
-        amps = np.zeros((size, size), dtype=values.dtype)  # [spatial, pol]
-        amps[present] = layer.T
-        walsh_hadamard(amps, m)
+        r, t = pair_low(pol), pair_low(spatial)
+        if r is not None and t is not None:
+            # the high register of a pair is the one whose top bit is set
+            block = np.zeros((2, 2), dtype=values.dtype)  # [pol r or r ^ full, spatial t or t ^ full]
+            block[np.array(pol) >> m - 1, np.array(spatial) >> m - 1] = values
+            layer = pair_hadamard(block[0], block[1], r, parity)  # [pol, spatial t or t ^ full]
+            amps = pair_hadamard(layer[:, 0], layer[:, 1], t, parity)  # [spatial, pol]
+        else:
+            # pol layer on the spatial registers present only: the other columns stay zero
+            present = sorted(set(spatial))
+            column = {reg: c for c, reg in enumerate(present)}
+            layer = np.zeros((size, len(present)), dtype=values.dtype)
+            layer[pol, [column[reg] for reg in spatial]] = values
+            walsh_hadamard(layer, m)
+            amps = np.zeros((size, size), dtype=values.dtype)  # [spatial, pol]
+            amps[present] = layer.T
+            walsh_hadamard(amps, m)
         accepted = amps.ravel().take(source)  # [pol, accepted port]
         probs = (np.abs(accepted) ** 2).sum(axis=0).tolist()
         accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])

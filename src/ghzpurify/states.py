@@ -18,15 +18,14 @@ of freedom, every label and the norm; ``Ensemble(...)`` checks the member
 weights and labels. The engine builds what it derives from checked inputs
 through the private ``PureState._derived`` and ``Ensemble._derived``, which
 neither copy nor check: ``make_ghz_*`` (after their own sign, photon-count
-and index checks), ``tensor_hyper``, each accepted port's corrected state
-and each port's conditional ensemble (protocol). The invariants hold
-without the checks. The gate, the photon flips and the Hadamard layers map
-m-bit registers to m-bit registers, and run_general checks that every flip
-mask of its correction plan is an m-bit register. A product of normalized
-factors is normalized to within the factors' own error, and each port
-state is divided by the square root of its own probability. The Ensemble
-that ``noise.product_ensemble`` returns, the engine's input, keeps its
-check.
+and index checks), ``tensor_hyper`` and ``noise.product_ensemble``, each
+accepted port's corrected state and each port's conditional ensemble
+(protocol). The invariants hold without the checks. The gate, the photon
+flips and the Hadamard layers map m-bit registers to m-bit registers, and
+run_general checks that every flip mask of its correction plan is an m-bit
+register. A product of normalized factors, or of checked mixtures, is
+normalized to within the factors' own error, and each port state is
+divided by the square root of its own probability.
 """
 
 from __future__ import annotations

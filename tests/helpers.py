@@ -4,7 +4,8 @@
 arithmetic so tests that cross-check the package against dense linear
 algebra do not reuse the code path under test. `tensordot_contract` and
 `full_gather_oracle_run` keep the oracle's former forms as references for
-its faster ones. Label literals are written
+its faster ones, and `walsh_pair_reference` the butterfly that
+`optics.pair_hadamard` replaces on register pairs. Label literals are written
 photon by photon, one tuple of bits per photon, and turned into the
 package's register labels by `pack`; `unpack` undoes it.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ghzpurify import POL, SPATIAL, PureState, closed_form_general, make_ghz_pol, make_state
+from ghzpurify.optics import walsh_hadamard
 from ghzpurify.oracle import (
     OracleResult,
     _correction_unitary,
@@ -161,6 +163,15 @@ def loop_hadamard(state: PureState, dof: str) -> PureState:
                 split[new_label] = split.get(new_label, 0.0j) + amp * coeff
         terms = split
     return make_state(state.m, state.dofs, terms.items())
+
+
+def walsh_pair_reference(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray) -> np.ndarray:
+    """The reference for optics.pair_hadamard: rows r and r ^ (2^m - 1) embedded in zeros, through walsh_hadamard."""
+    size = len(parity)
+    amps = np.zeros((size, len(low)), dtype=low.dtype)
+    amps[r], amps[r ^ (size - 1)] = low, high
+    walsh_hadamard(amps, size.bit_length() - 1)
+    return amps
 
 
 def tensordot_contract(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:

@@ -10,7 +10,11 @@ is scored against, and the engine against the dense oracle at m = 3
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
 (sparse and dense step), a register pushed out of range by tensor_hyper, and
-a conditional weight left undivided by its port's probability.
+a conditional weight left undivided by its port's probability. The dense
+step must refuse an out-of-range register on its closed-form path too: it
+takes that path only for registers below 2^m, so such a member falls through
+to walsh_hadamard's arrays, which raise. The last mutants break the closed
+form itself: one scaling by c too few, and the sum and difference swapped.
 """
 
 import __future__
@@ -25,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import ghzpurify
-from ghzpurify import cli, noise, protocol, states
+from ghzpurify import cli, noise, optics, protocol, states
 from ghzpurify.records import ProtocolConfig
 
 DATA = Path(__file__).parent / "data" / "simulate"
@@ -40,6 +44,8 @@ MUTANTS = [
     ("dense-scale", protocol, "_dense_split", "p**-0.5 if p > 0.0", "p**-0.5 * (1 + 1e-9) if p > 0.0"),
     ("tensor-register", states, "tensor_hyper", "(plab[0], slab[0])", "(plab[0] ^ (1 << pol.m), slab[0])"),
     ("weight-undivided", protocol, "_execute", "(w / pattern_prob, s)", "(w, s)"),
+    ("pair-scalings", optics, "pair_hadamard", "for _ in range(m):", "for _ in range(m - 1):"),
+    ("pair-swapped", optics, "pair_hadamard", "[total + 0.0, diff + 0.0,", "[diff + 0.0, total + 0.0,"),
 ]
 
 
@@ -86,7 +92,7 @@ def mutate(monkeypatch, module, name, old, new):
     )
     namespace = {}
     exec(code, vars(module), namespace)
-    for holder in (ghzpurify, states, noise, protocol, cli):
+    for holder in (ghzpurify, states, noise, optics, protocol, cli):
         if getattr(holder, name, None) is original:
             monkeypatch.setattr(holder, name, namespace[name])
 

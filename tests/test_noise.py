@@ -18,7 +18,7 @@ from ghzpurify import (
     tensor_hyper,
 )
 from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, POLARIZATION, ghz_weights
-from ghzpurify.states import POL, PRUNE_TOL, SPATIAL
+from ghzpurify.states import NORM_TOL, POL, PRUNE_TOL, SPATIAL
 from helpers import brute_vector, interleave_factors
 
 
@@ -93,6 +93,17 @@ def test_product_pure_times_pure():
     )
     assert len(joint.members) == 1
     assert joint.members[0][0] == pytest.approx(1.0)
+
+
+def test_product_ensemble_accepts_product_of_checked_mixtures():
+    # each mixture passes the weight check; the product's weights miss 1 by about twice as much
+    pol = mix_general([make_ghz_pol(3, 0), make_ghz_pol(3, 1)], [0.5, 0.5 - 9e-13])
+    spatial = mix_general([make_ghz_spatial(3, 0), make_ghz_spatial(3, 1)], [0.5, 0.5 - 9e-13])
+    joint = product_ensemble(pol, spatial)
+    assert abs(math.fsum(w for w, _ in joint.members) - 1.0) > NORM_TOL
+    assert joint.members == tuple(
+        (pw * sw, tensor_hyper(ps, ss)) for pw, ps in pol.members for sw, ss in spatial.members
+    )
 
 
 def test_product_ensemble_rejects_mismatched_factors():

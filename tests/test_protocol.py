@@ -32,9 +32,10 @@ from ghzpurify import (
     run_phaseflip,
     tensor_hyper,
 )
+from ghzpurify import protocol
 from ghzpurify.optics import route, walsh_hadamard
 from ghzpurify.protocol import _dense_split
-from helpers import pair_closed_form
+from helpers import pair_closed_form, walsh_pair_reference
 
 
 def bitflip_input(m, f1, f2, pol_index=1, spatial_index=1):
@@ -57,46 +58,88 @@ def random_real_member(m, rng):
     return make_state(m, (POL, SPATIAL), [(lab, a / norm) for lab, a in zip(labels, amps)])
 
 
+def ghz_products(m, rng):
+    """GHZ x GHZ members at random nonzero indices, one per pair of signs, and the reference product."""
+    products = [tensor_hyper(make_ghz_pol(m, 0, -1), make_ghz_spatial(m, 0, -1))]
+    for pol_sign in (1, -1):
+        for spatial_sign in (1, -1):
+            e, f = rng.randrange(1, 2 ** (m - 1)), rng.randrange(1, 2 ** (m - 1))
+            products.append(tensor_hyper(make_ghz_pol(m, e, pol_sign), make_ghz_spatial(m, f, spatial_sign)))
+    return products
+
+
+def random_pair_member(m, rng):
+    """Real amplitudes of unequal magnitude on one register pair per degree of freedom, not a product."""
+    full = (1 << m) - 1
+    e, f = rng.randrange(2 ** (m - 1)), rng.randrange(2 ** (m - 1))
+    labels = [(p, s) for p in (e, e ^ full) for s in (f, f ^ full)]
+    amps = [rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for _ in labels]
+    norm = math.sqrt(math.fsum(a * a for a in amps))
+    return make_state(m, (POL, SPATIAL), [(lab, a / norm) for lab, a in zip(labels, amps)])
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
-def test_dense_step_real_and_complex_members_agree_bit_for_bit(m):
+def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
     """A real member runs on float64 arrays, the same member times 1j on complex128 ones.
 
     Both give the same port probabilities, the second's amplitudes are exactly
     1j times the first's, and every emitted amplitude is a Python complex.
+    Members on one register pair per degree of freedom take the closed-form
+    layers (optics.pair_hadamard); with walsh_hadamard on the embedded
+    arrays in their place, every member and its turned twin give the same
+    bits, signed zeros included.
     """
-    mode = MODES["phaseflip"]
+    step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), GATE_TABLE)
     rng = random.Random(m)
-    for member in (tensor_hyper(make_ghz_pol(m, 0, -1), make_ghz_spatial(m, 0, -1)), random_real_member(m, rng)):
-        turned = PureState(m, member.dofs, {lab: 1j * a for lab, a in member.terms.items()})
-        real, cplx = (mode.run(Ensemble(((1.0, s),))) for s in (member, turned))
-        assert real.accepted.keys() == cplx.accepted.keys()
-        for pattern, outcome in real.accepted.items():
-            other = cplx.accepted[pattern]
-            assert other.probability == outcome.probability
-            ((_, state),), ((_, rotated),) = outcome.ensemble.members, other.ensemble.members
+    members = [*ghz_products(m, rng), random_pair_member(m, rng), random_real_member(m, rng)]
+    members += [PureState(m, member.dofs, {lab: 1j * a for lab, a in member.terms.items()}) for member in members]
+    for member, turned in zip(members[: len(members) // 2], members[len(members) // 2 :]):
+        real, cplx = step(member), step(turned)
+        assert real.keys() == cplx.keys()
+        for port, (probability, state) in real.items():
+            other_probability, rotated = cplx[port]
+            assert other_probability == probability
             assert state.terms.keys() == rotated.terms.keys()
             for label, amp in state.terms.items():
                 assert type(amp) is complex and type(rotated.terms[label]) is complex
                 assert rotated.terms[label] == 1j * amp
+
+    def spelled_out(member):  # repr tells signed zeros apart
+        return repr(sorted((port, p, sorted(state.terms.items())) for port, (p, state) in step(member).items()))
+
+    def butterfly(*args):
+        layers.append(args)
+        return walsh_pair_reference(*args)
+
+    fast, layers = [spelled_out(member) for member in members], []
+    monkeypatch.setattr(protocol, "pair_hadamard", butterfly)
+    assert [spelled_out(member) for member in members] == fast
+    assert len(layers) == 2 * (len(members) - 2)  # two layers per member but the random one and its twin
 
 
 @pytest.mark.parametrize("m", [6, 7, 8, 9])
 def test_dense_port_probability_is_a_sequential_sum(m):
     """Every port probability of the dense step is a left-to-right sum of |amp|**2 in register order.
 
-    The routed amplitudes come from walsh_hadamard on both registers and
-    route on index grids; the reference adds their squares one by one in
-    Python. At these sizes numpy's pairwise np.sum along a contiguous axis
-    gives other bits on some port, which the test checks too.
+    The reference amplitudes come from walsh_hadamard on both registers and
+    route on index grids, and the reference adds their squares one by one
+    in Python; members on one register pair per degree of freedom (GHZ x GHZ
+    products at nonzero indices with both signs, and a random pair member)
+    take the closed-form layers in the step and are held to it too. At these
+    sizes numpy's pairwise np.sum along a contiguous axis gives other bits
+    on some port of the random members, which the test checks too.
     """
     rng = random.Random(m)
     size = 1 << m
     grid = np.arange(size)
-    real = random_real_member(m, rng)
-    turned = make_state(m, (POL, SPATIAL), [(lab, a * complex(math.cos(k), math.sin(k)))
-                                            for k, (lab, a) in enumerate(real.terms.items())])
+    real, pair = random_real_member(m, rng), random_pair_member(m, rng)
+    turned, turned_pair = (
+        make_state(m, (POL, SPATIAL), [(lab, a * complex(math.cos(k), math.sin(k)))
+                                       for k, (lab, a) in enumerate(member.terms.items())])
+        for member in (real, pair)
+    )
     step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), GATE_TABLE)
-    for member in (real, turned):
+    for member in (real, turned, pair, turned_pair, *ghz_products(m, rng)):
         amps = np.zeros((size, size), dtype=complex)  # [pol, spatial]
         for (pol, spatial), a in member.terms.items():
             amps[pol, spatial] = a
@@ -115,9 +158,10 @@ def test_dense_port_probability_is_a_sequential_sum(m):
             total = 0.0
             for sq in squares[p].tolist():
                 total += sq
-            assert got[p][0] == total
+            assert got[p][0] == total if p in got else total == 0.0
             pairwise_differs |= float(np.sum(squares[p])) != total
-        assert pairwise_differs
+        # a member on one register pair per degree of freedom has too few distinct magnitudes to tell
+        assert pairwise_differs or member not in (real, turned)
 
 
 def test_bitflip_reference_point():
