@@ -11,9 +11,11 @@ routes each (pol, spatial) register pair straight to its (pol, port) pair:
 the gate is a bijection, so no routed state is built. After the layers a
 member holds 4^(m-1) terms, so Hadamard modes run every stage on dense
 register arrays (_dense_split). A member on one register pair per degree of
-freedom, as every GHZ x GHZ product is, gets both input layers in closed
-form (optics.pair_hadamard, bit for bit what walsh_hadamard gives); any
-other member runs them through walsh_hadamard. Both steps return only the
+freedom, every register r or r ^ (2^m - 1) with r < 2^(m-1), as on every
+GHZ x GHZ product, gets both input layers in closed form: row q of a layer
+is (-1)^popcount(q & r) (c^m a_r + (-1)^popcount(q) c^m a_(r^(2^m-1))),
+bit for bit what walsh_hadamard gives (optics.pair_hadamard). Any other
+member runs them through walsh_hadamard. Both steps return only the
 accepted ports.
 Each step reads the gate's affine register masks off the table once per run
 (optics.check_table, which refuses a table that is not a bijection) and
@@ -192,8 +194,8 @@ def _split_by_pattern(
 
 
 # A Hadamard-mode member holds 4^m amplitudes after its layers; at m = 10 a
-# phase-flip simulate takes about 0.3 s and 60 MB peak on a 2-CPU machine.
-# Configs above this are refused.
+# phase-flip simulate takes about 0.34 s and 59 MB peak on a 2-CPU machine
+# (median of 5). Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
 # A mode with ``lists_components`` (general) builds and prints all 2^(m-1)

@@ -4,11 +4,14 @@ tests/data/simulate/cases.json lists the configs: every mode, m in {3, 5},
 target 0+ and one other GHZ index with both signs, plus the photon counts
 the benchmark solves: phase flip at m = 8 (targets 0+ and 0-), bit flip and
 deterministic-demo at m = 16, and general at m = 8 with three components
-per degree of freedom. <name>.json and <name>.csv hold the bytes
+per degree of freedom; and phase flip at its photon cap, m = 10 (target
+0-). <name>.json and <name>.csv hold the bytes
 ``ghzpurify simulate <config> --reproducible --format json|csv --out FILE``
 wrote for each case: the m in {3, 5} cases at commit d582a73, when basis
-labels were still tuples of per-photon bit tuples, the others at commit
-86f03bd, before the gate was routed through its affine masks.
+labels were still tuples of per-photon bit tuples, phaseflip-m10-0- at
+commit 571261f, before the dense step took its Hadamard layers in closed
+form, the others at commit 86f03bd, before the gate was routed through its
+affine masks.
 
 Five cases were rewritten at commit b2ced4f, which deleted
 protocol.merged_fidelity and made every reduction that feeds a printed
