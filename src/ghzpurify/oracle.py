@@ -35,7 +35,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .protocol import CorrectionPlan, Mode, Pattern
+from .protocol import CorrectionPlan, Mode, Pattern, check_plan
 from .states import Ensemble, PureState, bits, make_ghz_pol
 
 if TYPE_CHECKING:
@@ -259,7 +259,8 @@ def oracle_run(
     reads that port's block of the network-conjugated operator through the
     network gather index (``_port_blocks``), with no permuted copy of rho.
     The port's correction is C = H^(x m) X^mask in a Hadamard mode, else
-    X^mask, with the port's flip mask from ``corrections`` (0 if absent).
+    X^mask, with the port's flip mask from ``corrections`` (0 if absent),
+    which must be an m-bit register as run_general requires.
     It enters the fidelity as v = C^dagger t, computed once per distinct
     mask, scored as v^dagger block v / prob against the polarization target t.
     A float64 operator with a real target runs every step in real arithmetic.
@@ -267,6 +268,7 @@ def oracle_run(
     import numpy as np
 
     _check_capacity(m)
+    check_plan(corrections, m)
     dim = 4**m
     if dense.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} operator for m={m}, got {dense.shape}")

@@ -10,13 +10,10 @@ stay sparse labeled states of 4 terms, and their step (_split_by_pattern)
 routes each (pol, spatial) register pair straight to its (pol, port) pair:
 the gate is a bijection, so no routed state is built. After the layers a
 member holds 4^(m-1) terms, so Hadamard modes run every stage on dense
-register arrays (_dense_split). A member on one register pair per degree of
-freedom, every register r or r ^ (2^m - 1) with r < 2^(m-1), as on every
-GHZ x GHZ product, gets both input layers in closed form: row q of a layer
-is (-1)^popcount(q & r) (c^m a_r + (-1)^popcount(q) c^m a_(r^(2^m-1))),
-bit for bit what walsh_hadamard gives (optics.pair_hadamard). Any other
-member runs them through walsh_hadamard. Both steps return only the
-accepted ports.
+register arrays (_dense_split). A member whose spatial registers are one
+complementary pair, as on every GHZ x GHZ product, gets its spatial layer
+in closed form (optics.pair_hadamard), bit for bit what walsh_hadamard
+gives. Both steps return only the accepted ports.
 Each step reads the gate's affine register masks off the table once per run
 (optics.check_table, which refuses a table that is not a bijection) and
 routes with two XOR/AND expressions.
@@ -95,6 +92,13 @@ class AcceptanceRule:
 
 CorrectionPlan = Mapping[int, int]  # port register -> m-bit photon flip mask
 Split = dict[int, tuple[float, PureState]]  # accepted port register -> (probability, corrected state)
+
+
+def check_plan(plan: CorrectionPlan, m: int) -> None:
+    """Refuse a plan whose flip masks are not m-bit registers: they go into labels the engine does not check."""
+    for mask in plan.values():
+        if type(mask) is not int or not 0 <= mask < 1 << m:
+            raise ValueError(f"correction mask {mask!r} is not an m-bit register for m={m}")
 
 
 def phaseflip_plan(m: int) -> dict[int, int]:
@@ -198,7 +202,7 @@ def _split_by_pattern(
 # (median of 5). Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
-# A mode with ``lists_components`` (general) builds and prints all 2^(m-1)
+# A mode that ``lists_components`` (general) builds and prints all 2^(m-1)
 # closed-form weights: at m = 16 a simulate writes about 0.36 MB, and each
 # photon doubles it. 16 is the largest general solve the benchmark runs.
 COMPONENTS_MAX_PHOTONS = 16
@@ -239,18 +243,12 @@ def _dense_split(
     any other on complex128: the real parts see the same float operations
     either way, and the emitted amplitudes are complex in both.
 
-    The two input layers take a closed form (optics.pair_hadamard) when the
-    member lies on one register pair per degree of freedom: every pol
-    register is e or e ^ full and every spatial register f or f ^ full, all
-    below 2^m, as on every GHZ x GHZ product. The Hadamard layer of a
-    column whose only nonzero rows are r and r ^ full is, at row q,
-    (-1)^popcount(q & r) times the sum (popcount(q) even) or the difference
-    (odd) of the two rows scaled by c^m. So the pol layer is two length-2^m
-    columns, and each row of the spatial layer is the sum or the difference
-    of those two columns, with a sign per row: O(m 2^m + 4^m) work in place
-    of walsh_hadamard's m passes over 4^m, with the same bits. Any other
-    member, and one with a register out of range, runs both layers through
-    walsh_hadamard.
+    The pol layer runs walsh_hadamard on the columns of the spatial
+    registers present. When those are one complementary pair t < t ^ full
+    below 2^m, as on every GHZ x GHZ product, the spatial layer is
+    optics.pair_hadamard of the two columns, the same bits in O(4^m) work
+    in place of m passes over 4^m; any other member runs it through
+    walsh_hadamard too.
     """
     import numpy as np
 
@@ -267,32 +265,20 @@ def _dense_split(
     for col, p in enumerate(ports):
         groups.setdefault(plan.get(p, 0), []).append(col)
 
-    def pair_low(registers: tuple[int, ...]) -> int | None:
-        """The register r < 2^(m-1) such that every register is r or r ^ full, if there is one."""
-        low = min(registers[0], registers[0] ^ full)
-        if 0 <= low < size >> 1 and all(reg == low or reg == low ^ full for reg in registers):
-            return low
-        return None
-
     def split(member: PureState) -> Split:
         pol, spatial = zip(*member.terms)
         values = np.array(list(member.terms.values()), dtype=complex)
         if not values.imag.any():
             values = values.real  # every imaginary part is +-0: run the real parts alone
-        r, t = pair_low(pol), pair_low(spatial)
-        if r is not None and t is not None:
-            # the high register of a pair is the one whose top bit is set
-            block = np.zeros((2, 2), dtype=values.dtype)  # [pol r or r ^ full, spatial t or t ^ full]
-            block[np.array(pol) >> m - 1, np.array(spatial) >> m - 1] = values
-            layer = pair_hadamard(block[0], block[1], r, parity)  # [pol, spatial t or t ^ full]
-            amps = pair_hadamard(layer[:, 0], layer[:, 1], t, parity)  # [spatial, pol]
+        # pol layer on the spatial registers present only: the other columns stay zero
+        present = sorted(set(spatial))
+        column = {reg: c for c, reg in enumerate(present)}
+        layer = np.zeros((size, len(present)), dtype=values.dtype)
+        layer[pol, [column[reg] for reg in spatial]] = values
+        walsh_hadamard(layer, m)
+        if len(present) == 2 and present[0] ^ present[1] == full and present[1] < size:
+            amps = pair_hadamard(layer[:, 0], layer[:, 1], present[0], parity)  # [spatial, pol]
         else:
-            # pol layer on the spatial registers present only: the other columns stay zero
-            present = sorted(set(spatial))
-            column = {reg: c for c, reg in enumerate(present)}
-            layer = np.zeros((size, len(present)), dtype=values.dtype)
-            layer[pol, [column[reg] for reg in spatial]] = values
-            walsh_hadamard(layer, m)
             amps = np.zeros((size, size), dtype=values.dtype)  # [spatial, pol]
             amps[present] = layer.T
             walsh_hadamard(amps, m)
@@ -404,9 +390,7 @@ def run_general(
     """
     mode = MODES["deterministic-demo"]
     plan = mode.plan(ensemble) if corrections is None else corrections
-    for mask in plan.values():
-        if type(mask) is not int or not 0 <= mask < 1 << ensemble.m:
-            raise ValueError(f"correction mask {mask!r} is not an m-bit register for m={ensemble.m}")
+    check_plan(plan, ensemble.m)
     return _execute(ensemble, acceptance or mode.rule, plan, target, mode.hadamard, gate_table)
 
 
@@ -457,13 +441,25 @@ class Mode:
     rule: AcceptanceRule
     hadamard: bool
     plan: Callable[[Ensemble], CorrectionPlan]
-    noise_kind: str
     pairing: str | None
     closed_form: Callable[[int, GhzWeights, GhzWeights], tuple[dict[tuple[int, int], float], float]]
     verify_input: Callable[[int, float, float], Ensemble]
     label: str = ""  # name on verify's report, where it differs from the config name
-    lists_components: bool = False  # records list every closed-form (index, +) weight
-    min_m: int = 2  # smallest photon count verify_input can build
+
+    @property
+    def noise_kind(self) -> str:
+        """The noise a config may list: the Hadamard layers turn phase flips into bit flips."""
+        return PHASE_FLIP if self.hadamard else BIT_FLIP
+
+    @property
+    def lists_components(self) -> bool:
+        """Whether records list every closed-form (index, +) weight: any number of components."""
+        return self.pairing is None
+
+    @property
+    def min_m(self) -> int:
+        """Smallest photon count verify_input can build: two distinct error indices need m >= 3."""
+        return 3 if self.pairing == DISTINCT else 2
 
     def run(
         self, ensemble: Ensemble, target: PureState | None = None, gate_table: GateTable | None = None
@@ -508,22 +504,21 @@ def _four_component_input(m: int, f1: float, f2: float) -> Ensemble:
 MODES: Mapping[str, Mode] = MappingProxyType({
     "bitflip": Mode(
         AcceptanceRule("bitflip"), hadamard=False, plan=lambda ensemble: {},
-        noise_kind=BIT_FLIP, pairing=EQUAL, closed_form=_pair_closed_form,
+        pairing=EQUAL, closed_form=_pair_closed_form,
         verify_input=lambda m, f1, f2: _pair_input(m, (1, 1), (1, 1), f1, f2),
     ),
     "phaseflip": Mode(
         AcceptanceRule("phaseflip"), hadamard=True, plan=lambda ensemble: phaseflip_plan(ensemble.m),
-        noise_kind=PHASE_FLIP, pairing=EQUAL, closed_form=_pair_closed_form,
+        pairing=EQUAL, closed_form=_pair_closed_form,
         verify_input=lambda m, f1, f2: _pair_input(m, (0, -1), (0, -1), f1, f2),
     ),
     "general": Mode(
         AcceptanceRule("bitflip"), hadamard=False, plan=lambda ensemble: {},
-        noise_kind=BIT_FLIP, pairing=None, closed_form=_matched_closed_form,
-        verify_input=_four_component_input, lists_components=True,
+        pairing=None, closed_form=_matched_closed_form, verify_input=_four_component_input,
     ),
     "deterministic-demo": Mode(
         AcceptanceRule("general"), hadamard=False, plan=lambda ensemble: infer_flip_plan(ensemble),
-        noise_kind=BIT_FLIP, pairing=DISTINCT, closed_form=lambda m, pol, spatial: ({(0, 1): 1.0}, 1.0),
-        verify_input=lambda m, f1, f2: _pair_input(m, (1, 1), (2, 1), f1, f2), label="deterministic", min_m=3,
+        pairing=DISTINCT, closed_form=lambda m, pol, spatial: ({(0, 1): 1.0}, 1.0),
+        verify_input=lambda m, f1, f2: _pair_input(m, (1, 1), (2, 1), f1, f2), label="deterministic",
     ),
 })

@@ -4,17 +4,25 @@ A mutant is one textual change to one function of the package: the function
 is recompiled from its source with the change and installed, for the length
 of one test, in every module that binds it. The detectors are a subset of the
 golden records (tests/test_golden.py), the closed forms every simulate record
-is scored against, and the engine against the dense oracle at m = 3
-(`verify --m 3`). A mutant is caught when a detector's check fails or raises.
+is scored against, the engine against the dense oracle at m = 3
+(`verify --m 3`), and the same comparison on one phase-flip member that is
+not a GHZ x GHZ product, scored against a target that is not a GHZ state. A
+mutant is caught when a detector's check fails or raises.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
 (sparse and dense step), a register pushed out of range by tensor_hyper, and
 a conditional weight left undivided by its port's probability. The dense
-step must refuse an out-of-range register on its closed-form path too: it
-takes that path only for registers below 2^m, so such a member falls through
-to walsh_hadamard's arrays, which raise. The last mutants break the closed
-form itself: one scaling by c too few, and the sum and difference swapped.
+step refuses an out-of-range pol register where it writes the member into
+the pol layer's array, and takes the spatial closed form only for registers
+below 2^m. The last mutants break the closed form: one scaling by c too few,
+the sum and difference swapped, and the two columns the dense step hands it
+swapped, which flips the sign of the difference on odd-parity rows. That
+sign is Z on every spatial photon after the layer, which the gate and the
+correction turn into X on every output photon. Every GHZ state is an
+eigenstate of that X, so no fidelity against a GHZ target moves, and a
+GHZ-diagonal output does not move at all: only the off-product detector,
+with its |000> target, catches this mutant.
 """
 
 import __future__
@@ -29,7 +37,7 @@ from pathlib import Path
 import pytest
 
 import ghzpurify
-from ghzpurify import cli, noise, optics, protocol, states
+from ghzpurify import POL, SPATIAL, Ensemble, cli, densify, make_state, noise, optics, oracle_run, protocol, states
 from ghzpurify.records import ProtocolConfig
 
 DATA = Path(__file__).parent / "data" / "simulate"
@@ -46,6 +54,7 @@ MUTANTS = [
     ("weight-undivided", protocol, "_execute", "(w / pattern_prob, s)", "(w, s)"),
     ("pair-scalings", optics, "pair_hadamard", "for _ in range(m):", "for _ in range(m - 1):"),
     ("pair-swapped", optics, "pair_hadamard", "[total + 0.0, diff + 0.0,", "[diff + 0.0, total + 0.0,"),
+    ("pair-columns", protocol, "_dense_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
 ]
 
 
@@ -68,7 +77,19 @@ def oracle_m3(tmp_path):
         assert cli.main(["verify", "--m", "3"]) == 0
 
 
-DETECTORS = [closed_forms, golden_records, oracle_m3]  # cheapest first
+def oracle_off_product(tmp_path):
+    # unequal amplitudes on registers 0 and 7 of both degrees of freedom
+    pol, spatial = ((0, 0.9**0.5), (7, 0.1**0.5)), ((0, 0.96**0.5), (7, 0.04**0.5))
+    member = make_state(3, (POL, SPATIAL), [((p, s), a * b) for p, a in pol for s, b in spatial])
+    ensemble, mode = Ensemble([(1.0, member)]), protocol.MODES["phaseflip"]
+    target = make_state(3, (POL,), [((0,), 1.0)])
+    engine = mode.run(ensemble, target)
+    dense = oracle_run(densify(ensemble), 3, mode, mode.plan(ensemble), target)
+    assert abs(engine.success_probability - dense.success_probability) <= cli.VERIFY_TOL
+    assert abs(engine.output_fidelity - dense.output_fidelity) <= cli.VERIFY_TOL
+
+
+DETECTORS = [oracle_off_product, closed_forms, golden_records, oracle_m3]  # cheapest first
 
 
 def fails(detector, tmp_path) -> bool:

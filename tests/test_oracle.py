@@ -274,3 +274,14 @@ def test_oracle_shape_validation():
         oracle_run(np.eye(16) / 16.0, 3, MODES["bitflip"], {})
     with pytest.raises(ValueError, match="capacity"):
         oracle_run(np.eye(4**6) / 4**6, 6, MODES["bitflip"], {})
+
+
+@pytest.mark.parametrize("mask", [8, -1, 1.5, True])
+def test_oracle_refuses_the_correction_masks_the_engine_refuses(mask):
+    """A flip mask that is not an m-bit int register is refused by both, with one message."""
+    ens, plan = joint_pair(3, 0.8, 0.7), {0: mask}
+    with pytest.raises(ValueError, match="is not an m-bit register") as engine:
+        run_general(ens, corrections=plan)
+    with pytest.raises(ValueError, match="is not an m-bit register") as dense:
+        oracle_run(densify(ens), 3, MODES["bitflip"], plan)
+    assert str(dense.value) == str(engine.value)

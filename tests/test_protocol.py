@@ -50,12 +50,16 @@ def phaseflip_input(m, f3, f4):
     return product_ensemble(pol, spatial)
 
 
-def random_real_member(m, rng):
-    """A (pol, spatial) state with real amplitudes of unequal magnitude on a random support."""
-    labels = rng.sample([(p, s) for p in range(1 << m) for s in range(1 << m)], 3 * m)
+def random_member_on(m, rng, labels):
+    """A (pol, spatial) state with real amplitudes of unequal magnitude on the given labels."""
     amps = [rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for _ in labels]
     norm = math.sqrt(math.fsum(a * a for a in amps))
     return make_state(m, (POL, SPATIAL), [(lab, a / norm) for lab, a in zip(labels, amps)])
+
+
+def random_real_member(m, rng):
+    """Real amplitudes of unequal magnitude on a random support."""
+    return random_member_on(m, rng, rng.sample([(p, s) for p in range(1 << m) for s in range(1 << m)], 3 * m))
 
 
 def ghz_products(m, rng):
@@ -72,10 +76,16 @@ def random_pair_member(m, rng):
     """Real amplitudes of unequal magnitude on one register pair per degree of freedom, not a product."""
     full = (1 << m) - 1
     e, f = rng.randrange(2 ** (m - 1)), rng.randrange(2 ** (m - 1))
-    labels = [(p, s) for p in (e, e ^ full) for s in (f, f ^ full)]
-    amps = [rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for _ in labels]
-    norm = math.sqrt(math.fsum(a * a for a in amps))
-    return make_state(m, (POL, SPATIAL), [(lab, a / norm) for lab, a in zip(labels, amps)])
+    return random_member_on(m, rng, [(p, s) for p in (e, e ^ full) for s in (f, f ^ full)])
+
+
+def off_pair_members(m, rng):
+    """Three random pol registers on each spatial register: of one complementary pair, then of a single one."""
+    f = rng.randrange(2 ** (m - 1))
+    return [
+        random_member_on(m, rng, [(p, s) for s in spatial for p in rng.sample(range(1 << m), 3)])
+        for spatial in ((f, f ^ (1 << m) - 1), (rng.randrange(1 << m),))
+    ]
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -84,14 +94,15 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
 
     Both give the same port probabilities, the second's amplitudes are exactly
     1j times the first's, and every emitted amplitude is a Python complex.
-    Members on one register pair per degree of freedom take the closed-form
-    layers (optics.pair_hadamard); with walsh_hadamard on the embedded
-    arrays in their place, every member and its turned twin give the same
-    bits, signed zeros included.
+    A member whose spatial registers are one complementary pair takes its
+    spatial layer in closed form (optics.pair_hadamard), whatever its pol
+    registers; with walsh_hadamard on the embedded arrays in its place, every
+    member and its turned twin give the same bits, signed zeros included, and
+    the closed form was called once per such member.
     """
     step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), GATE_TABLE)
     rng = random.Random(m)
-    members = [*ghz_products(m, rng), random_pair_member(m, rng), random_real_member(m, rng)]
+    members = [*ghz_products(m, rng), random_pair_member(m, rng), *off_pair_members(m, rng), random_real_member(m, rng)]
     members += [PureState(m, member.dofs, {lab: 1j * a for lab, a in member.terms.items()}) for member in members]
     for member, turned in zip(members[: len(members) // 2], members[len(members) // 2 :]):
         real, cplx = step(member), step(turned)
@@ -114,7 +125,8 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
     fast, layers = [spelled_out(member) for member in members], []
     monkeypatch.setattr(protocol, "pair_hadamard", butterfly)
     assert [spelled_out(member) for member in members] == fast
-    assert len(layers) == 2 * (len(members) - 2)  # two layers per member but the random one and its twin
+    # one spatial layer per member but the single-register one, the random one and their twins
+    assert len(layers) == len(members) - 4
 
 
 @pytest.mark.parametrize("m", [6, 7, 8, 9])
@@ -125,7 +137,9 @@ def test_dense_port_probability_is_a_sequential_sum(m):
     route on index grids, and the reference adds their squares one by one
     in Python; members on one register pair per degree of freedom (GHZ x GHZ
     products at nonzero indices with both signs, and a random pair member)
-    take the closed-form layers in the step and are held to it too. At these
+    take the closed-form spatial layer in the step and are held to it too,
+    as are a spatial-pair member whose pol registers are not one pair and a
+    member on a single spatial register. At these
     sizes numpy's pairwise np.sum along a contiguous axis gives other bits
     on some port of the random members, which the test checks too.
     """
@@ -139,7 +153,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
         for member in (real, pair)
     )
     step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), GATE_TABLE)
-    for member in (real, turned, pair, turned_pair, *ghz_products(m, rng)):
+    for member in (real, turned, pair, turned_pair, *ghz_products(m, rng), *off_pair_members(m, rng)):
         amps = np.zeros((size, size), dtype=complex)  # [pol, spatial]
         for (pol, spatial), a in member.terms.items():
             amps[pol, spatial] = a
@@ -160,7 +174,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
                 total += sq
             assert got[p][0] == total if p in got else total == 0.0
             pairwise_differs |= float(np.sum(squares[p])) != total
-        # a member on one register pair per degree of freedom has too few distinct magnitudes to tell
+        # only the random members are sure to have a port where the pairwise sum differs
         assert pairwise_differs or member not in (real, turned)
 
 
