@@ -21,7 +21,6 @@ from .efficiency import EfficiencyParams, p_one, p_two, ratio_R, sweep
 from .noise import (
     BIT_FLIP,
     PHASE_FLIP,
-    POLARIZATION,
     NoiseSpec,
     ensemble_from_specs,
     mix_general,

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .efficiency import MAX_SWEEP_ROWS, EfficiencyParams, axis_values, sweep as efficiency_sweep
-from .noise import POLARIZATION, ensemble_from_specs, ghz_weights, product_ensemble
+from .noise import ensemble_from_specs, ghz_weights, product_ensemble
 from .optics import GATE_TABLE, GateTable
 from .oracle import ORACLE_MAX_PHOTONS, densify, oracle_run
 from .protocol import (
@@ -32,7 +32,7 @@ from .records import (
     rows_to_csv,
     rows_to_json,
 )
-from .states import SPATIAL, Ensemble, make_ghz_pol
+from .states import POL, SPATIAL, Ensemble, make_ghz_pol
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -44,7 +44,7 @@ VERIFY_TOL = 1e-10
 
 def build_input(config: ProtocolConfig) -> Ensemble:
     """Joint input mixture described by a config's noise lists."""
-    pol = ensemble_from_specs(config.m, POLARIZATION, config.pol_noise)
+    pol = ensemble_from_specs(config.m, POL, config.pol_noise)
     spatial = ensemble_from_specs(config.m, SPATIAL, config.spatial_noise)
     return product_ensemble(pol, spatial)
 

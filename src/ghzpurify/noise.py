@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .states import (
     NORM_TOL,
+    POL,
     SPATIAL,
     Ensemble,
     PureState,
@@ -29,7 +30,6 @@ from .states import (
     tensor_hyper,
 )
 
-POLARIZATION = "polarization"
 BIT_FLIP = "bit-flip"
 PHASE_FLIP = "phase-flip"
 
@@ -38,22 +38,20 @@ _ORTHO_TOL = 1e-9
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """One error component: which DOF, which kind, where it lands, how likely.
+    """One error component: which kind, where it lands, how likely.
 
-    ``weight`` is the probability of the error component (1 - F in the usual
-    fidelity bookkeeping). For bit-flip errors ``target_index`` is the GHZ
+    The noise list that holds it names its degree of freedom. ``weight`` is
+    the probability of the error component (1 - F in the usual fidelity
+    bookkeeping). For bit-flip errors ``target_index`` is the GHZ
     index the error produces; phase-flip errors land on the sign companion
     of the reference state, so their target_index must stay 0.
     """
 
-    dof: str
     kind: str
     weight: float
     target_index: int = 0
 
     def __post_init__(self):
-        if self.dof not in (POLARIZATION, SPATIAL):
-            raise ValueError(f"unknown degree of freedom {self.dof!r}")
         if self.kind not in (BIT_FLIP, PHASE_FLIP):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.weight <= 1.0:
@@ -126,10 +124,9 @@ def ghz_weights(m: int, specs: Sequence[NoiseSpec]) -> dict[tuple[int, int], flo
 
 
 def ensemble_from_specs(m: int, dof: str, specs: Sequence[NoiseSpec]) -> Ensemble:
-    """Mixture of the reference GHZ state with the listed error components."""
-    for spec in specs:
-        if spec.dof != dof:
-            raise ValueError(f"spec for {spec.dof!r} in the {dof!r} channel")
-    maker = make_ghz_pol if dof == POLARIZATION else make_ghz_spatial
+    """Mixture of the reference GHZ state with the listed error components on ``dof`` (POL or SPATIAL)."""
+    if dof not in (POL, SPATIAL):
+        raise ValueError(f"unknown degree of freedom {dof!r}")
+    maker = make_ghz_pol if dof == POL else make_ghz_spatial
     weights = ghz_weights(m, specs)
     return Ensemble(tuple((w, maker(m, i, s)) for (i, s), w in weights.items() if w > 0.0))

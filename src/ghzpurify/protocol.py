@@ -214,10 +214,10 @@ MAX_PHOTONS = 1000
 
 # The cap on a config's product members, (pol components + 1) x (spatial
 # components + 1): 401^2, the largest config measured to finish. That general
-# config at m = 16 simulates in about 3.1 s with 161 MB peak on a 2-CPU
-# machine (median of 5 runs), and time and memory grow with the member count;
-# m = 16 alone admits 32 767 components per degree of freedom, about 10^9
-# members.
+# config at m = 16 simulates in about 2.1 s with 161 MB peak on a 2-CPU
+# machine (median of 5 simulate processes), and time and memory grow with the
+# member count; m = 16 alone admits 32 767 components per degree of freedom,
+# about 10^9 members.
 MAX_MEMBERS = 160_801
 
 

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from .noise import POLARIZATION, NoiseSpec, ghz_weights
+from .noise import NoiseSpec, ghz_weights
 from .protocol import (
     COMPONENTS_MAX_PHOTONS,
     DISTINCT,
@@ -35,7 +35,6 @@ from .protocol import (
     MODES,
     PHASEFLIP_MAX_PHOTONS,
 )
-from .states import SPATIAL
 
 SCHEMA_VERSION = 1
 
@@ -156,7 +155,7 @@ class ProtocolConfig:
         if seed is not None and not _is_int(seed):
             raise ConfigError(f"field 'seed' must be an integer or null, got {seed!r}")
 
-        def specs(key: str, dof: str) -> tuple[NoiseSpec, ...]:
+        def specs(key: str) -> tuple[NoiseSpec, ...]:
             entries = raw.get(key, [])
             if not isinstance(entries, list):
                 raise ConfigError(f"field {key!r} must be a list of noise entries")
@@ -175,7 +174,7 @@ class ProtocolConfig:
                 if not (_is_int(weight) or isinstance(weight, float)):
                     raise ConfigError(f"{key}[{pos}] field 'weight' must be a number, got {weight!r}")
                 try:
-                    out.append(NoiseSpec(dof=dof, kind=entry["kind"], weight=float(weight), target_index=index))
+                    out.append(NoiseSpec(kind=entry["kind"], weight=float(weight), target_index=index))
                 except (ValueError, OverflowError) as exc:
                     raise ConfigError(f"{key}[{pos}]: {exc}") from exc
             return tuple(out)
@@ -183,8 +182,8 @@ class ProtocolConfig:
         return cls(
             m=raw["m"],
             mode=raw["mode"],
-            pol_noise=specs("pol_noise", POLARIZATION),
-            spatial_noise=specs("spatial_noise", SPATIAL),
+            pol_noise=specs("pol_noise"),
+            spatial_noise=specs("spatial_noise"),
             target=raw.get("target", "0+"),
             seed=seed,
         )

@@ -3,10 +3,12 @@ import dataclasses
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from ghzpurify import POLARIZATION, SPATIAL, NoiseSpec, cli, oracle
+from ghzpurify import NoiseSpec, __version__, cli, oracle
 from ghzpurify.cli import execute, main
 from ghzpurify.efficiency import MAX_SWEEP_ROWS
 from ghzpurify.protocol import (
@@ -33,6 +35,12 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_version_matches_pyproject():
+    # records print __version__ as tool_version; an installed package reports pyproject's
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]+)"$', pyproject, re.M) == [__version__]
 
 
 def test_simulate_bitflip_record(tmp_path, capsys):
@@ -331,13 +339,11 @@ MODE_NOISE = {
 @pytest.mark.parametrize("target", [f"{i}{s}" for i in range(4) for s in "+-"])
 @pytest.mark.parametrize("mode", sorted(MODE_NOISE))
 def test_record_scored_against_target(mode, target):
-    def specs(dof, entries):
-        return tuple(NoiseSpec(dof=dof, kind=k, target_index=i, weight=w) for k, i, w in entries)
+    def specs(entries):
+        return tuple(NoiseSpec(kind=k, target_index=i, weight=w) for k, i, w in entries)
 
     pol, spatial = MODE_NOISE[mode]
-    config = ProtocolConfig(
-        m=3, mode=mode, pol_noise=specs(POLARIZATION, pol), spatial_noise=specs(SPATIAL, spatial), target=target
-    )
+    config = ProtocolConfig(m=3, mode=mode, pol_noise=specs(pol), spatial_noise=specs(spatial), target=target)
     result, closed, deviation = execute(config)
     assert closed["fidelity"] == pytest.approx(result.output_fidelity, abs=1e-12)
     assert closed["success_probability"] == pytest.approx(result.success_probability, abs=1e-12)

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 
 from ghzpurify import MODES
 from ghzpurify.cli import main
-from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, POLARIZATION, NoiseSpec
+from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, NoiseSpec
 from ghzpurify.protocol import COMPONENTS_MAX_PHOTONS, EQUAL, MAX_PHOTONS, PHASEFLIP_MAX_PHOTONS
 from ghzpurify.records import ConfigError, ProtocolConfig
-from ghzpurify.states import SPATIAL
 from helpers import assert_deviation_is_difference
 
 
@@ -196,12 +195,12 @@ def test_simulate_above_member_cap(tmp_path_factory, monkeypatch):
     assert len(err.splitlines()) == 1 and "product members" in err
 
     # the cap itself, 401^2 members, passes validation; one more component does not
-    def specs(dof, n):
-        return tuple(NoiseSpec(dof, BIT_FLIP, 1e-3, i) for i in range(1, n + 1))
+    def specs(n):
+        return tuple(NoiseSpec(BIT_FLIP, 1e-3, i) for i in range(1, n + 1))
 
-    ProtocolConfig(16, "general", specs(POLARIZATION, 400), specs(SPATIAL, 400))
+    ProtocolConfig(16, "general", specs(400), specs(400))
     with pytest.raises(ConfigError, match="product members"):
-        ProtocolConfig(16, "general", specs(POLARIZATION, 401), specs(SPATIAL, 400))
+        ProtocolConfig(16, "general", specs(401), specs(400))
 
 
 def test_simulate_one_sided_general_without_pairwise_scan(tmp_path_factory, monkeypatch):

@@ -33,7 +33,8 @@ print(json.dumps([before, "numpy" in sys.modules]))
 
 # The contract perfbench/spans.py relies on: every module its LAYER_SPANS
 # names is imported with the package, and Tracer.installed wraps and
-# restores their functions.
+# restores their functions. Tracer.installed raises if a function it wraps
+# by name is renamed or deleted, so this run also pins those names.
 _TRACER = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

@@ -23,6 +23,16 @@ correction turn into X on every output photon. Every GHZ state is an
 eigenstate of that X, so no fidelity against a GHZ target moves, and a
 GHZ-diagonal output does not move at all: only the off-product detector,
 with its |000> target, catches this mutant.
+
+Then come the butterfly sign in walsh_hadamard, the closing Hadamard of the
+phase-flip correction skipped, a wrong phaseflip_plan flip mask and the GHZ
+maker of the two noise lists swapped. Two mutants survive every detector and
+are not listed. ``sum`` in place of ``math.fsum`` in noise.ghz_weights
+changes no figure these detectors print; tests/test_order.py catches it.
+Reversing infer_flip_plan's tie-break, so that a flip and its complement of
+equal weight swap, is equivalent on every input that function accepts: the
+two corrections differ by X on every photon, and every GHZ state is an
+eigenstate of that X.
 """
 
 import __future__
@@ -55,6 +65,11 @@ MUTANTS = [
     ("pair-scalings", optics, "pair_hadamard", "for _ in range(m):", "for _ in range(m - 1):"),
     ("pair-swapped", optics, "pair_hadamard", "[total + 0.0, diff + 0.0,", "[diff + 0.0, total + 0.0,"),
     ("pair-columns", protocol, "_dense_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
+    ("walsh-sign", optics, "walsh_hadamard", "np.subtract(halves[:, 0], halves[:, 1]",
+     "np.subtract(halves[:, 1], halves[:, 0]"),
+    ("closing-hadamard", protocol, "_dense_split", "walsh_hadamard(block, m)", "None"),
+    ("plan-mask", protocol, "phaseflip_plan", "(1 << m) - 1", "(1 << m) - 2"),
+    ("maker-swapped", noise, "ensemble_from_specs", "dof == POL", "dof != POL"),
 ]
 
 

@@ -17,8 +17,8 @@ from ghzpurify import (
     product_ensemble,
     tensor_hyper,
 )
-from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, POLARIZATION, ghz_weights
-from ghzpurify.states import NORM_TOL, POL, PRUNE_TOL, SPATIAL
+from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, ghz_weights
+from ghzpurify.states import NORM_TOL, POL, PORT, PRUNE_TOL, SPATIAL
 from helpers import brute_vector, interleave_factors
 
 
@@ -143,33 +143,31 @@ def test_mix_two_fidelity_returns_weight():
 
 
 def test_noise_spec_validation():
-    with pytest.raises(ValueError, match="degree of freedom"):
-        NoiseSpec(dof="temporal", kind=BIT_FLIP, weight=0.1)
     with pytest.raises(ValueError, match="kind"):
-        NoiseSpec(dof=POLARIZATION, kind="depolarize", weight=0.1)
+        NoiseSpec(kind="depolarize", weight=0.1)
     with pytest.raises(ValueError, match="weight"):
-        NoiseSpec(dof=POLARIZATION, kind=BIT_FLIP, weight=1.5)
+        NoiseSpec(kind=BIT_FLIP, weight=1.5)
     with pytest.raises(ValueError, match="sign companion"):
-        NoiseSpec(dof=POLARIZATION, kind=PHASE_FLIP, weight=0.1, target_index=1)
+        NoiseSpec(kind=PHASE_FLIP, weight=0.1, target_index=1)
 
 
 def test_ensemble_from_specs():
-    specs = (NoiseSpec(dof=POLARIZATION, kind=BIT_FLIP, weight=0.2, target_index=1),)
-    ens = ensemble_from_specs(3, POLARIZATION, specs)
+    specs = (NoiseSpec(kind=BIT_FLIP, weight=0.2, target_index=1),)
+    ens = ensemble_from_specs(3, POL, specs)
     assert sorted(p for p, _ in ens.members) == pytest.approx([0.2, 0.8])
     noiseless = ensemble_from_specs(3, SPATIAL, ())
     assert len(noiseless.members) == 1
 
     def bit(index, weight):
-        return NoiseSpec(dof=POLARIZATION, kind=BIT_FLIP, weight=weight, target_index=index)
+        return NoiseSpec(kind=BIT_FLIP, weight=weight, target_index=index)
 
     def phase(weight):
-        return NoiseSpec(dof=POLARIZATION, kind=PHASE_FLIP, weight=weight)
+        return NoiseSpec(kind=PHASE_FLIP, weight=weight)
 
     # a component listed twice is an error in both derivations, not a merged or doubled member
     for repeated in ((bit(1, 0.1), bit(1, 0.2)), (phase(0.1), phase(0.2))):
         with pytest.raises(ValueError, match="more than once"):
-            ensemble_from_specs(3, POLARIZATION, repeated)
+            ensemble_from_specs(3, POL, repeated)
         with pytest.raises(ValueError, match="more than once"):
             ghz_weights(3, repeated)
     # the engine input carries exactly the nonzero ghz_weights, in order
@@ -177,7 +175,7 @@ def test_ensemble_from_specs():
              (bit(1, 0.6), bit(2, 0.4)), (bit(2, 0.7), bit(3, 0.3000000000001))]
     for specs in valid:
         weights = ghz_weights(3, specs)
-        members = ensemble_from_specs(3, POLARIZATION, specs).members
+        members = ensemble_from_specs(3, POL, specs).members
         assert [w for w, _ in members] == [w for w in weights.values() if w > 0.0]
         assert [s.terms for _, s in members] == [
             make_ghz_pol(3, i, sign).terms for (i, sign), w in weights.items() if w > 0.0
@@ -193,12 +191,15 @@ def test_ensemble_from_specs():
 
 
 def test_ensemble_from_specs_index_range():
-    bad = (NoiseSpec(dof=POLARIZATION, kind=BIT_FLIP, weight=0.2, target_index=4),)
+    bad = (NoiseSpec(kind=BIT_FLIP, weight=0.2, target_index=4),)
     with pytest.raises(ValueError, match="target_index"):
-        ensemble_from_specs(3, POLARIZATION, bad)
+        ensemble_from_specs(3, POL, bad)
 
 
-def test_ensemble_from_specs_dof_mismatch():
-    specs = (NoiseSpec(dof=POLARIZATION, kind=BIT_FLIP, weight=0.2, target_index=1),)
-    with pytest.raises(ValueError, match="channel"):
-        ensemble_from_specs(3, SPATIAL, specs)
+def test_ensemble_from_specs_names_its_dof():
+    # the list's degree of freedom labels the mixture; no other name is read as spatial
+    for dof in (POL, SPATIAL):
+        assert ensemble_from_specs(3, dof, ()).dofs == (dof,)
+    for dof in ("polarization", "temporal", PORT):
+        with pytest.raises(ValueError, match="degree of freedom"):
+            ensemble_from_specs(3, dof, ())
