@@ -11,9 +11,9 @@ Configs are flat JSON documents with one nesting level for the noise lists:
       "seed": 0
     }
 
-`seed` is echoed but unused: every run here is exact. Records round-trip
-through JSON unchanged; CSV output carries the flat scalar fields at 12
-significant digits for plotting.
+`seed` is echoed but unused: every run here is exact. A record is written
+as JSON, or as CSV that carries its flat scalar fields at 12 significant
+digits for plotting.
 """
 
 from __future__ import annotations
@@ -228,27 +228,8 @@ class RunRecord:
         out["deviation"] = self.deviation
         return out
 
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "RunRecord":
-        if raw.get("tool") != "ghzpurify":
-            raise ConfigError(f"not a ghzpurify record: tool={raw.get('tool')!r}")
-        if raw.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported record schema_version {raw.get('schema_version')!r}")
-        return cls(
-            config=raw["config"],
-            result=raw["result"],
-            closed_form=raw["closed_form"],
-            deviation=raw["deviation"],
-            tool_version=raw["tool_version"],
-            timestamp=raw.get("timestamp"),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls.from_dict(json.loads(text))
 
     def scalar_fields(self) -> dict[str, Any]:
         """Flat subset shared by the CSV encoding."""
@@ -268,13 +249,7 @@ class RunRecord:
 
     def to_csv(self) -> str:
         fields = self.scalar_fields()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(fields.keys())
-        writer.writerow(
-            format_sig(v) if isinstance(v, float) else v for v in fields.values()
-        )
-        return buf.getvalue()
+        return rows_to_csv(list(fields), [list(fields.values())])
 
 
 def rows_to_csv(header: list[str], rows: list[list[Any]]) -> str:

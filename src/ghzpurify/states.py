@@ -104,9 +104,6 @@ class PureState:
         object.__setattr__(state, "terms", MappingProxyType(terms))
         return state
 
-    def amplitude(self, label: Label) -> complex:
-        return self.terms.get(label, 0.0j)
-
 
 def make_state(m: int, dofs: Iterable[str], items: Iterable[tuple[Label, complex]]) -> PureState:
     """Build a PureState, merging duplicate labels and pruning dead terms.
@@ -182,16 +179,6 @@ def overlap(a: PureState, b: PureState) -> complex:
     )
 
 
-def states_close(a: PureState, b: PureState, tol: float = NORM_TOL, global_phase: bool = False) -> bool:
-    """Term-by-term amplitude equality; optionally modulo a global phase."""
-    if a.m != b.m or a.dofs != b.dofs:
-        return False
-    if global_phase:
-        return abs(abs(overlap(a, b)) - 1.0) <= tol
-    labels = set(a.terms) | set(b.terms)
-    return all(abs(a.amplitude(l) - b.amplitude(l)) <= tol for l in labels)
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """Probability-weighted mixture of pure states (all same m and dofs)."""
@@ -227,10 +214,6 @@ class Ensemble:
     @property
     def dofs(self) -> tuple[str, ...]:
         return self.members[0][1].dofs
-
-    @classmethod
-    def pure(cls, state: PureState) -> "Ensemble":
-        return cls(((1.0, state),))
 
 
 def fidelity(ensemble: Ensemble, target: PureState) -> float:

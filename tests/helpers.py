@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ghzpurify import POL, SPATIAL, PureState, closed_form_general, make_ghz_pol, make_state
 from ghzpurify.optics import walsh_hadamard
 from ghzpurify.oracle import (
     OracleResult,
@@ -24,7 +23,9 @@ from ghzpurify.oracle import (
     hadamard_both_unitary,
     state_vector,
 )
-from ghzpurify.states import bits
+from ghzpurify.protocol import closed_form_general
+from ghzpurify.states import NORM_TOL, POL, SPATIAL, PureState, bits, make_ghz_pol, make_state, overlap
+
 
 def pair_closed_form(fa: float, fb: float) -> tuple[float, float]:
     """(fidelity, success probability) of the two-component closed form: closed_form_general on (F, 1 - F)."""
@@ -37,6 +38,16 @@ def assert_deviation_is_difference(record: dict) -> None:
     result, closed, deviation = record["result"], record["closed_form"], record["deviation"]
     assert deviation["fidelity"] == abs(result["output_fidelity"] - closed["fidelity"])
     assert deviation["success_probability"] == abs(result["success_probability"] - closed["success_probability"])
+
+
+def states_close(a: PureState, b: PureState, tol: float = NORM_TOL, global_phase: bool = False) -> bool:
+    """Term-by-term amplitude equality; optionally modulo a global phase."""
+    if a.m != b.m or a.dofs != b.dofs:
+        return False
+    if global_phase:
+        return abs(abs(overlap(a, b)) - 1.0) <= tol
+    labels = set(a.terms) | set(b.terms)
+    return all(abs(a.terms.get(l, 0.0j) - b.terms.get(l, 0.0j)) <= tol for l in labels)
 
 
 def pack(photons) -> tuple[int, ...]:

@@ -8,16 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ghzpurify import NoiseSpec, __version__, cli, oracle
+from ghzpurify import __version__, cli, oracle
 from ghzpurify.cli import execute, main
 from ghzpurify.efficiency import MAX_SWEEP_ROWS
-from ghzpurify.protocol import (
-    COMPONENTS_MAX_PHOTONS,
-    MAX_PHOTONS,
-    MODES,
-    PHASEFLIP_MAX_PHOTONS,
-    run_bitflip,
-)
+from ghzpurify.noise import NoiseSpec
+from ghzpurify.protocol import COMPONENTS_MAX_PHOTONS, MAX_PHOTONS, MODES, PHASEFLIP_MAX_PHOTONS, run_bitflip
 from ghzpurify.records import ProtocolConfig, RunRecord
 from helpers import pair_closed_form
 
@@ -167,7 +162,8 @@ def test_simulate_csv_agrees_with_json(tmp_path):
     jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
     assert main(["simulate", config, "--reproducible", "--out", str(jpath)]) == 0
     assert main(["simulate", config, "--reproducible", "--format", "csv", "--out", str(cpath)]) == 0
-    record = RunRecord.from_json(jpath.read_text())
+    raw = json.loads(jpath.read_text())
+    record = RunRecord(raw["config"], raw["result"], raw["closed_form"], raw["deviation"], raw["tool_version"])
     rows = list(csv.DictReader(io.StringIO(cpath.read_text())))
     assert len(rows) == 1
     for key, value in record.scalar_fields().items():
@@ -176,14 +172,6 @@ def test_simulate_csv_agrees_with_json(tmp_path):
             assert float(cell) == float(format(value, ".12g"))
         else:
             assert cell == str(value)
-
-
-def test_record_round_trip(tmp_path):
-    config = write_config(tmp_path)
-    out = tmp_path / "r.json"
-    assert main(["simulate", config, "--reproducible", "--out", str(out)]) == 0
-    record = RunRecord.from_json(out.read_text())
-    assert RunRecord.from_json(record.to_json()) == record
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

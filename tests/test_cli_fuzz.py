@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify import MODES
 from ghzpurify.cli import main
 from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, NoiseSpec
-from ghzpurify.protocol import COMPONENTS_MAX_PHOTONS, EQUAL, MAX_PHOTONS, PHASEFLIP_MAX_PHOTONS
+from ghzpurify.protocol import COMPONENTS_MAX_PHOTONS, EQUAL, MAX_PHOTONS, MODES, PHASEFLIP_MAX_PHOTONS
 from ghzpurify.records import ConfigError, ProtocolConfig
 from helpers import assert_deviation_is_difference
 

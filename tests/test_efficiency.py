@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ghzpurify import EfficiencyParams, p_one, p_two, ratio_R, sweep
+from ghzpurify.efficiency import EfficiencyParams, p_one, p_two, ratio_R, sweep
 
 
 def params(**overrides):

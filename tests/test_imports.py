@@ -1,11 +1,13 @@
-"""numpy loads only on the dense paths: each test runs a fresh interpreter.
+"""What importing the package loads and binds: each test runs a fresh interpreter.
 
 Only the Hadamard-mode (phase-flip) step and the dense oracle build arrays,
 and they import numpy in their own bodies. A stray module-level import would
 put numpy back into every bit-flip simulate and every sweep, about half of a
-short ghzpurify process.
+short ghzpurify process. The package itself binds its modules, its version
+and the names of the README quick start, nothing else.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_readme import quick_start
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = json.loads((ROOT / "tests" / "data" / "simulate" / "cases.json").read_text())
@@ -59,6 +63,21 @@ print(json.dumps({
 """
 
 
+# The package's bindings other than dunder names, split into modules and other
+# names, and the ghzpurify modules that importing the package loaded.
+_SURFACE = """
+import json, sys, types
+import ghzpurify
+public = {n: v for n, v in vars(ghzpurify).items() if not n.startswith("__")}
+print(json.dumps({
+    "names": sorted(n for n, v in public.items() if not isinstance(v, types.ModuleType)),
+    "modules": sorted(n for n, v in public.items() if isinstance(v, types.ModuleType)),
+    "loaded": sorted(n for n in sys.modules if n.startswith("ghzpurify.")),
+    "version": ghzpurify.__version__,
+}))
+"""
+
+
 def _fresh_python(script: str, *args: str):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -98,3 +117,18 @@ def test_tracer_finds_every_module_without_numpy():
     assert out["wrapped"] and out["restored"]
     assert "protocol.run" in out["spans"]
     assert not out["numpy_after"]
+
+
+def test_package_exports_only_the_quick_start():
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(quick_start()))
+        if isinstance(node, ast.ImportFrom) and node.module == "ghzpurify"
+        for alias in node.names
+    ]
+    out = _fresh_python(_SURFACE)
+    assert imported and out["names"] == sorted(imported)
+    assert out["version"]
+    modules = ["efficiency", "noise", "optics", "oracle", "protocol", "records", "states"]
+    assert out["modules"] == modules
+    assert out["loaded"] == [f"ghzpurify.{name}" for name in modules]

@@ -26,13 +26,20 @@ with its |000> target, catches this mutant.
 
 Then come the butterfly sign in walsh_hadamard, the closing Hadamard of the
 phase-flip correction skipped, a wrong phaseflip_plan flip mask and the GHZ
-maker of the two noise lists swapped. Two mutants survive every detector and
-are not listed. ``sum`` in place of ``math.fsum`` in noise.ghz_weights
-changes no figure these detectors print; tests/test_order.py catches it.
-Reversing infer_flip_plan's tie-break, so that a flip and its complement of
-equal weight swap, is equivalent on every input that function accepts: the
-two corrections differ by X on every photon, and every GHZ state is an
-eigenstate of that X.
+maker of the two noise lists swapped. The last three reach past the engine:
+states.bits read least significant bit first, which the oracle and the
+result tables share; the pol-to-pol mask of optics.check_table read off
+row (1, 0) without the constant of row (0, 0); and cli.execute scoring the
+closed form against 0+ whatever the configured target.
+
+Three mutants survive every detector and are not listed. ``sum`` in place
+of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
+print; tests/test_order.py catches it. Reversing infer_flip_plan's
+tie-break, so that a flip and its complement of equal weight swap, is
+equivalent on every input that function accepts: the two corrections differ
+by X on every photon, and every GHZ state is an eigenstate of that X.
+Raising the bound of optics.prune from PRUNE_TOL to 1e-9 moves no figure
+these detectors print, and no other test catches it yet.
 """
 
 import __future__
@@ -41,14 +48,16 @@ import contextlib
 import inspect
 import io
 import json
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-import ghzpurify
-from ghzpurify import POL, SPATIAL, Ensemble, cli, densify, make_state, noise, optics, oracle_run, protocol, states
+from ghzpurify import cli, noise, optics, protocol, states
+from ghzpurify.oracle import densify, oracle_run
 from ghzpurify.records import ProtocolConfig
+from ghzpurify.states import POL, SPATIAL, Ensemble, make_state
 
 DATA = Path(__file__).parent / "data" / "simulate"
 CASES = {c["name"]: c["config"] for c in json.loads((DATA / "cases.json").read_text(encoding="utf-8"))}
@@ -70,6 +79,9 @@ MUTANTS = [
     ("closing-hadamard", protocol, "_dense_split", "walsh_hadamard(block, m)", "None"),
     ("plan-mask", protocol, "phaseflip_plan", "(1 << m) - 1", "(1 << m) - 2"),
     ("maker-swapped", noise, "ensemble_from_specs", "dof == POL", "dof != POL"),
+    ("bits-order", states, "bits", "(register >> (m - 1 - k)) & 1", "(register >> k) & 1"),
+    ("table-mask", optics, "check_table", "(p1 ^ c1, s1 ^ c1, c1,", "(p1, s1 ^ c1, c1,"),
+    ("record-target", cli, "execute", "weights.get((index, sign), 0.0)", "weights.get((0, 1), 0.0)"),
 ]
 
 
@@ -128,7 +140,7 @@ def mutate(monkeypatch, module, name, old, new):
     )
     namespace = {}
     exec(code, vars(module), namespace)
-    for holder in (ghzpurify, states, noise, optics, protocol, cli):
+    for holder in [mod for key, mod in list(sys.modules.items()) if key.split(".")[0] == "ghzpurify"]:
         if getattr(holder, name, None) is original:
             monkeypatch.setattr(holder, name, namespace[name])
 

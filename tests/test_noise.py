@@ -3,22 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from ghzpurify import (
-    Ensemble,
+from ghzpurify.noise import (
+    BIT_FLIP,
+    PHASE_FLIP,
     NoiseSpec,
-    PureState,
-    densify,
     ensemble_from_specs,
-    fidelity,
-    make_ghz_pol,
-    make_ghz_spatial,
+    ghz_weights,
     mix_general,
     mix_two,
     product_ensemble,
+)
+from ghzpurify.oracle import densify
+from ghzpurify.states import (
+    NORM_TOL,
+    POL,
+    PORT,
+    PRUNE_TOL,
+    SPATIAL,
+    Ensemble,
+    PureState,
+    fidelity,
+    make_ghz_pol,
+    make_ghz_spatial,
     tensor_hyper,
 )
-from ghzpurify.noise import BIT_FLIP, PHASE_FLIP, ghz_weights
-from ghzpurify.states import NORM_TOL, POL, PORT, PRUNE_TOL, SPATIAL
 from helpers import brute_vector, interleave_factors
 
 
@@ -89,7 +97,7 @@ def test_product_ensemble_matches_dense_tensor():
 
 def test_product_pure_times_pure():
     joint = product_ensemble(
-        Ensemble.pure(make_ghz_pol(3, 0)), Ensemble.pure(make_ghz_spatial(3, 0))
+        Ensemble(((1.0, make_ghz_pol(3, 0)),)), Ensemble(((1.0, make_ghz_spatial(3, 0)),))
     )
     assert len(joint.members) == 1
     assert joint.members[0][0] == pytest.approx(1.0)
@@ -108,9 +116,9 @@ def test_product_ensemble_accepts_product_of_checked_mixtures():
 
 def test_product_ensemble_rejects_mismatched_factors():
     # product_ensemble leaves these checks to tensor_hyper on its first member
-    pol, spatial = Ensemble.pure(make_ghz_pol(3, 0)), Ensemble.pure(make_ghz_spatial(3, 0))
+    pol, spatial = Ensemble(((1.0, make_ghz_pol(3, 0)),)), Ensemble(((1.0, make_ghz_spatial(3, 0)),))
     with pytest.raises(ValueError, match="photon counts differ: 3 vs 4"):
-        product_ensemble(pol, Ensemble.pure(make_ghz_spatial(4, 0)))
+        product_ensemble(pol, Ensemble(((1.0, make_ghz_spatial(4, 0)),)))
     with pytest.raises(ValueError, match="bare polarization"):
         product_ensemble(spatial, pol)
 

@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify import (
+from ghzpurify.optics import (
     GATE_TABLE,
+    apply_network,
+    bit_flip_pol,
+    hadamard_pol,
+    hadamard_spatial,
+    pair_hadamard,
+    route,
+    walsh_hadamard,
+)
+from ghzpurify.oracle import _single_photon_network
+from ghzpurify.states import (
     H,
     KEEP,
     MODE1,
@@ -17,17 +27,10 @@ from ghzpurify import (
     SWAP,
     V,
     PureState,
-    apply_network,
-    bit_flip_pol,
-    hadamard_pol,
-    hadamard_spatial,
     make_ghz_pol,
     make_ghz_spatial,
-    states_close,
     tensor_hyper,
 )
-from ghzpurify.optics import pair_hadamard, route, walsh_hadamard
-from ghzpurify.oracle import _single_photon_network
 from helpers import (
     MINUS_GLOBAL_SIGN,
     PAIRING,
@@ -37,6 +40,7 @@ from helpers import (
     random_joint_state,
     reference_hadamard_state,
     scaled,
+    states_close,
     unpack,
     walsh_pair_reference,
 )

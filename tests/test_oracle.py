@@ -3,34 +3,28 @@ import functools
 import numpy as np
 import pytest
 
-from ghzpurify import (
-    MODES,
-    POL,
-    PORT,
-    SPATIAL,
-    Ensemble,
-    PureState,
-    densify,
-    infer_flip_plan,
-    make_ghz_pol,
-    make_ghz_spatial,
-    mix_two,
-    network_unitary,
-    oracle_run,
-    phaseflip_plan,
-    product_ensemble,
-    run_bitflip,
-    run_general,
-    run_phaseflip,
-    tensor_hyper,
-)
+from ghzpurify.noise import mix_two, product_ensemble
 from ghzpurify.oracle import (
     _contract_per_photon,
     _indices,
     _network_source,
     _port_blocks,
+    densify,
     hadamard_both_unitary,
+    network_unitary,
+    oracle_run,
     state_vector,
+)
+from ghzpurify.protocol import MODES, infer_flip_plan, phaseflip_plan, run_bitflip, run_general, run_phaseflip
+from ghzpurify.states import (
+    POL,
+    PORT,
+    SPATIAL,
+    Ensemble,
+    PureState,
+    make_ghz_pol,
+    make_ghz_spatial,
+    tensor_hyper,
 )
 from helpers import brute_vector, full_gather_oracle_run, tensordot_contract
 
@@ -42,7 +36,7 @@ def joint_pair(m, f1, f2, pol_index=1, spatial_index=1):
 
 
 def test_densify_pure_projector():
-    ens = Ensemble.pure(tensor_hyper(make_ghz_pol(3, 0), make_ghz_spatial(3, 0)))
+    ens = Ensemble(((1.0, tensor_hyper(make_ghz_pol(3, 0), make_ghz_spatial(3, 0))),))
     rho = densify(ens)
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.allclose(rho, rho.conj().T)
@@ -72,7 +66,7 @@ def test_densify_product_mixture_spectrum():
 
 
 def test_densify_capacity():
-    ens = Ensemble.pure(tensor_hyper(make_ghz_pol(6, 0), make_ghz_spatial(6, 0)))
+    ens = Ensemble(((1.0, tensor_hyper(make_ghz_pol(6, 0), make_ghz_spatial(6, 0))),))
     with pytest.raises(ValueError, match="capacity"):
         densify(ens)
 

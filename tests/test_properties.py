@@ -14,18 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify import (
-    MODES,
-    AcceptanceRule,
-    Ensemble,
-    PureState,
-    make_ghz_pol,
-    make_ghz_spatial,
-    mix_general,
-    product_ensemble,
-    run_general,
-)
+from ghzpurify.noise import mix_general, product_ensemble
 from ghzpurify.oracle import densify, oracle_run
+from ghzpurify.protocol import MODES, AcceptanceRule, run_general
+from ghzpurify.states import Ensemble, PureState, make_ghz_pol, make_ghz_spatial
 from helpers import pack, unpack
 
 TOL = 1e-12

@@ -4,37 +4,39 @@ import random
 import numpy as np
 import pytest
 
-from ghzpurify import (
+from ghzpurify import protocol
+from ghzpurify.noise import mix_general, mix_two, product_ensemble
+from ghzpurify.optics import (
     GATE_TABLE,
-    MODES,
-    POL,
-    SPATIAL,
-    AcceptanceRule,
-    Ensemble,
-    PureState,
     apply_network,
     bit_flip_pol,
-    bits,
-    closed_form_general,
-    fidelity,
     hadamard_pol,
     hadamard_spatial,
+    route,
+    walsh_hadamard,
+)
+from ghzpurify.protocol import (
+    MODES,
+    AcceptanceRule,
+    _dense_split,
+    closed_form_general,
     infer_flip_plan,
-    make_ghz_pol,
-    make_ghz_spatial,
-    make_state,
-    mix_general,
-    mix_two,
     phaseflip_plan,
-    product_ensemble,
     run_bitflip,
     run_general,
     run_phaseflip,
+)
+from ghzpurify.states import (
+    POL,
+    SPATIAL,
+    Ensemble,
+    PureState,
+    bits,
+    make_ghz_pol,
+    make_ghz_spatial,
+    make_state,
     tensor_hyper,
 )
-from ghzpurify import protocol
-from ghzpurify.optics import route, walsh_hadamard
-from ghzpurify.protocol import _dense_split
 from helpers import pair_closed_form, walsh_pair_reference
 
 
@@ -232,7 +234,7 @@ def test_pattern_parity_enumeration():
         bitflip_input(3, 0.8, 0.8), corrections={}, acceptance=AcceptanceRule("general")
     )
     crossed_pol = product_ensemble(
-        Ensemble.pure(make_ghz_pol(3, 1)), Ensemble.pure(make_ghz_spatial(3, 0))
+        Ensemble(((1.0, make_ghz_pol(3, 1)),)), Ensemble(((1.0, make_ghz_spatial(3, 0)),))
     )
     crossed = run_general(crossed_pol, corrections={}, acceptance=AcceptanceRule("general"))
     assert set(crossed.accepted) == {(0, 0, 1), (1, 1, 0)}
@@ -287,14 +289,14 @@ def test_general_four_term_matched_patterns():
 
 def test_general_pure_input():
     ens = product_ensemble(
-        Ensemble.pure(make_ghz_pol(3, 0)), Ensemble.pure(make_ghz_spatial(3, 0))
+        Ensemble(((1.0, make_ghz_pol(3, 0)),)), Ensemble(((1.0, make_ghz_spatial(3, 0)),))
     )
     result = run_general(ens)
     assert result.success_probability == pytest.approx(1.0, abs=1e-12)
     assert result.output_fidelity == pytest.approx(1.0, abs=1e-12)
     # a dead term alone on its port is dropped before any state is built, as make_state drops it
     member = PureState(2, (POL, SPATIAL), {(0, 0): 1.0, (0, 3): 0.0})
-    result = run_general(Ensemble.pure(member), corrections={}, acceptance=AcceptanceRule("general"))
+    result = run_general(Ensemble(((1.0, member),)), corrections={}, acceptance=AcceptanceRule("general"))
     assert list(result.accepted) == [(0, 0)] and result.success_probability == 1.0
 
 
@@ -413,10 +415,10 @@ def test_acceptance_rules():
 
 
 def test_infer_plan_requires_ghz_products():
-    from ghzpurify import hadamard_pol
+    from ghzpurify.optics import hadamard_pol
 
-    warped = Ensemble.pure(
-        hadamard_pol(tensor_hyper(make_ghz_pol(3, 0), make_ghz_spatial(3, 0)))
+    warped = Ensemble(
+        ((1.0, hadamard_pol(tensor_hyper(make_ghz_pol(3, 0), make_ghz_spatial(3, 0)))),)
     )
     with pytest.raises(ValueError, match="explicit plan"):
         infer_flip_plan(warped)

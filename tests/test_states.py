@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ghzpurify import (
+from ghzpurify.noise import product_ensemble
+from ghzpurify.states import (
     POL,
     SPATIAL,
     Ensemble,
@@ -15,11 +16,9 @@ from ghzpurify import (
     make_ghz_spatial,
     make_state,
     overlap,
-    product_ensemble,
-    states_close,
     tensor_hyper,
 )
-from helpers import brute_vector, interleave_factors, pack, pol_state_from_string, unpack
+from helpers import brute_vector, interleave_factors, pack, pol_state_from_string, states_close, unpack
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -121,7 +120,7 @@ def test_tensor_hyper_accepts_product_of_checked_factors():
     joint = tensor_hyper(pol, spatial)
     assert abs(math.fsum(abs(a) ** 2 for a in joint.terms.values()) - 1.0) > 1e-12
     assert joint.terms == pytest.approx({(0, 0): amp**2, (0, 7): amp**2, (7, 0): amp**2, (7, 7): amp**2})
-    (weight, member), = product_ensemble(Ensemble.pure(pol), Ensemble.pure(spatial)).members
+    (weight, member), = product_ensemble(Ensemble(((1.0, pol),)), Ensemble(((1.0, spatial),))).members
     assert (weight, member) == (1.0, joint)
 
 
@@ -132,7 +131,7 @@ def test_tensor_hyper_mismatched_m():
 
 def test_fidelity_identity_and_orthogonal_mixture():
     target = make_ghz_pol(3, 0)
-    assert fidelity(Ensemble.pure(target), target) == pytest.approx(1.0)
+    assert fidelity(Ensemble(((1.0, target),)), target) == pytest.approx(1.0)
     mixed = Ensemble(((0.8, make_ghz_pol(3, 0)), (0.2, make_ghz_pol(3, 1))))
     assert fidelity(mixed, target) == pytest.approx(0.8, abs=1e-15)
 
@@ -140,13 +139,13 @@ def test_fidelity_identity_and_orthogonal_mixture():
 def test_fidelity_partial_overlap():
     # <target|state> = 1/2 by direct expansion, so fidelity is 1/4
     state = pol_state_from_string({"HHH": INV_SQRT2, "VVH": INV_SQRT2})
-    assert fidelity(Ensemble.pure(state), make_ghz_pol(3, 0)) == pytest.approx(0.25, abs=1e-15)
+    assert fidelity(Ensemble(((1.0, state),)), make_ghz_pol(3, 0)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_fidelity_stage_mismatch():
     joint = tensor_hyper(make_ghz_pol(3, 0), make_ghz_spatial(3, 0))
     with pytest.raises(ValueError, match="different labels"):
-        fidelity(Ensemble.pure(joint), make_ghz_pol(3, 0))
+        fidelity(Ensemble(((1.0, joint),)), make_ghz_pol(3, 0))
 
 
 def test_ghz_family_orthonormal():
@@ -178,7 +177,7 @@ def test_complement_symmetry():
             else:
                 assert states_close(state, flipped, global_phase=True)
                 assert not states_close(state, flipped)
-            assert fidelity(Ensemble.pure(flipped), state) == pytest.approx(1.0)
+            assert fidelity(Ensemble(((1.0, flipped),)), state) == pytest.approx(1.0)
 
 
 def test_tensor_marginals_reproduce_factors():
