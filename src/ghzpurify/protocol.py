@@ -14,6 +14,15 @@ register arrays (_dense_split). A member whose spatial registers are one
 complementary pair, as on every GHZ x GHZ product, gets its spatial layer
 in closed form (optics.pair_hadamard), bit for bit what walsh_hadamard
 gives. Both steps return only the accepted ports.
+Every element of a Hadamard run is Clifford, so a member that is a real
+GHZ x GHZ product with amplitudes +-a is a Pauli image Z^z X^x of a times
+the all-plus product R0 (_ghz_frame), and so is its output. Members with
+the same port shift xq and magnitude a form a group: only the first of a
+group runs the dense step, and each other one is that result relabelled by
+an exact signed XOR of its frame against the first one's
+(_relabelled_dense_split). The relabelling copies or negates the dense
+step's floats and computes none, so the result is the dense step's bit for
+bit; any other member takes the dense step.
 Each step reads the gate's affine register masks off the table once per run
 (optics.check_table, which refuses a table that is not a bijection) and
 routes with two XOR/AND expressions.
@@ -198,8 +207,9 @@ def _split_by_pattern(
 
 
 # A Hadamard-mode member holds 4^m amplitudes after its layers; at m = 10 a
-# phase-flip simulate takes about 0.34 s and 59 MB peak on a 2-CPU machine
-# (median of 5). Configs above this are refused.
+# phase-flip simulate takes about 0.30 s and 58 MB peak on a 2-CPU machine
+# (median of 5), two dense steps for its four members. Configs above this
+# are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
 # A mode that ``lists_components`` (general) builds and prints all 2^(m-1)
@@ -304,6 +314,96 @@ def _dense_split(
     return split
 
 
+def _ghz_frame(member: PureState) -> tuple[float, int, int, int, int] | None:
+    """(a, e, f, zp, zs) of a real GHZ x GHZ product member; None for any other member.
+
+    Such a member is a Pauli image of R0 = GHZ_pol(0,+) x GHZ_sp(0,+) scaled
+    by a: amp(p, s) = (-1)^(zp.p ^ zs.s) a R0(p ^ e, s ^ f), with x.y the
+    parity of x & y, (e, f) the registers _ghz_product_parts recovers and
+    zp (zs) 2^(m-1) where the pol (spatial) sign is -, else 0. The (e, f)
+    term is a, and every term must be exactly +-a as that formula gives it.
+    """
+    try:
+        e, f = _ghz_product_parts(member)
+    except ValueError:
+        return None
+    terms = member.terms
+    if any(amp.imag for amp in terms.values()):
+        return None
+    full, top = (1 << member.m) - 1, 1 << (member.m - 1)
+    a = terms[(e, f)].real
+    zp = top if terms[(e ^ full, f)].real == -a else 0
+    zs = top if terms[(e, f ^ full)].real == -a else 0
+    for (p, s), amp in terms.items():
+        if amp.real != (-a if (p & zp ^ s & zs).bit_count() & 1 else a):
+            return None
+    return a, e, f, zp, zs
+
+
+def _relabelled_dense_split(
+    m: int, rule: AcceptanceRule, plan: CorrectionPlan, table: GateTable
+) -> Callable[[PureState], Split]:
+    """The dense step once per Pauli class: every other GHZ x GHZ member is relabelled from it.
+
+    Every element of the Hadamard path is Clifford, so a member
+    a Z^(zp, zs) X^(e, f) R0 (_ghz_frame) leaves as a Pauli image of R0's
+    output. Both Hadamard layers swap x and z; the sign (-1)^(z.x) is +1,
+    as e, f < 2^(m-1). The gate carries x through its forward masks
+    (check_table) and z through those of its inverse,
+    p = o&pol_o ^ q&pol_q ^ pol_c and s = o&sp_o ^ q&sp_q ^ sp_c:
+    xo = zp&a1 ^ zs&b1, xq = zp&a2 ^ zs&b2, zo = e&pol_o ^ f&sp_o and
+    zq = e&pol_q ^ f&sp_q, with the sign e.pol_c ^ f.sp_c. Port q's flip
+    mask F(q) adds zo.F(q), and the closing Hadamard adds zo.xo and swaps
+    x and z again. So out_M[q](o) = (-1)^(c ^ zq.q ^ zo.F(q) ^ xo.o)
+    out_R0[q ^ xq](o ^ zo), with c = e.pol_c ^ f.sp_c ^ zo.xo. Members with
+    the same port shift xq and magnitude a form a group with the same
+    accepted ports. The first member of a group runs the dense step, and
+    every other one is that result relabelled through the XOR of the two
+    frames. A group whose first member is rejected whole stays empty.
+
+    The relabelling is exact. A butterfly on a Pauli image of its input
+    gives the same floats, moved or negated, since c x + c y = c y + c x
+    and c x - c y = -(c y - c x) bit for bit; a zero whose sign may differ
+    is pruned to +0.0. Every nonzero amplitude of one port of a GHZ x GHZ
+    product has the same magnitude, so the port's probability, a
+    left-to-right sum in register order, is the same in any order. The
+    relabelled amplitudes are the first member's real parts, each negated
+    or not and then made complex, in ascending register order as
+    np.nonzero gives them. Any other member takes the dense step.
+    """
+    step = _dense_split(m, rule, plan, table)
+    a1, b1, _, a2, b2, _ = check_table(table, m)
+    pol_o, pol_q, pol_c, sp_o, sp_q, sp_c = check_table({out: row for row, out in table.items()}, m)
+    groups: dict[tuple[int, float], tuple[tuple[int, int, int, int], Split]] = {}  # (xq, a) -> first member
+
+    def split(member: PureState) -> Split:
+        parts = _ghz_frame(member)
+        if parts is None:
+            return step(member)
+        a, e, f, zp, zs = parts
+        xo, zo = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o
+        frame = ((e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1, e & pol_q ^ f & sp_q, zo, xo)
+        key = (zp & a2 ^ zs & b2, a)
+        if key not in groups:
+            groups[key] = frame, step(member)
+            return groups[key][1]
+        first, found = groups[key]
+        # out_M[q](o) = (-1)^(sign ^ dz.q ^ d.F(q) ^ dx.o) out_first[q](o ^ d)
+        sign, dz, d, dx = (u ^ v for u, v in zip(frame, first))
+        sign ^= (first[3] & d).bit_count() & 1
+        out = {}
+        for q, (prob, state) in found.items():
+            flip = sign ^ (dz & q ^ d & plan.get(q, 0)).bit_count() & 1
+            terms: dict[Label, complex] = {}
+            for o in sorted(reg ^ d for (reg,) in state.terms):
+                x = state.terms[(o ^ d,)].real
+                terms[(o,)] = complex(-x if flip ^ (dx & o).bit_count() & 1 else x)
+            out[q] = (prob, PureState._derived(m, (POL,), terms))
+        return out
+
+    return split
+
+
 def _execute(
     ensemble: Ensemble,
     rule: AcceptanceRule,
@@ -312,6 +412,16 @@ def _execute(
     hadamard_first: bool,
     gate_table: GateTable | None,
 ) -> ProtocolResult:
+    """One run: each member's step, then per accepted port its conditional ensemble and fidelity.
+
+    In a Hadamard run, the step is the dense step once per (xq, a) group of
+    real GHZ x GHZ members, every other member of a group relabelled from
+    it by its Pauli frame (_relabelled_dense_split), and the dense step on
+    every member that is not such a product. The groups live for this call
+    only. The relabelling moves and negates the dense step's floats without
+    computing any, so every figure and every amplitude of the result is the
+    one per-member dense steps give, bit for bit.
+    """
     if ensemble.dofs != (POL, SPATIAL):
         raise ValueError(f"protocol input must carry (pol, spatial) labels, got {ensemble.dofs}")
     m = ensemble.m
@@ -321,7 +431,7 @@ def _execute(
         raise ValueError("target must be a bare polarization state on the same photons")
 
     table = GATE_TABLE if gate_table is None else gate_table
-    step = (_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, table)
+    step = (_relabelled_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, table)
     buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
     for weight, member in ensemble.members:
         for port, (cond_prob, cond_state) in step(member).items():

@@ -40,6 +40,13 @@ def assert_deviation_is_difference(record: dict) -> None:
     assert deviation["success_probability"] == abs(result["success_probability"] - closed["success_probability"])
 
 
+def assert_same_text(a: str, b: str) -> None:
+    """Fail where two texts first differ; pytest's own diff of two long reprs can take minutes."""
+    if a != b:
+        at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        raise AssertionError(f"texts differ at {at}: {a[max(0, at - 80):at + 80]!r} against {b[max(0, at - 80):at + 80]!r}")
+
+
 def states_close(a: PureState, b: PureState, tol: float = NORM_TOL, global_phase: bool = False) -> bool:
     """Term-by-term amplitude equality; optionally modulo a global phase."""
     if a.m != b.m or a.dofs != b.dofs:

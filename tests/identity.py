@@ -15,7 +15,12 @@ parent commit and the working tree. Each tree runs in one child process with
 - verify: ``verify --m 2..5`` and ``verify --m 3 --inject-gate-fault``;
 - repr: the ``repr`` of ``MODES[mode].run`` on seeded ensembles whose
   members are not GHZ products, or carry complex amplitudes (an exception is
-  compared by its type and message).
+  compared by its type and message);
+- ghz: the same ``repr`` of phase-flip runs on GHZ x GHZ products built by
+  ``tensor_hyper(make_ghz_pol(...), make_ghz_spatial(...))`` at m = 2..10:
+  random indices, all four sign pairs, repeated members, the gate and the
+  faulted table. The repr spells out every port state, so a fault that
+  only a non-GHZ target or a port's global sign shows is seen here.
 
 The exit code, stdout and stderr of every case are compared. For the first
 differing case of each set the script prints the case and the first
@@ -50,9 +55,9 @@ PHOTONS = {
     "general": (2, 3, 4, 5, 6, 8, 2, 3, 4, 5, 12, 16, 17),
     "deterministic-demo": (2, 3, 4, 5, 6, 8, 16, 64, 1000),
 }
-SIZES = {  # cases per seeded set: (simulate configs, sweeps per axis, repr ensembles)
-    "default": (2000, 10, 1000),
-    "smoke": (12, 1, 8),
+SIZES = {  # cases per seeded set: (simulate configs, sweeps per axis, repr ensembles, GHZ-product ensembles)
+    "default": (2000, 10, 1000, 150),
+    "smoke": (12, 1, 8, 4),
 }
 
 
@@ -161,9 +166,31 @@ def repr_case(rng: random.Random) -> dict:
             "fault": rng.random() < 0.1}
 
 
+def ghz_case(rng: random.Random) -> dict:
+    """A phase-flip ensemble of GHZ x GHZ products as (weight, [e, pol sign, f, spatial sign]) members."""
+    m = rng.randrange(2, 11)
+    members = []
+    for _ in range(rng.randrange(1, 4 if m >= 9 else 7)):
+        if members and rng.random() < 0.3:
+            members.append(rng.choice(members))  # the same product again
+        else:
+            members.append([rng.getrandbits(m - 1), rng.choice((1, -1)), rng.getrandbits(m - 1), rng.choice((1, -1))])
+    raw = [rng.random() + 0.01 for _ in members]
+    total = math.fsum(raw)
+    choice = rng.random()
+    if choice < 0.3:
+        target = None
+    elif choice < 0.6:
+        target = [rng.getrandbits(m - 1), rng.choice((1, -1))]
+    else:
+        target = _normalized(rng, [(r,) for r in {rng.getrandbits(m) for _ in range(rng.randrange(1, 5))}], False)
+    return {"m": m, "members": [[w / total, member] for w, member in zip(raw, members)], "target": target,
+            "fault": rng.random() < 0.5}
+
+
 def build_sets(seed: int, smoke: bool, config_dir: Path) -> dict[str, list]:
     """Cases by set; a simulate case is the argv with its config written under config_dir."""
-    n_sim, per_axis, n_repr = SIZES["smoke" if smoke else "default"]
+    n_sim, per_axis, n_repr, n_ghz = SIZES["smoke" if smoke else "default"]
     rng = random.Random(seed)
     simulate = []
     for k in range(n_sim):
@@ -177,6 +204,7 @@ def build_sets(seed: int, smoke: bool, config_dir: Path) -> dict[str, list]:
         "sweep": sweep_argvs(rng, per_axis),
         "verify": verify,
         "repr": [repr_case(rng) for _ in range(n_repr)],
+        "ghz": [ghz_case(rng) for _ in range(n_ghz)],
     }
 
 
@@ -202,14 +230,23 @@ def child() -> None:
     from ghzpurify.cli import main
     from ghzpurify.optics import GATE_TABLE
     from ghzpurify.protocol import MODES as MODE_TABLE
-    from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_ghz_pol
+    from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_ghz_pol, make_ghz_spatial, tensor_hyper
 
-    def run_repr(case):
-        m = case["m"]
-        members = tuple(
-            (w, PureState(m, (POL, SPATIAL), {(p, s): complex(re, im) for p, s, re, im in terms}))
+    def plain_members(case):
+        return tuple(
+            (w, PureState(case["m"], (POL, SPATIAL), {(p, s): complex(re, im) for p, s, re, im in terms}))
             for w, terms in case["members"]
         )
+
+    def ghz_members(case):
+        m = case["m"]
+        return tuple(
+            (w, tensor_hyper(make_ghz_pol(m, e, sign), make_ghz_spatial(m, f, other)))
+            for w, (e, sign, f, other) in case["members"]
+        )
+
+    def run_repr(case, mode, members):
+        m = case["m"]
         target = case["target"]
         if target is not None and isinstance(target[0], int):
             target = make_ghz_pol(m, *target)
@@ -219,12 +256,16 @@ def child() -> None:
         if case["fault"]:
             table = dict(GATE_TABLE)
             table[(0, 0)], table[(1, 0)] = table[(1, 0)], table[(0, 0)]
-        print(repr(MODE_TABLE[case["mode"]].run(Ensemble(members), target=target, gate_table=table)))
+        print(repr(MODE_TABLE[mode].run(Ensemble(members), target=target, gate_table=table)))
         return 0
 
+    runners = {
+        "repr": lambda case: run_repr(case, case["mode"], plain_members(case)),
+        "ghz": lambda case: run_repr(case, "phaseflip", ghz_members(case)),
+    }
     sets = json.loads(sys.stdin.read())
     results = {
-        name: [_captured(lambda: run_repr(case) if name == "repr" else main(case)) for case in cases]
+        name: [_captured(lambda: runners.get(name, main)(case)) for case in cases]
         for name, cases in sets.items()
     }
     json.dump({"origin": sys.modules["ghzpurify.states"].__file__, "results": results}, sys.stdout)

@@ -5,9 +5,11 @@ is recompiled from its source with the change and installed, for the length
 of one test, in every module that binds it. The detectors are a subset of the
 golden records (tests/test_golden.py), the closed forms every simulate record
 is scored against, the engine against the dense oracle at m = 3
-(`verify --m 3`), and the same comparison on one phase-flip member that is
-not a GHZ x GHZ product, scored against a target that is not a GHZ state. A
-mutant is caught when a detector's check fails or raises.
+(`verify --m 3`), the same comparison on two phase-flip members that are
+not GHZ x GHZ products, scored against a target that is not a GHZ state,
+and the repr of a phase-flip run on GHZ x GHZ members against the same run
+with every member through its own dense step. A mutant is caught when a
+detector's check fails or raises.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
@@ -32,14 +34,20 @@ result tables share; the pol-to-pol mask of optics.check_table read off
 row (1, 0) without the constant of row (0, 0); and cli.execute scoring the
 closed form against 0+ whatever the configured target.
 
-Three mutants survive every detector and are not listed. ``sum`` in place
+The last three: optics.prune raised from PRUNE_TOL to 1e-9, which only the
+second off-product member sees (its accepted ports carry amplitudes of
+about 5e-10, and dropping them moves the fidelity against |000> by 1e-9);
+and two faults of the phase-flip relabelling, the port shift xq dropped
+from the group key and the zq.q sign term dropped. The second flips the
+sign of whole port states, which no fidelity sees: only the repr detector
+catches it.
+
+Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
 print; tests/test_order.py catches it. Reversing infer_flip_plan's
 tie-break, so that a flip and its complement of equal weight swap, is
 equivalent on every input that function accepts: the two corrections differ
 by X on every photon, and every GHZ state is an eigenstate of that X.
-Raising the bound of optics.prune from PRUNE_TOL to 1e-9 moves no figure
-these detectors print, and no other test catches it yet.
 """
 
 import __future__
@@ -57,7 +65,8 @@ import pytest
 from ghzpurify import cli, noise, optics, protocol, states
 from ghzpurify.oracle import densify, oracle_run
 from ghzpurify.records import ProtocolConfig
-from ghzpurify.states import POL, SPATIAL, Ensemble, make_state
+from ghzpurify.states import POL, SPATIAL, Ensemble, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
+from helpers import assert_same_text
 
 DATA = Path(__file__).parent / "data" / "simulate"
 CASES = {c["name"]: c["config"] for c in json.loads((DATA / "cases.json").read_text(encoding="utf-8"))}
@@ -82,6 +91,9 @@ MUTANTS = [
     ("bits-order", states, "bits", "(register >> (m - 1 - k)) & 1", "(register >> k) & 1"),
     ("table-mask", optics, "check_table", "(p1 ^ c1, s1 ^ c1, c1,", "(p1, s1 ^ c1, c1,"),
     ("record-target", cli, "execute", "weights.get((index, sign), 0.0)", "weights.get((0, 1), 0.0)"),
+    ("prune-bound", optics, "prune", "<= PRUNE_TOL", "<= 1e-9"),
+    ("relabel-key", protocol, "_relabelled_dense_split", "key = (zp & a2 ^ zs & b2, a)", "key = (0, a)"),
+    ("relabel-port-sign", protocol, "_relabelled_dense_split", "e & pol_q ^ f & sp_q, zo, xo)", "0, zo, xo)"),
 ]
 
 
@@ -104,9 +116,8 @@ def oracle_m3(tmp_path):
         assert cli.main(["verify", "--m", "3"]) == 0
 
 
-def oracle_off_product(tmp_path):
-    # unequal amplitudes on registers 0 and 7 of both degrees of freedom
-    pol, spatial = ((0, 0.9**0.5), (7, 0.1**0.5)), ((0, 0.96**0.5), (7, 0.04**0.5))
+def _against_oracle(pol, spatial):
+    """Engine against oracle on the phase-flip member pol x spatial at m = 3, scored against |000>."""
     member = make_state(3, (POL, SPATIAL), [((p, s), a * b) for p, a in pol for s, b in spatial])
     ensemble, mode = Ensemble([(1.0, member)]), protocol.MODES["phaseflip"]
     target = make_state(3, (POL,), [((0,), 1.0)])
@@ -116,7 +127,30 @@ def oracle_off_product(tmp_path):
     assert abs(engine.output_fidelity - dense.output_fidelity) <= cli.VERIFY_TOL
 
 
-DETECTORS = [oracle_off_product, closed_forms, golden_records, oracle_m3]  # cheapest first
+def oracle_off_product(tmp_path):
+    # unequal amplitudes on registers 0 and 7 of both degrees of freedom
+    _against_oracle(((0, 0.9**0.5), (7, 0.1**0.5)), ((0, 0.96**0.5), (7, 0.04**0.5)))
+    # GHZ(0,+) with a GHZ(0,-) part of weight 1e-9 on both: each accepted port carries
+    # amplitudes of about 5e-10, between PRUNE_TOL and 1e-9, on its odd-parity registers
+    small = 1e-9**0.5
+    factor = ((0, ((1.0 - 1e-9) ** 0.5 + small) * 0.5**0.5), (7, ((1.0 - 1e-9) ** 0.5 - small) * 0.5**0.5))
+    _against_oracle(factor, factor)
+
+
+def relabelled_repr(tmp_path):
+    # two sign classes (port shifts), each with two members whose pol indices differ
+    m, mode = 4, protocol.MODES["phaseflip"]
+    members = [(0, 1, 0, 1), (3, -1, 5, -1), (0, 1, 0, -1), (6, -1, 1, 1)]
+    ensemble = Ensemble(tuple(
+        (0.25, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))) for e, s, f, t in members
+    ))
+    framed = repr(mode.run(ensemble))
+    with pytest.MonkeyPatch.context() as refuse:
+        refuse.setattr(protocol, "_ghz_frame", lambda member: None)
+        assert_same_text(repr(mode.run(ensemble)), framed)
+
+
+DETECTORS = [relabelled_repr, oracle_off_product, closed_forms, golden_records, oracle_m3]  # cheapest first
 
 
 def fails(detector, tmp_path) -> bool:

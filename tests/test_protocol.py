@@ -37,7 +37,7 @@ from ghzpurify.states import (
     make_state,
     tensor_hyper,
 )
-from helpers import pair_closed_form, walsh_pair_reference
+from helpers import assert_same_text, pair_closed_form, walsh_pair_reference
 
 
 def bitflip_input(m, f1, f2, pol_index=1, spatial_index=1):
@@ -536,3 +536,100 @@ def test_dense_phaseflip_path_matches_term_by_term(name, m, table):
             assert outcome.probability == total
             members = [(w, dict(s.terms)) for w, s in outcome.ensemble.members]
             assert members == [(w / total, dict(s.terms)) for w, s in entries]
+
+
+def ghz_product_ensemble(m, rng):
+    """GHZ x GHZ members at random indices in random sign pairs, some of them repeated, at random weights."""
+    members = []
+    for _ in range(rng.randint(1, 3 if m >= 9 else 6)):
+        if members and rng.random() < 0.3:
+            members.append(rng.choice(members))
+            continue
+        e, f = rng.randrange(2 ** (m - 1)), rng.randrange(2 ** (m - 1))
+        signs = rng.choice((1, -1)), rng.choice((1, -1))
+        members.append(tensor_hyper(make_ghz_pol(m, e, signs[0]), make_ghz_spatial(m, f, signs[1])))
+    raw = [rng.uniform(0.05, 1.0) for _ in members]
+    return Ensemble(tuple((w / math.fsum(raw), s) for w, s in zip(raw, members)))
+
+
+def phaseflip_repr(ensemble, table, target=None):
+    try:
+        return repr(MODES["phaseflip"].run(ensemble, target, gate_table=table))
+    except ValueError as exc:  # nothing accepted
+        return f"ValueError: {exc}"
+
+
+def counting_dense_steps(monkeypatch):
+    """Install a _dense_split whose steps record every member they run on; returns that list."""
+    factory, stepped = protocol._dense_split, []
+
+    def counted(*args):
+        step = factory(*args)
+
+        def split(member):
+            stepped.append(member)
+            return step(member)
+
+        return split
+
+    monkeypatch.setattr(protocol, "_dense_split", counted)
+    return stepped
+
+
+@pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
+@pytest.mark.parametrize("m", range(2, 11))
+def test_relabelled_members_match_their_dense_steps(m, table, monkeypatch):
+    """A phase-flip run that relabels GHZ x GHZ members prints the repr of one that runs each member's dense step.
+
+    The repr spells out every accepted port's probability and every
+    amplitude of its conditional states, signed zeros and -0j included, so
+    a wrong port shift, output shift or sign of the relabelling shows even
+    where no fidelity moves. A non-GHZ target makes X on every output
+    photon move the fidelity too.
+    """
+    rng = random.Random(100 + m)
+    stepped, relabelled = counting_dense_steps(monkeypatch), 0
+    for _ in range(2 if m >= 9 else 4):
+        ensemble = ghz_product_ensemble(m, rng)
+        target = make_state(m, (POL,), [((rng.randrange(1 << m),), 1.0)]) if rng.random() < 0.5 else None
+        stepped.clear()
+        framed = phaseflip_repr(ensemble, table, target)
+        relabelled += len(ensemble.members) - len(stepped)
+        with monkeypatch.context() as refuse:
+            refuse.setattr(protocol, "_ghz_frame", lambda member: None)
+            stepped.clear()
+            assert_same_text(phaseflip_repr(ensemble, table, target), framed)
+            assert len(stepped) == len(ensemble.members)
+    assert relabelled > 0
+
+
+def test_dense_step_runs_once_per_group(monkeypatch):
+    """The benchmark's pair input runs 2 dense steps for its 4 members; a member off the frame always takes its own.
+
+    The pair input holds GHZ(0) x GHZ(0) in all four sign pairs. The port
+    shift is the XOR of the two sign masks, so (+,+) and (-,-) form one
+    group and (+,-) and (-,+) another, which is rejected whole.
+    """
+    stepped = counting_dense_steps(monkeypatch)
+    ensemble = phaseflip_input(8, 0.8, 0.7)
+    MODES["phaseflip"].run(ensemble)
+    members = [s for _, s in ensemble.members]
+    assert len(members) == 4 and len(stepped) == 2 and all(a is b for a, b in zip(stepped, members))
+
+    m, full = 4, 15
+    reference = tensor_hyper(make_ghz_pol(m, 0), make_ghz_spatial(m, 0))
+    # the same signs on another magnitude: make_ghz_* use 1 / sqrt(2), this factor 2**-0.5, one ulp above
+    scaled = tensor_hyper(PureState(m, (POL,), {(0,): 2**-0.5, (full,): 2**-0.5}), make_ghz_spatial(m, 0))
+    assert scaled.terms[(0, 0)] != reference.terms[(0, 0)]
+    turned = PureState(m, reference.dofs, {lab: 1j * a for lab, a in reference.terms.items()})
+    # +-a on the product support, with signs no product of two GHZ states has
+    crossed = PureState(m, reference.dofs, {lab: -a if lab == (full, full) else a for lab, a in reference.terms.items()})
+    off_product = random_pair_member(m, random.Random(1))
+    members = [reference, scaled, turned, crossed, off_product, reference, scaled]
+    ensemble = Ensemble(tuple((1 / len(members), s) for s in members))
+    stepped.clear()
+    framed = phaseflip_repr(ensemble, GATE_TABLE)
+    # the repeated reference and the repeated scaled member are relabelled, each from its first
+    assert len(stepped) == 5 and all(a is b for a, b in zip(stepped, members))
+    monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
+    assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
