@@ -71,17 +71,6 @@ def check_table(table: GateTable, m: int) -> tuple[int, int, int, int, int, int]
     return tuple(full * bit for bit in (p1 ^ c1, s1 ^ c1, c1, p2 ^ c2, s2 ^ c2, c2))
 
 
-def route(pol, spatial, m: int, table: GateTable):
-    """Outgoing (pol, port) registers of (pol, spatial) registers under a gate table.
-
-    Two XOR/AND expressions with the table's affine masks (check_table), one
-    output bit per photon. The registers may be Python ints or numpy integer
-    arrays (index grids); the same expressions serve both.
-    """
-    a1, b1, c1, a2, b2, c2 = check_table(table, m)
-    return pol & a1 ^ spatial & b1 ^ c1, pol & a2 ^ spatial & b2 ^ c2
-
-
 def apply_network(state: PureState, table: GateTable | None = None) -> PureState:
     """Send every photon through the purification gate.
 

@@ -14,15 +14,10 @@ register arrays (_dense_split). A member whose spatial registers are one
 complementary pair, as on every GHZ x GHZ product, gets its spatial layer
 in closed form (optics.pair_hadamard), bit for bit what walsh_hadamard
 gives. Both steps return only the accepted ports.
-Every element of a Hadamard run is Clifford, so a member that is a real
-GHZ x GHZ product with amplitudes +-a is a Pauli image Z^z X^x of a times
-the all-plus product R0 (_ghz_frame), and so is its output. Members with
-the same port shift xq and magnitude a form a group: only the first of a
-group runs the dense step, and each other one is that result relabelled by
-an exact signed XOR of its frame against the first one's
-(_relabelled_dense_split). The relabelling copies or negates the dense
-step's floats and computes none, so the result is the dense step's bit for
-bit; any other member takes the dense step.
+A Hadamard run steps only the first of each group of real GHZ x GHZ
+members that are Pauli images of one another, and relabels the rest of the
+group from its result, bit for bit; _relabelled_dense_split states why that
+is exact.
 Each step reads the gate's affine register masks off the table once per run
 (optics.check_table, which refuses a table that is not a bijection) and
 routes with two XOR/AND expressions.
@@ -57,7 +52,6 @@ from .optics import (
     check_table,
     pair_hadamard,
     prune,
-    route,
     walsh_hadamard,
 )
 from .states import (
@@ -183,8 +177,8 @@ def _split_by_pattern(
     """The sparse step for one member: relabel its register pairs, drop the rejected ports.
 
     The gate is a bijection on each photon's bits, so every term keeps its
-    amplitude under the table's affine masks (route's expressions, read
-    once per run); dead terms go as make_state prunes them. Returns, per
+    amplitude under the table's affine masks (check_table, read once per
+    run); dead terms go as make_state prunes them. Returns, per
     accepted port, the probability and the renormalized polarization state
     with the port's photon flips applied.
     """
@@ -267,10 +261,11 @@ def _dense_split(
     grid = np.arange(size)
     parity = np.array([q.bit_count() & 1 for q in range(size)])
     ports = [p for p in range(size) if rule.accepts(p, m)]
-    check_table(table, m)  # refuse a table that is not a bijection before inverting it
-    inverse = {routed: row for row, routed in table.items()}
-    src_pol, src_spatial = route(grid[:, None], np.array(ports)[None, :], m, inverse)
-    source = src_spatial * size + src_pol  # [pol, accepted port] -> flat index of amps [spatial, pol]
+    # [pol, accepted port] -> flat index of amps [spatial, pol], by the inverse table's masks;
+    # a table that is not a bijection has no inverse and is refused
+    pol_o, pol_q, pol_c, sp_o, sp_q, sp_c = check_table({routed: row for row, routed in table.items()}, m)
+    o, q = grid[:, None], np.array(ports)[None, :]
+    source = (o & sp_o ^ q & sp_q ^ sp_c) * size + (o & pol_o ^ q & pol_q ^ pol_c)
     groups: dict[int, list[int]] = {}  # flip mask -> columns of the ports it corrects
     for col, p in enumerate(ports):
         groups.setdefault(plan.get(p, 0), []).append(col)
@@ -414,13 +409,9 @@ def _execute(
 ) -> ProtocolResult:
     """One run: each member's step, then per accepted port its conditional ensemble and fidelity.
 
-    In a Hadamard run, the step is the dense step once per (xq, a) group of
-    real GHZ x GHZ members, every other member of a group relabelled from
-    it by its Pauli frame (_relabelled_dense_split), and the dense step on
-    every member that is not such a product. The groups live for this call
-    only. The relabelling moves and negates the dense step's floats without
-    computing any, so every figure and every amplitude of the result is the
-    one per-member dense steps give, bit for bit.
+    A Hadamard run steps through _relabelled_dense_split, whose groups live
+    for this call only and whose result is, bit for bit, the one per-member
+    dense steps give; the other modes step through _split_by_pattern.
     """
     if ensemble.dofs != (POL, SPATIAL):
         raise ValueError(f"protocol input must carry (pol, spatial) labels, got {ensemble.dofs}")
@@ -459,29 +450,6 @@ def _execute(
         rejected_probability=1.0 - accepted_mass,
         output_fidelity=math.fsum(fidelity_terms) / accepted_mass,
     )
-
-
-def run_bitflip(
-    ensemble: Ensemble,
-    target: PureState | None = None,
-    gate_table: GateTable | None = None,
-) -> ProtocolResult:
-    """Bit-flip purification: keep the unanimous port patterns, no corrections."""
-    return MODES["bitflip"].run(ensemble, target, gate_table)
-
-
-def run_phaseflip(
-    ensemble: Ensemble,
-    target: PureState | None = None,
-    gate_table: GateTable | None = None,
-) -> ProtocolResult:
-    """Phase-flip purification via Hadamard layers on both degrees of freedom.
-
-    Even-swap patterns are kept; each is corrected by flipping every photon
-    and applying one more polarization Hadamard, which lands the surviving
-    branches back on the reference GHZ state and its sign companion.
-    """
-    return MODES["phaseflip"].run(ensemble, target, gate_table)
 
 
 def run_general(
@@ -574,6 +542,7 @@ class Mode:
     def run(
         self, ensemble: Ensemble, target: PureState | None = None, gate_table: GateTable | None = None
     ) -> ProtocolResult:
+        """Purify the ensemble; the target defaults to GHZ 0+, and ``gate_table`` replaces the gate."""
         return _execute(ensemble, self.rule, self.plan(ensemble), target, self.hadamard, gate_table)
 
 
@@ -632,3 +601,8 @@ MODES: Mapping[str, Mode] = MappingProxyType({
         verify_input=lambda m, f1, f2: _pair_input(m, (1, 1), (2, 1), f1, f2), label="deterministic",
     ),
 })
+
+# the paper's two modes under their entry-point names: one bound object each,
+# so a wrapper that finds a name by identity (tracing) replaces every binding
+run_bitflip = MODES["bitflip"].run
+run_phaseflip = MODES["phaseflip"].run

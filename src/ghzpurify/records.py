@@ -49,10 +49,6 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def format_sig(value: float, digits: int = 12) -> str:
-    return format(value, f".{digits}g")
-
-
 def parse_target(label: str) -> tuple[int, int]:
     """Parse a GHZ target label like "0+" into (index, sign)."""
     match = _TARGET_RE.match(label)
@@ -257,7 +253,7 @@ def rows_to_csv(header: list[str], rows: list[list[Any]]) -> str:
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow(format_sig(v) if isinstance(v, float) else v for v in row)
+        writer.writerow(format(v, ".12g") if isinstance(v, float) else v for v in row)
     return buf.getvalue()
 
 

@@ -5,7 +5,8 @@ arithmetic so tests that cross-check the package against dense linear
 algebra do not reuse the code path under test. `tensordot_contract` and
 `full_gather_oracle_run` keep the oracle's former forms as references for
 its faster ones, and `walsh_pair_reference` the butterfly that
-`optics.pair_hadamard` replaces on register pairs. Label literals are written
+`optics.pair_hadamard` replaces on register pairs, and `route` applies
+`optics.check_table`'s masks to registers or index grids. Label literals are written
 photon by photon, one tuple of bits per photon, and turned into the
 package's register labels by `pack`; `unpack` undoes it.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ghzpurify.optics import walsh_hadamard
+from ghzpurify.optics import check_table, walsh_hadamard
 from ghzpurify.oracle import (
     OracleResult,
     _correction_unitary,
@@ -45,6 +46,12 @@ def assert_same_text(a: str, b: str) -> None:
     if a != b:
         at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
         raise AssertionError(f"texts differ at {at}: {a[max(0, at - 80):at + 80]!r} against {b[max(0, at - 80):at + 80]!r}")
+
+
+def route(pol, spatial, m: int, table):
+    """Outgoing (pol, port) registers under a gate table, by check_table's masks; ints or numpy index grids."""
+    a1, b1, c1, a2, b2, c2 = check_table(table, m)
+    return pol & a1 ^ spatial & b1 ^ c1, pol & a2 ^ spatial & b2 ^ c2
 
 
 def states_close(a: PureState, b: PureState, tol: float = NORM_TOL, global_phase: bool = False) -> bool:

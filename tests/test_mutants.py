@@ -7,9 +7,11 @@ golden records (tests/test_golden.py), the closed forms every simulate record
 is scored against, the engine against the dense oracle at m = 3
 (`verify --m 3`), the same comparison on two phase-flip members that are
 not GHZ x GHZ products, scored against a target that is not a GHZ state,
-and the repr of a phase-flip run on GHZ x GHZ members against the same run
-with every member through its own dense step. A mutant is caught when a
-detector's check fails or raises.
+the repr of a phase-flip run on GHZ x GHZ members against the same run
+with every member through its own dense step, and the efficiency ratio
+against its formula and criterion 7 (R P2 = P1). A mutant is caught when a
+detector's check fails or raises. A mutant target is a module function or a
+``Class.method``, which is installed on the class.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
@@ -42,6 +44,14 @@ from the group key and the zq.q sign term dropped. The second flips the
 sign of whole port states, which no fidelity sees: only the repr detector
 catches it.
 
+The last three reach the two figures that no engine detector reads, and
+the oracle. AcceptanceRule.accepts keeping odd-parity ports in phase-flip
+mode is shared by the oracle, so verify passes and only the records and
+closed forms catch it. Two rows of the oracle's merge (displacer) matrix
+swapped, still a permutation, send V on rail 0 to (H, keep) and H on rail 3
+to (V, keep); verify catches it. The exponent N + 1 in efficiency.ratio_R is
+caught by the efficiency detector, computed in the test from the formula.
+
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
 print; tests/test_order.py catches it. Reversing infer_flip_plan's
@@ -56,13 +66,14 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from ghzpurify import cli, noise, optics, protocol, states
+from ghzpurify import cli, efficiency, noise, optics, oracle, protocol, states
 from ghzpurify.oracle import densify, oracle_run
 from ghzpurify.records import ProtocolConfig
 from ghzpurify.states import POL, SPATIAL, Ensemble, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
@@ -94,6 +105,10 @@ MUTANTS = [
     ("prune-bound", optics, "prune", "<= PRUNE_TOL", "<= 1e-9"),
     ("relabel-key", protocol, "_relabelled_dense_split", "key = (zp & a2 ^ zs & b2, a)", "key = (0, a)"),
     ("relabel-port-sign", protocol, "_relabelled_dense_split", "e & pol_q ^ f & sp_q, zo, xo)", "0, zo, xo)"),
+    ("accept-parity", protocol, "AcceptanceRule.accepts", "count % 2 == 0", "count % 2 == 1"),
+    ("merge-rows", oracle, "_single_photon_network", "merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)\n"
+     "    merge[2 * 0 + 0, 2 * 3 + 0]", "merge[2 * 0 + 0, 2 * 0 + 1] = 1.0\n    merge[2 * 1 + 0, 2 * 3 + 0]"),
+    ("ratio-exponent", efficiency, "ratio_R", "** params.N", "** (params.N + 1)"),
 ]
 
 
@@ -150,7 +165,15 @@ def relabelled_repr(tmp_path):
         assert_same_text(repr(mode.run(ensemble)), framed)
 
 
-DETECTORS = [relabelled_repr, oracle_off_product, closed_forms, golden_records, oracle_m3]  # cheapest first
+def efficiency_ratio(tmp_path):
+    for eta_d, eta_c, L, N in ((0.9, 0.95, 25.0, 3), (0.8, 1.0, 60.0, 8), (1.0, 0.7, 0.0, 2)):
+        params = efficiency.EfficiencyParams(eta_d=eta_d, eta_c=eta_c, L=L, L0=25.0, N=N, p1=0.6)
+        ratio = efficiency.ratio_R(params)
+        assert math.isclose(ratio, 4.0 / (math.exp(-L / 25.0) * eta_d * eta_c) ** N, rel_tol=TOL)
+        assert math.isclose(ratio * efficiency.p_two(params), efficiency.p_one(params), rel_tol=TOL)
+
+
+DETECTORS = [efficiency_ratio, relabelled_repr, oracle_off_product, closed_forms, golden_records, oracle_m3]  # cheapest first
 
 
 def fails(detector, tmp_path) -> bool:
@@ -164,8 +187,12 @@ def fails(detector, tmp_path) -> bool:
 
 
 def mutate(monkeypatch, module, name, old, new):
-    """Recompile module.name with ``old`` replaced by ``new``; bind it wherever the original is bound."""
-    original = getattr(module, name)
+    """Recompile module.name with ``old`` replaced by ``new``; bind it wherever the original is bound.
+
+    A ``Class.method`` name is recompiled the same way and set on the class.
+    """
+    owner, _, attr = name.rpartition(".")
+    original = getattr(getattr(module, owner) if owner else module, attr)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1, f"mutation site {old!r} not found once in {name}"
     code = compile(
@@ -174,9 +201,12 @@ def mutate(monkeypatch, module, name, old, new):
     )
     namespace = {}
     exec(code, vars(module), namespace)
+    if owner:
+        monkeypatch.setattr(getattr(module, owner), attr, namespace[attr])
+        return
     for holder in [mod for key, mod in list(sys.modules.items()) if key.split(".")[0] == "ghzpurify"]:
-        if getattr(holder, name, None) is original:
-            monkeypatch.setattr(holder, name, namespace[name])
+        if getattr(holder, attr, None) is original:
+            monkeypatch.setattr(holder, attr, namespace[attr])
 
 
 def test_detectors_pass_on_the_package(tmp_path):

@@ -12,8 +12,8 @@ from ghzpurify.optics import (
     bit_flip_pol,
     hadamard_pol,
     hadamard_spatial,
+    check_table,
     pair_hadamard,
-    route,
     walsh_hadamard,
 )
 from ghzpurify.oracle import _single_photon_network
@@ -39,6 +39,7 @@ from helpers import (
     pol_state_from_string,
     random_joint_state,
     reference_hadamard_state,
+    route,
     scaled,
     states_close,
     unpack,
@@ -300,8 +301,8 @@ def test_corrupted_table_rejected():
     bad[(H, MODE1)] = bad[(V, MODE1)]
     with pytest.raises(ValueError, match="bijection"):
         apply_network(tensor_hyper(make_ghz_pol(2, 0), make_ghz_spatial(2, 0)), table=bad)
-    # route refuses it too, and a table whose images leave the four pairs
+    # check_table refuses it too, and a table whose images leave the four pairs
     outside = {**GATE_TABLE, (H, MODE1): (2, KEEP)}
     for table in (bad, outside, {k: v for k, v in GATE_TABLE.items() if k != (H, MODE1)}):
         with pytest.raises(ValueError, match="bijection"):
-            route(0, 0, 2, table)
+            check_table(table, 2)

@@ -12,7 +12,6 @@ from ghzpurify.optics import (
     bit_flip_pol,
     hadamard_pol,
     hadamard_spatial,
-    route,
     walsh_hadamard,
 )
 from ghzpurify.protocol import (
@@ -37,7 +36,7 @@ from ghzpurify.states import (
     make_state,
     tensor_hyper,
 )
-from helpers import assert_same_text, pair_closed_form, walsh_pair_reference
+from helpers import assert_same_text, pair_closed_form, route, walsh_pair_reference
 
 
 def bitflip_input(m, f1, f2, pol_index=1, spatial_index=1):
@@ -136,7 +135,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
     """Every port probability of the dense step is a left-to-right sum of |amp|**2 in register order.
 
     The reference amplitudes come from walsh_hadamard on both registers and
-    route on index grids, and the reference adds their squares one by one
+    check_table's masks on index grids, and the reference adds their squares one by one
     in Python; members on one register pair per degree of freedom (GHZ x GHZ
     products at nonzero indices with both signs, and a random pair member)
     take the closed-form spatial layer in the step and are held to it too,
