@@ -19,7 +19,7 @@ rho through that gather index; no full permuted copy is made.
 oracle_run takes the protocol Mode: its Hadamard flag picks the layers
 and the closing Hadamard of each correction, its acceptance rule the
 ports. The caller passes the correction plan, a photon flip mask per port
-register like the engine's.
+register like the engine's, applied as an XOR of the target's index.
 
 densify returns float64 when every member amplitude is real (every GHZ
 mixture with +-1 signs), complex128 otherwise; with a real operator and
@@ -226,15 +226,6 @@ def _port_blocks(rho: np.ndarray, m: int, ports: list[int]):
         yield port, rho[np.ix_(rows, rows)]
 
 
-def _correction_unitary(m: int, flips: int, hadamard: bool) -> np.ndarray:
-    """X on the photons set in the m-bit mask, then H on every photon for a Hadamard mode."""
-    import numpy as np
-
-    x2, i2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
-    mat = _kron_all([x2 if b else i2 for b in bits(m, flips)])
-    return _kron_all([_hadamard_2x2()] * m) @ mat if hadamard else mat
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Same success/fidelity semantics as ProtocolResult, computed densely."""
@@ -261,8 +252,8 @@ def oracle_run(
     The port's correction is C = H^(x m) X^mask in a Hadamard mode, else
     X^mask, with the port's flip mask from ``corrections`` (0 if absent),
     which must be an m-bit register as run_general requires.
-    It enters the fidelity as v = C^dagger t, computed once per distinct
-    mask, scored as v^dagger block v / prob against the polarization target t.
+    v = C^dagger t = X^mask (H^(x m))^dagger t, one vector per call read at
+    i ^ mask, is scored as v^dagger block v / prob against the pol target t.
     A float64 operator with a real target runs every step in real arithmetic.
     """
     import numpy as np
@@ -282,19 +273,16 @@ def oracle_run(
     if mode.hadamard:
         rho = _contract_per_photon(rho, hadamard_both_unitary(1), m)
     accepted = [port for port in range(1 << m) if mode.rule.accepts(port, m)]
-    scored: dict[int, np.ndarray] = {}  # flip mask -> C^dagger t
+    scored = _kron_all([_hadamard_2x2()] * m).conj().T @ tvec if mode.hadamard else tvec
+    grid = np.arange(1 << m)
 
     table: dict[Pattern, tuple[float, float]] = {}
-    success = 0.0
-    fidelity_mass = 0.0
+    success = fidelity_mass = 0.0
     for port, block in _port_blocks(rho, m, accepted):
         prob = max(float(np.trace(block).real), 0.0)
         if prob < 1e-15:
             continue
-        flips = corrections.get(port, 0)
-        if flips not in scored:
-            scored[flips] = _correction_unitary(m, flips, mode.hadamard).conj().T @ tvec
-        v = scored[flips]
+        v = scored[grid ^ corrections.get(port, 0)]  # C^dagger t = X^mask (H^(x m))^dagger t
         fid = float(np.real(v.conj() @ block @ v)) / prob
         table[bits(m, port)] = (prob, fid)
         success += prob

@@ -201,7 +201,7 @@ def _split_by_pattern(
 
 
 # A Hadamard-mode member holds 4^m amplitudes after its layers; at m = 10 a
-# phase-flip simulate takes about 0.30 s and 58 MB peak on a 2-CPU machine
+# phase-flip simulate takes about 0.30 s and 51 MB peak on a 2-CPU machine
 # (median of 5), two dense steps for its four members. Configs above this
 # are refused.
 PHASEFLIP_MAX_PHOTONS = 10
@@ -245,7 +245,9 @@ def _dense_split(
     has the same magnitude, and there the two agree bit for bit. A member
     whose amplitudes all have a zero imaginary part runs on float64 arrays,
     any other on complex128: the real parts see the same float operations
-    either way, and the emitted amplitudes are complex in both.
+    either way, and the emitted amplitudes are complex in both. A port's
+    flips XOR the pol register, so one gather applies every port's mask and
+    one column-wise walsh_hadamard closes every port with nonzero probability.
 
     The pol layer runs walsh_hadamard on the columns of the spatial
     registers present. When those are one complementary pair t < t ^ full
@@ -266,9 +268,7 @@ def _dense_split(
     pol_o, pol_q, pol_c, sp_o, sp_q, sp_c = check_table({routed: row for row, routed in table.items()}, m)
     o, q = grid[:, None], np.array(ports)[None, :]
     source = (o & sp_o ^ q & sp_q ^ sp_c) * size + (o & pol_o ^ q & pol_q ^ pol_c)
-    groups: dict[int, list[int]] = {}  # flip mask -> columns of the ports it corrects
-    for col, p in enumerate(ports):
-        groups.setdefault(plan.get(p, 0), []).append(col)
+    flips = np.array([plan.get(p, 0) for p in ports])  # column -> its port's flip mask
 
     def split(member: PureState) -> Split:
         pol, spatial = zip(*member.terms)
@@ -288,23 +288,19 @@ def _dense_split(
             amps[present] = layer.T
             walsh_hadamard(amps, m)
         accepted = amps.ravel().take(source)  # [pol, accepted port]
+        del amps  # the 4^m array is not read again; kept alive, it sets the step's peak memory
         probs = (np.abs(accepted) ** 2).sum(axis=0).tolist()
         accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])
         prune(accepted)
-        out = {}
-        for flips, cols in groups.items():
-            cols = [c for c in cols if probs[c] > 0.0]
-            if not cols:
-                continue
-            block = accepted[np.ix_(grid ^ flips, cols)]  # [pol, port]
-            walsh_hadamard(block, m)
-            terms: list[dict[Label, complex]] = [{} for _ in cols]
-            js, regs = np.nonzero(block.T)
-            for j, reg, amp in zip(js.tolist(), regs.tolist(), block[regs, js].astype(complex).tolist()):
-                terms[j][(reg,)] = amp
-            for c, t in zip(cols, terms):
-                out[ports[c]] = (probs[c], PureState._derived(m, (POL,), t))
-        return out
+        if not (cols := [c for c, p in enumerate(probs) if p > 0.0]):
+            return {}
+        block = accepted[grid[:, None] ^ flips[cols], cols]  # [pol, port], each column's X^mask applied
+        walsh_hadamard(block, m)
+        terms: list[dict[Label, complex]] = [{} for _ in cols]
+        js, regs = np.nonzero(block.T)
+        for j, reg, amp in zip(js.tolist(), regs.tolist(), block[regs, js].astype(complex).tolist()):
+            terms[j][(reg,)] = amp
+        return {ports[c]: (probs[c], PureState._derived(m, (POL,), t)) for c, t in zip(cols, terms)}
 
     return split
 

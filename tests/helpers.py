@@ -3,7 +3,8 @@
 `brute_vector` re-embeds labeled states into dense vectors with its own
 arithmetic so tests that cross-check the package against dense linear
 algebra do not reuse the code path under test. `tensordot_contract` and
-`full_gather_oracle_run` keep the oracle's former forms as references for
+`full_gather_oracle_run` (with `correction_unitary`, the 2^m x 2^m matrix
+of a port's correction) keep the oracle's former forms as references for
 its faster ones, and `walsh_pair_reference` the butterfly that
 `optics.pair_hadamard` replaces on register pairs, and `route` applies
 `optics.check_table`'s masks to registers or index grids. Label literals are written
@@ -18,8 +19,9 @@ import numpy as np
 from ghzpurify.optics import check_table, walsh_hadamard
 from ghzpurify.oracle import (
     OracleResult,
-    _correction_unitary,
+    _hadamard_2x2,
     _indices,
+    _kron_all,
     _network_source,
     hadamard_both_unitary,
     state_vector,
@@ -211,6 +213,13 @@ def tensordot_contract(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarra
     return t.reshape(rho.shape)
 
 
+def correction_unitary(m: int, flips: int, hadamard: bool) -> np.ndarray:
+    """X on the photons set in the m-bit mask, then H on every photon for a Hadamard mode."""
+    x2, i2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    mat = _kron_all([x2 if b else i2 for b in bits(m, flips)])
+    return _kron_all([_hadamard_2x2()] * m) @ mat if hadamard else mat
+
+
 def full_gather_oracle_run(dense, m, mode, corrections, target=None) -> OracleResult:
     """The reference for oracle.oracle_run: the whole network-permuted copy of rho, then each port's
     block conjugated by its 2^m x 2^m correction matrix and scored against the target vector."""
@@ -230,7 +239,7 @@ def full_gather_oracle_run(dense, m, mode, corrections, target=None) -> OracleRe
         prob = max(float(np.trace(block).real), 0.0)
         if prob < 1e-15:
             continue
-        cmat = _correction_unitary(m, corrections.get(port, 0), mode.hadamard)
+        cmat = correction_unitary(m, corrections.get(port, 0), mode.hadamard)
         corrected = cmat @ block @ cmat.conj().T
         fid = float(np.real(tvec.conj() @ corrected @ tvec)) / prob
         table[bits(m, port)] = (prob, fid)

@@ -15,7 +15,7 @@ from ghzpurify import protocol
 from ghzpurify.cli import main
 from ghzpurify.noise import mix_general, mix_two, product_ensemble
 from ghzpurify.optics import GATE_TABLE, bit_flip_pol
-from ghzpurify.protocol import MODES, AcceptanceRule, run_bitflip, run_general, run_phaseflip
+from ghzpurify.protocol import MODES, AcceptanceRule, infer_flip_plan, run_bitflip, run_general, run_phaseflip
 from ghzpurify.states import POL, SPATIAL, Ensemble, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
 
 BIT = {"kind": "bit-flip", "target_index": 1, "weight": 0.2}
@@ -81,6 +81,8 @@ def pol_only(m):
     [
         (lambda: MODES["bitflip"].run(pol_only(3)), "protocol input must carry (pol, spatial) labels, got ('pol',)"),
         (lambda: MODES["phaseflip"].run(pol_only(3)), "protocol input must carry (pol, spatial) labels, got ('pol',)"),
+        (lambda: run_general(pol_only(3)), "expected a joint (pol, spatial) state"),
+        (lambda: infer_flip_plan(pol_only(3)), "expected a joint (pol, spatial) state"),
         (lambda: run_bitflip(MODES["bitflip"].verify_input(3, 0.8, 0.7), target=make_ghz_pol(4, 0)),
          "target must be a bare polarization state on the same photons"),
         (lambda: run_bitflip(MODES["bitflip"].verify_input(3, 0.8, 0.7),
@@ -89,7 +91,7 @@ def pol_only(m):
         (lambda: mix_general([make_ghz_pol(3, 0), make_ghz_pol(3, 1)], [1.0]), "2 states but 1 weights"),
         (lambda: bit_flip_pol(make_ghz_spatial(3, 0), 1), "state carries no polarization labels"),
     ],
-    ids=["dofs-sparse", "dofs-dense", "target-photons", "target-dofs", "mix-lengths", "flip-no-pol"],
+    ids=["dofs-sparse", "dofs-dense", "dofs-general", "dofs-infer-plan", "target-photons", "target-dofs", "mix-lengths", "flip-no-pol"],
 )
 def test_api_refusals(call, message):
     with pytest.raises(ValueError) as info:

@@ -52,6 +52,14 @@ swapped, still a permutation, send V on rail 0 to (H, keep) and H on rail 3
 to (V, keep); verify catches it. The exponent N + 1 in efficiency.ratio_R is
 caught by the efficiency detector, computed in the test from the formula.
 
+The last three break a correction or a port read as a register XOR. The
+dense step's one gather without the flip XOR leaves every port uncorrected;
+the closed forms, the golden records and verify catch it. The oracle's
+corrected target read at grid instead of grid ^ mask does the same on the
+oracle side, which only verify sees. The port register XOR 1 in
+oracle._port_blocks' gather scores each accepted port from its neighbour's
+block; the off-product detector and verify catch it.
+
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
 print; tests/test_order.py catches it. Reversing infer_flip_plan's
@@ -109,6 +117,9 @@ MUTANTS = [
     ("merge-rows", oracle, "_single_photon_network", "merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)\n"
      "    merge[2 * 0 + 0, 2 * 3 + 0]", "merge[2 * 0 + 0, 2 * 0 + 1] = 1.0\n    merge[2 * 1 + 0, 2 * 3 + 0]"),
     ("ratio-exponent", efficiency, "ratio_R", "** params.N", "** (params.N + 1)"),
+    ("dense-flips", protocol, "_dense_split", "grid[:, None] ^ flips[cols]", "grid[:, None]"),
+    ("oracle-flips", oracle, "oracle_run", "scored[grid ^ corrections.get(port, 0)]", "scored[grid]"),
+    ("port-offset", oracle, "_port_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
 ]
 
 
