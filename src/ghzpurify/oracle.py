@@ -183,11 +183,10 @@ def _network_source(m: int) -> np.ndarray:
     Row i of the Kronecker product has its 1 where every photon's row of
     the single-photon network has its own, so the column is the per-photon
     permutation combined photon by photon in mixed radix 4, first photon
-    most significant. Read off the element chain on every call.
+    most significant. Read off the element chain; oracle_run checks m.
     """
     import numpy as np
 
-    _check_capacity(m)
     perm = _single_photon_network().argmax(axis=1)
     src = np.zeros(1, dtype=np.intp)
     for _ in range(m):

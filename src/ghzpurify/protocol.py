@@ -15,12 +15,12 @@ complementary pair, as on every GHZ x GHZ product, gets its spatial layer
 in closed form (optics.pair_hadamard), bit for bit what walsh_hadamard
 gives. Both steps return only the accepted ports.
 A Hadamard run steps only the first of each group of real GHZ x GHZ
-members that are Pauli images of one another, and relabels the rest of the
-group from its result, bit for bit; _relabelled_dense_split states why that
-is exact.
-Each step reads the gate's affine register masks off the table once per run
-(optics.check_table, which refuses a table that is not a bijection) and
-routes with two XOR/AND expressions.
+members that are Pauli images of one another, relabels the rest of the
+group from its result, bit for bit, and skips a member whose port class
+the rule rejects; _relabelled_dense_split states why that is exact.
+A run reads the gate once: _execute takes the affine register masks of the
+table and of its inverse (optics.check_table, which refuses a table that is
+not a bijection), and every step routes with two XOR/AND expressions.
 
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
@@ -95,6 +95,7 @@ class AcceptanceRule:
 
 CorrectionPlan = Mapping[int, int]  # port register -> m-bit photon flip mask
 Split = dict[int, tuple[float, PureState]]  # accepted port register -> (probability, corrected state)
+Gate = tuple[tuple[int, ...], tuple[int, ...]]  # check_table of the gate table and of its inverse
 
 
 def check_plan(plan: CorrectionPlan, m: int) -> None:
@@ -172,17 +173,16 @@ class ProtocolResult:
 
 
 def _split_by_pattern(
-    m: int, rule: AcceptanceRule, plan: CorrectionPlan, table: GateTable
+    m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
     """The sparse step for one member: relabel its register pairs, drop the rejected ports.
 
     The gate is a bijection on each photon's bits, so every term keeps its
-    amplitude under the table's affine masks (check_table, read once per
-    run); dead terms go as make_state prunes them. Returns, per
-    accepted port, the probability and the renormalized polarization state
-    with the port's photon flips applied.
+    amplitude under the run's forward masks; dead terms go as make_state
+    prunes them. Returns, per accepted port, the probability and the
+    renormalized polarization state with the port's photon flips applied.
     """
-    a1, b1, c1, a2, b2, c2 = check_table(table, m)
+    (a1, b1, c1, a2, b2, c2), _ = gate
 
     def split(member: PureState) -> Split:
         groups: dict[int, dict[Label, complex]] = {}
@@ -201,8 +201,8 @@ def _split_by_pattern(
 
 
 # A Hadamard-mode member holds 4^m amplitudes after its layers; at m = 10 a
-# phase-flip simulate takes about 0.30 s and 51 MB peak on a 2-CPU machine
-# (median of 5), two dense steps for its four members. Configs above this
+# phase-flip simulate takes about 0.37 s and 51 MB peak on a 2-CPU machine
+# (median of 5), one dense step for its four members. Configs above this
 # are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
@@ -226,7 +226,7 @@ MAX_MEMBERS = 160_801
 
 
 def _dense_split(
-    m: int, rule: AcceptanceRule, plan: CorrectionPlan, table: GateTable
+    m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
     """The Hadamard-mode step for one member, on dense arrays indexed by the registers.
 
@@ -236,7 +236,7 @@ def _dense_split(
     per-state route (hadamard_pol, hadamard_spatial, apply_network, the
     grouping by port, bit_flip_pol, hadamard_pol) with the same float
     operations for every amplitude. The gate is a bijection, so routing is
-    a gather: the inverse table, routed over the accepted ports only, gives
+    a gather: the run's inverse masks, over the accepted ports only, give
     the source of each amplitude of a [pol, accepted port] array. A port's
     probability is the sum of |amp|**2 down axis 0 of that array, which
     numpy adds row after row, in register order (never the pairwise sum it
@@ -263,9 +263,8 @@ def _dense_split(
     grid = np.arange(size)
     parity = np.array([q.bit_count() & 1 for q in range(size)])
     ports = [p for p in range(size) if rule.accepts(p, m)]
-    # [pol, accepted port] -> flat index of amps [spatial, pol], by the inverse table's masks;
-    # a table that is not a bijection has no inverse and is refused
-    pol_o, pol_q, pol_c, sp_o, sp_q, sp_c = check_table({routed: row for row, routed in table.items()}, m)
+    _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
+    # [pol, accepted port] -> flat index of amps [spatial, pol], by the inverse masks
     o, q = grid[:, None], np.array(ports)[None, :]
     source = (o & sp_o ^ q & sp_q ^ sp_c) * size + (o & pol_o ^ q & pol_q ^ pol_c)
     flips = np.array([plan.get(p, 0) for p in ports])  # column -> its port's flip mask
@@ -332,7 +331,7 @@ def _ghz_frame(member: PureState) -> tuple[float, int, int, int, int] | None:
 
 
 def _relabelled_dense_split(
-    m: int, rule: AcceptanceRule, plan: CorrectionPlan, table: GateTable
+    m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
     """The dense step once per Pauli class: every other GHZ x GHZ member is relabelled from it.
 
@@ -350,7 +349,9 @@ def _relabelled_dense_split(
     the same port shift xq and magnitude a form a group with the same
     accepted ports. The first member of a group runs the dense step, and
     every other one is that result relabelled through the XOR of the two
-    frames. A group whose first member is rejected whole stays empty.
+    frames. After both layers R0 sits on even pol and spatial registers,
+    and a2, b2 are 0 or 2^m - 1, so every port a member reaches has the
+    parity of xq ^ c2: where no accepted port has it, the member takes no step.
 
     The relabelling is exact. A butterfly on a Pauli image of its input
     gives the same floats, moved or negated, since c x + c y = c y + c x
@@ -362,9 +363,9 @@ def _relabelled_dense_split(
     or not and then made complex, in ascending register order as
     np.nonzero gives them. Any other member takes the dense step.
     """
-    step = _dense_split(m, rule, plan, table)
-    a1, b1, _, a2, b2, _ = check_table(table, m)
-    pol_o, pol_q, pol_c, sp_o, sp_q, sp_c = check_table({out: row for row, out in table.items()}, m)
+    step = _dense_split(m, rule, plan, gate)
+    (a1, b1, _, a2, b2, c2), (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
+    live = {q.bit_count() & 1 for q in range(1 << m) if rule.accepts(q, m)}  # parities of the accepted ports
     groups: dict[tuple[int, float], tuple[tuple[int, int, int, int], Split]] = {}  # (xq, a) -> first member
 
     def split(member: PureState) -> Split:
@@ -372,9 +373,12 @@ def _relabelled_dense_split(
         if parts is None:
             return step(member)
         a, e, f, zp, zs = parts
+        xq = zp & a2 ^ zs & b2
+        if (xq ^ c2).bit_count() & 1 not in live:
+            return {}
         xo, zo = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o
         frame = ((e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1, e & pol_q ^ f & sp_q, zo, xo)
-        key = (zp & a2 ^ zs & b2, a)
+        key = (xq, a)
         if key not in groups:
             groups[key] = frame, step(member)
             return groups[key][1]
@@ -407,7 +411,8 @@ def _execute(
 
     A Hadamard run steps through _relabelled_dense_split, whose groups live
     for this call only and whose result is, bit for bit, the one per-member
-    dense steps give; the other modes step through _split_by_pattern.
+    dense steps give; the other modes step through _split_by_pattern. Each
+    step takes the masks of the table and its inverse, read here once.
     """
     if ensemble.dofs != (POL, SPATIAL):
         raise ValueError(f"protocol input must carry (pol, spatial) labels, got {ensemble.dofs}")
@@ -418,7 +423,8 @@ def _execute(
         raise ValueError("target must be a bare polarization state on the same photons")
 
     table = GATE_TABLE if gate_table is None else gate_table
-    step = (_relabelled_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, table)
+    gate = (check_table(table, m), check_table({out: row for row, out in table.items()}, m))
+    step = (_relabelled_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, gate)
     buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
     for weight, member in ensemble.members:
         for port, (cond_prob, cond_state) in step(member).items():

@@ -165,18 +165,10 @@ def tensor_hyper(pol: PureState, spatial: PureState) -> PureState:
 
 
 def overlap(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b>."""
+    """Inner product <a|b>, summed left to right over a's terms; fidelity passes the target as a."""
     if a.m != b.m or a.dofs != b.dofs:
         raise ValueError(f"states live on different labels: {a.dofs}/{a.m} vs {b.dofs}/{b.m}")
-    if len(a.terms) <= len(b.terms):
-        return sum(
-            (amp.conjugate() * b.terms[lab] for lab, amp in a.terms.items() if lab in b.terms),
-            start=0.0j,
-        )
-    return sum(
-        (a.terms[lab].conjugate() * amp for lab, amp in b.terms.items() if lab in a.terms),
-        start=0.0j,
-    )
+    return sum((amp.conjugate() * b.terms[lab] for lab, amp in a.terms.items() if lab in b.terms), start=0.0j)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ algebra do not reuse the code path under test. `tensordot_contract` and
 `full_gather_oracle_run` (with `correction_unitary`, the 2^m x 2^m matrix
 of a port's correction) keep the oracle's former forms as references for
 its faster ones, and `walsh_pair_reference` the butterfly that
-`optics.pair_hadamard` replaces on register pairs, and `route` applies
-`optics.check_table`'s masks to registers or index grids. Label literals are written
+`optics.pair_hadamard` replaces on register pairs, `route` applies
+`optics.check_table`'s masks to registers or index grids, and `gate_masks`
+builds the masks a run hands its step. Label literals are written
 photon by photon, one tuple of bits per photon, and turned into the
 package's register labels by `pack`; `unpack` undoes it.
 """
@@ -54,6 +55,11 @@ def route(pol, spatial, m: int, table):
     """Outgoing (pol, port) registers under a gate table, by check_table's masks; ints or numpy index grids."""
     a1, b1, c1, a2, b2, c2 = check_table(table, m)
     return pol & a1 ^ spatial & b1 ^ c1, pol & a2 ^ spatial & b2 ^ c2
+
+
+def gate_masks(table, m: int):
+    """What protocol._execute hands a step factory: check_table of the table and of its inverse."""
+    return check_table(table, m), check_table({out: row for row, out in table.items()}, m)
 
 
 def states_close(a: PureState, b: PureState, tol: float = NORM_TOL, global_phase: bool = False) -> bool:

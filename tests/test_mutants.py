@@ -42,7 +42,9 @@ about 5e-10, and dropping them moves the fidelity against |000> by 1e-9);
 and two faults of the phase-flip relabelling, the port shift xq dropped
 from the group key and the zq.q sign term dropped. The second flips the
 sign of whole port states, which no fidelity sees: only the repr detector
-catches it.
+catches it. Under the phase-flip rule only one port shift is live, so
+the key fault changes nothing there: the detector also runs an accept-all
+Hadamard run, where both shifts are live, and a faulted-table run at odd m.
 
 The last three reach the two figures that no engine detector reads, and
 the oracle. AcceptanceRule.accepts keeping odd-parity ports in phase-flip
@@ -59,6 +61,12 @@ corrected target read at grid instead of grid ^ mask does the same on the
 oracle side, which only verify sees. The port register XOR 1 in
 oracle._port_blocks' gather scores each accepted port from its neighbour's
 block; the off-product detector and verify catch it.
+
+The last two break the skip of a member whose port class the rule
+rejects. Dropping c2 from the parity test changes nothing on the gate
+table, where c2 is 0, or at even m: only the faulted-table run at odd m
+catches it. Skipping the live class in place of the rejected one moves
+every accepted port of the phase-flip run.
 
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
@@ -111,7 +119,7 @@ MUTANTS = [
     ("table-mask", optics, "check_table", "(p1 ^ c1, s1 ^ c1, c1,", "(p1, s1 ^ c1, c1,"),
     ("record-target", cli, "execute", "weights.get((index, sign), 0.0)", "weights.get((0, 1), 0.0)"),
     ("prune-bound", optics, "prune", "<= PRUNE_TOL", "<= 1e-9"),
-    ("relabel-key", protocol, "_relabelled_dense_split", "key = (zp & a2 ^ zs & b2, a)", "key = (0, a)"),
+    ("relabel-key", protocol, "_relabelled_dense_split", "key = (xq, a)", "key = (0, a)"),
     ("relabel-port-sign", protocol, "_relabelled_dense_split", "e & pol_q ^ f & sp_q, zo, xo)", "0, zo, xo)"),
     ("accept-parity", protocol, "AcceptanceRule.accepts", "count % 2 == 0", "count % 2 == 1"),
     ("merge-rows", oracle, "_single_photon_network", "merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)\n"
@@ -120,6 +128,8 @@ MUTANTS = [
     ("dense-flips", protocol, "_dense_split", "grid[:, None] ^ flips[cols]", "grid[:, None]"),
     ("oracle-flips", oracle, "oracle_run", "scored[grid ^ corrections.get(port, 0)]", "scored[grid]"),
     ("port-offset", oracle, "_port_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
+    ("parity-offset", protocol, "_relabelled_dense_split", "(xq ^ c2)", "xq"),
+    ("parity-flipped", protocol, "_relabelled_dense_split", "not in live", "in live"),
 ]
 
 
@@ -165,15 +175,23 @@ def oracle_off_product(tmp_path):
 
 def relabelled_repr(tmp_path):
     # two sign classes (port shifts), each with two members whose pol indices differ
-    m, mode = 4, protocol.MODES["phaseflip"]
     members = [(0, 1, 0, 1), (3, -1, 5, -1), (0, 1, 0, -1), (6, -1, 1, 1)]
-    ensemble = Ensemble(tuple(
-        (0.25, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))) for e, s, f, t in members
-    ))
-    framed = repr(mode.run(ensemble))
-    with pytest.MonkeyPatch.context() as refuse:
-        refuse.setattr(protocol, "_ghz_frame", lambda member: None)
-        assert_same_text(repr(mode.run(ensemble)), framed)
+    faulted = {**optics.GATE_TABLE, (0, 0): optics.GATE_TABLE[(1, 0)], (1, 0): optics.GATE_TABLE[(0, 0)]}
+    runs = [
+        (4, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble)),
+        # every port accepted, so both classes are live
+        (4, lambda ensemble: protocol._execute(ensemble, protocol.AcceptanceRule("general"), {}, None, True, None)),
+        # the faulted table's port constant c2 is 2^m - 1, of odd parity at odd m
+        (5, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble, gate_table=faulted)),
+    ]
+    for m, run in runs:
+        ensemble = Ensemble(tuple(
+            (0.25, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))) for e, s, f, t in members
+        ))
+        framed = repr(run(ensemble))
+        with pytest.MonkeyPatch.context() as refuse:
+            refuse.setattr(protocol, "_ghz_frame", lambda member: None)
+            assert_same_text(repr(run(ensemble)), framed)
 
 
 def efficiency_ratio(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -36,7 +37,7 @@ from ghzpurify.states import (
     make_state,
     tensor_hyper,
 )
-from helpers import assert_same_text, pair_closed_form, route, walsh_pair_reference
+from helpers import assert_same_text, gate_masks, pair_closed_form, route, walsh_pair_reference
 
 
 def bitflip_input(m, f1, f2, pol_index=1, spatial_index=1):
@@ -101,7 +102,7 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
     member and its turned twin give the same bits, signed zeros included, and
     the closed form was called once per such member.
     """
-    step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), GATE_TABLE)
+    step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m))
     rng = random.Random(m)
     members = [*ghz_products(m, rng), random_pair_member(m, rng), *off_pair_members(m, rng), random_real_member(m, rng)]
     members += [PureState(m, member.dofs, {lab: 1j * a for lab, a in member.terms.items()}) for member in members]
@@ -153,7 +154,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
                                        for k, (lab, a) in enumerate(member.terms.items())])
         for member in (real, pair)
     )
-    step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), GATE_TABLE)
+    step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m))
     for member in (real, turned, pair, turned_pair, *ghz_products(m, rng), *off_pair_members(m, rng)):
         amps = np.zeros((size, size), dtype=complex)  # [pol, spatial]
         for (pol, spatial), a in member.terms.items():
@@ -602,18 +603,40 @@ def test_relabelled_members_match_their_dense_steps(m, table, monkeypatch):
     assert relabelled > 0
 
 
+@pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_ghz_product_ports_have_the_parity_of_their_port_shift(m, table):
+    """Every port a real GHZ x GHZ member reaches has the parity of xq ^ c2, so a rejected parity needs no step.
+
+    Under the accept-all rule with an empty plan, the dense step on each
+    GHZ(e, s) x GHZ(f, t), e, f < 4, in all four sign pairs, returns
+    exactly 2^(m-1) ports. xq is the port shift of the sign masks (2^(m-1)
+    where a sign is -), through the port masks a2, b2 of the gate, and c2
+    is its port constant.
+    """
+    gate = gate_masks(table, m)
+    (_, _, _, a2, b2, c2), _ = gate
+    step, top = _dense_split(m, AcceptanceRule("general"), {}, gate), 1 << (m - 1)
+    for e, f, s, t in itertools.product(range(min(4, top)), range(min(4, top)), (1, -1), (1, -1)):
+        ports = step(tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t)))
+        xq = (top if s < 0 else 0) & a2 ^ (top if t < 0 else 0) & b2
+        assert len(ports) == top
+        assert {q.bit_count() & 1 for q in ports} == {(xq ^ c2).bit_count() & 1}
+
+
 def test_dense_step_runs_once_per_group(monkeypatch):
-    """The benchmark's pair input runs 2 dense steps for its 4 members; a member off the frame always takes its own.
+    """The benchmark's pair input runs 1 dense step for its 4 members; a member off the frame always takes its own.
 
     The pair input holds GHZ(0) x GHZ(0) in all four sign pairs. The port
     shift is the XOR of the two sign masks, so (+,+) and (-,-) form one
-    group and (+,-) and (-,+) another, which is rejected whole.
+    group. (+,-) and (-,+) shift every port to odd parity, which the
+    phase-flip rule rejects, so they take no step at all.
     """
     stepped = counting_dense_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
     MODES["phaseflip"].run(ensemble)
     members = [s for _, s in ensemble.members]
-    assert len(members) == 4 and len(stepped) == 2 and all(a is b for a, b in zip(stepped, members))
+    assert len(members) == 4 and len(stepped) == 1 and stepped[0] is members[0]
 
     m, full = 4, 15
     reference = tensor_hyper(make_ghz_pol(m, 0), make_ghz_spatial(m, 0))
