@@ -116,14 +116,24 @@ def pair_hadamard(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray)
     """walsh_hadamard, in closed form, of an array whose only nonzero rows are r and r ^ (2^m - 1).
 
     ``low`` and ``high`` are those two rows, r < 2^(m-1), and ``parity[q]``
-    is popcount(q) & 1 for every m-bit q. The two rows meet only at the last
-    butterfly step, and sign flips commute exactly with the scalings by c,
-    so with P the m-fold scaling of walsh_hadamard, row q of its output is
+    is popcount(q) & 1 for every m-bit q. Costs O(m n + 2^m n) for n
+    columns, not m passes over 2^m n; pair_rows states why it is exact.
+    """
+    rows, kind = pair_rows(low, high, r, parity)
+    return rows[kind]
+
+
+def pair_rows(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pair_hadamard's output as its distinct rows, pruned, and the row each register takes: row q is rows[kind[q]].
+
+    The two input rows meet only at the last butterfly step, and sign flips
+    commute exactly with the scalings by c, so with P the m-fold scaling of
+    walsh_hadamard, row q of the output is
     (-1)^popcount(q & r) (P low + (-1)^popcount(q) P high), bit for bit,
-    pruned the same way. Signed zeros follow the butterfly too: it leaves
-    every zero part +0.0, except in row 2^m - 1 when r = 0, whose last step
-    is P low - (+-P high) with a +0.0 for a zero part of high. Costs
-    O(m n + 2^m n) for n columns, not m passes over 2^m n.
+    pruned the same way: one of four rows, or a fifth when r = 0. Signed
+    zeros follow the butterfly too: it leaves every zero part +0.0, except
+    in row 2^m - 1 when r = 0, whose last step is P low - (+-P high) with a
+    +0.0 for a zero part of high.
     """
     import numpy as np
 
@@ -141,7 +151,7 @@ def pair_hadamard(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray)
         kind[-1] = 4
     table = np.stack(rows).view(low.dtype)
     prune(table)
-    return table[kind]
+    return table, kind
 
 
 def prune(amps: np.ndarray) -> None:

@@ -14,10 +14,13 @@ register arrays (_dense_split). A member whose spatial registers are one
 complementary pair, as on every GHZ x GHZ product, gets its spatial layer
 in closed form (optics.pair_hadamard), bit for bit what walsh_hadamard
 gives. Both steps return only the accepted ports.
-A Hadamard run steps only the first of each group of real GHZ x GHZ
-members that are Pauli images of one another, relabels the rest of the
-group from its result, bit for bit, and skips a member whose port class
-the rule rejects; _relabelled_dense_split states why that is exact.
+A Hadamard run gives the first of each group of real GHZ x GHZ members
+that are Pauli images of one another a column step (_column_split): one
+port's [pol] column gathered from the spatial layer's distinct rows, with
+no 4^m array, and every other port of the member a signed copy of it. It
+relabels the rest of the group from that result, bit for bit, and skips a
+member whose port class the rule rejects; _relabelled_dense_split states
+why that is exact. Any other member takes the dense step.
 A run reads the gate once: _execute takes the affine register masks of the
 table and of its inverse (optics.check_table, which refuses a table that is
 not a bijection), and every step routes with two XOR/AND expressions.
@@ -51,6 +54,7 @@ from .optics import (
     GateTable,
     check_table,
     pair_hadamard,
+    pair_rows,
     prune,
     walsh_hadamard,
 )
@@ -200,10 +204,11 @@ def _split_by_pattern(
     return split
 
 
-# A Hadamard-mode member holds 4^m amplitudes after its layers; at m = 10 a
-# phase-flip simulate takes about 0.37 s and 51 MB peak on a 2-CPU machine
-# (median of 5), one dense step for its four members. Configs above this
-# are refused.
+# A Hadamard-mode member holds 4^(m-1) terms after its layers. A config's
+# members are GHZ x GHZ products, so each group of them takes one column
+# step; at m = 10 a phase-flip simulate takes about 0.32 s and 30 MB peak on
+# a 2-CPU machine (median of 7), one column step for its four members, and
+# its record lists 512 patterns. Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
 # A mode that ``lists_components`` (general) builds and prints all 2^(m-1)
@@ -270,20 +275,11 @@ def _dense_split(
     flips = np.array([plan.get(p, 0) for p in ports])  # column -> its port's flip mask
 
     def split(member: PureState) -> Split:
-        pol, spatial = zip(*member.terms)
-        values = np.array(list(member.terms.values()), dtype=complex)
-        if not values.imag.any():
-            values = values.real  # every imaginary part is +-0: run the real parts alone
-        # pol layer on the spatial registers present only: the other columns stay zero
-        present = sorted(set(spatial))
-        column = {reg: c for c, reg in enumerate(present)}
-        layer = np.zeros((size, len(present)), dtype=values.dtype)
-        layer[pol, [column[reg] for reg in spatial]] = values
-        walsh_hadamard(layer, m)
+        present, layer = _pol_layer(member)
         if len(present) == 2 and present[0] ^ present[1] == full and present[1] < size:
             amps = pair_hadamard(layer[:, 0], layer[:, 1], present[0], parity)  # [spatial, pol]
         else:
-            amps = np.zeros((size, size), dtype=values.dtype)  # [spatial, pol]
+            amps = np.zeros((size, size), dtype=layer.dtype)  # [spatial, pol]
             amps[present] = layer.T
             walsh_hadamard(amps, m)
         accepted = amps.ravel().take(source)  # [pol, accepted port]
@@ -300,6 +296,76 @@ def _dense_split(
         for j, reg, amp in zip(js.tolist(), regs.tolist(), block[regs, js].astype(complex).tolist()):
             terms[j][(reg,)] = amp
         return {ports[c]: (probs[c], PureState._derived(m, (POL,), t)) for c, t in zip(cols, terms)}
+
+    return split
+
+
+def _pol_layer(member: PureState):
+    """The pol Hadamard layer on a [pol, spatial register present] array, columns ascending; returns (present, array).
+
+    The array is float64 when every imaginary part is zero, complex128 otherwise (see _dense_split).
+    """
+    import numpy as np
+
+    pol, spatial = zip(*member.terms)
+    values = np.array(list(member.terms.values()), dtype=complex)
+    if not values.imag.any():
+        values = values.real  # every imaginary part is +-0: run the real parts alone
+    present = sorted(set(spatial))
+    column = {reg: c for c, reg in enumerate(present)}
+    layer = np.zeros((1 << member.m, len(present)), dtype=values.dtype)
+    layer[pol, [column[reg] for reg in spatial]] = values
+    walsh_hadamard(layer, member.m)
+    return present, layer
+
+
+def _column_split(m: int, plan: CorrectionPlan, gate: Gate) -> Callable[[PureState, Sequence[int]], Split]:
+    """The Hadamard-mode step of a real GHZ x GHZ member (_ghz_frame), from one port's column.
+
+    ``ports`` are the accepted ports of the member's class, ascending. The
+    result is _dense_split's, bit for bit, with no 4^m array: port q0, the
+    first of ``ports``, gathers its [pol] column from pair_rows by the
+    run's inverse masks and sums its squares left to right in register
+    order, as _dense_split does down its axis 0 (np.cumsum: np.sum is
+    pairwise, and the builtin sum of Python 3.12 compensated). The column
+    is scaled, pruned, flipped and closed by a one-column walsh_hadamard.
+    Every other port is that output with the signs _relabelled_dense_split
+    derives, at the same probability; each distinct sign pattern is one
+    state, shared by its ports.
+    """
+    import numpy as np
+
+    size = 1 << m
+    grid = np.arange(size)
+    parity = np.array([q.bit_count() & 1 for q in range(size)])
+    _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
+
+    def split(member: PureState, ports: Sequence[int]) -> Split:
+        _, e, f, _, _ = _ghz_frame(member)
+        q0 = ports[0]
+        present, layer = _pol_layer(member)
+        rows, kind = pair_rows(layer[:, 0], layer[:, 1], present[0], parity)
+        column = rows[kind[grid & sp_o ^ q0 & sp_q ^ sp_c], grid & pol_o ^ q0 & pol_q ^ pol_c]
+        prob = float(np.cumsum(np.abs(column) ** 2)[-1])
+        column *= prob**-0.5
+        prune(column)
+        flip = plan.get(q0, 0)
+        closed = column[grid ^ flip]
+        walsh_hadamard(closed, m)
+        (regs,) = np.nonzero(closed)
+        amps = list(zip(regs.tolist(), closed[regs].tolist()))
+        zq = e & pol_q ^ f & sp_q
+        states: dict[tuple[int, int], PureState] = {}  # (sign, F(q) ^ F(q0)) -> the ports' shared state
+        out = {}
+        for q in ports:
+            key = ((zq & (q ^ q0)).bit_count() & 1, plan.get(q, 0) ^ flip)
+            if key not in states:
+                sign, d = key
+                states[key] = PureState._derived(
+                    m, (POL,), {(o,): complex(-x if sign ^ (d & o).bit_count() & 1 else x) for o, x in amps}
+                )
+            out[q] = (prob, states[key])
+        return out
 
     return split
 
@@ -333,7 +399,7 @@ def _ghz_frame(member: PureState) -> tuple[float, int, int, int, int] | None:
 def _relabelled_dense_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
-    """The dense step once per Pauli class: every other GHZ x GHZ member is relabelled from it.
+    """The column step once per Pauli class: every other GHZ x GHZ member is relabelled from it.
 
     Every element of the Hadamard path is Clifford, so a member
     a Z^(zp, zs) X^(e, f) R0 (_ghz_frame) leaves as a Pauli image of R0's
@@ -347,13 +413,25 @@ def _relabelled_dense_split(
     x and z again. So out_M[q](o) = (-1)^(c ^ zq.q ^ zo.F(q) ^ xo.o)
     out_R0[q ^ xq](o ^ zo), with c = e.pol_c ^ f.sp_c ^ zo.xo. Members with
     the same port shift xq and magnitude a form a group with the same
-    accepted ports. The first member of a group runs the dense step, and
-    every other one is that result relabelled through the XOR of the two
-    frames. After both layers R0 sits on even pol and spatial registers,
-    and a2, b2 are 0 or 2^m - 1, so every port a member reaches has the
-    parity of xq ^ c2: where no accepted port has it, the member takes no step.
+    accepted ports. The first member of a group runs the column step
+    (_column_split), and every other one is that result relabelled through
+    the XOR of the two frames. After both layers R0 sits on even pol and
+    spatial registers, and a2, b2 are 0 or 2^m - 1, so every port a member
+    reaches has the parity of xq ^ c2: where no accepted port has it, the
+    member takes no step.
 
-    The relabelling is exact. A butterfly on a Pauli image of its input
+    The same algebra gives one member's ports from one of them, q0. Before
+    the flips, R0 holds the same column on every port it reaches (a coset
+    of the even registers, at one amplitude), so port q of the member holds
+    q0's column times (-1)^(zq.(q ^ q0)). X^F before the closing Hadamard
+    is Z^F after it, so
+    out_M[q](o) = (-1)^(zq.(q ^ q0) ^ (F(q) ^ F(q0)).o) out_M[q0](o), at
+    the same probability. On out_M[q0]'s registers, zo and its complement,
+    the flip term differs by the parity of F(q) ^ F(q0), which every
+    mode's plan keeps 0: its flip mask is the same on every accepted port.
+
+    The relabelling and the column step's signed ports are exact. A
+    butterfly on a Pauli image of its input
     gives the same floats, moved or negated, since c x + c y = c y + c x
     and c x - c y = -(c y - c x) bit for bit; a zero whose sign may differ
     is pruned to +0.0. Every nonzero amplitude of one port of a GHZ x GHZ
@@ -361,39 +439,50 @@ def _relabelled_dense_split(
     left-to-right sum in register order, is the same in any order. The
     relabelled amplitudes are the first member's real parts, each negated
     or not and then made complex, in ascending register order as
-    np.nonzero gives them. Any other member takes the dense step.
+    np.nonzero gives them; a state that several ports share is relabelled
+    once per sign. Any other member takes the dense step, built for the
+    first such member of the run.
     """
-    step = _dense_split(m, rule, plan, gate)
     (a1, b1, _, a2, b2, c2), (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
-    live = {q.bit_count() & 1 for q in range(1 << m) if rule.accepts(q, m)}  # parities of the accepted ports
+    classes: dict[int, list[int]] = {}  # port parity -> the accepted ports of that parity, ascending
+    for q in range(1 << m):
+        if rule.accepts(q, m):
+            classes.setdefault(q.bit_count() & 1, []).append(q)
+    column = _column_split(m, plan, gate)
+    dense: Callable[[PureState], Split] | None = None  # built for the first member off the frame
     groups: dict[tuple[int, float], tuple[tuple[int, int, int, int], Split]] = {}  # (xq, a) -> first member
 
     def split(member: PureState) -> Split:
+        nonlocal dense
         parts = _ghz_frame(member)
         if parts is None:
-            return step(member)
+            dense = dense or _dense_split(m, rule, plan, gate)
+            return dense(member)
         a, e, f, zp, zs = parts
         xq = zp & a2 ^ zs & b2
-        if (xq ^ c2).bit_count() & 1 not in live:
+        if (ports := classes.get((xq ^ c2).bit_count() & 1)) is None:
             return {}
         xo, zo = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o
         frame = ((e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1, e & pol_q ^ f & sp_q, zo, xo)
         key = (xq, a)
         if key not in groups:
-            groups[key] = frame, step(member)
+            groups[key] = frame, column(member, ports)
             return groups[key][1]
         first, found = groups[key]
         # out_M[q](o) = (-1)^(sign ^ dz.q ^ d.F(q) ^ dx.o) out_first[q](o ^ d)
         sign, dz, d, dx = (u ^ v for u, v in zip(frame, first))
         sign ^= (first[3] & d).bit_count() & 1
-        out = {}
+        out: Split = {}
+        relabelled: dict[tuple[int, int], PureState] = {}  # (id of a state of found, its flip) -> image
         for q, (prob, state) in found.items():
             flip = sign ^ (dz & q ^ d & plan.get(q, 0)).bit_count() & 1
-            terms: dict[Label, complex] = {}
-            for o in sorted(reg ^ d for (reg,) in state.terms):
-                x = state.terms[(o ^ d,)].real
-                terms[(o,)] = complex(-x if flip ^ (dx & o).bit_count() & 1 else x)
-            out[q] = (prob, PureState._derived(m, (POL,), terms))
+            if (id(state), flip) not in relabelled:
+                terms: dict[Label, complex] = {}
+                for o in sorted(reg ^ d for (reg,) in state.terms):
+                    x = state.terms[(o ^ d,)].real
+                    terms[(o,)] = complex(-x if flip ^ (dx & o).bit_count() & 1 else x)
+                relabelled[id(state), flip] = PureState._derived(m, (POL,), terms)
+            out[q] = (prob, relabelled[id(state), flip])
         return out
 
     return split

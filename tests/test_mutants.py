@@ -7,7 +7,7 @@ golden records (tests/test_golden.py), the closed forms every simulate record
 is scored against, the engine against the dense oracle at m = 3
 (`verify --m 3`), the same comparison on two phase-flip members that are
 not GHZ x GHZ products, scored against a target that is not a GHZ state,
-the repr of a phase-flip run on GHZ x GHZ members against the same run
+the repr of Hadamard runs on GHZ x GHZ members against the same runs
 with every member through its own dense step, and the efficiency ratio
 against its formula and criterion 7 (R P2 = P1). A mutant is caught when a
 detector's check fails or raises. A mutant target is a module function or a
@@ -62,11 +62,30 @@ oracle side, which only verify sees. The port register XOR 1 in
 oracle._port_blocks' gather scores each accepted port from its neighbour's
 block; the off-product detector and verify catch it.
 
-The last two break the skip of a member whose port class the rule
+The next two break the skip of a member whose port class the rule
 rejects. Dropping c2 from the parity test changes nothing on the gate
 table, where c2 is 0, or at even m: only the faulted-table run at odd m
-catches it. Skipping the live class in place of the rejected one moves
-every accepted port of the phase-flip run.
+catches it. Skipping the live class in place of the rejected one leaves
+the phase-flip run no accepted port, and sends a rejected member to the
+column step with no ports, which raises.
+
+The last seven break the column step, which the first GHZ x GHZ member of
+each group takes. Frame inputs no longer reach the dense step, so its
+four mutants above (dense-scale, pair-columns, closing-hadamard,
+dense-flips) are caught by the repr detector, whose refused runs take the
+dense step for every member, and all but dense-flips by the off-product
+detector too. Their column-step counterparts are column-scale,
+column-pair-columns, column-closing-hadamard and column-flips; the repr
+detector catches all four, and the closed forms, the golden records and
+verify all but column-pair-columns, the Z on every spatial photon that no
+GHZ fidelity sees. Dropping the zq.(q ^ q0) sign flips whole port states,
+which only the repr detector sees. Gathering at port 0 whatever the
+member's class changes nothing under the phase-flip rule, where port 0 is
+of the one live class: the accept-all run catches it. Dropping the
+(F(q) ^ F(q0)).o sign changes nothing where every port has the same flip
+mask, as in every mode's plan: a fourth repr run, an accept-all Hadamard
+run that flips the last photon on the ports where it left by SWAP,
+catches it.
 
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
@@ -107,8 +126,8 @@ MUTANTS = [
     ("dense-scale", protocol, "_dense_split", "p**-0.5 if p > 0.0", "p**-0.5 * (1 + 1e-9) if p > 0.0"),
     ("tensor-register", states, "tensor_hyper", "(plab[0], slab[0])", "(plab[0] ^ (1 << pol.m), slab[0])"),
     ("weight-undivided", protocol, "_execute", "(w / pattern_prob, s)", "(w, s)"),
-    ("pair-scalings", optics, "pair_hadamard", "for _ in range(m):", "for _ in range(m - 1):"),
-    ("pair-swapped", optics, "pair_hadamard", "[total + 0.0, diff + 0.0,", "[diff + 0.0, total + 0.0,"),
+    ("pair-scalings", optics, "pair_rows", "for _ in range(m):", "for _ in range(m - 1):"),
+    ("pair-swapped", optics, "pair_rows", "[total + 0.0, diff + 0.0,", "[diff + 0.0, total + 0.0,"),
     ("pair-columns", protocol, "_dense_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
     ("walsh-sign", optics, "walsh_hadamard", "np.subtract(halves[:, 0], halves[:, 1]",
      "np.subtract(halves[:, 1], halves[:, 0]"),
@@ -129,7 +148,14 @@ MUTANTS = [
     ("oracle-flips", oracle, "oracle_run", "scored[grid ^ corrections.get(port, 0)]", "scored[grid]"),
     ("port-offset", oracle, "_port_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
     ("parity-offset", protocol, "_relabelled_dense_split", "(xq ^ c2)", "xq"),
-    ("parity-flipped", protocol, "_relabelled_dense_split", "not in live", "in live"),
+    ("parity-flipped", protocol, "_relabelled_dense_split", ") is None:", ") is not None:"),
+    ("column-sign", protocol, "_column_split", "(zq & (q ^ q0)).bit_count() & 1", "0"),
+    ("column-first-port", protocol, "_column_split", "q0 = ports[0]", "q0 = 0"),
+    ("column-flip-sign", protocol, "_column_split", "sign ^ (d & o).bit_count() & 1", "sign"),
+    ("column-scale", protocol, "_column_split", "column *= prob**-0.5", "column *= prob**-0.5 * (1 + 1e-9)"),
+    ("column-pair-columns", protocol, "_column_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
+    ("column-closing-hadamard", protocol, "_column_split", "walsh_hadamard(closed, m)", "None"),
+    ("column-flips", protocol, "_column_split", "column[grid ^ flip]", "column[grid]"),
 ]
 
 
@@ -181,6 +207,10 @@ def relabelled_repr(tmp_path):
         (4, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble)),
         # every port accepted, so both classes are live
         (4, lambda ensemble: protocol._execute(ensemble, protocol.AcceptanceRule("general"), {}, None, True, None)),
+        # the last photon flipped where it left by SWAP: the ports of one member close flips of either parity
+        (4, lambda ensemble: protocol._execute(
+            ensemble, protocol.AcceptanceRule("general"), {q: q & 1 for q in range(16)}, None, True, None
+        )),
         # the faulted table's port constant c2 is 2^m - 1, of odd parity at odd m
         (5, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble, gate_table=faulted)),
     ]

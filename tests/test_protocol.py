@@ -18,6 +18,7 @@ from ghzpurify.optics import (
 from ghzpurify.protocol import (
     MODES,
     AcceptanceRule,
+    _column_split,
     _dense_split,
     closed_form_general,
     infer_flip_plan,
@@ -72,6 +73,14 @@ def ghz_products(m, rng):
             e, f = rng.randrange(1, 2 ** (m - 1)), rng.randrange(1, 2 ** (m - 1))
             products.append(tensor_hyper(make_ghz_pol(m, e, pol_sign), make_ghz_spatial(m, f, spatial_sign)))
     return products
+
+
+def class_ports(member, rule, gate):
+    """The accepted ports of a GHZ x GHZ member's class: those with the parity of its port shift xq ^ c2."""
+    _, _, _, zp, zs = protocol._ghz_frame(member)
+    (_, _, _, a2, b2, c2), _ = gate
+    shift = zp & a2 ^ zs & b2 ^ c2
+    return [q for q in range(1 << member.m) if rule.accepts(q, member.m) and (q ^ shift).bit_count() % 2 == 0]
 
 
 def random_pair_member(m, rng):
@@ -133,7 +142,7 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
 
 @pytest.mark.parametrize("m", [6, 7, 8, 9])
 def test_dense_port_probability_is_a_sequential_sum(m):
-    """Every port probability of the dense step is a left-to-right sum of |amp|**2 in register order.
+    """Every port probability of the dense and column steps is a left-to-right sum of |amp|**2 in register order.
 
     The reference amplitudes come from walsh_hadamard on both registers and
     check_table's masks on index grids, and the reference adds their squares one by one
@@ -143,7 +152,9 @@ def test_dense_port_probability_is_a_sequential_sum(m):
     as are a spatial-pair member whose pol registers are not one pair and a
     member on a single spatial register. At these
     sizes numpy's pairwise np.sum along a contiguous axis gives other bits
-    on some port of the random members, which the test checks too.
+    on some port of the random members, which the test checks too. The
+    column step runs each GHZ x GHZ product whose class the rule accepts,
+    on the dense step's ports.
     """
     rng = random.Random(m)
     size = 1 << m
@@ -154,7 +165,8 @@ def test_dense_port_probability_is_a_sequential_sum(m):
                                        for k, (lab, a) in enumerate(member.terms.items())])
         for member in (real, pair)
     )
-    step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m))
+    rule, plan, gate = AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m)
+    step, column = _dense_split(m, rule, plan, gate), _column_split(m, plan, gate)
     for member in (real, turned, pair, turned_pair, *ghz_products(m, rng), *off_pair_members(m, rng)):
         amps = np.zeros((size, size), dtype=complex)  # [pol, spatial]
         for (pol, spatial), a in member.terms.items():
@@ -166,6 +178,9 @@ def test_dense_port_probability_is_a_sequential_sum(m):
         squares = np.zeros((size, size))  # [port, out_pol]
         squares[port, out_pol] = np.abs(amps) ** 2
         got = step(member)
+        ports = class_ports(member, rule, gate) if protocol._ghz_frame(member) else []
+        by_column = column(member, ports) if ports else got
+        assert by_column.keys() == got.keys()
         pairwise_differs = False
         for p in range(size):
             if bin(p).count("1") % 2:
@@ -175,6 +190,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
             for sq in squares[p].tolist():
                 total += sq
             assert got[p][0] == total if p in got else total == 0.0
+            assert p not in by_column or by_column[p][0] == total
             pairwise_differs |= float(np.sum(squares[p])) != total
         # only the random members are sure to have a port where the pairwise sum differs
         assert pairwise_differs or member not in (real, turned)
@@ -559,21 +575,26 @@ def phaseflip_repr(ensemble, table, target=None):
         return f"ValueError: {exc}"
 
 
-def counting_dense_steps(monkeypatch):
-    """Install a _dense_split whose steps record every member they run on; returns that list."""
-    factory, stepped = protocol._dense_split, []
+def counting_steps(monkeypatch, name):
+    """Install a protocol step factory whose steps record every member they run on; returns that list."""
+    factory, stepped = getattr(protocol, name), []
 
     def counted(*args):
         step = factory(*args)
 
-        def split(member):
+        def split(member, *rest):
             stepped.append(member)
-            return step(member)
+            return step(member, *rest)
 
         return split
 
-    monkeypatch.setattr(protocol, "_dense_split", counted)
+    monkeypatch.setattr(protocol, name, counted)
     return stepped
+
+
+def counting_dense_steps(monkeypatch):
+    """Install a _dense_split whose steps record every member they run on; returns that list."""
+    return counting_steps(monkeypatch, "_dense_split")
 
 
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
@@ -625,18 +646,19 @@ def test_ghz_product_ports_have_the_parity_of_their_port_shift(m, table):
 
 
 def test_dense_step_runs_once_per_group(monkeypatch):
-    """The benchmark's pair input runs 1 dense step for its 4 members; a member off the frame always takes its own.
+    """The benchmark's pair input runs 1 column step and no dense step for its 4 members; a member off the frame always takes its own dense step.
 
     The pair input holds GHZ(0) x GHZ(0) in all four sign pairs. The port
     shift is the XOR of the two sign masks, so (+,+) and (-,-) form one
-    group. (+,-) and (-,+) shift every port to odd parity, which the
-    phase-flip rule rejects, so they take no step at all.
+    group, whose first member takes the column step. (+,-) and (-,+) shift
+    every port to odd parity, which the phase-flip rule rejects, so they
+    take no step at all.
     """
-    stepped = counting_dense_steps(monkeypatch)
+    columns, stepped = counting_steps(monkeypatch, "_column_split"), counting_dense_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
     MODES["phaseflip"].run(ensemble)
     members = [s for _, s in ensemble.members]
-    assert len(members) == 4 and len(stepped) == 1 and stepped[0] is members[0]
+    assert len(members) == 4 and len(columns) == 1 and columns[0] is members[0] and not stepped
 
     m, full = 4, 15
     reference = tensor_hyper(make_ghz_pol(m, 0), make_ghz_spatial(m, 0))
@@ -649,9 +671,46 @@ def test_dense_step_runs_once_per_group(monkeypatch):
     off_product = random_pair_member(m, random.Random(1))
     members = [reference, scaled, turned, crossed, off_product, reference, scaled]
     ensemble = Ensemble(tuple((1 / len(members), s) for s in members))
-    stepped.clear()
+    columns.clear()
     framed = phaseflip_repr(ensemble, GATE_TABLE)
     # the repeated reference and the repeated scaled member are relabelled, each from its first
-    assert len(stepped) == 5 and all(a is b for a, b in zip(stepped, members))
+    assert len(columns) == 2 and all(a is b for a, b in zip(columns, members))
+    assert len(stepped) == 3 and all(a is b for a, b in zip(stepped, members[2:]))
     monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
     assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
+
+
+@pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
+@pytest.mark.parametrize("m", range(2, 12))
+def test_column_step_matches_the_dense_step(m, table):
+    """The column step on a real GHZ x GHZ member prints the repr of the dense step on it.
+
+    Members are a Z^(zp, zs) X^(e, f) image of GHZ(0,+) x GHZ(0,+) at
+    amplitude +-a: random e and f, all four sign pairs, and a of 1, 0.3 and
+    1e-3. The phase-flip rule and plan run every member whose class it
+    accepts; the accept-all rule, where both classes are live, runs a plan
+    of random flip masks, so that ports of one member close different
+    flips. From m = 10 on, where the dense side takes about 0.2 s a member,
+    each sign pair takes one of the three magnitudes, and only the
+    phase-flip run.
+    """
+    rng, gate, size = random.Random(200 + m), gate_masks(table, m), 1 << m
+    full, top = size - 1, size >> 1
+    runs = [(AcceptanceRule("phaseflip"), phaseflip_plan(m))]
+    if m < 10:
+        runs.append((AcceptanceRule("general"), {q: rng.randrange(size) for q in range(size) if rng.random() < 0.7}))
+    members = []
+    for k, (zp, zs) in enumerate(itertools.product((0, top), repeat=2)):
+        for a in (1.0, 0.3, 1e-3)[k % 3 : k % 3 + 1] if m >= 10 else (1.0, 0.3, 1e-3):
+            e, f = rng.randrange(top), rng.randrange(top)
+            terms = {(p, s): -a if (p & zp ^ s & zs).bit_count() & 1 else a for p in (e, e ^ full) for s in (f, f ^ full)}
+            members.append(PureState._derived(m, (POL, SPATIAL), terms))
+    compared = 0
+    for rule, plan in runs:
+        dense, column = _dense_split(m, rule, plan, gate), _column_split(m, plan, gate)
+        for member in members:
+            assert protocol._ghz_frame(member) is not None
+            if ports := class_ports(member, rule, gate):
+                assert_same_text(repr(column(member, ports)), repr(dense(member)))
+                compared += 1
+    assert compared >= 2
