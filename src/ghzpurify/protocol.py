@@ -24,6 +24,9 @@ why that is exact. Any other member takes the dense step.
 A run reads the gate once: _execute takes the affine register masks of the
 table and of its inverse (optics.check_table, which refuses a table that is
 not a bijection), and every step routes with two XOR/AND expressions.
+Ports that hold the same entries, the same weights on the same state
+objects (as a column step's ports do), share one conditional ensemble and
+fidelity, built once.
 
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
@@ -110,9 +113,14 @@ def check_plan(plan: CorrectionPlan, m: int) -> None:
 
 
 def phaseflip_plan(m: int) -> dict[int, int]:
-    """Flip every photon on each accepted (even-parity) port; the mode's Hadamard closes the correction."""
-    rule = AcceptanceRule("phaseflip")
-    return {port: (1 << m) - 1 for port in range(1 << m) if rule.accepts(port, m)}
+    """Flip every photon on each accepted (even-parity) port; the mode's Hadamard closes the correction.
+
+    The ports are built, ascending, as each (m-1)-bit register followed by
+    its parity bit, not found among all 2^m registers: a phase-flip run on
+    GHZ x GHZ members puts the registers through AcceptanceRule.accepts
+    once, for _relabelled_dense_split's classes.
+    """
+    return {r << 1 | r.bit_count() & 1: (1 << m) - 1 for r in range(1 << (m - 1))}
 
 
 def _ghz_product_parts(state: PureState) -> tuple[int, int]:
@@ -206,9 +214,9 @@ def _split_by_pattern(
 
 # A Hadamard-mode member holds 4^(m-1) terms after its layers. A config's
 # members are GHZ x GHZ products, so each group of them takes one column
-# step; at m = 10 a phase-flip simulate takes about 0.32 s and 30 MB peak on
-# a 2-CPU machine (median of 7), one column step for its four members, and
-# its record lists 512 patterns. Configs above this are refused.
+# step; at m = 10 a phase-flip simulate takes 0.21-0.29 s and 30 MB peak on
+# a shared 2-CPU machine (two medians of 7), one column step for its four
+# members, and its record lists 512 patterns. Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
 # A mode that ``lists_components`` (general) builds and prints all 2^(m-1)
@@ -496,12 +504,17 @@ def _execute(
     hadamard_first: bool,
     gate_table: GateTable | None,
 ) -> ProtocolResult:
-    """One run: each member's step, then per accepted port its conditional ensemble and fidelity.
+    """One run: each member's step, then per distinct accepted outcome its conditional ensemble and fidelity.
 
     A Hadamard run steps through _relabelled_dense_split, whose groups live
     for this call only and whose result is, bit for bit, the one per-member
     dense steps give; the other modes step through _split_by_pattern. Each
     step takes the masks of the table and its inverse, read here once.
+    A port's signature is its bucket's (weight, state identity) entries.
+    Ports with one signature hold the same floats and states, so the first
+    builds the PatternOutcome and the others share it; the states stay
+    alive in the buckets, so no identity is reused within the run. Every
+    port still adds its own probability x fidelity to the output fidelity.
     """
     if ensemble.dofs != (POL, SPATIAL):
         raise ValueError(f"protocol input must carry (pol, spatial) labels, got {ensemble.dofs}")
@@ -525,21 +538,22 @@ def _execute(
         raise ValueError("no accepted port pattern carries probability; fidelity undefined")
 
     accepted: dict[Pattern, PatternOutcome] = {}
-    fidelity_terms = []
+    outcomes: dict[tuple[tuple[float, int], ...], PatternOutcome] = {}  # port signature -> its outcome
     # numeric order of m-bit registers is the order of their MSB-first bit tuples
     for port in sorted(buckets):
         entries = buckets[port]
-        pattern_prob = math.fsum(w for w, _ in entries)
-        cond_ensemble = Ensemble._derived(tuple((w / pattern_prob, s) for w, s in entries))
-        cond_fidelity = fidelity(cond_ensemble, target)
-        accepted[bits(m, port)] = PatternOutcome(pattern_prob, cond_ensemble, cond_fidelity)
-        fidelity_terms.append(pattern_prob * cond_fidelity)
+        signature = tuple((w, id(s)) for w, s in entries)
+        if (outcome := outcomes.get(signature)) is None:
+            pattern_prob = math.fsum(w for w, _ in entries)
+            cond_ensemble = Ensemble._derived(tuple((w / pattern_prob, s) for w, s in entries))
+            outcome = outcomes[signature] = PatternOutcome(pattern_prob, cond_ensemble, fidelity(cond_ensemble, target))
+        accepted[bits(m, port)] = outcome
 
     return ProtocolResult(
         accepted=accepted,
         success_probability=accepted_mass,
         rejected_probability=1.0 - accepted_mass,
-        output_fidelity=math.fsum(fidelity_terms) / accepted_mass,
+        output_fidelity=math.fsum(o.probability * o.fidelity for o in accepted.values()) / accepted_mass,
     )
 
 

@@ -7,16 +7,21 @@ algebra do not reuse the code path under test. `tensordot_contract` and
 of a port's correction) keep the oracle's former forms as references for
 its faster ones, and `walsh_pair_reference` the butterfly that
 `optics.pair_hadamard` replaces on register pairs, `route` applies
-`optics.check_table`'s masks to registers or index grids, and `gate_masks`
-builds the masks a run hands its step. Label literals are written
+`optics.check_table`'s masks to registers or index grids, `gate_masks`
+builds the masks a run hands its step, and `per_port_execute` keeps
+`protocol._execute`'s former per-port loop as the reference for the
+outcomes it now builds once per distinct port. Label literals are written
 photon by photon, one tuple of bits per photon, and turned into the
 package's register labels by `pack`; `unpack` undoes it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ghzpurify import protocol
 from ghzpurify.optics import check_table, walsh_hadamard
 from ghzpurify.oracle import (
     OracleResult,
@@ -27,8 +32,19 @@ from ghzpurify.oracle import (
     hadamard_both_unitary,
     state_vector,
 )
-from ghzpurify.protocol import closed_form_general
-from ghzpurify.states import NORM_TOL, POL, SPATIAL, PureState, bits, make_ghz_pol, make_state, overlap
+from ghzpurify.protocol import PatternOutcome, ProtocolResult, closed_form_general
+from ghzpurify.states import (
+    NORM_TOL,
+    POL,
+    SPATIAL,
+    Ensemble,
+    PureState,
+    bits,
+    fidelity,
+    make_ghz_pol,
+    make_state,
+    overlap,
+)
 
 
 def pair_closed_form(fa: float, fb: float) -> tuple[float, float]:
@@ -60,6 +76,31 @@ def route(pol, spatial, m: int, table):
 def gate_masks(table, m: int):
     """What protocol._execute hands a step factory: check_table of the table and of its inverse."""
     return check_table(table, m), check_table({out: row for row, out in table.items()}, m)
+
+
+def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, gate_table=None) -> ProtocolResult:
+    """protocol._execute with a conditional ensemble and a fidelity built for every accepted port, none shared.
+
+    The step factories are looked up on protocol at call time, so a step
+    patched there runs here too; the buckets and every fsum are _execute's.
+    """
+    m = ensemble.m
+    target = make_ghz_pol(m, 0, +1) if target is None else target
+    gate = gate_masks(protocol.GATE_TABLE if gate_table is None else gate_table, m)
+    step = (protocol._relabelled_dense_split if hadamard_first else protocol._split_by_pattern)(m, rule, plan, gate)
+    buckets = {}
+    for weight, member in ensemble.members:
+        for port, (prob, state) in step(member).items():
+            if (w := weight * prob) > 0.0:
+                buckets.setdefault(port, []).append((w, state))
+    accepted = {}
+    for port in sorted(buckets):
+        total = math.fsum(w for w, _ in buckets[port])
+        cond = Ensemble(tuple((w / total, s) for w, s in buckets[port]))
+        accepted[bits(m, port)] = PatternOutcome(total, cond, fidelity(cond, target))
+    success = math.fsum(w for entries in buckets.values() for w, _ in entries)
+    fidelity_mass = math.fsum(o.probability * o.fidelity for o in accepted.values())
+    return ProtocolResult(accepted, success, 1.0 - success, fidelity_mass / success)
 
 
 def states_close(a: PureState, b: PureState, tol: float = NORM_TOL, global_phase: bool = False) -> bool:

@@ -8,10 +8,12 @@ is scored against, the engine against the dense oracle at m = 3
 (`verify --m 3`), the same comparison on two phase-flip members that are
 not GHZ x GHZ products, scored against a target that is not a GHZ state,
 the repr of Hadamard runs on GHZ x GHZ members against the same runs
-with every member through its own dense step, and the efficiency ratio
-against its formula and criterion 7 (R P2 = P1). A mutant is caught when a
-detector's check fails or raises. A mutant target is a module function or a
-``Class.method``, which is installed on the class.
+with every member through its own dense step, the repr of a run whose
+step shares port states against tests/helpers.py's per-port loop, and the
+efficiency ratio against its formula and criterion 7 (R P2 = P1). A
+mutant is caught when a detector's check fails or raises. A mutant target
+is a module function or a ``Class.method``, which is installed on the
+class.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
@@ -87,6 +89,15 @@ mask, as in every mode's plan: a fourth repr run, an accept-all Hadamard
 run that flips the last photon on the ports where it left by SWAP,
 catches it.
 
+The last two break the key under which _execute builds one outcome for
+every port with the same entries. The engine's steps share a state only
+between ports of one member, which all carry that member's probability, so
+dropping the weight from the key changes no run of theirs: only the
+shared-states detector, a patched step that puts one state on two ports at
+two probabilities, catches it. Keying on the first entry alone gives a
+port the outcome of another whose later entries differ; the shared-states
+and repr detectors catch it.
+
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
 print; tests/test_order.py catches it. Reversing infer_flip_plan's
@@ -112,7 +123,7 @@ from ghzpurify import cli, efficiency, noise, optics, oracle, protocol, states
 from ghzpurify.oracle import densify, oracle_run
 from ghzpurify.records import ProtocolConfig
 from ghzpurify.states import POL, SPATIAL, Ensemble, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
-from helpers import assert_same_text
+from helpers import assert_same_text, per_port_execute
 
 DATA = Path(__file__).parent / "data" / "simulate"
 CASES = {c["name"]: c["config"] for c in json.loads((DATA / "cases.json").read_text(encoding="utf-8"))}
@@ -156,6 +167,10 @@ MUTANTS = [
     ("column-pair-columns", protocol, "_column_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
     ("column-closing-hadamard", protocol, "_column_split", "walsh_hadamard(closed, m)", "None"),
     ("column-flips", protocol, "_column_split", "column[grid ^ flip]", "column[grid]"),
+    ("signature-weight", protocol, "_execute", "tuple((w, id(s)) for w, s in entries)",
+     "tuple(id(s) for w, s in entries)"),
+    ("signature-first", protocol, "_execute", "tuple((w, id(s)) for w, s in entries)",
+     "tuple((w, id(s)) for w, s in entries[:1])"),
 ]
 
 
@@ -224,6 +239,23 @@ def relabelled_repr(tmp_path):
             assert_same_text(repr(run(ensemble)), framed)
 
 
+def shared_port_states(tmp_path):
+    # the engine's steps share a state only between ports of one member, at one probability: this step
+    # shares one between ports 0 and 3 at two, and gives ports 5 and 6 the same first entry and different second
+    m = 3
+    first, second = (tensor_hyper(make_ghz_pol(m, i), make_ghz_spatial(m, i)) for i in (0, 1))
+    shared, a, b, c = (make_ghz_pol(m, i) for i in range(4))
+    splits = {
+        id(first): {0: (0.2, shared), 3: (0.3, shared), 5: (0.25, c), 6: (0.25, c)},
+        id(second): {5: (0.5, a), 6: (0.5, b)},
+    }
+    ensemble, rule = Ensemble(((0.5, first), (0.5, second))), protocol.AcceptanceRule("general")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_split_by_pattern", lambda *args: lambda member: splits[id(member)])
+        expected = repr(per_port_execute(ensemble, rule, {}))
+        assert_same_text(repr(protocol._execute(ensemble, rule, {}, None, False, None)), expected)
+
+
 def efficiency_ratio(tmp_path):
     for eta_d, eta_c, L, N in ((0.9, 0.95, 25.0, 3), (0.8, 1.0, 60.0, 8), (1.0, 0.7, 0.0, 2)):
         params = efficiency.EfficiencyParams(eta_d=eta_d, eta_c=eta_c, L=L, L0=25.0, N=N, p1=0.6)
@@ -232,7 +264,9 @@ def efficiency_ratio(tmp_path):
         assert math.isclose(ratio * efficiency.p_two(params), efficiency.p_one(params), rel_tol=TOL)
 
 
-DETECTORS = [efficiency_ratio, relabelled_repr, oracle_off_product, closed_forms, golden_records, oracle_m3]  # cheapest first
+DETECTORS = [  # cheapest first
+    efficiency_ratio, shared_port_states, relabelled_repr, oracle_off_product, closed_forms, golden_records, oracle_m3,
+]
 
 
 def fails(detector, tmp_path) -> bool:

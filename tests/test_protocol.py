@@ -33,12 +33,13 @@ from ghzpurify.states import (
     Ensemble,
     PureState,
     bits,
+    fidelity,
     make_ghz_pol,
     make_ghz_spatial,
     make_state,
     tensor_hyper,
 )
-from helpers import assert_same_text, gate_masks, pair_closed_form, route, walsh_pair_reference
+from helpers import assert_same_text, gate_masks, pair_closed_form, per_port_execute, route, walsh_pair_reference
 
 
 def bitflip_input(m, f1, f2, pol_index=1, spatial_index=1):
@@ -522,7 +523,10 @@ def test_dense_phaseflip_path_matches_term_by_term(name, m, table):
 
     Hadamard modes draw two-component mixtures with any GHZ index and sign;
     the sparse modes draw bit-flip mixtures of the reference with up to
-    three error components.
+    three error components. Each port's fidelity is that of the checked
+    Ensemble of its reference entries against GHZ 0+, and the output
+    fidelity the fsum of probability x fidelity over the ports, divided by
+    the success probability.
     """
     mode = MODES[name]
     rng = random.Random(m)
@@ -544,14 +548,20 @@ def test_dense_phaseflip_path_matches_term_by_term(name, m, table):
                 mode.run(ensemble, gate_table=table)
             continue
         result = mode.run(ensemble, gate_table=table)
-        assert result.success_probability == math.fsum(w for entries in expected.values() for w, _ in entries)
+        success = math.fsum(w for entries in expected.values() for w, _ in entries)
+        assert result.success_probability == success
         assert set(result.accepted) == set(expected)
+        fidelity_terms = []
         for pattern, entries in expected.items():
             outcome = result.accepted[pattern]
             total = math.fsum(w for w, _ in entries)
             assert outcome.probability == total
             members = [(w, dict(s.terms)) for w, s in outcome.ensemble.members]
             assert members == [(w / total, dict(s.terms)) for w, s in entries]
+            reference = fidelity(Ensemble(tuple((w / total, s) for w, s in entries)), make_ghz_pol(m, 0, +1))
+            assert outcome.fidelity == reference
+            fidelity_terms.append(total * reference)
+        assert result.output_fidelity == math.fsum(fidelity_terms) / success
 
 
 def ghz_product_ensemble(m, rng):
@@ -645,6 +655,25 @@ def test_ghz_product_ports_have_the_parity_of_their_port_shift(m, table):
         assert {q.bit_count() & 1 for q in ports} == {(xq ^ c2).bit_count() & 1}
 
 
+def mixed_members():
+    """Seven m = 4 members: the all-plus GHZ x GHZ product, rescaled, turned, crossed, off the product, and two repeats.
+
+    The rescaled member has the product's signs at another magnitude, the
+    turned one is the product times 1j, and the crossed one has signs no
+    product of two GHZ states has; the first two come again at the end.
+    """
+    m, full = 4, 15
+    reference = tensor_hyper(make_ghz_pol(m, 0), make_ghz_spatial(m, 0))
+    # the same signs on another magnitude: make_ghz_* use 1 / sqrt(2), this factor 2**-0.5, one ulp above
+    scaled = tensor_hyper(PureState(m, (POL,), {(0,): 2**-0.5, (full,): 2**-0.5}), make_ghz_spatial(m, 0))
+    assert scaled.terms[(0, 0)] != reference.terms[(0, 0)]
+    turned = PureState(m, reference.dofs, {lab: 1j * a for lab, a in reference.terms.items()})
+    # +-a on the product support, with signs no product of two GHZ states has
+    crossed = PureState(m, reference.dofs, {lab: -a if lab == (full, full) else a for lab, a in reference.terms.items()})
+    off_product = random_pair_member(m, random.Random(1))
+    return [reference, scaled, turned, crossed, off_product, reference, scaled]
+
+
 def test_dense_step_runs_once_per_group(monkeypatch):
     """The benchmark's pair input runs 1 column step and no dense step for its 4 members; a member off the frame always takes its own dense step.
 
@@ -660,16 +689,7 @@ def test_dense_step_runs_once_per_group(monkeypatch):
     members = [s for _, s in ensemble.members]
     assert len(members) == 4 and len(columns) == 1 and columns[0] is members[0] and not stepped
 
-    m, full = 4, 15
-    reference = tensor_hyper(make_ghz_pol(m, 0), make_ghz_spatial(m, 0))
-    # the same signs on another magnitude: make_ghz_* use 1 / sqrt(2), this factor 2**-0.5, one ulp above
-    scaled = tensor_hyper(PureState(m, (POL,), {(0,): 2**-0.5, (full,): 2**-0.5}), make_ghz_spatial(m, 0))
-    assert scaled.terms[(0, 0)] != reference.terms[(0, 0)]
-    turned = PureState(m, reference.dofs, {lab: 1j * a for lab, a in reference.terms.items()})
-    # +-a on the product support, with signs no product of two GHZ states has
-    crossed = PureState(m, reference.dofs, {lab: -a if lab == (full, full) else a for lab, a in reference.terms.items()})
-    off_product = random_pair_member(m, random.Random(1))
-    members = [reference, scaled, turned, crossed, off_product, reference, scaled]
+    members = mixed_members()
     ensemble = Ensemble(tuple((1 / len(members), s) for s in members))
     columns.clear()
     framed = phaseflip_repr(ensemble, GATE_TABLE)
@@ -678,6 +698,35 @@ def test_dense_step_runs_once_per_group(monkeypatch):
     assert len(stepped) == 3 and all(a is b for a, b in zip(stepped, members[2:]))
     monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
     assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
+
+
+def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
+    """A run builds one conditional ensemble and fidelity per distinct port signature, and the per-port loop's repr.
+
+    On the benchmark's pair input every one of the 128 accepted ports at
+    m = 8 holds the same (weight, state) entries, so protocol.fidelity runs
+    once and every port gets the one outcome. On the mixed members of
+    test_dense_step_runs_once_per_group (turned, crossed and off the
+    product, each on its own dense step) and on the pair input, the result
+    prints what tests/helpers.py's per_port_execute, one outcome built per
+    port, prints.
+    """
+    original, scored = protocol.fidelity, []
+
+    def counted(ensemble, target):
+        scored.append(ensemble)
+        return original(ensemble, target)
+
+    monkeypatch.setattr(protocol, "fidelity", counted)
+    mode, pair = MODES["phaseflip"], MODES["phaseflip"].verify_input(8, 0.8, 0.7)
+    result = mode.run(pair)
+    assert len(result.accepted) == 128 and len(scored) == 1
+    assert len({id(outcome) for outcome in result.accepted.values()}) == 1
+    members = mixed_members()
+    mixed = Ensemble(tuple((1 / len(members), s) for s in members))
+    for ensemble in (mixed, pair):
+        expected = per_port_execute(ensemble, mode.rule, mode.plan(ensemble), None, True)
+        assert_same_text(repr(mode.run(ensemble)), repr(expected))
 
 
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
