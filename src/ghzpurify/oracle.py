@@ -271,7 +271,7 @@ def oracle_run(
     rho = dense
     if mode.hadamard:
         rho = _contract_per_photon(rho, hadamard_both_unitary(1), m)
-    accepted = [port for port in range(1 << m) if mode.rule.accepts(port, m)]
+    accepted = mode.rule.ports(m)
     scored = _kron_all([_hadamard_2x2()] * m).conj().T @ tvec if mode.hadamard else tvec
     grid = np.arange(1 << m)
 

@@ -13,20 +13,21 @@ member holds 4^(m-1) terms, so Hadamard modes run every stage on dense
 register arrays (_dense_split). A member whose spatial registers are one
 complementary pair, as on every GHZ x GHZ product, gets its spatial layer
 in closed form (optics.pair_hadamard), bit for bit what walsh_hadamard
-gives. Both steps return only the accepted ports.
-A Hadamard run gives the first of each group of real GHZ x GHZ members
-that are Pauli images of one another a column step (_column_split): one
-port's [pol] column gathered from the spatial layer's distinct rows, with
-no 4^m array, and every other port of the member a signed copy of it. It
-relabels the rest of the group from that result, bit for bit, and skips a
-member whose port class the rule rejects; _relabelled_dense_split states
-why that is exact. Any other member takes the dense step.
+gives. Every step returns port groups (Split): one probability and
+corrected state per group, held by each of its accepted ports.
+A Hadamard run gives the first of each set of real GHZ x GHZ members that
+are Pauli images of one another a column step (_column_split): one port's
+[pol] column gathered from the spatial layer's distinct rows, with no 4^m
+array, and every other port a signed copy of it, one port group per sign
+pattern. The rest of the set is relabelled from that result, bit for bit;
+a member whose port class the rule rejects is skipped, and
+_relabelled_dense_split states why that is exact. Any other member takes
+the dense step.
 A run reads the gate once: _execute takes the affine register masks of the
 table and of its inverse (optics.check_table, which refuses a table that is
 not a bijection), and every step routes with two XOR/AND expressions.
-Ports that hold the same entries, the same weights on the same state
-objects (as a column step's ports do), share one conditional ensemble and
-fidelity, built once.
+Each port group gives one (weight, state) entry, shared by its ports'
+buckets, and ports with the same entries share one outcome, built once.
 
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
@@ -99,9 +100,15 @@ class AcceptanceRule:
             return count % 2 == 0
         return True
 
+    def ports(self, m: int) -> list[int]:
+        """The accepted m-bit port registers, ascending, built without testing each register."""
+        if self.mode == "phaseflip":  # each (m-1)-bit register followed by its parity bit
+            return [r << 1 | r.bit_count() & 1 for r in range(1 << (m - 1))]
+        return [0, (1 << m) - 1] if self.mode == "bitflip" else list(range(1 << m))
+
 
 CorrectionPlan = Mapping[int, int]  # port register -> m-bit photon flip mask
-Split = dict[int, tuple[float, PureState]]  # accepted port register -> (probability, corrected state)
+Split = list[tuple[float, PureState, tuple[int, ...]]]  # (probability, corrected state, its accepted ports ascending)
 Gate = tuple[tuple[int, ...], tuple[int, ...]]  # check_table of the gate table and of its inverse
 
 
@@ -113,14 +120,8 @@ def check_plan(plan: CorrectionPlan, m: int) -> None:
 
 
 def phaseflip_plan(m: int) -> dict[int, int]:
-    """Flip every photon on each accepted (even-parity) port; the mode's Hadamard closes the correction.
-
-    The ports are built, ascending, as each (m-1)-bit register followed by
-    its parity bit, not found among all 2^m registers: a phase-flip run on
-    GHZ x GHZ members puts the registers through AcceptanceRule.accepts
-    once, for _relabelled_dense_split's classes.
-    """
-    return {r << 1 | r.bit_count() & 1: (1 << m) - 1 for r in range(1 << (m - 1))}
+    """Flip every photon on each accepted (even-parity) port; the mode's Hadamard closes the correction."""
+    return dict.fromkeys(AcceptanceRule("phaseflip").ports(m), (1 << m) - 1)
 
 
 def _ghz_product_parts(state: PureState) -> tuple[int, int]:
@@ -191,8 +192,8 @@ def _split_by_pattern(
 
     The gate is a bijection on each photon's bits, so every term keeps its
     amplitude under the run's forward masks; dead terms go as make_state
-    prunes them. Returns, per accepted port, the probability and the
-    renormalized polarization state with the port's photon flips applied.
+    prunes them. One group per accepted port holds its probability, summed
+    left to right in term order, and its flipped, renormalized pol state.
     """
     (a1, b1, c1, a2, b2, c2), _ = gate
 
@@ -202,11 +203,13 @@ def _split_by_pattern(
             port = pol & a2 ^ spatial & b2 ^ c2
             if rule.accepts(port, m) and abs(amp) > PRUNE_TOL:
                 groups.setdefault(port, {})[(pol & a1 ^ spatial & b1 ^ c1 ^ plan.get(port, 0),)] = amp
-        out = {}
+        out = []
         for port, terms in groups.items():
-            prob = sum(abs(a) ** 2 for a in terms.values())
+            prob = 0.0
+            for a in terms.values():  # not the builtin sum, which Python 3.12 compensates
+                prob += abs(a) ** 2
             scale = prob**-0.5
-            out[port] = (prob, PureState._derived(m, (POL,), {lab: a * scale for lab, a in terms.items()}))
+            out.append((prob, PureState._derived(m, (POL,), {lab: a * scale for lab, a in terms.items()}), (port,)))
         return out
 
     return split
@@ -214,7 +217,7 @@ def _split_by_pattern(
 
 # A Hadamard-mode member holds 4^(m-1) terms after its layers. A config's
 # members are GHZ x GHZ products, so each group of them takes one column
-# step; at m = 10 a phase-flip simulate takes 0.21-0.29 s and 30 MB peak on
+# step; at m = 10 a phase-flip simulate takes 0.28-0.32 s and 30 MB peak on
 # a shared 2-CPU machine (two medians of 7), one column step for its four
 # members, and its record lists 512 patterns. Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
@@ -243,8 +246,8 @@ def _dense_split(
 ) -> Callable[[PureState], Split]:
     """The Hadamard-mode step for one member, on dense arrays indexed by the registers.
 
-    Same contract as _split_by_pattern: per accepted port, the probability
-    and the corrected state, here the photon flips of the port's mask
+    Same contract as _split_by_pattern, one group per accepted port; its
+    state is corrected by the photon flips of the port's mask
     followed by the mode's closing polarization Hadamard. It runs the
     per-state route (hadamard_pol, hadamard_spatial, apply_network, the
     grouping by port, bit_flip_pol, hadamard_pol) with the same float
@@ -274,8 +277,8 @@ def _dense_split(
     size = 1 << m
     full = size - 1
     grid = np.arange(size)
-    parity = np.array([q.bit_count() & 1 for q in range(size)])
-    ports = [p for p in range(size) if rule.accepts(p, m)]
+    parity = _parity(m)
+    ports = rule.ports(m)
     _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
     # [pol, accepted port] -> flat index of amps [spatial, pol], by the inverse masks
     o, q = grid[:, None], np.array(ports)[None, :]
@@ -296,16 +299,26 @@ def _dense_split(
         accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])
         prune(accepted)
         if not (cols := [c for c, p in enumerate(probs) if p > 0.0]):
-            return {}
+            return []
         block = accepted[grid[:, None] ^ flips[cols], cols]  # [pol, port], each column's X^mask applied
         walsh_hadamard(block, m)
         terms: list[dict[Label, complex]] = [{} for _ in cols]
         js, regs = np.nonzero(block.T)
         for j, reg, amp in zip(js.tolist(), regs.tolist(), block[regs, js].astype(complex).tolist()):
             terms[j][(reg,)] = amp
-        return {ports[c]: (probs[c], PureState._derived(m, (POL,), t)) for c, t in zip(cols, terms)}
+        return [(probs[c], PureState._derived(m, (POL,), t), (ports[c],)) for c, t in zip(cols, terms)]
 
     return split
+
+
+def _parity(m: int):
+    """Popcount parity of every m-bit register, by doubling: parity[2^k + q] = 1 - parity[q] for q < 2^k."""
+    import numpy as np
+
+    parity = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        parity = np.concatenate((parity, 1 - parity))
+    return parity
 
 
 def _pol_layer(member: PureState):
@@ -338,14 +351,14 @@ def _column_split(m: int, plan: CorrectionPlan, gate: Gate) -> Callable[[PureSta
     pairwise, and the builtin sum of Python 3.12 compensated). The column
     is scaled, pruned, flipped and closed by a one-column walsh_hadamard.
     Every other port is that output with the signs _relabelled_dense_split
-    derives, at the same probability; each distinct sign pattern is one
-    state, shared by its ports.
+    derives, at the same probability: one group, and one state, per
+    distinct (sign, F(q) ^ F(q0)).
     """
     import numpy as np
 
     size = 1 << m
     grid = np.arange(size)
-    parity = np.array([q.bit_count() & 1 for q in range(size)])
+    parity = _parity(m)
     _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
 
     def split(member: PureState, ports: Sequence[int]) -> Split:
@@ -363,17 +376,12 @@ def _column_split(m: int, plan: CorrectionPlan, gate: Gate) -> Callable[[PureSta
         (regs,) = np.nonzero(closed)
         amps = list(zip(regs.tolist(), closed[regs].tolist()))
         zq = e & pol_q ^ f & sp_q
-        states: dict[tuple[int, int], PureState] = {}  # (sign, F(q) ^ F(q0)) -> the ports' shared state
-        out = {}
+        groups: dict[tuple[int, int], list[int]] = {}  # (sign, F(q) ^ F(q0)) -> its ports, ascending
         for q in ports:
-            key = ((zq & (q ^ q0)).bit_count() & 1, plan.get(q, 0) ^ flip)
-            if key not in states:
-                sign, d = key
-                states[key] = PureState._derived(
-                    m, (POL,), {(o,): complex(-x if sign ^ (d & o).bit_count() & 1 else x) for o, x in amps}
-                )
-            out[q] = (prob, states[key])
-        return out
+            groups.setdefault(((zq & (q ^ q0)).bit_count() & 1, plan.get(q, 0) ^ flip), []).append(q)
+        return [(prob, PureState._derived(m, (POL,), {(o,): complex(-x if sign ^ (d & o).bit_count() & 1 else x)
+                                                      for o, x in amps}), tuple(qs))
+                for (sign, d), qs in groups.items()]
 
     return split
 
@@ -439,23 +447,21 @@ def _relabelled_dense_split(
     mode's plan keeps 0: its flip mask is the same on every accepted port.
 
     The relabelling and the column step's signed ports are exact. A
-    butterfly on a Pauli image of its input
-    gives the same floats, moved or negated, since c x + c y = c y + c x
-    and c x - c y = -(c y - c x) bit for bit; a zero whose sign may differ
-    is pruned to +0.0. Every nonzero amplitude of one port of a GHZ x GHZ
-    product has the same magnitude, so the port's probability, a
-    left-to-right sum in register order, is the same in any order. The
-    relabelled amplitudes are the first member's real parts, each negated
-    or not and then made complex, in ascending register order as
-    np.nonzero gives them; a state that several ports share is relabelled
-    once per sign. Any other member takes the dense step, built for the
-    first such member of the run.
+    butterfly on a Pauli image of its input gives the same floats, moved or
+    negated, since c x + c y = c y + c x and c x - c y = -(c y - c x) bit
+    for bit; a zero whose sign may differ is pruned to +0.0. Every nonzero
+    amplitude of one port of a GHZ x GHZ product has the same magnitude, so
+    the port's probability, a left-to-right sum in register order, is the
+    same in any order. The relabelled amplitudes are the first member's real
+    parts, each negated or not and then made complex, in ascending register
+    order as np.nonzero gives them. Each port group of the first member's
+    result becomes one port group per flip value its ports take, relabelled
+    once. Any other member takes the dense step, built for the first such
+    member of the run.
     """
     (a1, b1, _, a2, b2, c2), (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
-    classes: dict[int, list[int]] = {}  # port parity -> the accepted ports of that parity, ascending
-    for q in range(1 << m):
-        if rule.accepts(q, m):
-            classes.setdefault(q.bit_count() & 1, []).append(q)
+    accepted = rule.ports(m)
+    classes = {c: [q for q in accepted if q.bit_count() & 1 == c] for c in (0, 1)}  # port parity -> its ports
     column = _column_split(m, plan, gate)
     dense: Callable[[PureState], Split] | None = None  # built for the first member off the frame
     groups: dict[tuple[int, float], tuple[tuple[int, int, int, int], Split]] = {}  # (xq, a) -> first member
@@ -468,8 +474,8 @@ def _relabelled_dense_split(
             return dense(member)
         a, e, f, zp, zs = parts
         xq = zp & a2 ^ zs & b2
-        if (ports := classes.get((xq ^ c2).bit_count() & 1)) is None:
-            return {}
+        if not (ports := classes[(xq ^ c2).bit_count() & 1]):
+            return []
         xo, zo = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o
         frame = ((e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1, e & pol_q ^ f & sp_q, zo, xo)
         key = (xq, a)
@@ -480,17 +486,17 @@ def _relabelled_dense_split(
         # out_M[q](o) = (-1)^(sign ^ dz.q ^ d.F(q) ^ dx.o) out_first[q](o ^ d)
         sign, dz, d, dx = (u ^ v for u, v in zip(frame, first))
         sign ^= (first[3] & d).bit_count() & 1
-        out: Split = {}
-        relabelled: dict[tuple[int, int], PureState] = {}  # (id of a state of found, its flip) -> image
-        for q, (prob, state) in found.items():
-            flip = sign ^ (dz & q ^ d & plan.get(q, 0)).bit_count() & 1
-            if (id(state), flip) not in relabelled:
+        out: Split = []
+        for prob, state, group in found:
+            flips: dict[int, list[int]] = {}  # flip -> the group's ports that take it, ascending
+            for q in group:
+                flips.setdefault(sign ^ (dz & q ^ d & plan.get(q, 0)).bit_count() & 1, []).append(q)
+            for flip, qs in flips.items():
                 terms: dict[Label, complex] = {}
                 for o in sorted(reg ^ d for (reg,) in state.terms):
                     x = state.terms[(o ^ d,)].real
                     terms[(o,)] = complex(-x if flip ^ (dx & o).bit_count() & 1 else x)
-                relabelled[id(state), flip] = PureState._derived(m, (POL,), terms)
-            out[q] = (prob, relabelled[id(state), flip])
+                out.append((prob, PureState._derived(m, (POL,), terms), tuple(qs)))
         return out
 
     return split
@@ -506,15 +512,15 @@ def _execute(
 ) -> ProtocolResult:
     """One run: each member's step, then per distinct accepted outcome its conditional ensemble and fidelity.
 
-    A Hadamard run steps through _relabelled_dense_split, whose groups live
-    for this call only and whose result is, bit for bit, the one per-member
-    dense steps give; the other modes step through _split_by_pattern. Each
-    step takes the masks of the table and its inverse, read here once.
-    A port's signature is its bucket's (weight, state identity) entries.
-    Ports with one signature hold the same floats and states, so the first
-    builds the PatternOutcome and the others share it; the states stay
-    alive in the buckets, so no identity is reused within the run. Every
-    port still adds its own probability x fidelity to the output fidelity.
+    A Hadamard run steps through _relabelled_dense_split, whose member
+    groups live for this call only and whose result is, bit for bit, the one
+    per-member dense steps give; the other modes step through
+    _split_by_pattern. Each step takes the masks of the table and its
+    inverse, read here once. A port group gives one (weight, state) entry,
+    the same object in each of its ports' buckets; a port's signature is
+    its entries' identities, which stay alive, and so unique, for the run.
+    Ports with one signature share the PatternOutcome the first builds, and
+    each still adds its own probability x fidelity to the output fidelity.
     """
     if ensemble.dofs != (POL, SPATIAL):
         raise ValueError(f"protocol input must carry (pol, spatial) labels, got {ensemble.dofs}")
@@ -529,21 +535,21 @@ def _execute(
     step = (_relabelled_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, gate)
     buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
     for weight, member in ensemble.members:
-        for port, (cond_prob, cond_state) in step(member).items():
+        for cond_prob, cond_state, ports in step(member):
             if (w := weight * cond_prob) > 0.0:  # an underflowed product carries nothing
-                buckets.setdefault(port, []).append((w, cond_state))
+                entry = (w, cond_state)
+                for port in ports:
+                    buckets.setdefault(port, []).append(entry)
 
     accepted_mass = math.fsum(w for entries in buckets.values() for w, _ in entries)
     if accepted_mass <= 0.0:
         raise ValueError("no accepted port pattern carries probability; fidelity undefined")
 
     accepted: dict[Pattern, PatternOutcome] = {}
-    outcomes: dict[tuple[tuple[float, int], ...], PatternOutcome] = {}  # port signature -> its outcome
+    outcomes: dict[tuple[int, ...], PatternOutcome] = {}  # port signature -> its outcome
     # numeric order of m-bit registers is the order of their MSB-first bit tuples
-    for port in sorted(buckets):
-        entries = buckets[port]
-        signature = tuple((w, id(s)) for w, s in entries)
-        if (outcome := outcomes.get(signature)) is None:
+    for port, entries in sorted(buckets.items()):
+        if (outcome := outcomes.get(signature := tuple(map(id, entries)))) is None:
             pattern_prob = math.fsum(w for w, _ in entries)
             cond_ensemble = Ensemble._derived(tuple((w / pattern_prob, s) for w, s in entries))
             outcome = outcomes[signature] = PatternOutcome(pattern_prob, cond_ensemble, fidelity(cond_ensemble, target))

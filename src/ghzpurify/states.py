@@ -30,6 +30,7 @@ divided by the square root of its own probability.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -49,11 +50,16 @@ PRUNE_TOL = 1e-14
 Label = tuple[int, ...]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_BYTE_BITS = tuple(itertools.product((0, 1), repeat=8))  # byte -> its 8 bits, most significant first
 
 
 def bits(m: int, register: int) -> tuple[int, ...]:
-    """Photon-by-photon bits of an m-bit register, photon 0 first."""
-    return tuple((register >> (m - 1 - k)) & 1 for k in range(m))
+    """Photon-by-photon bits of an m-bit register, photon 0 first: one table lookup per 8 photons."""
+    size = (m + 7) >> 3
+    out = ()
+    for byte in register.to_bytes(size, "big"):
+        out += _BYTE_BITS[byte]
+    return out[8 * size - m :]
 
 
 @dataclass(frozen=True)

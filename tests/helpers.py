@@ -90,9 +90,10 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
     step = (protocol._relabelled_dense_split if hadamard_first else protocol._split_by_pattern)(m, rule, plan, gate)
     buckets = {}
     for weight, member in ensemble.members:
-        for port, (prob, state) in step(member).items():
+        for prob, state, ports in step(member):
             if (w := weight * prob) > 0.0:
-                buckets.setdefault(port, []).append((w, state))
+                for port in ports:
+                    buckets.setdefault(port, []).append((w, state))
     accepted = {}
     for port in sorted(buckets):
         total = math.fsum(w for w, _ in buckets[port])
@@ -101,6 +102,11 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
     success = math.fsum(w for entries in buckets.values() for w, _ in entries)
     fidelity_mass = math.fsum(o.probability * o.fidelity for o in accepted.values())
     return ProtocolResult(accepted, success, 1.0 - success, fidelity_mass / success)
+
+
+def by_port(split) -> dict:
+    """A protocol step's groups spelled out per port, ports ascending: port -> (probability, state)."""
+    return dict(sorted(((q, (p, s)) for p, s, ports in split for q in ports), key=lambda item: item[0]))
 
 
 def states_close(a: PureState, b: PureState, tol: float = NORM_TOL, global_phase: bool = False) -> bool:

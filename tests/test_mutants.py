@@ -49,7 +49,7 @@ the key fault changes nothing there: the detector also runs an accept-all
 Hadamard run, where both shifts are live, and a faulted-table run at odd m.
 
 The last three reach the two figures that no engine detector reads, and
-the oracle. AcceptanceRule.accepts keeping odd-parity ports in phase-flip
+the oracle. AcceptanceRule.ports listing the odd-parity ports in phase-flip
 mode is shared by the oracle, so verify passes and only the records and
 closed forms catch it. Two rows of the oracle's merge (displacer) matrix
 swapped, still a permutation, send V on rail 0 to (H, keep) and H on rail 3
@@ -89,14 +89,24 @@ mask, as in every mode's plan: a fourth repr run, an accept-all Hadamard
 run that flips the last photon on the ports where it left by SWAP,
 catches it.
 
-The last two break the key under which _execute builds one outcome for
-every port with the same entries. The engine's steps share a state only
-between ports of one member, which all carry that member's probability, so
-dropping the weight from the key changes no run of theirs: only the
-shared-states detector, a patched step that puts one state on two ports at
-two probabilities, catches it. Keying on the first entry alone gives a
-port the outcome of another whose later entries differ; the shared-states
-and repr detectors catch it.
+The next two break the key under which _execute builds one outcome for
+every port with the same entries, the identities of the (weight, state)
+objects it makes one per step group. The engine's steps share a state only
+between ports of one group, which all carry one probability, so keying on
+the states alone changes no run of theirs: only the shared-states
+detector, a patched step that puts one state on two ports at two
+probabilities, catches it. Keying on the first entry alone gives a port
+the outcome of another whose later entries differ; the shared-states and
+repr detectors catch it.
+
+The last three break the port groups. A column step group that drops its
+last port loses that port's probability, which every detector but the
+cheapest sees. The relabelling reading the flip mask of the class's first
+port for every port changes nothing where every port has one flip mask:
+only the repr run whose plan flips the last photon on odd ports catches
+it. A byte-table slice in states.bits one photon short spells every
+pattern out wrong; the records, verify and the shared-states detector
+catch it.
 
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
@@ -145,13 +155,13 @@ MUTANTS = [
     ("closing-hadamard", protocol, "_dense_split", "walsh_hadamard(block, m)", "None"),
     ("plan-mask", protocol, "phaseflip_plan", "(1 << m) - 1", "(1 << m) - 2"),
     ("maker-swapped", noise, "ensemble_from_specs", "dof == POL", "dof != POL"),
-    ("bits-order", states, "bits", "(register >> (m - 1 - k)) & 1", "(register >> k) & 1"),
+    ("bits-order", states, "bits", "out[8 * size - m :]", "out[::-1][:m]"),
     ("table-mask", optics, "check_table", "(p1 ^ c1, s1 ^ c1, c1,", "(p1, s1 ^ c1, c1,"),
     ("record-target", cli, "execute", "weights.get((index, sign), 0.0)", "weights.get((0, 1), 0.0)"),
     ("prune-bound", optics, "prune", "<= PRUNE_TOL", "<= 1e-9"),
     ("relabel-key", protocol, "_relabelled_dense_split", "key = (xq, a)", "key = (0, a)"),
     ("relabel-port-sign", protocol, "_relabelled_dense_split", "e & pol_q ^ f & sp_q, zo, xo)", "0, zo, xo)"),
-    ("accept-parity", protocol, "AcceptanceRule.accepts", "count % 2 == 0", "count % 2 == 1"),
+    ("accept-parity", protocol, "AcceptanceRule.ports", "r << 1 | r.bit_count() & 1", "r << 1 | ~r.bit_count() & 1"),
     ("merge-rows", oracle, "_single_photon_network", "merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)\n"
      "    merge[2 * 0 + 0, 2 * 3 + 0]", "merge[2 * 0 + 0, 2 * 0 + 1] = 1.0\n    merge[2 * 1 + 0, 2 * 3 + 0]"),
     ("ratio-exponent", efficiency, "ratio_R", "** params.N", "** (params.N + 1)"),
@@ -159,7 +169,7 @@ MUTANTS = [
     ("oracle-flips", oracle, "oracle_run", "scored[grid ^ corrections.get(port, 0)]", "scored[grid]"),
     ("port-offset", oracle, "_port_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
     ("parity-offset", protocol, "_relabelled_dense_split", "(xq ^ c2)", "xq"),
-    ("parity-flipped", protocol, "_relabelled_dense_split", ") is None:", ") is not None:"),
+    ("parity-flipped", protocol, "_relabelled_dense_split", "if not (ports :=", "if (ports :="),
     ("column-sign", protocol, "_column_split", "(zq & (q ^ q0)).bit_count() & 1", "0"),
     ("column-first-port", protocol, "_column_split", "q0 = ports[0]", "q0 = 0"),
     ("column-flip-sign", protocol, "_column_split", "sign ^ (d & o).bit_count() & 1", "sign"),
@@ -167,10 +177,11 @@ MUTANTS = [
     ("column-pair-columns", protocol, "_column_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
     ("column-closing-hadamard", protocol, "_column_split", "walsh_hadamard(closed, m)", "None"),
     ("column-flips", protocol, "_column_split", "column[grid ^ flip]", "column[grid]"),
-    ("signature-weight", protocol, "_execute", "tuple((w, id(s)) for w, s in entries)",
-     "tuple(id(s) for w, s in entries)"),
-    ("signature-first", protocol, "_execute", "tuple((w, id(s)) for w, s in entries)",
-     "tuple((w, id(s)) for w, s in entries[:1])"),
+    ("signature-weight", protocol, "_execute", "tuple(map(id, entries))", "tuple(id(s) for _, s in entries)"),
+    ("signature-first", protocol, "_execute", "tuple(map(id, entries))", "tuple(map(id, entries[:1]))"),
+    ("group-last-port", protocol, "_column_split", "tuple(qs))", "tuple(qs[:-1]))"),
+    ("relabel-first-flip", protocol, "_relabelled_dense_split", "d & plan.get(q, 0)", "d & plan.get(ports[0], 0)"),
+    ("bits-slice", states, "bits", "out[8 * size - m :]", "out[8 * size - m + 1 :]"),
 ]
 
 
@@ -246,8 +257,8 @@ def shared_port_states(tmp_path):
     first, second = (tensor_hyper(make_ghz_pol(m, i), make_ghz_spatial(m, i)) for i in (0, 1))
     shared, a, b, c = (make_ghz_pol(m, i) for i in range(4))
     splits = {
-        id(first): {0: (0.2, shared), 3: (0.3, shared), 5: (0.25, c), 6: (0.25, c)},
-        id(second): {5: (0.5, a), 6: (0.5, b)},
+        id(first): [(0.2, shared, (0,)), (0.3, shared, (3,)), (0.25, c, (5, 6))],
+        id(second): [(0.5, a, (5,)), (0.5, b, (6,))],
     }
     ensemble, rule = Ensemble(((0.5, first), (0.5, second))), protocol.AcceptanceRule("general")
     with pytest.MonkeyPatch.context() as patch:

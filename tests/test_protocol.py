@@ -29,6 +29,7 @@ from ghzpurify.protocol import (
 )
 from ghzpurify.states import (
     POL,
+    PRUNE_TOL,
     SPATIAL,
     Ensemble,
     PureState,
@@ -39,7 +40,15 @@ from ghzpurify.states import (
     make_state,
     tensor_hyper,
 )
-from helpers import assert_same_text, gate_masks, pair_closed_form, per_port_execute, route, walsh_pair_reference
+from helpers import (
+    assert_same_text,
+    by_port,
+    gate_masks,
+    pair_closed_form,
+    per_port_execute,
+    route,
+    walsh_pair_reference,
+)
 
 
 def bitflip_input(m, f1, f2, pol_index=1, spatial_index=1):
@@ -117,7 +126,7 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
     members = [*ghz_products(m, rng), random_pair_member(m, rng), *off_pair_members(m, rng), random_real_member(m, rng)]
     members += [PureState(m, member.dofs, {lab: 1j * a for lab, a in member.terms.items()}) for member in members]
     for member, turned in zip(members[: len(members) // 2], members[len(members) // 2 :]):
-        real, cplx = step(member), step(turned)
+        real, cplx = by_port(step(member)), by_port(step(turned))
         assert real.keys() == cplx.keys()
         for port, (probability, state) in real.items():
             other_probability, rotated = cplx[port]
@@ -128,7 +137,7 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
                 assert rotated.terms[label] == 1j * amp
 
     def spelled_out(member):  # repr tells signed zeros apart
-        return repr(sorted((port, p, sorted(state.terms.items())) for port, (p, state) in step(member).items()))
+        return repr(sorted((port, p, sorted(state.terms.items())) for port, (p, state) in by_port(step(member)).items()))
 
     def butterfly(*args):
         layers.append(args)
@@ -178,9 +187,9 @@ def test_dense_port_probability_is_a_sequential_sum(m):
         out_pol, port = route(grid[None, :], grid[:, None], m, GATE_TABLE)
         squares = np.zeros((size, size))  # [port, out_pol]
         squares[port, out_pol] = np.abs(amps) ** 2
-        got = step(member)
+        got = by_port(step(member))
         ports = class_ports(member, rule, gate) if protocol._ghz_frame(member) else []
-        by_column = column(member, ports) if ports else got
+        by_column = by_port(column(member, ports)) if ports else got
         assert by_column.keys() == got.keys()
         pairwise_differs = False
         for p in range(size):
@@ -429,6 +438,33 @@ def test_acceptance_rules():
             assert bit.accepts(port, m) == (count in (0, m))
             assert phase.accepts(port, m) == (count % 2 == 0)
             assert everything.accepts(port, m)
+    # ports builds, ascending, exactly the registers accepts admits
+    for rule in (bit, phase, everything):
+        for m in range(1, 13):
+            assert rule.ports(m) == [port for port in range(1 << m) if rule.accepts(port, m)]
+
+
+def test_sparse_port_probability_is_a_left_to_right_sum():
+    """A sparse port's probability adds its squares left to right in term order, not exactly rounded.
+
+    The member puts all its terms on port 0 under the accept-all rule, with
+    squares whose left-to-right sum differs from math.fsum's (the sum that
+    the builtin sum of Python 3.12 and later approaches by compensation).
+    The step and the run's success probability both give the left-to-right
+    sum, the same float on every Python version.
+    """
+    m, squares = 3, [0.1, 0.2, 0.3, 0.15, 0.25]
+    amps = [x**0.5 for x in squares]
+    total = 0.0
+    for a in amps:
+        total += abs(a) ** 2
+    assert total != math.fsum(abs(a) ** 2 for a in amps)
+    # port = pol ^ spatial under the gate: every (r, r) pair leaves on port 0
+    member = PureState(m, (POL, SPATIAL), {(r, r): a for r, a in enumerate(amps)})
+    rule = AcceptanceRule("general")
+    (group,) = protocol._split_by_pattern(m, rule, {}, gate_masks(GATE_TABLE, m))(member)
+    assert group[0] == total and group[2] == (0,)
+    assert run_general(Ensemble(((1.0, member),)), corrections={}, acceptance=rule).success_probability == total
 
 
 def test_infer_plan_requires_ghz_products():
@@ -649,7 +685,7 @@ def test_ghz_product_ports_have_the_parity_of_their_port_shift(m, table):
     (_, _, _, a2, b2, c2), _ = gate
     step, top = _dense_split(m, AcceptanceRule("general"), {}, gate), 1 << (m - 1)
     for e, f, s, t in itertools.product(range(min(4, top)), range(min(4, top)), (1, -1), (1, -1)):
-        ports = step(tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t)))
+        ports = by_port(step(tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))))
         xq = (top if s < 0 else 0) & a2 ^ (top if t < 0 else 0) & b2
         assert len(ports) == top
         assert {q.bit_count() & 1 for q in ports} == {(xq ^ c2).bit_count() & 1}
@@ -729,6 +765,52 @@ def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
         assert_same_text(repr(mode.run(ensemble)), repr(expected))
 
 
+def sparse_per_port(member, m, rule, plan, table):
+    """The sparse step's per-port form, term by term through route: port -> (left-to-right probability, state)."""
+    groups = {}
+    for (pol, spatial), amp in member.terms.items():
+        out_pol, port = route(pol, spatial, m, table)
+        if rule.accepts(port, m) and abs(amp) > PRUNE_TOL:
+            groups.setdefault(port, {})[(out_pol ^ plan.get(port, 0),)] = amp
+    out = {}
+    for port, terms in sorted(groups.items()):
+        prob = 0.0
+        for a in terms.values():
+            prob += abs(a) ** 2
+        out[port] = (prob, PureState._derived(m, (POL,), {lab: a * prob**-0.5 for lab, a in terms.items()}))
+    return out
+
+
+@pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
+@pytest.mark.parametrize("name, m", [(name, m) for name, mode in MODES.items() for m in range(mode.min_m, 9)])
+def test_step_groups_cover_each_accepted_port_once(name, m, table):
+    """Each step's port groups hold accepted ports, ascending in a group and none twice; per port they are the per-port form.
+
+    A mode's verify input runs through the step its runs take. Spelled out
+    per port (by_port), a Hadamard mode's groups print each member's dense
+    step, one port per group; the phase-flip mode also runs GHZ x GHZ
+    members, and an accept-all rule whose plan flips the last photon on
+    odd ports, so that one member's ports fall into several groups. The
+    other modes' groups print the term-by-term route of sparse_per_port.
+    """
+    mode = MODES[name]
+    rng, gate = random.Random(300 + m), gate_masks(table, m)
+    inputs = [mode.verify_input(m, 0.8, 0.7)] + ([ghz_product_ensemble(m, rng)] if mode.hadamard else [])
+    runs = [(mode.rule, mode.plan(ensemble), ensemble) for ensemble in inputs]
+    if mode.hadamard:
+        runs.append((AcceptanceRule("general"), {q: q & 1 for q in range(1 << m)}, ghz_product_ensemble(m, rng)))
+    for rule, plan, ensemble in runs:
+        step = (protocol._relabelled_dense_split if mode.hadamard else protocol._split_by_pattern)(m, rule, plan, gate)
+        dense = _dense_split(m, rule, plan, gate)
+        for _, member in ensemble.members:
+            groups = step(member)
+            ports = [q for _, _, group in groups for q in group]
+            assert len(ports) == len(set(ports)) and set(ports) <= set(rule.ports(m))
+            assert all(type(group) is tuple and list(group) == sorted(set(group)) for _, _, group in groups)
+            expected = by_port(dense(member)) if mode.hadamard else sparse_per_port(member, m, rule, plan, table)
+            assert_same_text(repr(by_port(groups)), repr(expected))
+
+
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
 @pytest.mark.parametrize("m", range(2, 12))
 def test_column_step_matches_the_dense_step(m, table):
@@ -760,6 +842,6 @@ def test_column_step_matches_the_dense_step(m, table):
         for member in members:
             assert protocol._ghz_frame(member) is not None
             if ports := class_ports(member, rule, gate):
-                assert_same_text(repr(column(member, ports)), repr(dense(member)))
+                assert_same_text(repr(by_port(column(member, ports))), repr(by_port(dense(member))))
                 compared += 1
     assert compared >= 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ def test_ghz_index_out_of_range():
         make_ghz_pol(1, 0)
     with pytest.raises(ValueError, match="sign"):
         make_ghz_pol(3, 0, 2)
+
+
+def test_bits_match_the_shift_definition():
+    """bits reads a byte table; it spells out every register as the photon-by-photon shifts do."""
+
+    def shifted(m, register):
+        return tuple((register >> (m - 1 - k)) & 1 for k in range(m))
+
+    for m in range(1, 13):
+        assert all(bits(m, r) == shifted(m, r) for r in range(1 << m))
+    rng = random.Random(5)
+    for m in (13, 16, 17, 64, 1000):
+        for r in [0, (1 << m) - 1, 1 << (m - 1), *(rng.getrandbits(m) for _ in range(200))]:
+            assert bits(m, r) == shifted(m, r)
 
 
 def test_bits_indexing():
