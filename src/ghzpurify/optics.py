@@ -112,19 +112,13 @@ def walsh_hadamard(amps: np.ndarray, m: int) -> None:
     prune(amps)
 
 
-def pair_hadamard(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray) -> np.ndarray:
+def pair_rows(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """walsh_hadamard, in closed form, of an array whose only nonzero rows are r and r ^ (2^m - 1).
 
     ``low`` and ``high`` are those two rows, r < 2^(m-1), and ``parity[q]``
-    is popcount(q) & 1 for every m-bit q. Costs O(m n + 2^m n) for n
-    columns, not m passes over 2^m n; pair_rows states why it is exact.
-    """
-    rows, kind = pair_rows(low, high, r, parity)
-    return rows[kind]
-
-
-def pair_rows(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pair_hadamard's output as its distinct rows, pruned, and the row each register takes: row q is rows[kind[q]].
+    is popcount(q) & 1 for every m-bit q. Returns the output's distinct
+    rows, pruned, and the row each register takes: row q is rows[kind[q]].
+    Costs O(m n + 2^m) for n columns, not m passes over 2^m n.
 
     The two input rows meet only at the last butterfly step, and sign flips
     commute exactly with the scalings by c, so with P the m-fold scaling of

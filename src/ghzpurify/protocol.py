@@ -10,19 +10,17 @@ stay sparse labeled states of 4 terms, and their step (_split_by_pattern)
 routes each (pol, spatial) register pair straight to its (pol, port) pair:
 the gate is a bijection, so no routed state is built. After the layers a
 member holds 4^(m-1) terms, so Hadamard modes run every stage on dense
-register arrays (_dense_split). A member whose spatial registers are one
-complementary pair, as on every GHZ x GHZ product, gets its spatial layer
-in closed form (optics.pair_hadamard), bit for bit what walsh_hadamard
-gives. Every step returns port groups (Split): one probability and
-corrected state per group, held by each of its accepted ports.
-A Hadamard run gives the first of each set of real GHZ x GHZ members that
-are Pauli images of one another a column step (_column_split): one port's
-[pol] column gathered from the spatial layer's distinct rows, with no 4^m
-array, and every other port a signed copy of it, one port group per sign
-pattern. The rest of the set is relabelled from that result, bit for bit;
-a member whose port class the rule rejects is skipped, and
+register arrays (_dense_split).
+A Hadamard run takes one column step (_column_split) per magnitude of its
+real GHZ x GHZ members, which are Pauli images of one another: the first
+such member's closed [pol] column at one port, gathered from the spatial
+layer's distinct rows (optics.pair_rows) with no 4^m array. Every such
+member, the first included, gives each of its ports a signed XOR shift of
+that column, one port group per distinct state, bit for bit what its dense
+step gives; a member whose port class the rule rejects is skipped, and
 _relabelled_dense_split states why that is exact. Any other member takes
-the dense step.
+the dense step. Every step returns port groups (Split): one probability
+and corrected state per group, held by each of its accepted ports.
 A run reads the gate once: _execute takes the affine register masks of the
 table and of its inverse (optics.check_table, which refuses a table that is
 not a bijection), and every step routes with two XOR/AND expressions.
@@ -57,7 +55,6 @@ from .optics import (
     GATE_TABLE,
     GateTable,
     check_table,
-    pair_hadamard,
     pair_rows,
     prune,
     walsh_hadamard,
@@ -251,33 +248,25 @@ def _dense_split(
     followed by the mode's closing polarization Hadamard. It runs the
     per-state route (hadamard_pol, hadamard_spatial, apply_network, the
     grouping by port, bit_flip_pol, hadamard_pol) with the same float
-    operations for every amplitude. The gate is a bijection, so routing is
-    a gather: the run's inverse masks, over the accepted ports only, give
-    the source of each amplitude of a [pol, accepted port] array. A port's
-    probability is the sum of |amp|**2 down axis 0 of that array, which
-    numpy adds row after row, in register order (never the pairwise sum it
-    runs along a contiguous axis), where the sparse path sums in term order
-    and squares with pow: on GHZ-product members every amplitude of a port
-    has the same magnitude, and there the two agree bit for bit. A member
-    whose amplitudes all have a zero imaginary part runs on float64 arrays,
-    any other on complex128: the real parts see the same float operations
-    either way, and the emitted amplitudes are complex in both. A port's
-    flips XOR the pol register, so one gather applies every port's mask and
-    one column-wise walsh_hadamard closes every port with nonzero probability.
-
-    The pol layer runs walsh_hadamard on the columns of the spatial
-    registers present. When those are one complementary pair t < t ^ full
-    below 2^m, as on every GHZ x GHZ product, the spatial layer is
-    optics.pair_hadamard of the two columns, the same bits in O(4^m) work
-    in place of m passes over 4^m; any other member runs it through
-    walsh_hadamard too.
+    operations for every amplitude: walsh_hadamard on both registers. The
+    gate is a bijection, so routing is a gather: the run's inverse masks,
+    over the accepted ports only, give the source of each amplitude of a
+    [pol, accepted port] array. A port's probability is the sum of
+    |amp|**2 down axis 0 of that array, which numpy adds row after row, in
+    register order (never the pairwise sum it runs along a contiguous axis),
+    where the sparse path sums in term order and squares with pow: on
+    GHZ-product members every amplitude of a port has the same magnitude,
+    and there the two agree bit for bit. A member whose amplitudes all have
+    a zero imaginary part runs on float64 arrays, any other on complex128:
+    the real parts see the same float operations either way, and the
+    emitted amplitudes are complex in both. A port's flips XOR the pol
+    register, so one gather applies every port's mask and one column-wise
+    walsh_hadamard closes every port with nonzero probability.
     """
     import numpy as np
 
     size = 1 << m
-    full = size - 1
     grid = np.arange(size)
-    parity = _parity(m)
     ports = rule.ports(m)
     _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
     # [pol, accepted port] -> flat index of amps [spatial, pol], by the inverse masks
@@ -287,12 +276,9 @@ def _dense_split(
 
     def split(member: PureState) -> Split:
         present, layer = _pol_layer(member)
-        if len(present) == 2 and present[0] ^ present[1] == full and present[1] < size:
-            amps = pair_hadamard(layer[:, 0], layer[:, 1], present[0], parity)  # [spatial, pol]
-        else:
-            amps = np.zeros((size, size), dtype=layer.dtype)  # [spatial, pol]
-            amps[present] = layer.T
-            walsh_hadamard(amps, m)
+        amps = np.zeros((size, size), dtype=layer.dtype)  # [spatial, pol]
+        amps[present] = layer.T
+        walsh_hadamard(amps, m)
         accepted = amps.ravel().take(source)  # [pol, accepted port]
         del amps  # the 4^m array is not read again; kept alive, it sets the step's peak memory
         probs = (np.abs(accepted) ** 2).sum(axis=0).tolist()
@@ -340,19 +326,19 @@ def _pol_layer(member: PureState):
     return present, layer
 
 
-def _column_split(m: int, plan: CorrectionPlan, gate: Gate) -> Callable[[PureState, Sequence[int]], Split]:
-    """The Hadamard-mode step of a real GHZ x GHZ member (_ghz_frame), from one port's column.
+def _column_split(
+    m: int, plan: CorrectionPlan, gate: Gate
+) -> Callable[[PureState, int], tuple[float, list[tuple[int, float]]]]:
+    """One port of a real GHZ x GHZ member (_ghz_frame), with no 4^m array: (probability, [(register, amplitude)]).
 
-    ``ports`` are the accepted ports of the member's class, ascending. The
-    result is _dense_split's, bit for bit, with no 4^m array: port q0, the
-    first of ``ports``, gathers its [pol] column from pair_rows by the
-    run's inverse masks and sums its squares left to right in register
+    The result is port q0 of _dense_split's, bit for bit, with its nonzero
+    amplitudes as floats in ascending register order. Its [pol] column is
+    gathered from pair_rows, the spatial layer's distinct rows, by the run's
+    inverse masks, and its squares are summed left to right in register
     order, as _dense_split does down its axis 0 (np.cumsum: np.sum is
-    pairwise, and the builtin sum of Python 3.12 compensated). The column
-    is scaled, pruned, flipped and closed by a one-column walsh_hadamard.
-    Every other port is that output with the signs _relabelled_dense_split
-    derives, at the same probability: one group, and one state, per
-    distinct (sign, F(q) ^ F(q0)).
+    pairwise, and the builtin sum of Python 3.12 compensates). The column is
+    scaled, pruned, flipped by q0's mask and closed by a one-column
+    walsh_hadamard.
     """
     import numpy as np
 
@@ -361,27 +347,17 @@ def _column_split(m: int, plan: CorrectionPlan, gate: Gate) -> Callable[[PureSta
     parity = _parity(m)
     _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
 
-    def split(member: PureState, ports: Sequence[int]) -> Split:
-        _, e, f, _, _ = _ghz_frame(member)
-        q0 = ports[0]
+    def split(member: PureState, q0: int) -> tuple[float, list[tuple[int, float]]]:
         present, layer = _pol_layer(member)
         rows, kind = pair_rows(layer[:, 0], layer[:, 1], present[0], parity)
         column = rows[kind[grid & sp_o ^ q0 & sp_q ^ sp_c], grid & pol_o ^ q0 & pol_q ^ pol_c]
         prob = float(np.cumsum(np.abs(column) ** 2)[-1])
         column *= prob**-0.5
         prune(column)
-        flip = plan.get(q0, 0)
-        closed = column[grid ^ flip]
+        closed = column[grid ^ plan.get(q0, 0)]
         walsh_hadamard(closed, m)
         (regs,) = np.nonzero(closed)
-        amps = list(zip(regs.tolist(), closed[regs].tolist()))
-        zq = e & pol_q ^ f & sp_q
-        groups: dict[tuple[int, int], list[int]] = {}  # (sign, F(q) ^ F(q0)) -> its ports, ascending
-        for q in ports:
-            groups.setdefault(((zq & (q ^ q0)).bit_count() & 1, plan.get(q, 0) ^ flip), []).append(q)
-        return [(prob, PureState._derived(m, (POL,), {(o,): complex(-x if sign ^ (d & o).bit_count() & 1 else x)
-                                                      for o, x in amps}), tuple(qs))
-                for (sign, d), qs in groups.items()]
+        return prob, list(zip(regs.tolist(), closed[regs].tolist()))
 
     return split
 
@@ -415,7 +391,7 @@ def _ghz_frame(member: PureState) -> tuple[float, int, int, int, int] | None:
 def _relabelled_dense_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
-    """The column step once per Pauli class: every other GHZ x GHZ member is relabelled from it.
+    """One column step per magnitude: every GHZ x GHZ member's ports are signed XOR shifts of its column.
 
     Every element of the Hadamard path is Clifford, so a member
     a Z^(zp, zs) X^(e, f) R0 (_ghz_frame) leaves as a Pauli image of R0's
@@ -424,47 +400,41 @@ def _relabelled_dense_split(
     (check_table) and z through those of its inverse,
     p = o&pol_o ^ q&pol_q ^ pol_c and s = o&sp_o ^ q&sp_q ^ sp_c:
     xo = zp&a1 ^ zs&b1, xq = zp&a2 ^ zs&b2, zo = e&pol_o ^ f&sp_o and
-    zq = e&pol_q ^ f&sp_q, with the sign e.pol_c ^ f.sp_c. Port q's flip
-    mask F(q) adds zo.F(q), and the closing Hadamard adds zo.xo and swaps
-    x and z again. So out_M[q](o) = (-1)^(c ^ zq.q ^ zo.F(q) ^ xo.o)
-    out_R0[q ^ xq](o ^ zo), with c = e.pol_c ^ f.sp_c ^ zo.xo. Members with
-    the same port shift xq and magnitude a form a group with the same
-    accepted ports. The first member of a group runs the column step
-    (_column_split), and every other one is that result relabelled through
-    the XOR of the two frames. After both layers R0 sits on even pol and
-    spatial registers, and a2, b2 are 0 or 2^m - 1, so every port a member
-    reaches has the parity of xq ^ c2: where no accepted port has it, the
-    member takes no step.
+    zq = e&pol_q ^ f&sp_q, with the sign e.pol_c ^ f.sp_c. After both
+    layers R0 sits on even pol and spatial registers, and a2, b2 are 0 or
+    2^m - 1, so every port a member reaches has the parity of xq ^ c2:
+    where no accepted port has it, the member takes no step. R0 holds the
+    same column C on every port it reaches (a coset of the even registers,
+    at one amplitude). Port q's flip mask F(q) is X^F(q) before the closing
+    Hadamard and Z^F(q) after it, so
+    out_M[q](o) = (-1)^(c ^ zq.q ^ (xo ^ F(q)).o) C'(o ^ zo), with
+    c = e.pol_c ^ f.sp_c ^ zo.xo and C' the closed C, on every port.
 
-    The same algebra gives one member's ports from one of them, q0. Before
-    the flips, R0 holds the same column on every port it reaches (a coset
-    of the even registers, at one amplitude), so port q of the member holds
-    q0's column times (-1)^(zq.(q ^ q0)). X^F before the closing Hadamard
-    is Z^F after it, so
-    out_M[q](o) = (-1)^(zq.(q ^ q0) ^ (F(q) ^ F(q0)).o) out_M[q0](o), at
-    the same probability. On out_M[q0]'s registers, zo and its complement,
-    the flip term differs by the parity of F(q) ^ F(q0), which every
-    mode's plan keeps 0: its flip mask is the same on every accepted port.
+    So one column per magnitude a serves every port of every member. The
+    first live member M0 of that magnitude gives the column step its first
+    class port q0, and B = out_M0[q0]. Every member M, M0 included, gets
+    out_M[q](o) = (-1)^(c ^ c0 ^ (xo0 ^ F(q0)).d ^ zq0.q0 ^ zq.q
+    ^ (xo ^ xo0 ^ F(q0) ^ F(q)).o) B(o ^ d), with d = zo ^ zo0, at B's
+    probability. Its ports fall into one group, and one state, per
+    (zq.q, F(q)).
 
-    The relabelling and the column step's signed ports are exact. A
-    butterfly on a Pauli image of its input gives the same floats, moved or
-    negated, since c x + c y = c y + c x and c x - c y = -(c y - c x) bit
-    for bit; a zero whose sign may differ is pruned to +0.0. Every nonzero
-    amplitude of one port of a GHZ x GHZ product has the same magnitude, so
-    the port's probability, a left-to-right sum in register order, is the
-    same in any order. The relabelled amplitudes are the first member's real
-    parts, each negated or not and then made complex, in ascending register
-    order as np.nonzero gives them. Each port group of the first member's
-    result becomes one port group per flip value its ports take, relabelled
-    once. Any other member takes the dense step, built for the first such
-    member of the run.
+    This is exact. A butterfly on a Pauli image of its input gives the same
+    floats, moved or negated, since c x + c y = c y + c x and
+    c x - c y = -(c y - c x) bit for bit; a zero whose sign may differ is
+    pruned to +0.0. Every nonzero amplitude of one port of a GHZ x GHZ
+    product has the same magnitude, so the port's probability, a
+    left-to-right sum in register order, is the same in any order. The
+    amplitudes are B's floats, each negated or not and then made complex, in
+    ascending register order as np.nonzero gives them. Any other member
+    takes the dense step, built for the first such member of the run.
     """
     (a1, b1, _, a2, b2, c2), (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
     accepted = rule.ports(m)
     classes = {c: [q for q in accepted if q.bit_count() & 1 == c] for c in (0, 1)}  # port parity -> its ports
     column = _column_split(m, plan, gate)
     dense: Callable[[PureState], Split] | None = None  # built for the first member off the frame
-    groups: dict[tuple[int, float], tuple[tuple[int, int, int, int], Split]] = {}  # (xq, a) -> first member
+    # magnitude a -> (c0 ^ zq0.q0, zo0, xo0 ^ F(q0), probability, B) of its first live member M0
+    bases: dict[float, tuple[int, int, int, float, dict[int, float]]] = {}
 
     def split(member: PureState) -> Split:
         nonlocal dense
@@ -476,27 +446,24 @@ def _relabelled_dense_split(
         xq = zp & a2 ^ zs & b2
         if not (ports := classes[(xq ^ c2).bit_count() & 1]):
             return []
-        xo, zo = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o
-        frame = ((e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1, e & pol_q ^ f & sp_q, zo, xo)
-        key = (xq, a)
-        if key not in groups:
-            groups[key] = frame, column(member, ports)
-            return groups[key][1]
-        first, found = groups[key]
-        # out_M[q](o) = (-1)^(sign ^ dz.q ^ d.F(q) ^ dx.o) out_first[q](o ^ d)
-        sign, dz, d, dx = (u ^ v for u, v in zip(frame, first))
-        sign ^= (first[3] & d).bit_count() & 1
+        xo, zo, zq = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o, e & pol_q ^ f & sp_q
+        c = (e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1
+        if (base := bases.get(a)) is None:
+            q0 = ports[0]
+            prob, amps = column(member, q0)
+            base = bases[a] = c ^ (zq & q0).bit_count() & 1, zo, xo ^ plan.get(q0, 0), prob, dict(amps)
+        c0, zo0, x0, prob, closed = base
+        d = zo ^ zo0
+        sign = c ^ c0 ^ (x0 & d).bit_count() & 1
+        shifted = [(o, closed[o ^ d]) for o in sorted(o ^ d for o in closed)]  # (o, B(o ^ d)), o ascending
+        groups: dict[tuple[int, int], list[int]] = {}  # (zq.q, F(q)) -> its ports, ascending
+        for q in ports:
+            groups.setdefault(((zq & q).bit_count() & 1, plan.get(q, 0)), []).append(q)
         out: Split = []
-        for prob, state, group in found:
-            flips: dict[int, list[int]] = {}  # flip -> the group's ports that take it, ascending
-            for q in group:
-                flips.setdefault(sign ^ (dz & q ^ d & plan.get(q, 0)).bit_count() & 1, []).append(q)
-            for flip, qs in flips.items():
-                terms: dict[Label, complex] = {}
-                for o in sorted(reg ^ d for (reg,) in state.terms):
-                    x = state.terms[(o ^ d,)].real
-                    terms[(o,)] = complex(-x if flip ^ (dx & o).bit_count() & 1 else x)
-                out.append((prob, PureState._derived(m, (POL,), terms), tuple(qs)))
+        for (odd, flip), qs in groups.items():
+            s, x = sign ^ odd, xo ^ x0 ^ flip
+            terms = {(o,): complex(-v if s ^ (x & o).bit_count() & 1 else v) for o, v in shifted}
+            out.append((prob, PureState._derived(m, (POL,), terms), tuple(qs)))
         return out
 
     return split
@@ -512,8 +479,8 @@ def _execute(
 ) -> ProtocolResult:
     """One run: each member's step, then per distinct accepted outcome its conditional ensemble and fidelity.
 
-    A Hadamard run steps through _relabelled_dense_split, whose member
-    groups live for this call only and whose result is, bit for bit, the one
+    A Hadamard run steps through _relabelled_dense_split, whose columns
+    live for this call only and whose result is, bit for bit, the one
     per-member dense steps give; the other modes step through
     _split_by_pattern. Each step takes the masks of the table and its
     inverse, read here once. A port group gives one (weight, state) entry,

@@ -5,8 +5,8 @@ arithmetic so tests that cross-check the package against dense linear
 algebra do not reuse the code path under test. `tensordot_contract` and
 `full_gather_oracle_run` (with `correction_unitary`, the 2^m x 2^m matrix
 of a port's correction) keep the oracle's former forms as references for
-its faster ones, and `walsh_pair_reference` the butterfly that
-`optics.pair_hadamard` replaces on register pairs, `route` applies
+its faster ones, and `walsh_pair_reference` the butterfly whose rows
+`optics.pair_rows` gives in closed form on register pairs, `route` applies
 `optics.check_table`'s masks to registers or index grids, `gate_masks`
 builds the masks a run hands its step, and `per_port_execute` keeps
 `protocol._execute`'s former per-port loop as the reference for the
@@ -246,7 +246,7 @@ def loop_hadamard(state: PureState, dof: str) -> PureState:
 
 
 def walsh_pair_reference(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray) -> np.ndarray:
-    """The reference for optics.pair_hadamard: rows r and r ^ (2^m - 1) embedded in zeros, through walsh_hadamard."""
+    """The reference for optics.pair_rows: rows r and r ^ (2^m - 1) embedded in zeros, through walsh_hadamard."""
     size = len(parity)
     amps = np.zeros((size, len(low)), dtype=low.dtype)
     amps[r], amps[r ^ (size - 1)] = low, high

@@ -19,8 +19,11 @@ parent commit and the working tree. Each tree runs in one child process with
 - ghz: the same ``repr`` of phase-flip runs on GHZ x GHZ products built by
   ``tensor_hyper(make_ghz_pol(...), make_ghz_spatial(...))`` at m = 2..10:
   random indices, all four sign pairs, repeated members, the gate and the
-  faulted table. The repr spells out every port state, so a fault that
-  only a non-GHZ target or a port's global sign shows is seen here.
+  faulted table. Each ensemble runs again under the accept-all rule with
+  the Hadamard layers and an empty plan, where members of both port
+  classes are live and share one column. The repr spells out every port
+  state, so a fault that only a non-GHZ target or a port's global sign
+  shows is seen here.
 
 The exit code, stdout and stderr of every case are compared. For the first
 differing case of each set the script prints the case and the first
@@ -230,6 +233,7 @@ def child() -> None:
     from ghzpurify.cli import main
     from ghzpurify.optics import GATE_TABLE
     from ghzpurify.protocol import MODES as MODE_TABLE
+    from ghzpurify.protocol import AcceptanceRule, _execute
     from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_ghz_pol, make_ghz_spatial, tensor_hyper
 
     def plain_members(case):
@@ -245,7 +249,7 @@ def child() -> None:
             for w, (e, sign, f, other) in case["members"]
         )
 
-    def run_repr(case, mode, members):
+    def run_repr(case, members, run):
         m = case["m"]
         target = case["target"]
         if target is not None and isinstance(target[0], int):
@@ -256,12 +260,24 @@ def child() -> None:
         if case["fault"]:
             table = dict(GATE_TABLE)
             table[(0, 0)], table[(1, 0)] = table[(1, 0)], table[(0, 0)]
-        print(repr(MODE_TABLE[mode].run(Ensemble(members), target=target, gate_table=table)))
+        print(repr(run(Ensemble(members), target, table)))
+        return 0
+
+    def accept_all(ensemble, target, table):  # every port accepted, so both port classes are live
+        return _execute(ensemble, AcceptanceRule("general"), {}, target, True, table)
+
+    def ghz(case):
+        members = ghz_members(case)
+        for run in (MODE_TABLE["phaseflip"].run, accept_all):
+            try:
+                run_repr(case, members, run)
+            except ValueError as exc:  # nothing accepted
+                print(f"ValueError: {exc}")
         return 0
 
     runners = {
-        "repr": lambda case: run_repr(case, case["mode"], plain_members(case)),
-        "ghz": lambda case: run_repr(case, "phaseflip", ghz_members(case)),
+        "repr": lambda case: run_repr(case, plain_members(case), MODE_TABLE[case["mode"]].run),
+        "ghz": ghz,
     }
     sets = json.loads(sys.stdin.read())
     results = {

@@ -20,15 +20,9 @@ engine built its derived states unchecked: a port state scaled off its norm
 (sparse and dense step), a register pushed out of range by tensor_hyper, and
 a conditional weight left undivided by its port's probability. The dense
 step refuses an out-of-range pol register where it writes the member into
-the pol layer's array, and takes the spatial closed form only for registers
-below 2^m. The last mutants break the closed form: one scaling by c too few,
-the sum and difference swapped, and the two columns the dense step hands it
-swapped, which flips the sign of the difference on odd-parity rows. That
-sign is Z on every spatial photon after the layer, which the gate and the
-correction turn into X on every output photon. Every GHZ state is an
-eigenstate of that X, so no fidelity against a GHZ target moves, and a
-GHZ-diagonal output does not move at all: only the off-product detector,
-with its |000> target, catches this mutant.
+the pol layer's array. The last two break the spatial closed form of
+optics.pair_rows: one scaling by c too few, and the sum and difference
+swapped.
 
 Then come the butterfly sign in walsh_hadamard, the closing Hadamard of the
 phase-flip correction skipped, a wrong phaseflip_plan flip mask and the GHZ
@@ -41,12 +35,11 @@ closed form against 0+ whatever the configured target.
 The last three: optics.prune raised from PRUNE_TOL to 1e-9, which only the
 second off-product member sees (its accepted ports carry amplitudes of
 about 5e-10, and dropping them moves the fidelity against |000> by 1e-9);
-and two faults of the phase-flip relabelling, the port shift xq dropped
-from the group key and the zq.q sign term dropped. The second flips the
-sign of whole port states, which no fidelity sees: only the repr detector
-catches it. Under the phase-flip rule only one port shift is live, so
-the key fault changes nothing there: the detector also runs an accept-all
-Hadamard run, where both shifts are live, and a faulted-table run at odd m.
+and two faults of the phase-flip relabelling: every magnitude served by
+the column of the first, and zq read as 0. The first negates every port
+state of a member at the negated amplitude, the second flips the sign of
+whole port states; no fidelity sees either, and only the repr detector,
+whose members include such a member, catches them.
 
 The last three reach the two figures that no engine detector reads, and
 the oracle. AcceptanceRule.ports listing the odd-parity ports in phase-flip
@@ -72,22 +65,24 @@ the phase-flip run no accepted port, and sends a rejected member to the
 column step with no ports, which raises.
 
 The last seven break the column step, which the first GHZ x GHZ member of
-each group takes. Frame inputs no longer reach the dense step, so its
-four mutants above (dense-scale, pair-columns, closing-hadamard,
-dense-flips) are caught by the repr detector, whose refused runs take the
-dense step for every member, and all but dense-flips by the off-product
-detector too. Their column-step counterparts are column-scale,
-column-pair-columns, column-closing-hadamard and column-flips; the repr
-detector catches all four, and the closed forms, the golden records and
-verify all but column-pair-columns, the Z on every spatial photon that no
-GHZ fidelity sees. Dropping the zq.(q ^ q0) sign flips whole port states,
-which only the repr detector sees. Gathering at port 0 whatever the
-member's class changes nothing under the phase-flip rule, where port 0 is
-of the one live class: the accept-all run catches it. Dropping the
-(F(q) ^ F(q0)).o sign changes nothing where every port has the same flip
-mask, as in every mode's plan: a fourth repr run, an accept-all Hadamard
-run that flips the last photon on the ports where it left by SWAP,
-catches it.
+each magnitude takes, and the sign rule that gives every member's ports
+from its column. Frame inputs no longer reach the dense step, so its
+three mutants above (dense-scale, closing-hadamard, dense-flips) are
+caught by the repr detector, whose refused runs take the dense step for
+every member, and all but dense-flips by the off-product detector too.
+Their column-step counterparts are column-scale, column-closing-hadamard
+and column-flips; the repr detector, the closed forms, the golden records
+and verify catch all three. column-pair-columns swaps the two columns
+the column step hands pair_rows, which flips the sign of the difference
+on odd-parity rows. That sign is Z on every spatial photon after the
+layer, which the gate and the correction turn into X on every output
+photon. Every GHZ state is an eigenstate of that X, so no fidelity
+against a GHZ target moves: only the repr detector catches it. Dropping
+the zq.q sign flips whole port states, which only the repr detector
+sees. Gathering at port 0 whatever the member's class changes nothing
+where the first member is of the class of port 0: the repr detector's
+first member is of the other class, which its accept-all runs keep.
+Dropping the (xo ^ xo0 ^ F(q0) ^ F(q)).o sign moves every fidelity.
 
 The next two break the key under which _execute builds one outcome for
 every port with the same entries, the identities of the (weight, state)
@@ -99,14 +94,23 @@ probabilities, catches it. Keying on the first entry alone gives a port
 the outcome of another whose later entries differ; the shared-states and
 repr detectors catch it.
 
-The last three break the port groups. A column step group that drops its
-last port loses that port's probability, which every detector but the
-cheapest sees. The relabelling reading the flip mask of the class's first
-port for every port changes nothing where every port has one flip mask:
-only the repr run whose plan flips the last photon on odd ports catches
-it. A byte-table slice in states.bits one photon short spells every
-pattern out wrong; the records, verify and the shared-states detector
-catch it.
+The last three break the port groups. A group that drops its last port
+loses that port's probability, which every detector but the cheapest
+sees. Reading the flip mask of the class's first port for every port
+changes nothing where every port has one flip mask, as in every mode's
+plan: a fourth repr run, an accept-all Hadamard run that flips the last
+photon on the ports where it left by SWAP, catches it. A byte-table
+slice in states.bits one photon short spells every pattern out wrong;
+the records, verify and the shared-states detector catch it.
+
+The last four drop one term each of the sign rule,
+out_M[q](o) = (-1)^(c ^ c0 ^ (xo0 ^ F(q0)).d ^ zq0.q0 ^ zq.q
+^ (xo ^ xo0 ^ F(q0) ^ F(q)).o) B(o ^ d) with d = zo ^ zo0: zq0.q0,
+(xo0 ^ F(q0)).d, the shift d itself, and F(q) from the port groups and
+their masks. zq0.q0 is 0 where q0 is port 0, so only the repr detector's
+first member, of the odd class at odd e, shows it. The golden inputs are
+all GHZ(0) x GHZ(0), where d is 0, so only the repr detector catches the
+next two; the last moves the phase-flip fidelities.
 
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
@@ -132,7 +136,7 @@ import pytest
 from ghzpurify import cli, efficiency, noise, optics, oracle, protocol, states
 from ghzpurify.oracle import densify, oracle_run
 from ghzpurify.records import ProtocolConfig
-from ghzpurify.states import POL, SPATIAL, Ensemble, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
+from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
 from helpers import assert_same_text, per_port_execute
 
 DATA = Path(__file__).parent / "data" / "simulate"
@@ -149,7 +153,6 @@ MUTANTS = [
     ("weight-undivided", protocol, "_execute", "(w / pattern_prob, s)", "(w, s)"),
     ("pair-scalings", optics, "pair_rows", "for _ in range(m):", "for _ in range(m - 1):"),
     ("pair-swapped", optics, "pair_rows", "[total + 0.0, diff + 0.0,", "[diff + 0.0, total + 0.0,"),
-    ("pair-columns", protocol, "_dense_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
     ("walsh-sign", optics, "walsh_hadamard", "np.subtract(halves[:, 0], halves[:, 1]",
      "np.subtract(halves[:, 1], halves[:, 0]"),
     ("closing-hadamard", protocol, "_dense_split", "walsh_hadamard(block, m)", "None"),
@@ -159,8 +162,8 @@ MUTANTS = [
     ("table-mask", optics, "check_table", "(p1 ^ c1, s1 ^ c1, c1,", "(p1, s1 ^ c1, c1,"),
     ("record-target", cli, "execute", "weights.get((index, sign), 0.0)", "weights.get((0, 1), 0.0)"),
     ("prune-bound", optics, "prune", "<= PRUNE_TOL", "<= 1e-9"),
-    ("relabel-key", protocol, "_relabelled_dense_split", "key = (xq, a)", "key = (0, a)"),
-    ("relabel-port-sign", protocol, "_relabelled_dense_split", "e & pol_q ^ f & sp_q, zo, xo)", "0, zo, xo)"),
+    ("relabel-key", protocol, "_relabelled_dense_split", "bases.get(a)", "next(iter(bases.values()), None)"),
+    ("relabel-port-sign", protocol, "_relabelled_dense_split", "e & pol_q ^ f & sp_q", "0"),
     ("accept-parity", protocol, "AcceptanceRule.ports", "r << 1 | r.bit_count() & 1", "r << 1 | ~r.bit_count() & 1"),
     ("merge-rows", oracle, "_single_photon_network", "merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)\n"
      "    merge[2 * 0 + 0, 2 * 3 + 0]", "merge[2 * 0 + 0, 2 * 0 + 1] = 1.0\n    merge[2 * 1 + 0, 2 * 3 + 0]"),
@@ -170,18 +173,22 @@ MUTANTS = [
     ("port-offset", oracle, "_port_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
     ("parity-offset", protocol, "_relabelled_dense_split", "(xq ^ c2)", "xq"),
     ("parity-flipped", protocol, "_relabelled_dense_split", "if not (ports :=", "if (ports :="),
-    ("column-sign", protocol, "_column_split", "(zq & (q ^ q0)).bit_count() & 1", "0"),
-    ("column-first-port", protocol, "_column_split", "q0 = ports[0]", "q0 = 0"),
-    ("column-flip-sign", protocol, "_column_split", "sign ^ (d & o).bit_count() & 1", "sign"),
+    ("column-sign", protocol, "_relabelled_dense_split", "((zq & q).bit_count() & 1, plan", "(0, plan"),
+    ("column-first-port", protocol, "_relabelled_dense_split", "q0 = ports[0]", "q0 = 0"),
+    ("column-flip-sign", protocol, "_relabelled_dense_split", "s ^ (x & o).bit_count() & 1", "s"),
     ("column-scale", protocol, "_column_split", "column *= prob**-0.5", "column *= prob**-0.5 * (1 + 1e-9)"),
     ("column-pair-columns", protocol, "_column_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
     ("column-closing-hadamard", protocol, "_column_split", "walsh_hadamard(closed, m)", "None"),
-    ("column-flips", protocol, "_column_split", "column[grid ^ flip]", "column[grid]"),
+    ("column-flips", protocol, "_column_split", "column[grid ^ plan.get(q0, 0)]", "column[grid]"),
     ("signature-weight", protocol, "_execute", "tuple(map(id, entries))", "tuple(id(s) for _, s in entries)"),
     ("signature-first", protocol, "_execute", "tuple(map(id, entries))", "tuple(map(id, entries[:1]))"),
-    ("group-last-port", protocol, "_column_split", "tuple(qs))", "tuple(qs[:-1]))"),
-    ("relabel-first-flip", protocol, "_relabelled_dense_split", "d & plan.get(q, 0)", "d & plan.get(ports[0], 0)"),
+    ("group-last-port", protocol, "_relabelled_dense_split", "tuple(qs))", "tuple(qs[:-1]))"),
+    ("relabel-first-flip", protocol, "_relabelled_dense_split", "plan.get(q, 0)", "plan.get(ports[0], 0)"),
     ("bits-slice", states, "bits", "out[8 * size - m :]", "out[8 * size - m + 1 :]"),
+    ("base-port-sign", protocol, "_relabelled_dense_split", "c ^ (zq & q0).bit_count() & 1, zo", "c, zo"),
+    ("base-shift-sign", protocol, "_relabelled_dense_split", "c ^ c0 ^ (x0 & d).bit_count() & 1", "c ^ c0"),
+    ("base-shift", protocol, "_relabelled_dense_split", "d = zo ^ zo0\n", "d = 0\n"),
+    ("group-flip", protocol, "_relabelled_dense_split", ", plan.get(q, 0)), [])", ", 0), [])"),
 ]
 
 
@@ -226,8 +233,12 @@ def oracle_off_product(tmp_path):
 
 
 def relabelled_repr(tmp_path):
-    # two sign classes (port shifts), each with two members whose pol indices differ
-    members = [(0, 1, 0, 1), (3, -1, 5, -1), (0, 1, 0, -1), (6, -1, 1, 1)]
+    # two sign classes (port shifts), each with members whose pol indices differ: the first is of the odd
+    # class at odd e, so that the accept-all runs derive the even class from its column, and the last is
+    # the third at the negated amplitude, another magnitude
+    members = [
+        (3, -1, 0, 1, 1), (0, 1, 0, 1, 1), (3, -1, 5, -1, 1), (0, 1, 0, -1, 1), (6, -1, 1, 1, 1), (3, -1, 5, -1, -1),
+    ]
     faulted = {**optics.GATE_TABLE, (0, 0): optics.GATE_TABLE[(1, 0)], (1, 0): optics.GATE_TABLE[(0, 0)]}
     runs = [
         (4, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble)),
@@ -241,8 +252,9 @@ def relabelled_repr(tmp_path):
         (5, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble, gate_table=faulted)),
     ]
     for m, run in runs:
+        products = [(k, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))) for e, s, f, t, k in members]
         ensemble = Ensemble(tuple(
-            (0.25, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))) for e, s, f, t in members
+            (1 / len(members), PureState(m, p.dofs, {lab: k * a for lab, a in p.terms.items()})) for k, p in products
         ))
         framed = repr(run(ensemble))
         with pytest.MonkeyPatch.context() as refuse:

@@ -13,7 +13,7 @@ from ghzpurify.optics import (
     hadamard_pol,
     hadamard_spatial,
     check_table,
-    pair_hadamard,
+    pair_rows,
     walsh_hadamard,
 )
 from ghzpurify.oracle import _single_photon_network
@@ -207,7 +207,8 @@ PAIR_VALUES = st.one_of(
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
-def test_pair_hadamard_matches_walsh_bit_for_bit(data):
+def test_pair_rows_match_walsh_bit_for_bit(data):
+    """Each register's row of pair_rows is, bit for bit, walsh_hadamard's row on the embedded pair."""
     m = data.draw(st.integers(2, 10), label="m")
     size = 1 << m
     r = data.draw(st.one_of(st.just(0), st.integers(0, size // 2 - 1)), label="r")
@@ -221,7 +222,8 @@ def test_pair_hadamard_matches_walsh_bit_for_bit(data):
     if data.draw(st.booleans(), label="equal magnitudes"):
         rows[1] = rows[0] * data.draw(st.sampled_from([1.0, -1.0]))
     parity = np.array([q.bit_count() & 1 for q in range(size)])
-    got = pair_hadamard(*rows, r, parity)
+    table, kind = pair_rows(*rows, r, parity)
+    got = table[kind]
     want = walsh_pair_reference(*rows, r, parity)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()

@@ -18,8 +18,8 @@ from ghzpurify.optics import (
 from ghzpurify.protocol import (
     MODES,
     AcceptanceRule,
-    _column_split,
     _dense_split,
+    _relabelled_dense_split,
     closed_form_general,
     infer_flip_plan,
     phaseflip_plan,
@@ -47,7 +47,6 @@ from helpers import (
     pair_closed_form,
     per_port_execute,
     route,
-    walsh_pair_reference,
 )
 
 
@@ -85,14 +84,6 @@ def ghz_products(m, rng):
     return products
 
 
-def class_ports(member, rule, gate):
-    """The accepted ports of a GHZ x GHZ member's class: those with the parity of its port shift xq ^ c2."""
-    _, _, _, zp, zs = protocol._ghz_frame(member)
-    (_, _, _, a2, b2, c2), _ = gate
-    shift = zp & a2 ^ zs & b2 ^ c2
-    return [q for q in range(1 << member.m) if rule.accepts(q, member.m) and (q ^ shift).bit_count() % 2 == 0]
-
-
 def random_pair_member(m, rng):
     """Real amplitudes of unequal magnitude on one register pair per degree of freedom, not a product."""
     full = (1 << m) - 1
@@ -110,16 +101,11 @@ def off_pair_members(m, rng):
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
-def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
+def test_dense_step_real_and_complex_members_agree_bit_for_bit(m):
     """A real member runs on float64 arrays, the same member times 1j on complex128 ones.
 
     Both give the same port probabilities, the second's amplitudes are exactly
     1j times the first's, and every emitted amplitude is a Python complex.
-    A member whose spatial registers are one complementary pair takes its
-    spatial layer in closed form (optics.pair_hadamard), whatever its pol
-    registers; with walsh_hadamard on the embedded arrays in its place, every
-    member and its turned twin give the same bits, signed zeros included, and
-    the closed form was called once per such member.
     """
     step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m))
     rng = random.Random(m)
@@ -136,19 +122,6 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m, monkeypatch):
                 assert type(amp) is complex and type(rotated.terms[label]) is complex
                 assert rotated.terms[label] == 1j * amp
 
-    def spelled_out(member):  # repr tells signed zeros apart
-        return repr(sorted((port, p, sorted(state.terms.items())) for port, (p, state) in by_port(step(member)).items()))
-
-    def butterfly(*args):
-        layers.append(args)
-        return walsh_pair_reference(*args)
-
-    fast, layers = [spelled_out(member) for member in members], []
-    monkeypatch.setattr(protocol, "pair_hadamard", butterfly)
-    assert [spelled_out(member) for member in members] == fast
-    # one spatial layer per member but the single-register one, the random one and their twins
-    assert len(layers) == len(members) - 4
-
 
 @pytest.mark.parametrize("m", [6, 7, 8, 9])
 def test_dense_port_probability_is_a_sequential_sum(m):
@@ -156,15 +129,14 @@ def test_dense_port_probability_is_a_sequential_sum(m):
 
     The reference amplitudes come from walsh_hadamard on both registers and
     check_table's masks on index grids, and the reference adds their squares one by one
-    in Python; members on one register pair per degree of freedom (GHZ x GHZ
-    products at nonzero indices with both signs, and a random pair member)
-    take the closed-form spatial layer in the step and are held to it too,
-    as are a spatial-pair member whose pol registers are not one pair and a
-    member on a single spatial register. At these
-    sizes numpy's pairwise np.sum along a contiguous axis gives other bits
-    on some port of the random members, which the test checks too. The
-    column step runs each GHZ x GHZ product whose class the rule accepts,
-    on the dense step's ports.
+    in Python. The members are random, on one register pair per degree of
+    freedom, GHZ x GHZ products at nonzero indices with both signs, a
+    spatial-pair member whose pol registers are not one pair and a member on
+    a single spatial register. At these sizes numpy's pairwise np.sum along
+    a contiguous axis gives other bits on some port of the random members,
+    which the test checks too. Each GHZ x GHZ product also runs through a
+    fresh _relabelled_dense_split, where it is its own base and takes the
+    column step.
     """
     rng = random.Random(m)
     size = 1 << m
@@ -176,7 +148,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
         for member in (real, pair)
     )
     rule, plan, gate = AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m)
-    step, column = _dense_split(m, rule, plan, gate), _column_split(m, plan, gate)
+    step = _dense_split(m, rule, plan, gate)
     for member in (real, turned, pair, turned_pair, *ghz_products(m, rng), *off_pair_members(m, rng)):
         amps = np.zeros((size, size), dtype=complex)  # [pol, spatial]
         for (pol, spatial), a in member.terms.items():
@@ -188,8 +160,8 @@ def test_dense_port_probability_is_a_sequential_sum(m):
         squares = np.zeros((size, size))  # [port, out_pol]
         squares[port, out_pol] = np.abs(amps) ** 2
         got = by_port(step(member))
-        ports = class_ports(member, rule, gate) if protocol._ghz_frame(member) else []
-        by_column = by_port(column(member, ports)) if ports else got
+        framed = protocol._ghz_frame(member) is not None
+        by_column = by_port(_relabelled_dense_split(m, rule, plan, gate)(member)) if framed else got
         assert by_column.keys() == got.keys()
         pairwise_differs = False
         for p in range(size):
@@ -713,11 +685,13 @@ def mixed_members():
 def test_dense_step_runs_once_per_group(monkeypatch):
     """The benchmark's pair input runs 1 column step and no dense step for its 4 members; a member off the frame always takes its own dense step.
 
-    The pair input holds GHZ(0) x GHZ(0) in all four sign pairs. The port
-    shift is the XOR of the two sign masks, so (+,+) and (-,-) form one
-    group, whose first member takes the column step. (+,-) and (-,+) shift
-    every port to odd parity, which the phase-flip rule rejects, so they
-    take no step at all.
+    The pair input holds GHZ(0) x GHZ(0) in all four sign pairs, at one
+    magnitude. The port shift is the XOR of the two sign masks, so (+,-)
+    and (-,+) shift every port to odd parity, which the phase-flip rule
+    rejects, and they take no step at all. (+,+) takes the column step, and
+    (-,-) is a signed shift of its column. Of the mixed members, the
+    reference and the rescaled one each take a column step, their repeats
+    reuse it, and the other three take the dense step.
     """
     columns, stepped = counting_steps(monkeypatch, "_column_split"), counting_dense_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
@@ -729,11 +703,31 @@ def test_dense_step_runs_once_per_group(monkeypatch):
     ensemble = Ensemble(tuple((1 / len(members), s) for s in members))
     columns.clear()
     framed = phaseflip_repr(ensemble, GATE_TABLE)
-    # the repeated reference and the repeated scaled member are relabelled, each from its first
+    # the repeated reference and the repeated scaled member take no column step: each reuses its first's column
     assert len(columns) == 2 and all(a is b for a, b in zip(columns, members))
     assert len(stepped) == 3 and all(a is b for a, b in zip(stepped, members[2:]))
     monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
     assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
+
+
+def test_accept_all_pair_input_shares_one_column_across_port_classes(monkeypatch):
+    """Under the accept-all rule the pair input's 4 members take 1 column step, and print what per-member dense steps print.
+
+    (+,-) and (-,+) reach the odd ports, which this rule keeps, and the
+    phase-flip plan flips every photon on the even ports only, so the one
+    column of (+,+) serves ports of both classes under two flip masks.
+    """
+    columns, stepped = counting_steps(monkeypatch, "_column_split"), counting_dense_steps(monkeypatch)
+    ensemble = phaseflip_input(8, 0.8, 0.7)
+
+    def accept_all():
+        return repr(protocol._execute(ensemble, AcceptanceRule("general"), phaseflip_plan(8), None, True, None))
+
+    framed = accept_all()
+    assert len(columns) == 1 and columns[0] is ensemble.members[0][1] and not stepped
+    monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
+    assert_same_text(accept_all(), framed)
+    assert len(stepped) == 4 and len(columns) == 1
 
 
 def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
@@ -814,7 +808,7 @@ def test_step_groups_cover_each_accepted_port_once(name, m, table):
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
 @pytest.mark.parametrize("m", range(2, 12))
 def test_column_step_matches_the_dense_step(m, table):
-    """The column step on a real GHZ x GHZ member prints the repr of the dense step on it.
+    """A fresh relabelling step on a real GHZ x GHZ member, its own base, prints the repr of the dense step on it.
 
     Members are a Z^(zp, zs) X^(e, f) image of GHZ(0,+) x GHZ(0,+) at
     amplitude +-a: random e and f, all four sign pairs, and a of 1, 0.3 and
@@ -838,10 +832,10 @@ def test_column_step_matches_the_dense_step(m, table):
             members.append(PureState._derived(m, (POL, SPATIAL), terms))
     compared = 0
     for rule, plan in runs:
-        dense, column = _dense_split(m, rule, plan, gate), _column_split(m, plan, gate)
+        dense = _dense_split(m, rule, plan, gate)
         for member in members:
             assert protocol._ghz_frame(member) is not None
-            if ports := class_ports(member, rule, gate):
-                assert_same_text(repr(by_port(column(member, ports))), repr(by_port(dense(member))))
-                compared += 1
+            framed = by_port(_relabelled_dense_split(m, rule, plan, gate)(member))
+            assert_same_text(repr(framed), repr(by_port(dense(member))))
+            compared += bool(framed)
     assert compared >= 2
