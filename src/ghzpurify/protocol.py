@@ -27,6 +27,15 @@ not a bijection), and every step routes with two XOR/AND expressions.
 Each port group gives one (weight, state) entry, shared by its ports'
 buckets, and ports with the same entries share one outcome, built once.
 
+What a run derives from its shape alone lives for the process, so that
+repeated solves (an F scan, verify's grid, the benchmark) build it once:
+the accepted ports (AcceptanceRule.ports, keyed on the rule's mode and m),
+phaseflip_plan(m), the ports of each parity class (_port_classes) and the
+parity vector (_parity), each shared read-only, in bounded lru caches; and
+each closed column (_COLUMNS), keyed on every input the column step reads,
+as _relabelled_dense_split states. Only the branch weights depend on F, and
+they enter after the step, so no cached value depends on F.
+
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
 correction plans and the per-pattern buckets all key on it; only
@@ -47,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -97,11 +107,14 @@ class AcceptanceRule:
             return count % 2 == 0
         return True
 
-    def ports(self, m: int) -> list[int]:
-        """The accepted m-bit port registers, ascending, built without testing each register."""
+    # a rule is a hashable value, so equal rules share one table; bounded, so that
+    # accept-all tables at large m do not stay for the life of the process
+    @lru_cache(maxsize=32)
+    def ports(self, m: int) -> tuple[int, ...]:
+        """The accepted m-bit port registers, ascending, built once per (mode, m) without testing each register."""
         if self.mode == "phaseflip":  # each (m-1)-bit register followed by its parity bit
-            return [r << 1 | r.bit_count() & 1 for r in range(1 << (m - 1))]
-        return [0, (1 << m) - 1] if self.mode == "bitflip" else list(range(1 << m))
+            return tuple(r << 1 | r.bit_count() & 1 for r in range(1 << (m - 1)))
+        return (0, (1 << m) - 1) if self.mode == "bitflip" else tuple(range(1 << m))
 
 
 CorrectionPlan = Mapping[int, int]  # port register -> m-bit photon flip mask
@@ -116,9 +129,13 @@ def check_plan(plan: CorrectionPlan, m: int) -> None:
             raise ValueError(f"correction mask {mask!r} is not an m-bit register for m={m}")
 
 
-def phaseflip_plan(m: int) -> dict[int, int]:
-    """Flip every photon on each accepted (even-parity) port; the mode's Hadamard closes the correction."""
-    return dict.fromkeys(AcceptanceRule("phaseflip").ports(m), (1 << m) - 1)
+@lru_cache(maxsize=32)
+def phaseflip_plan(m: int) -> CorrectionPlan:
+    """Flip every photon on each accepted (even-parity) port; the mode's Hadamard closes the correction.
+
+    Built once per m and shared, so it is read-only.
+    """
+    return MappingProxyType(dict.fromkeys(AcceptanceRule("phaseflip").ports(m), (1 << m) - 1))
 
 
 def _ghz_product_parts(state: PureState) -> tuple[int, int]:
@@ -214,8 +231,8 @@ def _split_by_pattern(
 
 # A Hadamard-mode member holds 4^(m-1) terms after its layers. A config's
 # members are GHZ x GHZ products, so each group of them takes one column
-# step; at m = 10 a phase-flip simulate takes 0.28-0.32 s and 30 MB peak on
-# a shared 2-CPU machine (two medians of 7), one column step for its four
+# step; at m = 10 a phase-flip simulate takes 0.19-0.24 s and 30 MB peak on
+# a shared 2-CPU machine (three medians of 7), one column step for its four
 # members, and its record lists 512 patterns. Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
@@ -297,13 +314,18 @@ def _dense_split(
     return split
 
 
+@lru_cache(maxsize=32)
 def _parity(m: int):
-    """Popcount parity of every m-bit register, by doubling: parity[2^k + q] = 1 - parity[q] for q < 2^k."""
+    """Popcount parity of every m-bit register, by doubling: parity[2^k + q] = 1 - parity[q] for q < 2^k.
+
+    Built once per m and shared, so it is read-only.
+    """
     import numpy as np
 
     parity = np.zeros(1, dtype=np.int64)
     for _ in range(m):
         parity = np.concatenate((parity, 1 - parity))
+    parity.flags.writeable = False
     return parity
 
 
@@ -328,8 +350,8 @@ def _pol_layer(member: PureState):
 
 def _column_split(
     m: int, plan: CorrectionPlan, gate: Gate
-) -> Callable[[PureState, int], tuple[float, list[tuple[int, float]]]]:
-    """One port of a real GHZ x GHZ member (_ghz_frame), with no 4^m array: (probability, [(register, amplitude)]).
+) -> Callable[[PureState, int], tuple[float, tuple[tuple[int, float], ...]]]:
+    """One port of a real GHZ x GHZ member (_ghz_frame), with no 4^m array: (probability, ((register, amplitude), ...)).
 
     The result is port q0 of _dense_split's, bit for bit, with its nonzero
     amplitudes as floats in ascending register order. Its [pol] column is
@@ -347,7 +369,7 @@ def _column_split(
     parity = _parity(m)
     _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
 
-    def split(member: PureState, q0: int) -> tuple[float, list[tuple[int, float]]]:
+    def split(member: PureState, q0: int) -> tuple[float, tuple[tuple[int, float], ...]]:
         present, layer = _pol_layer(member)
         rows, kind = pair_rows(layer[:, 0], layer[:, 1], present[0], parity)
         column = rows[kind[grid & sp_o ^ q0 & sp_q ^ sp_c], grid & pol_o ^ q0 & pol_q ^ pol_c]
@@ -357,7 +379,7 @@ def _column_split(
         closed = column[grid ^ plan.get(q0, 0)]
         walsh_hadamard(closed, m)
         (regs,) = np.nonzero(closed)
-        return prob, list(zip(regs.tolist(), closed[regs].tolist()))
+        return prob, tuple(zip(regs.tolist(), closed[regs].tolist()))
 
     return split
 
@@ -388,6 +410,18 @@ def _ghz_frame(member: PureState) -> tuple[float, int, int, int, int] | None:
     return a, e, f, zp, zs
 
 
+@lru_cache(maxsize=32)
+def _port_classes(rule: AcceptanceRule, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rule's accepted ports split by parity: (even ports, odd ports), each ascending."""
+    accepted = rule.ports(m)
+    return tuple(q for q in accepted if not q.bit_count() & 1), tuple(q for q in accepted if q.bit_count() & 1)
+
+
+# (m, gate, q0, F(q0), _ghz_frame(M0)) -> _column_split(...)(M0, q0), for the
+# life of the process; emptied when it holds 256 columns, so that it stays bounded
+_COLUMNS: dict[tuple, tuple[float, tuple[tuple[int, float], ...]]] = {}
+
+
 def _relabelled_dense_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
@@ -412,11 +446,19 @@ def _relabelled_dense_split(
 
     So one column per magnitude a serves every port of every member. The
     first live member M0 of that magnitude gives the column step its first
-    class port q0, and B = out_M0[q0]. Every member M, M0 included, gets
+    class port q0, and B = out_M0[q0]. B lives for the process in
+    _COLUMNS, keyed on (m, gate, q0, F(q0), _ghz_frame(M0)): the column
+    step reads M0, the gate's inverse masks, q0 and q0's flip mask, and
+    nothing else, and _ghz_frame fixes every term of M0 exactly, so a key
+    that matches gives B bit for bit. Every normalized GHZ x GHZ member
+    has the same a whatever its weight, so an F scan takes one column step
+    per (m, gate, flip). The base terms (c0, zo0, xo0 ^ F(q0)) come from
+    M0 in each run. Every member M, M0 included, gets
     out_M[q](o) = (-1)^(c ^ c0 ^ (xo0 ^ F(q0)).d ^ zq0.q0 ^ zq.q
     ^ (xo ^ xo0 ^ F(q0) ^ F(q)).o) B(o ^ d), with d = zo ^ zo0, at B's
     probability. Its ports fall into one group, and one state, per
-    (zq.q, F(q)).
+    (zq.q, F(q)). The run partitions a class's ports by that key once
+    for each zq it meets, since the plan is the run's own.
 
     This is exact. A butterfly on a Pauli image of its input gives the same
     floats, moved or negated, since c x + c y = c y + c x and
@@ -429,12 +471,12 @@ def _relabelled_dense_split(
     takes the dense step, built for the first such member of the run.
     """
     (a1, b1, _, a2, b2, c2), (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
-    accepted = rule.ports(m)
-    classes = {c: [q for q in accepted if q.bit_count() & 1 == c] for c in (0, 1)}  # port parity -> its ports
-    column = _column_split(m, plan, gate)
+    classes = _port_classes(rule, m)  # port parity -> its ports
     dense: Callable[[PureState], Split] | None = None  # built for the first member off the frame
     # magnitude a -> (c0 ^ zq0.q0, zo0, xo0 ^ F(q0), probability, B) of its first live member M0
     bases: dict[float, tuple[int, int, int, float, dict[int, float]]] = {}
+    # (zq, port parity) -> [(zq.q, F(q), its ports ascending)] of that class
+    partitions: dict[tuple[int, int], list[tuple[int, int, tuple[int, ...]]]] = {}
 
     def split(member: PureState) -> Split:
         nonlocal dense
@@ -444,26 +486,32 @@ def _relabelled_dense_split(
             return dense(member)
         a, e, f, zp, zs = parts
         xq = zp & a2 ^ zs & b2
-        if not (ports := classes[(xq ^ c2).bit_count() & 1]):
+        if not (ports := classes[parity := (xq ^ c2).bit_count() & 1]):
             return []
         xo, zo, zq = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o, e & pol_q ^ f & sp_q
         c = (e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1
         if (base := bases.get(a)) is None:
             q0 = ports[0]
-            prob, amps = column(member, q0)
+            if (column := _COLUMNS.get(key := (m, gate, q0, plan.get(q0, 0), parts))) is None:
+                if len(_COLUMNS) >= 256:
+                    _COLUMNS.clear()
+                column = _COLUMNS[key] = _column_split(m, plan, gate)(member, q0)
+            prob, amps = column
             base = bases[a] = c ^ (zq & q0).bit_count() & 1, zo, xo ^ plan.get(q0, 0), prob, dict(amps)
         c0, zo0, x0, prob, closed = base
         d = zo ^ zo0
         sign = c ^ c0 ^ (x0 & d).bit_count() & 1
         shifted = [(o, closed[o ^ d]) for o in sorted(o ^ d for o in closed)]  # (o, B(o ^ d)), o ascending
-        groups: dict[tuple[int, int], list[int]] = {}  # (zq.q, F(q)) -> its ports, ascending
-        for q in ports:
-            groups.setdefault(((zq & q).bit_count() & 1, plan.get(q, 0)), []).append(q)
+        if (groups := partitions.get(zq_class := (zq, parity))) is None:
+            grouped: dict[tuple[int, int], list[int]] = {}  # (zq.q, F(q)) -> its ports, ascending
+            for q in ports:
+                grouped.setdefault(((zq & q).bit_count() & 1, plan.get(q, 0)), []).append(q)
+            groups = partitions[zq_class] = [(odd, flip, tuple(qs)) for (odd, flip), qs in grouped.items()]
         out: Split = []
-        for (odd, flip), qs in groups.items():
+        for odd, flip, qs in groups:
             s, x = sign ^ odd, xo ^ x0 ^ flip
             terms = {(o,): complex(-v if s ^ (x & o).bit_count() & 1 else v) for o, v in shifted}
-            out.append((prob, PureState._derived(m, (POL,), terms), tuple(qs)))
+            out.append((prob, PureState._derived(m, (POL,), terms), qs))
         return out
 
     return split
@@ -480,7 +528,7 @@ def _execute(
     """One run: each member's step, then per distinct accepted outcome its conditional ensemble and fidelity.
 
     A Hadamard run steps through _relabelled_dense_split, whose columns
-    live for this call only and whose result is, bit for bit, the one
+    live for the process and whose result is, bit for bit, the one
     per-member dense steps give; the other modes step through
     _split_by_pattern. Each step takes the masks of the table and its
     inverse, read here once. A port group gives one (weight, state) entry,

@@ -10,7 +10,9 @@ its faster ones, and `walsh_pair_reference` the butterfly whose rows
 `optics.check_table`'s masks to registers or index grids, `gate_masks`
 builds the masks a run hands its step, and `per_port_execute` keeps
 `protocol._execute`'s former per-port loop as the reference for the
-outcomes it now builds once per distinct port. Label literals are written
+outcomes it now builds once per distinct port. `clear_caches` empties
+what `protocol` keeps for the life of the process, so that a test can run
+cold. Label literals are written
 photon by photon, one tuple of bits per photon, and turned into the
 package's register labels by `pack`; `unpack` undoes it.
 """
@@ -102,6 +104,13 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
     success = math.fsum(w for entries in buckets.values() for w, _ in entries)
     fidelity_mass = math.fsum(o.probability * o.fidelity for o in accepted.values())
     return ProtocolResult(accepted, success, 1.0 - success, fidelity_mass / success)
+
+
+def clear_caches() -> None:
+    """Empty protocol's process-lifetime caches: the port tables, the parity vectors and the column memo."""
+    for cached in (protocol.AcceptanceRule.ports, protocol.phaseflip_plan, protocol._port_classes, protocol._parity):
+        cached.cache_clear()
+    protocol._COLUMNS.clear()
 
 
 def by_port(split) -> dict:

@@ -8,12 +8,17 @@ is scored against, the engine against the dense oracle at m = 3
 (`verify --m 3`), the same comparison on two phase-flip members that are
 not GHZ x GHZ products, scored against a target that is not a GHZ state,
 the repr of Hadamard runs on GHZ x GHZ members against the same runs
-with every member through its own dense step, the repr of a run whose
-step shares port states against tests/helpers.py's per-port loop, and the
-efficiency ratio against its formula and criterion 7 (R P2 = P1). A
-mutant is caught when a detector's check fails or raises. A mutant target
-is a module function or a ``Class.method``, which is installed on the
-class.
+with every member through its own dense step, the same comparison on
+runs in one process whose column memo keys differ in one part only, the
+repr of a run whose step shares port states against tests/helpers.py's
+per-port loop, and the efficiency ratio against its formula and
+criterion 7 (R P2 = P1). A mutant is caught when a detector's check fails
+or raises. A mutant target is a module function or a ``Class.method``,
+which is installed on the class. protocol's process-lifetime caches (the
+port tables and the column memo) are emptied before a mutant is
+installed and after it is removed: a warm memo would hand a mutant of the
+column step the package's columns, and one the mutant filled would
+outlive it.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
@@ -112,6 +117,17 @@ first member, of the odd class at odd e, shows it. The golden inputs are
 all GHZ(0) x GHZ(0), where d is 0, so only the repr detector catches the
 next two; the last moves the phase-flip fidelities.
 
+The last four break the caches that live for the process. The column
+memo keyed without the gate hands a run on the faulted table the gate's
+column where the two differ, as they do for GHZ(1,-) x GHZ(0,-) at
+m = 3; keyed without the magnitude it hands the negated member the
+column of the first, with the wrong signs; keyed without the flip mask
+of the first port it hands the accept-all run whose plan flips the last
+photon the column of the empty plan. The first two only the warm-column
+detector sees, the third the repr detector. Partitioning a class's ports
+once per class, not once per (zq, class), gives a member the sign
+groups of another with a different zq; the repr detector catches it.
+
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
 print; tests/test_order.py catches it. Reversing infer_flip_plan's
@@ -137,13 +153,15 @@ from ghzpurify import cli, efficiency, noise, optics, oracle, protocol, states
 from ghzpurify.oracle import densify, oracle_run
 from ghzpurify.records import ProtocolConfig
 from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
-from helpers import assert_same_text, per_port_execute
+from helpers import assert_same_text, clear_caches, per_port_execute
 
 DATA = Path(__file__).parent / "data" / "simulate"
 CASES = {c["name"]: c["config"] for c in json.loads((DATA / "cases.json").read_text(encoding="utf-8"))}
 # one golden case per mode; phase flip at m = 5 runs the dense step past its smallest size
 GOLDEN = ["bitflip-m3-1+", "phaseflip-m5-0+", "general-m3-0+", "deterministic-demo-m3-1-"]
 TOL = 1e-12
+# the gate with rows (H, mode 0) and (V, mode 0) swapped: its port constant c2 is 2^m - 1
+FAULTED = {**optics.GATE_TABLE, (0, 0): optics.GATE_TABLE[(1, 0)], (1, 0): optics.GATE_TABLE[(0, 0)]}
 
 # (name, module, function, source text, mutated text)
 MUTANTS = [
@@ -189,6 +207,11 @@ MUTANTS = [
     ("base-shift-sign", protocol, "_relabelled_dense_split", "c ^ c0 ^ (x0 & d).bit_count() & 1", "c ^ c0"),
     ("base-shift", protocol, "_relabelled_dense_split", "d = zo ^ zo0\n", "d = 0\n"),
     ("group-flip", protocol, "_relabelled_dense_split", ", plan.get(q, 0)), [])", ", 0), [])"),
+    ("memo-gate", protocol, "_relabelled_dense_split", "(m, gate, q0, plan.get(q0, 0), parts)",
+     "(m, q0, plan.get(q0, 0), parts)"),
+    ("memo-flip", protocol, "_relabelled_dense_split", "(m, gate, q0, plan.get(q0, 0), parts)", "(m, gate, q0, parts)"),
+    ("memo-magnitude", protocol, "_relabelled_dense_split", "plan.get(q0, 0), parts)", "plan.get(q0, 0), parts[1:])"),
+    ("partition-zq", protocol, "_relabelled_dense_split", "zq_class := (zq, parity)", "zq_class := parity"),
 ]
 
 
@@ -239,7 +262,6 @@ def relabelled_repr(tmp_path):
     members = [
         (3, -1, 0, 1, 1), (0, 1, 0, 1, 1), (3, -1, 5, -1, 1), (0, 1, 0, -1, 1), (6, -1, 1, 1, 1), (3, -1, 5, -1, -1),
     ]
-    faulted = {**optics.GATE_TABLE, (0, 0): optics.GATE_TABLE[(1, 0)], (1, 0): optics.GATE_TABLE[(0, 0)]}
     runs = [
         (4, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble)),
         # every port accepted, so both classes are live
@@ -249,7 +271,7 @@ def relabelled_repr(tmp_path):
             ensemble, protocol.AcceptanceRule("general"), {q: q & 1 for q in range(16)}, None, True, None
         )),
         # the faulted table's port constant c2 is 2^m - 1, of odd parity at odd m
-        (5, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble, gate_table=faulted)),
+        (5, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble, gate_table=FAULTED)),
     ]
     for m, run in runs:
         products = [(k, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))) for e, s, f, t, k in members]
@@ -260,6 +282,21 @@ def relabelled_repr(tmp_path):
         with pytest.MonkeyPatch.context() as refuse:
             refuse.setattr(protocol, "_ghz_frame", lambda member: None)
             assert_same_text(repr(run(ensemble)), framed)
+
+
+def warm_columns(tmp_path):
+    # runs in one process whose column memo keys differ in one part only, each against its per-member dense
+    # steps: GHZ(1,-) x GHZ(0,-) at m = 3 takes port 0 and flip 7 on the gate and on the faulted table, where
+    # its column differs, and the same member negated differs only in magnitude
+    m = 3
+    member = tensor_hyper(make_ghz_pol(m, 1, -1), make_ghz_spatial(m, 0, -1))
+    single, negated = (Ensemble(((1.0, PureState(m, member.dofs, {lab: k * a for lab, a in member.terms.items()})),))
+                       for k in (1, -1))
+    for ensemble, table in ((single, None), (single, FAULTED), (negated, None)):
+        framed = repr(protocol.MODES["phaseflip"].run(ensemble, gate_table=table))
+        with pytest.MonkeyPatch.context() as refuse:
+            refuse.setattr(protocol, "_ghz_frame", lambda member: None)
+            assert_same_text(repr(protocol.MODES["phaseflip"].run(ensemble, gate_table=table)), framed)
 
 
 def shared_port_states(tmp_path):
@@ -288,7 +325,8 @@ def efficiency_ratio(tmp_path):
 
 
 DETECTORS = [  # cheapest first
-    efficiency_ratio, shared_port_states, relabelled_repr, oracle_off_product, closed_forms, golden_records, oracle_m3,
+    efficiency_ratio, shared_port_states, relabelled_repr, warm_columns, oracle_off_product, closed_forms,
+    golden_records, oracle_m3,
 ]
 
 
@@ -306,13 +344,15 @@ def mutate(monkeypatch, module, name, old, new):
     """Recompile module.name with ``old`` replaced by ``new``; bind it wherever the original is bound.
 
     A ``Class.method`` name is recompiled the same way and set on the class.
+    A cached function is recompiled with its decorator, so the mutant starts
+    with a cache of its own.
     """
     owner, _, attr = name.rpartition(".")
     original = getattr(getattr(module, owner) if owner else module, attr)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1, f"mutation site {old!r} not found once in {name}"
     code = compile(
-        source.replace(old, new), inspect.getsourcefile(original), "exec",
+        source.replace(old, new), inspect.getsourcefile(inspect.unwrap(original)), "exec",
         flags=__future__.annotations.compiler_flag, dont_inherit=True,
     )
     namespace = {}
@@ -330,7 +370,20 @@ def test_detectors_pass_on_the_package(tmp_path):
         detector(tmp_path)
 
 
+@pytest.fixture
+def cold_caches():
+    """Empty protocol's caches before a mutant is installed and after it is removed.
+
+    A warm column memo or port table would hand the mutant results the
+    package computed, and one the mutant filled would outlive it.
+    """
+    clear_caches()
+    yield
+    clear_caches()
+
+
+# cold_caches comes first, so that its teardown runs after monkeypatch has removed the mutant
 @pytest.mark.parametrize("name, module, function, old, new", MUTANTS, ids=[m[0] for m in MUTANTS])
-def test_mutant_is_caught(monkeypatch, tmp_path, name, module, function, old, new):
+def test_mutant_is_caught(cold_caches, monkeypatch, tmp_path, name, module, function, old, new):
     mutate(monkeypatch, module, function, old, new)
     assert any(fails(d, tmp_path) for d in DETECTORS), f"mutant {name} survives every detector"

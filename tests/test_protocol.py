@@ -43,6 +43,7 @@ from ghzpurify.states import (
 from helpers import (
     assert_same_text,
     by_port,
+    clear_caches,
     gate_masks,
     pair_closed_form,
     per_port_execute,
@@ -413,7 +414,7 @@ def test_acceptance_rules():
     # ports builds, ascending, exactly the registers accepts admits
     for rule in (bit, phase, everything):
         for m in range(1, 13):
-            assert rule.ports(m) == [port for port in range(1 << m) if rule.accepts(port, m)]
+            assert rule.ports(m) == tuple(port for port in range(1 << m) if rule.accepts(port, m))
 
 
 def test_sparse_port_probability_is_a_left_to_right_sum():
@@ -593,6 +594,14 @@ def phaseflip_repr(ensemble, table, target=None):
         return f"ValueError: {exc}"
 
 
+@pytest.fixture
+def cold():
+    """Empty protocol's process-lifetime caches before and after the test, so that a counted run takes its column steps."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
 def counting_steps(monkeypatch, name):
     """Install a protocol step factory whose steps record every member they run on; returns that list."""
     factory, stepped = getattr(protocol, name), []
@@ -682,7 +691,7 @@ def mixed_members():
     return [reference, scaled, turned, crossed, off_product, reference, scaled]
 
 
-def test_dense_step_runs_once_per_group(monkeypatch):
+def test_dense_step_runs_once_per_group(cold, monkeypatch):
     """The benchmark's pair input runs 1 column step and no dense step for its 4 members; a member off the frame always takes its own dense step.
 
     The pair input holds GHZ(0) x GHZ(0) in all four sign pairs, at one
@@ -691,13 +700,17 @@ def test_dense_step_runs_once_per_group(monkeypatch):
     rejects, and they take no step at all. (+,+) takes the column step, and
     (-,-) is a signed shift of its column. Of the mixed members, the
     reference and the rescaled one each take a column step, their repeats
-    reuse it, and the other three take the dense step.
+    reuse it, and the other three take the dense step. The column lives
+    for the process: a second run, at other fidelities, takes no column
+    step, and the off-frame members take their dense steps again.
     """
     columns, stepped = counting_steps(monkeypatch, "_column_split"), counting_dense_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
     MODES["phaseflip"].run(ensemble)
     members = [s for _, s in ensemble.members]
     assert len(members) == 4 and len(columns) == 1 and columns[0] is members[0] and not stepped
+    MODES["phaseflip"].run(phaseflip_input(8, 0.6, 0.9))
+    assert len(columns) == 1 and not stepped
 
     members = mixed_members()
     ensemble = Ensemble(tuple((1 / len(members), s) for s in members))
@@ -706,11 +719,15 @@ def test_dense_step_runs_once_per_group(monkeypatch):
     # the repeated reference and the repeated scaled member take no column step: each reuses its first's column
     assert len(columns) == 2 and all(a is b for a, b in zip(columns, members))
     assert len(stepped) == 3 and all(a is b for a, b in zip(stepped, members[2:]))
+    columns.clear()
+    stepped.clear()
+    assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
+    assert not columns and len(stepped) == 3
     monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
     assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
 
 
-def test_accept_all_pair_input_shares_one_column_across_port_classes(monkeypatch):
+def test_accept_all_pair_input_shares_one_column_across_port_classes(cold, monkeypatch):
     """Under the accept-all rule the pair input's 4 members take 1 column step, and print what per-member dense steps print.
 
     (+,-) and (-,+) reach the odd ports, which this rule keeps, and the
@@ -725,6 +742,8 @@ def test_accept_all_pair_input_shares_one_column_across_port_classes(monkeypatch
 
     framed = accept_all()
     assert len(columns) == 1 and columns[0] is ensemble.members[0][1] and not stepped
+    assert_same_text(accept_all(), framed)
+    assert len(columns) == 1 and not stepped
     monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
     assert_same_text(accept_all(), framed)
     assert len(stepped) == 4 and len(columns) == 1
@@ -757,6 +776,82 @@ def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
     for ensemble in (mixed, pair):
         expected = per_port_execute(ensemble, mode.rule, mode.plan(ensemble), None, True)
         assert_same_text(repr(mode.run(ensemble)), repr(expected))
+
+
+def test_warm_runs_print_what_cold_runs_print():
+    """Shuffled phase-flip runs at m = 2..8 in one process print, each, what the same run prints with every cache empty.
+
+    The column memo, the port tables and the parity vectors live for the
+    process. The runs cover the gate and the faulted table, the phase-flip
+    rule and plan and the accept-all rule with an empty plan, the pair
+    input and the pair input negated, GHZ x GHZ members at random indices
+    and signs, and the mixed members (rescaled, turned, crossed and off the
+    product), so warm keys of one run meet runs that differ from it in the
+    gate, the rule, the flip mask or the magnitude.
+    """
+    rng, runs = random.Random(30), []
+    members = mixed_members()
+    mixed = Ensemble(tuple((1 / len(members), s) for s in members))
+    for m in range(2, 9):
+        pair = phaseflip_input(m, rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
+        negated = Ensemble(tuple(
+            (w, PureState(m, s.dofs, {lab: -a for lab, a in s.terms.items()})) for w, s in pair.members
+        ))
+        for ensemble in [pair, negated, ghz_product_ensemble(m, rng)] + ([mixed] if m == 4 else []):
+            for table in (GATE_TABLE, FAULTED_TABLE):
+                runs.append((ensemble, AcceptanceRule("phaseflip"), phaseflip_plan(m), table))
+                runs.append((ensemble, AcceptanceRule("general"), {}, table))
+    rng.shuffle(runs)
+
+    def printed(ensemble, rule, plan, table):
+        try:
+            return repr(protocol._execute(ensemble, rule, plan, None, True, table))
+        except ValueError as exc:  # nothing accepted
+            return f"ValueError: {exc}"
+
+    clear_caches()
+    warm = [printed(*run) for run in runs]
+    assert protocol._COLUMNS
+    for run, text in zip(runs, warm):
+        clear_caches()
+        assert_same_text(printed(*run), text)
+
+
+def test_column_memo_stays_bounded():
+    """The column memo empties itself when it holds 256 columns, before it stores the next.
+
+    512 accept-all runs at m = 4, one GHZ x GHZ member each at every index
+    pair and sign pair, on the gate and the faulted table, are 512 keys,
+    one new key a run.
+    """
+    clear_caches()
+    sizes, m = [], 4
+    for e, f, s, t in itertools.product(range(8), range(8), (1, -1), (1, -1)):
+        member = Ensemble(((1.0, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))),))
+        for table in (GATE_TABLE, FAULTED_TABLE):
+            protocol._execute(member, AcceptanceRule("general"), {}, None, True, table)
+            sizes.append(len(protocol._COLUMNS))
+    assert sizes == [*range(1, 257)] * 2
+    clear_caches()
+
+
+def test_shared_port_tables_are_read_only():
+    """The plan, port tuples and parity vector a run shares with later runs refuse every write, and a later run is unchanged."""
+    m, rule = 4, AcceptanceRule("phaseflip")
+    ensemble = phaseflip_input(m, 0.8, 0.7)
+    clear_caches()
+    before = repr(MODES["phaseflip"].run(ensemble))
+    plan, ports, classes = phaseflip_plan(m), rule.ports(m), protocol._port_classes(rule, m)
+    with pytest.raises(TypeError):
+        plan[0] = 0
+    with pytest.raises(TypeError):
+        ports[0] = 1
+    with pytest.raises(TypeError):
+        classes[0][0] = 1
+    with pytest.raises(ValueError):
+        protocol._parity(m)[0] = 1
+    assert phaseflip_plan(m) is plan and rule.ports(m) is ports and AcceptanceRule("phaseflip").ports(m) is ports
+    assert_same_text(repr(MODES["phaseflip"].run(ensemble)), before)
 
 
 def sparse_per_port(member, m, rule, plan, table):
