@@ -24,21 +24,28 @@ and corrected state per group, held by each of its accepted ports.
 A run reads the gate once: _execute takes the affine register masks of the
 table and of its inverse (optics.check_table, which refuses a table that is
 not a bijection), and every step routes with two XOR/AND expressions.
-Each port group gives one (weight, state) entry, shared by its ports'
-buckets, and ports with the same entries share one outcome, built once.
+_execute keeps its books per port tuple, not per port: each distinct
+tuple holds its groups' (weight, state) entries once, and a port's cell
+is the set of tuples that hold it. Each cell builds one conditional
+ensemble, fidelity and outcome for all its ports; the accepted mass and
+the output fidelity are fsum over the same multiset of floats as a
+per-port loop, each cell's terms once per port, so no bit moves.
 
 What a run derives from its shape alone lives for the process, so that
 repeated solves (an F scan, verify's grid, the benchmark) build it once:
 the accepted ports (AcceptanceRule.ports, keyed on the rule's mode and m),
-phaseflip_plan(m), the ports of each parity class (_port_classes) and the
-parity vector (_parity), each shared read-only, in bounded lru caches; and
-each closed column (_COLUMNS), keyed on every input the column step reads,
-as _relabelled_dense_split states. Only the branch weights depend on F, and
-they enter after the step, so no cached value depends on F.
+phaseflip_plan(m), the ports of each parity class (_port_classes), a
+class's ports grouped by sign and flip mask (_partition), the Pattern
+tuples of a multi-port cell (_patterns) and the parity vector (_parity),
+each keyed on every input it reads and shared read-only in a bounded lru
+cache; and each closed column (_COLUMNS), keyed on every input the column
+step reads, as _relabelled_dense_split states. Only the branch weights
+depend on F, and they enter after the step, so no cached value depends on
+F.
 
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
-correction plans and the per-pattern buckets all key on it; only
+correction plans and the port groups all key on it; only
 ProtocolResult.accepted spells each accepted register out as a Pattern
 tuple (states.bits). Bit-flip mode accepts the two unanimous patterns;
 phase-flip mode accepts every pattern with an even number of SWAP photons;
@@ -57,8 +64,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, groupby, repeat
+from operator import add, itemgetter
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .noise import BIT_FLIP, PHASE_FLIP, mix_general, mix_two, product_ensemble
 from .optics import (
@@ -417,6 +426,25 @@ def _port_classes(rule: AcceptanceRule, m: int) -> tuple[tuple[int, ...], tuple[
     return tuple(q for q in accepted if not q.bit_count() & 1), tuple(q for q in accepted if q.bit_count() & 1)
 
 
+@lru_cache(maxsize=32)
+def _partition(
+    rule: AcceptanceRule, m: int, parity: int, zq: int, flips: tuple[int, ...]
+) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The ports of one parity class grouped by (zq.q, F(q)): ((zq.q, F(q), its ports ascending), ...).
+
+    ``flips`` holds F(q) for each port of the class, in class order. The
+    key is every input the split reads: the class's ports, through (rule,
+    m, parity), zq and the flips; the gate enters only through zq and the
+    parity. So a hit is the split itself, and it lives for the process,
+    shared read-only: the frame step hands _execute the same port tuples
+    run after run.
+    """
+    grouped: dict[tuple[int, int], list[int]] = {}
+    for q, flip in zip(_port_classes(rule, m)[parity], flips):
+        grouped.setdefault(((zq & q).bit_count() & 1, flip), []).append(q)
+    return tuple((odd, flip, tuple(qs)) for (odd, flip), qs in grouped.items())
+
+
 # (m, gate, q0, F(q0), _ghz_frame(M0)) -> _column_split(...)(M0, q0), for the
 # life of the process; emptied when it holds 256 columns, so that it stays bounded
 _COLUMNS: dict[tuple, tuple[float, tuple[tuple[int, float], ...]]] = {}
@@ -457,8 +485,8 @@ def _relabelled_dense_split(
     out_M[q](o) = (-1)^(c ^ c0 ^ (xo0 ^ F(q0)).d ^ zq0.q0 ^ zq.q
     ^ (xo ^ xo0 ^ F(q0) ^ F(q)).o) B(o ^ d), with d = zo ^ zo0, at B's
     probability. Its ports fall into one group, and one state, per
-    (zq.q, F(q)). The run partitions a class's ports by that key once
-    for each zq it meets, since the plan is the run's own.
+    (zq.q, F(q)): _partition, keyed on the class, zq and the class's flip
+    masks, which a run reads off its plan once per (zq, class).
 
     This is exact. A butterfly on a Pauli image of its input gives the same
     floats, moved or negated, since c x + c y = c y + c x and
@@ -475,8 +503,7 @@ def _relabelled_dense_split(
     dense: Callable[[PureState], Split] | None = None  # built for the first member off the frame
     # magnitude a -> (c0 ^ zq0.q0, zo0, xo0 ^ F(q0), probability, B) of its first live member M0
     bases: dict[float, tuple[int, int, int, float, dict[int, float]]] = {}
-    # (zq, port parity) -> [(zq.q, F(q), its ports ascending)] of that class
-    partitions: dict[tuple[int, int], list[tuple[int, int, tuple[int, ...]]]] = {}
+    partitions: dict[tuple[int, int], tuple[tuple[int, int, tuple[int, ...]], ...]] = {}  # (zq, parity) -> _partition
 
     def split(member: PureState) -> Split:
         nonlocal dense
@@ -503,10 +530,8 @@ def _relabelled_dense_split(
         sign = c ^ c0 ^ (x0 & d).bit_count() & 1
         shifted = [(o, closed[o ^ d]) for o in sorted(o ^ d for o in closed)]  # (o, B(o ^ d)), o ascending
         if (groups := partitions.get(zq_class := (zq, parity))) is None:
-            grouped: dict[tuple[int, int], list[int]] = {}  # (zq.q, F(q)) -> its ports, ascending
-            for q in ports:
-                grouped.setdefault(((zq & q).bit_count() & 1, plan.get(q, 0)), []).append(q)
-            groups = partitions[zq_class] = [(odd, flip, tuple(qs)) for (odd, flip), qs in grouped.items()]
+            flips = tuple(map(plan.get, ports, repeat(0)))
+            groups = partitions[zq_class] = _partition(rule, m, parity, zq, flips)
         out: Split = []
         for odd, flip, qs in groups:
             s, x = sign ^ odd, xo ^ x0 ^ flip
@@ -517,6 +542,44 @@ def _relabelled_dense_split(
     return split
 
 
+@lru_cache(maxsize=32)
+def _patterns(m: int, ports: tuple[int, ...]) -> tuple[Pattern, ...]:
+    """Each port's Pattern (states.bits) for a cell of several ports: built once per process, shared read-only.
+
+    Only the frame step gives a group, and so a cell, more than one port;
+    the sparse and dense steps' one-port cells are spelled out per run,
+    so that no cache holds their ports.
+    """
+    return tuple(map(bits, repeat(m), ports))
+
+
+Cell = list[tuple[int, float, PureState]]  # (member index, weight, state) entries, in member order
+_WEIGHT, _PATTERN_OUTCOME = itemgetter(1), itemgetter(1, 2)
+
+
+def _cells(groups: dict[tuple[int, ...], Cell]) -> Iterable[tuple[tuple[int, ...], Cell]]:
+    """(its ports, its entries) for each cell: the ports held by one set of port tuples.
+
+    Where no port is in two tuples, each tuple is a cell: so with one
+    tuple, or with the distinct one-port tuples of the sparse and dense
+    steps, which the first two tests take without a set. Else each port
+    gets, at C level, the positions of the tuples that hold it, and ports
+    with the same positions form one cell, whose entries are those of its
+    tuples put back in member order: a member's groups hold disjoint ports,
+    so no two entries of one cell share a member index.
+    """
+    if len(groups) == 1 or max(map(len, groups)) == 1 or sum(map(len, groups)) == len(set().union(*groups)):
+        return groups.items()
+    held_by: dict[int, tuple[int, ...]] = {}  # port -> positions of the tuples that hold it, ascending
+    for i, ports in enumerate(groups):
+        held_by.update(zip(ports, map(add, map(held_by.get, ports, repeat(())), repeat((i,)))))
+    lists = list(groups.values())
+    return [
+        (tuple(ports), sorted(chain.from_iterable(map(lists.__getitem__, cell))))
+        for cell, ports in groupby(sorted(held_by, key=held_by.__getitem__), held_by.__getitem__)
+    ]
+
+
 def _execute(
     ensemble: Ensemble,
     rule: AcceptanceRule,
@@ -525,17 +588,22 @@ def _execute(
     hadamard_first: bool,
     gate_table: GateTable | None,
 ) -> ProtocolResult:
-    """One run: each member's step, then per distinct accepted outcome its conditional ensemble and fidelity.
+    """One run: each member's step, then per cell of accepted ports one conditional ensemble and fidelity.
 
-    A Hadamard run steps through _relabelled_dense_split, whose columns
-    live for the process and whose result is, bit for bit, the one
-    per-member dense steps give; the other modes step through
-    _split_by_pattern. Each step takes the masks of the table and its
-    inverse, read here once. A port group gives one (weight, state) entry,
-    the same object in each of its ports' buckets; a port's signature is
-    its entries' identities, which stay alive, and so unique, for the run.
-    Ports with one signature share the PatternOutcome the first builds, and
-    each still adds its own probability x fidelity to the output fidelity.
+    A Hadamard run steps through _relabelled_dense_split, whose result is,
+    bit for bit, the one per-member dense steps give; the other modes step
+    through _split_by_pattern. Each step takes the masks of the table and
+    its inverse, read here once, and returns port groups. Each distinct
+    ports tuple holds the entries of its groups once, in member order, and
+    a port's cell is the set of tuples that hold it (_cells). A cell's
+    entries are, in order, the bucket each of its ports had in the former
+    per-port loop (tests/helpers.py's per_port_execute), so the cell builds
+    that loop's PatternOutcome once for all its ports. Both sums are fsum
+    over the multiset that loop summed: each port's bucket weights for the
+    accepted mass, and each port's probability x fidelity for the output
+    fidelity, so each cell adds its weights and its product once per port.
+    fsum is exactly rounded, so neither the grouping nor the order moves a
+    bit.
     """
     if ensemble.dofs != (POL, SPATIAL):
         raise ValueError(f"protocol input must carry (pol, spatial) labels, got {ensemble.dofs}")
@@ -548,33 +616,38 @@ def _execute(
     table = GATE_TABLE if gate_table is None else gate_table
     gate = (check_table(table, m), check_table({out: row for row, out in table.items()}, m))
     step = (_relabelled_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, gate)
-    buckets: dict[int, list[tuple[float, PureState]]] = {}  # port register -> entries
-    for weight, member in ensemble.members:
+    groups: dict[tuple[int, ...], Cell] = {}  # ports tuple -> the entries of the groups that hold it
+    for k, (weight, member) in enumerate(ensemble.members):
         for cond_prob, cond_state, ports in step(member):
             if (w := weight * cond_prob) > 0.0:  # an underflowed product carries nothing
-                entry = (w, cond_state)
-                for port in ports:
-                    buckets.setdefault(port, []).append(entry)
-
-    accepted_mass = math.fsum(w for entries in buckets.values() for w, _ in entries)
-    if accepted_mass <= 0.0:
+                groups.setdefault(ports, []).append((k, w, cond_state))
+    if not groups:  # else the accepted mass is a sum of positive weights
         raise ValueError("no accepted port pattern carries probability; fidelity undefined")
 
-    accepted: dict[Pattern, PatternOutcome] = {}
-    outcomes: dict[tuple[int, ...], PatternOutcome] = {}  # port signature -> its outcome
-    # numeric order of m-bit registers is the order of their MSB-first bit tuples
-    for port, entries in sorted(buckets.items()):
-        if (outcome := outcomes.get(signature := tuple(map(id, entries)))) is None:
-            pattern_prob = math.fsum(w for w, _ in entries)
-            cond_ensemble = Ensemble._derived(tuple((w / pattern_prob, s) for w, s in entries))
-            outcome = outcomes[signature] = PatternOutcome(pattern_prob, cond_ensemble, fidelity(cond_ensemble, target))
-        accepted[bits(m, port)] = outcome
+    accepted: list[tuple[int, Pattern, PatternOutcome]] = []  # (port, its Pattern, its cell's outcome)
+    mass: list[float] = []  # each cell's weights, once for each of its ports
+    weighted: list[float] = []  # each cell's probability x fidelity, once for each of its ports
+    for ports, cell in _cells(groups):
+        weights = list(map(_WEIGHT, cell))
+        pattern_prob = math.fsum(weights)
+        cond_ensemble = Ensemble._derived(tuple((w / pattern_prob, s) for _, w, s in cell))
+        outcome = PatternOutcome(pattern_prob, cond_ensemble, fidelity(cond_ensemble, target))
+        if len(ports) == 1:  # the sparse and dense steps' cells, spelled out here and cached nowhere
+            accepted.append((ports[0], bits(m, ports[0]), outcome))
+            mass += weights
+            weighted.append(pattern_prob * outcome.fidelity)
+        else:
+            accepted += zip(ports, _patterns(m, ports), repeat(outcome))
+            mass += weights * len(ports)
+            weighted += [pattern_prob * outcome.fidelity] * len(ports)
+    accepted.sort()  # numeric order of m-bit registers is the order of their MSB-first bit tuples
+    accepted_mass = math.fsum(mass)
 
     return ProtocolResult(
-        accepted=accepted,
+        accepted=dict(map(_PATTERN_OUTCOME, accepted)),
         success_probability=accepted_mass,
         rejected_probability=1.0 - accepted_mass,
-        output_fidelity=math.fsum(o.probability * o.fidelity for o in accepted.values()) / accepted_mass,
+        output_fidelity=math.fsum(weighted) / accepted_mass,
     )
 
 

@@ -10,7 +10,7 @@ its faster ones, and `walsh_pair_reference` the butterfly whose rows
 `optics.check_table`'s masks to registers or index grids, `gate_masks`
 builds the masks a run hands its step, and `per_port_execute` keeps
 `protocol._execute`'s former per-port loop as the reference for the
-outcomes it now builds once per distinct port. `clear_caches` empties
+outcomes it now builds once per cell of ports. `clear_caches` empties
 what `protocol` keeps for the life of the process, so that a test can run
 cold. Label literals are written
 photon by photon, one tuple of bits per photon, and turned into the
@@ -84,7 +84,8 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
     """protocol._execute with a conditional ensemble and a fidelity built for every accepted port, none shared.
 
     The step factories are looked up on protocol at call time, so a step
-    patched there runs here too; the buckets and every fsum are _execute's.
+    patched there runs here too. Every port's bucket holds its entries in
+    member order, and every fsum visits each port's own terms.
     """
     m = ensemble.m
     target = make_ghz_pol(m, 0, +1) if target is None else target
@@ -107,8 +108,11 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
 
 
 def clear_caches() -> None:
-    """Empty protocol's process-lifetime caches: the port tables, the parity vectors and the column memo."""
-    for cached in (protocol.AcceptanceRule.ports, protocol.phaseflip_plan, protocol._port_classes, protocol._parity):
+    """Empty protocol's process-lifetime caches: the port tables, partitions, pattern tuples, parity vectors and column memo."""
+    for cached in (
+        protocol.AcceptanceRule.ports, protocol.phaseflip_plan, protocol._port_classes, protocol._partition,
+        protocol._patterns, protocol._parity,
+    ):
         cached.cache_clear()
     protocol._COLUMNS.clear()
 

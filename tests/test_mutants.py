@@ -15,10 +15,11 @@ per-port loop, and the efficiency ratio against its formula and
 criterion 7 (R P2 = P1). A mutant is caught when a detector's check fails
 or raises. A mutant target is a module function or a ``Class.method``,
 which is installed on the class. protocol's process-lifetime caches (the
-port tables and the column memo) are emptied before a mutant is
-installed and after it is removed: a warm memo would hand a mutant of the
-column step the package's columns, and one the mutant filled would
-outlive it.
+port tables, the partitions, the pattern tuples and the column memo) are
+emptied before a mutant is installed and after it is removed: a warm memo
+would hand a mutant of the column step the package's columns, a warm
+partition a mutant of the partition the package's groups, and one the
+mutant filled would outlive it.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
@@ -89,17 +90,8 @@ where the first member is of the class of port 0: the repr detector's
 first member is of the other class, which its accept-all runs keep.
 Dropping the (xo ^ xo0 ^ F(q0) ^ F(q)).o sign moves every fidelity.
 
-The next two break the key under which _execute builds one outcome for
-every port with the same entries, the identities of the (weight, state)
-objects it makes one per step group. The engine's steps share a state only
-between ports of one group, which all carry one probability, so keying on
-the states alone changes no run of theirs: only the shared-states
-detector, a patched step that puts one state on two ports at two
-probabilities, catches it. Keying on the first entry alone gives a port
-the outcome of another whose later entries differ; the shared-states and
-repr detectors catch it.
-
-The last three break the port groups. A group that drops its last port
+The last three break the port groups, which _partition builds once per
+class, zq and flip masks. A group that drops its last port
 loses that port's probability, which every detector but the cheapest
 sees. Reading the flip mask of the class's first port for every port
 changes nothing where every port has one flip mask, as in every mode's
@@ -127,6 +119,17 @@ photon the column of the empty plan. The first two only the warm-column
 detector sees, the third the repr detector. Partitioning a class's ports
 once per class, not once per (zq, class), gives a member the sign
 groups of another with a different zq; the repr detector catches it.
+
+The last five break _execute's cells. A port's cell keyed on the first
+tuple that holds it merges ports whose later tuples differ; entries of a
+cell of two tuples left in tuple order, not member order, reorder its
+conditional ensemble; and every tuple taken as its own cell, overlap or
+not, spells a port out twice. The shared-states detector, whose third
+member interleaves one tuple's entries with another's, and the repr
+detector, whose members reach overlapping port groups, catch all three.
+A cell's weights added once, not once per port, to the accepted mass,
+and its probability x fidelity once to the output fidelity, move every
+phase-flip figure.
 
 Two mutants survive every detector and are not listed. ``sum`` in place
 of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
@@ -191,27 +194,33 @@ MUTANTS = [
     ("port-offset", oracle, "_port_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
     ("parity-offset", protocol, "_relabelled_dense_split", "(xq ^ c2)", "xq"),
     ("parity-flipped", protocol, "_relabelled_dense_split", "if not (ports :=", "if (ports :="),
-    ("column-sign", protocol, "_relabelled_dense_split", "((zq & q).bit_count() & 1, plan", "(0, plan"),
+    ("column-sign", protocol, "_partition", "((zq & q).bit_count() & 1, flip)", "(0, flip)"),
     ("column-first-port", protocol, "_relabelled_dense_split", "q0 = ports[0]", "q0 = 0"),
     ("column-flip-sign", protocol, "_relabelled_dense_split", "s ^ (x & o).bit_count() & 1", "s"),
     ("column-scale", protocol, "_column_split", "column *= prob**-0.5", "column *= prob**-0.5 * (1 + 1e-9)"),
     ("column-pair-columns", protocol, "_column_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
     ("column-closing-hadamard", protocol, "_column_split", "walsh_hadamard(closed, m)", "None"),
     ("column-flips", protocol, "_column_split", "column[grid ^ plan.get(q0, 0)]", "column[grid]"),
-    ("signature-weight", protocol, "_execute", "tuple(map(id, entries))", "tuple(id(s) for _, s in entries)"),
-    ("signature-first", protocol, "_execute", "tuple(map(id, entries))", "tuple(map(id, entries[:1]))"),
-    ("group-last-port", protocol, "_relabelled_dense_split", "tuple(qs))", "tuple(qs[:-1]))"),
-    ("relabel-first-flip", protocol, "_relabelled_dense_split", "plan.get(q, 0)", "plan.get(ports[0], 0)"),
+    ("group-last-port", protocol, "_partition", "tuple(qs))", "tuple(qs[:-1]))"),
+    ("relabel-first-flip", protocol, "_relabelled_dense_split", "tuple(map(plan.get, ports, repeat(0)))",
+     "(plan.get(ports[0], 0),) * len(ports)"),
     ("bits-slice", states, "bits", "out[8 * size - m :]", "out[8 * size - m + 1 :]"),
     ("base-port-sign", protocol, "_relabelled_dense_split", "c ^ (zq & q0).bit_count() & 1, zo", "c, zo"),
     ("base-shift-sign", protocol, "_relabelled_dense_split", "c ^ c0 ^ (x0 & d).bit_count() & 1", "c ^ c0"),
     ("base-shift", protocol, "_relabelled_dense_split", "d = zo ^ zo0\n", "d = 0\n"),
-    ("group-flip", protocol, "_relabelled_dense_split", ", plan.get(q, 0)), [])", ", 0), [])"),
+    ("group-flip", protocol, "_partition", ", flip), [])", ", 0), [])"),
     ("memo-gate", protocol, "_relabelled_dense_split", "(m, gate, q0, plan.get(q0, 0), parts)",
      "(m, q0, plan.get(q0, 0), parts)"),
     ("memo-flip", protocol, "_relabelled_dense_split", "(m, gate, q0, plan.get(q0, 0), parts)", "(m, gate, q0, parts)"),
     ("memo-magnitude", protocol, "_relabelled_dense_split", "plan.get(q0, 0), parts)", "plan.get(q0, 0), parts[1:])"),
     ("partition-zq", protocol, "_relabelled_dense_split", "zq_class := (zq, parity)", "zq_class := parity"),
+    ("cell-first-group", protocol, "_cells", "map(add, map(held_by.get, ports, repeat(())), repeat((i,)))",
+     "map(held_by.get, ports, repeat((i,)))"),
+    ("cell-order", protocol, "_cells", "sorted(chain.from_iterable(", "list(chain.from_iterable("),
+    ("cell-overlap", protocol, "_cells", "if len(groups) == 1 or", "if True or"),
+    ("mass-once", protocol, "_execute", "mass += weights * len(ports)", "mass += weights"),
+    ("fidelity-once", protocol, "_execute", "[pattern_prob * outcome.fidelity] * len(ports)",
+     "[pattern_prob * outcome.fidelity]"),
 ]
 
 
@@ -301,15 +310,18 @@ def warm_columns(tmp_path):
 
 def shared_port_states(tmp_path):
     # the engine's steps share a state only between ports of one member, at one probability: this step
-    # shares one between ports 0 and 3 at two, and gives ports 5 and 6 the same first entry and different second
+    # shares one between ports 0 and 3 at two, and gives ports 5 and 6 the same first entry and different
+    # second; the third member puts a later entry on the tuple (5, 6), so the cells of ports 5 and 6 each
+    # merge two tuples whose entries interleave in member order
     m = 3
-    first, second = (tensor_hyper(make_ghz_pol(m, i), make_ghz_spatial(m, i)) for i in (0, 1))
+    first, second, third = (tensor_hyper(make_ghz_pol(m, i), make_ghz_spatial(m, i)) for i in (0, 1, 2))
     shared, a, b, c = (make_ghz_pol(m, i) for i in range(4))
     splits = {
         id(first): [(0.2, shared, (0,)), (0.3, shared, (3,)), (0.25, c, (5, 6))],
         id(second): [(0.5, a, (5,)), (0.5, b, (6,))],
+        id(third): [(0.4, b, (5, 6))],
     }
-    ensemble, rule = Ensemble(((0.5, first), (0.5, second))), protocol.AcceptanceRule("general")
+    ensemble, rule = Ensemble(((0.4, first), (0.4, second), (0.2, third))), protocol.AcceptanceRule("general")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_split_by_pattern", lambda *args: lambda member: splits[id(member)])
         expected = repr(per_port_execute(ensemble, rule, {}))

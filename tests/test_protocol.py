@@ -750,7 +750,7 @@ def test_accept_all_pair_input_shares_one_column_across_port_classes(cold, monke
 
 
 def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
-    """A run builds one conditional ensemble and fidelity per distinct port signature, and the per-port loop's repr.
+    """A run builds one conditional ensemble and fidelity per cell of ports, and the per-port loop's repr.
 
     On the benchmark's pair input every one of the 128 accepted ports at
     m = 8 holds the same (weight, state) entries, so protocol.fidelity runs
@@ -776,6 +776,86 @@ def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
     for ensemble in (mixed, pair):
         expected = per_port_execute(ensemble, mode.rule, mode.plan(ensemble), None, True)
         assert_same_text(repr(mode.run(ensemble)), repr(expected))
+
+
+def port_tuples_overlap(ensemble, rule, plan, table):
+    """Whether two distinct port tuples of a Hadamard run's live groups share a port, so that its cells differ from its tuples."""
+    m = ensemble.m
+    step = _relabelled_dense_split(m, rule, plan, gate_masks(table, m))
+    tuples = {ports for weight, member in ensemble.members for prob, _, ports in step(member) if weight * prob > 0.0}
+    return sum(map(len, tuples)) > len(set().union(*tuples))
+
+
+@pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
+def test_cells_print_what_the_per_port_loop_prints(table):
+    """Every Hadamard run prints the repr of tests/helpers.py's per_port_execute, one outcome built per port.
+
+    The runs: the pair input at m = 2..10; GHZ x GHZ ensembles at random
+    indices and signs, so that members of different zq split a class's
+    ports differently and cells differ from port tuples, under the
+    phase-flip rule and plan, and under accept-all with an empty plan and
+    with a plan that flips the last photon on odd ports; members at
+    weights 5e-324 (times a port probability of 1/2 or less, it rounds
+    to 0 and the group drops out) and 1e-300; and a
+    complex and an off-product member in one run with frame members, so
+    that one-port groups of the dense step meet the frame step's groups.
+    """
+    rng, runs = random.Random(31), []
+    phaseflip, accept_all = AcceptanceRule("phaseflip"), AcceptanceRule("general")
+    for m in range(2, 11):
+        runs.append((MODES["phaseflip"].verify_input(m, 0.8, 0.7), phaseflip, phaseflip_plan(m)))
+    for m in range(2, 8):
+        for _ in range(3):
+            ensemble = ghz_product_ensemble(m, rng)
+            runs.append((ensemble, phaseflip, phaseflip_plan(m)))
+            runs.append((ensemble, accept_all, {}))
+            runs.append((ensemble, accept_all, {q: q & 1 for q in range(1 << m)}))
+    m = 4
+    frame = [s for _, s in ghz_product_ensemble(m, rng).members]
+    members = mixed_members()
+    for weights in ((1.0, 5e-324, 1e-300), (1e-300, 1.0, 5e-324)):
+        tiny = Ensemble(tuple(zip(weights, (members[0], frame[0], members[3]))))
+        runs.append((tiny, phaseflip, phaseflip_plan(m)))
+        runs.append((tiny, accept_all, {}))
+    meeting = Ensemble(tuple((1 / (len(frame) + 2), s) for s in [*frame, members[2], members[4]]))
+    runs.append((meeting, phaseflip, phaseflip_plan(m)))
+    runs.append((meeting, accept_all, {q: q & 1 for q in range(1 << m)}))
+    overlapping = 0
+    for ensemble, rule, plan in runs:
+        try:
+            printed = repr(protocol._execute(ensemble, rule, plan, None, True, table))
+        except ValueError as exc:  # nothing accepted, which the per-port loop does not check
+            assert "no accepted" in str(exc)
+            continue
+        assert_same_text(printed, repr(per_port_execute(ensemble, rule, plan, None, True, table)))
+        overlapping += port_tuples_overlap(ensemble, rule, plan, table)
+    assert overlapping >= 10
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_warm_pair_solve_builds_one_outcome_per_cell(m, monkeypatch):
+    """A warm phase-flip solve of the pair input builds its one cell's outcome once and spells out no pattern.
+
+    Its two live members share one port tuple, every accepted port, so the
+    run has one cell: protocol.fidelity runs once, every port holds the
+    one outcome, and the Pattern tuples come from the first run's
+    _patterns, with no states.bits call.
+    """
+    mode, pair = MODES["phaseflip"], MODES["phaseflip"].verify_input(m, 0.8, 0.7)
+    cold = repr(mode.run(pair))
+    calls = {"fidelity": 0, "bits": 0}
+    for name in calls:
+        original = getattr(protocol, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(protocol, name, counted)
+    result = mode.run(pair)
+    assert calls == {"fidelity": 1, "bits": 0}
+    assert len(result.accepted) == 1 << (m - 1) and len({id(o) for o in result.accepted.values()}) == 1
+    assert_same_text(repr(result), cold)
 
 
 def test_warm_runs_print_what_cold_runs_print():
@@ -836,22 +916,87 @@ def test_column_memo_stays_bounded():
 
 
 def test_shared_port_tables_are_read_only():
-    """The plan, port tuples and parity vector a run shares with later runs refuse every write, and a later run is unchanged."""
+    """The plan, port tuples, partition, patterns and parity vector a run shares with later runs refuse every write, and a later run is unchanged."""
     m, rule = 4, AcceptanceRule("phaseflip")
     ensemble = phaseflip_input(m, 0.8, 0.7)
     clear_caches()
     before = repr(MODES["phaseflip"].run(ensemble))
     plan, ports, classes = phaseflip_plan(m), rule.ports(m), protocol._port_classes(rule, m)
+    # the pair input's live members have zq = 0 and reach the even class, every port with one flip mask
+    partition = protocol._partition(rule, m, 0, 0, (15,) * len(classes[0]))
+    assert protocol._partition.cache_info().hits == 1 and partition == ((0, 15, classes[0]),)
+    patterns = protocol._patterns(m, classes[0])
+    assert protocol._patterns.cache_info().hits == 1 and patterns == tuple(bits(m, q) for q in classes[0])
     with pytest.raises(TypeError):
         plan[0] = 0
     with pytest.raises(TypeError):
         ports[0] = 1
     with pytest.raises(TypeError):
         classes[0][0] = 1
+    with pytest.raises(TypeError):
+        partition[0] = partition[0]
+    with pytest.raises(TypeError):
+        partition[0][2][0] = 1
+    with pytest.raises(TypeError):
+        patterns[0] = patterns[1]
+    with pytest.raises(TypeError):
+        patterns[0][0] = 1
     with pytest.raises(ValueError):
         protocol._parity(m)[0] = 1
     assert phaseflip_plan(m) is plan and rule.ports(m) is ports and AcceptanceRule("phaseflip").ports(m) is ports
     assert_same_text(repr(MODES["phaseflip"].run(ensemble)), before)
+
+
+def test_partition_and_pattern_tables_stay_bounded():
+    """The partitions and pattern tuples hold at most their lru bound, and runs past it still print their cold repr.
+
+    Accept-all runs at m = 5 and 6, one GHZ x GHZ member each at every
+    pol index e and spatial index 7e, on the gate and the faulted table,
+    meet more (m, zq, class) keys, and more distinct port tuples, than
+    either cache holds.
+    """
+    clear_caches()
+    rule, runs, warm, sizes = AcceptanceRule("general"), [], [], []
+    for m in (5, 6):
+        top = 1 << (m - 1)
+        for e, table in itertools.product(range(top), (GATE_TABLE, FAULTED_TABLE)):
+            member = tensor_hyper(make_ghz_pol(m, e), make_ghz_spatial(m, 7 * e % top, -1))
+            runs.append((Ensemble(((1.0, member),)), table))
+    for ensemble, table in runs:
+        warm.append(repr(protocol._execute(ensemble, rule, {}, None, True, table)))
+        sizes.append(max(protocol._partition.cache_info().currsize, protocol._patterns.cache_info().currsize))
+    for cached in (protocol._partition, protocol._patterns):
+        info = cached.cache_info()
+        assert info.misses > info.maxsize == info.currsize == 32
+    assert max(sizes) == 32
+    for (ensemble, table), text in list(zip(runs, warm))[::7]:
+        clear_caches()
+        assert_same_text(repr(protocol._execute(ensemble, rule, {}, None, True, table)), text)
+    clear_caches()
+
+
+def test_clear_caches_empties_every_process_table():
+    """tests/helpers.py's clear_caches empties every lru cache and every _UPPER dict table of protocol.
+
+    Each table is found by looking, not by name: every lru-cached function
+    or method that protocol defines, and every dict bound to a private
+    upper-case module name. A cold pair-input run at m = 4, once under the
+    phase-flip rule and once under accept-all, fills each of them, so a
+    table that clear_caches misses stays non-empty here.
+    """
+    defined = [obj for obj in vars(protocol).values() if getattr(obj, "__module__", None) == protocol.__name__]
+    cached = [obj for obj in defined if hasattr(obj, "cache_clear")]
+    for cls in [obj for obj in defined if isinstance(obj, type)]:
+        cached += [obj for obj in vars(cls).values() if hasattr(obj, "cache_clear")]
+    tables = [obj for name, obj in vars(protocol).items() if name[:1] == "_" and name.isupper() and type(obj) is dict]
+    assert len(cached) >= 6 and tables
+    clear_caches()
+    pair = phaseflip_input(4, 0.8, 0.7)
+    MODES["phaseflip"].run(pair)
+    protocol._execute(pair, AcceptanceRule("general"), {}, None, True, None)
+    assert all(f.cache_info().currsize for f in cached) and all(tables)
+    clear_caches()
+    assert [f for f in cached if f.cache_info().currsize] == [] and not any(tables)
 
 
 def sparse_per_port(member, m, rule, plan, table):
