@@ -8,13 +8,14 @@ plates, displacers) as matrix stages, deliberately not from the routing
 table the engine uses, so the two implementations share no construction
 path.
 
-No operator on the whole joint space is ever multiplied, nor built for a
-run. A Hadamard layer is a product of identical 4x4 per-photon factors, so
-conjugating by it is 2m matmuls on rho reshaped to (4,)*2m, one per ket
-and bra axis. The network unitary is a permutation, read off the
-single-photon element chain and combined photon by photon, so each
-accepted port's block of the conjugated operator is read straight from
-rho through that gather index; no full permuted copy is made.
+No operator on the whole joint space is ever multiplied, and a run builds
+none but densify's. The network unitary is a permutation read off the
+single-photon element chain, so a port's block sits on rows of the
+Hadamard-conjugated operator, and a Hadamard layer's entry is a product
+of one 4x4 factor entry per photon digit. So each block is read from rho
+on its support alone (at most 16 indices on verify's GHZ-product inputs)
+through the layer's entries on those rows and columns; a mode without
+Hadamard layers takes the identity factor.
 
 oracle_run takes the protocol Mode: its Hadamard flag picks the layers
 and the closing Hadamard of each correction, its acceptance rule the
@@ -25,7 +26,7 @@ densify returns float64 when every member amplitude is real (every GHZ
 mixture with +-1 signs), complex128 otherwise; with a real operator and
 target, every step of oracle_run stays in float64.
 
-Capacity is capped at 5 photons (dimension 1024); this module exists for
+Capacity is capped at 6 photons (dimension 4096); this module exists for
 cross-validation, not performance.
 """
 
@@ -41,7 +42,7 @@ from .states import Ensemble, PureState, bits, make_ghz_pol
 if TYPE_CHECKING:
     import numpy as np
 
-ORACLE_MAX_PHOTONS = 5
+ORACLE_MAX_PHOTONS = 6
 
 
 def _check_capacity(m: int) -> None:
@@ -62,19 +63,13 @@ def _indices(m: int, *registers):
     return idx
 
 
-def _support(states: Sequence[PureState]) -> list[tuple[list[int], np.ndarray]]:
-    """Dense-basis indices and amplitudes of each PureState, every index from one _indices call."""
+def _support(states: Sequence[PureState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term's dense-basis index and amplitude, state after state, and each state's term count."""
     import numpy as np
 
     registers = np.array([label for s in states for label in s.terms], dtype=np.intp).T
-    indices = _indices(states[0].m, *registers).tolist()
     amps = np.array([a for s in states for a in s.terms.values()], dtype=complex)
-    out, start = [], 0
-    for s in states:
-        end = start + len(s.terms)
-        out.append((indices[start:end], amps[start:end]))
-        start = end
-    return out
+    return _indices(states[0].m, *registers), amps, np.array([len(s.terms) for s in states])
 
 
 def state_vector(state: PureState) -> np.ndarray:
@@ -82,28 +77,32 @@ def state_vector(state: PureState) -> np.ndarray:
     import numpy as np
 
     vec = np.zeros(2 ** (len(state.dofs) * state.m), dtype=complex)
-    ((idx, amp),) = _support([state])
+    idx, amp, _ = _support([state])
     vec[idx] = amp
     return vec
 
 
 def densify(ensemble: Ensemble) -> np.ndarray:
-    """Density operator sum_k p_k |k><k| of an ensemble, written on each member's support.
+    """Density operator sum_k p_k |k><k| of an ensemble, every member's support written in one scatter.
 
-    float64 when every member amplitude has a zero imaginary part, else complex128.
+    Each pair of a member's terms is one flat index, members in order; np.add.at adds in index order, so
+    an entry that members share sums member by member. float64 when every amplitude is real, else complex128.
     """
     import numpy as np
 
     _check_capacity(ensemble.m)
     first = ensemble.members[0][1]
     dim = 2 ** (len(first.dofs) * first.m)
-    supports = _support([s for _, s in ensemble.members])
-    real = not any(amp.imag.any() for _, amp in supports)
-    rho = np.zeros((dim, dim), dtype=float if real else complex)
-    for (p, _), (idx, amp) in zip(ensemble.members, supports):
-        if real:
-            amp = amp.real
-        rho[np.ix_(idx, idx)] += p * np.outer(amp, amp.conj())
+    idx, amp, counts = _support([s for _, s in ensemble.members])
+    if not amp.imag.any():
+        amp = amp.real
+    sizes = counts * counts
+    start, n = (np.repeat(a, sizes) for a in (np.cumsum(counts) - counts, counts))
+    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # pair number within its member
+    row, col = start + k // n, start + k % n
+    weights = np.repeat([p for p, _ in ensemble.members], sizes)
+    rho = np.zeros((dim, dim), dtype=amp.dtype)
+    np.add.at(rho.reshape(-1), idx[row] * dim + idx[col], weights * (amp[row] * amp[col].conj()))
     return rho
 
 
@@ -194,35 +193,32 @@ def _network_source(m: int) -> np.ndarray:
     return src
 
 
-def _contract_per_photon(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:
-    """L rho L^dagger for L = factor^(x m): one matmul per axis of rho reshaped to (4,)*2m.
+def _layer_entries(factor: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """L[rows, cols] for L = factor^(x m), without building L; rows and cols broadcast as rows[..., None] and cols.
 
-    Each step applies the factor (conjugated on bra axes) to the leading
-    axis and appends the result as the last axis, ket axes first. After 2m
-    steps every axis has been transformed once and the axes are back in
-    order.
+    L[r, s] is the product over photons k of factor[r_k, s_k], r_k and s_k the radix-4 photon digits
+    (photon 0 most significant); every photon has the same factor, so they are read low digit first.
     """
-    t = rho
-    for f in [factor] * m + [factor.conj()] * m:
-        t = t.reshape(4, -1).T @ f.T
-    return t.reshape(rho.shape)
+    rows = rows[..., None]
+    out = 1.0
+    for shift in range(0, 2 * m, 2):
+        out = out * factor[rows >> shift & 3, cols >> shift & 3]
+    return out
 
 
-def _port_blocks(rho: np.ndarray, m: int, ports: list[int]):
-    """Yield (port, (U rho U^dagger)[idx, idx]) for each port register, U the network permutation.
+def _blocks(dense: np.ndarray, m: int, factor: np.ndarray, ports: list[int]) -> np.ndarray:
+    """Each port's block [port, pol, pol] of U L dense L^dagger U^dagger, U the network permutation, L = factor^(x m).
 
-    idx lists the port's 2^m basis states, one per polarization register,
-    all ports' lists in one _indices call. Row i of U
-    has its 1 in column src[i], so the block is rho[src[idx], src[idx]],
-    read without a permuted copy of rho.
+    Row i of U has its 1 in column src[i], so a port's block is rows R = src[idx] of L dense L^dagger, idx its
+    2^m basis states, read as L[R, S] dense[S, S] L[R, S]^dagger over the support S of dense (every index whose
+    row or column holds a nonzero): one batched product for all ports, and no operator-sized array.
     """
     import numpy as np
 
-    src = _network_source(m)
-    indices = _indices(m, np.arange(1 << m), np.array(ports, dtype=np.intp)[:, None])  # [port, pol]
-    for port, idx in zip(ports, indices):
-        rows = src[idx]
-        yield port, rho[np.ix_(rows, rows)]
+    rows = _network_source(m)[_indices(m, np.arange(1 << m), np.array(ports, dtype=np.intp)[:, None])]
+    support = np.flatnonzero(dense.any(axis=0) | dense.any(axis=1))
+    layer = _layer_entries(factor, m, rows, support)  # [port, pol, support]
+    return layer @ dense[np.ix_(support, support)] @ layer.conj().swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -244,10 +240,9 @@ def oracle_run(
 ) -> OracleResult:
     """Run a protocol mode on a dense joint-state density operator.
 
-    Conjugates by the Hadamard layers where ``mode.hadamard`` is set (2m
-    per-photon matmuls), then, for each port accepted by ``mode.rule``,
-    reads that port's block of the network-conjugated operator through the
-    network gather index (``_port_blocks``), with no permuted copy of rho.
+    Each port accepted by ``mode.rule`` gets its block of U W rho W^dagger
+    U^dagger from ``_blocks``, U the network permutation and W the
+    Hadamard layer where ``mode.hadamard`` is set, the identity otherwise.
     The port's correction is C = H^(x m) X^mask in a Hadamard mode, else
     X^mask, with the port's flip mask from ``corrections`` (0 if absent),
     which must be an m-bit register as run_general requires.
@@ -268,16 +263,14 @@ def oracle_run(
     if dense.dtype == np.float64 and not tvec.imag.any():
         tvec = tvec.real  # a real operator and target: every product below stays real
 
-    rho = dense
-    if mode.hadamard:
-        rho = _contract_per_photon(rho, hadamard_both_unitary(1), m)
     accepted = mode.rule.ports(m)
+    blocks = _blocks(dense, m, hadamard_both_unitary(1) if mode.hadamard else np.eye(4), accepted)
     scored = _kron_all([_hadamard_2x2()] * m).conj().T @ tvec if mode.hadamard else tvec
     grid = np.arange(1 << m)
 
     table: dict[Pattern, tuple[float, float]] = {}
     success = fidelity_mass = 0.0
-    for port, block in _port_blocks(rho, m, accepted):
+    for port, block in zip(accepted, blocks):
         prob = max(float(np.trace(block).real), 0.0)
         if prob < 1e-15:
             continue

@@ -270,7 +270,7 @@ def walsh_pair_reference(low: np.ndarray, high: np.ndarray, r: int, parity: np.n
 def tensordot_contract(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:
     """L rho L^dagger for L = factor^(x m): photon by photon, a tensordot on its ket then its bra axis.
 
-    The reference for oracle._contract_per_photon.
+    The reference for the conjugation whose port blocks oracle._blocks reads.
     """
     t = rho.reshape((4,) * (2 * m))
     for k in range(m):

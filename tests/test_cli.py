@@ -276,7 +276,7 @@ def test_verify_nan_deviation_fails(monkeypatch, capsys):
     assert "verify m=2: FAILED" in out
 
 
-@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("m", [3, 5, 6])
 def test_verify_oracle_network_fault_fails(m, monkeypatch, capsys):
     # two output rows of one party's element chain swapped: still a permutation, wrong physics
     real = oracle._single_photon_network
@@ -296,7 +296,7 @@ def test_verify_oracle_network_fault_fails(m, monkeypatch, capsys):
 
 def test_verify_capacity_exit_2():
     with pytest.raises(SystemExit) as info:
-        main(["verify", "--m", "6"])
+        main(["verify", "--m", "7"])
     assert info.value.code == 2
 
 

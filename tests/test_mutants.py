@@ -11,8 +11,10 @@ the repr of Hadamard runs on GHZ x GHZ members against the same runs
 with every member through its own dense step, the same comparison on
 runs in one process whose column memo keys differ in one part only, the
 repr of a run whose step shares port states against tests/helpers.py's
-per-port loop, and the efficiency ratio against its formula and
-criterion 7 (R P2 = P1). A mutant is caught when a detector's check fails
+per-port loop, the efficiency ratio against its formula and
+criterion 7 (R P2 = P1), and the oracle's Hadamard layer, read entry by
+entry, against the Kronecker product of a complex, non-symmetric
+factor. A mutant is caught when a detector's check fails
 or raises. A mutant target is a module function or a ``Class.method``,
 which is installed on the class. protocol's process-lifetime caches (the
 port tables, the partitions, the pattern tuples and the column memo) are
@@ -60,7 +62,7 @@ dense step's one gather without the flip XOR leaves every port uncorrected;
 the closed forms, the golden records and verify catch it. The oracle's
 corrected target read at grid instead of grid ^ mask does the same on the
 oracle side, which only verify sees. The port register XOR 1 in
-oracle._port_blocks' gather scores each accepted port from its neighbour's
+oracle._blocks' gather scores each accepted port from its neighbour's
 block; the off-product detector and verify catch it.
 
 The next two break the skip of a member whose port class the rule
@@ -131,12 +133,23 @@ A cell's weights added once, not once per port, to the accepted mass,
 and its probability x fidelity once to the output fidelity, move every
 phase-flip figure.
 
-Two mutants survive every detector and are not listed. ``sum`` in place
-of ``math.fsum`` in noise.ghz_weights changes no figure these detectors
-print; tests/test_order.py catches it. Reversing infer_flip_plan's
-tie-break, so that a flip and its complement of equal weight swap, is
-equivalent on every input that function accepts: the two corrections differ
-by X on every photon, and every GHZ state is an eigenstate of that X.
+The last two break the oracle's layer entries, each a product of one
+factor entry per photon digit. Every digit read one bit off moves every
+oracle run, Hadamard or not; verify and the layer detector catch it.
+factor[s, r] in place of factor[r, s] is the transposed layer: the
+oracle's own factors, H x H and the identity, are symmetric, so no run
+sees it, and only the layer detector, with its non-symmetric factor, does.
+
+Three mutants survive every detector and are not listed. Taking the
+support of the operator from its rows alone, in oracle._blocks, is
+equivalent on every operator the oracle is meant for: a density operator
+is Hermitian, so its rows and its columns hold nonzeros at the same
+indices. ``sum`` in place of ``math.fsum`` in noise.ghz_weights changes
+no figure these detectors print; tests/test_order.py catches it.
+Reversing infer_flip_plan's tie-break, so that a flip and its complement
+of equal weight swap, is equivalent on every input that function
+accepts: the two corrections differ by X on every photon, and every GHZ
+state is an eigenstate of that X.
 """
 
 import __future__
@@ -191,7 +204,7 @@ MUTANTS = [
     ("ratio-exponent", efficiency, "ratio_R", "** params.N", "** (params.N + 1)"),
     ("dense-flips", protocol, "_dense_split", "grid[:, None] ^ flips[cols]", "grid[:, None]"),
     ("oracle-flips", oracle, "oracle_run", "scored[grid ^ corrections.get(port, 0)]", "scored[grid]"),
-    ("port-offset", oracle, "_port_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
+    ("port-offset", oracle, "_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
     ("parity-offset", protocol, "_relabelled_dense_split", "(xq ^ c2)", "xq"),
     ("parity-flipped", protocol, "_relabelled_dense_split", "if not (ports :=", "if (ports :="),
     ("column-sign", protocol, "_partition", "((zq & q).bit_count() & 1, flip)", "(0, flip)"),
@@ -221,6 +234,9 @@ MUTANTS = [
     ("mass-once", protocol, "_execute", "mass += weights * len(ports)", "mass += weights"),
     ("fidelity-once", protocol, "_execute", "[pattern_prob * outcome.fidelity] * len(ports)",
      "[pattern_prob * outcome.fidelity]"),
+    ("layer-digit", oracle, "_layer_entries", "range(0, 2 * m, 2)", "range(1, 2 * m, 2)"),
+    ("layer-transposed", oracle, "_layer_entries", "factor[rows >> shift & 3, cols >> shift & 3]",
+     "factor[cols >> shift & 3, rows >> shift & 3]"),
 ]
 
 
@@ -336,8 +352,17 @@ def efficiency_ratio(tmp_path):
         assert math.isclose(ratio * efficiency.p_two(params), efficiency.p_one(params), rel_tol=TOL)
 
 
+def oracle_layer(tmp_path):
+    # the oracle's own factors, H x H and the identity, are symmetric; this one is not, and is complex
+    import numpy as np
+
+    m, factor = 2, np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)[::-1]
+    grid = np.arange(4**m)
+    assert np.allclose(oracle._layer_entries(factor, m, grid[None], grid)[0], np.kron(factor, factor), rtol=0, atol=TOL)
+
+
 DETECTORS = [  # cheapest first
-    efficiency_ratio, shared_port_states, relabelled_repr, warm_columns, oracle_off_product, closed_forms,
+    efficiency_ratio, oracle_layer, shared_port_states, relabelled_repr, warm_columns, oracle_off_product, closed_forms,
     golden_records, oracle_m3,
 ]
 

@@ -5,10 +5,10 @@ import pytest
 
 from ghzpurify.noise import mix_two, product_ensemble
 from ghzpurify.oracle import (
-    _contract_per_photon,
+    _blocks,
     _indices,
+    _layer_entries,
     _network_source,
-    _port_blocks,
     densify,
     hadamard_both_unitary,
     network_unitary,
@@ -24,6 +24,7 @@ from ghzpurify.states import (
     PureState,
     make_ghz_pol,
     make_ghz_spatial,
+    make_state,
     tensor_hyper,
 )
 from helpers import brute_vector, full_gather_oracle_run, tensordot_contract
@@ -66,7 +67,7 @@ def test_densify_product_mixture_spectrum():
 
 
 def test_densify_capacity():
-    ens = Ensemble(((1.0, tensor_hyper(make_ghz_pol(6, 0), make_ghz_spatial(6, 0))),))
+    ens = Ensemble(((1.0, tensor_hyper(make_ghz_pol(7, 0), make_ghz_spatial(7, 0))),))
     with pytest.raises(ValueError, match="capacity"):
         densify(ens)
 
@@ -106,51 +107,101 @@ def test_network_source_reads_the_unitary(m):
     assert np.array_equal(_network_source(m), network_unitary(m).argmax(axis=1))
 
 
+def network_blocks(full, m, ports):
+    """Each port's block of the already conjugated operator full, gathered through the network index."""
+    src = _network_source(m)
+    return [full[np.ix_(src[idx], src[idx])] for idx in (_indices(m, np.arange(1 << m), port) for port in ports)]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_gather_matches_dense_conjugation(m):
-    # every port's block read through the network index is that block of U rho U^dagger
+    # with the identity factor, every port's block read through the network index is that block of U rho U^dagger
     rho = random_hermitian(4**m, np.random.default_rng(m))
     assert rho.dtype == np.complex128  # the complex path
     U = network_unitary(m)
     full = U @ rho @ U.conj().T
     ports = list(range(1 << m))
-    blocks = list(_port_blocks(rho, m, ports))
-    assert [port for port, _ in blocks] == ports
-    for port, block in blocks:
+    blocks = _blocks(rho, m, np.eye(4), ports)
+    assert blocks.shape == (1 << m, 1 << m, 1 << m)
+    for port, block in zip(ports, blocks):
         idx = _indices(m, np.arange(1 << m), port)
         assert np.allclose(block, full[np.ix_(idx, idx)], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_per_photon_contraction_matches_dense_layer(m):
-    rho = random_hermitian(4**m, np.random.default_rng(10 + m))
-    assert rho.dtype == np.complex128  # the complex path
-    layer = hadamard_both_unitary(m)
-    got = _contract_per_photon(rho, hadamard_both_unitary(1), m)
-    assert np.allclose(got, layer @ rho @ layer.conj().T, rtol=0, atol=1e-12)
-    factor = complex_factor(20 + m)
-    full = functools.reduce(np.kron, [factor] * m)
-    got = _contract_per_photon(rho, factor, m)
-    assert np.allclose(got, full @ rho @ full.conj().T, rtol=0, atol=1e-12)
+    """The layer read as a product of per-photon factor entries is the dense layer's, on any rows and columns."""
+    rng = np.random.default_rng(10 + m)
+    rows, cols = rng.integers(0, 4**m, size=(3, 2 * m)), rng.choice(4**m, size=min(4**m, 17), replace=False)
+    for factor in (hadamard_both_unitary(1), complex_factor(20 + m)):
+        full = functools.reduce(np.kron, [factor] * m)
+        got = _layer_entries(factor, m, rows, cols)
+        assert got.shape == (3, 2 * m, len(cols))
+        for r, entries in zip(rows, got):
+            assert np.allclose(entries, full[np.ix_(r, cols)], rtol=0, atol=1e-12)
+    if m <= 4:
+        # and the block read on a full-support operator is the block of the dense layer's conjugation
+        rho = random_hermitian(4**m, rng)
+        layer = hadamard_both_unitary(m)
+        ports = list(range(1 << m))
+        want = network_blocks(layer @ rho @ layer.conj().T, m, ports)
+        assert np.allclose(_blocks(rho, m, hadamard_both_unitary(1), ports), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_contraction_matches_tensordot_reference(m):
-    rho = random_hermitian(4**m, np.random.default_rng(30 + m))
+    """The block read matches the blocks of tests/helpers.py's photon-by-photon tensordot conjugation."""
+    rng = np.random.default_rng(30 + m)
+    rho = random_hermitian(4**m, rng)
     assert rho.dtype == np.complex128  # the complex path
+    # three ports at m = 5: the full-support read costs ports x 2^m x 16^m
+    ports = sorted(rng.choice(1 << m, size=3, replace=False).tolist()) if m == 5 else list(range(1 << m))
     for factor in (hadamard_both_unitary(1), complex_factor(40 + m)):
-        got = _contract_per_photon(rho, factor, m)
-        assert np.allclose(got, tensordot_contract(rho, factor, m), rtol=0, atol=1e-12)
+        want = network_blocks(tensordot_contract(rho, factor, m), m, ports)
+        assert np.allclose(_blocks(rho, m, factor, ports), want, rtol=0, atol=1e-12)
+
+
+def test_block_read_ignores_rows_and_columns_outside_the_support():
+    """Only the support enters: zeroing rho outside it, or not, gives one block, and a zero operator zero blocks."""
+    m, rng = 3, np.random.default_rng(4)
+    support = np.sort(rng.choice(4**m, size=9, replace=False))
+    rho = np.zeros((4**m, 4**m), dtype=complex)
+    rho[np.ix_(support, support)] = random_hermitian(9, rng)
+    layer = hadamard_both_unitary(m)
+    want = network_blocks(layer @ rho @ layer.conj().T, m, range(1 << m))
+    assert np.allclose(_blocks(rho, m, hadamard_both_unitary(1), list(range(1 << m))), want, rtol=0, atol=1e-12)
+    assert not _blocks(np.zeros((4**m, 4**m)), m, hadamard_both_unitary(1), [0, 5]).any()
 
 
 @pytest.mark.parametrize(
-    "name, m", [(name, m) for name in sorted(MODES) for m in (2, 3, 4) if m >= MODES[name].min_m]
+    "name, m", [(name, m) for name in sorted(MODES) for m in (2, 3, 4, 5) if m >= MODES[name].min_m]
 )
 def test_oracle_matches_full_gather_reference(name, m):
     mode = MODES[name]
     for f1, f2, target in ((0.7, 0.4, None), (0.3, 0.85, make_ghz_pol(m, 1, -1))):
         ens = mode.verify_input(m, f1, f2)
         args = (densify(ens), m, mode, mode.plan(ens), target)
+        got, want = oracle_run(*args), full_gather_oracle_run(*args)
+        assert got.pattern_table.keys() == want.pattern_table.keys()
+        for key, (prob, fid) in want.pattern_table.items():
+            assert got.pattern_table[key] == pytest.approx((prob, fid), rel=0, abs=1e-12)
+        for field in ("success_probability", "rejected_probability", "output_fidelity"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(MODES))
+def test_full_support_operator_matches_full_gather_reference(name, m):
+    """A random complex density operator with full support, a random flip plan and a complex target."""
+    mode, rng = MODES[name], np.random.default_rng(50 + m)
+    a = rng.normal(size=(4**m, 4**m)) + 1j * rng.normal(size=(4**m, 4**m))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    assert np.flatnonzero(rho.any(axis=0)).size == 4**m
+    plan = {q: int(rng.integers(0, 1 << m)) for q in range(1 << m)}
+    amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+    target = make_state(m, (POL,), [((r,), amp) for r, amp in enumerate((amps / np.linalg.norm(amps)).tolist())])
+    for args in ((rho, m, mode, plan, target), (rho, m, mode, {}, None)):
         got, want = oracle_run(*args), full_gather_oracle_run(*args)
         assert got.pattern_table.keys() == want.pattern_table.keys()
         for key, (prob, fid) in want.pattern_table.items():
@@ -266,8 +317,9 @@ def test_oracle_noiseless_agreement():
 def test_oracle_shape_validation():
     with pytest.raises(ValueError, match="expected"):
         oracle_run(np.eye(16) / 16.0, 3, MODES["bitflip"], {})
+    # the capacity check comes before the shape check, so no 4^7-square operator is needed
     with pytest.raises(ValueError, match="capacity"):
-        oracle_run(np.eye(4**6) / 4**6, 6, MODES["bitflip"], {})
+        oracle_run(np.eye(16) / 16.0, 7, MODES["bitflip"], {})
 
 
 @pytest.mark.parametrize("mask", [8, -1, 1.5, True])
