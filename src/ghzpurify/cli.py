@@ -15,7 +15,7 @@ from . import __version__
 from .efficiency import MAX_SWEEP_ROWS, EfficiencyParams, axis_values, sweep as efficiency_sweep
 from .noise import ensemble_from_specs, ghz_weights, product_ensemble
 from .optics import GATE_TABLE, GateTable
-from .oracle import ORACLE_MAX_PHOTONS, densify, oracle_run
+from .oracle import ORACLE_MAX_PHOTONS, densify, oracle_run, term_indices
 from .protocol import (
     MAX_PHOTONS,
     MODES,
@@ -215,7 +215,7 @@ def _cmd_verify(args) -> int:
             for f2 in grid:
                 ens = mode.verify_input(m, f1, f2)
                 engine = mode.run(ens, target=target, gate_table=table)
-                dense = oracle_run(densify(ens), m, mode, mode.plan(ens), target=target)
+                dense = oracle_run(densify(ens), m, mode, mode.plan(ens), target, term_indices(ens))
                 devs = (
                     abs(engine.output_fidelity - dense.output_fidelity),
                     abs(engine.success_probability - dense.success_probability),

@@ -112,42 +112,6 @@ def walsh_hadamard(amps: np.ndarray, m: int) -> None:
     prune(amps)
 
 
-def pair_rows(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """walsh_hadamard, in closed form, of an array whose only nonzero rows are r and r ^ (2^m - 1).
-
-    ``low`` and ``high`` are those two rows, r < 2^(m-1), and ``parity[q]``
-    is popcount(q) & 1 for every m-bit q. Returns the output's distinct
-    rows, pruned, and the row each register takes: row q is rows[kind[q]].
-    Costs O(m n + 2^m) for n columns, not m passes over 2^m n.
-
-    The two input rows meet only at the last butterfly step, and sign flips
-    commute exactly with the scalings by c, so with P the m-fold scaling of
-    walsh_hadamard, row q of the output is
-    (-1)^popcount(q & r) (P low + (-1)^popcount(q) P high), bit for bit,
-    pruned the same way: one of four rows, or a fifth when r = 0. Signed
-    zeros follow the butterfly too: it leaves every zero part +0.0, except
-    in row 2^m - 1 when r = 0, whose last step is P low - (+-P high) with a
-    +0.0 for a zero part of high.
-    """
-    import numpy as np
-
-    size = len(parity)
-    m = size.bit_length() - 1
-    parts = np.stack((low, high)).view(np.float64)  # as walsh_hadamard, on the float64 view
-    for _ in range(m):
-        np.multiply(parts, _HADAMARD_C, out=parts)
-    x, y = parts
-    total, diff = x + y, x - y
-    rows = [total + 0.0, diff + 0.0, 0.0 - total, 0.0 - diff]  # each zero part +0.0, as the butterfly leaves it
-    kind = parity + 2 * parity[np.arange(size) & r]
-    if r == 0:
-        rows.append(x - (y + 0.0 if m % 2 else 0.0 - y))
-        kind[-1] = 4
-    table = np.stack(rows).view(low.dtype)
-    prune(table)
-    return table, kind
-
-
 def prune(amps: np.ndarray) -> None:
     """Zero every amplitude of magnitude at or below PRUNE_TOL, in place, as make_state drops them."""
     import numpy as np

@@ -13,7 +13,8 @@ none but densify's. The network unitary is a permutation read off the
 single-photon element chain, so a port's block sits on rows of the
 Hadamard-conjugated operator, and a Hadamard layer's entry is a product
 of one 4x4 factor entry per photon digit. So each block is read from rho
-on its support alone (at most 16 indices on verify's GHZ-product inputs)
+on its support alone (at most 64 indices on verify's GHZ-product inputs,
+which verify passes as term_indices, so that no run scans rho for them)
 through the layer's entries on those rows and columns; a mode without
 Hadamard layers takes the identity factor.
 
@@ -104,6 +105,18 @@ def densify(ensemble: Ensemble) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=amp.dtype)
     np.add.at(rho.reshape(-1), idx[row] * dim + idx[col], weights * (amp[row] * amp[col].conj()))
     return rho
+
+
+def term_indices(ensemble: Ensemble) -> np.ndarray:
+    """The dense-basis indices densify writes for an ensemble, ascending: the union of its members' term registers.
+
+    Every nonzero row and column of densify(ensemble) is among them. Where a weight x |amp|**2 underflows,
+    an index can be among them whose row and column of the operator are all zero.
+    """
+    import numpy as np
+
+    indices = {_indices(ensemble.m, *label) for _, s in ensemble.members for label in s.terms}
+    return np.array(sorted(indices), dtype=np.intp)
 
 
 def _single_photon_network() -> np.ndarray:
@@ -206,17 +219,22 @@ def _layer_entries(factor: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarra
     return out
 
 
-def _blocks(dense: np.ndarray, m: int, factor: np.ndarray, ports: list[int]) -> np.ndarray:
+def _blocks(
+    dense: np.ndarray, m: int, factor: np.ndarray, ports: list[int], support: np.ndarray | None = None
+) -> np.ndarray:
     """Each port's block [port, pol, pol] of U L dense L^dagger U^dagger, U the network permutation, L = factor^(x m).
 
     Row i of U has its 1 in column src[i], so a port's block is rows R = src[idx] of L dense L^dagger, idx its
-    2^m basis states, read as L[R, S] dense[S, S] L[R, S]^dagger over the support S of dense (every index whose
-    row or column holds a nonzero): one batched product for all ports, and no operator-sized array.
+    2^m basis states, read as L[R, S] dense[S, S] L[R, S]^dagger over a support S of dense: one batched product
+    for all ports, and no operator-sized array. S is ``support``, ascending indices that hold every nonzero row
+    and column of dense (an index whose row and column are all zero adds only zero products), or, where it is
+    None, every index whose row or column holds a nonzero.
     """
     import numpy as np
 
     rows = _network_source(m)[_indices(m, np.arange(1 << m), np.array(ports, dtype=np.intp)[:, None])]
-    support = np.flatnonzero(dense.any(axis=0) | dense.any(axis=1))
+    if support is None:
+        support = np.flatnonzero(dense.any(axis=0) | dense.any(axis=1))
     layer = _layer_entries(factor, m, rows, support)  # [port, pol, support]
     return layer @ dense[np.ix_(support, support)] @ layer.conj().swapaxes(1, 2)
 
@@ -237,6 +255,7 @@ def oracle_run(
     mode: Mode,
     corrections: CorrectionPlan,
     target: PureState | None = None,
+    support: np.ndarray | None = None,
 ) -> OracleResult:
     """Run a protocol mode on a dense joint-state density operator.
 
@@ -249,6 +268,8 @@ def oracle_run(
     v = C^dagger t = X^mask (H^(x m))^dagger t, one vector per call read at
     i ^ mask, is scored as v^dagger block v / prob against the pol target t.
     A float64 operator with a real target runs every step in real arithmetic.
+    ``support`` (term_indices of the ensemble densify read) spares the scan of
+    dense for its nonzero rows and columns; see _blocks.
     """
     import numpy as np
 
@@ -264,7 +285,7 @@ def oracle_run(
         tvec = tvec.real  # a real operator and target: every product below stays real
 
     accepted = mode.rule.ports(m)
-    blocks = _blocks(dense, m, hadamard_both_unitary(1) if mode.hadamard else np.eye(4), accepted)
+    blocks = _blocks(dense, m, hadamard_both_unitary(1) if mode.hadamard else np.eye(4), accepted, support)
     scored = _kron_all([_hadamard_2x2()] * m).conj().T @ tvec if mode.hadamard else tvec
     grid = np.arange(1 << m)
 

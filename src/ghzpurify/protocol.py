@@ -9,18 +9,19 @@ the total accepted probability. Members of modes without Hadamard layers
 stay sparse labeled states of 4 terms, and their step (_split_by_pattern)
 routes each (pol, spatial) register pair straight to its (pol, port) pair:
 the gate is a bijection, so no routed state is built. After the layers a
-member holds 4^(m-1) terms, so Hadamard modes run every stage on dense
-register arrays (_dense_split).
-A Hadamard run takes one column step (_column_split) per magnitude of its
-real GHZ x GHZ members, which are Pauli images of one another: the first
-such member's closed [pol] column at one port, gathered from the spatial
-layer's distinct rows (optics.pair_rows) with no 4^m array. Every such
-member, the first included, gives each of its ports a signed XOR shift of
-that column, one port group per distinct state, bit for bit what its dense
-step gives; a member whose port class the rule rejects is skipped, and
-_relabelled_dense_split states why that is exact. Any other member takes
-the dense step. Every step returns port groups (Split): one probability
-and corrected state per group, held by each of its accepted ports.
+member holds 4^(m-1) terms. A Hadamard run gives each real GHZ x GHZ
+member (_ghz_frame), a Pauli image of one reference member, its ports
+from a scalar trace of its magnitude (_frame_column): every live port
+holds the same probability and a scaled GHZ state +-v(|r> +- |r^(2^m-1)>),
+its register pair and signs read off the member and the gate's masks, one
+port group per distinct state, bit for bit what its dense step gives,
+with no array and no numpy. A member whose port class the rule rejects is
+skipped, and _relabelled_dense_split states why that is exact. Any other
+member, complex or not a product of two GHZ states, which only an API
+caller passes, takes the dense step on register arrays (_dense_split),
+which imports numpy. Every step returns port groups (Split): one
+probability and corrected state per group, held by each of its accepted
+ports.
 A run reads the gate once: _execute takes the affine register masks of the
 table and of its inverse (optics.check_table, which refuses a table that is
 not a bijection), and every step routes with two XOR/AND expressions.
@@ -35,13 +36,12 @@ What a run derives from its shape alone lives for the process, so that
 repeated solves (an F scan, verify's grid, the benchmark) build it once:
 the accepted ports (AcceptanceRule.ports, keyed on the rule's mode and m),
 phaseflip_plan(m), the ports of each parity class (_port_classes), a
-class's ports grouped by sign and flip mask (_partition), the Pattern
-tuples of a multi-port cell (_patterns) and the parity vector (_parity),
-each keyed on every input it reads and shared read-only in a bounded lru
-cache; and each closed column (_COLUMNS), keyed on every input the column
-step reads, as _relabelled_dense_split states. Only the branch weights
-depend on F, and they enter after the step, so no cached value depends on
-F.
+class's ports grouped by sign and flip mask (_partition) and the Pattern
+tuples of a multi-port cell (_patterns), each keyed on every input it
+reads and shared read-only in a bounded lru cache. The frame trace costs
+O(m) and a sum of 2^(m-1) floats, so each run takes its own, once per
+magnitude. Only the branch weights depend on F, and they enter after the
+step, so no cached value depends on F.
 
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, groupby, repeat
 from operator import add, itemgetter
 from types import MappingProxyType
@@ -71,10 +71,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .noise import BIT_FLIP, PHASE_FLIP, mix_general, mix_two, product_ensemble
 from .optics import (
+    _HADAMARD_C,
     GATE_TABLE,
     GateTable,
     check_table,
-    pair_rows,
     prune,
     walsh_hadamard,
 )
@@ -238,11 +238,11 @@ def _split_by_pattern(
     return split
 
 
-# A Hadamard-mode member holds 4^(m-1) terms after its layers. A config's
-# members are GHZ x GHZ products, so each group of them takes one column
-# step; at m = 10 a phase-flip simulate takes 0.19-0.24 s and 30 MB peak on
-# a shared 2-CPU machine (three medians of 7), one column step for its four
-# members, and its record lists 512 patterns. Configs above this are refused.
+# A config's members are GHZ x GHZ products, so each takes the frame trace,
+# with no array and no numpy: at m = 10 a phase-flip simulate takes 0.08 s
+# and 17.5 MB peak on a shared 2-CPU machine (median of 7 processes), and its
+# record lists 512 patterns, about 70 KB. Each photon doubles the patterns,
+# the record and the per-port work. Configs above this are refused.
 PHASEFLIP_MAX_PHOTONS = 10
 
 # A mode that ``lists_components`` (general) builds and prints all 2^(m-1)
@@ -274,7 +274,8 @@ def _dense_split(
     followed by the mode's closing polarization Hadamard. It runs the
     per-state route (hadamard_pol, hadamard_spatial, apply_network, the
     grouping by port, bit_flip_pol, hadamard_pol) with the same float
-    operations for every amplitude: walsh_hadamard on both registers. The
+    operations for every amplitude: walsh_hadamard on both registers, the
+    pol layer on the columns of the spatial registers present only. The
     gate is a bijection, so routing is a gather: the run's inverse masks,
     over the accepted ports only, give the source of each amplitude of a
     [pol, accepted port] array. A port's probability is the sum of
@@ -301,7 +302,15 @@ def _dense_split(
     flips = np.array([plan.get(p, 0) for p in ports])  # column -> its port's flip mask
 
     def split(member: PureState) -> Split:
-        present, layer = _pol_layer(member)
+        pol, spatial = zip(*member.terms)
+        values = np.array(list(member.terms.values()), dtype=complex)
+        if not values.imag.any():
+            values = values.real  # every imaginary part is +-0: run the real parts alone
+        present = sorted(set(spatial))
+        column = {reg: c for c, reg in enumerate(present)}
+        layer = np.zeros((size, len(present)), dtype=values.dtype)  # [pol, spatial register present]
+        layer[pol, [column[reg] for reg in spatial]] = values
+        walsh_hadamard(layer, m)
         amps = np.zeros((size, size), dtype=layer.dtype)  # [spatial, pol]
         amps[present] = layer.T
         walsh_hadamard(amps, m)
@@ -323,74 +332,43 @@ def _dense_split(
     return split
 
 
-@lru_cache(maxsize=32)
-def _parity(m: int):
-    """Popcount parity of every m-bit register, by doubling: parity[2^k + q] = 1 - parity[q] for q < 2^k.
+def _scaled(x: float, k: int) -> float:
+    """P^k(x): x multiplied by optics._HADAMARD_C k times, as k butterfly steps scale an amplitude that meets only zeros."""
+    for _ in range(k):
+        x *= _HADAMARD_C
+    return x
 
-    Built once per m and shared, so it is read-only.
+
+def _frame_column(m: int, a: float) -> tuple[float, float]:
+    """The frame trace of magnitude a: (p, v), each live port's probability and the amplitude of its closed state.
+
+    The trace is the definition, with P^k(x) = _scaled(x, k):
+    V = 4 P^(2m)(a), taken as 2 P^m(2 P^m(a)), one doubling per layer;
+    p = the left-to-right sum of 2^(m-1) copies of V*V;
+    v = 2^(m-1) P^m(V * p**-0.5).
+
+    On R0 at amplitude a (_ghz_frame) it is _dense_split, bit for bit. A
+    layer's butterflies scale each amplitude of the complementary pair
+    alone until the last step, where the two meet at equal magnitude and
+    double exactly or cancel to 0: 2 P^m(a) on the even pol registers, then
+    V on every (even pol, even spatial) pair. A port's [pol] column holds V
+    on 2^(m-1) registers, a coset of the even ones, and zeros, so its sum
+    down the column is p; it is scaled by p**-0.5, and the closing pol
+    Hadamard again meets equal magnitudes only: 2^(m-1) P^m(V * p**-0.5)
+    on registers 0 and 2^m - 1, zero elsewhere. Doubling is exact and
+    commutes with the scaling by c in the normal range. walsh_hadamard
+    prunes after each layer, so where 2 P^m(a) or V is at or below
+    PRUNE_TOL (V from about m = 48 on, for a normalized member) no port
+    carries probability, and the trace is (0.0, 0.0).
     """
-    import numpy as np
-
-    parity = np.zeros(1, dtype=np.int64)
-    for _ in range(m):
-        parity = np.concatenate((parity, 1 - parity))
-    parity.flags.writeable = False
-    return parity
-
-
-def _pol_layer(member: PureState):
-    """The pol Hadamard layer on a [pol, spatial register present] array, columns ascending; returns (present, array).
-
-    The array is float64 when every imaginary part is zero, complex128 otherwise (see _dense_split).
-    """
-    import numpy as np
-
-    pol, spatial = zip(*member.terms)
-    values = np.array(list(member.terms.values()), dtype=complex)
-    if not values.imag.any():
-        values = values.real  # every imaginary part is +-0: run the real parts alone
-    present = sorted(set(spatial))
-    column = {reg: c for c, reg in enumerate(present)}
-    layer = np.zeros((1 << member.m, len(present)), dtype=values.dtype)
-    layer[pol, [column[reg] for reg in spatial]] = values
-    walsh_hadamard(layer, member.m)
-    return present, layer
-
-
-def _column_split(
-    m: int, plan: CorrectionPlan, gate: Gate
-) -> Callable[[PureState, int], tuple[float, tuple[tuple[int, float], ...]]]:
-    """One port of a real GHZ x GHZ member (_ghz_frame), with no 4^m array: (probability, ((register, amplitude), ...)).
-
-    The result is port q0 of _dense_split's, bit for bit, with its nonzero
-    amplitudes as floats in ascending register order. Its [pol] column is
-    gathered from pair_rows, the spatial layer's distinct rows, by the run's
-    inverse masks, and its squares are summed left to right in register
-    order, as _dense_split does down its axis 0 (np.cumsum: np.sum is
-    pairwise, and the builtin sum of Python 3.12 compensates). The column is
-    scaled, pruned, flipped by q0's mask and closed by a one-column
-    walsh_hadamard.
-    """
-    import numpy as np
-
-    size = 1 << m
-    grid = np.arange(size)
-    parity = _parity(m)
-    _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
-
-    def split(member: PureState, q0: int) -> tuple[float, tuple[tuple[int, float], ...]]:
-        present, layer = _pol_layer(member)
-        rows, kind = pair_rows(layer[:, 0], layer[:, 1], present[0], parity)
-        column = rows[kind[grid & sp_o ^ q0 & sp_q ^ sp_c], grid & pol_o ^ q0 & pol_q ^ pol_c]
-        prob = float(np.cumsum(np.abs(column) ** 2)[-1])
-        column *= prob**-0.5
-        prune(column)
-        closed = column[grid ^ plan.get(q0, 0)]
-        walsh_hadamard(closed, m)
-        (regs,) = np.nonzero(closed)
-        return prob, tuple(zip(regs.tolist(), closed[regs].tolist()))
-
-    return split
+    top = 1 << (m - 1)
+    pol = 2.0 * _scaled(a, m)
+    V = 2.0 * _scaled(pol, m) if abs(pol) > PRUNE_TOL else 0.0
+    if abs(V) <= PRUNE_TOL:
+        return 0.0, 0.0
+    p = reduce(add, repeat(V * V, top))  # left to right: the builtin sum of Python 3.12 compensates
+    w = V * p**-0.5
+    return p, top * _scaled(w, m)
 
 
 def _ghz_frame(member: PureState) -> tuple[float, int, int, int, int] | None:
@@ -445,15 +423,10 @@ def _partition(
     return tuple((odd, flip, tuple(qs)) for (odd, flip), qs in grouped.items())
 
 
-# (m, gate, q0, F(q0), _ghz_frame(M0)) -> _column_split(...)(M0, q0), for the
-# life of the process; emptied when it holds 256 columns, so that it stays bounded
-_COLUMNS: dict[tuple, tuple[float, tuple[tuple[int, float], ...]]] = {}
-
-
 def _relabelled_dense_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
-    """One column step per magnitude: every GHZ x GHZ member's ports are signed XOR shifts of its column.
+    """The Hadamard-mode step: each real GHZ x GHZ member's ports from the frame trace, any other member's dense step.
 
     Every element of the Hadamard path is Clifford, so a member
     a Z^(zp, zs) X^(e, f) R0 (_ghz_frame) leaves as a Pauli image of R0's
@@ -472,21 +445,18 @@ def _relabelled_dense_split(
     out_M[q](o) = (-1)^(c ^ zq.q ^ (xo ^ F(q)).o) C'(o ^ zo), with
     c = e.pol_c ^ f.sp_c ^ zo.xo and C' the closed C, on every port.
 
-    So one column per magnitude a serves every port of every member. The
-    first live member M0 of that magnitude gives the column step its first
-    class port q0, and B = out_M0[q0]. B lives for the process in
-    _COLUMNS, keyed on (m, gate, q0, F(q0), _ghz_frame(M0)): the column
-    step reads M0, the gate's inverse masks, q0 and q0's flip mask, and
-    nothing else, and _ghz_frame fixes every term of M0 exactly, so a key
-    that matches gives B bit for bit. Every normalized GHZ x GHZ member
-    has the same a whatever its weight, so an F scan takes one column step
-    per (m, gate, flip). The base terms (c0, zo0, xo0 ^ F(q0)) come from
-    M0 in each run. Every member M, M0 included, gets
-    out_M[q](o) = (-1)^(c ^ c0 ^ (xo0 ^ F(q0)).d ^ zq0.q0 ^ zq.q
-    ^ (xo ^ xo0 ^ F(q0) ^ F(q)).o) B(o ^ d), with d = zo ^ zo0, at B's
-    probability. Its ports fall into one group, and one state, per
-    (zq.q, F(q)): _partition, keyed on the class, zq and the class's flip
-    masks, which a run reads off its plan once per (zq, class).
+    C' is the frame trace (_frame_column): C'(0) = v, C'(2^m - 1) =
+    (-1)^t0 v, zero elsewhere, at probability p, where t0 is the parity of
+    the registers C holds. At a port of R0's class, of the parity of c2, C
+    holds the registers o whose p and s above are even; pol_o or sp_o is
+    2^m - 1, as the inverse is a bijection, and q&mask has the parity of
+    c2&mask, so t0 is read off the masks once per run. So every port of M
+    holds a scaled GHZ state on the complementary pair {zo, zo ^ (2^m - 1)},
+    zo < 2^(m-1): with x = xo ^ F(q) and s = c ^ zq.q ^ x.zo, the sign is
+    s on zo and s ^ t0 ^ x.(2^m - 1) on its complement. A member's ports
+    fall into one group, and one state, per (zq.q, F(q)): _partition, keyed
+    on the class, zq and the class's flip masks, which a run reads off its
+    plan once per (zq, class). Each magnitude's trace is taken once per run.
 
     This is exact. A butterfly on a Pauli image of its input gives the same
     floats, moved or negated, since c x + c y = c y + c x and
@@ -494,15 +464,16 @@ def _relabelled_dense_split(
     pruned to +0.0. Every nonzero amplitude of one port of a GHZ x GHZ
     product has the same magnitude, so the port's probability, a
     left-to-right sum in register order, is the same in any order. The
-    amplitudes are B's floats, each negated or not and then made complex, in
-    ascending register order as np.nonzero gives them. Any other member
-    takes the dense step, built for the first such member of the run.
+    amplitudes are +-v made complex, in ascending register order as
+    np.nonzero gives them. Any other member takes the dense step, built for
+    the first such member of the run.
     """
     (a1, b1, _, a2, b2, c2), (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
+    full = (1 << m) - 1
     classes = _port_classes(rule, m)  # port parity -> its ports
+    t0 = ((c2 & pol_q ^ pol_c) if pol_o else (c2 & sp_q ^ sp_c)).bit_count() & 1
     dense: Callable[[PureState], Split] | None = None  # built for the first member off the frame
-    # magnitude a -> (c0 ^ zq0.q0, zo0, xo0 ^ F(q0), probability, B) of its first live member M0
-    bases: dict[float, tuple[int, int, int, float, dict[int, float]]] = {}
+    traces: dict[float, tuple[float, float]] = {}  # magnitude a -> _frame_column(m, a)
     partitions: dict[tuple[int, int], tuple[tuple[int, int, tuple[int, ...]], ...]] = {}  # (zq, parity) -> _partition
 
     def split(member: PureState) -> Split:
@@ -515,27 +486,22 @@ def _relabelled_dense_split(
         xq = zp & a2 ^ zs & b2
         if not (ports := classes[parity := (xq ^ c2).bit_count() & 1]):
             return []
+        if (trace := traces.get(a)) is None:
+            trace = traces[a] = _frame_column(m, a)
+        prob, v = trace
+        if not prob:
+            return []
         xo, zo, zq = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o, e & pol_q ^ f & sp_q
         c = (e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1
-        if (base := bases.get(a)) is None:
-            q0 = ports[0]
-            if (column := _COLUMNS.get(key := (m, gate, q0, plan.get(q0, 0), parts))) is None:
-                if len(_COLUMNS) >= 256:
-                    _COLUMNS.clear()
-                column = _COLUMNS[key] = _column_split(m, plan, gate)(member, q0)
-            prob, amps = column
-            base = bases[a] = c ^ (zq & q0).bit_count() & 1, zo, xo ^ plan.get(q0, 0), prob, dict(amps)
-        c0, zo0, x0, prob, closed = base
-        d = zo ^ zo0
-        sign = c ^ c0 ^ (x0 & d).bit_count() & 1
-        shifted = [(o, closed[o ^ d]) for o in sorted(o ^ d for o in closed)]  # (o, B(o ^ d)), o ascending
         if (groups := partitions.get(zq_class := (zq, parity))) is None:
             flips = tuple(map(plan.get, ports, repeat(0)))
             groups = partitions[zq_class] = _partition(rule, m, parity, zq, flips)
         out: Split = []
         for odd, flip, qs in groups:
-            s, x = sign ^ odd, xo ^ x0 ^ flip
-            terms = {(o,): complex(-v if s ^ (x & o).bit_count() & 1 else v) for o, v in shifted}
+            x = xo ^ flip
+            s = c ^ odd ^ (x & zo).bit_count() & 1
+            t = s ^ t0 ^ x.bit_count() & 1
+            terms = {(zo,): complex(-v if s else v), (zo ^ full,): complex(-v if t else v)}
             out.append((prob, PureState._derived(m, (POL,), terms), qs))
         return out
 
@@ -591,8 +557,9 @@ def _execute(
     """One run: each member's step, then per cell of accepted ports one conditional ensemble and fidelity.
 
     A Hadamard run steps through _relabelled_dense_split, whose result is,
-    bit for bit, the one per-member dense steps give; the other modes step
-    through _split_by_pattern. Each step takes the masks of the table and
+    bit for bit, the one per-member dense steps give, and which loads numpy
+    only for a member off the GHZ frame; the other modes step through
+    _split_by_pattern. Each step takes the masks of the table and
     its inverse, read here once, and returns port groups. Each distinct
     ports tuple holds the entries of its groups once, in member order, and
     a port's cell is the set of tuples that hold it (_cells). A cell's

@@ -5,16 +5,14 @@ arithmetic so tests that cross-check the package against dense linear
 algebra do not reuse the code path under test. `tensordot_contract` and
 `full_gather_oracle_run` (with `correction_unitary`, the 2^m x 2^m matrix
 of a port's correction) keep the oracle's former forms as references for
-its faster ones, and `walsh_pair_reference` the butterfly whose rows
-`optics.pair_rows` gives in closed form on register pairs, `route` applies
-`optics.check_table`'s masks to registers or index grids, `gate_masks`
-builds the masks a run hands its step, and `per_port_execute` keeps
-`protocol._execute`'s former per-port loop as the reference for the
-outcomes it now builds once per cell of ports. `clear_caches` empties
-what `protocol` keeps for the life of the process, so that a test can run
-cold. Label literals are written
-photon by photon, one tuple of bits per photon, and turned into the
-package's register labels by `pack`; `unpack` undoes it.
+its faster ones, `route` applies `optics.check_table`'s masks to
+registers or index grids, `gate_masks` builds the masks a run hands its
+step, and `per_port_execute` keeps `protocol._execute`'s former per-port
+loop as the reference for the outcomes it now builds once per cell of
+ports. `clear_caches` empties what `protocol` keeps for the life of the
+process, so that a test can run cold. Label literals are written photon
+by photon, one tuple of bits per photon, and turned into the package's
+register labels by `pack`; `unpack` undoes it.
 """
 
 from __future__ import annotations
@@ -108,13 +106,12 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
 
 
 def clear_caches() -> None:
-    """Empty protocol's process-lifetime caches: the port tables, partitions, pattern tuples, parity vectors and column memo."""
+    """Empty protocol's process-lifetime caches: the port tables, partitions and pattern tuples."""
     for cached in (
         protocol.AcceptanceRule.ports, protocol.phaseflip_plan, protocol._port_classes, protocol._partition,
-        protocol._patterns, protocol._parity,
+        protocol._patterns,
     ):
         cached.cache_clear()
-    protocol._COLUMNS.clear()
 
 
 def by_port(split) -> dict:
@@ -256,15 +253,6 @@ def loop_hadamard(state: PureState, dof: str) -> PureState:
                 split[new_label] = split.get(new_label, 0.0j) + amp * coeff
         terms = split
     return make_state(state.m, state.dofs, terms.items())
-
-
-def walsh_pair_reference(low: np.ndarray, high: np.ndarray, r: int, parity: np.ndarray) -> np.ndarray:
-    """The reference for optics.pair_rows: rows r and r ^ (2^m - 1) embedded in zeros, through walsh_hadamard."""
-    size = len(parity)
-    amps = np.zeros((size, len(low)), dtype=low.dtype)
-    amps[r], amps[r ^ (size - 1)] = low, high
-    walsh_hadamard(amps, size.bit_length() - 1)
-    return amps
 
 
 def tensordot_contract(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:

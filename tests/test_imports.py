@@ -1,10 +1,14 @@
 """What importing the package loads and binds: each test runs a fresh interpreter.
 
-Only the Hadamard-mode (phase-flip) step and the dense oracle build arrays,
-and they import numpy in their own bodies. A stray module-level import would
-put numpy back into every bit-flip simulate and every sweep, about half of a
-short ghzpurify process. The package itself binds its modules, its version
-and the names of the README quick start, nothing else.
+Only the dense oracle and the Hadamard-mode dense step build arrays, and
+they import numpy in their own bodies. A phase-flip run on GHZ x GHZ
+members, every member a config or the CLI builds, takes the scalar frame
+trace and loads no numpy; only an API caller's member off that frame (a
+complex one, or one that is not a product of two GHZ states) takes the
+dense step. A stray module-level import would put numpy back into every
+simulate and every sweep, about half of a short ghzpurify process. The
+package itself binds its modules, its version and the names of the README
+quick start, nothing else.
 """
 
 import ast
@@ -33,6 +37,36 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     assert code == 0, (argv, code)
 print(json.dumps([before, "numpy" in sys.modules]))
+"""
+
+# Phase-flip runs of the pair input at m = 2..10, on the gate and on the
+# table with its two rail-1 rows swapped (as verify --inject-gate-fault
+# swaps them), under the phase-flip mode and under the accept-all rule; then,
+# if the first argument names one, a run on a member off the GHZ frame: a
+# complex one, or one that is not a GHZ x GHZ product. Prints whether numpy
+# is loaded after the pair runs and after the last run.
+_PHASEFLIP_RUNS = """
+import json, sys
+from ghzpurify import optics, protocol
+from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_state
+mode, swapped = protocol.MODES["phaseflip"], dict(optics.GATE_TABLE)
+swapped[(0, 0)], swapped[(1, 0)] = swapped[(1, 0)], swapped[(0, 0)]
+for m in range(2, 11):
+    pair = mode.verify_input(m, 0.8, 0.7)
+    for table in (None, swapped):
+        for rule in (mode.rule, protocol.AcceptanceRule("general")):
+            try:
+                protocol._execute(pair, rule, mode.plan(pair), None, True, table)
+            except ValueError as exc:  # nothing accepted
+                assert "no accepted" in str(exc)
+after_pairs = "numpy" in sys.modules
+member = mode.verify_input(3, 0.8, 0.7).members[0][1]
+if sys.argv[1] == "complex":
+    member = PureState(3, member.dofs, {lab: 1j * a for lab, a in member.terms.items()})
+elif sys.argv[1] == "off-product":
+    member = make_state(3, (POL, SPATIAL), [((0, 0), 0.9**0.5), ((7, 7), 0.1**0.5)])
+mode.run(Ensemble(((1.0, member),)))
+print(json.dumps([after_pairs, "numpy" in sys.modules]))
 """
 
 # The contract perfbench/spans.py relies on: every module its LAYER_SPANS
@@ -95,7 +129,7 @@ def _simulate_argv(tmp_path, mode: str) -> list[str]:
 
 
 def test_sparse_simulates_and_sweeps_leave_numpy_unloaded(tmp_path):
-    argvs = [_simulate_argv(tmp_path, mode) for mode in ("bitflip", "general", "deterministic-demo")]
+    argvs = [_simulate_argv(tmp_path, mode) for mode in ("bitflip", "phaseflip", "general", "deterministic-demo")]
     argvs += [
         ["sweep", "--axis", "L", "--from", "20", "--to", "30"],
         ["sweep", "--axis", "N", "--from", "2", "--to", "6"],
@@ -104,10 +138,18 @@ def test_sparse_simulates_and_sweeps_leave_numpy_unloaded(tmp_path):
     assert _fresh_python(_RUN_CLI, json.dumps(argvs)) == [False, False]
 
 
+def test_phaseflip_frame_runs_leave_numpy_unloaded():
+    assert _fresh_python(_PHASEFLIP_RUNS, "frame") == [False, False]
+
+
 @pytest.mark.parametrize("command", ["phaseflip", "verify"])
-def test_dense_paths_load_numpy(command, tmp_path):
-    argv = _simulate_argv(tmp_path, "phaseflip") if command == "phaseflip" else ["verify", "--m", "2"]
-    assert _fresh_python(_RUN_CLI, json.dumps([argv])) == [False, True]
+def test_dense_paths_load_numpy(command):
+    """A phase-flip member off the GHZ frame (complex, and not a product) takes the dense step, and verify the oracle: both load numpy."""
+    if command == "phaseflip":
+        for member in ("complex", "off-product"):
+            assert _fresh_python(_PHASEFLIP_RUNS, member) == [False, True]
+    else:
+        assert _fresh_python(_RUN_CLI, json.dumps([["verify", "--m", "2"]])) == [False, True]
 
 
 def test_tracer_finds_every_module_without_numpy():

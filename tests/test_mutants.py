@@ -8,29 +8,28 @@ is scored against, the engine against the dense oracle at m = 3
 (`verify --m 3`), the same comparison on two phase-flip members that are
 not GHZ x GHZ products, scored against a target that is not a GHZ state,
 the repr of Hadamard runs on GHZ x GHZ members against the same runs
-with every member through its own dense step, the same comparison on
-runs in one process whose column memo keys differ in one part only, the
-repr of a run whose step shares port states against tests/helpers.py's
-per-port loop, the efficiency ratio against its formula and
-criterion 7 (R P2 = P1), and the oracle's Hadamard layer, read entry by
-entry, against the Kronecker product of a complex, non-symmetric
-factor. A mutant is caught when a detector's check fails
-or raises. A mutant target is a module function or a ``Class.method``,
-which is installed on the class. protocol's process-lifetime caches (the
-port tables, the partitions, the pattern tuples and the column memo) are
-emptied before a mutant is installed and after it is removed: a warm memo
-would hand a mutant of the column step the package's columns, a warm
-partition a mutant of the partition the package's groups, and one the
-mutant filled would outlive it.
+with every member through its own dense step, the repr of a run whose
+step shares port states against tests/helpers.py's per-port loop, the
+efficiency ratio against its formula and criterion 7 (R P2 = P1), the
+oracle's Hadamard layer, read entry by entry, against the Kronecker
+product of a complex, non-symmetric factor, and the registers of
+tensor_hyper's products against 2^m. A mutant is caught when a
+detector's check fails or raises. A mutant target is a module function or
+a ``Class.method``, which is installed on the class. protocol's
+process-lifetime caches (the port tables, the partitions and the pattern
+tuples) are emptied before a mutant is installed and after it is
+removed: a warm partition would hand a mutant of the partition the
+package's groups, and one the mutant filled would outlive it.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
 (sparse and dense step), a register pushed out of range by tensor_hyper, and
-a conditional weight left undivided by its port's probability. The dense
-step refuses an out-of-range pol register where it writes the member into
-the pol layer's array. The last two break the spatial closed form of
-optics.pair_rows: one scaling by c too few, and the sum and difference
-swapped.
+a conditional weight left undivided by its port's probability. Every path
+the engine runs on a product masks its registers to m bits, so nothing
+printed shows the out-of-range register: only the label detector, which
+reads tensor_hyper's products directly, catches it. The last one drops one
+scaling by c from the spatial layer of the frame trace
+(protocol._frame_column), one of the 2m.
 
 Then come the butterfly sign in walsh_hadamard, the closing Hadamard of the
 phase-flip correction skipped, a wrong phaseflip_plan flip mask and the GHZ
@@ -44,7 +43,7 @@ The last three: optics.prune raised from PRUNE_TOL to 1e-9, which only the
 second off-product member sees (its accepted ports carry amplitudes of
 about 5e-10, and dropping them moves the fidelity against |000> by 1e-9);
 and two faults of the phase-flip relabelling: every magnitude served by
-the column of the first, and zq read as 0. The first negates every port
+the trace of the first, and zq read as 0. The first negates every port
 state of a member at the negated amplitude, the second flips the sign of
 whole port states; no fidelity sees either, and only the repr detector,
 whose members include such a member, catches them.
@@ -59,38 +58,34 @@ caught by the efficiency detector, computed in the test from the formula.
 
 The last three break a correction or a port read as a register XOR. The
 dense step's one gather without the flip XOR leaves every port uncorrected;
-the closed forms, the golden records and verify catch it. The oracle's
-corrected target read at grid instead of grid ^ mask does the same on the
-oracle side, which only verify sees. The port register XOR 1 in
-oracle._blocks' gather scores each accepted port from its neighbour's
-block; the off-product detector and verify catch it.
+only the repr detector, whose refused runs take the dense step for every
+member, sees it. The oracle's corrected target read at grid instead of
+grid ^ mask does the same on the oracle side, which only verify sees. The
+port register XOR 1 in oracle._blocks' gather scores each accepted port
+from its neighbour's block; the off-product detector and verify catch it.
 
 The next two break the skip of a member whose port class the rule
 rejects. Dropping c2 from the parity test changes nothing on the gate
 table, where c2 is 0, or at even m: only the faulted-table run at odd m
 catches it. Skipping the live class in place of the rejected one leaves
-the phase-flip run no accepted port, and sends a rejected member to the
-column step with no ports, which raises.
+the phase-flip run no accepted port.
 
-The last seven break the column step, which the first GHZ x GHZ member of
-each magnitude takes, and the sign rule that gives every member's ports
-from its column. Frame inputs no longer reach the dense step, so its
-three mutants above (dense-scale, closing-hadamard, dense-flips) are
-caught by the repr detector, whose refused runs take the dense step for
-every member, and all but dense-flips by the off-product detector too.
-Their column-step counterparts are column-scale, column-closing-hadamard
-and column-flips; the repr detector, the closed forms, the golden records
-and verify catch all three. column-pair-columns swaps the two columns
-the column step hands pair_rows, which flips the sign of the difference
-on odd-parity rows. That sign is Z on every spatial photon after the
-layer, which the gate and the correction turn into X on every output
-photon. Every GHZ state is an eigenstate of that X, so no fidelity
-against a GHZ target moves: only the repr detector catches it. Dropping
-the zq.q sign flips whole port states, which only the repr detector
-sees. Gathering at port 0 whatever the member's class changes nothing
-where the first member is of the class of port 0: the repr detector's
-first member is of the other class, which its accept-all runs keep.
-Dropping the (xo ^ xo0 ^ F(q0) ^ F(q)).o sign moves every fidelity.
+The last seven break the sign rule that gives every member's ports from
+the frame trace, and the trace. Frame inputs no longer reach the dense
+step, so its three mutants above (dense-scale, closing-hadamard,
+dense-flips) are caught by the repr detector, whose refused runs take the
+dense step for every member, and the first two by the off-product
+detector too. Dropping the zq.q sign flips whole port states, which only
+the repr detector sees. Reading the parity t0 of the reference column at
+port 0, whatever the class of R0, changes nothing where c2 & pol_q is 0,
+as on the gate and the faulted table: only the repr detector's fifth run,
+on a table whose port constant and inverse pol masks are all 2^m - 1, at
+odd m, catches it. Dropping the flip's sign x.(2^m - 1) on the complement
+register, the trace's scaling p**-0.5 off by 1e-9, the trace's closing
+2^(m-1) P^m dropped, and F(q) dropped from x each move the phase-flip
+figures. Exchanging the pair's two amplitudes is X on every output
+photon; every GHZ state is an eigenstate of that X, so no fidelity against
+a GHZ target moves: only the repr detector catches it.
 
 The last three break the port groups, which _partition builds once per
 class, zq and flip masks. A group that drops its last port
@@ -102,25 +97,19 @@ photon on the ports where it left by SWAP, catches it. A byte-table
 slice in states.bits one photon short spells every pattern out wrong;
 the records, verify and the shared-states detector catch it.
 
-The last four drop one term each of the sign rule,
-out_M[q](o) = (-1)^(c ^ c0 ^ (xo0 ^ F(q0)).d ^ zq0.q0 ^ zq.q
-^ (xo ^ xo0 ^ F(q0) ^ F(q)).o) B(o ^ d) with d = zo ^ zo0: zq0.q0,
-(xo0 ^ F(q0)).d, the shift d itself, and F(q) from the port groups and
-their masks. zq0.q0 is 0 where q0 is port 0, so only the repr detector's
-first member, of the odd class at odd e, shows it. The golden inputs are
-all GHZ(0) x GHZ(0), where d is 0, so only the repr detector catches the
-next two; the last moves the phase-flip fidelities.
+The last three drop one term each of the sign rule,
+out_M[q](o) = (-1)^(c ^ zq.q ^ (xo ^ F(q)).o) C'(o ^ zo): x.zo from the
+sign on zo (x = xo ^ F(q)), the shift zo itself, which puts every pair on
+{0, 2^m - 1}, and F(q) from the port groups and their masks. The golden
+inputs are all GHZ(0) x GHZ(0), where zo is 0, so only the repr detector
+catches the first two; the last moves the phase-flip fidelities.
 
-The last four break the caches that live for the process. The column
-memo keyed without the gate hands a run on the faulted table the gate's
-column where the two differ, as they do for GHZ(1,-) x GHZ(0,-) at
-m = 3; keyed without the magnitude it hands the negated member the
-column of the first, with the wrong signs; keyed without the flip mask
-of the first port it hands the accept-all run whose plan flips the last
-photon the column of the empty plan. The first two only the warm-column
-detector sees, the third the repr detector. Partitioning a class's ports
-once per class, not once per (zq, class), gives a member the sign
-groups of another with a different zq; the repr detector catches it.
+The last two break the tables a run keeps. The run's trace table keyed on
+|a| hands the negated member the trace of the first, with the wrong
+signs, which only the repr detector, whose last member is the third at the
+negated amplitude, sees. Partitioning a class's ports once per class, not
+once per (zq, class), gives a member the sign groups of another with a
+different zq; the repr detector catches it.
 
 The last five break _execute's cells. A port's cell keyed on the first
 tuple that holds it merges ports whose later tuples differ; entries of a
@@ -139,6 +128,11 @@ oracle run, Hadamard or not; verify and the layer detector catch it.
 factor[s, r] in place of factor[r, s] is the transposed layer: the
 oracle's own factors, H x H and the identity, are symmetric, so no run
 sees it, and only the layer detector, with its non-symmetric factor, does.
+
+The last three break the frame trace's other factors, and each moves the
+phase-flip figures: one square too few in the sum p; the term t0 dropped
+from the sign on the complement register (on the gate, t0 is m mod 2);
+and a complement register that is not zo ^ (2^m - 1).
 
 Three mutants survive every detector and are not listed. Taking the
 support of the operator from its rows alone, in oracle._blocks, is
@@ -178,6 +172,9 @@ GOLDEN = ["bitflip-m3-1+", "phaseflip-m5-0+", "general-m3-0+", "deterministic-de
 TOL = 1e-12
 # the gate with rows (H, mode 0) and (V, mode 0) swapped: its port constant c2 is 2^m - 1
 FAULTED = {**optics.GATE_TABLE, (0, 0): optics.GATE_TABLE[(1, 0)], (1, 0): optics.GATE_TABLE[(0, 0)]}
+# a bijection whose port constant c2 and whose inverse's pol masks on out pol and on port are all 2^m - 1,
+# so that the parity of the registers the frame's reference column holds depends on c2 at odd m
+CONSTANT_PORT = {(0, 0): (0, 1), (0, 1): (1, 0), (1, 0): (0, 0), (1, 1): (1, 1)}
 
 # (name, module, function, source text, mutated text)
 MUTANTS = [
@@ -185,8 +182,7 @@ MUTANTS = [
     ("dense-scale", protocol, "_dense_split", "p**-0.5 if p > 0.0", "p**-0.5 * (1 + 1e-9) if p > 0.0"),
     ("tensor-register", states, "tensor_hyper", "(plab[0], slab[0])", "(plab[0] ^ (1 << pol.m), slab[0])"),
     ("weight-undivided", protocol, "_execute", "(w / pattern_prob, s)", "(w, s)"),
-    ("pair-scalings", optics, "pair_rows", "for _ in range(m):", "for _ in range(m - 1):"),
-    ("pair-swapped", optics, "pair_rows", "[total + 0.0, diff + 0.0,", "[diff + 0.0, total + 0.0,"),
+    ("pair-scalings", protocol, "_frame_column", "_scaled(pol, m)", "_scaled(pol, m - 1)"),
     ("walsh-sign", optics, "walsh_hadamard", "np.subtract(halves[:, 0], halves[:, 1]",
      "np.subtract(halves[:, 1], halves[:, 0]"),
     ("closing-hadamard", protocol, "_dense_split", "walsh_hadamard(block, m)", "None"),
@@ -196,7 +192,7 @@ MUTANTS = [
     ("table-mask", optics, "check_table", "(p1 ^ c1, s1 ^ c1, c1,", "(p1, s1 ^ c1, c1,"),
     ("record-target", cli, "execute", "weights.get((index, sign), 0.0)", "weights.get((0, 1), 0.0)"),
     ("prune-bound", optics, "prune", "<= PRUNE_TOL", "<= 1e-9"),
-    ("relabel-key", protocol, "_relabelled_dense_split", "bases.get(a)", "next(iter(bases.values()), None)"),
+    ("relabel-key", protocol, "_relabelled_dense_split", "traces.get(a)", "next(iter(traces.values()), None)"),
     ("relabel-port-sign", protocol, "_relabelled_dense_split", "e & pol_q ^ f & sp_q", "0"),
     ("accept-parity", protocol, "AcceptanceRule.ports", "r << 1 | r.bit_count() & 1", "r << 1 | ~r.bit_count() & 1"),
     ("merge-rows", oracle, "_single_photon_network", "merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)\n"
@@ -208,24 +204,23 @@ MUTANTS = [
     ("parity-offset", protocol, "_relabelled_dense_split", "(xq ^ c2)", "xq"),
     ("parity-flipped", protocol, "_relabelled_dense_split", "if not (ports :=", "if (ports :="),
     ("column-sign", protocol, "_partition", "((zq & q).bit_count() & 1, flip)", "(0, flip)"),
-    ("column-first-port", protocol, "_relabelled_dense_split", "q0 = ports[0]", "q0 = 0"),
-    ("column-flip-sign", protocol, "_relabelled_dense_split", "s ^ (x & o).bit_count() & 1", "s"),
-    ("column-scale", protocol, "_column_split", "column *= prob**-0.5", "column *= prob**-0.5 * (1 + 1e-9)"),
-    ("column-pair-columns", protocol, "_column_split", "layer[:, 0], layer[:, 1]", "layer[:, 1], layer[:, 0]"),
-    ("column-closing-hadamard", protocol, "_column_split", "walsh_hadamard(closed, m)", "None"),
-    ("column-flips", protocol, "_column_split", "column[grid ^ plan.get(q0, 0)]", "column[grid]"),
+    ("column-first-port", protocol, "_relabelled_dense_split", "(c2 & pol_q ^ pol_c)", "(pol_c)"),
+    ("column-flip-sign", protocol, "_relabelled_dense_split", "t0 ^ x.bit_count() & 1", "t0"),
+    ("column-scale", protocol, "_frame_column", "w = V * p**-0.5", "w = V * p**-0.5 * (1 + 1e-9)"),
+    ("column-pair-columns", protocol, "_relabelled_dense_split",
+     "complex(-v if s else v), (zo ^ full,): complex(-v if t else v)",
+     "complex(-v if t else v), (zo ^ full,): complex(-v if s else v)"),
+    ("column-closing-hadamard", protocol, "_frame_column", "top * _scaled(w, m)", "w"),
+    ("column-flips", protocol, "_relabelled_dense_split", "x = xo ^ flip", "x = xo"),
     ("group-last-port", protocol, "_partition", "tuple(qs))", "tuple(qs[:-1]))"),
     ("relabel-first-flip", protocol, "_relabelled_dense_split", "tuple(map(plan.get, ports, repeat(0)))",
      "(plan.get(ports[0], 0),) * len(ports)"),
     ("bits-slice", states, "bits", "out[8 * size - m :]", "out[8 * size - m + 1 :]"),
-    ("base-port-sign", protocol, "_relabelled_dense_split", "c ^ (zq & q0).bit_count() & 1, zo", "c, zo"),
-    ("base-shift-sign", protocol, "_relabelled_dense_split", "c ^ c0 ^ (x0 & d).bit_count() & 1", "c ^ c0"),
-    ("base-shift", protocol, "_relabelled_dense_split", "d = zo ^ zo0\n", "d = 0\n"),
+    ("base-shift-sign", protocol, "_relabelled_dense_split", "s = c ^ odd ^ (x & zo).bit_count() & 1", "s = c ^ odd"),
+    ("base-shift", protocol, "_relabelled_dense_split", "{(zo,): complex(-v if s else v), (zo ^ full,)",
+     "{(0,): complex(-v if s else v), (full,)"),
     ("group-flip", protocol, "_partition", ", flip), [])", ", 0), [])"),
-    ("memo-gate", protocol, "_relabelled_dense_split", "(m, gate, q0, plan.get(q0, 0), parts)",
-     "(m, q0, plan.get(q0, 0), parts)"),
-    ("memo-flip", protocol, "_relabelled_dense_split", "(m, gate, q0, plan.get(q0, 0), parts)", "(m, gate, q0, parts)"),
-    ("memo-magnitude", protocol, "_relabelled_dense_split", "plan.get(q0, 0), parts)", "plan.get(q0, 0), parts[1:])"),
+    ("memo-magnitude", protocol, "_relabelled_dense_split", "traces.get(a)", "traces.get(abs(a))"),
     ("partition-zq", protocol, "_relabelled_dense_split", "zq_class := (zq, parity)", "zq_class := parity"),
     ("cell-first-group", protocol, "_cells", "map(add, map(held_by.get, ports, repeat(())), repeat((i,)))",
      "map(held_by.get, ports, repeat((i,)))"),
@@ -237,6 +232,9 @@ MUTANTS = [
     ("layer-digit", oracle, "_layer_entries", "range(0, 2 * m, 2)", "range(1, 2 * m, 2)"),
     ("layer-transposed", oracle, "_layer_entries", "factor[rows >> shift & 3, cols >> shift & 3]",
      "factor[cols >> shift & 3, rows >> shift & 3]"),
+    ("trace-squares", protocol, "_frame_column", "repeat(V * V, top)", "repeat(V * V, top - 1)"),
+    ("trace-sign-m", protocol, "_relabelled_dense_split", "t = s ^ t0 ^", "t = s ^"),
+    ("trace-support", protocol, "_relabelled_dense_split", "(zo ^ full,)", "(zo ^ full - 1,)"),
 ]
 
 
@@ -281,9 +279,9 @@ def oracle_off_product(tmp_path):
 
 
 def relabelled_repr(tmp_path):
-    # two sign classes (port shifts), each with members whose pol indices differ: the first is of the odd
-    # class at odd e, so that the accept-all runs derive the even class from its column, and the last is
-    # the third at the negated amplitude, another magnitude
+    # two sign classes (port shifts), each with members whose pol indices differ, so that zo and zq vary:
+    # the first is of the odd class at odd e, and the last is the third at the negated amplitude, another
+    # magnitude
     members = [
         (3, -1, 0, 1, 1), (0, 1, 0, 1, 1), (3, -1, 5, -1, 1), (0, 1, 0, -1, 1), (6, -1, 1, 1, 1), (3, -1, 5, -1, -1),
     ]
@@ -297,6 +295,9 @@ def relabelled_repr(tmp_path):
         )),
         # the faulted table's port constant c2 is 2^m - 1, of odd parity at odd m
         (5, lambda ensemble: protocol.MODES["phaseflip"].run(ensemble, gate_table=FAULTED)),
+        (5, lambda ensemble: protocol._execute(
+            ensemble, protocol.AcceptanceRule("general"), {}, None, True, CONSTANT_PORT
+        )),
     ]
     for m, run in runs:
         products = [(k, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))) for e, s, f, t, k in members]
@@ -307,21 +308,6 @@ def relabelled_repr(tmp_path):
         with pytest.MonkeyPatch.context() as refuse:
             refuse.setattr(protocol, "_ghz_frame", lambda member: None)
             assert_same_text(repr(run(ensemble)), framed)
-
-
-def warm_columns(tmp_path):
-    # runs in one process whose column memo keys differ in one part only, each against its per-member dense
-    # steps: GHZ(1,-) x GHZ(0,-) at m = 3 takes port 0 and flip 7 on the gate and on the faulted table, where
-    # its column differs, and the same member negated differs only in magnitude
-    m = 3
-    member = tensor_hyper(make_ghz_pol(m, 1, -1), make_ghz_spatial(m, 0, -1))
-    single, negated = (Ensemble(((1.0, PureState(m, member.dofs, {lab: k * a for lab, a in member.terms.items()})),))
-                       for k in (1, -1))
-    for ensemble, table in ((single, None), (single, FAULTED), (negated, None)):
-        framed = repr(protocol.MODES["phaseflip"].run(ensemble, gate_table=table))
-        with pytest.MonkeyPatch.context() as refuse:
-            refuse.setattr(protocol, "_ghz_frame", lambda member: None)
-            assert_same_text(repr(protocol.MODES["phaseflip"].run(ensemble, gate_table=table)), framed)
 
 
 def shared_port_states(tmp_path):
@@ -344,6 +330,14 @@ def shared_port_states(tmp_path):
         assert_same_text(repr(protocol._execute(ensemble, rule, {}, None, False, None)), expected)
 
 
+def tensor_labels(tmp_path):
+    # every register of a product is an m-bit register, on both degrees of freedom
+    for m in (2, 3, 5):
+        for e, f in ((0, 0), (1, 2 ** (m - 1) - 1)):
+            joint = states.tensor_hyper(make_ghz_pol(m, e, -1), make_ghz_spatial(m, f))
+            assert all(0 <= register < 1 << m for label in joint.terms for register in label)
+
+
 def efficiency_ratio(tmp_path):
     for eta_d, eta_c, L, N in ((0.9, 0.95, 25.0, 3), (0.8, 1.0, 60.0, 8), (1.0, 0.7, 0.0, 2)):
         params = efficiency.EfficiencyParams(eta_d=eta_d, eta_c=eta_c, L=L, L0=25.0, N=N, p1=0.6)
@@ -362,7 +356,7 @@ def oracle_layer(tmp_path):
 
 
 DETECTORS = [  # cheapest first
-    efficiency_ratio, oracle_layer, shared_port_states, relabelled_repr, warm_columns, oracle_off_product, closed_forms,
+    tensor_labels, efficiency_ratio, oracle_layer, shared_port_states, relabelled_repr, oracle_off_product, closed_forms,
     golden_records, oracle_m3,
 ]
 
@@ -411,7 +405,7 @@ def test_detectors_pass_on_the_package(tmp_path):
 def cold_caches():
     """Empty protocol's caches before a mutant is installed and after it is removed.
 
-    A warm column memo or port table would hand the mutant results the
+    A warm port table or partition would hand the mutant results the
     package computed, and one the mutant filled would outlive it.
     """
     clear_caches()

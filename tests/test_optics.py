@@ -3,8 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ghzpurify.optics import (
     GATE_TABLE,
@@ -13,7 +11,6 @@ from ghzpurify.optics import (
     hadamard_pol,
     hadamard_spatial,
     check_table,
-    pair_rows,
     walsh_hadamard,
 )
 from ghzpurify.oracle import _single_photon_network
@@ -43,7 +40,6 @@ from helpers import (
     scaled,
     states_close,
     unpack,
-    walsh_pair_reference,
 )
 
 
@@ -193,40 +189,6 @@ def test_walsh_hadamard_prunes_and_checks_its_array():
         walsh_hadamard(np.zeros((2, 2), dtype=np.float32), 1)
     with pytest.raises(ValueError, match="4 rows"):
         walsh_hadamard(np.zeros((2, 2), dtype=complex), 2)
-
-
-# signed zeros, one repeated magnitude (so that sums and differences cancel
-# exactly), values about PRUNE_TOL, and arbitrary floats
-PAIR_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.sampled_from([0.5, -0.5, 2.0**-0.5, -(2.0**-0.5)]),
-    st.floats(-3e-14, 3e-14),
-    st.floats(-1.0, 1.0),
-)
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(data=st.data())
-def test_pair_rows_match_walsh_bit_for_bit(data):
-    """Each register's row of pair_rows is, bit for bit, walsh_hadamard's row on the embedded pair."""
-    m = data.draw(st.integers(2, 10), label="m")
-    size = 1 << m
-    r = data.draw(st.one_of(st.just(0), st.integers(0, size // 2 - 1)), label="r")
-    n = data.draw(st.integers(1, 3), label="columns")
-    dtype = data.draw(st.sampled_from([np.float64, np.complex128]), label="dtype")
-    parts = 2 if dtype is np.complex128 else 1
-    rows = [
-        np.array(data.draw(st.lists(PAIR_VALUES, min_size=parts * n, max_size=parts * n))).view(dtype)
-        for _ in range(2)
-    ]
-    if data.draw(st.booleans(), label="equal magnitudes"):
-        rows[1] = rows[0] * data.draw(st.sampled_from([1.0, -1.0]))
-    parity = np.array([q.bit_count() & 1 for q in range(size)])
-    table, kind = pair_rows(*rows, r, parity)
-    got = table[kind]
-    want = walsh_pair_reference(*rows, r, parity)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 def test_hadamard_pol_reference_images():

@@ -14,6 +14,7 @@ from ghzpurify.oracle import (
     network_unitary,
     oracle_run,
     state_vector,
+    term_indices,
 )
 from ghzpurify.protocol import MODES, infer_flip_plan, phaseflip_plan, run_bitflip, run_general, run_phaseflip
 from ghzpurify.states import (
@@ -171,6 +172,39 @@ def test_block_read_ignores_rows_and_columns_outside_the_support():
     want = network_blocks(layer @ rho @ layer.conj().T, m, range(1 << m))
     assert np.allclose(_blocks(rho, m, hadamard_both_unitary(1), list(range(1 << m))), want, rtol=0, atol=1e-12)
     assert not _blocks(np.zeros((4**m, 4**m)), m, hadamard_both_unitary(1), [0, 5]).any()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_term_indices_hold_every_nonzero_row_and_column(m):
+    """term_indices is the scan's support on verify's inputs, so oracle_run prints the same with it; an underflowed member adds only zero rows and columns.
+
+    The member at weight 5e-324 has every weight x |amp|**2 round to 0, so
+    its indices are among term_indices but hold an all-zero row and column
+    of the operator, and the oracle's figures stay within 1e-15.
+    """
+    for name, mode in sorted(MODES.items()):
+        if m < mode.min_m:
+            continue
+        ens = mode.verify_input(m, 0.3, 0.8)
+        rho = densify(ens)
+        scanned = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+        assert term_indices(ens).tolist() == scanned.tolist()
+        args = (rho, m, mode, mode.plan(ens), None)
+        assert oracle_run(*args, term_indices(ens)) == oracle_run(*args)
+    top = 1 << (m - 1)
+    members = [tensor_hyper(make_ghz_pol(m, 0), make_ghz_spatial(m, 0)),
+               tensor_hyper(make_ghz_pol(m, top - 1, -1), make_ghz_spatial(m, top // 2))]
+    ens = Ensemble(((1.0, members[0]), (5e-324, members[1])))
+    rho, support = densify(ens), term_indices(ens)
+    extra = sorted(set(support.tolist()) - set(np.flatnonzero(rho.any(axis=0) | rho.any(axis=1)).tolist()))
+    assert len(extra) == 4 and not rho[extra].any() and not rho[:, extra].any()
+    for mode in MODES.values():
+        args = (rho, m, mode, mode.plan(ens), None)
+        got, want = oracle_run(*args, support), oracle_run(*args)
+        assert got.pattern_table.keys() == want.pattern_table.keys()
+        for key, (prob, fid) in want.pattern_table.items():
+            assert got.pattern_table[key] == pytest.approx((prob, fid), rel=0, abs=1e-15)
+        assert got.output_fidelity == pytest.approx(want.output_fidelity, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzpurify import protocol
 from ghzpurify.noise import mix_general, mix_two, product_ensemble
@@ -126,7 +128,7 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m):
 
 @pytest.mark.parametrize("m", [6, 7, 8, 9])
 def test_dense_port_probability_is_a_sequential_sum(m):
-    """Every port probability of the dense and column steps is a left-to-right sum of |amp|**2 in register order.
+    """Every port probability of the dense step and the frame trace is a left-to-right sum of |amp|**2 in register order.
 
     The reference amplitudes come from walsh_hadamard on both registers and
     check_table's masks on index grids, and the reference adds their squares one by one
@@ -136,8 +138,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
     a single spatial register. At these sizes numpy's pairwise np.sum along
     a contiguous axis gives other bits on some port of the random members,
     which the test checks too. Each GHZ x GHZ product also runs through a
-    fresh _relabelled_dense_split, where it is its own base and takes the
-    column step.
+    fresh _relabelled_dense_split, where it takes the frame trace.
     """
     rng = random.Random(m)
     size = 1 << m
@@ -596,7 +597,7 @@ def phaseflip_repr(ensemble, table, target=None):
 
 @pytest.fixture
 def cold():
-    """Empty protocol's process-lifetime caches before and after the test, so that a counted run takes its column steps."""
+    """Empty protocol's process-lifetime caches before and after the test, so that a counted run starts cold."""
     clear_caches()
     yield
     clear_caches()
@@ -622,6 +623,18 @@ def counting_steps(monkeypatch, name):
 def counting_dense_steps(monkeypatch):
     """Install a _dense_split whose steps record every member they run on; returns that list."""
     return counting_steps(monkeypatch, "_dense_split")
+
+
+def counting_traces(monkeypatch):
+    """Install a _frame_column that records the magnitude of every trace it takes; returns that list."""
+    original, traced = protocol._frame_column, []
+
+    def counted(m, a):
+        traced.append(a)
+        return original(m, a)
+
+    monkeypatch.setattr(protocol, "_frame_column", counted)
+    return traced
 
 
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
@@ -692,61 +705,62 @@ def mixed_members():
 
 
 def test_dense_step_runs_once_per_group(cold, monkeypatch):
-    """The benchmark's pair input runs 1 column step and no dense step for its 4 members; a member off the frame always takes its own dense step.
+    """The benchmark's pair input takes 1 frame trace and no dense step for its 4 members; a member off the frame always takes its own dense step.
 
     The pair input holds GHZ(0) x GHZ(0) in all four sign pairs, at one
     magnitude. The port shift is the XOR of the two sign masks, so (+,-)
     and (-,+) shift every port to odd parity, which the phase-flip rule
-    rejects, and they take no step at all. (+,+) takes the column step, and
-    (-,-) is a signed shift of its column. Of the mixed members, the
-    reference and the rescaled one each take a column step, their repeats
-    reuse it, and the other three take the dense step. The column lives
-    for the process: a second run, at other fidelities, takes no column
-    step, and the off-frame members take their dense steps again.
+    rejects, and they take no step at all. (+,+) takes the trace of its
+    magnitude, and (-,-) reuses it. Of the mixed members, the reference
+    and the rescaled one each take a trace, their repeats reuse it, and
+    the other three take the dense step. No trace outlives its run: a
+    second run, at other fidelities, takes its own, and the off-frame
+    members take their dense steps again.
     """
-    columns, stepped = counting_steps(monkeypatch, "_column_split"), counting_dense_steps(monkeypatch)
+    traced, stepped = counting_traces(monkeypatch), counting_dense_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
     MODES["phaseflip"].run(ensemble)
-    members = [s for _, s in ensemble.members]
-    assert len(members) == 4 and len(columns) == 1 and columns[0] is members[0] and not stepped
+    a = ensemble.members[0][1].terms[(0, 0)].real
+    assert len(ensemble.members) == 4 and traced == [a] and not stepped
     MODES["phaseflip"].run(phaseflip_input(8, 0.6, 0.9))
-    assert len(columns) == 1 and not stepped
+    assert traced == [a, a] and not stepped
 
     members = mixed_members()
     ensemble = Ensemble(tuple((1 / len(members), s) for s in members))
-    columns.clear()
+    magnitudes = [member.terms[(0, 0)].real for member in members[:2]]
+    assert magnitudes[0] != magnitudes[1]
+    traced.clear()
     framed = phaseflip_repr(ensemble, GATE_TABLE)
-    # the repeated reference and the repeated scaled member take no column step: each reuses its first's column
-    assert len(columns) == 2 and all(a is b for a, b in zip(columns, members))
+    # the repeated reference and the repeated scaled member take no trace: each reuses its first's
+    assert traced == magnitudes
     assert len(stepped) == 3 and all(a is b for a, b in zip(stepped, members[2:]))
-    columns.clear()
+    traced.clear()
     stepped.clear()
     assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
-    assert not columns and len(stepped) == 3
+    assert traced == magnitudes and len(stepped) == 3
     monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
     assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
 
 
 def test_accept_all_pair_input_shares_one_column_across_port_classes(cold, monkeypatch):
-    """Under the accept-all rule the pair input's 4 members take 1 column step, and print what per-member dense steps print.
+    """Under the accept-all rule the pair input's 4 members take 1 frame trace, and print what per-member dense steps print.
 
     (+,-) and (-,+) reach the odd ports, which this rule keeps, and the
     phase-flip plan flips every photon on the even ports only, so the one
-    column of (+,+) serves ports of both classes under two flip masks.
+    trace of the common magnitude serves ports of both classes under two
+    flip masks.
     """
-    columns, stepped = counting_steps(monkeypatch, "_column_split"), counting_dense_steps(monkeypatch)
+    traced, stepped = counting_traces(monkeypatch), counting_dense_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
 
     def accept_all():
         return repr(protocol._execute(ensemble, AcceptanceRule("general"), phaseflip_plan(8), None, True, None))
 
     framed = accept_all()
-    assert len(columns) == 1 and columns[0] is ensemble.members[0][1] and not stepped
-    assert_same_text(accept_all(), framed)
-    assert len(columns) == 1 and not stepped
+    assert traced == [ensemble.members[0][1].terms[(0, 0)].real] and not stepped
     monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
     assert_same_text(accept_all(), framed)
-    assert len(stepped) == 4 and len(columns) == 1
+    assert len(stepped) == 4 and len(traced) == 1
 
 
 def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
@@ -861,13 +875,13 @@ def test_warm_pair_solve_builds_one_outcome_per_cell(m, monkeypatch):
 def test_warm_runs_print_what_cold_runs_print():
     """Shuffled phase-flip runs at m = 2..8 in one process print, each, what the same run prints with every cache empty.
 
-    The column memo, the port tables and the parity vectors live for the
-    process. The runs cover the gate and the faulted table, the phase-flip
-    rule and plan and the accept-all rule with an empty plan, the pair
-    input and the pair input negated, GHZ x GHZ members at random indices
-    and signs, and the mixed members (rescaled, turned, crossed and off the
-    product), so warm keys of one run meet runs that differ from it in the
-    gate, the rule, the flip mask or the magnitude.
+    The port tables, partitions and pattern tuples live for the process.
+    The runs cover the gate and the faulted table, the phase-flip rule and
+    plan and the accept-all rule with an empty plan, the pair input and the
+    pair input negated, GHZ x GHZ members at random indices and signs, and
+    the mixed members (rescaled, turned, crossed and off the product), so
+    warm keys of one run meet runs that differ from it in the gate, the
+    rule, the flip mask or the magnitude.
     """
     rng, runs = random.Random(30), []
     members = mixed_members()
@@ -891,32 +905,36 @@ def test_warm_runs_print_what_cold_runs_print():
 
     clear_caches()
     warm = [printed(*run) for run in runs]
-    assert protocol._COLUMNS
     for run, text in zip(runs, warm):
         clear_caches()
         assert_same_text(printed(*run), text)
 
 
 def test_column_memo_stays_bounded():
-    """The column memo empties itself when it holds 256 columns, before it stores the next.
+    """No frame column outlives its run: 512 runs, one new (gate, magnitude, index, sign) key each, leave protocol's tables within their bounds.
 
     512 accept-all runs at m = 4, one GHZ x GHZ member each at every index
-    pair and sign pair, on the gate and the faulted table, are 512 keys,
-    one new key a run.
+    pair and sign pair, on the gate and the faulted table. Every table
+    protocol keeps for the process is an lru cache of at most 32 entries,
+    and no module-level dict holds anything a run put there.
     """
     clear_caches()
-    sizes, m = [], 4
+    m = 4
+    tables = {name: obj for name, obj in vars(protocol).items() if type(obj) in (dict, list, set) and name[:2] != "__"}
+    sizes = {name: len(obj) for name, obj in tables.items()}
+    cached = [protocol.AcceptanceRule.ports, protocol.phaseflip_plan, protocol._port_classes, protocol._partition,
+              protocol._patterns]
     for e, f, s, t in itertools.product(range(8), range(8), (1, -1), (1, -1)):
         member = Ensemble(((1.0, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))),))
         for table in (GATE_TABLE, FAULTED_TABLE):
             protocol._execute(member, AcceptanceRule("general"), {}, None, True, table)
-            sizes.append(len(protocol._COLUMNS))
-    assert sizes == [*range(1, 257)] * 2
+            assert all(fn.cache_info().currsize <= fn.cache_info().maxsize == 32 for fn in cached)
+    assert {name: len(obj) for name, obj in tables.items()} == sizes
     clear_caches()
 
 
 def test_shared_port_tables_are_read_only():
-    """The plan, port tuples, partition, patterns and parity vector a run shares with later runs refuse every write, and a later run is unchanged."""
+    """The plan, port tuples, partition and patterns a run shares with later runs refuse every write, and a later run is unchanged."""
     m, rule = 4, AcceptanceRule("phaseflip")
     ensemble = phaseflip_input(m, 0.8, 0.7)
     clear_caches()
@@ -941,8 +959,6 @@ def test_shared_port_tables_are_read_only():
         patterns[0] = patterns[1]
     with pytest.raises(TypeError):
         patterns[0][0] = 1
-    with pytest.raises(ValueError):
-        protocol._parity(m)[0] = 1
     assert phaseflip_plan(m) is plan and rule.ports(m) is ports and AcceptanceRule("phaseflip").ports(m) is ports
     assert_same_text(repr(MODES["phaseflip"].run(ensemble)), before)
 
@@ -980,16 +996,16 @@ def test_clear_caches_empties_every_process_table():
 
     Each table is found by looking, not by name: every lru-cached function
     or method that protocol defines, and every dict bound to a private
-    upper-case module name. A cold pair-input run at m = 4, once under the
-    phase-flip rule and once under accept-all, fills each of them, so a
-    table that clear_caches misses stays non-empty here.
+    upper-case module name (there is none today). A cold pair-input run at
+    m = 4, once under the phase-flip rule and once under accept-all, fills
+    each of them, so a table that clear_caches misses stays non-empty here.
     """
     defined = [obj for obj in vars(protocol).values() if getattr(obj, "__module__", None) == protocol.__name__]
     cached = [obj for obj in defined if hasattr(obj, "cache_clear")]
     for cls in [obj for obj in defined if isinstance(obj, type)]:
         cached += [obj for obj in vars(cls).values() if hasattr(obj, "cache_clear")]
     tables = [obj for name, obj in vars(protocol).items() if name[:1] == "_" and name.isupper() and type(obj) is dict]
-    assert len(cached) >= 6 and tables
+    assert len(cached) >= 5
     clear_caches()
     pair = phaseflip_input(4, 0.8, 0.7)
     MODES["phaseflip"].run(pair)
@@ -1048,7 +1064,7 @@ def test_step_groups_cover_each_accepted_port_once(name, m, table):
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
 @pytest.mark.parametrize("m", range(2, 12))
 def test_column_step_matches_the_dense_step(m, table):
-    """A fresh relabelling step on a real GHZ x GHZ member, its own base, prints the repr of the dense step on it.
+    """A fresh relabelling step on a real GHZ x GHZ member, through the frame trace, prints the repr of the dense step on it.
 
     Members are a Z^(zp, zs) X^(e, f) image of GHZ(0,+) x GHZ(0,+) at
     amplitude +-a: random e and f, all four sign pairs, and a of 1, 0.3 and
@@ -1079,3 +1095,78 @@ def test_column_step_matches_the_dense_step(m, table):
             assert_same_text(repr(framed), repr(by_port(dense(member))))
             compared += bool(framed)
     assert compared >= 2
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_frame_trace_matches_walsh_bit_for_bit(data):
+    """Each factor of the frame trace is walsh_hadamard's on the registers it stands for, and the trace is R0's dense step.
+
+    With P^k = protocol._scaled and top = 2^(m-1): a on registers 0 and
+    2^m - 1 leaves one layer as 2 P^m(a) on every even register and 0 on
+    every odd one; w on the registers of one parity t closes to
+    top P^m(w) on register 0, (-1)^t top P^m(w) on 2^m - 1 and 0
+    elsewhere. R0 at amplitude a (all four terms a) through _dense_split
+    under accept-all with an empty plan gives every port it reaches the
+    trace's probability and the state v |0> + (-1)^m v |2^m - 1>, or no
+    port where the trace is (0, 0). The magnitudes include both signs and
+    values whose layer or V falls within a few percent of PRUNE_TOL.
+    """
+    m = data.draw(st.integers(2, 7), label="m")
+    size, top = 1 << m, 1 << (m - 1)
+    near = data.draw(st.sampled_from([2.0 ** (m / 2 - 1), 2.0 ** (m - 2)]), label="layer or V at the prune bound")
+    a = data.draw(st.one_of(
+        st.sampled_from([0.5, 2.0**-0.5, 1.0, 0.3, 1e-3]),
+        st.floats(0.97, 1.03).map(lambda k: k * near * PRUNE_TOL),
+        st.floats(1e-6, 10.0),
+    ), label="a") * data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+    even = np.array([not q.bit_count() & 1 for q in range(size)])
+    layer = np.zeros(size)
+    layer[0] = layer[-1] = a
+    walsh_hadamard(layer, m)
+    pol = 2.0 * protocol._scaled(a, m)
+    assert layer.tobytes() == np.where(even, pol if abs(pol) > PRUNE_TOL else 0.0, 0.0).tobytes()
+    w, t = data.draw(st.floats(1e-3, 1.0), label="w"), data.draw(st.integers(0, 1), label="t")
+    closing = np.where(even ^ bool(t), w, 0.0)
+    walsh_hadamard(closing, m)
+    want = np.zeros(size)
+    want[0], want[-1] = top * protocol._scaled(w, m), (-1) ** t * top * protocol._scaled(w, m)
+    assert closing.tobytes() == want.tobytes()
+
+    full = size - 1
+    r0 = PureState._derived(m, (POL, SPATIAL), {(p, s): a for p in (0, full) for s in (0, full)})
+    prob, v = protocol._frame_column(m, a)
+    got = by_port(_dense_split(m, AcceptanceRule("general"), {}, gate_masks(GATE_TABLE, m))(r0))
+    assert len(got) == (top if prob else 0)
+    for p, state in got.values():
+        assert p == prob and state.terms == {(0,): complex(v), (full,): complex((-1) ** m * v)}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_frame_step_matches_the_dense_step_on_every_gate_table(m):
+    """On each of the 24 bijections of (pol, spatial), the frame step prints the repr of the dense step.
+
+    The gate and the faulted table read the parity t0 of the reference
+    column with c2 & pol_q (or c2 & sp_q) = 0; six of the other tables
+    have it 2^m - 1, so t0 depends on c2 at odd m. Members are every sign
+    pair at random indices and a magnitude of either sign, under the
+    phase-flip rule and plan and under accept-all with random flip masks.
+    """
+    rng, size = random.Random(400 + m), 1 << m
+    full, top = size - 1, size >> 1
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    compared = 0
+    for outputs in itertools.permutations(pairs):
+        gate = gate_masks(dict(zip(pairs, outputs)), m)
+        runs = [(AcceptanceRule("phaseflip"), phaseflip_plan(m)),
+                (AcceptanceRule("general"), {q: rng.randrange(size) for q in range(size)})]
+        for rule, plan in runs:
+            dense = _dense_split(m, rule, plan, gate)
+            for zp, zs in itertools.product((0, top), repeat=2):
+                e, f, a = rng.randrange(top), rng.randrange(top), rng.choice((0.5, -0.3))
+                terms = {(p, s): -a if (p & zp ^ s & zs).bit_count() & 1 else a for p in (e, e ^ full) for s in (f, f ^ full)}
+                member = PureState._derived(m, (POL, SPATIAL), terms)
+                framed = by_port(_relabelled_dense_split(m, rule, plan, gate)(member))
+                assert_same_text(repr(framed), repr(by_port(dense(member))))
+                compared += bool(framed)
+    assert compared >= 24 * 4

@@ -139,6 +139,23 @@ def test_tensor_hyper_accepts_product_of_checked_factors():
     assert (weight, member) == (1.0, joint)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_tensor_hyper_labels_stay_below_two_to_the_m(m):
+    """Every label of a product pairs two m-bit registers: nothing downstream checks them, and the frame step masks them."""
+    rng = random.Random(m)
+    top = 2 ** (m - 1)
+    factors = [(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))
+               for e, f, s, t in [(0, 0, 1, 1), (top - 1, top - 1, -1, -1)]
+               + [(rng.randrange(top), rng.randrange(top), rng.choice((1, -1)), rng.choice((1, -1))) for _ in range(4)]]
+    factors.append((PureState(m, (POL,), {(2**m - 1,): 1.0}), PureState(m, (SPATIAL,), {(0,): 0.6, (1,): 0.8})))
+    for pol, spatial in factors:
+        joint = tensor_hyper(pol, spatial)
+        assert joint.terms
+        assert all(0 <= p < 2**m and 0 <= s < 2**m for p, s in joint.terms)
+        assert {p for p, _ in joint.terms} == {p for (p,) in pol.terms}
+        assert {s for _, s in joint.terms} == {s for (s,) in spatial.terms}
+
+
 def test_tensor_hyper_mismatched_m():
     with pytest.raises(ValueError, match="photon counts"):
         tensor_hyper(make_ghz_pol(3, 0), make_ghz_spatial(4, 0))
