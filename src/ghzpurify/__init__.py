@@ -15,9 +15,9 @@ noise, optics, oracle, protocol, records, states or cli.
 Importing the package imports every module except cli, so tools that wrap
 module functions by name (perfbench/spans.py) find each one. numpy is
 imported inside the functions that build arrays (the oracle, and the
-Hadamard-mode dense step for a member off the GHZ frame), never at module
-level, so importing the package and running any configured mode or a sweep
-leaves it unloaded.
+per-state Hadamard route of optics), never at module level, and no engine
+step builds one, so importing the package and running any mode on any
+member, or a sweep, leaves it unloaded.
 """
 
 __version__ = "0.1.0"

@@ -8,18 +8,20 @@ the polarization mixture, its fidelity against the target GHZ state, and
 the total accepted probability. Members of modes without Hadamard layers
 stay sparse labeled states of 4 terms, and their step (_split_by_pattern)
 routes each (pol, spatial) register pair straight to its (pol, port) pair:
-the gate is a bijection, so no routed state is built. After the layers a
-member holds 4^(m-1) terms. A Hadamard run gives each real GHZ x GHZ
-member (_ghz_frame), a Pauli image of one reference member, its ports
-from a scalar trace of its magnitude (_frame_column): every live port
-holds the same probability and a scaled GHZ state +-v(|r> +- |r^(2^m-1)>),
-its register pair and signs read off the member and the gate's masks, one
-port group per distinct state, bit for bit what its dense step gives,
-with no array and no numpy. A member whose port class the rule rejects is
-skipped, and _relabelled_dense_split states why that is exact. Any other
-member, complex or not a product of two GHZ states, which only an API
-caller passes, takes the dense step on register arrays (_dense_split),
-which imports numpy. Every step returns port groups (Split): one
+the gate is a bijection, so no routed state is built. A Hadamard run
+gives each real GHZ x GHZ member (_ghz_frame), a Pauli image of one
+reference member, its ports from a scalar trace of its magnitude
+(_frame_column): every live port holds the same probability and a scaled
+GHZ state +-v(|r> +- |r^(2^m-1)>), its register pair and signs read off
+the member and the gate's masks, one port group per distinct state, bit
+for bit what walsh_hadamard's butterflies on register arrays give (the
+tests keep that dense step as their reference). A member whose port
+class the rule rejects is skipped, and _hadamard_split states why that
+is exact. Any other member, complex or not a product of two GHZ states,
+which only an API caller passes, takes the sparse Hadamard step
+(_sparse_split): the path is Clifford, so each of its terms reaches each
+accepted port at one register, with a sign. No step builds an array, and
+no mode loads numpy. Every step returns port groups (Split): one
 probability and corrected state per group, held by each of its accepted
 ports.
 A run reads the gate once: _execute takes the affine register masks of the
@@ -70,14 +72,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .noise import BIT_FLIP, PHASE_FLIP, mix_general, mix_two, product_ensemble
-from .optics import (
-    _HADAMARD_C,
-    GATE_TABLE,
-    GateTable,
-    check_table,
-    prune,
-    walsh_hadamard,
-)
+from .optics import _HADAMARD_C, GATE_TABLE, GateTable, check_table
 from .states import (
     NORM_TOL,
     POL,
@@ -264,70 +259,48 @@ MAX_PHOTONS = 1000
 MAX_MEMBERS = 160_801
 
 
-def _dense_split(
+def _sparse_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
-    """The Hadamard-mode step for one member, on dense arrays indexed by the registers.
+    """The Hadamard-mode step for a member off the GHZ frame: each term sent straight to each accepted port.
 
     Same contract as _split_by_pattern, one group per accepted port; its
-    state is corrected by the photon flips of the port's mask
-    followed by the mode's closing polarization Hadamard. It runs the
-    per-state route (hadamard_pol, hadamard_spatial, apply_network, the
-    grouping by port, bit_flip_pol, hadamard_pol) with the same float
-    operations for every amplitude: walsh_hadamard on both registers, the
-    pol layer on the columns of the spatial registers present only. The
-    gate is a bijection, so routing is a gather: the run's inverse masks,
-    over the accepted ports only, give the source of each amplitude of a
-    [pol, accepted port] array. A port's probability is the sum of
-    |amp|**2 down axis 0 of that array, which numpy adds row after row, in
-    register order (never the pairwise sum it runs along a contiguous axis),
-    where the sparse path sums in term order and squares with pow: on
-    GHZ-product members every amplitude of a port has the same magnitude,
-    and there the two agree bit for bit. A member whose amplitudes all have
-    a zero imaginary part runs on float64 arrays, any other on complex128:
-    the real parts see the same float operations either way, and the
-    emitted amplitudes are complex in both. A port's flips XOR the pol
-    register, so one gather applies every port's mask and one column-wise
-    walsh_hadamard closes every port with nonzero probability.
+    state is corrected by the photon flips of the port's mask followed by
+    the mode's closing polarization Hadamard. Every element of that path is
+    Clifford, so with the run's inverse masks a term (p, s) of amplitude A
+    reaches port q at the one register u = p&pol_o ^ s&sp_o, as
+    A P^m(1) (-1)^(u.F(q) ^ p.(q&pol_q ^ pol_c) ^ s.(q&sp_q ^ sp_c)), x.y
+    the parity of x & y, F(q) the port's flip mask and P^m(1) = 2^(-m/2):
+    each of the three Hadamard layers gives 2^(-m/2) and a sign, and the
+    sum over the 2^m registers the gate sends to the port keeps u alone,
+    2^m times over. A port sums its contributions per register in term order, drops a sum
+    at or below PRUNE_TOL, as walsh_hadamard prunes a layer, and takes as
+    its probability the left-to-right sum of |amp|**2 in ascending register
+    order. Its state is scaled by probability**-0.5, which is at least 1
+    up to rounding, so no kept amplitude needs a second prune. The step
+    costs O(terms x accepted ports) and builds no array; it agrees with the
+    dense step within rounding, not bit for bit, as it adds in another order.
     """
-    import numpy as np
-
-    size = 1 << m
-    grid = np.arange(size)
-    ports = rule.ports(m)
     _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
-    # [pol, accepted port] -> flat index of amps [spatial, pol], by the inverse masks
-    o, q = grid[:, None], np.array(ports)[None, :]
-    source = (o & sp_o ^ q & sp_q ^ sp_c) * size + (o & pol_o ^ q & pol_q ^ pol_c)
-    flips = np.array([plan.get(p, 0) for p in ports])  # column -> its port's flip mask
 
-    def split(member: PureState) -> Split:
-        pol, spatial = zip(*member.terms)
-        values = np.array(list(member.terms.values()), dtype=complex)
-        if not values.imag.any():
-            values = values.real  # every imaginary part is +-0: run the real parts alone
-        present = sorted(set(spatial))
-        column = {reg: c for c, reg in enumerate(present)}
-        layer = np.zeros((size, len(present)), dtype=values.dtype)  # [pol, spatial register present]
-        layer[pol, [column[reg] for reg in spatial]] = values
-        walsh_hadamard(layer, m)
-        amps = np.zeros((size, size), dtype=layer.dtype)  # [spatial, pol]
-        amps[present] = layer.T
-        walsh_hadamard(amps, m)
-        accepted = amps.ravel().take(source)  # [pol, accepted port]
-        del amps  # the 4^m array is not read again; kept alive, it sets the step's peak memory
-        probs = (np.abs(accepted) ** 2).sum(axis=0).tolist()
-        accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])
-        prune(accepted)
-        if not (cols := [c for c, p in enumerate(probs) if p > 0.0]):
-            return []
-        block = accepted[grid[:, None] ^ flips[cols], cols]  # [pol, port], each column's X^mask applied
-        walsh_hadamard(block, m)
-        terms: list[dict[Label, complex]] = [{} for _ in cols]
-        js, regs = np.nonzero(block.T)
-        for j, reg, amp in zip(js.tolist(), regs.tolist(), block[regs, js].astype(complex).tolist()):
-            terms[j][(reg,)] = amp
-        return [(probs[c], PureState._derived(m, (POL,), t), (ports[c],)) for c, t in zip(cols, terms)]
+    def split(member: PureState) -> Split:  # reads its tables per member, so a run of frame members pays nothing here
+        unit = _scaled(1.0, m)
+        terms = [(p & pol_o ^ s & sp_o, p, s, amp * unit) for (p, s), amp in member.terms.items()]
+        out = []
+        for q in rule.ports(m):
+            flip, pq, sq = plan.get(q, 0), q & pol_q ^ pol_c, q & sp_q ^ sp_c
+            sums: dict[int, complex] = {}
+            for u, p, s, a in terms:
+                sums[u] = sums.get(u, 0j) + (-a if (u & flip ^ p & pq ^ s & sq).bit_count() & 1 else a)
+            live = sorted((u, a) for u, a in sums.items() if abs(a) > PRUNE_TOL)
+            if not live:
+                continue
+            prob = 0.0
+            for _, a in live:  # not the builtin sum, which Python 3.12 compensates
+                prob += abs(a) ** 2
+            scale = prob**-0.5
+            out.append((prob, PureState._derived(m, (POL,), {(u,): a * scale for u, a in live}), (q,)))
+        return out
 
     return split
 
@@ -347,7 +320,8 @@ def _frame_column(m: int, a: float) -> tuple[float, float]:
     p = the left-to-right sum of 2^(m-1) copies of V*V;
     v = 2^(m-1) P^m(V * p**-0.5).
 
-    On R0 at amplitude a (_ghz_frame) it is _dense_split, bit for bit. A
+    On R0 at amplitude a (_ghz_frame) it is the dense step the tests keep
+    as their reference (tests/helpers.py's dense_split), bit for bit. A
     layer's butterflies scale each amplitude of the complementary pair
     alone until the last step, where the two meet at equal magnitude and
     double exactly or cancel to 0: 2 P^m(a) on the even pol registers, then
@@ -423,10 +397,10 @@ def _partition(
     return tuple((odd, flip, tuple(qs)) for (odd, flip), qs in grouped.items())
 
 
-def _relabelled_dense_split(
+def _hadamard_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
-    """The Hadamard-mode step: each real GHZ x GHZ member's ports from the frame trace, any other member's dense step.
+    """The Hadamard-mode step: each real GHZ x GHZ member's ports from the frame trace, any other member's sparse step.
 
     Every element of the Hadamard path is Clifford, so a member
     a Z^(zp, zs) X^(e, f) R0 (_ghz_frame) leaves as a Pauli image of R0's
@@ -458,30 +432,28 @@ def _relabelled_dense_split(
     on the class, zq and the class's flip masks, which a run reads off its
     plan once per (zq, class). Each magnitude's trace is taken once per run.
 
-    This is exact. A butterfly on a Pauli image of its input gives the same
-    floats, moved or negated, since c x + c y = c y + c x and
-    c x - c y = -(c y - c x) bit for bit; a zero whose sign may differ is
-    pruned to +0.0. Every nonzero amplitude of one port of a GHZ x GHZ
-    product has the same magnitude, so the port's probability, a
-    left-to-right sum in register order, is the same in any order. The
-    amplitudes are +-v made complex, in ascending register order as
-    np.nonzero gives them. Any other member takes the dense step, built for
-    the first such member of the run.
+    This is exact: it gives what a member's own dense step (walsh_hadamard
+    on both registers, routing, the closing layer) gives, bit for bit. A
+    butterfly on a Pauli image of its input gives the same floats, moved
+    or negated, since c x + c y = c y + c x and c x - c y = -(c y - c x)
+    bit for bit; a zero whose sign may differ is pruned to +0.0. Every
+    nonzero amplitude of one port of a GHZ x GHZ product has the same
+    magnitude, so the port's probability, a left-to-right sum in register
+    order, is the same in any order. The amplitudes are +-v made complex,
+    in ascending register order. Any other member takes _sparse_split.
     """
     (a1, b1, _, a2, b2, c2), (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
     full = (1 << m) - 1
     classes = _port_classes(rule, m)  # port parity -> its ports
     t0 = ((c2 & pol_q ^ pol_c) if pol_o else (c2 & sp_q ^ sp_c)).bit_count() & 1
-    dense: Callable[[PureState], Split] | None = None  # built for the first member off the frame
+    off_frame = _sparse_split(m, rule, plan, gate)
     traces: dict[float, tuple[float, float]] = {}  # magnitude a -> _frame_column(m, a)
     partitions: dict[tuple[int, int], tuple[tuple[int, int, tuple[int, ...]], ...]] = {}  # (zq, parity) -> _partition
 
     def split(member: PureState) -> Split:
-        nonlocal dense
         parts = _ghz_frame(member)
         if parts is None:
-            dense = dense or _dense_split(m, rule, plan, gate)
-            return dense(member)
+            return off_frame(member)
         a, e, f, zp, zs = parts
         xq = zp & a2 ^ zs & b2
         if not (ports := classes[parity := (xq ^ c2).bit_count() & 1]):
@@ -513,7 +485,7 @@ def _patterns(m: int, ports: tuple[int, ...]) -> tuple[Pattern, ...]:
     """Each port's Pattern (states.bits) for a cell of several ports: built once per process, shared read-only.
 
     Only the frame step gives a group, and so a cell, more than one port;
-    the sparse and dense steps' one-port cells are spelled out per run,
+    the other steps' one-port cells are spelled out per run,
     so that no cache holds their ports.
     """
     return tuple(map(bits, repeat(m), ports))
@@ -527,7 +499,7 @@ def _cells(groups: dict[tuple[int, ...], Cell]) -> Iterable[tuple[tuple[int, ...
     """(its ports, its entries) for each cell: the ports held by one set of port tuples.
 
     Where no port is in two tuples, each tuple is a cell: so with one
-    tuple, or with the distinct one-port tuples of the sparse and dense
+    tuple, or with the distinct one-port tuples of the two sparse
     steps, which the first two tests take without a set. Else each port
     gets, at C level, the positions of the tuples that hold it, and ports
     with the same positions form one cell, whose entries are those of its
@@ -556,13 +528,12 @@ def _execute(
 ) -> ProtocolResult:
     """One run: each member's step, then per cell of accepted ports one conditional ensemble and fidelity.
 
-    A Hadamard run steps through _relabelled_dense_split, whose result is,
-    bit for bit, the one per-member dense steps give, and which loads numpy
-    only for a member off the GHZ frame; the other modes step through
-    _split_by_pattern. Each step takes the masks of the table and
-    its inverse, read here once, and returns port groups. Each distinct
-    ports tuple holds the entries of its groups once, in member order, and
-    a port's cell is the set of tuples that hold it (_cells). A cell's
+    A Hadamard run steps through _hadamard_split, the other modes through
+    _split_by_pattern; neither builds an array. Each step takes the masks
+    of the table and its inverse, read here once, and returns port groups.
+    Each distinct ports tuple holds the entries of its groups once, in
+    member order, and a port's cell is the set of tuples that hold it
+    (_cells). A cell's
     entries are, in order, the bucket each of its ports had in the former
     per-port loop (tests/helpers.py's per_port_execute), so the cell builds
     that loop's PatternOutcome once for all its ports. Both sums are fsum
@@ -582,7 +553,7 @@ def _execute(
 
     table = GATE_TABLE if gate_table is None else gate_table
     gate = (check_table(table, m), check_table({out: row for row, out in table.items()}, m))
-    step = (_relabelled_dense_split if hadamard_first else _split_by_pattern)(m, rule, plan, gate)
+    step = (_hadamard_split if hadamard_first else _split_by_pattern)(m, rule, plan, gate)
     groups: dict[tuple[int, ...], Cell] = {}  # ports tuple -> the entries of the groups that hold it
     for k, (weight, member) in enumerate(ensemble.members):
         for cond_prob, cond_state, ports in step(member):
@@ -599,7 +570,7 @@ def _execute(
         pattern_prob = math.fsum(weights)
         cond_ensemble = Ensemble._derived(tuple((w / pattern_prob, s) for _, w, s in cell))
         outcome = PatternOutcome(pattern_prob, cond_ensemble, fidelity(cond_ensemble, target))
-        if len(ports) == 1:  # the sparse and dense steps' cells, spelled out here and cached nowhere
+        if len(ports) == 1:  # the sparse steps' cells, spelled out here and cached nowhere
             accepted.append((ports[0], bits(m, ports[0]), outcome))
             mass += weights
             weighted.append(pattern_prob * outcome.fidelity)

@@ -9,7 +9,9 @@ its faster ones, `route` applies `optics.check_table`'s masks to
 registers or index grids, `gate_masks` builds the masks a run hands its
 step, and `per_port_execute` keeps `protocol._execute`'s former per-port
 loop as the reference for the outcomes it now builds once per cell of
-ports. `clear_caches` empties what `protocol` keeps for the life of the
+ports. `dense_split` keeps `protocol`'s former Hadamard-mode dense step,
+walsh_hadamard on register arrays: the frame step matches it bit for bit,
+and the sparse step that replaced it within 1e-12. `clear_caches` empties what `protocol` keeps for the life of the
 process, so that a test can run cold. Label literals are written photon
 by photon, one tuple of bits per photon, and turned into the package's
 register labels by `pack`; `unpack` undoes it.
@@ -18,11 +20,12 @@ register labels by `pack`; `unpack` undoes it.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from ghzpurify import protocol
-from ghzpurify.optics import check_table, walsh_hadamard
+from ghzpurify.optics import check_table, prune, walsh_hadamard
 from ghzpurify.oracle import (
     OracleResult,
     _hadamard_2x2,
@@ -32,12 +35,21 @@ from ghzpurify.oracle import (
     hadamard_both_unitary,
     state_vector,
 )
-from ghzpurify.protocol import PatternOutcome, ProtocolResult, closed_form_general
+from ghzpurify.protocol import (
+    AcceptanceRule,
+    CorrectionPlan,
+    Gate,
+    PatternOutcome,
+    ProtocolResult,
+    Split,
+    closed_form_general,
+)
 from ghzpurify.states import (
     NORM_TOL,
     POL,
     SPATIAL,
     Ensemble,
+    Label,
     PureState,
     bits,
     fidelity,
@@ -88,7 +100,7 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
     m = ensemble.m
     target = make_ghz_pol(m, 0, +1) if target is None else target
     gate = gate_masks(protocol.GATE_TABLE if gate_table is None else gate_table, m)
-    step = (protocol._relabelled_dense_split if hadamard_first else protocol._split_by_pattern)(m, rule, plan, gate)
+    step = (protocol._hadamard_split if hadamard_first else protocol._split_by_pattern)(m, rule, plan, gate)
     buckets = {}
     for weight, member in ensemble.members:
         for prob, state, ports in step(member):
@@ -103,6 +115,74 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
     success = math.fsum(w for entries in buckets.values() for w, _ in entries)
     fidelity_mass = math.fsum(o.probability * o.fidelity for o in accepted.values())
     return ProtocolResult(accepted, success, 1.0 - success, fidelity_mass / success)
+
+
+def dense_split(
+    m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
+) -> Callable[[PureState], Split]:
+    """The Hadamard-mode step for one member, on dense arrays indexed by the registers.
+
+    Same contract as _split_by_pattern, one group per accepted port; its
+    state is corrected by the photon flips of the port's mask
+    followed by the mode's closing polarization Hadamard. It runs the
+    per-state route (hadamard_pol, hadamard_spatial, apply_network, the
+    grouping by port, bit_flip_pol, hadamard_pol) with the same float
+    operations for every amplitude: walsh_hadamard on both registers, the
+    pol layer on the columns of the spatial registers present only. The
+    gate is a bijection, so routing is a gather: the run's inverse masks,
+    over the accepted ports only, give the source of each amplitude of a
+    [pol, accepted port] array. A port's probability is the sum of
+    |amp|**2 down axis 0 of that array, which numpy adds row after row, in
+    register order (never the pairwise sum it runs along a contiguous axis),
+    where the sparse path sums in term order and squares with pow: on
+    GHZ-product members every amplitude of a port has the same magnitude,
+    and there the two agree bit for bit. A member whose amplitudes all have
+    a zero imaginary part runs on float64 arrays, any other on complex128:
+    the real parts see the same float operations either way, and the
+    emitted amplitudes are complex in both. A port's flips XOR the pol
+    register, so one gather applies every port's mask and one column-wise
+    walsh_hadamard closes every port with nonzero probability.
+    """
+    import numpy as np
+
+    size = 1 << m
+    grid = np.arange(size)
+    ports = rule.ports(m)
+    _, (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
+    # [pol, accepted port] -> flat index of amps [spatial, pol], by the inverse masks
+    o, q = grid[:, None], np.array(ports)[None, :]
+    source = (o & sp_o ^ q & sp_q ^ sp_c) * size + (o & pol_o ^ q & pol_q ^ pol_c)
+    flips = np.array([plan.get(p, 0) for p in ports])  # column -> its port's flip mask
+
+    def split(member: PureState) -> Split:
+        pol, spatial = zip(*member.terms)
+        values = np.array(list(member.terms.values()), dtype=complex)
+        if not values.imag.any():
+            values = values.real  # every imaginary part is +-0: run the real parts alone
+        present = sorted(set(spatial))
+        column = {reg: c for c, reg in enumerate(present)}
+        layer = np.zeros((size, len(present)), dtype=values.dtype)  # [pol, spatial register present]
+        layer[pol, [column[reg] for reg in spatial]] = values
+        walsh_hadamard(layer, m)
+        amps = np.zeros((size, size), dtype=layer.dtype)  # [spatial, pol]
+        amps[present] = layer.T
+        walsh_hadamard(amps, m)
+        accepted = amps.ravel().take(source)  # [pol, accepted port]
+        del amps  # the 4^m array is not read again; kept alive, it sets the step's peak memory
+        probs = (np.abs(accepted) ** 2).sum(axis=0).tolist()
+        accepted *= np.array([p**-0.5 if p > 0.0 else 0.0 for p in probs])
+        prune(accepted)
+        if not (cols := [c for c, p in enumerate(probs) if p > 0.0]):
+            return []
+        block = accepted[grid[:, None] ^ flips[cols], cols]  # [pol, port], each column's X^mask applied
+        walsh_hadamard(block, m)
+        terms: list[dict[Label, complex]] = [{} for _ in cols]
+        js, regs = np.nonzero(block.T)
+        for j, reg, amp in zip(js.tolist(), regs.tolist(), block[regs, js].astype(complex).tolist()):
+            terms[j][(reg,)] = amp
+        return [(probs[c], PureState._derived(m, (POL,), t), (ports[c],)) for c, t in zip(cols, terms)]
+
+    return split
 
 
 def clear_caches() -> None:

@@ -25,10 +25,10 @@ parent commit and the working tree. Each tree runs in one child process with
   state, so a fault that only a non-GHZ target or a port's global sign
   shows is seen here.
 
-The exit code, stdout and stderr of every case are compared. For the first
-differing case of each set the script prints the case and the first
-differing byte; it exits 0 when every case matches, 1 when one differs and
-2 when a tree cannot run. The default size takes about half a minute on a
+The exit code, stdout and stderr of every case are compared. For each set
+the script prints how many cases differ and the index of each, then the
+first differing case and its first differing byte; it exits 0 when every
+case matches, 1 when one differs and 2 when a tree cannot run. The default size takes about half a minute on a
 2-CPU machine, ``--smoke`` a few seconds. The children import names from
 the modules, never from the package, so trees from before and after the
 package's exports changed both run. Only the standard library is used.
@@ -348,12 +348,13 @@ def compare(parent: Path, change: Path, seed: int, smoke: bool) -> int:
                 proc.kill()  # does nothing to a child that has exited
         differs = False
         for name, cases in sets.items():
-            bad = next((i for i, (a, b) in enumerate(zip(left[name], right[name])) if a != b), None)
-            if bad is None:
+            bad = [i for i, (a, b) in enumerate(zip(left[name], right[name])) if a != b]
+            if not bad:
                 print(f"{name}: {len(cases)} cases identical")
             else:
                 differs = True
-                report(name, bad, cases[bad], left[name][bad], right[name][bad])
+                print(f"{name}: {len(bad)} of {len(cases)} cases differ: {' '.join(map(str, bad))}")
+                report(name, bad[0], cases[bad[0]], left[name][bad[0]], right[name][bad[0]])
     return 1 if differs else 0
 
 

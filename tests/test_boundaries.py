@@ -17,6 +17,7 @@ from ghzpurify.noise import mix_general, mix_two, product_ensemble
 from ghzpurify.optics import GATE_TABLE, bit_flip_pol
 from ghzpurify.protocol import MODES, AcceptanceRule, infer_flip_plan, run_bitflip, run_general, run_phaseflip
 from ghzpurify.states import POL, SPATIAL, Ensemble, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
+from helpers import dense_split
 
 BIT = {"kind": "bit-flip", "target_index": 1, "weight": 0.2}
 
@@ -100,6 +101,12 @@ def test_api_refusals(call, message):
 
 
 def test_phaseflip_member_off_ghz_product_takes_its_own_dense_step(monkeypatch):
+    """A member off the GHZ frame beside frame members takes its own off-frame step.
+
+    With tests/helpers.py's dense_split as that step, a run prints what
+    every member through its own dense step prints, bit for bit; the
+    package's sparse step lands within 1e-12 of it.
+    """
     # real amplitudes on a support that _ghz_product_parts refuses, beside two GHZ x GHZ members
     m, rng = 4, random.Random(4)
     amps = [rng.uniform(0.1, 1.0) for _ in range(4)]
@@ -110,10 +117,19 @@ def test_phaseflip_member_off_ghz_product_takes_its_own_dense_step(monkeypatch):
                 [(0, 1, 0, 1), (3, -1, 5, -1)]]
     for members in ([off], [products[0], off, products[1]]):
         ensemble = Ensemble(tuple((1.0 / len(members), member) for member in members))
-        framed = repr(MODES["phaseflip"].run(ensemble))
+        sparse = MODES["phaseflip"].run(ensemble)
         with monkeypatch.context() as own:
-            own.setattr(protocol, "_relabelled_dense_split", protocol._dense_split)
-            assert repr(MODES["phaseflip"].run(ensemble)) == framed
+            own.setattr(protocol, "_sparse_split", dense_split)
+            framed = repr(MODES["phaseflip"].run(ensemble))
+            own.setattr(protocol, "_hadamard_split", dense_split)
+            dense = MODES["phaseflip"].run(ensemble)
+        assert repr(dense) == framed
+        assert sparse.accepted.keys() == dense.accepted.keys()
+        assert abs(sparse.success_probability - dense.success_probability) <= 1e-12
+        assert abs(sparse.output_fidelity - dense.output_fidelity) <= 1e-12
+        for pattern, outcome in sparse.accepted.items():
+            assert abs(outcome.probability - dense.accepted[pattern].probability) <= 1e-12
+            assert abs(outcome.fidelity - dense.accepted[pattern].fidelity) <= 1e-12
 
 
 FAULTED_TABLE = {**GATE_TABLE, (0, 0): GATE_TABLE[(1, 0)], (1, 0): GATE_TABLE[(0, 0)]}

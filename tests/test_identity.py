@@ -1,5 +1,6 @@
 """tests/identity.py tells a changed tree from its copy, and a copy from itself."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -34,3 +35,4 @@ def test_identity_passes_two_copies_and_fails_a_mutant(tmp_path):
     changed = _identity(parent, mutant)
     assert changed.returncode == 1, changed.stdout + changed.stderr
     assert "simulate: case" in changed.stdout
+    assert re.search(r"^simulate: \d+ of \d+ cases differ: \d+", changed.stdout, re.MULTILINE)

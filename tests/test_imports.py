@@ -1,14 +1,14 @@
 """What importing the package loads and binds: each test runs a fresh interpreter.
 
-Only the dense oracle and the Hadamard-mode dense step build arrays, and
-they import numpy in their own bodies. A phase-flip run on GHZ x GHZ
-members, every member a config or the CLI builds, takes the scalar frame
-trace and loads no numpy; only an API caller's member off that frame (a
-complex one, or one that is not a product of two GHZ states) takes the
-dense step. A stray module-level import would put numpy back into every
-simulate and every sweep, about half of a short ghzpurify process. The
-package itself binds its modules, its version and the names of the README
-quick start, nothing else.
+Of the engine's paths none builds an array: a phase-flip run takes the
+scalar frame trace on GHZ x GHZ members, every member a config or the CLI
+builds, and the sparse off-frame step on any other member (a complex one,
+or one that is not a product of two GHZ states), so no mode on any member
+loads numpy. The dense oracle and the per-state Hadamard route of optics
+import it in their own bodies, so a verify loads it. A stray module-level
+import would put numpy back into every simulate and every sweep, about
+half of a short ghzpurify process. The package itself binds its modules,
+its version and the names of the README quick start, nothing else.
 """
 
 import ast
@@ -42,9 +42,9 @@ print(json.dumps([before, "numpy" in sys.modules]))
 # Phase-flip runs of the pair input at m = 2..10, on the gate and on the
 # table with its two rail-1 rows swapped (as verify --inject-gate-fault
 # swaps them), under the phase-flip mode and under the accept-all rule; then,
-# if the first argument names one, a run on a member off the GHZ frame: a
-# complex one, or one that is not a GHZ x GHZ product. Prints whether numpy
-# is loaded after the pair runs and after the last run.
+# if the first argument names one, runs on a member off the GHZ frame, on
+# both tables: a complex one, or one that is not a GHZ x GHZ product. Prints
+# whether numpy is loaded after the pair runs and after the last run.
 _PHASEFLIP_RUNS = """
 import json, sys
 from ghzpurify import optics, protocol
@@ -65,7 +65,11 @@ if sys.argv[1] == "complex":
     member = PureState(3, member.dofs, {lab: 1j * a for lab, a in member.terms.items()})
 elif sys.argv[1] == "off-product":
     member = make_state(3, (POL, SPATIAL), [((0, 0), 0.9**0.5), ((7, 7), 0.1**0.5)])
-mode.run(Ensemble(((1.0, member),)))
+for table in (None, swapped):
+    try:
+        mode.run(Ensemble(((1.0, member),)), gate_table=table)
+    except ValueError as exc:  # nothing accepted
+        assert "no accepted" in str(exc)
 print(json.dumps([after_pairs, "numpy" in sys.modules]))
 """
 
@@ -144,10 +148,15 @@ def test_phaseflip_frame_runs_leave_numpy_unloaded():
 
 @pytest.mark.parametrize("command", ["phaseflip", "verify"])
 def test_dense_paths_load_numpy(command):
-    """A phase-flip member off the GHZ frame (complex, and not a product) takes the dense step, and verify the oracle: both load numpy."""
+    """Of the two paths that built arrays, only verify's oracle still does and loads numpy.
+
+    A phase-flip member off the GHZ frame (complex, or not a product), on
+    the gate and on the faulted table, takes the sparse step and leaves
+    numpy unloaded.
+    """
     if command == "phaseflip":
         for member in ("complex", "off-product"):
-            assert _fresh_python(_PHASEFLIP_RUNS, member) == [False, True]
+            assert _fresh_python(_PHASEFLIP_RUNS, member) == [False, False]
     else:
         assert _fresh_python(_RUN_CLI, json.dumps([["verify", "--m", "2"]])) == [False, True]
 

@@ -5,17 +5,20 @@ is recompiled from its source with the change and installed, for the length
 of one test, in every module that binds it. The detectors are a subset of the
 golden records (tests/test_golden.py), the closed forms every simulate record
 is scored against, the engine against the dense oracle at m = 3
-(`verify --m 3`), the same comparison on two phase-flip members that are
-not GHZ x GHZ products, scored against a target that is not a GHZ state,
-the repr of Hadamard runs on GHZ x GHZ members against the same runs
-with every member through its own dense step, the repr of a run whose
-step shares port states against tests/helpers.py's per-port loop, the
-efficiency ratio against its formula and criterion 7 (R P2 = P1), the
-oracle's Hadamard layer, read entry by entry, against the Kronecker
-product of a complex, non-symmetric factor, and the registers of
-tensor_hyper's products against 2^m. A mutant is caught when a
+(`verify --m 3`), the same comparison on three phase-flip members that
+are not GHZ x GHZ products, scored against targets that are not GHZ
+states, the repr of Hadamard runs on GHZ x GHZ members against the same
+runs with every member through its own dense step (tests/helpers.py's
+dense_split, the reference the frame step matches bit for bit), the repr
+of a run whose step shares port states against tests/helpers.py's
+per-port loop, the efficiency ratio against its formula and criterion 7
+(R P2 = P1), the oracle's Hadamard layer, read entry by entry, against
+the Kronecker product of a complex, non-symmetric factor, and the
+registers of tensor_hyper's products against 2^m. A mutant is caught when a
 detector's check fails or raises. A mutant target is a module function or
-a ``Class.method``, which is installed on the class. protocol's
+a ``Class.method``, which is installed on the class; a function is
+installed in tests/helpers.py too where that binds it, so a mutant of
+optics.walsh_hadamard reaches the dense reference. protocol's
 process-lifetime caches (the port tables, the partitions and the pattern
 tuples) are emptied before a mutant is installed and after it is
 removed: a warm partition would hand a mutant of the partition the
@@ -23,7 +26,7 @@ package's groups, and one the mutant filled would outlive it.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
-(sparse and dense step), a register pushed out of range by tensor_hyper, and
+(the pattern step), a register pushed out of range by tensor_hyper, and
 a conditional weight left undivided by its port's probability. Every path
 the engine runs on a product masks its registers to m bits, so nothing
 printed shows the out-of-range register: only the label detector, which
@@ -31,18 +34,20 @@ reads tensor_hyper's products directly, catches it. The last one drops one
 scaling by c from the spatial layer of the frame trace
 (protocol._frame_column), one of the 2m.
 
-Then come the butterfly sign in walsh_hadamard, the closing Hadamard of the
-phase-flip correction skipped, a wrong phaseflip_plan flip mask and the GHZ
-maker of the two noise lists swapped. The last three reach past the engine:
+Then come the butterfly sign in walsh_hadamard, which no engine step runs
+any more: the repr detector catches it through the dense reference. Then a
+wrong phaseflip_plan flip mask and the GHZ maker of the two noise lists
+swapped. The last three reach past the engine:
 states.bits read least significant bit first, which the oracle and the
 result tables share; the pol-to-pol mask of optics.check_table read off
 row (1, 0) without the constant of row (0, 0); and cli.execute scoring the
 closed form against 0+ whatever the configured target.
 
-The last three: optics.prune raised from PRUNE_TOL to 1e-9, which only the
-second off-product member sees (its accepted ports carry amplitudes of
-about 5e-10, and dropping them moves the fidelity against |000> by 1e-9);
-and two faults of the phase-flip relabelling: every magnitude served by
+The last three: the sparse step's drop of a sum at or below PRUNE_TOL
+raised to 1e-9, which only the third off-product member sees (each
+accepted port holds a sum of about 7e-10 on register 1, which its target
+reads linearly, and dropping it moves the fidelity by 2e-9); and two
+faults of the phase-flip relabelling: every magnitude served by
 the trace of the first, and zq read as 0. The first negates every port
 state of a member at the negated amplitude, the second flips the sign of
 whole port states; no fidelity sees either, and only the repr detector,
@@ -56,13 +61,11 @@ swapped, still a permutation, send V on rail 0 to (H, keep) and H on rail 3
 to (V, keep); verify catches it. The exponent N + 1 in efficiency.ratio_R is
 caught by the efficiency detector, computed in the test from the formula.
 
-The last three break a correction or a port read as a register XOR. The
-dense step's one gather without the flip XOR leaves every port uncorrected;
-only the repr detector, whose refused runs take the dense step for every
-member, sees it. The oracle's corrected target read at grid instead of
-grid ^ mask does the same on the oracle side, which only verify sees. The
-port register XOR 1 in oracle._blocks' gather scores each accepted port
-from its neighbour's block; the off-product detector and verify catch it.
+The last two break a correction or a port read as a register XOR. The
+oracle's corrected target read at grid instead of grid ^ mask leaves
+every oracle port uncorrected, which only verify sees. The port register
+XOR 1 in oracle._blocks' gather scores each accepted port from its
+neighbour's block; the off-product detector and verify catch it.
 
 The next two break the skip of a member whose port class the rule
 rejects. Dropping c2 from the parity test changes nothing on the gate
@@ -71,12 +74,9 @@ catches it. Skipping the live class in place of the rejected one leaves
 the phase-flip run no accepted port.
 
 The last seven break the sign rule that gives every member's ports from
-the frame trace, and the trace. Frame inputs no longer reach the dense
-step, so its three mutants above (dense-scale, closing-hadamard,
-dense-flips) are caught by the repr detector, whose refused runs take the
-dense step for every member, and the first two by the off-product
-detector too. Dropping the zq.q sign flips whole port states, which only
-the repr detector sees. Reading the parity t0 of the reference column at
+the frame trace, and the trace. Dropping the zq.q sign flips whole port
+states, which only the repr detector sees. Reading the parity t0 of the
+reference column at
 port 0, whatever the class of R0, changes nothing where c2 & pol_q is 0,
 as on the gate and the faulted table: only the repr detector's fifth run,
 on a table whose port constant and inverse pol masks are all 2^m - 1, at
@@ -134,6 +134,15 @@ phase-flip figures: one square too few in the sum p; the term t0 dropped
 from the sign on the complement register (on the gate, t0 is m mod 2);
 and a complement register that is not zo ^ (2^m - 1).
 
+The last four break the sparse step's sign,
+(-1)^(u.F(q) ^ p.(q&pol_q ^ pol_c) ^ s.(q&sp_q ^ sp_c)), or its register
+u = p&pol_o ^ s&sp_o: each term of the sign dropped in turn, and s&sp_o
+dropped from u. Only the off-product detector runs members off the frame,
+and it catches all four. Dropping u.F(q) only moves signs, which no
+fidelity against |000> sees: its third member, whose terms (0, 0) and
+(0, 1) that term sets against each other on registers 0 and 1, under a
+target that reads both, catches it.
+
 Three mutants survive every detector and are not listed. Taking the
 support of the operator from its rows alone, in oracle._blocks, is
 equivalent on every operator the oracle is meant for: a density operator
@@ -163,11 +172,12 @@ from ghzpurify import cli, efficiency, noise, optics, oracle, protocol, states
 from ghzpurify.oracle import densify, oracle_run
 from ghzpurify.records import ProtocolConfig
 from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
-from helpers import assert_same_text, clear_caches, per_port_execute
+import helpers
+from helpers import assert_same_text, clear_caches, dense_split, per_port_execute
 
 DATA = Path(__file__).parent / "data" / "simulate"
 CASES = {c["name"]: c["config"] for c in json.loads((DATA / "cases.json").read_text(encoding="utf-8"))}
-# one golden case per mode; phase flip at m = 5 runs the dense step past its smallest size
+# one golden case per mode; phase flip at m = 5 runs the frame step past its smallest size
 GOLDEN = ["bitflip-m3-1+", "phaseflip-m5-0+", "general-m3-0+", "deterministic-demo-m3-1-"]
 TOL = 1e-12
 # the gate with rows (H, mode 0) and (V, mode 0) swapped: its port constant c2 is 2^m - 1
@@ -179,49 +189,46 @@ CONSTANT_PORT = {(0, 0): (0, 1), (0, 1): (1, 0), (1, 0): (0, 0), (1, 1): (1, 1)}
 # (name, module, function, source text, mutated text)
 MUTANTS = [
     ("sparse-scale", protocol, "_split_by_pattern", "scale = prob**-0.5", "scale = prob**-0.5 * (1 + 1e-9)"),
-    ("dense-scale", protocol, "_dense_split", "p**-0.5 if p > 0.0", "p**-0.5 * (1 + 1e-9) if p > 0.0"),
     ("tensor-register", states, "tensor_hyper", "(plab[0], slab[0])", "(plab[0] ^ (1 << pol.m), slab[0])"),
     ("weight-undivided", protocol, "_execute", "(w / pattern_prob, s)", "(w, s)"),
     ("pair-scalings", protocol, "_frame_column", "_scaled(pol, m)", "_scaled(pol, m - 1)"),
     ("walsh-sign", optics, "walsh_hadamard", "np.subtract(halves[:, 0], halves[:, 1]",
      "np.subtract(halves[:, 1], halves[:, 0]"),
-    ("closing-hadamard", protocol, "_dense_split", "walsh_hadamard(block, m)", "None"),
     ("plan-mask", protocol, "phaseflip_plan", "(1 << m) - 1", "(1 << m) - 2"),
     ("maker-swapped", noise, "ensemble_from_specs", "dof == POL", "dof != POL"),
     ("bits-order", states, "bits", "out[8 * size - m :]", "out[::-1][:m]"),
     ("table-mask", optics, "check_table", "(p1 ^ c1, s1 ^ c1, c1,", "(p1, s1 ^ c1, c1,"),
     ("record-target", cli, "execute", "weights.get((index, sign), 0.0)", "weights.get((0, 1), 0.0)"),
-    ("prune-bound", optics, "prune", "<= PRUNE_TOL", "<= 1e-9"),
-    ("relabel-key", protocol, "_relabelled_dense_split", "traces.get(a)", "next(iter(traces.values()), None)"),
-    ("relabel-port-sign", protocol, "_relabelled_dense_split", "e & pol_q ^ f & sp_q", "0"),
+    ("prune-bound", protocol, "_sparse_split", "if abs(a) > PRUNE_TOL)", "if abs(a) > 1e-9)"),
+    ("relabel-key", protocol, "_hadamard_split", "traces.get(a)", "next(iter(traces.values()), None)"),
+    ("relabel-port-sign", protocol, "_hadamard_split", "e & pol_q ^ f & sp_q", "0"),
     ("accept-parity", protocol, "AcceptanceRule.ports", "r << 1 | r.bit_count() & 1", "r << 1 | ~r.bit_count() & 1"),
     ("merge-rows", oracle, "_single_photon_network", "merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)\n"
      "    merge[2 * 0 + 0, 2 * 3 + 0]", "merge[2 * 0 + 0, 2 * 0 + 1] = 1.0\n    merge[2 * 1 + 0, 2 * 3 + 0]"),
     ("ratio-exponent", efficiency, "ratio_R", "** params.N", "** (params.N + 1)"),
-    ("dense-flips", protocol, "_dense_split", "grid[:, None] ^ flips[cols]", "grid[:, None]"),
     ("oracle-flips", oracle, "oracle_run", "scored[grid ^ corrections.get(port, 0)]", "scored[grid]"),
     ("port-offset", oracle, "_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
-    ("parity-offset", protocol, "_relabelled_dense_split", "(xq ^ c2)", "xq"),
-    ("parity-flipped", protocol, "_relabelled_dense_split", "if not (ports :=", "if (ports :="),
+    ("parity-offset", protocol, "_hadamard_split", "(xq ^ c2)", "xq"),
+    ("parity-flipped", protocol, "_hadamard_split", "if not (ports :=", "if (ports :="),
     ("column-sign", protocol, "_partition", "((zq & q).bit_count() & 1, flip)", "(0, flip)"),
-    ("column-first-port", protocol, "_relabelled_dense_split", "(c2 & pol_q ^ pol_c)", "(pol_c)"),
-    ("column-flip-sign", protocol, "_relabelled_dense_split", "t0 ^ x.bit_count() & 1", "t0"),
+    ("column-first-port", protocol, "_hadamard_split", "(c2 & pol_q ^ pol_c)", "(pol_c)"),
+    ("column-flip-sign", protocol, "_hadamard_split", "t0 ^ x.bit_count() & 1", "t0"),
     ("column-scale", protocol, "_frame_column", "w = V * p**-0.5", "w = V * p**-0.5 * (1 + 1e-9)"),
-    ("column-pair-columns", protocol, "_relabelled_dense_split",
+    ("column-pair-columns", protocol, "_hadamard_split",
      "complex(-v if s else v), (zo ^ full,): complex(-v if t else v)",
      "complex(-v if t else v), (zo ^ full,): complex(-v if s else v)"),
     ("column-closing-hadamard", protocol, "_frame_column", "top * _scaled(w, m)", "w"),
-    ("column-flips", protocol, "_relabelled_dense_split", "x = xo ^ flip", "x = xo"),
+    ("column-flips", protocol, "_hadamard_split", "x = xo ^ flip", "x = xo"),
     ("group-last-port", protocol, "_partition", "tuple(qs))", "tuple(qs[:-1]))"),
-    ("relabel-first-flip", protocol, "_relabelled_dense_split", "tuple(map(plan.get, ports, repeat(0)))",
+    ("relabel-first-flip", protocol, "_hadamard_split", "tuple(map(plan.get, ports, repeat(0)))",
      "(plan.get(ports[0], 0),) * len(ports)"),
     ("bits-slice", states, "bits", "out[8 * size - m :]", "out[8 * size - m + 1 :]"),
-    ("base-shift-sign", protocol, "_relabelled_dense_split", "s = c ^ odd ^ (x & zo).bit_count() & 1", "s = c ^ odd"),
-    ("base-shift", protocol, "_relabelled_dense_split", "{(zo,): complex(-v if s else v), (zo ^ full,)",
+    ("base-shift-sign", protocol, "_hadamard_split", "s = c ^ odd ^ (x & zo).bit_count() & 1", "s = c ^ odd"),
+    ("base-shift", protocol, "_hadamard_split", "{(zo,): complex(-v if s else v), (zo ^ full,)",
      "{(0,): complex(-v if s else v), (full,)"),
     ("group-flip", protocol, "_partition", ", flip), [])", ", 0), [])"),
-    ("memo-magnitude", protocol, "_relabelled_dense_split", "traces.get(a)", "traces.get(abs(a))"),
-    ("partition-zq", protocol, "_relabelled_dense_split", "zq_class := (zq, parity)", "zq_class := parity"),
+    ("memo-magnitude", protocol, "_hadamard_split", "traces.get(a)", "traces.get(abs(a))"),
+    ("partition-zq", protocol, "_hadamard_split", "zq_class := (zq, parity)", "zq_class := parity"),
     ("cell-first-group", protocol, "_cells", "map(add, map(held_by.get, ports, repeat(())), repeat((i,)))",
      "map(held_by.get, ports, repeat((i,)))"),
     ("cell-order", protocol, "_cells", "sorted(chain.from_iterable(", "list(chain.from_iterable("),
@@ -233,8 +240,12 @@ MUTANTS = [
     ("layer-transposed", oracle, "_layer_entries", "factor[rows >> shift & 3, cols >> shift & 3]",
      "factor[cols >> shift & 3, rows >> shift & 3]"),
     ("trace-squares", protocol, "_frame_column", "repeat(V * V, top)", "repeat(V * V, top - 1)"),
-    ("trace-sign-m", protocol, "_relabelled_dense_split", "t = s ^ t0 ^", "t = s ^"),
-    ("trace-support", protocol, "_relabelled_dense_split", "(zo ^ full,)", "(zo ^ full - 1,)"),
+    ("trace-sign-m", protocol, "_hadamard_split", "t = s ^ t0 ^", "t = s ^"),
+    ("trace-support", protocol, "_hadamard_split", "(zo ^ full,)", "(zo ^ full - 1,)"),
+    ("sparse-flip-sign", protocol, "_sparse_split", "(u & flip ^ p & pq ^ s & sq)", "(p & pq ^ s & sq)"),
+    ("sparse-pol-sign", protocol, "_sparse_split", "(u & flip ^ p & pq ^ s & sq)", "(u & flip ^ s & sq)"),
+    ("sparse-spatial-sign", protocol, "_sparse_split", "(u & flip ^ p & pq ^ s & sq)", "(u & flip ^ p & pq)"),
+    ("sparse-register", protocol, "_sparse_split", "p & pol_o ^ s & sp_o", "p & pol_o"),
 ]
 
 
@@ -257,25 +268,34 @@ def oracle_m3(tmp_path):
         assert cli.main(["verify", "--m", "3"]) == 0
 
 
-def _against_oracle(pol, spatial):
-    """Engine against oracle on the phase-flip member pol x spatial at m = 3, scored against |000>."""
-    member = make_state(3, (POL, SPATIAL), [((p, s), a * b) for p, a in pol for s, b in spatial])
+def _against_oracle(terms, target=((0, 1.0),)):
+    """Engine against oracle on the phase-flip member of these (pol, spatial) terms at m = 3, against a target."""
+    member = make_state(3, (POL, SPATIAL), terms)
     ensemble, mode = Ensemble([(1.0, member)]), protocol.MODES["phaseflip"]
-    target = make_state(3, (POL,), [((0,), 1.0)])
+    target = make_state(3, (POL,), [((register,), a) for register, a in target])
     engine = mode.run(ensemble, target)
     dense = oracle_run(densify(ensemble), 3, mode, mode.plan(ensemble), target)
     assert abs(engine.success_probability - dense.success_probability) <= cli.VERIFY_TOL
     assert abs(engine.output_fidelity - dense.output_fidelity) <= cli.VERIFY_TOL
 
 
+def _product(pol, spatial):
+    return [((p, s), a * b) for p, a in pol for s, b in spatial]
+
+
 def oracle_off_product(tmp_path):
-    # unequal amplitudes on registers 0 and 7 of both degrees of freedom
-    _against_oracle(((0, 0.9**0.5), (7, 0.1**0.5)), ((0, 0.96**0.5), (7, 0.04**0.5)))
-    # GHZ(0,+) with a GHZ(0,-) part of weight 1e-9 on both: each accepted port carries
-    # amplitudes of about 5e-10, between PRUNE_TOL and 1e-9, on its odd-parity registers
+    # unequal amplitudes on registers 0 and 7 of both degrees of freedom, scored against |000>
+    _against_oracle(_product(((0, 0.9**0.5), (7, 0.1**0.5)), ((0, 0.96**0.5), (7, 0.04**0.5))))
+    # GHZ(0,+) with a GHZ(0,-) part of weight 1e-9 on both, scored against |000>
     small = 1e-9**0.5
     factor = ((0, ((1.0 - 1e-9) ** 0.5 + small) * 0.5**0.5), (7, ((1.0 - 1e-9) ** 0.5 - small) * 0.5**0.5))
-    _against_oracle(factor, factor)
+    _against_oracle(_product(factor, factor))
+    # a term of amplitude 2e-9 beside (0, 0): on the gate every accepted port holds it on register 1, as a sum of
+    # about 7e-10 before normalization, between PRUNE_TOL and 1e-9, of the sign of register 0, and the target
+    # (|000> + |001>) / sqrt(2) reads it linearly: its fidelity moves by 2e-9 where that sum is dropped, and by
+    # 4e-9 where its sign flips
+    tiny = 2e-9
+    _against_oracle([((0, 0), (1.0 - tiny * tiny) ** 0.5), ((0, 1), tiny)], ((0, 0.5**0.5), (1, 0.5**0.5)))
 
 
 def relabelled_repr(tmp_path):
@@ -305,8 +325,8 @@ def relabelled_repr(tmp_path):
             (1 / len(members), PureState(m, p.dofs, {lab: k * a for lab, a in p.terms.items()})) for k, p in products
         ))
         framed = repr(run(ensemble))
-        with pytest.MonkeyPatch.context() as refuse:
-            refuse.setattr(protocol, "_ghz_frame", lambda member: None)
+        with pytest.MonkeyPatch.context() as own:
+            own.setattr(protocol, "_hadamard_split", dense_split)
             assert_same_text(repr(run(ensemble)), framed)
 
 
@@ -391,7 +411,7 @@ def mutate(monkeypatch, module, name, old, new):
     if owner:
         monkeypatch.setattr(getattr(module, owner), attr, namespace[attr])
         return
-    for holder in [mod for key, mod in list(sys.modules.items()) if key.split(".")[0] == "ghzpurify"]:
+    for holder in [mod for key, mod in list(sys.modules.items()) if key.split(".")[0] == "ghzpurify"] + [helpers]:
         if getattr(holder, attr, None) is original:
             monkeypatch.setattr(holder, attr, namespace[attr])
 

@@ -20,8 +20,8 @@ from ghzpurify.optics import (
 from ghzpurify.protocol import (
     MODES,
     AcceptanceRule,
-    _dense_split,
-    _relabelled_dense_split,
+    _hadamard_split,
+    _sparse_split,
     closed_form_general,
     infer_flip_plan,
     phaseflip_plan,
@@ -46,6 +46,7 @@ from helpers import (
     assert_same_text,
     by_port,
     clear_caches,
+    dense_split,
     gate_masks,
     pair_closed_form,
     per_port_execute,
@@ -105,16 +106,20 @@ def off_pair_members(m, rng):
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_dense_step_real_and_complex_members_agree_bit_for_bit(m):
-    """A real member runs on float64 arrays, the same member times 1j on complex128 ones.
+    """A real member and the same member times 1j agree bit for bit, in the dense reference and in the sparse step.
 
-    Both give the same port probabilities, the second's amplitudes are exactly
-    1j times the first's, and every emitted amplitude is a Python complex.
+    tests/helpers.py's dense_split runs the first on float64 arrays, the
+    second on complex128 ones; _sparse_split runs both on Python complex.
+    Each gives both the same port probabilities, the second's amplitudes
+    are exactly 1j times the first's, and every emitted amplitude is a
+    Python complex.
     """
-    step = _dense_split(m, AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m))
+    args = (m, AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m))
     rng = random.Random(m)
     members = [*ghz_products(m, rng), random_pair_member(m, rng), *off_pair_members(m, rng), random_real_member(m, rng)]
     members += [PureState(m, member.dofs, {lab: 1j * a for lab, a in member.terms.items()}) for member in members]
-    for member, turned in zip(members[: len(members) // 2], members[len(members) // 2 :]):
+    pairs = zip(members[: len(members) // 2], members[len(members) // 2 :])
+    for step, (member, turned) in itertools.product((dense_split(*args), _sparse_split(*args)), list(pairs)):
         real, cplx = by_port(step(member)), by_port(step(turned))
         assert real.keys() == cplx.keys()
         for port, (probability, state) in real.items():
@@ -128,7 +133,7 @@ def test_dense_step_real_and_complex_members_agree_bit_for_bit(m):
 
 @pytest.mark.parametrize("m", [6, 7, 8, 9])
 def test_dense_port_probability_is_a_sequential_sum(m):
-    """Every port probability of the dense step and the frame trace is a left-to-right sum of |amp|**2 in register order.
+    """Every port probability of the dense reference and the frame trace is a left-to-right sum of |amp|**2 in register order.
 
     The reference amplitudes come from walsh_hadamard on both registers and
     check_table's masks on index grids, and the reference adds their squares one by one
@@ -137,8 +142,9 @@ def test_dense_port_probability_is_a_sequential_sum(m):
     spatial-pair member whose pol registers are not one pair and a member on
     a single spatial register. At these sizes numpy's pairwise np.sum along
     a contiguous axis gives other bits on some port of the random members,
-    which the test checks too. Each GHZ x GHZ product also runs through a
-    fresh _relabelled_dense_split, where it takes the frame trace.
+    which the test checks too. The dense reference is tests/helpers.py's
+    dense_split. Each GHZ x GHZ product also runs through a fresh
+    _hadamard_split, where it takes the frame trace.
     """
     rng = random.Random(m)
     size = 1 << m
@@ -150,7 +156,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
         for member in (real, pair)
     )
     rule, plan, gate = AcceptanceRule("phaseflip"), phaseflip_plan(m), gate_masks(GATE_TABLE, m)
-    step = _dense_split(m, rule, plan, gate)
+    step = dense_split(m, rule, plan, gate)
     for member in (real, turned, pair, turned_pair, *ghz_products(m, rng), *off_pair_members(m, rng)):
         amps = np.zeros((size, size), dtype=complex)  # [pol, spatial]
         for (pol, spatial), a in member.terms.items():
@@ -163,7 +169,7 @@ def test_dense_port_probability_is_a_sequential_sum(m):
         squares[port, out_pol] = np.abs(amps) ** 2
         got = by_port(step(member))
         framed = protocol._ghz_frame(member) is not None
-        by_column = by_port(_relabelled_dense_split(m, rule, plan, gate)(member)) if framed else got
+        by_column = by_port(_hadamard_split(m, rule, plan, gate)(member)) if framed else got
         assert by_column.keys() == got.keys()
         pairwise_differs = False
         for p in range(size):
@@ -620,9 +626,19 @@ def counting_steps(monkeypatch, name):
     return stepped
 
 
+def counting_off_frame_steps(monkeypatch):
+    """Install a _sparse_split whose steps record every member they run on; returns that list."""
+    return counting_steps(monkeypatch, "_sparse_split")
+
+
 def counting_dense_steps(monkeypatch):
-    """Install a _dense_split whose steps record every member they run on; returns that list."""
-    return counting_steps(monkeypatch, "_dense_split")
+    """Make tests/helpers.py's dense_split the Hadamard step, its steps recording every member they run on; returns that list.
+
+    Every member then takes its own dense step, the reference the frame step
+    is checked against bit for bit.
+    """
+    monkeypatch.setattr(protocol, "_hadamard_split", dense_split)
+    return counting_steps(monkeypatch, "_hadamard_split")
 
 
 def counting_traces(monkeypatch):
@@ -640,28 +656,27 @@ def counting_traces(monkeypatch):
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
 @pytest.mark.parametrize("m", range(2, 11))
 def test_relabelled_members_match_their_dense_steps(m, table, monkeypatch):
-    """A phase-flip run that relabels GHZ x GHZ members prints the repr of one that runs each member's dense step.
+    """A phase-flip run on GHZ x GHZ members, every one through the frame trace, prints the repr of each member's dense step.
 
-    The repr spells out every accepted port's probability and every
-    amplitude of its conditional states, signed zeros and -0j included, so
-    a wrong port shift, output shift or sign of the relabelling shows even
-    where no fidelity moves. A non-GHZ target makes X on every output
-    photon move the fidelity too.
+    The reference is tests/helpers.py's dense_split, put in place of the
+    Hadamard step, so every member takes its own. The repr spells out
+    every accepted port's probability and every amplitude of its
+    conditional states, signed zeros and -0j included, so a wrong port
+    shift, output shift or sign of the frame step shows even where no
+    fidelity moves. A non-GHZ target makes X on every output photon move
+    the fidelity too.
     """
     rng = random.Random(100 + m)
-    stepped, relabelled = counting_dense_steps(monkeypatch), 0
+    off_frame = counting_off_frame_steps(monkeypatch)
     for _ in range(2 if m >= 9 else 4):
         ensemble = ghz_product_ensemble(m, rng)
         target = make_state(m, (POL,), [((rng.randrange(1 << m),), 1.0)]) if rng.random() < 0.5 else None
-        stepped.clear()
         framed = phaseflip_repr(ensemble, table, target)
-        relabelled += len(ensemble.members) - len(stepped)
-        with monkeypatch.context() as refuse:
-            refuse.setattr(protocol, "_ghz_frame", lambda member: None)
-            stepped.clear()
+        with monkeypatch.context() as own:
+            stepped = counting_dense_steps(own)
             assert_same_text(phaseflip_repr(ensemble, table, target), framed)
             assert len(stepped) == len(ensemble.members)
-    assert relabelled > 0
+    assert not off_frame
 
 
 @pytest.mark.parametrize("table", [GATE_TABLE, FAULTED_TABLE], ids=["gate", "faulted"])
@@ -677,7 +692,7 @@ def test_ghz_product_ports_have_the_parity_of_their_port_shift(m, table):
     """
     gate = gate_masks(table, m)
     (_, _, _, a2, b2, c2), _ = gate
-    step, top = _dense_split(m, AcceptanceRule("general"), {}, gate), 1 << (m - 1)
+    step, top = dense_split(m, AcceptanceRule("general"), {}, gate), 1 << (m - 1)
     for e, f, s, t in itertools.product(range(min(4, top)), range(min(4, top)), (1, -1), (1, -1)):
         ports = by_port(step(tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))))
         xq = (top if s < 0 else 0) & a2 ^ (top if t < 0 else 0) & b2
@@ -705,7 +720,7 @@ def mixed_members():
 
 
 def test_dense_step_runs_once_per_group(cold, monkeypatch):
-    """The benchmark's pair input takes 1 frame trace and no dense step for its 4 members; a member off the frame always takes its own dense step.
+    """The benchmark's pair input takes 1 frame trace and no off-frame step for its 4 members; a member off the frame always takes its own.
 
     The pair input holds GHZ(0) x GHZ(0) in all four sign pairs, at one
     magnitude. The port shift is the XOR of the two sign masks, so (+,-)
@@ -713,11 +728,13 @@ def test_dense_step_runs_once_per_group(cold, monkeypatch):
     rejects, and they take no step at all. (+,+) takes the trace of its
     magnitude, and (-,-) reuses it. Of the mixed members, the reference
     and the rescaled one each take a trace, their repeats reuse it, and
-    the other three take the dense step. No trace outlives its run: a
+    the other three take the sparse step. No trace outlives its run: a
     second run, at other fidelities, takes its own, and the off-frame
-    members take their dense steps again.
+    members take their sparse steps again. With tests/helpers.py's
+    dense_split as the off-frame step, the run prints what every member
+    through its own dense step prints.
     """
-    traced, stepped = counting_traces(monkeypatch), counting_dense_steps(monkeypatch)
+    traced, stepped = counting_traces(monkeypatch), counting_off_frame_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
     MODES["phaseflip"].run(ensemble)
     a = ensemble.members[0][1].terms[(0, 0)].real
@@ -738,8 +755,10 @@ def test_dense_step_runs_once_per_group(cold, monkeypatch):
     stepped.clear()
     assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
     assert traced == magnitudes and len(stepped) == 3
-    monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
-    assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
+    monkeypatch.setattr(protocol, "_sparse_split", dense_split)
+    with_dense = phaseflip_repr(ensemble, GATE_TABLE)
+    counting_dense_steps(monkeypatch)
+    assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), with_dense)
 
 
 def test_accept_all_pair_input_shares_one_column_across_port_classes(cold, monkeypatch):
@@ -748,17 +767,18 @@ def test_accept_all_pair_input_shares_one_column_across_port_classes(cold, monke
     (+,-) and (-,+) reach the odd ports, which this rule keeps, and the
     phase-flip plan flips every photon on the even ports only, so the one
     trace of the common magnitude serves ports of both classes under two
-    flip masks.
+    flip masks. The reference is tests/helpers.py's dense_split for every
+    member.
     """
-    traced, stepped = counting_traces(monkeypatch), counting_dense_steps(monkeypatch)
+    traced, off_frame = counting_traces(monkeypatch), counting_off_frame_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
 
     def accept_all():
         return repr(protocol._execute(ensemble, AcceptanceRule("general"), phaseflip_plan(8), None, True, None))
 
     framed = accept_all()
-    assert traced == [ensemble.members[0][1].terms[(0, 0)].real] and not stepped
-    monkeypatch.setattr(protocol, "_ghz_frame", lambda member: None)
+    assert traced == [ensemble.members[0][1].terms[(0, 0)].real] and not off_frame
+    stepped = counting_dense_steps(monkeypatch)
     assert_same_text(accept_all(), framed)
     assert len(stepped) == 4 and len(traced) == 1
 
@@ -770,7 +790,7 @@ def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
     m = 8 holds the same (weight, state) entries, so protocol.fidelity runs
     once and every port gets the one outcome. On the mixed members of
     test_dense_step_runs_once_per_group (turned, crossed and off the
-    product, each on its own dense step) and on the pair input, the result
+    product, each on its own sparse step) and on the pair input, the result
     prints what tests/helpers.py's per_port_execute, one outcome built per
     port, prints.
     """
@@ -795,7 +815,7 @@ def test_port_outcomes_are_built_once_per_distinct_port(monkeypatch):
 def port_tuples_overlap(ensemble, rule, plan, table):
     """Whether two distinct port tuples of a Hadamard run's live groups share a port, so that its cells differ from its tuples."""
     m = ensemble.m
-    step = _relabelled_dense_split(m, rule, plan, gate_masks(table, m))
+    step = _hadamard_split(m, rule, plan, gate_masks(table, m))
     tuples = {ports for weight, member in ensemble.members for prob, _, ports in step(member) if weight * prob > 0.0}
     return sum(map(len, tuples)) > len(set().union(*tuples))
 
@@ -812,7 +832,7 @@ def test_cells_print_what_the_per_port_loop_prints(table):
     weights 5e-324 (times a port probability of 1/2 or less, it rounds
     to 0 and the group drops out) and 1e-300; and a
     complex and an off-product member in one run with frame members, so
-    that one-port groups of the dense step meet the frame step's groups.
+    that one-port groups of the sparse step meet the frame step's groups.
     """
     rng, runs = random.Random(31), []
     phaseflip, accept_all = AcceptanceRule("phaseflip"), AcceptanceRule("general")
@@ -1050,8 +1070,8 @@ def test_step_groups_cover_each_accepted_port_once(name, m, table):
     if mode.hadamard:
         runs.append((AcceptanceRule("general"), {q: q & 1 for q in range(1 << m)}, ghz_product_ensemble(m, rng)))
     for rule, plan, ensemble in runs:
-        step = (protocol._relabelled_dense_split if mode.hadamard else protocol._split_by_pattern)(m, rule, plan, gate)
-        dense = _dense_split(m, rule, plan, gate)
+        step = (protocol._hadamard_split if mode.hadamard else protocol._split_by_pattern)(m, rule, plan, gate)
+        dense = dense_split(m, rule, plan, gate)
         for _, member in ensemble.members:
             groups = step(member)
             ports = [q for _, _, group in groups for q in group]
@@ -1088,10 +1108,10 @@ def test_column_step_matches_the_dense_step(m, table):
             members.append(PureState._derived(m, (POL, SPATIAL), terms))
     compared = 0
     for rule, plan in runs:
-        dense = _dense_split(m, rule, plan, gate)
+        dense = dense_split(m, rule, plan, gate)
         for member in members:
             assert protocol._ghz_frame(member) is not None
-            framed = by_port(_relabelled_dense_split(m, rule, plan, gate)(member))
+            framed = by_port(_hadamard_split(m, rule, plan, gate)(member))
             assert_same_text(repr(framed), repr(by_port(dense(member))))
             compared += bool(framed)
     assert compared >= 2
@@ -1106,7 +1126,7 @@ def test_frame_trace_matches_walsh_bit_for_bit(data):
     2^m - 1 leaves one layer as 2 P^m(a) on every even register and 0 on
     every odd one; w on the registers of one parity t closes to
     top P^m(w) on register 0, (-1)^t top P^m(w) on 2^m - 1 and 0
-    elsewhere. R0 at amplitude a (all four terms a) through _dense_split
+    elsewhere. R0 at amplitude a (all four terms a) through dense_split
     under accept-all with an empty plan gives every port it reaches the
     trace's probability and the state v |0> + (-1)^m v |2^m - 1>, or no
     port where the trace is (0, 0). The magnitudes include both signs and
@@ -1136,7 +1156,7 @@ def test_frame_trace_matches_walsh_bit_for_bit(data):
     full = size - 1
     r0 = PureState._derived(m, (POL, SPATIAL), {(p, s): a for p in (0, full) for s in (0, full)})
     prob, v = protocol._frame_column(m, a)
-    got = by_port(_dense_split(m, AcceptanceRule("general"), {}, gate_masks(GATE_TABLE, m))(r0))
+    got = by_port(dense_split(m, AcceptanceRule("general"), {}, gate_masks(GATE_TABLE, m))(r0))
     assert len(got) == (top if prob else 0)
     for p, state in got.values():
         assert p == prob and state.terms == {(0,): complex(v), (full,): complex((-1) ** m * v)}
@@ -1161,12 +1181,49 @@ def test_frame_step_matches_the_dense_step_on_every_gate_table(m):
         runs = [(AcceptanceRule("phaseflip"), phaseflip_plan(m)),
                 (AcceptanceRule("general"), {q: rng.randrange(size) for q in range(size)})]
         for rule, plan in runs:
-            dense = _dense_split(m, rule, plan, gate)
+            dense = dense_split(m, rule, plan, gate)
             for zp, zs in itertools.product((0, top), repeat=2):
                 e, f, a = rng.randrange(top), rng.randrange(top), rng.choice((0.5, -0.3))
                 terms = {(p, s): -a if (p & zp ^ s & zs).bit_count() & 1 else a for p in (e, e ^ full) for s in (f, f ^ full)}
                 member = PureState._derived(m, (POL, SPATIAL), terms)
-                framed = by_port(_relabelled_dense_split(m, rule, plan, gate)(member))
+                framed = by_port(_hadamard_split(m, rule, plan, gate)(member))
                 assert_same_text(repr(framed), repr(by_port(dense(member))))
                 compared += bool(framed)
     assert compared >= 24 * 4
+
+
+def test_sparse_step_matches_the_dense_step_within_tolerance():
+    """The off-frame step gives the ports, term supports and register order of the dense step, each figure within 1e-12.
+
+    600 random members of 1 to 12 terms, real and complex, at m = 2..7, on
+    all 24 bijections of (pol, spatial) in turn, under the phase-flip rule
+    and plan or under accept-all with a random plan, run through
+    _sparse_split and through tests/helpers.py's dense_split. The two sum
+    the same terms in other orders, so their last bits may differ.
+    """
+    rng, pairs = random.Random(34), [(0, 0), (0, 1), (1, 0), (1, 1)]
+    tables = [dict(zip(pairs, outputs)) for outputs in itertools.permutations(pairs)]
+    compared = 0
+    for k in range(600):
+        m = rng.randrange(2, 8)
+        size, gate = 1 << m, gate_masks(tables[k % 24], m)
+        if rng.random() < 0.5:
+            rule, plan = AcceptanceRule("phaseflip"), phaseflip_plan(m)
+        else:
+            rule, plan = AcceptanceRule("general"), {q: rng.randrange(size) for q in range(size) if rng.random() < 0.7}
+        imag = rng.random() < 0.5
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            terms[(rng.randrange(size), rng.randrange(size))] = complex(rng.gauss(0, 1), rng.gauss(0, 1) if imag else 0.0)
+        norm = math.sqrt(math.fsum(abs(a) ** 2 for a in terms.values()))
+        member = make_state(m, (POL, SPATIAL), [(lab, a / norm) for lab, a in terms.items()])
+        sparse = by_port(_sparse_split(m, rule, plan, gate)(member))
+        dense = by_port(dense_split(m, rule, plan, gate)(member))
+        assert sparse.keys() == dense.keys()
+        for port, (probability, state) in sparse.items():
+            want_probability, want = dense[port]
+            assert abs(probability - want_probability) <= 1e-12
+            assert list(state.terms) == list(want.terms)
+            assert all(abs(a - want.terms[label]) <= 1e-12 for label, a in state.terms.items())
+            compared += 1
+    assert compared > 10_000
