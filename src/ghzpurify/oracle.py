@@ -1,22 +1,22 @@
 """Brute-force density-matrix verifier for the ensemble engine.
 
-Everything here works on a dense density operator over the full joint
-space, one 4-dimensional factor per photon (2 polarization x 2 spatial/port
-labels), basis ordered lexicographically photon by photon. The network
-unitary is assembled from the individual optical elements (splitter, wave
-plates, displacers) as matrix stages, deliberately not from the routing
-table the engine uses, so the two implementations share no construction
-path.
+Everything here works on a density operator in the dense joint basis, one
+4-dimensional factor per photon (2 polarization x 2 spatial/port labels),
+basis ordered lexicographically photon by photon. The network unitary is
+assembled from the individual optical elements (splitter, wave plates,
+displacers) as matrix stages, deliberately not from the routing table the
+engine uses, so the two implementations share no construction path.
 
-No operator on the whole joint space is ever multiplied, and a run builds
-none but densify's. The network unitary is a permutation read off the
-single-photon element chain, so a port's block sits on rows of the
-Hadamard-conjugated operator, and a Hadamard layer's entry is a product
-of one 4x4 factor entry per photon digit. So each block is read from rho
-on its support alone (at most 64 indices on verify's GHZ-product inputs,
-which verify passes as term_indices, so that no run scans rho for them)
-through the layer's entries on those rows and columns; a mode without
-Hadamard layers takes the identity factor.
+densify writes an ensemble's operator on its support S alone, the dense-basis
+indices its members' terms hold (term_indices, at most 64 on verify's
+GHZ-product inputs): the |S| x |S| block rho[S, S], rows and columns in
+ascending basis order; the operator is zero outside it. No operator on the
+whole joint space is built or multiplied. The network unitary is a
+permutation read off the single-photon element chain, so a port's block sits
+on rows of the Hadamard-conjugated operator, and a Hadamard layer's entry is
+a product of one 4x4 factor entry per photon digit. So each block is read
+from rho[S, S] through the layer's entries on those rows and on S; a mode
+without Hadamard layers takes the identity factor.
 
 oracle_run takes the protocol Mode: its Hadamard flag picks the layers
 and the closing Hadamard of each correction, its acceptance rule the
@@ -27,8 +27,8 @@ densify returns float64 when every member amplitude is real (every GHZ
 mixture with +-1 signs), complex128 otherwise; with a real operator and
 target, every step of oracle_run stays in float64.
 
-Capacity is capped at 6 photons (dimension 4096); this module exists for
-cross-validation, not performance.
+Capacity is capped at 6 photons (joint dimension 4096); this module exists
+for cross-validation, not performance.
 """
 
 from __future__ import annotations
@@ -84,17 +84,18 @@ def state_vector(state: PureState) -> np.ndarray:
 
 
 def densify(ensemble: Ensemble) -> np.ndarray:
-    """Density operator sum_k p_k |k><k| of an ensemble, every member's support written in one scatter.
+    """Density operator sum_k p_k |k><k| of an ensemble on its support S = term_indices(ensemble): rho[S, S].
 
-    Each pair of a member's terms is one flat index, members in order; np.add.at adds in index order, so
-    an entry that members share sums member by member. float64 when every amplitude is real, else complex128.
+    Rows and columns follow S, ascending; rho is zero outside S. Each pair of a member's terms is one flat
+    index pos[row] |S| + pos[col], pos a term's place in S, members in order, written in one scatter;
+    np.add.at adds in index order, so an entry that members share sums member by member. float64 when every
+    amplitude is real, else complex128.
     """
     import numpy as np
 
     _check_capacity(ensemble.m)
-    first = ensemble.members[0][1]
-    dim = 2 ** (len(first.dofs) * first.m)
     idx, amp, counts = _support([s for _, s in ensemble.members])
+    support, pos = np.unique(idx, return_inverse=True)  # S = term_indices(ensemble), and each term's place in S
     if not amp.imag.any():
         amp = amp.real
     sizes = counts * counts
@@ -102,23 +103,25 @@ def densify(ensemble: Ensemble) -> np.ndarray:
     k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # pair number within its member
     row, col = start + k // n, start + k % n
     weights = np.repeat([p for p, _ in ensemble.members], sizes)
-    rho = np.zeros((dim, dim), dtype=amp.dtype)
-    np.add.at(rho.reshape(-1), idx[row] * dim + idx[col], weights * (amp[row] * amp[col].conj()))
+    size = len(support)
+    rho = np.zeros((size, size), dtype=amp.dtype)
+    np.add.at(rho.reshape(-1), pos[row] * size + pos[col], weights * (amp[row] * amp[col].conj()))
     return rho
 
 
 def term_indices(ensemble: Ensemble) -> np.ndarray:
-    """The dense-basis indices densify writes for an ensemble, ascending: the union of its members' term registers.
+    """The dense-basis indices of densify(ensemble)'s rows and columns, ascending: the union of its members' terms.
 
-    Every nonzero row and column of densify(ensemble) is among them. Where a weight x |amp|**2 underflows,
-    an index can be among them whose row and column of the operator are all zero.
+    Where a weight x |amp|**2 underflows, an index can be among them whose row and column of the operator
+    are all zero.
     """
     import numpy as np
 
-    indices = {_indices(ensemble.m, *label) for _, s in ensemble.members for label in s.terms}
-    return np.array(sorted(indices), dtype=np.intp)
+    # one sort: without return_inverse, numpy 2.x dedupes integers through a hash table of its own
+    return np.unique(_support([s for _, s in ensemble.members])[0], return_inverse=True)[0]
 
 
+@functools.cache
 def _single_photon_network() -> np.ndarray:
     """One party's gate as chained element matrices on (pol, rail) spaces.
 
@@ -147,6 +150,7 @@ def _single_photon_network() -> np.ndarray:
     net = merge @ plates @ splitter
     if not _is_permutation(net):
         raise AssertionError("element chain did not compose to a permutation")
+    net.flags.writeable = False  # one array for the life of the process
     return net
 
 
@@ -222,21 +226,18 @@ def _layer_entries(factor: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarra
 def _blocks(
     dense: np.ndarray, m: int, factor: np.ndarray, ports: list[int], support: np.ndarray | None = None
 ) -> np.ndarray:
-    """Each port's block [port, pol, pol] of U L dense L^dagger U^dagger, U the network permutation, L = factor^(x m).
+    """Each port's block [port, pol, pol] of U L rho L^dagger U^dagger, U the network permutation, L = factor^(x m).
 
-    Row i of U has its 1 in column src[i], so a port's block is rows R = src[idx] of L dense L^dagger, idx its
-    2^m basis states, read as L[R, S] dense[S, S] L[R, S]^dagger over a support S of dense: one batched product
-    for all ports, and no operator-sized array. S is ``support``, ascending indices that hold every nonzero row
-    and column of dense (an index whose row and column are all zero adds only zero products), or, where it is
-    None, every index whose row or column holds a nonzero.
+    dense is rho[S, S] on S = ``support``, the basis index of each of its rows and columns (every index
+    where None), and rho is zero outside S. Row i of U has its 1 in column src[i], so a port's block is rows
+    R = src[idx] of L rho L^dagger, idx its 2^m basis states, read as L[R, S] dense L[R, S]^dagger: one
+    batched product for all ports.
     """
     import numpy as np
 
     rows = _network_source(m)[_indices(m, np.arange(1 << m), np.array(ports, dtype=np.intp)[:, None])]
-    if support is None:
-        support = np.flatnonzero(dense.any(axis=0) | dense.any(axis=1))
-    layer = _layer_entries(factor, m, rows, support)  # [port, pol, support]
-    return layer @ dense[np.ix_(support, support)] @ layer.conj().swapaxes(1, 2)
+    layer = _layer_entries(factor, m, rows, np.arange(4**m) if support is None else support)  # [port, pol, S]
+    return layer @ dense @ layer.conj().swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def oracle_run(
     target: PureState | None = None,
     support: np.ndarray | None = None,
 ) -> OracleResult:
-    """Run a protocol mode on a dense joint-state density operator.
+    """Run a protocol mode on a joint-state density operator given on the basis indices ``support``.
 
     Each port accepted by ``mode.rule`` gets its block of U W rho W^dagger
     U^dagger from ``_blocks``, U the network permutation and W the
@@ -268,14 +269,15 @@ def oracle_run(
     v = C^dagger t = X^mask (H^(x m))^dagger t, one vector per call read at
     i ^ mask, is scored as v^dagger block v / prob against the pol target t.
     A float64 operator with a real target runs every step in real arithmetic.
-    ``support`` (term_indices of the ensemble densify read) spares the scan of
-    dense for its nonzero rows and columns; see _blocks.
+    dense is rho[S, S], rho zero outside S: ``support`` holds the basis
+    index S of each of its rows and columns (term_indices of the ensemble
+    densify read), and None means the full 4^m basis.
     """
     import numpy as np
 
     _check_capacity(m)
     check_plan(corrections, m)
-    dim = 4**m
+    dim = 4**m if support is None else len(support)
     if dense.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} operator for m={m}, got {dense.shape}")
     if target is None:

@@ -2,7 +2,10 @@
 
 `brute_vector` re-embeds labeled states into dense vectors with its own
 arithmetic so tests that cross-check the package against dense linear
-algebra do not reuse the code path under test. `tensordot_contract` and
+algebra do not reuse the code path under test; `brute_density` sums an
+ensemble's projectors from it into the full 4^m x 4^m operator, the
+reference for `oracle.densify`, which writes only its support's block.
+`tensordot_contract` and
 `full_gather_oracle_run` (with `correction_unitary`, the 2^m x 2^m matrix
 of a port's correction) keep the oracle's former forms as references for
 its faster ones, `route` applies `optics.check_table`'s masks to
@@ -270,6 +273,17 @@ def brute_vector(state: PureState) -> np.ndarray:
             index = index * local_dim + local
         vec[index] += amp
     return vec
+
+
+def brute_density(ensemble: Ensemble) -> np.ndarray:
+    """sum_k p_k |k><k| on the full joint space, member by member, from brute_vector."""
+    first = ensemble.members[0][1]
+    dim = (2 ** len(first.dofs)) ** first.m
+    rho = np.zeros((dim, dim), dtype=complex)
+    for weight, state in ensemble.members:
+        vec = brute_vector(state)
+        rho += weight * np.outer(vec, vec.conj())
+    return rho
 
 
 def interleave_factors(pol_vec: np.ndarray, spatial_vec: np.ndarray, m: int) -> np.ndarray:

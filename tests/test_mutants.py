@@ -143,11 +143,16 @@ fidelity against |000> sees: its third member, whose terms (0, 0) and
 (0, 1) that term sets against each other on registers 0 and 1, under a
 target that reads both, catches it.
 
-Three mutants survive every detector and are not listed. Taking the
-support of the operator from its rows alone, in oracle._blocks, is
-equivalent on every operator the oracle is meant for: a density operator
-is Hermitian, so its rows and its columns hold nonzeros at the same
-indices. ``sum`` in place of ``math.fsum`` in noise.ghz_weights changes
+The last one breaks densify's scatter onto the support: each term's
+row and column placed in the order the members first reach its index, not
+at its place in the ascending term_indices that oracle_run reads them on.
+A single GHZ x GHZ member lists its terms in ascending order, and the
+phase-flip members all hold the same four, so only an ensemble whose later
+members reach indices below the earlier ones' sees it: the bit-flip,
+general and deterministic runs of the verify detector.
+
+Two mutants survive every detector and are not listed.
+``sum`` in place of ``math.fsum`` in noise.ghz_weights changes
 no figure these detectors print; tests/test_order.py catches it.
 Reversing infer_flip_plan's tie-break, so that a flip and its complement
 of equal weight swap, is equivalent on every input that function
@@ -169,7 +174,7 @@ from pathlib import Path
 import pytest
 
 from ghzpurify import cli, efficiency, noise, optics, oracle, protocol, states
-from ghzpurify.oracle import densify, oracle_run
+from ghzpurify.oracle import densify, oracle_run, term_indices
 from ghzpurify.records import ProtocolConfig
 from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
 import helpers
@@ -246,6 +251,9 @@ MUTANTS = [
     ("sparse-pol-sign", protocol, "_sparse_split", "(u & flip ^ p & pq ^ s & sq)", "(u & flip ^ s & sq)"),
     ("sparse-spatial-sign", protocol, "_sparse_split", "(u & flip ^ p & pq ^ s & sq)", "(u & flip ^ p & pq)"),
     ("sparse-register", protocol, "_sparse_split", "p & pol_o ^ s & sp_o", "p & pol_o"),
+    ("scatter-term-order", oracle, "densify", "support, pos = np.unique(idx, return_inverse=True)",
+     "support, first, pos = np.unique(idx, return_index=True, return_inverse=True)\n"
+     "    pos = first.argsort().argsort()[pos]"),
 ]
 
 
@@ -274,7 +282,7 @@ def _against_oracle(terms, target=((0, 1.0),)):
     ensemble, mode = Ensemble([(1.0, member)]), protocol.MODES["phaseflip"]
     target = make_state(3, (POL,), [((register,), a) for register, a in target])
     engine = mode.run(ensemble, target)
-    dense = oracle_run(densify(ensemble), 3, mode, mode.plan(ensemble), target)
+    dense = oracle_run(densify(ensemble), 3, mode, mode.plan(ensemble), target, term_indices(ensemble))
     assert abs(engine.success_probability - dense.success_probability) <= cli.VERIFY_TOL
     assert abs(engine.output_fidelity - dense.output_fidelity) <= cli.VERIFY_TOL
 

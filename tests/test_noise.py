@@ -13,7 +13,7 @@ from ghzpurify.noise import (
     mix_two,
     product_ensemble,
 )
-from ghzpurify.oracle import densify
+from ghzpurify.oracle import densify, term_indices
 from ghzpurify.states import (
     NORM_TOL,
     POL,
@@ -27,7 +27,7 @@ from ghzpurify.states import (
     make_ghz_spatial,
     tensor_hyper,
 )
-from helpers import brute_vector, interleave_factors
+from helpers import brute_density, brute_vector, interleave_factors
 
 
 def test_mix_two_weights():
@@ -81,18 +81,20 @@ def test_product_ensemble_weights():
 
 
 def test_product_ensemble_matches_dense_tensor():
-    # independent check: densified joint mixture equals the interleaved
-    # tensor product of the factor density matrices
+    # independent check: the joint mixture's operator equals the interleaved
+    # tensor product of the factor density matrices, and densify is its block on the terms
     pol = mix_two(make_ghz_pol(3, 0), make_ghz_pol(3, 1), 0.8)
     spatial = mix_two(make_ghz_spatial(3, 0), make_ghz_spatial(3, 1), 0.7)
-    joint_rho = densify(product_ensemble(pol, spatial))
-    assert joint_rho.dtype == np.float64  # every amplitude is real
-    expected = np.zeros(joint_rho.shape, dtype=complex)
+    joint = product_ensemble(pol, spatial)
+    expected = np.zeros((4**3, 4**3), dtype=complex)
     for pw, ps in pol.members:
         for sw, ss in spatial.members:
             vec = interleave_factors(brute_vector(ps), brute_vector(ss), 3)
             expected += pw * sw * np.outer(vec, vec.conj())
-    assert np.allclose(joint_rho, expected, atol=1e-14)
+    assert np.allclose(brute_density(joint), expected, atol=1e-14)
+    joint_rho, support = densify(joint), term_indices(joint)
+    assert joint_rho.dtype == np.float64  # every amplitude is real
+    assert np.allclose(joint_rho, expected[np.ix_(support, support)], atol=1e-14)
 
 
 def test_product_pure_times_pure():

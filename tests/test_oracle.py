@@ -1,4 +1,8 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,9 @@ from ghzpurify.states import (
     make_state,
     tensor_hyper,
 )
-from helpers import brute_vector, full_gather_oracle_run, tensordot_contract
+from helpers import brute_density, brute_vector, full_gather_oracle_run, tensordot_contract
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def joint_pair(m, f1, f2, pol_index=1, spatial_index=1):
@@ -67,6 +73,78 @@ def test_densify_product_mixture_spectrum():
     assert sorted(eigenvalues)[-4:] == pytest.approx(expected, abs=1e-12)
 
 
+def underflow_pair(m):
+    """GHZ(0) x GHZ(0) and a member at weight 5e-324, every weight x |amp|**2 of which rounds to 0."""
+    top = 1 << (m - 1)
+    members = [tensor_hyper(make_ghz_pol(m, 0), make_ghz_spatial(m, 0)),
+               tensor_hyper(make_ghz_pol(m, top - 1, -1), make_ghz_spatial(m, top // 2))]
+    return Ensemble(((1.0, members[0]), (5e-324, members[1])))
+
+
+def complex_pair(m):
+    """joint_pair with one amplitude of its first member turned by i."""
+    (w, first), *rest = joint_pair(m, 0.7, 0.4).members
+    label = next(iter(first.terms))
+    return Ensemble(((w, PureState(m, first.dofs, {**first.terms, label: 1j * first.terms[label]})), *rest))
+
+
+def overlapping(m):
+    """GHZ(0, +-) x GHZ(0, +-) mixed: every member on the same four terms."""
+    pol = mix_two(make_ghz_pol(m, 0, +1), make_ghz_pol(m, 0, -1), 0.8)
+    spatial = mix_two(make_ghz_spatial(m, 0, +1), make_ghz_spatial(m, 0, -1), 0.6)
+    return product_ensemble(pol, spatial)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("build", [lambda m: joint_pair(m, 0.8, 0.7), complex_pair, overlapping, underflow_pair],
+                         ids=["real", "complex", "overlapping", "underflow"])
+def test_densify_is_the_support_block_of_the_brute_operator(build, m):
+    """densify is the brute operator's [S, S] block, S = term_indices ascending, and the brute one is zero off S."""
+    ens = build(m)
+    full, support, rho = brute_density(ens), term_indices(ens), densify(ens)
+    assert support.tolist() == sorted(set(support.tolist()))
+    assert rho.shape == (len(support), len(support))
+    assert np.allclose(rho, full[np.ix_(support, support)], rtol=0, atol=1e-15)
+    outside = np.ones(len(full), dtype=bool)
+    outside[support] = False
+    assert not full[outside].any() and not full[:, outside].any()
+    if build is underflow_pair:
+        # the underflowed member's four terms hold rows and columns of S that are all zero
+        tiny = np.searchsorted(support, [_indices(m, *label) for label in ens.members[1][1].terms])
+        assert len(tiny) == 4 and not rho[tiny].any() and not rho[:, tiny].any()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_verify_inputs_densify_to_their_support(m):
+    """No verify input at any oracle size densifies to more than its support: |S| x |S|, at most 64 indices."""
+    for mode in MODES.values():
+        if m >= mode.min_m:
+            for f1, f2 in ((0.3, 0.8), (0.9, 0.1)):
+                ens = mode.verify_input(m, f1, f2)
+                size = len(term_indices(ens))
+                assert size <= 64 and densify(ens).shape == (size, size)
+
+
+def test_verify_never_builds_the_joint_operator():
+    """The traced peak of a verify --m 6, in a fresh interpreter, stays far below one 4^6 x 4^6 operator (128 MB).
+
+    numpy is imported before tracing starts, so the peak counts what verify allocates, not numpy's import.
+    """
+    script = (
+        "import contextlib, io, tracemalloc\n"
+        "import numpy\n"
+        "from ghzpurify import cli\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--m', '6']) == 0\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 16 * 2**20
+
+
 def test_densify_capacity():
     ens = Ensemble(((1.0, tensor_hyper(make_ghz_pol(7, 0), make_ghz_spatial(7, 0))),))
     with pytest.raises(ValueError, match="capacity"):
@@ -84,11 +162,10 @@ def test_network_unitary_is_permutation():
 
 def test_network_unitary_preserves_trace_and_patterns():
     ens = joint_pair(3, 0.6, 0.9)
-    rho = densify(ens)
     U = network_unitary(3)
-    evolved = U @ rho @ U.conj().T
+    evolved = U @ brute_density(ens) @ U.conj().T
     assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-12)
-    res = oracle_run(rho, 3, MODES["deterministic-demo"], {})
+    res = oracle_run(densify(ens), 3, MODES["deterministic-demo"], {}, None, term_indices(ens))
     total = sum(p for p, _ in res.pattern_table.values())
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -163,48 +240,40 @@ def test_contraction_matches_tensordot_reference(m):
 
 
 def test_block_read_ignores_rows_and_columns_outside_the_support():
-    """Only the support enters: zeroing rho outside it, or not, gives one block, and a zero operator zero blocks."""
+    """rho[S, S] read on S gives the blocks of rho, zero outside S, read on the full basis; a zero operator zero blocks."""
     m, rng = 3, np.random.default_rng(4)
     support = np.sort(rng.choice(4**m, size=9, replace=False))
     rho = np.zeros((4**m, 4**m), dtype=complex)
     rho[np.ix_(support, support)] = random_hermitian(9, rng)
-    layer = hadamard_both_unitary(m)
-    want = network_blocks(layer @ rho @ layer.conj().T, m, range(1 << m))
-    assert np.allclose(_blocks(rho, m, hadamard_both_unitary(1), list(range(1 << m))), want, rtol=0, atol=1e-12)
-    assert not _blocks(np.zeros((4**m, 4**m)), m, hadamard_both_unitary(1), [0, 5]).any()
+    layer, factor, ports = hadamard_both_unitary(m), hadamard_both_unitary(1), list(range(1 << m))
+    want = network_blocks(layer @ rho @ layer.conj().T, m, ports)
+    assert np.allclose(_blocks(rho[np.ix_(support, support)], m, factor, ports, support), want, rtol=0, atol=1e-12)
+    assert np.allclose(_blocks(rho, m, factor, ports), want, rtol=0, atol=1e-12)
+    assert not _blocks(np.zeros((9, 9)), m, factor, [0, 5], support).any()
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def assert_runs_agree(got, want, tol):
+    assert got.pattern_table.keys() == want.pattern_table.keys()
+    for key, (prob, fid) in want.pattern_table.items():
+        assert got.pattern_table[key] == pytest.approx((prob, fid), rel=0, abs=tol)
+    for field in ("success_probability", "rejected_probability", "output_fidelity"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=tol)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_term_indices_hold_every_nonzero_row_and_column(m):
-    """term_indices is the scan's support on verify's inputs, so oracle_run prints the same with it; an underflowed member adds only zero rows and columns.
+    """oracle_run on (densify, term_indices) agrees with oracle_run on the brute full operator within 1e-15.
 
-    The member at weight 5e-324 has every weight x |amp|**2 round to 0, so
-    its indices are among term_indices but hold an all-zero row and column
-    of the operator, and the oracle's figures stay within 1e-15.
+    So no nonzero row or column of the operator lies off term_indices, on
+    verify's inputs and on a member at weight 5e-324, whose indices are
+    among term_indices but hold all-zero rows and columns.
     """
-    for name, mode in sorted(MODES.items()):
-        if m < mode.min_m:
-            continue
-        ens = mode.verify_input(m, 0.3, 0.8)
-        rho = densify(ens)
-        scanned = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
-        assert term_indices(ens).tolist() == scanned.tolist()
-        args = (rho, m, mode, mode.plan(ens), None)
-        assert oracle_run(*args, term_indices(ens)) == oracle_run(*args)
-    top = 1 << (m - 1)
-    members = [tensor_hyper(make_ghz_pol(m, 0), make_ghz_spatial(m, 0)),
-               tensor_hyper(make_ghz_pol(m, top - 1, -1), make_ghz_spatial(m, top // 2))]
-    ens = Ensemble(((1.0, members[0]), (5e-324, members[1])))
-    rho, support = densify(ens), term_indices(ens)
-    extra = sorted(set(support.tolist()) - set(np.flatnonzero(rho.any(axis=0) | rho.any(axis=1)).tolist()))
-    assert len(extra) == 4 and not rho[extra].any() and not rho[:, extra].any()
-    for mode in MODES.values():
-        args = (rho, m, mode, mode.plan(ens), None)
-        got, want = oracle_run(*args, support), oracle_run(*args)
-        assert got.pattern_table.keys() == want.pattern_table.keys()
-        for key, (prob, fid) in want.pattern_table.items():
-            assert got.pattern_table[key] == pytest.approx((prob, fid), rel=0, abs=1e-15)
-        assert got.output_fidelity == pytest.approx(want.output_fidelity, rel=0, abs=1e-15)
+    cases = [(mode, mode.verify_input(m, 0.3, 0.8)) for mode in MODES.values() if m >= mode.min_m]
+    cases += [(mode, underflow_pair(m)) for mode in MODES.values()]
+    for mode, ens in cases:
+        plan = mode.plan(ens)
+        got = oracle_run(densify(ens), m, mode, plan, None, term_indices(ens))
+        assert_runs_agree(got, oracle_run(brute_density(ens), m, mode, plan), 1e-15)
 
 
 @pytest.mark.parametrize(
@@ -214,13 +283,9 @@ def test_oracle_matches_full_gather_reference(name, m):
     mode = MODES[name]
     for f1, f2, target in ((0.7, 0.4, None), (0.3, 0.85, make_ghz_pol(m, 1, -1))):
         ens = mode.verify_input(m, f1, f2)
-        args = (densify(ens), m, mode, mode.plan(ens), target)
-        got, want = oracle_run(*args), full_gather_oracle_run(*args)
-        assert got.pattern_table.keys() == want.pattern_table.keys()
-        for key, (prob, fid) in want.pattern_table.items():
-            assert got.pattern_table[key] == pytest.approx((prob, fid), rel=0, abs=1e-12)
-        for field in ("success_probability", "rejected_probability", "output_fidelity"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-12)
+        args = (m, mode, mode.plan(ens), target)
+        got = oracle_run(densify(ens), *args, term_indices(ens))
+        assert_runs_agree(got, full_gather_oracle_run(brute_density(ens), *args), 1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -236,12 +301,7 @@ def test_full_support_operator_matches_full_gather_reference(name, m):
     amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     target = make_state(m, (POL,), [((r,), amp) for r, amp in enumerate((amps / np.linalg.norm(amps)).tolist())])
     for args in ((rho, m, mode, plan, target), (rho, m, mode, {}, None)):
-        got, want = oracle_run(*args), full_gather_oracle_run(*args)
-        assert got.pattern_table.keys() == want.pattern_table.keys()
-        for key, (prob, fid) in want.pattern_table.items():
-            assert got.pattern_table[key] == pytest.approx((prob, fid), rel=0, abs=1e-12)
-        for field in ("success_probability", "rejected_probability", "output_fidelity"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-12)
+        assert_runs_agree(oracle_run(*args), full_gather_oracle_run(*args), 1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -249,10 +309,7 @@ def test_densify_is_real_on_real_amplitudes(m):
     for name, mode in sorted(MODES.items()):
         if m >= mode.min_m:
             assert densify(mode.verify_input(m, 0.7, 0.4)).dtype == np.float64, name
-    (w, first), *rest = joint_pair(m, 0.7, 0.4).members
-    label = next(iter(first.terms))
-    turned = PureState(m, first.dofs, {**first.terms, label: 1j * first.terms[label]})
-    assert densify(Ensemble(((w, turned), *rest))).dtype == np.complex128
+    assert densify(complex_pair(m)).dtype == np.complex128
 
 
 @pytest.mark.parametrize(
@@ -262,13 +319,9 @@ def test_oracle_real_and_complex_operators_agree(name, m):
     """The float64 run of a real operator and the complex128 run of its copy agree to 1e-14."""
     mode = MODES[name]
     ens = mode.verify_input(m, 0.7, 0.4)
-    rho = densify(ens)
-    real, cplx = (oracle_run(op, m, mode, mode.plan(ens)) for op in (rho, rho.astype(complex)))
-    assert real.pattern_table.keys() == cplx.pattern_table.keys()
-    for key, entry in cplx.pattern_table.items():
-        assert real.pattern_table[key] == pytest.approx(entry, rel=0, abs=1e-14)
-    for field in ("success_probability", "rejected_probability", "output_fidelity"):
-        assert getattr(real, field) == pytest.approx(getattr(cplx, field), rel=0, abs=1e-14)
+    rho, support = densify(ens), term_indices(ens)
+    real, cplx = (oracle_run(op, m, mode, mode.plan(ens), None, support) for op in (rho, rho.astype(complex)))
+    assert_runs_agree(real, cplx, 1e-14)
 
 
 def test_hadamard_layer_unitary():
@@ -299,7 +352,7 @@ def test_state_vector_norm():
 def test_oracle_matches_engine_bitflip():
     ens = joint_pair(3, 0.8, 0.7)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 3, MODES["bitflip"], {})
+    dense = oracle_run(densify(ens), 3, MODES["bitflip"], {}, None, term_indices(ens))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -309,7 +362,7 @@ def test_oracle_matches_engine_phaseflip():
     spatial = mix_two(make_ghz_spatial(3, 0, +1), make_ghz_spatial(3, 0, -1), 0.8)
     ens = product_ensemble(pol, spatial)
     engine = run_phaseflip(ens)
-    dense = oracle_run(densify(ens), 3, MODES["phaseflip"], phaseflip_plan(3))
+    dense = oracle_run(densify(ens), 3, MODES["phaseflip"], phaseflip_plan(3), None, term_indices(ens))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -318,7 +371,7 @@ def test_oracle_matches_engine_deterministic():
     ens = joint_pair(3, 0.45, 0.7, pol_index=1, spatial_index=2)
     plan = infer_flip_plan(ens)
     engine = run_general(ens, corrections=plan)
-    dense = oracle_run(densify(ens), 3, MODES["deterministic-demo"], plan)
+    dense = oracle_run(densify(ens), 3, MODES["deterministic-demo"], plan, None, term_indices(ens))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
     assert dense.output_fidelity == pytest.approx(1.0, abs=1e-10)
@@ -328,14 +381,14 @@ def test_oracle_agreement_at_capacity_limit():
     # the unanimous / even-swap acceptance generalizations hold at m=5 too
     ens = joint_pair(5, 0.8, 0.7)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 5, MODES["bitflip"], {})
+    dense = oracle_run(densify(ens), 5, MODES["bitflip"], {}, None, term_indices(ens))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
     pol = mix_two(make_ghz_pol(5, 0, +1), make_ghz_pol(5, 0, -1), 0.6)
     spatial = mix_two(make_ghz_spatial(5, 0, +1), make_ghz_spatial(5, 0, -1), 0.85)
     ens = product_ensemble(pol, spatial)
     engine = run_phaseflip(ens)
-    dense = oracle_run(densify(ens), 5, MODES["phaseflip"], phaseflip_plan(5))
+    dense = oracle_run(densify(ens), 5, MODES["phaseflip"], phaseflip_plan(5), None, term_indices(ens))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -343,7 +396,7 @@ def test_oracle_agreement_at_capacity_limit():
 def test_oracle_noiseless_agreement():
     ens = joint_pair(2, 1.0, 1.0)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 2, MODES["bitflip"], {})
+    dense = oracle_run(densify(ens), 2, MODES["bitflip"], {}, None, term_indices(ens))
     assert engine.output_fidelity == pytest.approx(1.0, abs=1e-12)
     assert dense.output_fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -351,6 +404,10 @@ def test_oracle_noiseless_agreement():
 def test_oracle_shape_validation():
     with pytest.raises(ValueError, match="expected"):
         oracle_run(np.eye(16) / 16.0, 3, MODES["bitflip"], {})
+    # the operator's rows and columns are checked against the support it is given on
+    ens = joint_pair(3, 0.8, 0.7)
+    with pytest.raises(ValueError, match="expected a 15x15"):
+        oracle_run(densify(ens), 3, MODES["bitflip"], {}, None, term_indices(ens)[:-1])
     # the capacity check comes before the shape check, so no 4^7-square operator is needed
     with pytest.raises(ValueError, match="capacity"):
         oracle_run(np.eye(16) / 16.0, 7, MODES["bitflip"], {})
@@ -363,5 +420,5 @@ def test_oracle_refuses_the_correction_masks_the_engine_refuses(mask):
     with pytest.raises(ValueError, match="is not an m-bit register") as engine:
         run_general(ens, corrections=plan)
     with pytest.raises(ValueError, match="is not an m-bit register") as dense:
-        oracle_run(densify(ens), 3, MODES["bitflip"], plan)
+        oracle_run(densify(ens), 3, MODES["bitflip"], plan, None, term_indices(ens))
     assert str(dense.value) == str(engine.value)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzpurify.noise import mix_general, product_ensemble
-from ghzpurify.oracle import densify, oracle_run
+from ghzpurify.oracle import densify, oracle_run, term_indices
 from ghzpurify.protocol import MODES, AcceptanceRule, run_general
 from ghzpurify.states import Ensemble, PureState, make_ghz_pol, make_ghz_spatial
 from helpers import pack, unpack
@@ -49,7 +49,7 @@ def test_mode_properties(name, data):
     m = ensemble.m
     result = mode.run(ensemble, target=target)
 
-    dense = oracle_run(densify(ensemble), m, mode, mode.plan(ensemble), target=target)
+    dense = oracle_run(densify(ensemble), m, mode, mode.plan(ensemble), target, term_indices(ensemble))
     assert result.output_fidelity == pytest.approx(dense.output_fidelity, abs=ORACLE_TOL)
     assert result.success_probability == pytest.approx(dense.success_probability, abs=ORACLE_TOL)
 
@@ -111,7 +111,7 @@ def test_ghz_diagonal_mixtures_match_oracle(name, data):
     m, target = ensemble.m, random_target(data, ensemble.m)
     result = run_or_none(lambda: mode.run(ensemble, target=target))
     dense = run_or_none(
-        lambda: oracle_run(densify(ensemble), m, mode, mode.plan(ensemble), target=target)
+        lambda: oracle_run(densify(ensemble), m, mode, mode.plan(ensemble), target, term_indices(ensemble))
     )
     assert (result is None) == (dense is None)
     if result is None:
