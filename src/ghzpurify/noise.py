@@ -4,7 +4,10 @@ Transmission noise is modeled at the state level: a bit-flip error moves
 probability weight from the reference GHZ component onto the component with
 the flipped photons, and a phase-flip error onto the opposite-sign partner.
 The polarization and spatial degrees of freedom degrade independently and
-are combined with a tensor-product mixture.
+are combined with a tensor-product mixture, which stays factored: a
+ProductEnsemble keeps its two checked mixtures and builds the joint members
+only when something reads them, and protocol's run builds only the pairs
+whose port class its rule can accept.
 
 ghz_weights is the one derivation and the one check of a noise list: its
 mixture keyed by GHZ (index, sign). The engine input, the closed forms and
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .states import (
@@ -82,29 +86,70 @@ def mix_general(states: Sequence[PureState], weights: Sequence[float]) -> Ensemb
             raise ValueError(f"weight must lie in [0, 1], got {w!r}")
         if w > 0.0:
             members.append((w, s))
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if abs(overlap(states[i], states[j])) > _ORTHO_TOL:
+    for i, a in enumerate(states):
+        for b in states[i + 1 :]:
+            # states on the same labels with no label in common have overlap exactly 0
+            if a.m == b.m and a.dofs == b.dofs and a.terms.keys().isdisjoint(b.terms):
+                continue
+            if abs(overlap(a, b)) > _ORTHO_TOL:
                 warnings.warn("mixing non-orthogonal states; fidelity bookkeeping assumes orthogonality")
     return Ensemble(tuple(members))
 
 
-def product_ensemble(pol: Ensemble, spatial: Ensemble) -> Ensemble:
-    """Independent polarization and spatial mixtures combined into joint states.
+class ProductEnsemble(Ensemble):
+    """The mixture of a polarization and a spatial mixture that degrade independently: pol x spatial.
 
-    A product weight that underflows to 0 drops its member, as mix_general
-    drops a zero weight. The product is not checked again, as tensor_hyper's
-    is not: each mixture passed its own check, so the product weights are
-    positive and sum to 1 within about twice NORM_TOL, and tensor_hyper
-    refuses factors on other photon counts or labels.
+    It refuses factors on other photon counts or labels, as tensor_hyper
+    does, keeps them, and builds ``members`` on first read: pair (i, j) of
+    pol member i and spatial member j is (w_i u_j, tensor_hyper(pol_i,
+    spatial_j)), pol-major. ``select`` builds the members of chosen pairs
+    alone, in that order; protocol's run takes it on a product nothing has
+    read yet. The product is not checked again, as tensor_hyper's is not:
+    each mixture passed its own check, so the product weights are positive
+    and sum to 1 within about twice NORM_TOL.
     """
-    members = tuple(
-        (w, tensor_hyper(ps, ss))
-        for pw, ps in pol.members
-        for sw, ss in spatial.members
-        if (w := pw * sw) > 0.0
-    )
-    return Ensemble._derived(members)
+
+    dofs = (POL, SPATIAL)
+
+    def __init__(self, pol: Ensemble, spatial: Ensemble):
+        if pol.m != spatial.m:
+            raise ValueError(f"photon counts differ: {pol.m} vs {spatial.m}")
+        if pol.dofs != (POL,) or spatial.dofs != (SPATIAL,):
+            raise ValueError("tensor_hyper expects a bare polarization state and a bare spatial state")
+        object.__setattr__(self, "factors", (pol, spatial))
+
+    @property
+    def m(self) -> int:
+        return self.factors[0].m
+
+    @cached_property
+    def members(self) -> tuple[tuple[float, PureState], ...]:
+        pol, spatial = self.factors
+        return self.select([spatial.members] * len(pol.members))
+
+    @property
+    def built(self) -> bool:
+        """Whether something has read ``members``, which then hold every pair."""
+        return "members" in vars(self)
+
+    def select(self, spatial_of) -> tuple[tuple[float, PureState], ...]:
+        """The members of the pairs of each pol member i with the spatial members spatial_of[i], in member order.
+
+        spatial_of[i] lists spatial members, (weight, state), in their order.
+        A product weight that underflows to 0 drops its pair, as mix_general
+        drops a zero weight.
+        """
+        return tuple(
+            (w, tensor_hyper(ps, ss))
+            for (pw, ps), chosen in zip(self.factors[0].members, spatial_of)
+            for sw, ss in chosen
+            if (w := pw * sw) > 0.0
+        )
+
+
+def product_ensemble(pol: Ensemble, spatial: Ensemble) -> ProductEnsemble:
+    """Independent polarization and spatial mixtures combined into joint states, built when read (ProductEnsemble)."""
+    return ProductEnsemble(pol, spatial)
 
 
 def ghz_weights(m: int, specs: Sequence[NoiseSpec]) -> dict[tuple[int, int], float]:

@@ -84,7 +84,12 @@ def state_vector(state: PureState) -> np.ndarray:
 
 
 def densify(ensemble: Ensemble) -> np.ndarray:
-    """Density operator sum_k p_k |k><k| of an ensemble on its support S = term_indices(ensemble): rho[S, S].
+    """Density operator sum_k p_k |k><k| of an ensemble on its support S: rho[S, S] of density_on_support."""
+    return density_on_support(ensemble)[0]
+
+
+def density_on_support(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """(rho[S, S], S): the density operator on its support S, the union of the members' term indices, in one pass.
 
     Rows and columns follow S, ascending; rho is zero outside S. Each pair of a member's terms is one flat
     index pos[row] |S| + pos[col], pos a term's place in S, members in order, written in one scatter;
@@ -95,7 +100,7 @@ def densify(ensemble: Ensemble) -> np.ndarray:
 
     _check_capacity(ensemble.m)
     idx, amp, counts = _support([s for _, s in ensemble.members])
-    support, pos = np.unique(idx, return_inverse=True)  # S = term_indices(ensemble), and each term's place in S
+    support, pos = np.unique(idx, return_inverse=True)  # S, and each term's place in S
     if not amp.imag.any():
         amp = amp.real
     sizes = counts * counts
@@ -106,19 +111,16 @@ def densify(ensemble: Ensemble) -> np.ndarray:
     size = len(support)
     rho = np.zeros((size, size), dtype=amp.dtype)
     np.add.at(rho.reshape(-1), pos[row] * size + pos[col], weights * (amp[row] * amp[col].conj()))
-    return rho
+    return rho, support
 
 
 def term_indices(ensemble: Ensemble) -> np.ndarray:
-    """The dense-basis indices of densify(ensemble)'s rows and columns, ascending: the union of its members' terms.
+    """S of density_on_support: the dense-basis indices of densify(ensemble)'s rows and columns, ascending.
 
     Where a weight x |amp|**2 underflows, an index can be among them whose row and column of the operator
     are all zero.
     """
-    import numpy as np
-
-    # one sort: without return_inverse, numpy 2.x dedupes integers through a hash table of its own
-    return np.unique(_support([s for _, s in ensemble.members])[0], return_inverse=True)[0]
+    return density_on_support(ensemble)[1]
 
 
 @functools.cache
@@ -270,8 +272,8 @@ def oracle_run(
     i ^ mask, is scored as v^dagger block v / prob against the pol target t.
     A float64 operator with a real target runs every step in real arithmetic.
     dense is rho[S, S], rho zero outside S: ``support`` holds the basis
-    index S of each of its rows and columns (term_indices of the ensemble
-    densify read), and None means the full 4^m basis.
+    index S of each of its rows and columns (as density_on_support returns
+    them with the operator), and None means the full 4^m basis.
     """
     import numpy as np
 

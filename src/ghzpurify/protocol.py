@@ -26,7 +26,14 @@ probability and corrected state per group, held by each of its accepted
 ports.
 A run reads the gate once: _execute takes the affine register masks of the
 table and of its inverse (optics.check_table, which refuses a table that is
-not a bijection), and every step routes with two XOR/AND expressions.
+not a bijection; the gate's own masks once per m), and every step routes
+with two XOR/AND expressions.
+A config's input is the factored product of its pol and spatial mixtures
+(noise.ProductEnsemble). A GHZ(e) x GHZ(f) member reaches one port class,
+so a run on a product nothing has read builds only the members whose
+class its rule can accept (_run_members): under the unanimous rule, the
+pairs with e = f. A member skipped would give no port group, so the run
+is the same, bit for bit.
 _execute keeps its books per port tuple, not per port: each distinct
 tuple holds its groups' (weight, state) entries once, and a port's cell
 is the set of tuples that hold it. Each cell builds one conditional
@@ -71,7 +78,7 @@ from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .noise import BIT_FLIP, PHASE_FLIP, mix_general, mix_two, product_ensemble
+from .noise import BIT_FLIP, PHASE_FLIP, ProductEnsemble, mix_general, mix_two, product_ensemble
 from .optics import _HADAMARD_C, GATE_TABLE, GateTable, check_table
 from .states import (
     NORM_TOL,
@@ -143,13 +150,17 @@ def phaseflip_plan(m: int) -> CorrectionPlan:
 
 
 def _ghz_product_parts(state: PureState) -> tuple[int, int]:
-    """Recover (pol flip register, spatial flip register) of a GHZ x GHZ product."""
+    """Recover (pol flip register, spatial flip register) of a GHZ x GHZ product.
+
+    Each register of the four terms must be an m-bit register: so the lower
+    of each complementary pair, e or f, is below 2^(m-1).
+    """
     if state.dofs != (POL, SPATIAL):
         raise ValueError("expected a joint (pol, spatial) state")
     full = (1 << state.m) - 1
     e = min(pol for pol, _ in state.terms)
     f = min(sp for _, sp in state.terms)
-    if set(state.terms) != {(a, b) for a in (e, e ^ full) for b in (f, f ^ full)}:
+    if (e | f) > full >> 1 or set(state.terms) != {(a, b) for a in (e, e ^ full) for b in (f, f ^ full)}:
         raise ValueError("member is not a product of two GHZ components; pass an explicit plan")
     return e, f
 
@@ -251,11 +262,12 @@ COMPONENTS_MAX_PHOTONS = 16
 MAX_PHOTONS = 1000
 
 # The cap on a config's product members, (pol components + 1) x (spatial
-# components + 1): 401^2, the largest config measured to finish. That general
-# config at m = 16 simulates in about 2.1 s with 161 MB peak on a 2-CPU
-# machine (median of 5 simulate processes), and time and memory grow with the
-# member count; m = 16 alone admits 32 767 components per degree of freedom,
-# about 10^9 members.
+# components + 1): 401^2. That general config at m = 16 builds the 401 members
+# its rule accepts and simulates in about 0.2 s with 24 MB peak on a shared
+# 2-CPU machine (0.14-0.29 s over 10 simulate processes; 1.9-2.8 s and 161 MB
+# when every member was built). Modes whose rule accepts every port build every
+# member, so time and memory grow with the member count; m = 16 alone admits
+# 32 767 components per degree of freedom, about 10^9 members.
 MAX_MEMBERS = 160_801
 
 
@@ -518,6 +530,82 @@ def _cells(groups: dict[tuple[int, ...], Cell]) -> Iterable[tuple[tuple[int, ...
     ]
 
 
+def _gate(table: GateTable, m: int) -> Gate:
+    """check_table of the table and of its inverse: the masks every step routes with."""
+    return check_table(table, m), check_table({out: row for row, out in table.items()}, m)
+
+
+@lru_cache(maxsize=32)
+def _default_gate(m: int) -> Gate:
+    """_gate of GATE_TABLE, derived once per m and shared read-only; a table passed in is checked on every run."""
+    return _gate(GATE_TABLE, m)
+
+
+def _ghz_factor(state: PureState) -> tuple[int, int] | None:
+    """(r, sign) of a factor member a(|r> + sign |r ^ (2^m - 1)>), a real, r < 2^(m-1); None for any other member.
+
+    As in _ghz_product_parts, both registers must be m-bit registers.
+    """
+    if len(state.terms) != 2:
+        return None
+    ((r,), a), ((high,), b) = state.terms.items()
+    if r > high:
+        r, a, high, b = high, b, r, a
+    full = (1 << state.m) - 1
+    if r ^ high != full or high > full or a.imag or b.imag or abs(a.real) != abs(b.real):
+        return None
+    return r, 1 if a.real == b.real else -1
+
+
+def _run_members(
+    ensemble: Ensemble, rule: AcceptanceRule, gate: Gate, hadamard_first: bool
+) -> tuple[tuple[float, PureState], ...]:
+    """The members a run steps through: of a product nothing has read, those of the pairs its rule can accept.
+
+    A pair of real GHZ factor members (_ghz_factor), GHZ(e, sign) x
+    GHZ(f, sign'), reaches one port class, which decides whether its step
+    gives any group. The sparse step sends it to ports x = e&a2 ^ f&b2 ^ c2
+    and x ^ (2^m - 1), as a2 and b2 are 0 or 2^m - 1. The unanimous rule
+    accepts one of them where f&b2, which is below 2^(m-1), is the lower of
+    e&a2 ^ c2 and its complement. The frame step gives the pair ports of
+    the parity of zp&a2 ^ zs&b2 ^ c2 alone, zp (zs) 2^(m-1) where the pol
+    (spatial) sign is -, else 0 (_hadamard_split): where the rule accepts
+    ports of one parity only, the pair is live where that parity is its
+    class. Either way a pol member wants one spatial key, looked up among
+    the spatial members' keys. A pair skipped would give no group, so the
+    live pairs, in member order, leave every fsum of the run the same
+    multiset. Every pair is taken where the rule can accept every pair
+    (accept-all, or ports of both parities in a Hadamard run), where it is
+    another rule in the sparse step (only an API caller runs the phase-flip
+    rule there), where a factor member is not a real two-term GHZ state, and
+    where something has read the members already (infer_flip_plan, densify).
+    """
+    if type(ensemble) is not ProductEnsemble or ensemble.built:
+        return ensemble.members
+    m = ensemble.m
+    if hadamard_first:
+        live = [parity for parity, ports in enumerate(_port_classes(rule, m)) if ports]
+        if len(live) != 1:
+            return ensemble.members
+    elif rule.mode != "bitflip":
+        return ensemble.members
+    pol, spatial = ([_ghz_factor(s) for _, s in factor.members] for factor in ensemble.factors)
+    if None in pol or None in spatial:
+        return ensemble.members
+    full, top = (1 << m) - 1, 1 << (m - 1)
+    (_, _, _, a2, b2, c2), _ = gate
+    if hadamard_first:  # keys are parities
+        wants = [((top if sign < 0 else 0) & a2 ^ c2).bit_count() & 1 ^ live[0] for _, sign in pol]
+        keys = [((top if sign < 0 else 0) & b2).bit_count() & 1 for _, sign in spatial]
+    else:
+        wants = [min(x := e & a2 ^ c2, x ^ full) for e, _ in pol]
+        keys = [f & b2 for f, _ in spatial]
+    holders: dict[int, list[tuple[float, PureState]]] = {}  # spatial key -> its spatial members, in member order
+    for key, member in zip(keys, ensemble.factors[1].members):
+        holders.setdefault(key, []).append(member)
+    return ensemble.select([holders.get(want, ()) for want in wants])
+
+
 def _execute(
     ensemble: Ensemble,
     rule: AcceptanceRule,
@@ -529,7 +617,9 @@ def _execute(
     """One run: each member's step, then per cell of accepted ports one conditional ensemble and fidelity.
 
     A Hadamard run steps through _hadamard_split, the other modes through
-    _split_by_pattern; neither builds an array. Each step takes the masks
+    _split_by_pattern; neither builds an array. It steps through the
+    members _run_members gives: of a product, only those whose port class
+    the rule can accept. Each step takes the masks
     of the table and its inverse, read here once, and returns port groups.
     Each distinct ports tuple holds the entries of its groups once, in
     member order, and a port's cell is the set of tuples that hold it
@@ -551,11 +641,10 @@ def _execute(
     if target.m != m or target.dofs != (POL,):
         raise ValueError("target must be a bare polarization state on the same photons")
 
-    table = GATE_TABLE if gate_table is None else gate_table
-    gate = (check_table(table, m), check_table({out: row for row, out in table.items()}, m))
+    gate = _default_gate(m) if gate_table is None else _gate(gate_table, m)
     step = (_hadamard_split if hadamard_first else _split_by_pattern)(m, rule, plan, gate)
     groups: dict[tuple[int, ...], Cell] = {}  # ports tuple -> the entries of the groups that hold it
-    for k, (weight, member) in enumerate(ensemble.members):
+    for k, (weight, member) in enumerate(_run_members(ensemble, rule, gate, hadamard_first)):
         for cond_prob, cond_state, ports in step(member):
             if (w := weight * cond_prob) > 0.0:  # an underflowed product carries nothing
                 groups.setdefault(ports, []).append((k, w, cond_state))

@@ -80,7 +80,8 @@ class ProtocolConfig:
             raise ConfigError(f"m must be <= {MAX_PHOTONS}, got {self.m}")
         if MODES[self.mode].hadamard and self.m > PHASEFLIP_MAX_PHOTONS:
             raise ConfigError(
-                f"mode {self.mode!r} holds 4^m amplitudes per member; m must be <= {PHASEFLIP_MAX_PHOTONS}, got {self.m}"
+                f"mode {self.mode!r} writes 2^(m-1) pattern rows per record; "
+                f"m must be <= {PHASEFLIP_MAX_PHOTONS}, got {self.m}"
             )
         if MODES[self.mode].lists_components and self.m > COMPONENTS_MAX_PHOTONS:
             raise ConfigError(

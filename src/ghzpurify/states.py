@@ -161,12 +161,12 @@ def tensor_hyper(pol: PureState, spatial: PureState) -> PureState:
         raise ValueError(f"photon counts differ: {pol.m} vs {spatial.m}")
     if pol.dofs != (POL,) or spatial.dofs != (SPATIAL,):
         raise ValueError("tensor_hyper expects a bare polarization state and a bare spatial state")
-    terms = {
-        (plab[0], slab[0]): amp
-        for plab, pa in pol.terms.items()
-        for slab, sa in spatial.terms.items()
-        if abs(amp := complex(pa * sa)) > PRUNE_TOL
-    }
+    # plain loops, each label unpacked in the loop header: cheaper than a comprehension that indexes them
+    terms = {}
+    for (p,), pa in pol.terms.items():
+        for (s,), sa in spatial.terms.items():
+            if abs(amp := complex(pa * sa)) > PRUNE_TOL:
+                terms[(p, s)] = amp
     return PureState._derived(pol.m, (POL, SPATIAL), terms)
 
 

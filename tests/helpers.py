@@ -189,10 +189,10 @@ def dense_split(
 
 
 def clear_caches() -> None:
-    """Empty protocol's process-lifetime caches: the port tables, partitions and pattern tuples."""
+    """Empty protocol's process-lifetime caches: the port tables, partitions, pattern tuples and gate masks."""
     for cached in (
         protocol.AcceptanceRule.ports, protocol.phaseflip_plan, protocol._port_classes, protocol._partition,
-        protocol._patterns,
+        protocol._patterns, protocol._default_gate,
     ):
         cached.cache_clear()
 

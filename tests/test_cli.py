@@ -420,7 +420,7 @@ def test_phaseflip_config_above_capacity_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"config error: mode 'phaseflip' holds 4^m amplitudes per member; "
+        f"config error: mode 'phaseflip' writes 2^(m-1) pattern rows per record; "
         f"m must be <= {PHASEFLIP_MAX_PHOTONS}, got {m}\n"
     )
     # the other modes keep no such cap

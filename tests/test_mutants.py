@@ -13,25 +13,27 @@ dense_split, the reference the frame step matches bit for bit), the repr
 of a run whose step shares port states against tests/helpers.py's
 per-port loop, the efficiency ratio against its formula and criterion 7
 (R P2 = P1), the oracle's Hadamard layer, read entry by entry, against
-the Kronecker product of a complex, non-symmetric factor, and the
-registers of tensor_hyper's products against 2^m. A mutant is caught when a
-detector's check fails or raises. A mutant target is a module function or
-a ``Class.method``, which is installed on the class; a function is
-installed in tests/helpers.py too where that binds it, so a mutant of
-optics.walsh_hadamard reaches the dense reference. protocol's
-process-lifetime caches (the port tables, the partitions and the pattern
-tuples) are emptied before a mutant is installed and after it is
+the Kronecker product of a complex, non-symmetric factor, the repr of
+runs on factored products against the same runs on an Ensemble of all
+their members, and the registers of tensor_hyper's products against 2^m.
+A mutant is caught when a detector's check fails or raises. A mutant
+target is a module function or a ``Class.method``, which is installed on
+the class; a function is installed in tests/helpers.py too where that
+binds it, so a mutant of optics.walsh_hadamard reaches the dense
+reference. protocol's process-lifetime caches (the port tables, the
+partitions, the pattern tuples and the gate's masks) are emptied before a mutant is installed and after it is
 removed: a warm partition would hand a mutant of the partition the
 package's groups, and one the mutant filled would outlive it.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
 (the pattern step), a register pushed out of range by tensor_hyper, and
-a conditional weight left undivided by its port's probability. Every path
-the engine runs on a product masks its registers to m bits, so nothing
-printed shows the out-of-range register: only the label detector, which
-reads tensor_hyper's products directly, catches it. The last one drops one
-scaling by c from the spatial layer of the frame trace
+a conditional weight left undivided by its port's probability. The label
+detector reads tensor_hyper's products directly; the engine detectors see
+the out-of-range register too, since protocol._ghz_product_parts refuses a
+register of 2^m or more: infer_flip_plan refuses the member, and a
+phase-flip member leaves the frame for the sparse step. The last one drops
+one scaling by c from the spatial layer of the frame trace
 (protocol._frame_column), one of the 2m.
 
 Then come the butterfly sign in walsh_hadamard, which no engine step runs
@@ -151,6 +153,18 @@ phase-flip members all hold the same four, so only an ensemble whose later
 members reach indices below the earlier ones' sees it: the bit-flip,
 general and deterministic runs of the verify detector.
 
+The last three break the choice of the pairs a run on a product
+(noise.ProductEnsemble) builds, which the factored detector reads: a run
+on the product against a run on an Ensemble of all its members, in every
+mode, on the gate and on the faulted table. Each is a live pair dropped,
+since a pair built in vain gives no group. The frame step's class read
+without the port constant c2 changes nothing on the gate, where c2 is 0:
+on the faulted table at odd m it looks up the other parity. The sparse
+step's lookup of e&a2 ^ c2 itself, not the lower of it and its
+complement, finds nothing on the faulted table, whose c2 is 2^m - 1.
+Dropping the first spatial member a pol member wants moves every figure
+that the unanimous rule or the phase-flip rule gives.
+
 Two mutants survive every detector and are not listed.
 ``sum`` in place of ``math.fsum`` in noise.ghz_weights changes
 no figure these detectors print; tests/test_order.py catches it.
@@ -194,7 +208,7 @@ CONSTANT_PORT = {(0, 0): (0, 1), (0, 1): (1, 0), (1, 0): (0, 0), (1, 1): (1, 1)}
 # (name, module, function, source text, mutated text)
 MUTANTS = [
     ("sparse-scale", protocol, "_split_by_pattern", "scale = prob**-0.5", "scale = prob**-0.5 * (1 + 1e-9)"),
-    ("tensor-register", states, "tensor_hyper", "(plab[0], slab[0])", "(plab[0] ^ (1 << pol.m), slab[0])"),
+    ("tensor-register", states, "tensor_hyper", "terms[(p, s)]", "terms[(p ^ (1 << pol.m), s)]"),
     ("weight-undivided", protocol, "_execute", "(w / pattern_prob, s)", "(w, s)"),
     ("pair-scalings", protocol, "_frame_column", "_scaled(pol, m)", "_scaled(pol, m - 1)"),
     ("walsh-sign", optics, "walsh_hadamard", "np.subtract(halves[:, 0], halves[:, 1]",
@@ -251,7 +265,10 @@ MUTANTS = [
     ("sparse-pol-sign", protocol, "_sparse_split", "(u & flip ^ p & pq ^ s & sq)", "(u & flip ^ s & sq)"),
     ("sparse-spatial-sign", protocol, "_sparse_split", "(u & flip ^ p & pq ^ s & sq)", "(u & flip ^ p & pq)"),
     ("sparse-register", protocol, "_sparse_split", "p & pol_o ^ s & sp_o", "p & pol_o"),
-    ("scatter-term-order", oracle, "densify", "support, pos = np.unique(idx, return_inverse=True)",
+    ("pair-class", protocol, "_run_members", "& a2 ^ c2).bit_count()", "& a2).bit_count()"),
+    ("pair-complement", protocol, "_run_members", "min(x := e & a2 ^ c2, x ^ full)", "e & a2 ^ c2"),
+    ("pair-dropped", protocol, "_run_members", "holders.get(want, ())", "holders.get(want, ())[1:]"),
+    ("scatter-term-order", oracle, "density_on_support", "support, pos = np.unique(idx, return_inverse=True)",
      "support, first, pos = np.unique(idx, return_index=True, return_inverse=True)\n"
      "    pos = first.argsort().argsort()[pos]"),
 ]
@@ -358,6 +375,21 @@ def shared_port_states(tmp_path):
         assert_same_text(repr(protocol._execute(ensemble, rule, {}, None, False, None)), expected)
 
 
+def factored_products(tmp_path):
+    # signs and indices of every class on both degrees of freedom, at odd and even m, so that under each rule some
+    # pairs are live and some are skipped; the faulted table's port constant is 2^m - 1
+    for m in (3, 4):
+        pol = noise.mix_general([make_ghz_pol(m, i, s) for i, s in ((0, 1), (0, -1), (1, 1), (3, -1))], [0.4, 0.3, 0.2, 0.1])
+        spatial = noise.mix_general(
+            [make_ghz_spatial(m, i, s) for i, s in ((0, 1), (1, -1), (3, 1), (0, -1))], [0.5, 0.2, 0.2, 0.1]
+        )
+        for mode in protocol.MODES.values():
+            for table in (None, FAULTED):
+                factored = repr(mode.run(noise.product_ensemble(pol, spatial), gate_table=table))
+                whole = Ensemble(noise.product_ensemble(pol, spatial).members)
+                assert_same_text(factored, repr(mode.run(whole, gate_table=table)))
+
+
 def tensor_labels(tmp_path):
     # every register of a product is an m-bit register, on both degrees of freedom
     for m in (2, 3, 5):
@@ -384,8 +416,8 @@ def oracle_layer(tmp_path):
 
 
 DETECTORS = [  # cheapest first
-    tensor_labels, efficiency_ratio, oracle_layer, shared_port_states, relabelled_repr, oracle_off_product, closed_forms,
-    golden_records, oracle_m3,
+    tensor_labels, efficiency_ratio, oracle_layer, shared_port_states, factored_products, relabelled_repr,
+    oracle_off_product, closed_forms, golden_records, oracle_m3,
 ]
 
 
@@ -422,6 +454,12 @@ def mutate(monkeypatch, module, name, old, new):
     for holder in [mod for key, mod in list(sys.modules.items()) if key.split(".")[0] == "ghzpurify"] + [helpers]:
         if getattr(holder, attr, None) is original:
             monkeypatch.setattr(holder, attr, namespace[attr])
+
+
+def test_an_engine_detector_catches_the_out_of_range_register(cold_caches, monkeypatch, tmp_path):
+    """tensor-register is caught by a detector that runs the engine, not only by the label detector."""
+    mutate(monkeypatch, *next(mutant[1:] for mutant in MUTANTS if mutant[0] == "tensor-register"))
+    assert any(fails(d, tmp_path) for d in DETECTORS if d is not tensor_labels)
 
 
 def test_detectors_pass_on_the_package(tmp_path):

@@ -117,7 +117,7 @@ def test_product_ensemble_accepts_product_of_checked_mixtures():
 
 
 def test_product_ensemble_rejects_mismatched_factors():
-    # product_ensemble leaves these checks to tensor_hyper on its first member
+    # product_ensemble makes tensor_hyper's checks up front, before it builds any member
     pol, spatial = Ensemble(((1.0, make_ghz_pol(3, 0)),)), Ensemble(((1.0, make_ghz_spatial(3, 0)),))
     with pytest.raises(ValueError, match="photon counts differ: 3 vs 4"):
         product_ensemble(pol, Ensemble(((1.0, make_ghz_spatial(4, 0)),)))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzpurify.noise import mix_general, product_ensemble
+from ghzpurify.optics import GATE_TABLE
 from ghzpurify.oracle import densify, oracle_run, term_indices
 from ghzpurify.protocol import MODES, AcceptanceRule, run_general
 from ghzpurify.states import Ensemble, PureState, make_ghz_pol, make_ghz_spatial
@@ -23,6 +24,8 @@ from helpers import pack, unpack
 TOL = 1e-12
 ORACLE_TOL = 1e-10
 NO_PATTERN = "no accepted port pattern"
+# the gate with its two rail-1 rows swapped, as verify --inject-gate-fault swaps them: its port constant is 2^m - 1
+FAULTED = {**GATE_TABLE, (0, 0): GATE_TABLE[(1, 0)], (1, 0): GATE_TABLE[(0, 0)]}
 
 
 @st.composite
@@ -120,6 +123,29 @@ def test_ghz_diagonal_mixtures_match_oracle(name, data):
     assert result.success_probability == pytest.approx(dense.success_probability, abs=ORACLE_TOL)
     for pattern, outcome in result.accepted.items():
         assert outcome.probability == pytest.approx(dense.pattern_table.get(pattern, (0.0,))[0], abs=ORACLE_TOL)
+
+
+def repr_or_refusal(run) -> str:
+    """The repr of a run's result, or its refusal where no accepted pattern carries probability."""
+    try:
+        return repr(run())
+    except ValueError as exc:
+        assert NO_PATTERN in str(exc)
+        return str(exc)
+
+
+@pytest.mark.parametrize("table", [GATE_TABLE, FAULTED], ids=["gate", "faulted"])
+@pytest.mark.parametrize("name", list(MODES))
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_factored_product_runs_as_its_members(name, table, data):
+    """A run on product_ensemble(pol, spatial), which builds only the pairs its rule can accept, is bit for bit
+    the run on an Ensemble of all the product's members."""
+    mode, m = MODES[name], data.draw(st.integers(2, 5))
+    pol, spatial = data.draw(ghz_mixture(make_ghz_pol, m)), data.draw(ghz_mixture(make_ghz_spatial, m))
+    target = random_target(data, m)
+    factored = repr_or_refusal(lambda: mode.run(product_ensemble(pol, spatial), target, table))
+    assert factored == repr_or_refusal(lambda: mode.run(Ensemble(product_ensemble(pol, spatial).members), target, table))
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

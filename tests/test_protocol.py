@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify import protocol
+from ghzpurify import cli, noise, protocol
 from ghzpurify.noise import mix_general, mix_two, product_ensemble
 from ghzpurify.optics import (
     GATE_TABLE,
@@ -18,6 +19,7 @@ from ghzpurify.optics import (
     walsh_hadamard,
 )
 from ghzpurify.protocol import (
+    MAX_MEMBERS,
     MODES,
     AcceptanceRule,
     _hadamard_split,
@@ -42,6 +44,7 @@ from ghzpurify.states import (
     make_state,
     tensor_hyper,
 )
+from ghzpurify.records import ProtocolConfig
 from helpers import (
     assert_same_text,
     by_port,
@@ -1227,3 +1230,72 @@ def test_sparse_step_matches_the_dense_step_within_tolerance():
             assert all(abs(a - want.terms[label]) <= 1e-12 for label, a in state.terms.items())
             compared += 1
     assert compared > 10_000
+
+
+def counting_products(monkeypatch):
+    """Install a tensor_hyper in noise that records every product member it builds; returns that list."""
+    original, built = noise.tensor_hyper, []
+
+    def counted(pol, spatial):
+        built.append((pol, spatial))
+        return original(pol, spatial)
+
+    monkeypatch.setattr(noise, "tensor_hyper", counted)
+    return built
+
+
+def test_member_cap_config_builds_only_its_accepted_members(monkeypatch):
+    """The largest admitted general config, 401^2 product members at m = 16, builds the 401 that its rule accepts.
+
+    Under the unanimous rule GHZ(e) x GHZ(f) reaches ports e ^ f and its
+    complement, so only the pairs with e = f are accepted; the run matches
+    the closed form. The traced peak was 133 MB when every member was built.
+    """
+    entries = [{"kind": "bit-flip", "target_index": i, "weight": 1e-3} for i in range(1, 401)]
+    config = ProtocolConfig.from_dict({"m": 16, "mode": "general", "pol_noise": entries, "spatial_noise": entries})
+    assert (len(entries) + 1) ** 2 == MAX_MEMBERS
+    built = counting_products(monkeypatch)
+    tracemalloc.start()
+    try:
+        _, _, deviation = cli.execute(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 401 and all(pol.terms.keys() == spatial.terms.keys() for pol, spatial in built)
+    assert max(deviation.values()) <= 1e-12
+    assert peak < 16 * 2**20
+
+
+def test_product_builds_every_pair_where_a_run_cannot_skip_one(monkeypatch):
+    """A run on a product builds every member under accept-all, past a factor member off the GHZ frame, and once read.
+
+    Each run prints what a run on an Ensemble of the same members prints.
+    The general verify input at m = 4 has 4 components per degree of
+    freedom: its unanimous run builds the 4 pairs with equal indices.
+    """
+    built = counting_products(monkeypatch)
+    mode, accept_all = MODES["general"], AcceptanceRule("general")
+
+    def same_as_members(run, factors):
+        got = repr(run(product_ensemble(*factors)))
+        assert got == repr(run(Ensemble(product_ensemble(*factors).members)))
+
+    four = mode.verify_input(4, 0.8, 0.7)
+    same_as_members(mode.run, four.factors)
+    assert len(built) == 4 + 16
+    built.clear()
+    same_as_members(lambda ensemble: protocol._execute(ensemble, accept_all, {}, None, False, None), four.factors)
+    assert len(built) == 16 + 16
+    built.clear()
+    read = product_ensemble(*four.factors)
+    assert len(read.members) == 16 and read.built
+    assert repr(mode.run(read)) == repr(mode.run(Ensemble(read.members))) and len(built) == 16
+    built.clear()
+    # a pol member whose two amplitudes differ in magnitude, and a complex one: every pair is taken
+    pol, spatial = four.factors
+    halves = (PureState(4, (POL,), {(1,): 0.6, (14,): 0.8}), PureState(4, (POL,), {(1,): 0.5**0.5, (14,): 0.5**0.5 * 1j}))
+    for off in halves:
+        factors = (Ensemble(pol.members[:3] + ((pol.members[3][0], off),)), spatial)
+        same_as_members(mode.run, factors)
+        assert len(built) == 16 + 16
+        built.clear()
