@@ -103,10 +103,10 @@ class ProductEnsemble(Ensemble):
     does, keeps them, and builds ``members`` on first read: pair (i, j) of
     pol member i and spatial member j is (w_i u_j, tensor_hyper(pol_i,
     spatial_j)), pol-major. ``select`` builds the members of chosen pairs
-    alone, in that order; protocol's run takes it on a product nothing has
-    read yet. The product is not checked again, as tensor_hyper's is not:
-    each mixture passed its own check, so the product weights are positive
-    and sum to 1 within about twice NORM_TOL.
+    alone, in that order; protocol's run takes it on every product. The
+    product is not checked again, as tensor_hyper's is not: each mixture
+    passed its own check, so the product weights are positive and sum to 1
+    within about twice NORM_TOL.
     """
 
     dofs = (POL, SPATIAL)
@@ -126,11 +126,6 @@ class ProductEnsemble(Ensemble):
     def members(self) -> tuple[tuple[float, PureState], ...]:
         pol, spatial = self.factors
         return self.select([spatial.members] * len(pol.members))
-
-    @property
-    def built(self) -> bool:
-        """Whether something has read ``members``, which then hold every pair."""
-        return "members" in vars(self)
 
     def select(self, spatial_of) -> tuple[tuple[float, PureState], ...]:
         """The members of the pairs of each pol member i with the spatial members spatial_of[i], in member order.

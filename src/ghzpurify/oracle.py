@@ -120,7 +120,10 @@ def term_indices(ensemble: Ensemble) -> np.ndarray:
     Where a weight x |amp|**2 underflows, an index can be among them whose row and column of the operator
     are all zero.
     """
-    return density_on_support(ensemble)[1]
+    import numpy as np
+
+    # one sort: without return_inverse, numpy 2.x dedupes integers through a hash table of its own
+    return np.unique(_support([s for _, s in ensemble.members])[0], return_inverse=True)[0]
 
 
 @functools.cache

@@ -30,10 +30,10 @@ not a bijection; the gate's own masks once per m), and every step routes
 with two XOR/AND expressions.
 A config's input is the factored product of its pol and spatial mixtures
 (noise.ProductEnsemble). A GHZ(e) x GHZ(f) member reaches one port class,
-so a run on a product nothing has read builds only the members whose
-class its rule can accept (_run_members): under the unanimous rule, the
-pairs with e = f. A member skipped would give no port group, so the run
-is the same, bit for bit.
+so a run on a product builds only the members whose class its rule can
+accept (_run_members): under the unanimous rule, the pairs with e = f. A
+member skipped would give no port group, so the run is the same, bit for
+bit.
 _execute keeps its books per port tuple, not per port: each distinct
 tuple holds its groups' (weight, state) entries once, and a port's cell
 is the set of tuples that hold it. Each cell builds one conditional
@@ -560,7 +560,7 @@ def _ghz_factor(state: PureState) -> tuple[int, int] | None:
 def _run_members(
     ensemble: Ensemble, rule: AcceptanceRule, gate: Gate, hadamard_first: bool
 ) -> tuple[tuple[float, PureState], ...]:
-    """The members a run steps through: of a product nothing has read, those of the pairs its rule can accept.
+    """The members a run steps through: of a product, those of the pairs its rule can accept.
 
     A pair of real GHZ factor members (_ghz_factor), GHZ(e, sign) x
     GHZ(f, sign'), reaches one port class, which decides whether its step
@@ -577,10 +577,11 @@ def _run_members(
     multiset. Every pair is taken where the rule can accept every pair
     (accept-all, or ports of both parities in a Hadamard run), where it is
     another rule in the sparse step (only an API caller runs the phase-flip
-    rule there), where a factor member is not a real two-term GHZ state, and
-    where something has read the members already (infer_flip_plan, densify).
+    rule there), and where a factor member is not a real two-term GHZ state.
+    A product whose members were read already (infer_flip_plan, densify)
+    is filtered all the same: select builds the live pairs anew.
     """
-    if type(ensemble) is not ProductEnsemble or ensemble.built:
+    if type(ensemble) is not ProductEnsemble:
         return ensemble.members
     m = ensemble.m
     if hadamard_first:

@@ -14,6 +14,7 @@ from ghzpurify.oracle import (
     _layer_entries,
     _network_source,
     densify,
+    density_on_support,
     hadamard_both_unitary,
     network_unitary,
     oracle_run,
@@ -99,9 +100,14 @@ def overlapping(m):
 @pytest.mark.parametrize("build", [lambda m: joint_pair(m, 0.8, 0.7), complex_pair, overlapping, underflow_pair],
                          ids=["real", "complex", "overlapping", "underflow"])
 def test_densify_is_the_support_block_of_the_brute_operator(build, m):
-    """densify is the brute operator's [S, S] block, S = term_indices ascending, and the brute one is zero off S."""
+    """densify is the brute operator's [S, S] block, S = term_indices ascending, and the brute one is zero off S.
+
+    density_on_support returns the same operator and S from one pass.
+    """
     ens = build(m)
     full, support, rho = brute_density(ens), term_indices(ens), densify(ens)
+    one_pass = density_on_support(ens)
+    assert np.array_equal(one_pass[0], rho) and np.array_equal(one_pass[1], support)
     assert support.tolist() == sorted(set(support.tolist()))
     assert rho.shape == (len(support), len(support))
     assert np.allclose(rho, full[np.ix_(support, support)], rtol=0, atol=1e-15)
