@@ -215,8 +215,7 @@ def _cmd_verify(args) -> int:
             for f2 in grid:
                 ens = mode.verify_input(m, f1, f2)
                 engine = mode.run(ens, target=target, gate_table=table)
-                rho, support = density_on_support(ens)
-                dense = oracle_run(rho, m, mode, mode.plan(ens), target, support)
+                dense = oracle_run(*density_on_support(ens), m, mode, mode.plan(ens), target)
                 devs = (
                     abs(engine.output_fidelity - dense.output_fidelity),
                     abs(engine.success_probability - dense.success_probability),

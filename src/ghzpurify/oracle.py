@@ -7,23 +7,25 @@ assembled from the individual optical elements (splitter, wave plates,
 displacers) as matrix stages, deliberately not from the routing table the
 engine uses, so the two implementations share no construction path.
 
-densify writes an ensemble's operator on its support S alone, the dense-basis
-indices its members' terms hold (term_indices, at most 64 on verify's
-GHZ-product inputs): the |S| x |S| block rho[S, S], rows and columns in
-ascending basis order; the operator is zero outside it. No operator on the
-whole joint space is built or multiplied. The network unitary is a
-permutation read off the single-photon element chain, so a port's block sits
-on rows of the Hadamard-conjugated operator, and a Hadamard layer's entry is
-a product of one 4x4 factor entry per photon digit. So each block is read
-from rho[S, S] through the layer's entries on those rows and on S; a mode
+density_on_support writes an ensemble's operator on its support S alone,
+the dense-basis indices its members' terms hold (at most 64 on verify's
+GHZ-product inputs), and returns S with it: the |S| x |S| block rho[S, S],
+rows and columns in ascending basis order; the operator is zero outside
+it. densify returns the block alone. No operator on the whole joint space
+is built or multiplied. The network unitary is a permutation read off the
+single-photon element chain, so a port's block sits on rows of the
+Hadamard-conjugated operator, and a Hadamard layer's entry is a product of
+one 4x4 factor entry per photon digit. So each block is read from
+rho[S, S] through the layer's entries on those rows and on S; a mode
 without Hadamard layers takes the identity factor.
 
-oracle_run takes the protocol Mode: its Hadamard flag picks the layers
-and the closing Hadamard of each correction, its acceptance rule the
-ports. The caller passes the correction plan, a photon flip mask per port
-register like the engine's, applied as an XOR of the target's index.
+oracle_run takes rho[S, S] with S, and the protocol Mode: its Hadamard
+flag picks the layers and the closing Hadamard of each correction, its
+acceptance rule the ports. The caller passes the correction plan, a photon
+flip mask per port register like the engine's, applied as an XOR of the
+target's index.
 
-densify returns float64 when every member amplitude is real (every GHZ
+The operator is float64 when every member amplitude is real (every GHZ
 mixture with +-1 signs), complex128 otherwise; with a real operator and
 target, every step of oracle_run stays in float64.
 
@@ -112,18 +114,6 @@ def density_on_support(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     rho = np.zeros((size, size), dtype=amp.dtype)
     np.add.at(rho.reshape(-1), pos[row] * size + pos[col], weights * (amp[row] * amp[col].conj()))
     return rho, support
-
-
-def term_indices(ensemble: Ensemble) -> np.ndarray:
-    """S of density_on_support: the dense-basis indices of densify(ensemble)'s rows and columns, ascending.
-
-    Where a weight x |amp|**2 underflows, an index can be among them whose row and column of the operator
-    are all zero.
-    """
-    import numpy as np
-
-    # one sort: without return_inverse, numpy 2.x dedupes integers through a hash table of its own
-    return np.unique(_support([s for _, s in ensemble.members])[0], return_inverse=True)[0]
 
 
 @functools.cache
@@ -228,20 +218,18 @@ def _layer_entries(factor: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarra
     return out
 
 
-def _blocks(
-    dense: np.ndarray, m: int, factor: np.ndarray, ports: list[int], support: np.ndarray | None = None
-) -> np.ndarray:
+def _blocks(dense: np.ndarray, support: np.ndarray, m: int, factor: np.ndarray, ports: list[int]) -> np.ndarray:
     """Each port's block [port, pol, pol] of U L rho L^dagger U^dagger, U the network permutation, L = factor^(x m).
 
-    dense is rho[S, S] on S = ``support``, the basis index of each of its rows and columns (every index
-    where None), and rho is zero outside S. Row i of U has its 1 in column src[i], so a port's block is rows
-    R = src[idx] of L rho L^dagger, idx its 2^m basis states, read as L[R, S] dense L[R, S]^dagger: one
-    batched product for all ports.
+    dense is rho[S, S] on S = ``support``, the basis index of each of its rows and columns, and rho is
+    zero outside S. Row i of U has its 1 in column src[i], so a port's block is rows R = src[idx] of
+    L rho L^dagger, idx its 2^m basis states, read as L[R, S] dense L[R, S]^dagger: one batched product
+    for all ports.
     """
     import numpy as np
 
     rows = _network_source(m)[_indices(m, np.arange(1 << m), np.array(ports, dtype=np.intp)[:, None])]
-    layer = _layer_entries(factor, m, rows, np.arange(4**m) if support is None else support)  # [port, pol, S]
+    layer = _layer_entries(factor, m, rows, support)  # [port, pol, S]
     return layer @ dense @ layer.conj().swapaxes(1, 2)
 
 
@@ -257,11 +245,11 @@ class OracleResult:
 
 def oracle_run(
     dense: np.ndarray,
+    support: np.ndarray,
     m: int,
     mode: Mode,
     corrections: CorrectionPlan,
     target: PureState | None = None,
-    support: np.ndarray | None = None,
 ) -> OracleResult:
     """Run a protocol mode on a joint-state density operator given on the basis indices ``support``.
 
@@ -275,14 +263,14 @@ def oracle_run(
     i ^ mask, is scored as v^dagger block v / prob against the pol target t.
     A float64 operator with a real target runs every step in real arithmetic.
     dense is rho[S, S], rho zero outside S: ``support`` holds the basis
-    index S of each of its rows and columns (as density_on_support returns
-    them with the operator), and None means the full 4^m basis.
+    index S of each of its rows and columns, as density_on_support returns
+    them with the operator; np.arange(4**m) gives the full basis.
     """
     import numpy as np
 
     _check_capacity(m)
     check_plan(corrections, m)
-    dim = 4**m if support is None else len(support)
+    dim = len(support)
     if dense.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} operator for m={m}, got {dense.shape}")
     if target is None:
@@ -292,7 +280,7 @@ def oracle_run(
         tvec = tvec.real  # a real operator and target: every product below stays real
 
     accepted = mode.rule.ports(m)
-    blocks = _blocks(dense, m, hadamard_both_unitary(1) if mode.hadamard else np.eye(4), accepted, support)
+    blocks = _blocks(dense, support, m, hadamard_both_unitary(1) if mode.hadamard else np.eye(4), accepted)
     scored = _kron_all([_hadamard_2x2()] * m).conj().T @ tvec if mode.hadamard else tvec
     grid = np.arange(1 << m)
 

@@ -46,11 +46,10 @@ repeated solves (an F scan, verify's grid, the benchmark) build it once:
 the accepted ports (AcceptanceRule.ports, keyed on the rule's mode and m),
 phaseflip_plan(m), the ports of each parity class (_port_classes), a
 class's ports grouped by sign and flip mask (_partition) and the Pattern
-tuples of a multi-port cell (_patterns), each keyed on every input it
-reads and shared read-only in a bounded lru cache. The frame trace costs
-O(m) and a sum of 2^(m-1) floats, so each run takes its own, once per
-magnitude. Only the branch weights depend on F, and they enter after the
-step, so no cached value depends on F.
+tuples of a multi-port cell (_patterns) and the frame trace of each
+magnitude (_frame_column), each keyed on every input it reads and shared
+read-only in a bounded lru cache. Only the branch weights depend on F, and
+they enter after the step, so no cached value depends on F.
 
 A port pattern is the port register: one bit per photon, photon 0 the
 most significant, 0 = KEEP group, 1 = SWAP group. Acceptance rules,
@@ -324,6 +323,7 @@ def _scaled(x: float, k: int) -> float:
     return x
 
 
+@lru_cache(maxsize=32)
 def _frame_column(m: int, a: float) -> tuple[float, float]:
     """The frame trace of magnitude a: (p, v), each live port's probability and the amplitude of its closed state.
 
@@ -345,7 +345,8 @@ def _frame_column(m: int, a: float) -> tuple[float, float]:
     commutes with the scaling by c in the normal range. walsh_hadamard
     prunes after each layer, so where 2 P^m(a) or V is at or below
     PRUNE_TOL (V from about m = 48 on, for a normalized member) no port
-    carries probability, and the trace is (0.0, 0.0).
+    carries probability, and the trace is (0.0, 0.0). It reads m and a
+    alone, so each (m, a) is traced once per process and shared.
     """
     top = 1 << (m - 1)
     pol = 2.0 * _scaled(a, m)
@@ -442,7 +443,7 @@ def _hadamard_split(
     s on zo and s ^ t0 ^ x.(2^m - 1) on its complement. A member's ports
     fall into one group, and one state, per (zq.q, F(q)): _partition, keyed
     on the class, zq and the class's flip masks, which a run reads off its
-    plan once per (zq, class). Each magnitude's trace is taken once per run.
+    plan once per class. Each magnitude's trace is taken once per process.
 
     This is exact: it gives what a member's own dense step (walsh_hadamard
     on both registers, routing, the closing layer) gives, bit for bit. A
@@ -458,9 +459,8 @@ def _hadamard_split(
     full = (1 << m) - 1
     classes = _port_classes(rule, m)  # port parity -> its ports
     t0 = ((c2 & pol_q ^ pol_c) if pol_o else (c2 & sp_q ^ sp_c)).bit_count() & 1
+    flips = [tuple(map(plan.get, ports, repeat(0))) for ports in classes]  # port parity -> F(q) of its ports
     off_frame = _sparse_split(m, rule, plan, gate)
-    traces: dict[float, tuple[float, float]] = {}  # magnitude a -> _frame_column(m, a)
-    partitions: dict[tuple[int, int], tuple[tuple[int, int, tuple[int, ...]], ...]] = {}  # (zq, parity) -> _partition
 
     def split(member: PureState) -> Split:
         parts = _ghz_frame(member)
@@ -468,20 +468,15 @@ def _hadamard_split(
             return off_frame(member)
         a, e, f, zp, zs = parts
         xq = zp & a2 ^ zs & b2
-        if not (ports := classes[parity := (xq ^ c2).bit_count() & 1]):
+        if not classes[parity := (xq ^ c2).bit_count() & 1]:
             return []
-        if (trace := traces.get(a)) is None:
-            trace = traces[a] = _frame_column(m, a)
-        prob, v = trace
+        prob, v = _frame_column(m, a)
         if not prob:
             return []
         xo, zo, zq = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o, e & pol_q ^ f & sp_q
         c = (e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1
-        if (groups := partitions.get(zq_class := (zq, parity))) is None:
-            flips = tuple(map(plan.get, ports, repeat(0)))
-            groups = partitions[zq_class] = _partition(rule, m, parity, zq, flips)
         out: Split = []
-        for odd, flip, qs in groups:
+        for odd, flip, qs in _partition(rule, m, parity, zq, flips[parity]):
             x = xo ^ flip
             s = c ^ odd ^ (x & zo).bit_count() & 1
             t = s ^ t0 ^ x.bit_count() & 1

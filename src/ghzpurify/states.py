@@ -174,7 +174,11 @@ def overlap(a: PureState, b: PureState) -> complex:
     """Inner product <a|b>, summed left to right over a's terms; fidelity passes the target as a."""
     if a.m != b.m or a.dofs != b.dofs:
         raise ValueError(f"states live on different labels: {a.dofs}/{a.m} vs {b.dofs}/{b.m}")
-    return sum((amp.conjugate() * b.terms[lab] for lab, amp in a.terms.items() if lab in b.terms), start=0.0j)
+    total = 0j
+    for lab, amp in a.terms.items():  # not the builtin sum, which a later Python may compensate
+        if lab in b.terms:
+            total += amp.conjugate() * b.terms[lab]
+    return total
 
 
 @dataclass(frozen=True)

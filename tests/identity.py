@@ -1,10 +1,14 @@
 """Byte-identity check of two ghzpurify source trees on the same inputs.
 
-    python tests/identity.py PARENT_TREE CHANGE_TREE [--seed N] [--smoke]
+    python tests/identity.py PARENT_TREE CHANGE_TREE [--seed N] [--smoke] [--python EXE]
 
 A tree is a directory holding ``src/ghzpurify``, such as a checkout of the
 parent commit and the working tree. Each tree runs in one child process with
-``PYTHONPATH=<tree>/src``, and both children run the same seeded cases:
+``PYTHONPATH=<tree>/src``, and both children run the same seeded cases.
+``--python EXE`` runs the change tree's child under the interpreter EXE,
+the parent's under this one, so that outputs are compared across
+interpreters; the verify set needs numpy, which EXE may lack, so it is then
+skipped and reported as skipped, not as identical. The sets:
 
 - simulate: random configs over all four modes within each mode's caps,
   through ``simulate --reproducible`` as JSON and as CSV. Weights include
@@ -287,10 +291,10 @@ def child() -> None:
     json.dump({"origin": sys.modules["ghzpurify.states"].__file__, "results": results}, sys.stdout)
 
 
-def start_child(tree: Path, cwd: Path) -> subprocess.Popen:
+def start_child(tree: Path, cwd: Path, python: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--child"],
+        [python, str(Path(__file__).resolve()), "--child"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=cwd, text=True,
     )
 
@@ -333,14 +337,17 @@ def report(name: str, index: int, case, left: list, right: list) -> None:
         print(f"    change: {b.encode()[max(0, at - 60):at + 60]!r}")
 
 
-def compare(parent: Path, change: Path, seed: int, smoke: bool) -> int:
+def compare(parent: Path, change: Path, seed: int, smoke: bool, python: str | None = None) -> int:
     for tree in (parent, change):
         if not (tree / "src" / "ghzpurify" / "__init__.py").is_file():
             fail(f"{tree} holds no src/ghzpurify")
     with tempfile.TemporaryDirectory(prefix="ghzpurify-identity-") as tmp:
         sets = build_sets(seed, smoke, Path(tmp))
+        if python is not None:
+            print(f"verify: {len(sets.pop('verify'))} cases skipped: they need numpy, and the change runs under {python}")
         payload = json.dumps(sets)
-        procs = [(tree, start_child(tree, Path(tmp))) for tree in (parent, change)]
+        pythons = (sys.executable, python or sys.executable)
+        procs = [(tree, start_child(tree, Path(tmp), exe)) for tree, exe in zip((parent, change), pythons)]
         try:
             left, right = (collect(tree, proc, payload) for tree, proc in procs)
         finally:
@@ -364,8 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="tree compared against it")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true", help="a few cases per set, for a quick check")
+    parser.add_argument("--python", metavar="EXE", help="interpreter for the change tree's child; skips the verify set")
     args = parser.parse_args(argv)
-    return compare(args.parent.resolve(), args.change.resolve(), args.seed, args.smoke)
+    return compare(args.parent.resolve(), args.change.resolve(), args.seed, args.smoke, args.python)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from ghzpurify.cli import main
 from ghzpurify.efficiency import EfficiencyParams, p_one, p_two, ratio_R, sweep
 from ghzpurify.noise import mix_general, mix_two, product_ensemble
 from ghzpurify.optics import hadamard_pol, hadamard_spatial
-from ghzpurify.oracle import densify, oracle_run, term_indices
+from ghzpurify.oracle import density_on_support, oracle_run
 from ghzpurify.protocol import (
     MODES,
     AcceptanceRule,
@@ -197,7 +197,7 @@ def test_criterion_6_oracle_equivalence():
                     worst,
                     compare(
                         run_bitflip(ens),
-                        oracle_run(densify(ens), m, MODES["bitflip"], {}, None, term_indices(ens)),
+                        oracle_run(*density_on_support(ens), m, MODES["bitflip"], {}),
                     ),
                 )
                 ens = phaseflip_pair(m, f1, f2)
@@ -205,7 +205,7 @@ def test_criterion_6_oracle_equivalence():
                     worst,
                     compare(
                         run_phaseflip(ens),
-                        oracle_run(densify(ens), m, MODES["phaseflip"], phaseflip_plan(m), None, term_indices(ens)),
+                        oracle_run(*density_on_support(ens), m, MODES["phaseflip"], phaseflip_plan(m)),
                     ),
                 )
                 count = min(4, 2 ** (m - 1))
@@ -218,7 +218,7 @@ def test_criterion_6_oracle_equivalence():
                     worst,
                     compare(
                         run_general(ens, corrections={}, acceptance=AcceptanceRule("bitflip")),
-                        oracle_run(densify(ens), m, MODES["general"], {}, None, term_indices(ens)),
+                        oracle_run(*density_on_support(ens), m, MODES["general"], {}),
                     ),
                 )
                 if m >= 3:  # distinct error locations need at least two flip classes
@@ -228,7 +228,7 @@ def test_criterion_6_oracle_equivalence():
                         worst,
                         compare(
                             run_general(ens, corrections=plan),
-                            oracle_run(densify(ens), m, MODES["deterministic-demo"], plan, None, term_indices(ens)),
+                            oracle_run(*density_on_support(ens), m, MODES["deterministic-demo"], plan),
                         ),
                     )
     elapsed = time.perf_counter() - started

@@ -20,9 +20,9 @@ def _tree(tmp_path, name, old=None, new=None):
     return tree
 
 
-def _identity(parent, change):
+def _identity(parent, change, *flags):
     return subprocess.run(
-        [sys.executable, str(ROOT / "tests" / "identity.py"), str(parent), str(change), "--smoke"],
+        [sys.executable, str(ROOT / "tests" / "identity.py"), str(parent), str(change), "--smoke", *flags],
         capture_output=True, text=True, timeout=300,
     )
 
@@ -35,4 +35,17 @@ def test_identity_passes_two_copies_and_fails_a_mutant(tmp_path):
     changed = _identity(parent, mutant)
     assert changed.returncode == 1, changed.stdout + changed.stderr
     assert "simulate: case" in changed.stdout
+    assert re.search(r"^simulate: \d+ of \d+ cases differ: \d+", changed.stdout, re.MULTILINE)
+
+
+def test_identity_under_another_interpreter_skips_the_verify_set(tmp_path):
+    """--python runs the change tree's child under the named interpreter; the verify set is reported skipped, not identical."""
+    parent, mutant = _tree(tmp_path, "parent"), _tree(tmp_path, "mutant", "dof == POL", "dof != POL")
+    same = _identity(parent, parent, "--python", sys.executable)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert re.search(r"^verify: \d+ cases skipped: they need numpy", same.stdout, re.MULTILINE)
+    assert not re.search(r"^verify: .*identical", same.stdout, re.MULTILINE)
+    assert re.search(r"^ghz: \d+ cases identical", same.stdout, re.MULTILINE)
+    changed = _identity(parent, mutant, "--python", sys.executable)
+    assert changed.returncode == 1, changed.stdout + changed.stderr
     assert re.search(r"^simulate: \d+ of \d+ cases differ: \d+", changed.stdout, re.MULTILINE)

@@ -21,9 +21,10 @@ target is a module function or a ``Class.method``, which is installed on
 the class; a function is installed in tests/helpers.py too where that
 binds it, so a mutant of optics.walsh_hadamard reaches the dense
 reference. protocol's process-lifetime caches (the port tables, the
-partitions, the pattern tuples and the gate's masks) are emptied before a mutant is installed and after it is
-removed: a warm partition would hand a mutant of the partition the
-package's groups, and one the mutant filled would outlive it.
+partitions, the frame traces, the pattern tuples and the gate's masks) are
+emptied before a mutant is installed and after it is removed: a warm
+partition would hand a mutant of the partition the package's groups, and
+one the mutant filled would outlive it.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
@@ -45,15 +46,12 @@ result tables share; the pol-to-pol mask of optics.check_table read off
 row (1, 0) without the constant of row (0, 0); and cli.execute scoring the
 closed form against 0+ whatever the configured target.
 
-The last three: the sparse step's drop of a sum at or below PRUNE_TOL
+The last two: the sparse step's drop of a sum at or below PRUNE_TOL
 raised to 1e-9, which only the third off-product member sees (each
 accepted port holds a sum of about 7e-10 on register 1, which its target
-reads linearly, and dropping it moves the fidelity by 2e-9); and two
-faults of the phase-flip relabelling: every magnitude served by
-the trace of the first, and zq read as 0. The first negates every port
-state of a member at the negated amplitude, the second flips the sign of
-whole port states; no fidelity sees either, and only the repr detector,
-whose members include such a member, catches them.
+reads linearly, and dropping it moves the fidelity by 2e-9); and a fault
+of the phase-flip relabelling, zq read as 0. It flips the sign of whole
+port states; no fidelity sees it, and only the repr detector catches it.
 
 The last three reach the two figures that no engine detector reads, and
 the oracle. AcceptanceRule.ports listing the odd-parity ports in phase-flip
@@ -106,12 +104,14 @@ sign on zo (x = xo ^ F(q)), the shift zo itself, which puts every pair on
 inputs are all GHZ(0) x GHZ(0), where zo is 0, so only the repr detector
 catches the first two; the last moves the phase-flip fidelities.
 
-The last two break the tables a run keeps. The run's trace table keyed on
-|a| hands the negated member the trace of the first, with the wrong
-signs, which only the repr detector, whose last member is the third at the
-negated amplitude, sees. Partitioning a class's ports once per class, not
-once per (zq, class), gives a member the sign groups of another with a
-different zq; the repr detector catches it.
+The last two break the frame step's lookups in the process caches. The
+trace looked up at |a| hands a member at a negative amplitude the trace
+of its magnitude, with the wrong signs, which only the repr detector,
+whose last member is the third at the negated amplitude, sees. The
+partition looked up with the class's parity in place of zq gives every
+member of a class one split, as a table keyed on the class alone would,
+and so a member the sign groups of another zq; the repr detector catches
+it.
 
 The last five break _execute's cells. A port's cell keyed on the first
 tuple that holds it merges ports whose later tuples differ; entries of a
@@ -145,9 +145,10 @@ fidelity against |000> sees: its third member, whose terms (0, 0) and
 (0, 1) that term sets against each other on registers 0 and 1, under a
 target that reads both, catches it.
 
-The last one breaks densify's scatter onto the support: each term's
-row and column placed in the order the members first reach its index, not
-at its place in the ascending term_indices that oracle_run reads them on.
+The last one breaks density_on_support's scatter onto the support: each
+term's row and column placed in the order the members first reach its
+index, not at its place in the ascending support S that oracle_run reads
+them on.
 A single GHZ x GHZ member lists its terms in ascending order, and the
 phase-flip members all hold the same four, so only an ensemble whose later
 members reach indices below the earlier ones' sees it: the bit-flip,
@@ -188,7 +189,7 @@ from pathlib import Path
 import pytest
 
 from ghzpurify import cli, efficiency, noise, optics, oracle, protocol, states
-from ghzpurify.oracle import densify, oracle_run, term_indices
+from ghzpurify.oracle import density_on_support, oracle_run
 from ghzpurify.records import ProtocolConfig
 from ghzpurify.states import POL, SPATIAL, Ensemble, PureState, make_ghz_pol, make_ghz_spatial, make_state, tensor_hyper
 import helpers
@@ -219,7 +220,6 @@ MUTANTS = [
     ("table-mask", optics, "check_table", "(p1 ^ c1, s1 ^ c1, c1,", "(p1, s1 ^ c1, c1,"),
     ("record-target", cli, "execute", "weights.get((index, sign), 0.0)", "weights.get((0, 1), 0.0)"),
     ("prune-bound", protocol, "_sparse_split", "if abs(a) > PRUNE_TOL)", "if abs(a) > 1e-9)"),
-    ("relabel-key", protocol, "_hadamard_split", "traces.get(a)", "next(iter(traces.values()), None)"),
     ("relabel-port-sign", protocol, "_hadamard_split", "e & pol_q ^ f & sp_q", "0"),
     ("accept-parity", protocol, "AcceptanceRule.ports", "r << 1 | r.bit_count() & 1", "r << 1 | ~r.bit_count() & 1"),
     ("merge-rows", oracle, "_single_photon_network", "merge[2 * 1 + 0, 2 * 0 + 1] = 1.0  # V on rail 0 -> (V, keep)\n"
@@ -228,7 +228,7 @@ MUTANTS = [
     ("oracle-flips", oracle, "oracle_run", "scored[grid ^ corrections.get(port, 0)]", "scored[grid]"),
     ("port-offset", oracle, "_blocks", "dtype=np.intp)[:, None])", "dtype=np.intp)[:, None] ^ 1)"),
     ("parity-offset", protocol, "_hadamard_split", "(xq ^ c2)", "xq"),
-    ("parity-flipped", protocol, "_hadamard_split", "if not (ports :=", "if (ports :="),
+    ("parity-flipped", protocol, "_hadamard_split", "if not classes[parity", "if classes[parity"),
     ("column-sign", protocol, "_partition", "((zq & q).bit_count() & 1, flip)", "(0, flip)"),
     ("column-first-port", protocol, "_hadamard_split", "(c2 & pol_q ^ pol_c)", "(pol_c)"),
     ("column-flip-sign", protocol, "_hadamard_split", "t0 ^ x.bit_count() & 1", "t0"),
@@ -240,14 +240,15 @@ MUTANTS = [
     ("column-flips", protocol, "_hadamard_split", "x = xo ^ flip", "x = xo"),
     ("group-last-port", protocol, "_partition", "tuple(qs))", "tuple(qs[:-1]))"),
     ("relabel-first-flip", protocol, "_hadamard_split", "tuple(map(plan.get, ports, repeat(0)))",
-     "(plan.get(ports[0], 0),) * len(ports)"),
+     "tuple(map(plan.get, ports[:1] * len(ports), repeat(0)))"),
     ("bits-slice", states, "bits", "out[8 * size - m :]", "out[8 * size - m + 1 :]"),
     ("base-shift-sign", protocol, "_hadamard_split", "s = c ^ odd ^ (x & zo).bit_count() & 1", "s = c ^ odd"),
     ("base-shift", protocol, "_hadamard_split", "{(zo,): complex(-v if s else v), (zo ^ full,)",
      "{(0,): complex(-v if s else v), (full,)"),
     ("group-flip", protocol, "_partition", ", flip), [])", ", 0), [])"),
-    ("memo-magnitude", protocol, "_hadamard_split", "traces.get(a)", "traces.get(abs(a))"),
-    ("partition-zq", protocol, "_hadamard_split", "zq_class := (zq, parity)", "zq_class := parity"),
+    ("memo-magnitude", protocol, "_hadamard_split", "_frame_column(m, a)", "_frame_column(m, abs(a))"),
+    ("partition-zq", protocol, "_hadamard_split", "_partition(rule, m, parity, zq,",
+     "_partition(rule, m, parity, parity,"),
     ("cell-first-group", protocol, "_cells", "map(add, map(held_by.get, ports, repeat(())), repeat((i,)))",
      "map(held_by.get, ports, repeat((i,)))"),
     ("cell-order", protocol, "_cells", "sorted(chain.from_iterable(", "list(chain.from_iterable("),
@@ -299,7 +300,7 @@ def _against_oracle(terms, target=((0, 1.0),)):
     ensemble, mode = Ensemble([(1.0, member)]), protocol.MODES["phaseflip"]
     target = make_state(3, (POL,), [((register,), a) for register, a in target])
     engine = mode.run(ensemble, target)
-    dense = oracle_run(densify(ensemble), 3, mode, mode.plan(ensemble), target, term_indices(ensemble))
+    dense = oracle_run(*density_on_support(ensemble), 3, mode, mode.plan(ensemble), target)
     assert abs(engine.success_probability - dense.success_probability) <= cli.VERIFY_TOL
     assert abs(engine.output_fidelity - dense.output_fidelity) <= cli.VERIFY_TOL
 

@@ -13,7 +13,7 @@ from ghzpurify.noise import (
     mix_two,
     product_ensemble,
 )
-from ghzpurify.oracle import densify, term_indices
+from ghzpurify.oracle import density_on_support
 from ghzpurify.states import (
     NORM_TOL,
     POL,
@@ -82,7 +82,7 @@ def test_product_ensemble_weights():
 
 def test_product_ensemble_matches_dense_tensor():
     # independent check: the joint mixture's operator equals the interleaved
-    # tensor product of the factor density matrices, and densify is its block on the terms
+    # tensor product of the factor density matrices, and density_on_support gives its block on the terms
     pol = mix_two(make_ghz_pol(3, 0), make_ghz_pol(3, 1), 0.8)
     spatial = mix_two(make_ghz_spatial(3, 0), make_ghz_spatial(3, 1), 0.7)
     joint = product_ensemble(pol, spatial)
@@ -92,7 +92,7 @@ def test_product_ensemble_matches_dense_tensor():
             vec = interleave_factors(brute_vector(ps), brute_vector(ss), 3)
             expected += pw * sw * np.outer(vec, vec.conj())
     assert np.allclose(brute_density(joint), expected, atol=1e-14)
-    joint_rho, support = densify(joint), term_indices(joint)
+    joint_rho, support = density_on_support(joint)
     assert joint_rho.dtype == np.float64  # every amplitude is real
     assert np.allclose(joint_rho, expected[np.ix_(support, support)], atol=1e-14)
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ghzpurify.cli import VERIFY_TOL
 from ghzpurify.noise import mix_two, product_ensemble
+from ghzpurify.optics import GATE_TABLE
 from ghzpurify.oracle import (
     _blocks,
     _indices,
@@ -19,7 +22,6 @@ from ghzpurify.oracle import (
     network_unitary,
     oracle_run,
     state_vector,
-    term_indices,
 )
 from ghzpurify.protocol import MODES, infer_flip_plan, phaseflip_plan, run_bitflip, run_general, run_phaseflip
 from ghzpurify.states import (
@@ -100,14 +102,13 @@ def overlapping(m):
 @pytest.mark.parametrize("build", [lambda m: joint_pair(m, 0.8, 0.7), complex_pair, overlapping, underflow_pair],
                          ids=["real", "complex", "overlapping", "underflow"])
 def test_densify_is_the_support_block_of_the_brute_operator(build, m):
-    """densify is the brute operator's [S, S] block, S = term_indices ascending, and the brute one is zero off S.
+    """density_on_support is the brute operator's [S, S] block and S, the term indices ascending; the brute one is 0 off S.
 
-    density_on_support returns the same operator and S from one pass.
+    densify returns the same operator.
     """
     ens = build(m)
-    full, support, rho = brute_density(ens), term_indices(ens), densify(ens)
-    one_pass = density_on_support(ens)
-    assert np.array_equal(one_pass[0], rho) and np.array_equal(one_pass[1], support)
+    full, (rho, support) = brute_density(ens), density_on_support(ens)
+    assert np.array_equal(densify(ens), rho)
     assert support.tolist() == sorted(set(support.tolist()))
     assert rho.shape == (len(support), len(support))
     assert np.allclose(rho, full[np.ix_(support, support)], rtol=0, atol=1e-15)
@@ -127,8 +128,8 @@ def test_verify_inputs_densify_to_their_support(m):
         if m >= mode.min_m:
             for f1, f2 in ((0.3, 0.8), (0.9, 0.1)):
                 ens = mode.verify_input(m, f1, f2)
-                size = len(term_indices(ens))
-                assert size <= 64 and densify(ens).shape == (size, size)
+                rho, support = density_on_support(ens)
+                assert len(support) <= 64 and rho.shape == (len(support), len(support))
 
 
 def test_verify_never_builds_the_joint_operator():
@@ -171,7 +172,7 @@ def test_network_unitary_preserves_trace_and_patterns():
     U = network_unitary(3)
     evolved = U @ brute_density(ens) @ U.conj().T
     assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-12)
-    res = oracle_run(densify(ens), 3, MODES["deterministic-demo"], {}, None, term_indices(ens))
+    res = oracle_run(*density_on_support(ens), 3, MODES["deterministic-demo"], {})
     total = sum(p for p, _ in res.pattern_table.values())
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -205,7 +206,7 @@ def test_gather_matches_dense_conjugation(m):
     U = network_unitary(m)
     full = U @ rho @ U.conj().T
     ports = list(range(1 << m))
-    blocks = _blocks(rho, m, np.eye(4), ports)
+    blocks = _blocks(rho, np.arange(4**m), m, np.eye(4), ports)
     assert blocks.shape == (1 << m, 1 << m, 1 << m)
     for port, block in zip(ports, blocks):
         idx = _indices(m, np.arange(1 << m), port)
@@ -229,7 +230,7 @@ def test_per_photon_contraction_matches_dense_layer(m):
         layer = hadamard_both_unitary(m)
         ports = list(range(1 << m))
         want = network_blocks(layer @ rho @ layer.conj().T, m, ports)
-        assert np.allclose(_blocks(rho, m, hadamard_both_unitary(1), ports), want, rtol=0, atol=1e-12)
+        assert np.allclose(_blocks(rho, np.arange(4**m), m, hadamard_both_unitary(1), ports), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -242,7 +243,7 @@ def test_contraction_matches_tensordot_reference(m):
     ports = sorted(rng.choice(1 << m, size=3, replace=False).tolist()) if m == 5 else list(range(1 << m))
     for factor in (hadamard_both_unitary(1), complex_factor(40 + m)):
         want = network_blocks(tensordot_contract(rho, factor, m), m, ports)
-        assert np.allclose(_blocks(rho, m, factor, ports), want, rtol=0, atol=1e-12)
+        assert np.allclose(_blocks(rho, np.arange(4**m), m, factor, ports), want, rtol=0, atol=1e-12)
 
 
 def test_block_read_ignores_rows_and_columns_outside_the_support():
@@ -253,9 +254,9 @@ def test_block_read_ignores_rows_and_columns_outside_the_support():
     rho[np.ix_(support, support)] = random_hermitian(9, rng)
     layer, factor, ports = hadamard_both_unitary(m), hadamard_both_unitary(1), list(range(1 << m))
     want = network_blocks(layer @ rho @ layer.conj().T, m, ports)
-    assert np.allclose(_blocks(rho[np.ix_(support, support)], m, factor, ports, support), want, rtol=0, atol=1e-12)
-    assert np.allclose(_blocks(rho, m, factor, ports), want, rtol=0, atol=1e-12)
-    assert not _blocks(np.zeros((9, 9)), m, factor, [0, 5], support).any()
+    assert np.allclose(_blocks(rho[np.ix_(support, support)], support, m, factor, ports), want, rtol=0, atol=1e-12)
+    assert np.allclose(_blocks(rho, np.arange(4**m), m, factor, ports), want, rtol=0, atol=1e-12)
+    assert not _blocks(np.zeros((9, 9)), support, m, factor, [0, 5]).any()
 
 
 def assert_runs_agree(got, want, tol):
@@ -268,18 +269,18 @@ def assert_runs_agree(got, want, tol):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_term_indices_hold_every_nonzero_row_and_column(m):
-    """oracle_run on (densify, term_indices) agrees with oracle_run on the brute full operator within 1e-15.
+    """oracle_run on density_on_support's (rho[S, S], S) agrees with oracle_run on the brute full operator within 1e-15.
 
-    So no nonzero row or column of the operator lies off term_indices, on
-    verify's inputs and on a member at weight 5e-324, whose indices are
-    among term_indices but hold all-zero rows and columns.
+    So no nonzero row or column of the operator lies off S, the members'
+    term indices, on verify's inputs and on a member at weight 5e-324,
+    whose indices are in S but hold all-zero rows and columns.
     """
     cases = [(mode, mode.verify_input(m, 0.3, 0.8)) for mode in MODES.values() if m >= mode.min_m]
     cases += [(mode, underflow_pair(m)) for mode in MODES.values()]
     for mode, ens in cases:
         plan = mode.plan(ens)
-        got = oracle_run(densify(ens), m, mode, plan, None, term_indices(ens))
-        assert_runs_agree(got, oracle_run(brute_density(ens), m, mode, plan), 1e-15)
+        got = oracle_run(*density_on_support(ens), m, mode, plan)
+        assert_runs_agree(got, oracle_run(brute_density(ens), np.arange(4**m), m, mode, plan), 1e-15)
 
 
 @pytest.mark.parametrize(
@@ -290,7 +291,7 @@ def test_oracle_matches_full_gather_reference(name, m):
     for f1, f2, target in ((0.7, 0.4, None), (0.3, 0.85, make_ghz_pol(m, 1, -1))):
         ens = mode.verify_input(m, f1, f2)
         args = (m, mode, mode.plan(ens), target)
-        got = oracle_run(densify(ens), *args, term_indices(ens))
+        got = oracle_run(*density_on_support(ens), *args)
         assert_runs_agree(got, full_gather_oracle_run(brute_density(ens), *args), 1e-12)
 
 
@@ -306,8 +307,8 @@ def test_full_support_operator_matches_full_gather_reference(name, m):
     plan = {q: int(rng.integers(0, 1 << m)) for q in range(1 << m)}
     amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     target = make_state(m, (POL,), [((r,), amp) for r, amp in enumerate((amps / np.linalg.norm(amps)).tolist())])
-    for args in ((rho, m, mode, plan, target), (rho, m, mode, {}, None)):
-        assert_runs_agree(oracle_run(*args), full_gather_oracle_run(*args), 1e-12)
+    for args in ((m, mode, plan, target), (m, mode, {}, None)):
+        assert_runs_agree(oracle_run(rho, np.arange(4**m), *args), full_gather_oracle_run(rho, *args), 1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -325,8 +326,8 @@ def test_oracle_real_and_complex_operators_agree(name, m):
     """The float64 run of a real operator and the complex128 run of its copy agree to 1e-14."""
     mode = MODES[name]
     ens = mode.verify_input(m, 0.7, 0.4)
-    rho, support = densify(ens), term_indices(ens)
-    real, cplx = (oracle_run(op, m, mode, mode.plan(ens), None, support) for op in (rho, rho.astype(complex)))
+    rho, support = density_on_support(ens)
+    real, cplx = (oracle_run(op, support, m, mode, mode.plan(ens)) for op in (rho, rho.astype(complex)))
     assert_runs_agree(real, cplx, 1e-14)
 
 
@@ -355,10 +356,46 @@ def test_state_vector_norm():
     assert np.linalg.norm(vec) == pytest.approx(1.0)
 
 
+def modes_failing_verification(table):
+    """The modes whose engine run under ``table`` is VERIFY_TOL or more (or NaN) off the oracle, at m = 3 on F in {0.3, 0.7}."""
+    m, target, failing = 3, make_ghz_pol(3, 0, +1), []
+    for name, mode in MODES.items():
+        deviations = []
+        for f1, f2 in itertools.product((0.3, 0.7), repeat=2):
+            ens = mode.verify_input(m, f1, f2)
+            engine = mode.run(ens, target, gate_table=table)
+            dense = oracle_run(*density_on_support(ens), m, mode, mode.plan(ens), target)
+            deviations += [engine.output_fidelity - dense.output_fidelity,
+                           engine.success_probability - dense.success_probability]
+        if not all(abs(d) < VERIFY_TOL for d in deviations):  # a NaN fails
+            failing.append(name)
+    return failing
+
+
+@pytest.mark.parametrize(
+    "outputs", list(itertools.permutations(GATE_TABLE.values())), ids=lambda outs: "-".join(f"{p}{q}" for p, q in outs)
+)
+def test_every_gate_table_but_the_gate_fails_verification(outputs):
+    """Each of the 23 other bijections of GF(2)^2, as the gate's table, fails verify's check at m = 3 in some mode.
+
+    The engine runs under the table and the oracle keeps its element chain,
+    on verify's inputs at F in {0.3, 0.7} on both degrees of freedom.
+    GATE_TABLE fails in no mode. Three of the other tables fail in phase
+    flip alone and one in deterministic-demo alone, so every mode's check
+    is needed.
+    """
+    table = dict(zip(GATE_TABLE, outputs))
+    failing = modes_failing_verification(table)
+    if table == GATE_TABLE:
+        assert failing == []
+    else:
+        assert failing, f"{table} passes every mode"
+
+
 def test_oracle_matches_engine_bitflip():
     ens = joint_pair(3, 0.8, 0.7)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 3, MODES["bitflip"], {}, None, term_indices(ens))
+    dense = oracle_run(*density_on_support(ens), 3, MODES["bitflip"], {})
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -368,7 +405,7 @@ def test_oracle_matches_engine_phaseflip():
     spatial = mix_two(make_ghz_spatial(3, 0, +1), make_ghz_spatial(3, 0, -1), 0.8)
     ens = product_ensemble(pol, spatial)
     engine = run_phaseflip(ens)
-    dense = oracle_run(densify(ens), 3, MODES["phaseflip"], phaseflip_plan(3), None, term_indices(ens))
+    dense = oracle_run(*density_on_support(ens), 3, MODES["phaseflip"], phaseflip_plan(3))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -377,7 +414,7 @@ def test_oracle_matches_engine_deterministic():
     ens = joint_pair(3, 0.45, 0.7, pol_index=1, spatial_index=2)
     plan = infer_flip_plan(ens)
     engine = run_general(ens, corrections=plan)
-    dense = oracle_run(densify(ens), 3, MODES["deterministic-demo"], plan, None, term_indices(ens))
+    dense = oracle_run(*density_on_support(ens), 3, MODES["deterministic-demo"], plan)
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
     assert dense.output_fidelity == pytest.approx(1.0, abs=1e-10)
@@ -387,14 +424,14 @@ def test_oracle_agreement_at_capacity_limit():
     # the unanimous / even-swap acceptance generalizations hold at m=5 too
     ens = joint_pair(5, 0.8, 0.7)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 5, MODES["bitflip"], {}, None, term_indices(ens))
+    dense = oracle_run(*density_on_support(ens), 5, MODES["bitflip"], {})
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
     pol = mix_two(make_ghz_pol(5, 0, +1), make_ghz_pol(5, 0, -1), 0.6)
     spatial = mix_two(make_ghz_spatial(5, 0, +1), make_ghz_spatial(5, 0, -1), 0.85)
     ens = product_ensemble(pol, spatial)
     engine = run_phaseflip(ens)
-    dense = oracle_run(densify(ens), 5, MODES["phaseflip"], phaseflip_plan(5), None, term_indices(ens))
+    dense = oracle_run(*density_on_support(ens), 5, MODES["phaseflip"], phaseflip_plan(5))
     assert abs(engine.output_fidelity - dense.output_fidelity) < 1e-10
     assert abs(engine.success_probability - dense.success_probability) < 1e-10
 
@@ -402,21 +439,21 @@ def test_oracle_agreement_at_capacity_limit():
 def test_oracle_noiseless_agreement():
     ens = joint_pair(2, 1.0, 1.0)
     engine = run_bitflip(ens)
-    dense = oracle_run(densify(ens), 2, MODES["bitflip"], {}, None, term_indices(ens))
+    dense = oracle_run(*density_on_support(ens), 2, MODES["bitflip"], {})
     assert engine.output_fidelity == pytest.approx(1.0, abs=1e-12)
     assert dense.output_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_shape_validation():
     with pytest.raises(ValueError, match="expected"):
-        oracle_run(np.eye(16) / 16.0, 3, MODES["bitflip"], {})
+        oracle_run(np.eye(16) / 16.0, np.arange(4**3), 3, MODES["bitflip"], {})
     # the operator's rows and columns are checked against the support it is given on
-    ens = joint_pair(3, 0.8, 0.7)
+    rho, support = density_on_support(joint_pair(3, 0.8, 0.7))
     with pytest.raises(ValueError, match="expected a 15x15"):
-        oracle_run(densify(ens), 3, MODES["bitflip"], {}, None, term_indices(ens)[:-1])
+        oracle_run(rho, support[:-1], 3, MODES["bitflip"], {})
     # the capacity check comes before the shape check, so no 4^7-square operator is needed
     with pytest.raises(ValueError, match="capacity"):
-        oracle_run(np.eye(16) / 16.0, 7, MODES["bitflip"], {})
+        oracle_run(np.eye(16) / 16.0, np.arange(4**7), 7, MODES["bitflip"], {})
 
 
 @pytest.mark.parametrize("mask", [8, -1, 1.5, True])
@@ -426,5 +463,5 @@ def test_oracle_refuses_the_correction_masks_the_engine_refuses(mask):
     with pytest.raises(ValueError, match="is not an m-bit register") as engine:
         run_general(ens, corrections=plan)
     with pytest.raises(ValueError, match="is not an m-bit register") as dense:
-        oracle_run(densify(ens), 3, MODES["bitflip"], plan, None, term_indices(ens))
+        oracle_run(*density_on_support(ens), 3, MODES["bitflip"], plan)
     assert str(dense.value) == str(engine.value)

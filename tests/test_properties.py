@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ghzpurify.noise import mix_general, product_ensemble
 from ghzpurify.optics import GATE_TABLE
-from ghzpurify.oracle import densify, oracle_run, term_indices
+from ghzpurify.oracle import density_on_support, oracle_run
 from ghzpurify.protocol import MODES, AcceptanceRule, run_general
 from ghzpurify.states import Ensemble, PureState, make_ghz_pol, make_ghz_spatial
 from helpers import pack, unpack
@@ -52,7 +52,7 @@ def test_mode_properties(name, data):
     m = ensemble.m
     result = mode.run(ensemble, target=target)
 
-    dense = oracle_run(densify(ensemble), m, mode, mode.plan(ensemble), target, term_indices(ensemble))
+    dense = oracle_run(*density_on_support(ensemble), m, mode, mode.plan(ensemble), target)
     assert result.output_fidelity == pytest.approx(dense.output_fidelity, abs=ORACLE_TOL)
     assert result.success_probability == pytest.approx(dense.success_probability, abs=ORACLE_TOL)
 
@@ -114,7 +114,7 @@ def test_ghz_diagonal_mixtures_match_oracle(name, data):
     m, target = ensemble.m, random_target(data, ensemble.m)
     result = run_or_none(lambda: mode.run(ensemble, target=target))
     dense = run_or_none(
-        lambda: oracle_run(densify(ensemble), m, mode, mode.plan(ensemble), target, term_indices(ensemble))
+        lambda: oracle_run(*density_on_support(ensemble), m, mode, mode.plan(ensemble), target)
     )
     assert (result is None) == (dense is None)
     if result is None:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -645,14 +646,19 @@ def counting_dense_steps(monkeypatch):
 
 
 def counting_traces(monkeypatch):
-    """Install a _frame_column that records the magnitude of every trace it takes; returns that list."""
+    """Install a cold _frame_column cache that records the magnitude of every trace it computes; returns that list.
+
+    The cache has the package's bound around the package's trace, so a
+    lookup it answers records nothing, and the list holds the traces this
+    process computed since the install, in order.
+    """
     original, traced = protocol._frame_column, []
 
     def counted(m, a):
         traced.append(a)
-        return original(m, a)
+        return original.__wrapped__(m, a)
 
-    monkeypatch.setattr(protocol, "_frame_column", counted)
+    monkeypatch.setattr(protocol, "_frame_column", functools.lru_cache(original.cache_info().maxsize)(counted))
     return traced
 
 
@@ -723,19 +729,19 @@ def mixed_members():
 
 
 def test_dense_step_runs_once_per_group(cold, monkeypatch):
-    """The benchmark's pair input takes 1 frame trace and no off-frame step for its 4 members; a member off the frame always takes its own.
+    """From a cold cache the pair input computes 1 frame trace per process, and no off-frame step; a member off the frame takes its own.
 
     The pair input holds GHZ(0) x GHZ(0) in all four sign pairs, at one
     magnitude. The port shift is the XOR of the two sign masks, so (+,-)
     and (-,+) shift every port to odd parity, which the phase-flip rule
-    rejects, and they take no step at all. (+,+) takes the trace of its
-    magnitude, and (-,-) reuses it. Of the mixed members, the reference
-    and the rescaled one each take a trace, their repeats reuse it, and
-    the other three take the sparse step. No trace outlives its run: a
-    second run, at other fidelities, takes its own, and the off-frame
-    members take their sparse steps again. With tests/helpers.py's
-    dense_split as the off-frame step, the run prints what every member
-    through its own dense step prints.
+    rejects, and they take no step at all. (+,+) computes the trace of its
+    magnitude, and (-,-) reads it from the cache. A second run, at other
+    fidelities, computes none. Of the mixed members, at another m, the
+    reference and the rescaled one each compute a trace, their repeats
+    read it, and the other three take the sparse step; a second run
+    computes no trace, and its off-frame members take their sparse steps
+    again. With tests/helpers.py's dense_split as the off-frame step, the
+    run prints what every member through its own dense step prints.
     """
     traced, stepped = counting_traces(monkeypatch), counting_off_frame_steps(monkeypatch)
     ensemble = phaseflip_input(8, 0.8, 0.7)
@@ -743,7 +749,7 @@ def test_dense_step_runs_once_per_group(cold, monkeypatch):
     a = ensemble.members[0][1].terms[(0, 0)].real
     assert len(ensemble.members) == 4 and traced == [a] and not stepped
     MODES["phaseflip"].run(phaseflip_input(8, 0.6, 0.9))
-    assert traced == [a, a] and not stepped
+    assert traced == [a] and not stepped
 
     members = mixed_members()
     ensemble = Ensemble(tuple((1 / len(members), s) for s in members))
@@ -757,7 +763,7 @@ def test_dense_step_runs_once_per_group(cold, monkeypatch):
     traced.clear()
     stepped.clear()
     assert_same_text(phaseflip_repr(ensemble, GATE_TABLE), framed)
-    assert traced == magnitudes and len(stepped) == 3
+    assert not traced and len(stepped) == 3
     monkeypatch.setattr(protocol, "_sparse_split", dense_split)
     with_dense = phaseflip_repr(ensemble, GATE_TABLE)
     counting_dense_steps(monkeypatch)
@@ -765,7 +771,7 @@ def test_dense_step_runs_once_per_group(cold, monkeypatch):
 
 
 def test_accept_all_pair_input_shares_one_column_across_port_classes(cold, monkeypatch):
-    """Under the accept-all rule the pair input's 4 members take 1 frame trace, and print what per-member dense steps print.
+    """Under accept-all the pair input's 4 members compute 1 frame trace from cold, and print what per-member dense steps print.
 
     (+,-) and (-,+) reach the odd ports, which this rule keeps, and the
     phase-flip plan flips every photon on the even ports only, so the one
@@ -898,7 +904,7 @@ def test_warm_pair_solve_builds_one_outcome_per_cell(m, monkeypatch):
 def test_warm_runs_print_what_cold_runs_print():
     """Shuffled phase-flip runs at m = 2..8 in one process print, each, what the same run prints with every cache empty.
 
-    The port tables, partitions and pattern tuples live for the process.
+    The port tables, partitions, frame traces and pattern tuples live for the process.
     The runs cover the gate and the faulted table, the phase-flip rule and
     plan and the accept-all rule with an empty plan, the pair input and the
     pair input negated, GHZ x GHZ members at random indices and signs, and
@@ -934,19 +940,20 @@ def test_warm_runs_print_what_cold_runs_print():
 
 
 def test_column_memo_stays_bounded():
-    """No frame column outlives its run: 512 runs, one new (gate, magnitude, index, sign) key each, leave protocol's tables within their bounds.
+    """512 runs, one new (gate, magnitude, index, sign) key each, leave protocol's tables within their bounds.
 
     512 accept-all runs at m = 4, one GHZ x GHZ member each at every index
     pair and sign pair, on the gate and the faulted table. Every table
-    protocol keeps for the process is an lru cache of at most 32 entries,
-    and no module-level dict holds anything a run put there.
+    protocol keeps for the process, the frame traces among them, is an lru
+    cache of at most 32 entries, and no module-level dict holds anything a
+    run put there.
     """
     clear_caches()
     m = 4
     tables = {name: obj for name, obj in vars(protocol).items() if type(obj) in (dict, list, set) and name[:2] != "__"}
     sizes = {name: len(obj) for name, obj in tables.items()}
     cached = [protocol.AcceptanceRule.ports, protocol.phaseflip_plan, protocol._port_classes, protocol._partition,
-              protocol._patterns]
+              protocol._frame_column, protocol._patterns]
     for e, f, s, t in itertools.product(range(8), range(8), (1, -1), (1, -1)):
         member = Ensemble(((1.0, tensor_hyper(make_ghz_pol(m, e, s), make_ghz_spatial(m, f, t))),))
         for table in (GATE_TABLE, FAULTED_TABLE):
@@ -963,9 +970,11 @@ def test_shared_port_tables_are_read_only():
     clear_caches()
     before = repr(MODES["phaseflip"].run(ensemble))
     plan, ports, classes = phaseflip_plan(m), rule.ports(m), protocol._port_classes(rule, m)
-    # the pair input's live members have zq = 0 and reach the even class, every port with one flip mask
+    # the pair input's two live members have zq = 0 and reach the even class, every port with one flip mask:
+    # the process computed their partition once, and this lookup is answered from the cache
     partition = protocol._partition(rule, m, 0, 0, (15,) * len(classes[0]))
-    assert protocol._partition.cache_info().hits == 1 and partition == ((0, 15, classes[0]),)
+    info = protocol._partition.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and partition == ((0, 15, classes[0]),)
     patterns = protocol._patterns(m, classes[0])
     assert protocol._patterns.cache_info().hits == 1 and patterns == tuple(bits(m, q) for q in classes[0])
     with pytest.raises(TypeError):

@@ -192,6 +192,20 @@ def test_ghz_family_orthonormal():
             assert abs(overlap(a, b) - expected) < 1e-12
 
 
+def test_overlap_sums_left_to_right():
+    """<a|b> adds its terms in a's order with no compensation: 1/2 + 1e-18 rounds to 1/2, so the 1e-18 is lost.
+
+    A compensated sum, as the builtin sum of floats is from Python 3.12 on,
+    would keep it.
+    """
+    r = 2**-0.5
+    a = PureState(2, (POL,), {(0,): r, (1,): 1e-9, (2,): r})
+    b = PureState(2, (POL,), {(0,): r, (1,): 1e-9, (2,): -r})
+    assert r * r + 1e-18 == r * r
+    got = overlap(a, b)
+    assert (got.real, got.imag) == (0.0, 0.0) and math.copysign(1.0, got.real) == 1.0
+
+
 def test_complement_symmetry():
     for i in range(4):
         for sign in (+1, -1):
