@@ -12,12 +12,13 @@ the dense-basis indices its members' terms hold (at most 64 on verify's
 GHZ-product inputs), and returns S with it: the |S| x |S| block rho[S, S],
 rows and columns in ascending basis order; the operator is zero outside
 it. densify returns the block alone. No operator on the whole joint space
-is built or multiplied. The network unitary is a permutation read off the
-single-photon element chain, so a port's block sits on rows of the
-Hadamard-conjugated operator, and a Hadamard layer's entry is a product of
-one 4x4 factor entry per photon digit. So each block is read from
-rho[S, S] through the layer's entries on those rows and on S; a mode
-without Hadamard layers takes the identity factor.
+is built or multiplied. Every optical element, and every Hadamard, acts
+on one photon, so the network times the Hadamard layer is one 4x4 factor
+per photon, the single-photon element chain times the layer's factor (the
+identity in a mode without Hadamard layers), and each entry of the whole
+is a product of one factor entry per photon digit. So each port's block
+is read from rho[S, S] through those entries on the port's own basis
+rows and on S.
 
 oracle_run takes rho[S, S] with S, and the protocol Mode: its Hadamard
 flag picks the layers and the closing Hadamard of each correction, its
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .protocol import CorrectionPlan, Mode, Pattern, check_plan
-from .states import Ensemble, PureState, bits, make_ghz_pol
+from .states import POL, Ensemble, PureState, bits, make_ghz_pol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,21 +144,8 @@ def _single_photon_network() -> np.ndarray:
     merge[2 * 1 + 1, 2 * 1 + 1] = 1.0  # V on rail 1 -> (V, swap)
     merge[2 * 0 + 1, 2 * 2 + 0] = 1.0  # H on rail 2 -> (H, swap)
     net = merge @ plates @ splitter
-    if not _is_permutation(net):
-        raise AssertionError("element chain did not compose to a permutation")
     net.flags.writeable = False  # one array for the life of the process
     return net
-
-
-def _is_permutation(mat: np.ndarray) -> bool:
-    import numpy as np
-
-    binary = np.isclose(mat, 0.0) | np.isclose(mat, 1.0)
-    return bool(
-        binary.all()
-        and (np.abs(mat).sum(axis=0) == 1).all()
-        and (np.abs(mat).sum(axis=1) == 1).all()
-    )
 
 
 def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
@@ -168,7 +156,7 @@ def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
 
 
 def network_unitary(m: int) -> np.ndarray:
-    """Full-network permutation unitary on the 4^m joint space."""
+    """Full-network unitary on the 4^m joint space: the single-photon element chain on every photon."""
     _check_capacity(m)
     return _kron_all([_single_photon_network()] * m)
 
@@ -188,23 +176,6 @@ def hadamard_both_unitary(m: int) -> np.ndarray:
     return _kron_all([np.kron(h2, h2)] * m)
 
 
-def _network_source(m: int) -> np.ndarray:
-    """Column of the 1 in each row of network_unitary(m), without building the matrix.
-
-    Row i of the Kronecker product has its 1 where every photon's row of
-    the single-photon network has its own, so the column is the per-photon
-    permutation combined photon by photon in mixed radix 4, first photon
-    most significant. Read off the element chain; oracle_run checks m.
-    """
-    import numpy as np
-
-    perm = _single_photon_network().argmax(axis=1)
-    src = np.zeros(1, dtype=np.intp)
-    for _ in range(m):
-        src = (4 * src[:, None] + perm).ravel()
-    return src
-
-
 def _layer_entries(factor: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """L[rows, cols] for L = factor^(x m), without building L; rows and cols broadcast as rows[..., None] and cols.
 
@@ -219,17 +190,17 @@ def _layer_entries(factor: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarra
 
 
 def _blocks(dense: np.ndarray, support: np.ndarray, m: int, factor: np.ndarray, ports: list[int]) -> np.ndarray:
-    """Each port's block [port, pol, pol] of U L rho L^dagger U^dagger, U the network permutation, L = factor^(x m).
+    """Each port's block [port, pol, pol] of (N L) rho (N L)^dagger, N the network and L = factor^(x m).
 
     dense is rho[S, S] on S = ``support``, the basis index of each of its rows and columns, and rho is
-    zero outside S. Row i of U has its 1 in column src[i], so a port's block is rows R = src[idx] of
-    L rho L^dagger, idx its 2^m basis states, read as L[R, S] dense L[R, S]^dagger: one batched product
-    for all ports.
+    zero outside S. Every element of the network acts on one photon, so N L = (n f)^(x m), n the
+    single-photon element chain and f = ``factor``: a port's block sits on its own 2^m basis rows R,
+    read as A[R, S] dense A[R, S]^dagger for A = (n f)^(x m), one batched product for all ports.
     """
     import numpy as np
 
-    rows = _network_source(m)[_indices(m, np.arange(1 << m), np.array(ports, dtype=np.intp)[:, None])]
-    layer = _layer_entries(factor, m, rows, support)  # [port, pol, S]
+    rows = _indices(m, np.arange(1 << m), np.array(ports, dtype=np.intp)[:, None])
+    layer = _layer_entries(_single_photon_network() @ factor, m, rows, support)  # [port, pol, S]
     return layer @ dense @ layer.conj().swapaxes(1, 2)
 
 
@@ -254,8 +225,8 @@ def oracle_run(
     """Run a protocol mode on a joint-state density operator given on the basis indices ``support``.
 
     Each port accepted by ``mode.rule`` gets its block of U W rho W^dagger
-    U^dagger from ``_blocks``, U the network permutation and W the
-    Hadamard layer where ``mode.hadamard`` is set, the identity otherwise.
+    U^dagger from ``_blocks``, U the network and W the Hadamard layer
+    where ``mode.hadamard`` is set, the identity otherwise.
     The port's correction is C = H^(x m) X^mask in a Hadamard mode, else
     X^mask, with the port's flip mask from ``corrections`` (0 if absent),
     which must be an m-bit register as run_general requires.
@@ -264,7 +235,9 @@ def oracle_run(
     A float64 operator with a real target runs every step in real arithmetic.
     dense is rho[S, S], rho zero outside S: ``support`` holds the basis
     index S of each of its rows and columns, as density_on_support returns
-    them with the operator; np.arange(4**m) gives the full basis.
+    them with the operator; np.arange(4**m) gives the full basis. A target
+    on other photons or labels, or a support index outside [0, 4^m), is
+    refused with ValueError.
     """
     import numpy as np
 
@@ -273,8 +246,12 @@ def oracle_run(
     dim = len(support)
     if dense.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} operator for m={m}, got {dense.shape}")
+    if ((support < 0) | (support >= 1 << 2 * m)).any():
+        raise ValueError(f"support holds an index outside the 4^m basis for m={m}")
     if target is None:
         target = make_ghz_pol(m, 0, +1)
+    if target.m != m or target.dofs != (POL,):
+        raise ValueError("target must be a bare polarization state on the same photons")
     tvec = state_vector(target)
     if dense.dtype == np.float64 and not tvec.imag.any():
         tvec = tvec.real  # a real operator and target: every product below stays real

@@ -34,8 +34,8 @@ from ghzpurify.oracle import (
     _hadamard_2x2,
     _indices,
     _kron_all,
-    _network_source,
     hadamard_both_unitary,
+    network_unitary,
     state_vector,
 )
 from ghzpurify.protocol import (
@@ -375,7 +375,7 @@ def full_gather_oracle_run(dense, m, mode, corrections, target=None) -> OracleRe
     rho = dense
     if mode.hadamard:
         rho = tensordot_contract(rho, hadamard_both_unitary(1), m)
-    src = _network_source(m)
+    src = network_unitary(m).argmax(axis=1)  # the network permutation's index, row by row
     rho = rho[np.ix_(src, src)]
     table = {}
     success = fidelity_mass = 0.0

@@ -16,7 +16,8 @@ skipped and reported as skipped, not as identical. The sets:
   configs are refused (exit 2) or accept nothing (exit 3);
 - sweep: ``sweep --axis L|N|F`` in both formats, the defaults plus seeded
   ranges;
-- verify: ``verify --m 2..5`` and ``verify --m 3 --inject-gate-fault``;
+- verify: ``verify --m 2..6``, the oracle's whole range, each m plain and
+  with ``--inject-gate-fault`` (``--smoke``: m = 2 only);
 - repr: the ``repr`` of ``MODES[mode].run`` on seeded ensembles whose
   members are not GHZ products, or carry complex amplitudes (an exception is
   compared by its type and message);
@@ -204,8 +205,8 @@ def build_sets(seed: int, smoke: bool, config_dir: Path) -> dict[str, list]:
         path = config_dir / f"config-{k}.json"
         path.write_text(json.dumps(simulate_config(rng)), encoding="utf-8")
         simulate += [["simulate", str(path), "--reproducible", "--format", fmt] for fmt in ("json", "csv")]
-    verify = [["verify", "--m", str(m)] for m in ((2,) if smoke else (2, 3, 4, 5))]
-    verify.append(["verify", "--m", "3", "--inject-gate-fault"])
+    verify = [["verify", "--m", str(m), *fault] for m in ((2,) if smoke else (2, 3, 4, 5, 6))
+              for fault in ([], ["--inject-gate-fault"])]
     return {
         "simulate": simulate,
         "sweep": sweep_argvs(rng, per_axis),

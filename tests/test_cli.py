@@ -276,22 +276,28 @@ def test_verify_nan_deviation_fails(monkeypatch, capsys):
     assert "verify m=2: FAILED" in out
 
 
+def swapped_rows(net):
+    # two output rows of one party's element chain swapped: still a permutation, wrong physics
+    net[[0, 1]] = net[[1, 0]]
+    assert ((net == 0) | (net == 1)).all() and (net.sum(axis=0) == 1).all() and (net.sum(axis=1) == 1).all()
+
+
+def mixed_rows(net):
+    # rows 0 and 1 made (r0 + r1) / sqrt(2) and (r0 - r1) / sqrt(2): still unitary, no longer a permutation
+    net[[0, 1]] = [(net[0] + net[1]) * 0.5**0.5, (net[0] - net[1]) * 0.5**0.5]
+
+
 @pytest.mark.parametrize("m", [3, 5, 6])
 def test_verify_oracle_network_fault_fails(m, monkeypatch, capsys):
-    # two output rows of one party's element chain swapped: still a permutation, wrong physics
     real = oracle._single_photon_network
-
-    def faulted():
+    for fault in (swapped_rows, mixed_rows):
         net = real().copy()
-        net[[0, 1]] = net[[1, 0]]
-        assert oracle._is_permutation(net)
-        return net
-
-    monkeypatch.setattr(oracle, "_single_photon_network", faulted)
-    assert main(["verify", "--m", str(m)]) == 1
-    out = capsys.readouterr().out
-    assert out.count("MISMATCH") == 4
-    assert f"verify m={m}: FAILED" in out
+        fault(net)
+        monkeypatch.setattr(oracle, "_single_photon_network", lambda: net)
+        assert main(["verify", "--m", str(m)]) == 1, fault.__name__
+        out = capsys.readouterr().out
+        assert out.count("MISMATCH") == 4, fault.__name__
+        assert f"verify m={m}: FAILED" in out
 
 
 def test_verify_capacity_exit_2():

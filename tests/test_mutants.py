@@ -58,13 +58,14 @@ the oracle. AcceptanceRule.ports listing the odd-parity ports in phase-flip
 mode is shared by the oracle, so verify passes and only the records and
 closed forms catch it. Two rows of the oracle's merge (displacer) matrix
 swapped, still a permutation, send V on rail 0 to (H, keep) and H on rail 3
-to (V, keep); verify catches it. The exponent N + 1 in efficiency.ratio_R is
+to (V, keep); the oracle asks its chain for no property, and verify and the
+off-product detector catch it. The exponent N + 1 in efficiency.ratio_R is
 caught by the efficiency detector, computed in the test from the formula.
 
 The last two break a correction or a port read as a register XOR. The
 oracle's corrected target read at grid instead of grid ^ mask leaves
 every oracle port uncorrected, which only verify sees. The port register
-XOR 1 in oracle._blocks' gather scores each accepted port from its
+XOR 1 in oracle._blocks' rows scores each accepted port from its
 neighbour's block; the off-product detector and verify catch it.
 
 The next two break the skip of a member whose port class the rule
@@ -124,12 +125,16 @@ A cell's weights added once, not once per port, to the accepted mass,
 and its probability x fidelity once to the output fidelity, move every
 phase-flip figure.
 
-The last two break the oracle's layer entries, each a product of one
-factor entry per photon digit. Every digit read one bit off moves every
-oracle run, Hadamard or not; verify and the layer detector catch it.
-factor[s, r] in place of factor[r, s] is the transposed layer: the
-oracle's own factors, H x H and the identity, are symmetric, so no run
-sees it, and only the layer detector, with its non-symmetric factor, does.
+The last three break the oracle's layer entries, each a product of one
+entry per photon digit of the composed factor, the element chain times the
+layer's factor. Every digit read one bit off moves every oracle run,
+Hadamard or not; verify and the layer detector catch it. factor[s, r] in
+place of factor[r, s] is the transposed read: the composed factor is not
+symmetric, whatever the layer, so every mode of verify, the off-product
+detector and the layer detector, with its complex non-symmetric factor,
+catch it. The layer's factor multiplied before the chain in place of after
+it moves only phase flip, the one Hadamard mode, since the identity
+commutes with the chain; verify and the off-product detector catch it.
 
 The last three break the frame trace's other factors, and each moves the
 phase-flip figures: one square too few in the sum p; the term t0 dropped
@@ -259,6 +264,7 @@ MUTANTS = [
     ("layer-digit", oracle, "_layer_entries", "range(0, 2 * m, 2)", "range(1, 2 * m, 2)"),
     ("layer-transposed", oracle, "_layer_entries", "factor[rows >> shift & 3, cols >> shift & 3]",
      "factor[cols >> shift & 3, rows >> shift & 3]"),
+    ("factor-order", oracle, "_blocks", "_single_photon_network() @ factor", "factor @ _single_photon_network()"),
     ("trace-squares", protocol, "_frame_column", "repeat(V * V, top)", "repeat(V * V, top - 1)"),
     ("trace-sign-m", protocol, "_hadamard_split", "t = s ^ t0 ^", "t = s ^"),
     ("trace-support", protocol, "_hadamard_split", "(zo ^ full,)", "(zo ^ full - 1,)"),

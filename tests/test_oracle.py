@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ghzpurify import oracle
 from ghzpurify.cli import VERIFY_TOL
 from ghzpurify.noise import mix_two, product_ensemble
 from ghzpurify.optics import GATE_TABLE
@@ -15,7 +16,6 @@ from ghzpurify.oracle import (
     _blocks,
     _indices,
     _layer_entries,
-    _network_source,
     densify,
     density_on_support,
     hadamard_both_unitary,
@@ -187,20 +187,15 @@ def complex_factor(seed):
     return np.linalg.qr(random_hermitian(4, np.random.default_rng(seed)) + 1j * np.eye(4))[0]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_network_source_reads_the_unitary(m):
-    assert np.array_equal(_network_source(m), network_unitary(m).argmax(axis=1))
-
-
 def network_blocks(full, m, ports):
-    """Each port's block of the already conjugated operator full, gathered through the network index."""
-    src = _network_source(m)
+    """Each port's block of the already conjugated operator full, gathered through the network permutation's index."""
+    src = network_unitary(m).argmax(axis=1)
     return [full[np.ix_(src[idx], src[idx])] for idx in (_indices(m, np.arange(1 << m), port) for port in ports)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_gather_matches_dense_conjugation(m):
-    # with the identity factor, every port's block read through the network index is that block of U rho U^dagger
+    # with the identity factor, every port's block read through the composed factor is that block of U rho U^dagger
     rho = random_hermitian(4**m, np.random.default_rng(m))
     assert rho.dtype == np.complex128  # the complex path
     U = network_unitary(m)
@@ -211,6 +206,22 @@ def test_gather_matches_dense_conjugation(m):
     for port, block in zip(ports, blocks):
         idx = _indices(m, np.arange(1 << m), port)
         assert np.allclose(block, full[np.ix_(idx, idx)], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_blocks_read_any_single_photon_network(m, monkeypatch):
+    """With the element chain replaced by a random complex unitary n, not a permutation, every port's block is
+    its rows of the dense conjugation by (n f)^(x m), f the layer's factor."""
+    rng = np.random.default_rng(60 + m)
+    net = complex_factor(70 + m)
+    monkeypatch.setattr(oracle, "_single_photon_network", lambda: net)
+    rho, ports = random_hermitian(4**m, rng), list(range(1 << m))
+    for factor in (np.eye(4), complex_factor(80 + m)):
+        whole = functools.reduce(np.kron, [net @ factor] * m)
+        full = whole @ rho @ whole.conj().T
+        for port, block in zip(ports, _blocks(rho, np.arange(4**m), m, factor, ports)):
+            idx = _indices(m, np.arange(1 << m), port)
+            assert np.allclose(block, full[np.ix_(idx, idx)], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -454,6 +465,29 @@ def test_oracle_shape_validation():
     # the capacity check comes before the shape check, so no 4^7-square operator is needed
     with pytest.raises(ValueError, match="capacity"):
         oracle_run(np.eye(16) / 16.0, np.arange(4**7), 7, MODES["bitflip"], {})
+
+
+def test_oracle_refuses_a_support_outside_the_basis():
+    """An operator on m = 4 photons passed as m = 3 holds indices of 4^3 and above: refused, not read mod 4^m."""
+    rho, support = density_on_support(MODES["bitflip"].verify_input(4, 0.8, 0.7))
+    assert support.max() >= 4**3
+    with pytest.raises(ValueError, match="outside the 4\\^m basis for m=3"):
+        oracle_run(rho, support, 3, MODES["bitflip"], {})
+    with pytest.raises(ValueError, match="outside the 4\\^m basis for m=2"):
+        oracle_run(np.ones((1, 1)), np.array([-1]), 2, MODES["bitflip"], {})
+
+
+@pytest.mark.parametrize(
+    "target", [make_ghz_pol(4, 0), make_ghz_spatial(3, 0)], ids=["other-photons", "spatial-labels"]
+)
+def test_oracle_refuses_the_targets_the_engine_refuses(target):
+    """A target on other photons or on spatial labels is refused by both, with one message."""
+    ens = MODES["bitflip"].verify_input(3, 0.8, 0.7)
+    with pytest.raises(ValueError) as engine:
+        MODES["bitflip"].run(ens, target)
+    with pytest.raises(ValueError) as dense:
+        oracle_run(*density_on_support(ens), 3, MODES["bitflip"], {}, target)
+    assert str(dense.value) == str(engine.value) == "target must be a bare polarization state on the same photons"
 
 
 @pytest.mark.parametrize("mask", [8, -1, 1.5, True])
