@@ -14,10 +14,10 @@ noise, optics, oracle, protocol, records, states or cli.
 
 Importing the package imports every module except cli, so tools that wrap
 module functions by name (perfbench/spans.py) find each one. numpy is
-imported inside the functions that build arrays (the oracle, and the
-per-state Hadamard route of optics), never at module level, and no engine
-step builds one, so importing the package and running any mode on any
-member, or a sweep, leaves it unloaded.
+imported only inside the oracle's functions that build arrays, never at
+module level, and no engine step or optics function builds one, so
+importing the package and running any mode on any member, a sweep, or
+the per-state optics, leaves it unloaded.
 """
 
 __version__ = "0.1.0"

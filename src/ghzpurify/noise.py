@@ -115,7 +115,7 @@ class ProductEnsemble(Ensemble):
         if pol.m != spatial.m:
             raise ValueError(f"photon counts differ: {pol.m} vs {spatial.m}")
         if pol.dofs != (POL,) or spatial.dofs != (SPATIAL,):
-            raise ValueError("tensor_hyper expects a bare polarization state and a bare spatial state")
+            raise ValueError("product_ensemble expects a polarization mixture and a spatial mixture")
         object.__setattr__(self, "factors", (pol, spatial))
 
     @property

@@ -17,8 +17,6 @@ or all-one (check_table). The gate itself is out_pol = ~s, port = p ^ s.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .states import (
     H,
     KEEP,
@@ -26,7 +24,6 @@ from .states import (
     MODE2,
     POL,
     PORT,
-    PRUNE_TOL,
     SPATIAL,
     SWAP,
     V,
@@ -34,9 +31,6 @@ from .states import (
     PureState,
     make_state,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The Hadamard coefficient. It rounds one ulp above 1.0 / math.sqrt(2.0), the
 # GHZ amplitude in states; the golden records depend on each staying as it is.
@@ -87,58 +81,26 @@ def apply_network(state: PureState, table: GateTable | None = None) -> PureState
     return make_state(state.m, (POL, PORT), items)
 
 
-def walsh_hadamard(amps: np.ndarray, m: int) -> None:
-    """Hadamard on every photon of the m-bit register that indexes axis 0, in place.
+def _hadamard_dof(state: PureState, dof: str) -> PureState:
+    """Hadamard on every photon of one register, term by term; make_state prunes the layer once, at its end.
 
     Photon 0 (the most significant bit) goes first; each step maps the
     amplitude pair (a0, a1) of one photon to (a0 c + a1 c, a0 c - a1 c),
-    c = 2**-0.5, so every output is one sum of two products and does not
-    depend on the order of the terms. The register is the leading axis so
-    that every step works on contiguous runs of at least the row length.
-    The array is float64 or complex128: every step works on its float64
-    view, so a real array gets the operations a complex one's real parts
-    get. The layer ends with ``prune``, as make_state does.
+    c = 2**-0.5, a missing member of the pair read as 0, so every output is
+    one sum of two products and does not depend on the order of the terms.
     """
-    import numpy as np
-
-    if amps.shape[0] != 1 << m or amps.dtype not in (np.float64, np.complex128) or not amps.flags.c_contiguous:
-        raise ValueError(f"expected a C-contiguous float64 or complex128 array with {1 << m} rows")
-    scaled = np.empty_like(amps)
-    for k in range(m):
-        np.multiply(amps.view(np.float64), _HADAMARD_C, out=scaled.view(np.float64))
-        halves, out = scaled.reshape(1 << k, 2, -1), amps.reshape(1 << k, 2, -1)
-        np.add(halves[:, 0], halves[:, 1], out=out[:, 0])
-        np.subtract(halves[:, 0], halves[:, 1], out=out[:, 1])
-    prune(amps)
-
-
-def prune(amps: np.ndarray) -> None:
-    """Zero every amplitude of magnitude at or below PRUNE_TOL, in place, as make_state drops them."""
-    import numpy as np
-
-    amps[np.abs(amps) <= PRUNE_TOL] = 0.0
-
-
-def _hadamard_dof(state: PureState, dof: str) -> PureState:
-    """One dense column per value of the other registers, through walsh_hadamard."""
-    import numpy as np
-
-    axis = state.dofs.index(dof)
-    rests: dict[Label, int] = {}
-    regs, cols = [], []
-    for label in state.terms:
-        regs.append(label[axis])
-        cols.append(rests.setdefault(label[:axis] + label[axis + 1 :], len(rests)))
-    amps = np.zeros((1 << state.m, len(rests)), dtype=complex)
-    amps[regs, cols] = list(state.terms.values())
-    walsh_hadamard(amps, state.m)
-    reg_of, col_of = np.nonzero(amps)
-    rest_of = list(rests)
-    items = [
-        (rest_of[c][:axis] + (reg,) + rest_of[c][axis:], amp)
-        for reg, c, amp in zip(reg_of.tolist(), col_of.tolist(), amps[reg_of, col_of].tolist())
-    ]
-    return make_state(state.m, state.dofs, items)
+    axis, m = state.dofs.index(dof), state.m
+    terms = state.terms
+    for shift in range(m - 1, -1, -1):
+        pairs: dict[Label, list[complex]] = {}  # label with the photon's bit cleared -> (a0 c, a1 c)
+        for label, amp in terms.items():
+            low = label[:axis] + (label[axis] & ~(1 << shift),) + label[axis + 1 :]
+            pairs.setdefault(low, [0j, 0j])[label[axis] >> shift & 1] = amp * _HADAMARD_C
+        terms = {}
+        for low, (a0, a1) in pairs.items():
+            terms[low] = a0 + a1
+            terms[low[:axis] + (low[axis] | 1 << shift,) + low[axis + 1 :]] = a0 - a1
+    return make_state(m, state.dofs, terms.items())
 
 
 def hadamard_pol(state: PureState) -> PureState:

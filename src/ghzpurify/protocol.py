@@ -14,16 +14,16 @@ reference member, its ports from a scalar trace of its magnitude
 (_frame_column): every live port holds the same probability and a scaled
 GHZ state +-v(|r> +- |r^(2^m-1)>), its register pair and signs read off
 the member and the gate's masks, one port group per distinct state, bit
-for bit what walsh_hadamard's butterflies on register arrays give (the
-tests keep that dense step as their reference). A member whose port
-class the rule rejects is skipped, and _hadamard_split states why that
-is exact. Any other member, complex or not a product of two GHZ states,
-which only an API caller passes, takes the sparse Hadamard step
-(_sparse_split): the path is Clifford, so each of its terms reaches each
-accepted port at one register, with a sign. No step builds an array, and
-no mode loads numpy. Every step returns port groups (Split): one
-probability and corrected state per group, held by each of its accepted
-ports.
+for bit what Walsh-Hadamard butterflies on register arrays give (the
+tests keep that dense step as their reference, on tests/helpers.py's
+walsh_hadamard). A member whose port class the rule rejects is skipped,
+and _hadamard_split states why that is exact. Any other member, complex
+or not a product of two GHZ states, which only an API caller passes,
+takes the sparse Hadamard step (_sparse_split): the path is Clifford, so
+each of its terms reaches each accepted port at one register, with a
+sign. No step builds an array, and no mode loads numpy. Every step
+returns port groups (Split): one probability and corrected state per
+group, held by each of its accepted ports.
 A run reads the gate once: _execute takes the affine register masks of the
 table and of its inverse (optics.check_table, which refuses a table that is
 not a bijection; the gate's own masks once per m), and every step routes
@@ -284,11 +284,12 @@ def _sparse_split(
     the parity of x & y, F(q) the port's flip mask and P^m(1) = 2^(-m/2):
     each of the three Hadamard layers gives 2^(-m/2) and a sign, and the
     sum over the 2^m registers the gate sends to the port keeps u alone,
-    2^m times over. A port sums its contributions per register in term order, drops a sum
-    at or below PRUNE_TOL, as walsh_hadamard prunes a layer, and takes as
-    its probability the left-to-right sum of |amp|**2 in ascending register
-    order. Its state is scaled by probability**-0.5, which is at least 1
-    up to rounding, so no kept amplitude needs a second prune. The step
+    2^m times over. A port sums its contributions per register in term
+    order, drops a sum at or below PRUNE_TOL, as tests/helpers.py's
+    walsh_hadamard prunes a layer, and takes as its probability the
+    left-to-right sum of |amp|**2 in ascending register order. Its state
+    is scaled by probability**-0.5, which is at least 1 up to rounding, so
+    no kept amplitude needs a second prune. The step
     costs O(terms x accepted ports) and builds no array; it agrees with the
     dense step within rounding, not bit for bit, as it adds in another order.
     """
@@ -342,11 +343,13 @@ def _frame_column(m: int, a: float) -> tuple[float, float]:
     down the column is p; it is scaled by p**-0.5, and the closing pol
     Hadamard again meets equal magnitudes only: 2^(m-1) P^m(V * p**-0.5)
     on registers 0 and 2^m - 1, zero elsewhere. Doubling is exact and
-    commutes with the scaling by c in the normal range. walsh_hadamard
-    prunes after each layer, so where 2 P^m(a) or V is at or below
-    PRUNE_TOL (V from about m = 48 on, for a normalized member) no port
-    carries probability, and the trace is (0.0, 0.0). It reads m and a
-    alone, so each (m, a) is traced once per process and shared.
+    commutes with the scaling by c in the normal range. The reference's
+    walsh_hadamard prunes after each layer, so where 2 P^m(a) or V is at
+    or below PRUNE_TOL (V from about m = 48 on, for a normalized member)
+    no port carries probability, and the trace is (0.0, 0.0): _execute
+    drops the member's groups, as it drops every group of zero weight. It
+    reads m and a alone, so each (m, a) is traced once per process and
+    shared.
     """
     top = 1 << (m - 1)
     pol = 2.0 * _scaled(a, m)
@@ -445,15 +448,16 @@ def _hadamard_split(
     on the class, zq and the class's flip masks, which a run reads off its
     plan once per class. Each magnitude's trace is taken once per process.
 
-    This is exact: it gives what a member's own dense step (walsh_hadamard
-    on both registers, routing, the closing layer) gives, bit for bit. A
-    butterfly on a Pauli image of its input gives the same floats, moved
-    or negated, since c x + c y = c y + c x and c x - c y = -(c y - c x)
-    bit for bit; a zero whose sign may differ is pruned to +0.0. Every
-    nonzero amplitude of one port of a GHZ x GHZ product has the same
-    magnitude, so the port's probability, a left-to-right sum in register
-    order, is the same in any order. The amplitudes are +-v made complex,
-    in ascending register order. Any other member takes _sparse_split.
+    This is exact: it gives what a member's own dense step (the tests'
+    walsh_hadamard on both registers, routing, the closing layer) gives,
+    bit for bit. A butterfly on a Pauli image of its input gives the same
+    floats, moved or negated, since c x + c y = c y + c x and
+    c x - c y = -(c y - c x) bit for bit; a zero whose sign may differ is
+    pruned to +0.0. Every nonzero amplitude of one port of a GHZ x GHZ
+    product has the same magnitude, so the port's probability, a
+    left-to-right sum in register order, is the same in any order. The
+    amplitudes are +-v made complex, in ascending register order. Any
+    other member takes _sparse_split.
     """
     (a1, b1, _, a2, b2, c2), (pol_o, pol_q, pol_c, sp_o, sp_q, sp_c) = gate
     full = (1 << m) - 1
@@ -471,8 +475,6 @@ def _hadamard_split(
         if not classes[parity := (xq ^ c2).bit_count() & 1]:
             return []
         prob, v = _frame_column(m, a)
-        if not prob:
-            return []
         xo, zo, zq = zp & a1 ^ zs & b1, e & pol_o ^ f & sp_o, e & pol_q ^ f & sp_q
         c = (e & pol_c ^ f & sp_c ^ zo & xo).bit_count() & 1
         out: Split = []

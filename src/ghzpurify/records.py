@@ -38,7 +38,7 @@ from .protocol import (
 
 SCHEMA_VERSION = 1
 
-_TARGET_RE = re.compile(r"^(\d+)([+-])$")
+_TARGET_RE = re.compile(r"([0-9]+)([+-])")
 
 
 class ConfigError(ValueError):
@@ -51,7 +51,7 @@ def _is_int(value: Any) -> bool:
 
 def parse_target(label: str) -> tuple[int, int]:
     """Parse a GHZ target label like "0+" into (index, sign)."""
-    match = _TARGET_RE.match(label)
+    match = _TARGET_RE.fullmatch(label)
     if not match:
         raise ConfigError(f"target must look like '0+' or '2-', got {label!r}")
     digits, sign = match.groups()

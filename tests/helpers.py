@@ -12,9 +12,13 @@ its faster ones, `route` applies `optics.check_table`'s masks to
 registers or index grids, `gate_masks` builds the masks a run hands its
 step, and `per_port_execute` keeps `protocol._execute`'s former per-port
 loop as the reference for the outcomes it now builds once per cell of
-ports. `dense_split` keeps `protocol`'s former Hadamard-mode dense step,
-walsh_hadamard on register arrays: the frame step matches it bit for bit,
-and the sparse step that replaced it within 1e-12. `clear_caches` empties what `protocol` keeps for the life of the
+ports. `walsh_hadamard` (with `prune`) is the dense Walsh-Hadamard layer
+on register arrays, kept here so that no edit to the package moves it:
+`walsh_state` runs it on one labeled state, the reference for
+`optics.hadamard_pol`/`hadamard_spatial`, and `dense_split` keeps
+`protocol`'s former Hadamard-mode dense step on it: the frame step
+matches it bit for bit, and the sparse step that replaced it within
+1e-12. `clear_caches` empties what `protocol` keeps for the life of the
 process, so that a test can run cold. Label literals are written photon
 by photon, one tuple of bits per photon, and turned into the package's
 register labels by `pack`; `unpack` undoes it.
@@ -28,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ghzpurify import protocol
-from ghzpurify.optics import check_table, prune, walsh_hadamard
+from ghzpurify.optics import check_table
 from ghzpurify.oracle import (
     OracleResult,
     _hadamard_2x2,
@@ -50,6 +54,7 @@ from ghzpurify.protocol import (
 from ghzpurify.states import (
     NORM_TOL,
     POL,
+    PRUNE_TOL,
     SPATIAL,
     Ensemble,
     Label,
@@ -60,6 +65,9 @@ from ghzpurify.states import (
     make_state,
     overlap,
 )
+
+# The Hadamard coefficient, optics._HADAMARD_C's value written out, so that no edit to the package moves the dense reference
+HADAMARD_C = 2.0**-0.5
 
 
 def pair_closed_form(fa: float, fb: float) -> tuple[float, float]:
@@ -120,6 +128,50 @@ def per_port_execute(ensemble, rule, plan, target=None, hadamard_first=False, ga
     return ProtocolResult(accepted, success, 1.0 - success, fidelity_mass / success)
 
 
+def walsh_hadamard(amps: np.ndarray, m: int) -> None:
+    """Hadamard on every photon of the m-bit register that indexes axis 0, in place.
+
+    Photon 0 (the most significant bit) goes first; each step maps the
+    amplitude pair (a0, a1) of one photon to (a0 c + a1 c, a0 c - a1 c),
+    c = 2**-0.5, so every output is one sum of two products and does not
+    depend on the order of the terms. The register is the leading axis so
+    that every step works on contiguous runs of at least the row length.
+    The array is float64 or complex128: every step works on its float64
+    view, so a real array gets the operations a complex one's real parts
+    get. The layer ends with ``prune``, as make_state does.
+    """
+    if amps.shape[0] != 1 << m or amps.dtype not in (np.float64, np.complex128) or not amps.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous float64 or complex128 array with {1 << m} rows")
+    scaled = np.empty_like(amps)
+    for k in range(m):
+        np.multiply(amps.view(np.float64), HADAMARD_C, out=scaled.view(np.float64))
+        halves, out = scaled.reshape(1 << k, 2, -1), amps.reshape(1 << k, 2, -1)
+        np.add(halves[:, 0], halves[:, 1], out=out[:, 0])
+        np.subtract(halves[:, 0], halves[:, 1], out=out[:, 1])
+    prune(amps)
+
+
+def prune(amps: np.ndarray) -> None:
+    """Zero every amplitude of magnitude at or below PRUNE_TOL, in place, as make_state drops them."""
+    amps[np.abs(amps) <= PRUNE_TOL] = 0.0
+
+
+def walsh_state(state: PureState, dof: str) -> PureState:
+    """The reference for optics.hadamard_pol and hadamard_spatial: walsh_hadamard on one column per value of the other registers."""
+    axis = state.dofs.index(dof)
+    column: dict[Label, int] = {}
+    for label in state.terms:
+        column.setdefault(label[:axis] + label[axis + 1 :], len(column))
+    amps = np.zeros((1 << state.m, len(column)), dtype=complex)
+    for label, amp in state.terms.items():
+        amps[label[axis], column[label[:axis] + label[axis + 1 :]]] = amp
+    walsh_hadamard(amps, state.m)
+    rests = list(column)
+    return make_state(state.m, state.dofs, (
+        (rests[c][:axis] + (reg,) + rests[c][axis:], amps[reg, c]) for reg, c in np.argwhere(amps).tolist()
+    ))
+
+
 def dense_split(
     m: int, rule: AcceptanceRule, plan: CorrectionPlan, gate: Gate
 ) -> Callable[[PureState], Split]:
@@ -146,8 +198,6 @@ def dense_split(
     register, so one gather applies every port's mask and one column-wise
     walsh_hadamard closes every port with nonzero probability.
     """
-    import numpy as np
-
     size = 1 << m
     grid = np.arange(size)
     ports = rule.ports(m)
@@ -325,28 +375,6 @@ def random_joint_state(rng: np.random.Generator, m: int = 3) -> PureState:
     amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
     amps /= np.linalg.norm(amps)
     return PureState(m, (POL, SPATIAL), dict(zip(labels, map(complex, amps))))
-
-
-def loop_hadamard(state: PureState, dof: str) -> PureState:
-    """Hadamard on every photon of one register, term by term in Python.
-
-    The reference for optics.walsh_hadamard: photon 0 first, each output
-    amplitude one sum of two products with c = 2**-0.5, pruned at the end.
-    """
-    axis = state.dofs.index(dof)
-    c = 2.0**-0.5
-    terms = dict(state.terms)
-    for k in range(state.m):
-        bit = 1 << (state.m - 1 - k)
-        split = {}
-        for label, amp in terms.items():
-            reg = label[axis]
-            for nb in (0, bit):
-                coeff = -c if (reg & bit and nb) else c
-                new_label = label[:axis] + ((reg & ~bit) | nb,) + label[axis + 1 :]
-                split[new_label] = split.get(new_label, 0.0j) + amp * coeff
-        terms = split
-    return make_state(state.m, state.dofs, terms.items())
 
 
 def tensordot_contract(rho: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:

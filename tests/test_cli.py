@@ -311,6 +311,15 @@ def test_invalid_target_exits_2(tmp_path):
     assert main(["simulate", config]) == 2
 
 
+@pytest.mark.parametrize("target", ["0+\n", "\u0661+", "\uff11+"], ids=["newline", "arabic-indic", "fullwidth"])
+def test_target_matches_in_full_with_ascii_digits(tmp_path, capsys, target):
+    """A trailing newline, or a digit other than 0-9, is no target: it would split the CSV row or run as index 1."""
+    assert main(["simulate", write_config(tmp_path, target=target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: target must look like '0+' or '2-', got {target!r}\n"
+
+
 def test_out_of_range_indices_exit_2(tmp_path):
     assert main(["simulate", write_config(tmp_path, target="4+")]) == 2
     config = write_config(

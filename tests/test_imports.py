@@ -4,11 +4,12 @@ Of the engine's paths none builds an array: a phase-flip run takes the
 scalar frame trace on GHZ x GHZ members, every member a config or the CLI
 builds, and the sparse off-frame step on any other member (a complex one,
 or one that is not a product of two GHZ states), so no mode on any member
-loads numpy. The dense oracle and the per-state Hadamard route of optics
-import it in their own bodies, so a verify loads it. A stray module-level
-import would put numpy back into every simulate and every sweep, about
-half of a short ghzpurify process. The package itself binds its modules,
-its version and the names of the README quick start, nothing else.
+loads numpy. Only the dense oracle imports it, in its own function bodies,
+so a verify loads it; optics' per-state route runs term by term and loads
+nothing. A stray module-level import would put numpy back into every
+simulate and every sweep, about half of a short ghzpurify process. The
+package itself binds its modules, its version and the names of the README
+quick start, nothing else.
 """
 
 import ast
@@ -116,6 +117,17 @@ print(json.dumps({
 """
 
 
+# optics' per-state route, each function on GHZ states at m = 3; prints whether numpy is loaded.
+_PER_STATE = """
+import json, sys
+from ghzpurify.optics import apply_network, bit_flip_pol, hadamard_pol, hadamard_spatial
+from ghzpurify.states import make_ghz_pol, make_ghz_spatial, tensor_hyper
+apply_network(hadamard_spatial(hadamard_pol(tensor_hyper(make_ghz_pol(3, 1, -1), make_ghz_spatial(3, 2)))))
+hadamard_pol(bit_flip_pol(make_ghz_pol(3, 1, -1), 5))
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
 def _fresh_python(script: str, *args: str):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -159,6 +171,19 @@ def test_dense_paths_load_numpy(command):
             assert _fresh_python(_PHASEFLIP_RUNS, member) == [False, False]
     else:
         assert _fresh_python(_RUN_CLI, json.dumps([["verify", "--m", "2"]])) == [False, True]
+
+
+def test_only_the_oracle_imports_numpy():
+    """No module of the package but oracle names numpy in an import, and optics' per-state route leaves it unloaded."""
+    importers = [
+        path.name
+        for path in sorted((ROOT / "src" / "ghzpurify").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+    assert set(importers) == {"oracle.py"}
+    assert _fresh_python(_PER_STATE) is False
 
 
 def test_tracer_finds_every_module_without_numpy():

@@ -15,16 +15,17 @@ per-port loop, the efficiency ratio against its formula and criterion 7
 (R P2 = P1), the oracle's Hadamard layer, read entry by entry, against
 the Kronecker product of a complex, non-symmetric factor, the repr of
 runs on factored products against the same runs on an Ensemble of all
-their members, and the registers of tensor_hyper's products against 2^m.
+their members, the registers of tensor_hyper's products against 2^m, and
+optics' per-state Hadamard against tests/helpers.py's walsh_hadamard.
 A mutant is caught when a detector's check fails or raises. A mutant
 target is a module function or a ``Class.method``, which is installed on
 the class; a function is installed in tests/helpers.py too where that
-binds it, so a mutant of optics.walsh_hadamard reaches the dense
-reference. protocol's process-lifetime caches (the port tables, the
-partitions, the frame traces, the pattern tuples and the gate's masks) are
-emptied before a mutant is installed and after it is removed: a warm
-partition would hand a mutant of the partition the package's groups, and
-one the mutant filled would outlive it.
+binds it, so a mutant of optics.check_table or states.bits reaches the
+references that call it. protocol's process-lifetime caches (the port
+tables, the partitions, the frame traces, the pattern tuples and the
+gate's masks) are emptied before a mutant is installed and after it is
+removed: a warm partition would hand a mutant of the partition the
+package's groups, and one the mutant filled would outlive it.
 
 The first mutants are the faults that the per-state checks caught before the
 engine built its derived states unchecked: a port state scaled off its norm
@@ -37,8 +38,8 @@ phase-flip member leaves the frame for the sparse step. The last one drops
 one scaling by c from the spatial layer of the frame trace
 (protocol._frame_column), one of the 2m.
 
-Then come the butterfly sign in walsh_hadamard, which no engine step runs
-any more: the repr detector catches it through the dense reference. Then a
+Then comes the butterfly sign of optics' per-state Hadamard, which no
+engine step runs: the Hadamard detector catches it. Then a
 wrong phaseflip_plan flip mask and the GHZ maker of the two noise lists
 swapped. The last three reach past the engine:
 states.bits read least significant bit first, which the oracle and the
@@ -217,8 +218,7 @@ MUTANTS = [
     ("tensor-register", states, "tensor_hyper", "terms[(p, s)]", "terms[(p ^ (1 << pol.m), s)]"),
     ("weight-undivided", protocol, "_execute", "(w / pattern_prob, s)", "(w, s)"),
     ("pair-scalings", protocol, "_frame_column", "_scaled(pol, m)", "_scaled(pol, m - 1)"),
-    ("walsh-sign", optics, "walsh_hadamard", "np.subtract(halves[:, 0], halves[:, 1]",
-     "np.subtract(halves[:, 1], halves[:, 0]"),
+    ("butterfly-sign", optics, "_hadamard_dof", "a0 - a1", "a0 + a1"),
     ("plan-mask", protocol, "phaseflip_plan", "(1 << m) - 1", "(1 << m) - 2"),
     ("maker-swapped", noise, "ensemble_from_specs", "dof == POL", "dof != POL"),
     ("bits-order", states, "bits", "out[8 * size - m :]", "out[::-1][:m]"),
@@ -413,6 +413,12 @@ def efficiency_ratio(tmp_path):
         assert math.isclose(ratio * efficiency.p_two(params), efficiency.p_one(params), rel_tol=TOL)
 
 
+def hadamard_layer(tmp_path):
+    # optics' per-state Hadamard against tests/helpers.py's walsh_hadamard, on a real pol state of unequal amplitudes
+    state = make_state(3, (POL,), [((0,), 0.6), ((3,), 0.48), ((6,), 0.64)])
+    assert optics.hadamard_pol(state).terms == helpers.walsh_state(state, POL).terms
+
+
 def oracle_layer(tmp_path):
     # the oracle's own factors, H x H and the identity, are symmetric; this one is not, and is complex
     import numpy as np
@@ -423,8 +429,8 @@ def oracle_layer(tmp_path):
 
 
 DETECTORS = [  # cheapest first
-    tensor_labels, efficiency_ratio, oracle_layer, shared_port_states, factored_products, relabelled_repr,
-    oracle_off_product, closed_forms, golden_records, oracle_m3,
+    tensor_labels, efficiency_ratio, hadamard_layer, oracle_layer, shared_port_states, factored_products,
+    relabelled_repr, oracle_off_product, closed_forms, golden_records, oracle_m3,
 ]
 
 

@@ -121,7 +121,7 @@ def test_product_ensemble_rejects_mismatched_factors():
     pol, spatial = Ensemble(((1.0, make_ghz_pol(3, 0)),)), Ensemble(((1.0, make_ghz_spatial(3, 0)),))
     with pytest.raises(ValueError, match="photon counts differ: 3 vs 4"):
         product_ensemble(pol, Ensemble(((1.0, make_ghz_spatial(4, 0)),)))
-    with pytest.raises(ValueError, match="bare polarization"):
+    with pytest.raises(ValueError, match="^product_ensemble expects a polarization mixture and a spatial mixture$"):
         product_ensemble(spatial, pol)
 
 

@@ -11,7 +11,6 @@ from ghzpurify.optics import (
     hadamard_pol,
     hadamard_spatial,
     check_table,
-    walsh_hadamard,
 )
 from ghzpurify.oracle import _single_photon_network
 from ghzpurify.states import (
@@ -31,7 +30,6 @@ from ghzpurify.states import (
 from helpers import (
     MINUS_GLOBAL_SIGN,
     PAIRING,
-    loop_hadamard,
     pack,
     pol_state_from_string,
     random_joint_state,
@@ -40,6 +38,8 @@ from helpers import (
     scaled,
     states_close,
     unpack,
+    walsh_hadamard,
+    walsh_state,
 )
 
 
@@ -160,18 +160,18 @@ def test_route_rule_on_ints_and_grids(table):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_hadamard_matches_loop_reference(m):
-    # same sums of two products in the same order, so equal to the last bit
+    # the butterfly against tests/helpers.py's walsh_hadamard: the same sums of two products, so equal to the last bit
     rng = np.random.default_rng(40 + m)
     joint = random_joint_state(rng, m)
     product = tensor_hyper(make_ghz_pol(m, 1, -1), make_ghz_spatial(m, 2 ** (m - 1) - 1))
     # half the outputs cancel to about 1e-16, below PRUNE_TOL, so both sides must prune them
     c = 2.0**-0.5
     near = PureState(m, (POL,), {(0,): c, (1,): c * (1 + 1e-15)})
-    assert len(loop_hadamard(near, POL).terms) == 2 ** (m - 1)
+    assert len(walsh_state(near, POL).terms) == 2 ** (m - 1)
     for state in (joint, product, near, make_ghz_pol(m, 1, -1), hadamard_pol(make_ghz_pol(m, 0))):
-        assert hadamard_pol(state).terms == loop_hadamard(state, POL).terms
+        assert hadamard_pol(state).terms == walsh_state(state, POL).terms
     for state in (joint, product, make_ghz_spatial(m, 1)):
-        assert hadamard_spatial(state).terms == loop_hadamard(state, SPATIAL).terms
+        assert hadamard_spatial(state).terms == walsh_state(state, SPATIAL).terms
 
 
 def test_walsh_hadamard_prunes_and_checks_its_array():

@@ -17,7 +17,6 @@ from ghzpurify.optics import (
     bit_flip_pol,
     hadamard_pol,
     hadamard_spatial,
-    walsh_hadamard,
 )
 from ghzpurify.protocol import (
     MAX_MEMBERS,
@@ -55,6 +54,7 @@ from helpers import (
     pair_closed_form,
     per_port_execute,
     route,
+    walsh_hadamard,
 )
 
 
@@ -1129,6 +1129,15 @@ def test_column_step_matches_the_dense_step(m, table):
     assert compared >= 2
 
 
+def test_frame_trace_that_prunes_every_port_accepts_nothing():
+    """At m = 48 the frame trace's V is at or below PRUNE_TOL: every group carries probability 0 and _execute drops it.
+
+    Below m = 48 the trace adds 2^(m-1) squares, far too many to run here.
+    """
+    with pytest.raises(ValueError, match="no accepted port pattern carries probability"):
+        protocol._execute(phaseflip_input(48, 0.8, 0.7), AcceptanceRule("bitflip"), {}, None, True, None)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_frame_trace_matches_walsh_bit_for_bit(data):
@@ -1278,6 +1287,9 @@ def test_member_cap_config_builds_only_its_accepted_members(monkeypatch):
 def test_product_builds_every_pair_where_a_run_cannot_skip_one(monkeypatch):
     """A run on a product builds every member under accept-all and past a factor member off the GHZ frame.
 
+    A factor member is off the frame where it is not a real two-term GHZ
+    state: amplitudes of two magnitudes, a complex one, one term or four.
+
     Each run prints what a run on an Ensemble of the same members prints,
     and so does a run on a product whose members were read before it.
     The general verify input at m = 4 has 4 components per degree of
@@ -1301,11 +1313,22 @@ def test_product_builds_every_pair_where_a_run_cannot_skip_one(monkeypatch):
     assert len(read.members) == 16
     assert repr(mode.run(read)) == repr(mode.run(Ensemble(read.members)))
     built.clear()
-    # a pol member whose two amplitudes differ in magnitude, and a complex one: every pair is taken
+    # a pol member whose two amplitudes differ in magnitude, a complex one, one of one term and one of four: every
+    # pair is taken; GHZ(1, -) written complement first is read as GHZ(1, -), and its pairs are filtered
     pol, spatial = four.factors
-    halves = (PureState(4, (POL,), {(1,): 0.6, (14,): 0.8}), PureState(4, (POL,), {(1,): 0.5**0.5, (14,): 0.5**0.5 * 1j}))
-    for off in halves:
+    c = 0.5**0.5
+    reversed_minus = PureState(4, (POL,), {(14,): -c, (1,): c})
+    assert protocol._ghz_factor(reversed_minus) == (1, -1)
+    factors_built = [
+        (PureState(4, (POL,), {(1,): 0.6, (14,): 0.8}), {}),
+        (PureState(4, (POL,), {(1,): c, (14,): c * 1j}), {}),
+        (PureState(4, (POL,), {(2,): 1.0}), {}),
+        (PureState(4, (POL,), {(0,): 0.5, (3,): 0.5, (12,): -0.5, (15,): 0.5}), {}),
+        (reversed_minus, {"bitflip": 4, "phaseflip": 12, "general": 4}),
+    ]
+    for off, live in factors_built:
         factors = (Ensemble(pol.members[:3] + ((pol.members[3][0], off),)), spatial)
-        same_as_members(mode.run, factors)
-        assert len(built) == 16 + 16
-        built.clear()
+        for name in ("bitflip", "phaseflip", "general"):
+            same_as_members(MODES[name].run, factors)
+            assert len(built) == live.get(name, 16) + 16
+            built.clear()

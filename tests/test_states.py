@@ -161,6 +161,13 @@ def test_tensor_hyper_mismatched_m():
         tensor_hyper(make_ghz_pol(3, 0), make_ghz_spatial(4, 0))
 
 
+def test_tensor_hyper_refuses_factors_other_than_bare_pol_and_bare_spatial():
+    pol, spatial = make_ghz_pol(3, 0), make_ghz_spatial(3, 0)
+    for factors in ((spatial, pol), (pol, pol), (tensor_hyper(pol, spatial), spatial)):
+        with pytest.raises(ValueError, match="^tensor_hyper expects a bare polarization state and a bare spatial state$"):
+            tensor_hyper(*factors)
+
+
 def test_fidelity_identity_and_orthogonal_mixture():
     target = make_ghz_pol(3, 0)
     assert fidelity(Ensemble(((1.0, target),)), target) == pytest.approx(1.0)
